@@ -426,6 +426,27 @@ check_metrics_doc() {
   [[ "${drift}" -eq 0 ]]
 }
 
+check_e2e_smoke() {
+  echo "=== e2e smoke: ledger_test + edit_delta convergence ==="
+  # The benchmark's own CMake project (e2e_bench/README.md); run.py reuses
+  # this build directory.
+  local dir=".bench_build/e2e_bench"
+  [[ -f "${dir}/CMakeCache.txt" ]] ||
+    cmake -S e2e_bench -B "${dir}" -DCMAKE_BUILD_TYPE=Release
+  cmake --build "${dir}" --target ledger_test
+  "${dir}/ledger_test" --gtest_brief=1
+  # End-to-end convergence oracle over the delta path: every participant
+  # digest must match the host's, and no delivery may fail.
+  local result
+  result="$(python3 e2e_bench/run.py --workload edit_delta --seed 1 \
+      --seconds 3 --trace 0 | tail -n 1)"
+  python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+      "${result}" ||
+    { echo "e2e smoke failed: ${result}" >&2; return 1; }
+}
+
 run_suite() {
   local build_dir="$1"
   shift
@@ -458,6 +479,7 @@ run_suite() {
 }
 
 check_metrics_doc
+check_e2e_smoke
 run_suite build "$@"
 run_suite build-asan -DRCB_SANITIZE=ON "$@"
 

@@ -7,7 +7,6 @@
 
 #include "src/browser/resources.h"
 #include "src/crypto/hmac.h"
-#include "src/delta/patch_applier.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"
 
@@ -1237,7 +1236,7 @@ void AjaxSnippet::ProcessPatch(const delta::PatchEnvelope& envelope,
           StrFormat("%lld",
                     static_cast<long long>(envelope.patch.target_doc_time_ms))}});
     result = delta::ApplyPatchToDocument(browser_->document(), doc_time_ms_,
-                                         envelope.patch);
+                                         envelope.patch, &patch_memo_);
   }
   auto end = std::chrono::steady_clock::now();
   switch (result) {
@@ -1295,6 +1294,8 @@ void AjaxSnippet::ProcessPatch(const delta::PatchEnvelope& envelope,
 }
 
 void AjaxSnippet::ApplySnapshot(const Snapshot& snapshot) {
+  // The apply rebuilds the document, so the next patch digests it afresh.
+  patch_memo_.digest.clear();
   Document* document = browser_->document();
   Element* root = document->document_element();
   if (root == nullptr) {

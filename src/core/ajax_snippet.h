@@ -22,6 +22,7 @@
 
 #include "src/browser/browser.h"
 #include "src/core/protocol.h"
+#include "src/delta/patch_applier.h"
 #include "src/delta/patch_codec.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
@@ -171,6 +172,11 @@ class AjaxSnippet {
   // leave after this snippet joined).
   const std::vector<std::string>& known_peers() const { return peers_; }
   const SnippetMetrics& metrics() const { return metrics_; }
+  // Base-digest memo of the last committed patch (src/delta/patch_applier.h);
+  // its `hits` counts the patches whose base digest it answered.
+  const delta::BaseDigestMemo& patch_digest_memo() const {
+    return patch_memo_;
+  }
   // Observability (DESIGN.md §9): every SnippetMetrics counter
   // (callback-backed), the Fig. 5 apply-stage histograms (wall), and the
   // simulated content-download / object-fetch histograms (sim). The snippet
@@ -298,6 +304,7 @@ class AjaxSnippet {
   std::string pid_;
   Duration interval_ = Duration::Seconds(1.0);
   int64_t doc_time_ms_ = -1;
+  delta::BaseDigestMemo patch_memo_;
 
   std::vector<UserAction> action_queue_;
   // Actions riding the in-flight poll; re-queued if the transport fails so

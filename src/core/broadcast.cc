@@ -56,6 +56,7 @@ SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
     slot.current.doc_time_ms = doc_time_ms;
     slot.current.tree = MaterializeSnapshotTree(slot.snapshot);
     slot.current.digest = delta::TreeDigest(*slot.current.tree);
+    slot.current.hashes = delta::HashTree(*slot.current.tree);
     slot.patch_cache.clear();
     if (previous.tree != nullptr &&
         previous.doc_time_ms != slot.current.doc_time_ms) {
@@ -141,7 +142,8 @@ std::optional<std::string> SnapshotBroadcast::MaybeBuildPatchResponse(
       cached.envelope.patch.target_digest = slot.current.digest;
       auto diff_start = std::chrono::steady_clock::now();
       cached.envelope.patch.ops =
-          delta::DiffTrees(*base->tree, *slot.current.tree);
+          delta::DiffTrees(*base->tree, base->hashes, *slot.current.tree,
+                           slot.current.hashes);
       cached.xml = delta::SerializePatchXml(cached.envelope);
       if (instruments_.trace != nullptr && trace_ctx.active()) {
         auto diff_us = std::chrono::duration_cast<std::chrono::microseconds>(

@@ -28,6 +28,7 @@
 #include "src/core/content_generator.h"
 #include "src/core/protocol.h"
 #include "src/delta/patch_codec.h"
+#include "src/delta/tree_diff.h"
 #include "src/net/event_loop.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -73,12 +74,15 @@ struct BroadcastCounters {
 
 class SnapshotBroadcast {
  public:
-  // One materialized canonical tree (src/delta) with its version and digest;
-  // the delta path diffs a history of these against the current one.
+  // One materialized canonical tree (src/delta) with its version, digest and
+  // subtree hashes; the delta path diffs a history of these against the
+  // current one. The hashes are computed once, with the tree, and live and
+  // die with it.
   struct BaseVersion {
     int64_t doc_time_ms = -1;
     std::unique_ptr<Element> tree;
     std::string digest;
+    delta::TreeHashes hashes;
   };
   // A memoized diff against one base version, shared by every participant
   // that acked that version (the §4.1.2 reuse argument, applied to patches).

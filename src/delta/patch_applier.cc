@@ -59,6 +59,43 @@ void CommitCanonicalTree(Document* document,
   }
 }
 
+// True when committing `canonical` and canonicalizing the live document
+// again reproduces `canonical`: an attribute-less root whose first child is
+// an attribute-less head without a bootstrap script, followed by at most one
+// each of body, frameset and noframes, in that order. Only such a commit may
+// be memoized — any other shape verifies against its own target digest but
+// re-canonicalizes to a different tree.
+bool RoundTripsThroughCommit(const Element& canonical) {
+  const Node* first = canonical.first_child();
+  const Element* head = first != nullptr ? first->AsElement() : nullptr;
+  if (!canonical.attributes().empty() || head == nullptr ||
+      head->tag_name() != "head" || !head->attributes().empty()) {
+    return false;
+  }
+  for (const auto& child : head->children()) {
+    if (IsSnippetBootstrapScript(*child)) {
+      return false;
+    }
+  }
+  static constexpr std::string_view kTopLevel[] = {"body", "frameset",
+                                                   "noframes"};
+  size_t next = 0;
+  for (size_t i = 1; i < canonical.child_count(); ++i) {
+    const Element* element = canonical.child_at(i)->AsElement();
+    if (element == nullptr) {
+      return false;
+    }
+    while (next < 3 && element->tag_name() != kTopLevel[next]) {
+      ++next;
+    }
+    if (next == 3) {
+      return false;
+    }
+    ++next;
+  }
+  return true;
+}
+
 }  // namespace
 
 bool NeedsResync(ApplyResult result) {
@@ -179,6 +216,12 @@ Status ApplyPatchOps(Element* root, const std::vector<PatchOp>& ops) {
 ApplyResult ApplyPatchToDocument(Document* document,
                                  int64_t current_doc_time_ms,
                                  const Patch& patch) {
+  return ApplyPatchToDocument(document, current_doc_time_ms, patch, nullptr);
+}
+
+ApplyResult ApplyPatchToDocument(Document* document,
+                                 int64_t current_doc_time_ms,
+                                 const Patch& patch, BaseDigestMemo* memo) {
   if (patch.target_doc_time_ms <= current_doc_time_ms) {
     return ApplyResult::kStaleIgnored;
   }
@@ -189,7 +232,14 @@ ApplyResult ApplyPatchToDocument(Document* document,
   if (canonical == nullptr) {
     return ApplyResult::kBaseDigestMismatch;
   }
-  if (TreeDigest(*canonical) != patch.base_digest) {
+  const Element* root = document->document_element();
+  if (memo != nullptr && !memo->digest.empty() &&
+      memo->root_rev == root->rev()) {
+    ++memo->hits;
+    if (memo->digest != patch.base_digest) {
+      return ApplyResult::kBaseDigestMismatch;
+    }
+  } else if (TreeDigest(*canonical) != patch.base_digest) {
     return ApplyResult::kBaseDigestMismatch;
   }
   if (!ApplyPatchOps(canonical.get(), patch.ops).ok()) {
@@ -198,7 +248,12 @@ ApplyResult ApplyPatchToDocument(Document* document,
   if (TreeDigest(*canonical) != patch.target_digest) {
     return ApplyResult::kTargetDigestMismatch;
   }
+  const bool memoizable = RoundTripsThroughCommit(*canonical);
   CommitCanonicalTree(document, std::move(canonical));
+  if (memo != nullptr) {
+    memo->root_rev = root->rev();
+    memo->digest = memoizable ? patch.target_digest : std::string();
+  }
   return ApplyResult::kApplied;
 }
 

@@ -16,6 +16,7 @@
 #define SRC_DELTA_PATCH_APPLIER_H_
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "src/delta/patch_codec.h"
@@ -43,11 +44,28 @@ std::string_view ApplyResultName(ApplyResult result);
 // why ApplyPatchToDocument works on a scratch clone.
 Status ApplyPatchOps(Element* root, const std::vector<PatchOp>& ops);
 
+// The participant's record of its last committed apply: the document
+// element's rev() right after the commit and the target digest that commit
+// verified. Every DOM mutation restamps the revs of the touched node and all
+// its ancestors with fresh, never-reused values, so while the root's rev is
+// unchanged the canonical tree still digests to `digest`.
+struct BaseDigestMemo {
+  uint64_t root_rev = 0;
+  std::string digest;  // empty: nothing recorded
+  uint64_t hits = 0;   // base-digest gates answered from the memo
+};
+
 // The full pipeline described in the file comment. `current_doc_time_ms` is
-// the version of the content the participant currently displays.
+// the version of the content the participant currently displays. With a
+// memo, gate 3 compares against the recorded digest when the root's rev
+// still matches (otherwise it digests the canonical tree as usual), and a
+// committed apply records the new rev and target digest.
 ApplyResult ApplyPatchToDocument(Document* document,
                                  int64_t current_doc_time_ms,
                                  const Patch& patch);
+ApplyResult ApplyPatchToDocument(Document* document,
+                                 int64_t current_doc_time_ms,
+                                 const Patch& patch, BaseDigestMemo* memo);
 
 }  // namespace rcb::delta
 

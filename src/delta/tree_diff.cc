@@ -1,7 +1,9 @@
 #include "src/delta/tree_diff.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
+#include <numeric>
 
 #include "src/crypto/sha256.h"
 #include "src/html/serializer.h"
@@ -71,18 +73,56 @@ void EmitReplace(const Node& target, const std::vector<uint32_t>& path,
   ops->push_back(std::move(op));
 }
 
-void DiffNodePair(const Node& base, const Node& target,
-                  std::vector<uint32_t>* path, std::vector<PatchOp>* ops);
+// One DiffTrees call: both trees' subtree hashes, the path of the pair being
+// diffed, and the op sink.
+struct DiffWalk {
+  const TreeHashes& base;
+  const TreeHashes& target;
+  std::vector<uint32_t> path;
+  std::vector<PatchOp> ops;
+};
 
-// Reconciles the children of one matched element pair: keyed LCS keeps the
-// stable spine, leftovers are re-paired by key (moves) and then by tag
-// (attribute-drifted elements), the rest become removals/insertions.
-// Removals run in descending index order, then moves/insertions finalize
-// positions left to right (so every move satisfies from >= to), and only
-// then does the differ recurse into the matched pairs at their final
-// indexes — keeping every emitted path valid at apply time.
-void ReconcileChildren(const Element& base, const Element& target,
-                       std::vector<uint32_t>* path, std::vector<PatchOp>* ops) {
+void DiffNodePair(const Node& base, uint32_t base_index, const Node& target,
+                  uint32_t target_index, DiffWalk* walk);
+
+// Pre-order indexes of the `count` children of the node at `index`.
+std::vector<uint32_t> ChildIndexes(const TreeHashes& hashes, uint32_t index,
+                                   size_t count) {
+  std::vector<uint32_t> out(count);
+  uint32_t next = index + 1;
+  for (size_t i = 0; i < count; ++i) {
+    out[i] = next;
+    next += hashes.size[next];
+  }
+  return out;
+}
+
+// True when the two same-length child lists have equal keys position by
+// position. Equal subtree hashes imply equal keys, so only positions whose
+// hashes differ compute a key.
+bool KeysAlignByPosition(const Element& base,
+                         const std::vector<uint32_t>& base_at,
+                         const Element& target,
+                         const std::vector<uint32_t>& target_at,
+                         const DiffWalk& walk) {
+  for (size_t i = 0; i < base_at.size(); ++i) {
+    if (walk.base.hash[base_at[i]] != walk.target.hash[target_at[i]] &&
+        NodeKey(*base.child_at(i)) != NodeKey(*target.child_at(i))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Pairs the children of one matched element pair and emits the ops that put
+// every target child in place: keyed LCS keeps the stable spine, leftovers
+// are re-paired by key (moves) and then by tag (attribute-drifted elements),
+// the rest become removals/insertions. Removals run in descending index
+// order, then moves/insertions finalize positions left to right (so every
+// move satisfies from >= to). Returns, per target child, the paired base
+// child index or -1 for an inserted one.
+std::vector<int> ReorderChildren(const Element& base, const Element& target,
+                                 DiffWalk* walk) {
   const size_t m = base.child_count();
   const size_t n = target.child_count();
   std::vector<std::string> base_keys(m), target_keys(n);
@@ -174,9 +214,9 @@ void ReconcileChildren(const Element& base, const Element& target,
     }
     PatchOp op;
     op.type = PatchOpType::kRemove;
-    op.path = *path;
+    op.path = walk->path;
     op.index = static_cast<uint32_t>(i);
-    ops->push_back(std::move(op));
+    walk->ops.push_back(std::move(op));
   }
 
   // Working order of the surviving base children after the removals.
@@ -201,39 +241,65 @@ void ReconcileChildren(const Element& base, const Element& target,
       if (p != j) {
         PatchOp op;
         op.type = PatchOpType::kMove;
-        op.path = *path;
+        op.path = walk->path;
         op.from = static_cast<uint32_t>(p);
         op.to = static_cast<uint32_t>(j);
-        ops->push_back(std::move(op));
+        walk->ops.push_back(std::move(op));
         work.erase(work.begin() + static_cast<long>(p));
         work.insert(work.begin() + static_cast<long>(j), paired);
       }
     } else {
       PatchOp op;
       op.type = PatchOpType::kInsert;
-      op.path = *path;
+      op.path = walk->path;
       op.index = static_cast<uint32_t>(j);
       op.html = SerializeNode(*target.child_at(j));
-      ops->push_back(std::move(op));
+      walk->ops.push_back(std::move(op));
       work.insert(work.begin() + static_cast<long>(j), -1);
     }
   }
+  return pair_of_target;
+}
 
-  // Phase 3: recurse into matched pairs at their final positions.
+// Reconciles the children of one matched element pair, then recurses into
+// the matched pairs at their final indexes — keeping every emitted path
+// valid at apply time. When the key lists align position by position, the
+// LCS would pair every child with itself and reorder nothing, so the pairing
+// is taken as is and only the differing pairs are visited.
+void ReconcileChildren(const Element& base, uint32_t base_index,
+                       const Element& target, uint32_t target_index,
+                       DiffWalk* walk) {
+  const size_t n = target.child_count();
+  const std::vector<uint32_t> base_at =
+      ChildIndexes(walk->base, base_index, base.child_count());
+  const std::vector<uint32_t> target_at =
+      ChildIndexes(walk->target, target_index, n);
+  std::vector<int> pair_of_target;
+  if (base_at.size() == n &&
+      KeysAlignByPosition(base, base_at, target, target_at, *walk)) {
+    pair_of_target.resize(n);
+    std::iota(pair_of_target.begin(), pair_of_target.end(), 0);
+  } else {
+    pair_of_target = ReorderChildren(base, target, walk);
+  }
   for (size_t j = 0; j < n; ++j) {
     int paired = pair_of_target[j];
     if (paired < 0) {
       continue;
     }
-    path->push_back(static_cast<uint32_t>(j));
+    walk->path.push_back(static_cast<uint32_t>(j));
     DiffNodePair(*base.child_at(static_cast<size_t>(paired)),
-                 *target.child_at(j), path, ops);
-    path->pop_back();
+                 base_at[static_cast<size_t>(paired)], *target.child_at(j),
+                 target_at[j], walk);
+    walk->path.pop_back();
   }
 }
 
-void DiffNodePair(const Node& base, const Node& target,
-                  std::vector<uint32_t>* path, std::vector<PatchOp>* ops) {
+void DiffNodePair(const Node& base, uint32_t base_index, const Node& target,
+                  uint32_t target_index, DiffWalk* walk) {
+  if (walk->base.hash[base_index] == walk->target.hash[target_index]) {
+    return;  // identical subtrees emit nothing
+  }
   const Element* base_el = base.AsElement();
   const Element* target_el = target.AsElement();
   if (base_el != nullptr && target_el != nullptr) {
@@ -242,11 +308,11 @@ void DiffNodePair(const Node& base, const Node& target,
       // Same data-rcb-id can land on a different element across generations;
       // attribute reordering cannot be expressed with set-attr ops. Both are
       // rare — replace the subtree wholesale.
-      EmitReplace(target, *path, ops);
+      EmitReplace(target, walk->path, &walk->ops);
       return;
     }
-    DiffAttributes(*base_el, *target_el, *path, ops);
-    ReconcileChildren(*base_el, *target_el, path, ops);
+    DiffAttributes(*base_el, *target_el, walk->path, &walk->ops);
+    ReconcileChildren(*base_el, base_index, *target_el, target_index, walk);
     return;
   }
   if (base.type() == NodeType::kText && target.type() == NodeType::kText) {
@@ -255,16 +321,80 @@ void DiffNodePair(const Node& base, const Node& target,
     if (base_text.data() != target_text.data()) {
       PatchOp op;
       op.type = PatchOpType::kSetText;
-      op.path = *path;
+      op.path = walk->path;
       op.value = target_text.data();
-      ops->push_back(std::move(op));
+      walk->ops.push_back(std::move(op));
     }
     return;
   }
   // Comment / doctype pairs: replace when their serialization differs.
   if (SerializeNode(base) != SerializeNode(target)) {
-    EmitReplace(target, *path, ops);
+    EmitReplace(target, walk->path, &walk->ops);
   }
+}
+
+// HashTree's mixing step: a 64x64->128-bit multiply folded to 64 bits, with
+// fixed odd constants so zero inputs still mix.
+uint64_t Mix(uint64_t a, uint64_t b) {
+  const unsigned __int128 product =
+      static_cast<unsigned __int128>(a ^ 0xa0761d6478bd642fULL) *
+      (b ^ 0xe7037ed1a0b428dbULL);
+  return static_cast<uint64_t>(product) ^
+         static_cast<uint64_t>(product >> 64);
+}
+
+// Mixes a length-prefixed byte string into `h`, eight bytes per step.
+uint64_t MixBytes(uint64_t h, std::string_view bytes) {
+  h = Mix(h, bytes.size());
+  const char* p = bytes.data();
+  size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, 8);
+    h = Mix(h, word);
+  }
+  if (n > 0) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, n);
+    h = Mix(h, word);
+  }
+  return h;
+}
+
+uint64_t HashNode(const Node& node, TreeHashes* out) {
+  const size_t index = out->hash.size();
+  out->hash.push_back(0);
+  out->size.push_back(0);
+  uint64_t h = Mix(0x243f6a8885a308d3ULL, static_cast<uint64_t>(node.type()));
+  switch (node.type()) {
+    case NodeType::kElement: {
+      const Element& element = *node.AsElement();
+      h = MixBytes(h, element.tag_name());
+      h = Mix(h, element.attributes().size());
+      for (const auto& [name, value] : element.attributes()) {
+        h = MixBytes(MixBytes(h, name), value);
+      }
+      break;
+    }
+    case NodeType::kText:
+      h = MixBytes(h, static_cast<const Text&>(node).data());
+      break;
+    case NodeType::kComment:
+      h = MixBytes(h, static_cast<const Comment&>(node).data());
+      break;
+    case NodeType::kDoctype:
+      h = MixBytes(h, static_cast<const Doctype&>(node).data());
+      break;
+    case NodeType::kDocument:
+      break;
+  }
+  for (const auto& child : node.children()) {
+    h = Mix(h, HashNode(*child, out));
+  }
+  h = Mix(h, node.child_count());
+  out->hash[index] = h;
+  out->size[index] = static_cast<uint32_t>(out->hash.size() - index);
+  return h;
 }
 
 }  // namespace
@@ -361,11 +491,25 @@ std::string TreeDigest(const Element& canonical_root) {
   return Sha256::HexDigest(scratch);
 }
 
+TreeHashes HashTree(const Element& root) {
+  TreeHashes hashes;
+  HashNode(root, &hashes);
+  hashes.hash.shrink_to_fit();
+  hashes.size.shrink_to_fit();
+  return hashes;
+}
+
 std::vector<PatchOp> DiffTrees(const Element& base, const Element& target) {
-  std::vector<PatchOp> ops;
-  std::vector<uint32_t> path;
-  DiffNodePair(base, target, &path, &ops);
-  return ops;
+  return DiffTrees(base, HashTree(base), target, HashTree(target));
+}
+
+std::vector<PatchOp> DiffTrees(const Element& base,
+                               const TreeHashes& base_hashes,
+                               const Element& target,
+                               const TreeHashes& target_hashes) {
+  DiffWalk walk{base_hashes, target_hashes, {}, {}};
+  DiffNodePair(base, 0, target, 0, &walk);
+  return std::move(walk.ops);
 }
 
 std::string SummarizeOps(const std::vector<PatchOp>& ops) {

@@ -75,9 +75,29 @@ std::string NodeKey(const Node& node);
 // patch header carries as baseDigest/docDigest.
 std::string TreeDigest(const Element& canonical_root);
 
+// Structural subtree hashes of one tree, in pre-order (index 0 is the root).
+// hash[i] covers node i's type, tag, attributes in order, text/comment/
+// doctype data and its children's hashes; size[i] counts the nodes of
+// subtree i, so a node's first child sits at i + 1 and each next sibling at
+// the previous one's index plus its size. The arrays describe the tree as it
+// was hashed: keep them beside that tree and drop them together (a mutation
+// of the tree invalidates them).
+struct TreeHashes {
+  std::vector<uint64_t> hash;
+  std::vector<uint32_t> size;
+};
+TreeHashes HashTree(const Element& root);
+
 // Diffs two canonical trees: the returned ops transform `base` into a tree
-// that serializes identically to `target`.
+// that serializes identically to `target`. Matched pairs with equal subtree
+// hashes emit nothing and are skipped, so the keyed reconciliation runs only
+// on the spine of subtrees that differ. The two-argument form hashes both
+// trees first; callers that keep each version's hashes pass them in.
 std::vector<PatchOp> DiffTrees(const Element& base, const Element& target);
+std::vector<PatchOp> DiffTrees(const Element& base,
+                               const TreeHashes& base_hashes,
+                               const Element& target,
+                               const TreeHashes& target_hashes);
 
 // Compact per-kind op tally, e.g. "ins=1,attr=2" (kinds in PatchOpType
 // order, zero counts omitted; empty ops -> "none"). The patch-shape summary

@@ -1,5 +1,6 @@
 #include "src/net/network.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -253,7 +254,8 @@ void Network::UnblockRoute(const std::string& from, const std::string& to) {
 SimTime Network::ScheduleTransfer(const std::string& from, const std::string& to,
                                   size_t size, SimTime earliest) {
   // Messages that fit in one MTU interleave with bulk transfers instead of
-  // queueing behind them (requests, ACK-sized polls).
+  // queueing behind them (requests, ACK-sized polls). DeliverData still
+  // keeps each connection's messages in send order.
   constexpr size_t kSmallMessage = 1500;
   // TCP slow-start initial congestion window approximation.
   constexpr double kInitialWindow = 4096.0;
@@ -318,6 +320,12 @@ void Network::DeliverData(NetEndpoint* from, std::string data) {
   assert(to != nullptr);
   SimTime deliver_at = ScheduleTransfer(from->local_host_, from->peer_host_,
                                         data.size(), from->established_at_);
+  // In-order transfer per connection, like TCP: a small message may share
+  // the link with an earlier bulk transfer but must not overtake it (equal
+  // times keep send order, the event loop breaks ties FIFO). Injected
+  // per-message penalties below are the fault model's and may still reorder.
+  deliver_at = std::max(deliver_at, from->last_delivery_at_);
+  from->last_delivery_at_ = deliver_at;
   if (fault_injector_ != nullptr) {
     deliver_at = deliver_at + fault_injector_->TransferPenalty(
                                   from->local_host_, from->peer_host_,

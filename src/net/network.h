@@ -72,6 +72,9 @@ class NetEndpoint {
   uint64_t bytes_sent_ = 0;
   // Connection becomes usable at this time (end of handshake).
   SimTime established_at_;
+  // Scheduled arrival of the last message sent from this side, before any
+  // fault penalty: a later message is never scheduled to arrive before it.
+  SimTime last_delivery_at_;
 };
 
 class Network {

@@ -1,8 +1,12 @@
 // Delta-snapshot subsystem tests: patch codec round trips, keyed tree diff,
 // the apply(diff(A,B), A) == B property over the Table 1 corpus with random
-// DOM mutations, the integrity-checked applier's freshness/digest gates, and
-// end-to-end sessions where patches replace full snapshots on the wire.
+// DOM mutations, byte identity of the hash-pruned differ against the
+// unpruned one, the integrity-checked applier's freshness/digest gates, its
+// malformed-op rejects and base-digest memo, and end-to-end sessions where
+// patches replace full snapshots on the wire.
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include "src/core/session.h"
 #include "src/delta/patch_applier.h"
@@ -383,6 +387,341 @@ TEST_P(CorpusDiffPropertyTest, RandomMutationsRoundTripOverTable1) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CorpusDiffPropertyTest,
                          ::testing::Range<uint64_t>(1, 5));
 
+// ---- Pruning keeps patches byte-identical --------------------------------
+
+// The keyed differ as it was before subtree-hash pruning, kept verbatim as
+// the oracle: the pruned DiffTrees must emit exactly the ops this one does.
+namespace unpruned {
+using delta::NodeKey;
+using delta::PatchOp;
+using delta::PatchOpType;
+
+// The attribute-order contract of SetAttribute: existing names keep their
+// position, new names append. An attribute diff can therefore only reproduce
+// `target`'s order when [base∩target in base order] + [target-only names in
+// target order] equals the target order; otherwise the differ falls back to
+// replacing the whole element so the digest still matches.
+bool AttributeOrderCompatible(const Element& base, const Element& target) {
+  std::vector<std::string> predicted;
+  for (const auto& [name, value] : base.attributes()) {
+    if (target.HasAttribute(name)) {
+      predicted.push_back(name);
+    }
+  }
+  for (const auto& [name, value] : target.attributes()) {
+    if (!base.HasAttribute(name)) {
+      predicted.push_back(name);
+    }
+  }
+  if (predicted.size() != target.attributes().size()) {
+    return false;
+  }
+  for (size_t i = 0; i < predicted.size(); ++i) {
+    if (predicted[i] != target.attributes()[i].first) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void DiffAttributes(const Element& base, const Element& target,
+                    const std::vector<uint32_t>& path,
+                    std::vector<PatchOp>* ops) {
+  for (const auto& [name, value] : base.attributes()) {
+    if (!target.HasAttribute(name)) {
+      PatchOp op;
+      op.type = PatchOpType::kRemoveAttr;
+      op.path = path;
+      op.name = name;
+      ops->push_back(std::move(op));
+    }
+  }
+  for (const auto& [name, value] : target.attributes()) {
+    auto base_value = base.GetAttribute(name);
+    if (!base_value.has_value() || *base_value != value) {
+      PatchOp op;
+      op.type = PatchOpType::kSetAttr;
+      op.path = path;
+      op.name = name;
+      op.value = value;
+      ops->push_back(std::move(op));
+    }
+  }
+}
+
+void EmitReplace(const Node& target, const std::vector<uint32_t>& path,
+                 std::vector<PatchOp>* ops) {
+  PatchOp op;
+  op.type = PatchOpType::kReplace;
+  op.path = path;
+  op.html = SerializeNode(target);
+  ops->push_back(std::move(op));
+}
+
+void DiffNodePair(const Node& base, const Node& target,
+                  std::vector<uint32_t>* path, std::vector<PatchOp>* ops);
+
+// Reconciles the children of one matched element pair: keyed LCS keeps the
+// stable spine, leftovers are re-paired by key (moves) and then by tag
+// (attribute-drifted elements), the rest become removals/insertions.
+// Removals run in descending index order, then moves/insertions finalize
+// positions left to right (so every move satisfies from >= to), and only
+// then does the differ recurse into the matched pairs at their final
+// indexes — keeping every emitted path valid at apply time.
+void ReconcileChildren(const Element& base, const Element& target,
+                       std::vector<uint32_t>* path, std::vector<PatchOp>* ops) {
+  const size_t m = base.child_count();
+  const size_t n = target.child_count();
+  std::vector<std::string> base_keys(m), target_keys(n);
+  for (size_t i = 0; i < m; ++i) {
+    base_keys[i] = NodeKey(*base.child_at(i));
+  }
+  for (size_t j = 0; j < n; ++j) {
+    target_keys[j] = NodeKey(*target.child_at(j));
+  }
+
+  // Longest common subsequence over keys.
+  std::vector<std::vector<uint32_t>> lcs(m + 1,
+                                         std::vector<uint32_t>(n + 1, 0));
+  for (size_t i = m; i-- > 0;) {
+    for (size_t j = n; j-- > 0;) {
+      lcs[i][j] = base_keys[i] == target_keys[j]
+                      ? lcs[i + 1][j + 1] + 1
+                      : std::max(lcs[i + 1][j], lcs[i][j + 1]);
+    }
+  }
+  std::vector<int> pair_of_target(n, -1);  // base index matched to target j
+  std::vector<bool> base_matched(m, false);
+  {
+    size_t i = 0, j = 0;
+    while (i < m && j < n) {
+      if (base_keys[i] == target_keys[j]) {
+        pair_of_target[j] = static_cast<int>(i);
+        base_matched[i] = true;
+        ++i;
+        ++j;
+      } else if (lcs[i + 1][j] >= lcs[i][j + 1]) {
+        ++i;
+      } else {
+        ++j;
+      }
+    }
+  }
+
+  // Crossing pairs the LCS dropped: re-pair leftovers by key (becomes a
+  // move), then element leftovers by tag (attribute churn on unkeyed
+  // elements — the recursion emits the attr ops).
+  std::map<std::string, std::vector<size_t>> spare_by_key;
+  for (size_t i = 0; i < m; ++i) {
+    if (!base_matched[i]) {
+      spare_by_key[base_keys[i]].push_back(i);
+    }
+  }
+  for (size_t j = 0; j < n; ++j) {
+    if (pair_of_target[j] >= 0) {
+      continue;
+    }
+    auto it = spare_by_key.find(target_keys[j]);
+    if (it != spare_by_key.end() && !it->second.empty()) {
+      size_t i = it->second.front();
+      it->second.erase(it->second.begin());
+      pair_of_target[j] = static_cast<int>(i);
+      base_matched[i] = true;
+    }
+  }
+  std::map<std::string, std::vector<size_t>> spare_by_tag;
+  for (size_t i = 0; i < m; ++i) {
+    if (!base_matched[i]) {
+      if (const Element* el = base.child_at(i)->AsElement()) {
+        spare_by_tag[el->tag_name()].push_back(i);
+      }
+    }
+  }
+  for (size_t j = 0; j < n; ++j) {
+    if (pair_of_target[j] >= 0) {
+      continue;
+    }
+    const Element* el = target.child_at(j)->AsElement();
+    if (el == nullptr) {
+      continue;
+    }
+    auto it = spare_by_tag.find(el->tag_name());
+    if (it != spare_by_tag.end() && !it->second.empty()) {
+      size_t i = it->second.front();
+      it->second.erase(it->second.begin());
+      pair_of_target[j] = static_cast<int>(i);
+      base_matched[i] = true;
+    }
+  }
+
+  // Phase 1: removals, highest index first so earlier indexes stay valid.
+  for (size_t i = m; i-- > 0;) {
+    if (base_matched[i]) {
+      continue;
+    }
+    PatchOp op;
+    op.type = PatchOpType::kRemove;
+    op.path = *path;
+    op.index = static_cast<uint32_t>(i);
+    ops->push_back(std::move(op));
+  }
+
+  // Working order of the surviving base children after the removals.
+  std::vector<int> work;
+  work.reserve(n);
+  for (size_t i = 0; i < m; ++i) {
+    if (base_matched[i]) {
+      work.push_back(static_cast<int>(i));
+    }
+  }
+
+  // Phase 2: left-to-right, put the right node at each target position.
+  // Positions < j are already final, so a paired node always sits at >= j
+  // and every move is backward (from >= to).
+  for (size_t j = 0; j < n; ++j) {
+    int paired = pair_of_target[j];
+    if (paired >= 0) {
+      size_t p = j;
+      while (p < work.size() && work[p] != paired) {
+        ++p;
+      }
+      if (p != j) {
+        PatchOp op;
+        op.type = PatchOpType::kMove;
+        op.path = *path;
+        op.from = static_cast<uint32_t>(p);
+        op.to = static_cast<uint32_t>(j);
+        ops->push_back(std::move(op));
+        work.erase(work.begin() + static_cast<long>(p));
+        work.insert(work.begin() + static_cast<long>(j), paired);
+      }
+    } else {
+      PatchOp op;
+      op.type = PatchOpType::kInsert;
+      op.path = *path;
+      op.index = static_cast<uint32_t>(j);
+      op.html = SerializeNode(*target.child_at(j));
+      ops->push_back(std::move(op));
+      work.insert(work.begin() + static_cast<long>(j), -1);
+    }
+  }
+
+  // Phase 3: recurse into matched pairs at their final positions.
+  for (size_t j = 0; j < n; ++j) {
+    int paired = pair_of_target[j];
+    if (paired < 0) {
+      continue;
+    }
+    path->push_back(static_cast<uint32_t>(j));
+    DiffNodePair(*base.child_at(static_cast<size_t>(paired)),
+                 *target.child_at(j), path, ops);
+    path->pop_back();
+  }
+}
+
+void DiffNodePair(const Node& base, const Node& target,
+                  std::vector<uint32_t>* path, std::vector<PatchOp>* ops) {
+  const Element* base_el = base.AsElement();
+  const Element* target_el = target.AsElement();
+  if (base_el != nullptr && target_el != nullptr) {
+    if (base_el->tag_name() != target_el->tag_name() ||
+        !AttributeOrderCompatible(*base_el, *target_el)) {
+      // Same data-rcb-id can land on a different element across generations;
+      // attribute reordering cannot be expressed with set-attr ops. Both are
+      // rare — replace the subtree wholesale.
+      EmitReplace(target, *path, ops);
+      return;
+    }
+    DiffAttributes(*base_el, *target_el, *path, ops);
+    ReconcileChildren(*base_el, *target_el, path, ops);
+    return;
+  }
+  if (base.type() == NodeType::kText && target.type() == NodeType::kText) {
+    const auto& base_text = static_cast<const Text&>(base);
+    const auto& target_text = static_cast<const Text&>(target);
+    if (base_text.data() != target_text.data()) {
+      PatchOp op;
+      op.type = PatchOpType::kSetText;
+      op.path = *path;
+      op.value = target_text.data();
+      ops->push_back(std::move(op));
+    }
+    return;
+  }
+  // Comment / doctype pairs: replace when their serialization differs.
+  if (SerializeNode(base) != SerializeNode(target)) {
+    EmitReplace(target, *path, ops);
+  }
+}
+
+std::vector<PatchOp> DiffTrees(const Element& base, const Element& target) {
+  std::vector<PatchOp> ops;
+  std::vector<uint32_t> path;
+  DiffNodePair(base, target, &path, &ops);
+  return ops;
+}
+
+}  // namespace unpruned
+
+// MutateTreeOnce plus subtree duplication, which puts hash-equal siblings at
+// shifted positions.
+void MutateOrDuplicate(Rng* rng, Element* root) {
+  if (rng->NextBelow(5) != 0) {
+    MutateTreeOnce(rng, root);
+    return;
+  }
+  std::vector<Element*> parents;
+  root->ForEachElement([&](Element* element) {
+    if (element->child_count() > 0) {
+      parents.push_back(element);
+    }
+    return true;
+  });
+  if (parents.empty()) {
+    return;
+  }
+  Element* parent = parents[rng->NextBelow(parents.size())];
+  Node* source = parent->child_at(rng->NextBelow(parent->child_count()));
+  size_t slot = rng->NextBelow(parent->child_count() + 1);
+  parent->InsertBefore(source->Clone(), slot == parent->child_count()
+                                            ? nullptr
+                                            : parent->child_at(slot));
+}
+
+class PrunedDiffIdentityTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PrunedDiffIdentityTest, PatchBytesMatchUnprunedDifferOverTable1) {
+  Rng rng(GetParam());
+  for (const SiteSpec& spec : Table1Sites()) {
+    std::unique_ptr<Document> document =
+        ParseDocument(GenerateHomepage(spec).html);
+    std::unique_ptr<Element> base = delta::CanonicalizeDocument(*document);
+    ASSERT_NE(base, nullptr) << spec.name;
+    const delta::TreeHashes base_hashes = delta::HashTree(*base);
+    for (int mutations : {1, 3, 10}) {
+      std::unique_ptr<Node> target_owned = base->Clone();
+      Element* target = target_owned->AsElement();
+      for (int i = 0; i < mutations; ++i) {
+        MutateOrDuplicate(&rng, target);
+      }
+      delta::NormalizeTextNodes(target);
+
+      delta::PatchEnvelope pruned, reference;
+      pruned.patch.ops = delta::DiffTrees(*base, base_hashes, *target,
+                                          delta::HashTree(*target));
+      reference.patch.ops = unpruned::DiffTrees(*base, *target);
+      ASSERT_EQ(delta::SerializePatchXml(pruned),
+                delta::SerializePatchXml(reference))
+          << spec.name << " after " << mutations << " mutations";
+      ASSERT_EQ(delta::DiffTrees(*base, *target), reference.patch.ops)
+          << spec.name;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PrunedDiffIdentityTest,
+                         ::testing::Range<uint64_t>(1, 9));
+
 // ---- Integrity-checked applier -------------------------------------------
 
 constexpr std::string_view kApplierPage =
@@ -498,6 +837,188 @@ TEST(PatchApplierTest, CommitPreservesSnippetBootstrapScript) {
   EXPECT_EQ(document->ById("p")->TextContent(), "v2");
 }
 
+std::string LiveDigest(const Document& document) {
+  return delta::TreeDigest(*delta::CanonicalizeDocument(document));
+}
+
+// One malformed op per ApplyPatchOps reject (paths address the canonical
+// tree of kApplierPage: {0} head, {1} body with 2 children, {1,0} p, {1,0,0}
+// its text).
+struct MalformedOpCase {
+  const char* name;
+  delta::PatchOp op;
+};
+
+std::vector<MalformedOpCase> MalformedOpCases() {
+  std::vector<MalformedOpCase> cases;
+  // Returns the op just added, valid until the next call.
+  auto add = [&](const char* name, delta::PatchOpType type,
+                 std::vector<uint32_t> path, std::string html = "") {
+    delta::PatchOp op;
+    op.type = type;
+    op.path = std::move(path);
+    op.html = std::move(html);
+    cases.push_back({name, std::move(op)});
+    return &cases.back().op;
+  };
+  using enum delta::PatchOpType;
+  add("insert index out of range", kInsert, {1}, "<p>x</p>")->index = 3;
+  add("insert parent out of range", kInsert, {7}, "<p>x</p>");
+  add("remove index out of range", kRemove, {1})->index = 2;
+  add("remove parent out of range", kRemove, {1, 9});
+  add("move from out of range", kMove, {1})->from = 2;
+  delta::PatchOp* move = add("move to out of range", kMove, {1});
+  move->from = 1;
+  move->to = 2;
+  add("replace of the root", kReplace, {}, "<html></html>");
+  add("replace path out of range", kReplace, {1, 5}, "<p>x</p>");
+  add("set-attr on a text node", kSetAttr, {1, 0, 0})->name = "class";
+  add("remove-attr on a text node", kRemoveAttr, {1, 0, 0})->name = "id";
+  add("set-text on an element", kSetText, {1, 0});
+  add("insert payload of two nodes", kInsert, {1}, "<p>a</p><p>b</p>");
+  add("insert payload of no node", kInsert, {1}, "");
+  add("replace payload of two nodes", kReplace, {1, 0}, "<p>a</p><p>b</p>");
+  return cases;
+}
+
+TEST(PatchApplierTest, EveryMalformedOpIsAnApplyErrorAndLeavesTheDocument) {
+  for (const MalformedOpCase& c : MalformedOpCases()) {
+    std::unique_ptr<Document> document = ParseDocument(kApplierPage);
+    const std::string before = LiveDigest(*document);
+    delta::Patch patch;
+    patch.base_doc_time_ms = 1000;
+    patch.target_doc_time_ms = 2000;
+    patch.base_digest = before;
+    patch.target_digest = before;
+    patch.ops = {c.op};
+    EXPECT_EQ(delta::ApplyPatchToDocument(document.get(), 1000, patch),
+              delta::ApplyResult::kApplyError)
+        << c.name;
+    EXPECT_EQ(LiveDigest(*document), before) << c.name;
+  }
+}
+
+// Three versions of kApplierPage and the patches between them.
+struct MemoFixture {
+  std::unique_ptr<Document> document = ParseDocument(kApplierPage);
+  std::unique_ptr<Element> v1 = delta::CanonicalizeDocument(*document);
+  std::unique_ptr<Node> v2 = v1->Clone();
+  std::unique_ptr<Node> v3;
+  delta::Patch p12;
+  delta::Patch p23;
+  delta::BaseDigestMemo memo;
+
+  MemoFixture() {
+    Element* p = v2->AsElement()->FindFirst("p");
+    p->RemoveAllChildren();
+    p->AppendChild(MakeText("v2"));
+    v3 = v2->Clone();
+    v3->AsElement()->FindFirst("div")->SetAttribute("class", "third");
+    p12 = MakePatch(*v1, *v2->AsElement(), 1000, 2000);
+    p23 = MakePatch(*v2->AsElement(), *v3->AsElement(), 2000, 3000);
+  }
+};
+
+TEST(PatchApplierTest, MemoAnswersTheBaseDigestGateAfterACommit) {
+  MemoFixture f;
+  // The first patch finds no memo and digests the live tree.
+  ASSERT_EQ(delta::ApplyPatchToDocument(f.document.get(), 1000, f.p12, &f.memo),
+            delta::ApplyResult::kApplied);
+  EXPECT_EQ(f.memo.hits, 0u);
+  EXPECT_EQ(f.memo.digest, f.p12.target_digest);
+  EXPECT_EQ(f.memo.root_rev, f.document->document_element()->rev());
+
+  // A memo hit with a wrong base digest is refused like a recomputed one.
+  delta::Patch wrong = f.p23;
+  wrong.base_digest = std::string(64, '0');
+  EXPECT_EQ(delta::ApplyPatchToDocument(f.document.get(), 2000, wrong, &f.memo),
+            delta::ApplyResult::kBaseDigestMismatch);
+  EXPECT_EQ(f.memo.hits, 1u);
+
+  // The memo, not a fresh digest, answers the gate: a corrupted record
+  // refuses the genuine patch while the root's rev still matches.
+  delta::BaseDigestMemo corrupted = f.memo;
+  corrupted.digest = std::string(64, '1');
+  EXPECT_EQ(
+      delta::ApplyPatchToDocument(f.document.get(), 2000, f.p23, &corrupted),
+      delta::ApplyResult::kBaseDigestMismatch);
+
+  // A memo hit with the matching base digest applies and re-records.
+  EXPECT_EQ(delta::ApplyPatchToDocument(f.document.get(), 2000, f.p23, &f.memo),
+            delta::ApplyResult::kApplied);
+  EXPECT_EQ(f.memo.hits, 2u);
+  EXPECT_EQ(f.memo.digest, f.p23.target_digest);
+  EXPECT_EQ(LiveDigest(*f.document), f.p23.target_digest);
+}
+
+TEST(PatchApplierTest, MutationOutsideTheSnippetMissesTheMemo) {
+  {  // Drift in the canonical content: the recomputed digest catches it.
+    MemoFixture f;
+    ASSERT_EQ(
+        delta::ApplyPatchToDocument(f.document.get(), 1000, f.p12, &f.memo),
+        delta::ApplyResult::kApplied);
+    f.document->body()->AppendChild(MakeText("local drift"));
+    EXPECT_EQ(
+        delta::ApplyPatchToDocument(f.document.get(), 2000, f.p23, &f.memo),
+        delta::ApplyResult::kBaseDigestMismatch);
+    EXPECT_EQ(f.memo.hits, 0u);
+  }
+  {  // A mutation outside the canonical tree still misses the memo: the
+     // corrupted record is ignored and the fresh digest matches.
+    MemoFixture f;
+    ASSERT_EQ(
+        delta::ApplyPatchToDocument(f.document.get(), 1000, f.p12, &f.memo),
+        delta::ApplyResult::kApplied);
+    f.document->document_element()->SetAttribute("lang", "en");
+    f.memo.digest = std::string(64, '1');
+    EXPECT_EQ(
+        delta::ApplyPatchToDocument(f.document.get(), 2000, f.p23, &f.memo),
+        delta::ApplyResult::kApplied);
+    EXPECT_EQ(f.memo.hits, 0u);
+    EXPECT_EQ(f.memo.digest, f.p23.target_digest);
+  }
+}
+
+TEST(PatchApplierTest, CommitThatDoesNotRoundTripIsNotMemoized) {
+  // Each target verifies against its own digest, but canonicalizing the
+  // committed live document yields a different tree, so the commit must not
+  // vouch for the target digest.
+  const std::pair<const char*, std::function<void(Element*)>> shapes[] = {
+      {"top-level element",
+       [](Element* root) { root->AppendChild(MakeElement("aside")); }},
+      {"top-level text",
+       [](Element* root) { root->AppendChild(MakeText("stray")); }},
+      {"root attribute",
+       [](Element* root) { root->SetAttribute("lang", "en"); }},
+      {"head attribute",
+       [](Element* root) { root->ChildByTag("head")->SetAttribute("id", "h"); }},
+      {"bootstrap script in head",
+       [](Element* root) {
+         auto script = MakeElement("script");
+         script->SetAttribute("id", "rcb-snippet");
+         root->ChildByTag("head")->AppendChild(std::move(script));
+       }},
+      {"body before head",
+       [](Element* root) {
+         root->InsertBefore(root->ChildByTag("body")->Detach(),
+                            root->first_child());
+       }},
+  };
+  for (const auto& [name, reshape] : shapes) {
+    MemoFixture f;
+    auto odd_owned = f.v1->Clone();
+    Element* odd = odd_owned->AsElement();
+    reshape(odd);
+    delta::Patch patch = MakePatch(*f.v1, *odd, 1000, 2000);
+    ASSERT_EQ(
+        delta::ApplyPatchToDocument(f.document.get(), 1000, patch, &f.memo),
+        delta::ApplyResult::kApplied)
+        << name;
+    EXPECT_TRUE(f.memo.digest.empty()) << name;
+    EXPECT_NE(LiveDigest(*f.document), patch.target_digest) << name;
+  }
+}
+
 // ---- End-to-end sessions -------------------------------------------------
 
 std::string DeltaTestPage() {
@@ -594,6 +1115,48 @@ TEST_F(DeltaSessionTest, TamperedParticipantDomForcesFullResync) {
   EXPECT_EQ(session_->participant_browser(0)->document()->ById("status")
                 ->TextContent(),
             "v2");
+}
+
+TEST_F(DeltaSessionTest, FullSnapshotApplyInvalidatesTheDigestMemo) {
+  SessionOptions options;
+  options.profile = LanProfile();
+  options.poll_interval = Duration::Millis(200);
+  options.enable_delta = true;
+  StartSession(options);
+  const delta::BaseDigestMemo& memo = session_->snippet(0)->patch_digest_memo();
+
+  // The first patch follows the initial full snapshot and digests the live
+  // tree; the second finds the first one's record.
+  HostSetStatus("v2");
+  ASSERT_TRUE(session_->WaitForSync().ok());
+  HostSetStatus("v3");
+  ASSERT_TRUE(session_->WaitForSync().ok());
+  EXPECT_EQ(memo.hits, 1u);
+  EXPECT_FALSE(memo.digest.empty());
+
+  // Local drift misses the memo, the patch is refused, and the full
+  // snapshot that resyncs the participant clears the record.
+  session_->participant_browser(0)->MutateDocument([](Document* document) {
+    document->body()->AppendChild(MakeText("local drift"));
+  });
+  HostSetStatus("v4");
+  ASSERT_TRUE(session_->WaitForSync().ok());
+  const SnippetMetrics& snippet = session_->snippet(0)->metrics();
+  EXPECT_EQ(snippet.resyncs, 1u);
+  EXPECT_EQ(memo.hits, 1u);
+  EXPECT_TRUE(memo.digest.empty());
+
+  // Patching resumes: one digest after the snapshot, then memo hits again.
+  HostSetStatus("v5");
+  ASSERT_TRUE(session_->WaitForSync().ok());
+  HostSetStatus("v6");
+  ASSERT_TRUE(session_->WaitForSync().ok());
+  EXPECT_EQ(memo.hits, 2u);
+  EXPECT_EQ(snippet.patches_applied, 4u);
+  EXPECT_EQ(snippet.patch_digest_mismatches, 1u);
+  EXPECT_EQ(session_->participant_browser(0)->document()->ById("status")
+                ->TextContent(),
+            "v6");
 }
 
 TEST_F(DeltaSessionTest, CoFillPatchesPeersAndResyncsTheFiller) {

@@ -196,6 +196,42 @@ TEST(DomTest, DetachFromParent) {
   EXPECT_EQ(owned->Detach(), nullptr);
 }
 
+// The participant's base-digest memo (src/delta/patch_applier.h) trusts an
+// unchanged document_element()->rev(): every public mutator, applied deep in
+// the tree, must give the root a rev it never had before.
+TEST(DomTest, EveryMutatorRestampsTheDocumentElement) {
+  std::unique_ptr<Document> document = ParseDocument(
+      "<html><head></head><body><div id=\"d\"><p id=\"p\">text</p>"
+      "<span id=\"s\"></span></div></body></html>");
+  Element* div = document->ById("d");
+  Element* p = document->ById("p");
+  std::vector<uint64_t> seen{document->document_element()->rev()};
+  auto expect_fresh_root_rev = [&](const char* mutator) {
+    uint64_t rev = document->document_element()->rev();
+    EXPECT_GT(rev, seen.back()) << mutator;
+    seen.push_back(rev);
+  };
+
+  div->AppendChild(MakeElement("em"));
+  expect_fresh_root_rev("AppendChild");
+  div->InsertBefore(MakeText("lead"), div->first_child());
+  expect_fresh_root_rev("InsertBefore");
+  div->RemoveChild(div->first_child());
+  expect_fresh_root_rev("RemoveChild");
+  document->ById("s")->Detach();
+  expect_fresh_root_rev("Detach");
+  p->SetAttribute("class", "hot");
+  expect_fresh_root_rev("SetAttribute");
+  p->RemoveAttribute("class");
+  expect_fresh_root_rev("RemoveAttribute");
+  static_cast<Text*>(p->first_child())->set_data("edited");
+  expect_fresh_root_rev("Text::set_data");
+  p->SetInnerHtml("<b>inner</b>");
+  expect_fresh_root_rev("SetInnerHtml");
+  p->RemoveAllChildren();
+  expect_fresh_root_rev("RemoveAllChildren");
+}
+
 // ---------------------------------------------------------------- Parser --
 
 TEST(ParserTest, FullDocumentScaffold) {

@@ -206,6 +206,48 @@ TEST_F(NetworkTest, ConsecutiveSendsQueueOnInterface) {
   EXPECT_EQ(arrivals[1].millis(), 2000);
 }
 
+TEST_F(NetworkTest, SmallMessageNeverOvertakesEarlierOneOnSameConnection) {
+  // 1 Mbps: the 3 KB message needs 24 ms on the wire, the 100 B one 0.8 ms.
+  network_.AddHost("slow3", {.uplink_bps = 1'000'000, .downlink_bps = 0});
+  network_.SetLatency("slow3", "server", Duration::Millis(5));
+  std::vector<size_t> sizes;
+  std::vector<SimTime> arrivals;
+  ASSERT_TRUE(network_.Listen("server", 85, [&](NetEndpoint* endpoint) {
+    endpoint->SetDataHandler([&](std::string_view data) {
+      sizes.push_back(data.size());
+      arrivals.push_back(loop_.now());
+    });
+  }).ok());
+  auto client = network_.Connect("slow3", "server", 85);
+  ASSERT_TRUE(client.ok());
+  (*client)->Send(std::string(3000, 'a'));
+  (*client)->Send(std::string(100, 'b'));
+  loop_.Run();
+  ASSERT_EQ(sizes, (std::vector<size_t>{3000, 100}));
+  // Handshake 10 ms + 24 ms on the wire + 5 ms propagation; the small
+  // message arrives with it, not before.
+  EXPECT_EQ(arrivals[0].micros(), 39'000);
+  EXPECT_EQ(arrivals[1], arrivals[0]);
+}
+
+TEST_F(NetworkTest, SmallMessageStillOvertakesBulkOnAnotherConnection) {
+  network_.AddHost("slow4", {.uplink_bps = 1'000'000, .downlink_bps = 0});
+  network_.SetLatency("slow4", "server", Duration::Millis(5));
+  std::vector<size_t> sizes;
+  ASSERT_TRUE(network_.Listen("server", 86, [&](NetEndpoint* endpoint) {
+    endpoint->SetDataHandler(
+        [&](std::string_view data) { sizes.push_back(data.size()); });
+  }).ok());
+  auto bulk = network_.Connect("slow4", "server", 86);
+  auto small = network_.Connect("slow4", "server", 86);
+  ASSERT_TRUE(bulk.ok());
+  ASSERT_TRUE(small.ok());
+  (*bulk)->Send(std::string(3000, 'a'));
+  (*small)->Send(std::string(100, 'b'));
+  loop_.Run();
+  EXPECT_EQ(sizes, (std::vector<size_t>{100, 3000}));
+}
+
 TEST_F(NetworkTest, BottleneckIsMinOfUplinkAndDownlink) {
   network_.AddHost("fast-up", {.uplink_bps = 100'000'000, .downlink_bps = 0});
   network_.AddHost("slow-down", {.uplink_bps = 0, .downlink_bps = 1'000'000});
