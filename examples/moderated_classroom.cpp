@@ -1,10 +1,12 @@
-// Moderated classroom with the extension features: push synchronization
-// (§3.2.3 alternative), presence notifications (§5.2.3 user feedback), a
-// per-participant permission policy (§3.3), and a host behind NAT reached
-// through port forwarding (§3.2.1).
+// Moderated classroom with the extension features: push delivery over framed
+// streams (§3.2.3 alternative), presence notifications (§5.2.3 user
+// feedback), a per-participant permission policy (§3.3), and a host behind
+// NAT reached through port forwarding (§3.2.1).
 //
 // Build & run:  ./build/examples/moderated_classroom
+// Exits 1 if any step fails to reach its expected state.
 #include <cstdio>
+#include <functional>
 
 #include "src/net/profiles.h"
 #include "src/sites/site_server.h"
@@ -17,6 +19,22 @@ namespace {
 void MustOk(const char* what, const Status& status) {
   if (!status.ok()) {
     std::fprintf(stderr, "%s failed: %s\n", what, status.ToString().c_str());
+    std::exit(1);
+  }
+}
+
+// Runs the loop until `done` holds. Held streams keep the event queue busy
+// with heartbeats, so a minute of simulated time bounds the wait; draining
+// the queue or hitting that bound first is a failure.
+void MustReach(EventLoop& loop, const char* what,
+               const std::function<bool()>& done) {
+  bool expired = false;
+  uint64_t deadline =
+      loop.Schedule(Duration::Seconds(60.0), [&] { expired = true; });
+  bool reached = loop.RunUntilCondition([&] { return expired || done(); });
+  loop.Cancel(deadline);
+  if (!reached || !done()) {
+    std::fprintf(stderr, "never reached: %s\n", what);
     std::exit(1);
   }
 }
@@ -45,7 +63,9 @@ int main() {
 
   Browser teacher(&loop, &network, "teacher-laptop");
   AgentConfig config;
-  config.sync_model = SyncModel::kPush;  // no polling: parts stream on change
+  // No polling once joined: each student's first poll negotiates a framed
+  // stream, and content and broadcasts arrive as data frames on change.
+  config.transport.enable_stream = true;
   // Moderation: student gestures are limited to pointer movement; anything
   // else (clicks, navigation, form input) is dropped.
   config.policies.participant_filter = [](const std::string&,
@@ -66,18 +86,23 @@ int main() {
     network.SetLatency("teacher-laptop", machine, Duration::Millis(2));
     network.SetLatency("home-gateway", machine, Duration::Millis(2));
     student_browsers.push_back(std::make_unique<Browser>(&loop, &network, machine));
-    students.push_back(
-        std::make_unique<AjaxSnippet>(student_browsers.back().get(), SnippetConfig{}));
+    SnippetConfig student_config;
+    student_config.stream_mode = 2;  // transport::kStreamFrames
+    students.push_back(std::make_unique<AjaxSnippet>(
+        student_browsers.back().get(), student_config));
     bool joined = false;
     students.back()->Join(Url::Make("http", "home-gateway", 3000, "/"),
                           [&](Status status) {
                             MustOk("join", status);
                             joined = true;
                           });
-    loop.RunUntilCondition([&] { return joined; });
+    MustReach(loop, "student joined", [&] { return joined; });
   }
-  loop.RunUntilCondition([&] { return agent.stream_count() == 3; });
-  std::printf("3 students joined over push streams; student 1 now knows %zu peers\n",
+  MustReach(loop, "three framed streams",
+            [&] { return agent.framed_stream_count() == 3; });
+  MustReach(loop, "student 1 knows both peers",
+            [&] { return students[0]->known_peers().size() == 2; });
+  std::printf("3 students joined over framed streams; student 1 now knows %zu peers\n",
               students[0]->known_peers().size());
 
   // Teacher opens the lesson; it streams to everyone without a poll tick.
@@ -87,9 +112,10 @@ int main() {
                      MustOk("lesson load", status);
                      loaded = true;
                    });
-  loop.RunUntilCondition([&] { return loaded; });
+  MustReach(loop, "lesson loaded", [&] { return loaded; });
   for (auto& student : students) {
-    loop.RunUntilCondition([&] { return student->metrics().content_updates > 0; });
+    MustReach(loop, "lesson on every student",
+              [&] { return student->metrics().content_updates > 0; });
   }
   std::printf("lesson pushed to all students: '%s'\n",
               student_browsers[0]->document()->Title().c_str());
@@ -113,19 +139,20 @@ int main() {
     });
   }
   students[1]->SendMouseMove(300, 200);
-  loop.RunUntilCondition([&] { return mirrored >= 2; });
+  MustReach(loop, "pointer mirrored", [&] { return mirrored >= 2; });
   std::printf("student 2's pointer mirrored to %d other students\n", mirrored);
 
   // The teacher turns the page; one leaves; the rest hear about it.
   loaded = false;
   teacher.Navigate(Url::Make("http", "www.lesson.test", 80, "/page2"),
                    [&](const Status&, const PageLoadStats&) { loaded = true; });
-  loop.RunUntilCondition([&] { return loaded; });
-  loop.RunUntilCondition([&] {
+  MustReach(loop, "page 2 loaded", [&] { return loaded; });
+  MustReach(loop, "page 2 on student 3", [&] {
     return student_browsers[2]->document()->Title() == "Lesson 4 - page 2";
   });
   students[2]->Leave();
-  loop.RunUntilCondition([&] { return agent.participant_count() == 2; });
+  MustReach(loop, "roster down to 2",
+            [&] { return agent.participant_count() == 2; });
   std::printf("page 2 pushed; student 3 left; roster now %zu students\n",
               agent.participant_count());
   return 0;

@@ -87,9 +87,7 @@ void AjaxSnippet::RegisterMetrics() {
         metrics_.broadcasts_received);
   field("rcb_snippet_auth_rejections", "Polls rejected by the agent (403)",
         metrics_.auth_rejections);
-  field("rcb_snippet_stream_parts_received", "Push-mode parts received",
-        metrics_.stream_parts_received);
-  field("rcb_snippet_stream_drops", "Push streams closed under us",
+  field("rcb_snippet_stream_drops", "Framed streams closed under us",
         metrics_.stream_drops);
   field("rcb_snippet_poll_timeouts", "Polls abandoned after poll_timeout",
         metrics_.poll_timeouts);
@@ -101,8 +99,6 @@ void AjaxSnippet::RegisterMetrics() {
         metrics_.reconnect_failures);
   field("rcb_snippet_resyncs", "Full snapshots applied after recovery",
         metrics_.resyncs);
-  field("rcb_snippet_stream_reopens", "Push streams reopened",
-        metrics_.stream_reopens);
   field("rcb_snippet_patches_applied", "newPatch deltas committed",
         metrics_.patches_applied);
   field("rcb_snippet_patches_stale_ignored",
@@ -241,9 +237,6 @@ void AjaxSnippet::Join(const Url& agent_url, std::function<void(Status)> joined)
         if (config_.poll_interval_override > Duration::Zero()) {
           interval_ = config_.poll_interval_override;
         }
-        sync_model_ = MetaContent(document, "rcb-sync-model") == "push"
-                          ? SyncModel::kPush
-                          : SyncModel::kPoll;
         joined_ = true;
         doc_time_ms_ = -1;
         if (config_.adaptive_poll) {
@@ -257,14 +250,8 @@ void AjaxSnippet::Join(const Url& agent_url, std::function<void(Status)> joined)
         // Per-participant dump filenames, so snippets sharing a flight dir
         // do not clobber each other's artifacts.
         flight_.set_component("snippet-" + pid_);
-        if (sync_model_ == SyncModel::kPush) {
-          // Push model: hold a multipart stream open instead of polling.
-          OpenStream();
-        } else {
-          // The first Ajax request goes out as soon as the initial page
-          // loads.
-          PollOnce();
-        }
+        // The first Ajax request goes out as soon as the initial page loads.
+        PollOnce();
         joined(Status::Ok());
       });
 }
@@ -300,13 +287,6 @@ void AjaxSnippet::AbortWithoutGoodbye() {
     browser_->loop()->Cancel(timeout_timer_);
     timeout_timer_ = 0;
   }
-  if (stream_ != nullptr) {
-    stream_->Close();
-    stream_ = nullptr;
-  }
-  stream_buffer_.clear();
-  stream_head_done_ = false;
-  stream_was_open_ = false;
   CloseFramedStream();
   longpoll_active_ = false;
   longpoll_hold_ms_ = 0;
@@ -342,7 +322,7 @@ void AjaxSnippet::PollNow() {
   if (!joined_) {
     return;
   }
-  if (sync_model_ == SyncModel::kPush || frames_stream_ != nullptr) {
+  if (frames_stream_ != nullptr) {
     ScheduleActionFlush();
     return;
   }
@@ -354,126 +334,6 @@ void AjaxSnippet::PollNow() {
     poll_timer_ = 0;
   }
   PollOnce();
-}
-
-void AjaxSnippet::OpenStream() {
-  std::string query = "pid=" + pid_;
-  if (!config_.session_key.empty()) {
-    std::string message = "GET /stream?" + query + "\n";
-    query += "&hmac=" + HmacSha256Hex(config_.session_key, message);
-  }
-  auto endpoint_or = browser_->network()->Connect(
-      browser_->machine(), agent_url_.host(), agent_url_.port());
-  if (!endpoint_or.ok()) {
-    RCB_LOG(kWarning) << "ajax-snippet: stream connect failed: "
-                      << endpoint_or.status();
-    ScheduleStreamReopen();
-    return;
-  }
-  stream_ = *endpoint_or;
-  stream_buffer_.clear();
-  stream_head_done_ = false;
-  consecutive_failures_ = 0;
-  if (stream_was_open_) {
-    ++metrics_.stream_reopens;
-  }
-  stream_was_open_ = true;
-  uint64_t epoch = epoch_;
-  stream_->SetDataHandler([this, epoch](std::string_view data) {
-    if (epoch == epoch_) {
-      OnStreamData(data);
-    }
-  });
-  stream_->SetCloseHandler([this, epoch] {
-    if (epoch != epoch_) {
-      return;
-    }
-    ++metrics_.stream_drops;
-    stream_ = nullptr;
-    RCB_LOG(kWarning) << "ajax-snippet: push stream closed by peer";
-    ScheduleStreamReopen();
-  });
-
-  HttpRequest request;
-  request.method = HttpMethod::kGet;
-  request.target = "/stream?" + query;
-  request.headers.Set("Host", agent_url_.Authority());
-  stream_->Send(request.Serialize());
-  last_part_start_ = browser_->loop()->now();
-}
-
-void AjaxSnippet::OnStreamData(std::string_view data) {
-  stream_buffer_.append(data);
-  if (!stream_head_done_) {
-    size_t head_end = stream_buffer_.find("\r\n\r\n");
-    if (head_end == std::string::npos) {
-      return;
-    }
-    std::string_view head = std::string_view(stream_buffer_).substr(0, head_end);
-    if (head.find(" 200 ") == std::string_view::npos) {
-      RCB_LOG(kWarning) << "ajax-snippet: stream request rejected";
-      ++metrics_.auth_rejections;
-      stream_->Close();
-      stream_ = nullptr;
-      return;
-    }
-    stream_buffer_.erase(0, head_end + 4);
-    stream_head_done_ = true;
-  }
-  // Consume complete multipart parts: boundary line, part headers, body.
-  while (true) {
-    // Skip any leading CRLFs between parts.
-    size_t offset = 0;
-    while (offset + 1 < stream_buffer_.size() && stream_buffer_[offset] == '\r' &&
-           stream_buffer_[offset + 1] == '\n') {
-      offset += 2;
-    }
-    if (offset > 0) {
-      stream_buffer_.erase(0, offset);
-    }
-    constexpr std::string_view kBoundary = "--rcbpart\r\n";
-    if (stream_buffer_.size() < kBoundary.size()) {
-      return;
-    }
-    if (std::string_view(stream_buffer_).substr(0, kBoundary.size()) != kBoundary) {
-      RCB_LOG(kWarning) << "ajax-snippet: desynchronized multipart stream";
-      stream_buffer_.clear();
-      return;
-    }
-    size_t headers_end = stream_buffer_.find("\r\n\r\n", kBoundary.size());
-    if (headers_end == std::string::npos) {
-      return;
-    }
-    std::string_view part_headers = std::string_view(stream_buffer_)
-                                        .substr(kBoundary.size(),
-                                                headers_end - kBoundary.size());
-    size_t length = 0;
-    for (const auto& line : StrSplit(part_headers, '\n')) {
-      std::string_view trimmed = StripWhitespace(line);
-      if (StartsWithIgnoreCase(trimmed, "content-length:")) {
-        uint64_t parsed = 0;
-        if (ParseUint64(StripWhitespace(trimmed.substr(15)), &parsed)) {
-          length = static_cast<size_t>(parsed);
-        }
-      }
-    }
-    size_t body_start = headers_end + 4;
-    if (stream_buffer_.size() < body_start + length) {
-      return;  // body incomplete
-    }
-    std::string xml = stream_buffer_.substr(body_start, length);
-    stream_buffer_.erase(0, body_start + length);
-    ++metrics_.stream_parts_received;
-    SimTime received = browser_->loop()->now();
-    auto snapshot_or = ParseSnapshotXml(xml);
-    if (!snapshot_or.ok()) {
-      RCB_LOG(kWarning) << "ajax-snippet: bad pushed snapshot: "
-                        << snapshot_or.status();
-      continue;
-    }
-    ProcessSnapshot(*snapshot_or, received - last_part_start_);
-    last_part_start_ = browser_->loop()->now();
-  }
 }
 
 void AjaxSnippet::ScheduleActionFlush() {
@@ -688,10 +548,6 @@ void AjaxSnippet::Reconnect() {
     in_flight_actions_.clear();
     NoteActionQueued();
   }
-  if (stream_ != nullptr) {
-    stream_->Close();
-    stream_ = nullptr;
-  }
   CloseFramedStream();
   longpoll_active_ = false;
   frames_pending_ = false;
@@ -743,25 +599,7 @@ void AjaxSnippet::Reconnect() {
     // what our DOM claims to hold.
     need_resync_ = true;
     doc_time_ms_ = -1;
-    if (sync_model_ == SyncModel::kPush) {
-      OpenStream();
-    } else {
-      PollOnce();
-    }
-  });
-}
-
-void AjaxSnippet::ScheduleStreamReopen() {
-  if (!config_.stream_reconnect || !joined_) {
-    return;
-  }
-  ++consecutive_failures_;
-  uint64_t epoch = epoch_;
-  browser_->loop()->Schedule(BackoffDelay(), [this, epoch] {
-    if (epoch != epoch_ || stream_ != nullptr || !joined_) {
-      return;
-    }
-    OpenStream();
+    PollOnce();
   });
 }
 
@@ -1508,16 +1346,20 @@ StatusOr<int> RcbIdOf(Element* element) {
 
 }  // namespace
 
+void AjaxSnippet::QueueAction(UserAction action) {
+  action_queue_.push_back(std::move(action));
+  NoteActionQueued();
+  if (frames_stream_ != nullptr) {
+    ScheduleActionFlush();
+  }
+}
+
 Status AjaxSnippet::ClickElement(Element* element) {
   RCB_ASSIGN_OR_RETURN(int target, RcbIdOf(element));
   UserAction action;
   action.type = ActionType::kClick;
   action.target = target;
-  action_queue_.push_back(std::move(action));
-  NoteActionQueued();
-  if (sync_model_ == SyncModel::kPush || frames_stream_ != nullptr) {
-    ScheduleActionFlush();
-  }
+  QueueAction(std::move(action));
   return Status::Ok();
 }
 
@@ -1530,11 +1372,7 @@ Status AjaxSnippet::FillFormField(Element* form, std::string_view name,
   action.type = ActionType::kFormFill;
   action.target = target;
   action.fields.emplace_back(std::string(name), std::string(value));
-  action_queue_.push_back(std::move(action));
-  NoteActionQueued();
-  if (sync_model_ == SyncModel::kPush || frames_stream_ != nullptr) {
-    ScheduleActionFlush();
-  }
+  QueueAction(std::move(action));
   return Status::Ok();
 }
 
@@ -1544,11 +1382,7 @@ Status AjaxSnippet::SubmitForm(Element* form) {
   action.type = ActionType::kFormSubmit;
   action.target = target;
   action.fields = FormFields(form);
-  action_queue_.push_back(std::move(action));
-  NoteActionQueued();
-  if (sync_model_ == SyncModel::kPush || frames_stream_ != nullptr) {
-    ScheduleActionFlush();
-  }
+  QueueAction(std::move(action));
   return Status::Ok();
 }
 
@@ -1557,22 +1391,14 @@ void AjaxSnippet::SendMouseMove(int x, int y) {
   action.type = ActionType::kMouseMove;
   action.x = x;
   action.y = y;
-  action_queue_.push_back(std::move(action));
-  NoteActionQueued();
-  if (sync_model_ == SyncModel::kPush || frames_stream_ != nullptr) {
-    ScheduleActionFlush();
-  }
+  QueueAction(std::move(action));
 }
 
 void AjaxSnippet::RequestNavigate(const std::string& url) {
   UserAction action;
   action.type = ActionType::kNavigate;
   action.data = url;
-  action_queue_.push_back(std::move(action));
-  NoteActionQueued();
-  if (sync_model_ == SyncModel::kPush || frames_stream_ != nullptr) {
-    ScheduleActionFlush();
-  }
+  QueueAction(std::move(action));
 }
 
 }  // namespace rcb

@@ -56,10 +56,6 @@ struct SnippetConfig {
   // After this many consecutive failures, re-handshake with the agent
   // (GET /?resume=<pid>, HMAC-signed when a key is set). 0 disables.
   uint32_t reconnect_after = 0;
-  // Push model: reopen a dropped stream after a backoff delay. Off by
-  // default — a dropped stream is detected but not recovered, like the
-  // original snippet.
-  bool stream_reconnect = false;
 
   // Advertise the delta-snapshot capability (src/delta): polls carry patch=1
   // and newPatch responses are applied with integrity checks. Off keeps the
@@ -105,15 +101,13 @@ struct SnippetMetrics {
   uint64_t actions_sent = 0;
   uint64_t broadcasts_received = 0;
   uint64_t auth_rejections = 0;
-  uint64_t stream_parts_received = 0;  // push mode
-  uint64_t stream_drops = 0;           // push stream closed under us
+  uint64_t stream_drops = 0;           // framed stream closed under us
   // --- Recovery counters (§3.2.3) ---
   uint64_t poll_timeouts = 0;          // polls abandoned after poll_timeout
   uint64_t transport_failures = 0;     // polls whose transport failed outright
   uint64_t reconnects = 0;             // successful resume re-handshakes
   uint64_t reconnect_failures = 0;     // resume attempts that failed
   uint64_t resyncs = 0;                // full snapshots applied after recovery
-  uint64_t stream_reopens = 0;         // push streams reopened (opt-in)
   // --- Delta snapshots (src/delta) ---
   uint64_t patches_applied = 0;         // newPatch responses committed
   uint64_t patches_stale_ignored = 0;   // patch target <= current doc time
@@ -185,9 +179,6 @@ class AjaxSnippet {
   const obs::TraceLog& trace_log() const { return trace_; }
   const obs::FlightRecorder& flight_recorder() const { return flight_; }
   Duration poll_interval() const { return interval_; }
-  // Synchronization model in effect (advertised by the agent's initial page).
-  SyncModel sync_model() const { return sync_model_; }
-  bool stream_open() const { return stream_ != nullptr; }
   // Streamed transport state (DESIGN.md §15).
   bool frames_open() const { return frames_stream_ != nullptr; }
   bool long_poll_active() const { return longpoll_active_; }
@@ -235,9 +226,9 @@ class AjaxSnippet {
   // Builds and sends one signed poll; used by the regular loop and by the
   // fire-and-forget goodbye in Leave().
   void SendPoll(PollRequest poll, FetchCallback callback);
-  // Applies a received newContent document (shared by poll and push paths).
-  // `transport_time` is recorded as last_content_download when content was
-  // applied.
+  // Applies a received newContent document (shared by poll replies and data
+  // frames). `transport_time` is recorded as last_content_download when
+  // content was applied.
   void ProcessSnapshot(const Snapshot& snapshot, Duration transport_time);
   // Applies a received newPatch delta (src/delta) with integrity checks; any
   // mismatch flags need_resync_ so the next poll requests a full snapshot.
@@ -246,11 +237,11 @@ class AjaxSnippet {
   // Presence bookkeeping + action listener dispatch for broadcast actions
   // (shared by the snapshot and patch paths).
   void HandleBroadcastActions(const std::vector<UserAction>& actions);
-  // Push mode: opens the multipart stream and consumes its parts.
-  void OpenStream();
-  void OnStreamData(std::string_view data);
-  // Push mode: POSTs queued actions immediately (coalesced per event-loop
-  // turn) instead of waiting for a poll tick.
+  // Queues one gesture for the next poll; while a framed stream owns
+  // delivery, flushes it right away instead.
+  void QueueAction(UserAction action);
+  // Framed-stream mode: POSTs queued actions immediately (coalesced per
+  // event-loop turn) instead of waiting for a poll tick.
   void ScheduleActionFlush();
   void OnPollResponse(FetchResult result, SimTime sent_at);
   // --- Recovery (§3.2.3) ---
@@ -266,13 +257,12 @@ class AjaxSnippet {
   // Re-handshake: abort wedged connections, GET /?resume=<pid> (signed),
   // then resume the sync loop with a forced full-snapshot resync.
   void Reconnect();
-  // Push model opt-in: retry OpenStream after a backoff delay.
-  void ScheduleStreamReopen();
   // --- Streamed transport (DESIGN.md §15) ---
   // Chooses the next poll delay from the grant in effect and the adaptive
   // policy; opens a granted framed stream instead of scheduling.
   void ScheduleNextPoll(bool activity, SimTime sent_at);
-  // Opens GET /frames (signed like /stream) and consumes frames from it.
+  // Opens GET /frames (HMAC-signed over the request line) and consumes
+  // frames from it.
   void OpenFramedStream();
   void OnFramesData(std::string_view data);
   void CloseFramedStream();
@@ -323,15 +313,8 @@ class AjaxSnippet {
   uint32_t consecutive_failures_ = 0;
   bool need_resync_ = false;
   bool reconnect_in_flight_ = false;
-  bool stream_was_open_ = false;  // distinguishes reopens from the first open
   Rng backoff_rng_;
-
-  SyncModel sync_model_ = SyncModel::kPoll;
-  NetEndpoint* stream_ = nullptr;
-  std::string stream_buffer_;
-  bool stream_head_done_ = false;
   bool action_flush_scheduled_ = false;
-  SimTime last_part_start_;
 
   // --- Streamed transport state (DESIGN.md §15) ---
   bool transport_downgraded_ = false;  // stop advertising stream= for good
@@ -357,7 +340,7 @@ class AjaxSnippet {
   obs::MetricsRegistry registry_;
   obs::TraceLog trace_;
   // Context of the traced poll currently in flight (trace id + reserved root
-  // span id); inactive when tracing is off or between polls in push mode.
+  // span id); inactive when tracing is off.
   obs::TraceContext poll_ctx_;
   // Context of the apply span while ApplySnapshot runs, so the four Fig. 5
   // stage events parent to it rather than to the poll root.

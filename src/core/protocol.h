@@ -17,12 +17,6 @@
 
 namespace rcb {
 
-// How content reaches participants (§3.2.3). The paper chooses poll-based
-// synchronization; the push alternative it discusses — a held connection
-// carrying "multipart/x-mixed-replace" parts — is implemented for the
-// corresponding ablation.
-enum class SyncModel { kPoll, kPush };
-
 // ---------------------------------------------------------------------------
 // Element payloads (the escape(data) inside each CDATA section of Fig. 4).
 // ---------------------------------------------------------------------------

@@ -185,7 +185,8 @@ void RcbAgent::RegisterMetrics() {
         metrics_.actions_rate_limited);
   field("rcb_agent_actions_shed", "Reject-newest drops at a full action queue",
         metrics_.actions_shed);
-  field("rcb_agent_snapshots_shed", "Push versions superseded before send",
+  field("rcb_agent_snapshots_shed",
+        "Held-stream versions superseded before send",
         metrics_.snapshots_shed);
   field("rcb_agent_idle_read_timeouts", "Slow-loris connections closed",
         metrics_.idle_read_timeouts);
@@ -368,9 +369,6 @@ void RcbAgent::RegisterMetrics() {
       [this] { return static_cast<double>(participants_.size()); },
       base_labels);
   reg->AddCallbackGauge(
-      "rcb_agent_streams", "Held push streams", obs::Provenance::kSim,
-      [this] { return static_cast<double>(streams_.size()); }, base_labels);
-  reg->AddCallbackGauge(
       "rcb_agent_pending_actions", "Actions awaiting host confirmation",
       obs::Provenance::kSim,
       [this] { return static_cast<double>(pending_actions_.size()); },
@@ -522,10 +520,6 @@ void RcbAgent::Stop() {
   connections_.clear();
   // Stream endpoints are detached from connections_ on upgrade; closing our
   // own side does not re-enter their close handlers.
-  for (auto& [pid, endpoint] : streams_) {
-    endpoint->Close();
-  }
-  streams_.clear();
   for (auto& [pid, stream] : framed_streams_) {
     stream.endpoint->Close();
   }
@@ -622,7 +616,7 @@ void RcbAgent::OnAccept(NetEndpoint* endpoint) {
   // Admission control: past the connection cap, answer a tiny 503 and close
   // instead of dedicating parser/timer state to the socket.
   if (config_.limits.max_connections > 0 &&
-      connections_.size() + streams_.size() + framed_streams_.size() >=
+      connections_.size() + framed_streams_.size() >=
           config_.limits.max_connections) {
     ++metrics_.connections_rejected;
     endpoint->Send(
@@ -704,10 +698,6 @@ void RcbAgent::OnConnData(AgentConn* conn, std::string_view data) {
     }
     DisarmReadDeadline(conn);
     const HttpRequest& request = **result;
-    if (request.method == HttpMethod::kGet && request.Path() == "/stream") {
-      HandleStreamRequest(conn, request);
-      return;  // connection is now a held stream (or closed), never reused
-    }
     if (request.method == HttpMethod::kGet && request.Path() == "/frames") {
       HandleFramesRequest(conn, request);
       return;  // connection is now a held framed stream (or closed)
@@ -738,141 +728,9 @@ void RcbAgent::OnDocumentChange() {
   if (config_.state_observer != nullptr) {
     config_.state_observer->OnDocVersion(current_doc_time_ms_);
   }
-  if (config_.sync_model == SyncModel::kPush && !streams_.empty()) {
-    SchedulePushFlush();
-  }
   if (!parked_.empty() || !framed_streams_.empty()) {
     ScheduleTransportFlush();
   }
-}
-
-void RcbAgent::SchedulePushFlush() {
-  if (push_flush_pending_) {
-    // Drop-oldest: the version that was pending is superseded before it was
-    // ever serialized; only the newest one will go out.
-    ++metrics_.snapshots_shed;
-    return;
-  }
-  push_flush_pending_ = true;
-  browser_->loop()->Schedule(Duration::Zero(), [this] {
-    push_flush_pending_ = false;
-    if (running_) {
-      PushToStreams();
-    }
-  });
-}
-
-std::string RcbAgent::MultipartPart(const std::string& xml) {
-  std::string part = "--rcbpart\r\nContent-Type: application/xml\r\n";
-  part += StrFormat("Content-Length: %zu\r\n\r\n", xml.size());
-  part += xml;
-  part += "\r\n";
-  return part;
-}
-
-void RcbAgent::HandleStreamRequest(AgentConn* conn, const HttpRequest& request) {
-  last_activity_ = browser_->loop()->now();
-  if (config_.sync_model != SyncModel::kPush) {
-    conn->endpoint->Send(
-        HttpResponse::BadRequest("agent runs in poll mode").Serialize());
-    return;
-  }
-  if (!VerifyRequestAuth(request)) {
-    ++metrics_.auth_failures;
-    conn->endpoint->Send(
-        HttpResponse::Forbidden("request authentication failed").Serialize());
-    return;
-  }
-  auto params = request.QueryParams();
-  auto pid_it = params.find("pid");
-  if (pid_it == params.end() || pid_it->second.empty()) {
-    conn->endpoint->Send(HttpResponse::BadRequest("missing pid").Serialize());
-    return;
-  }
-  std::string pid = pid_it->second;
-  if (!ParticipantAdmissible(pid)) {
-    ++metrics_.participants_rejected;
-    conn->endpoint->Send(
-        HttpResponse::ServiceUnavailable(
-            JitteredRetryAfter(config_.poll_interval, pid),
-            "participant limit reached")
-            .Serialize());
-    return;
-  }
-  EnsureParticipant(pid).last_poll = browser_->loop()->now();
-  NetEndpoint* endpoint = conn->endpoint;
-  streams_[pid] = endpoint;
-  // The socket stops being a request connection: detach its parser record so
-  // the connection cap and read deadline no longer apply to it.
-  endpoint->SetDataHandler(nullptr);
-  RemoveConnection(conn);
-  endpoint->SetCloseHandler([this, pid] {
-    streams_.erase(pid);
-    RemoveParticipant(pid);
-  });
-  // Multipart head; parts follow on every change — no Content-Length, the
-  // connection stays open ("multipart/x-mixed-replace", §3.2.3).
-  endpoint->Send(
-      "HTTP/1.1 200 OK\r\n"
-      "Content-Type: multipart/x-mixed-replace; boundary=rcbpart\r\n\r\n");
-  // If content already exists, deliver it right away; likewise anything that
-  // was broadcast into this participant's outbox before the stream opened.
-  if (has_version_) {
-    SnapshotSlot& slot = RefreshSlot(CacheModeFor(pid), /*count_reuse=*/true);
-    participants_[pid].doc_time_ms = current_doc_time_ms_;
-    ++metrics_.polls_with_content;
-    metrics_.content_bytes_sent += slot.xml.size();
-    endpoint->Send(MultipartPart(slot.xml));
-  }
-  PushOutbox(pid);
-}
-
-void RcbAgent::PushToStreams() {
-  for (auto& [pid, endpoint] : streams_) {
-    auto participant_it = participants_.find(pid);
-    if (participant_it == participants_.end()) {
-      continue;
-    }
-    ParticipantState& participant = participant_it->second;
-    if (participant.doc_time_ms >= current_doc_time_ms_) {
-      continue;
-    }
-    SnapshotSlot& slot = RefreshSlot(CacheModeFor(pid), /*count_reuse=*/true);
-    participant.doc_time_ms = current_doc_time_ms_;
-    participant.last_poll = browser_->loop()->now();
-    RecordContentServed("");
-    if (participant.outbox.empty()) {
-      metrics_.content_bytes_sent += slot.xml.size();
-      endpoint->Send(MultipartPart(slot.xml));
-    } else {
-      // Per-participant flavour: same shared snapshot, this poller's outbox
-      // appended. The prescaped slot spans make this a splice, not a page
-      // re-escape, and override_actions avoids copying the Snapshot.
-      std::vector<UserAction> actions = std::move(participant.outbox);
-      participant.outbox.clear();
-      std::string xml = SerializeSnapshotXml(
-          slot.snapshot, nullptr,
-          slot.escaped.has_content ? &slot.escaped : nullptr, &actions);
-      metrics_.content_bytes_sent += xml.size();
-      endpoint->Send(MultipartPart(xml));
-    }
-    ++metrics_.polls_with_content;
-  }
-}
-
-void RcbAgent::PushOutbox(const std::string& pid) {
-  auto stream_it = streams_.find(pid);
-  auto participant_it = participants_.find(pid);
-  if (stream_it == streams_.end() || participant_it == participants_.end() ||
-      participant_it->second.outbox.empty()) {
-    return;
-  }
-  Snapshot actions_only;
-  actions_only.doc_time_ms = participant_it->second.doc_time_ms;
-  actions_only.has_content = false;
-  actions_only.user_actions = std::move(participant_it->second.outbox);
-  participant_it->second.outbox.clear();
-  stream_it->second->Send(MultipartPart(SerializeSnapshotXml(actions_only)));
 }
 
 // ---------------------------------------------------------------------------
@@ -885,7 +743,6 @@ void RcbAgent::ParkPoll(AgentConn* conn, ParkIntent intent) {
   parked.conn = conn;
   parked.grant = std::move(intent.grant);
   parked.acked_doc_time_ms = intent.acked_doc_time_ms;
-  parked.patch = intent.patch;
   parked.deadline_id = browser_->loop()->Schedule(
       config_.transport.long_poll_hold,
       [this, pid] { ReleaseParkedPoll(pid, /*expired=*/true); });
@@ -912,37 +769,22 @@ void RcbAgent::ReleaseParkedPoll(const std::string& pid, bool expired) {
   if (!expired) {
     browser_->loop()->Cancel(parked.deadline_id);
   }
-  std::string body;
+  std::optional<std::string> body;
   auto participant_it = participants_.find(pid);
   if (participant_it != participants_.end()) {
-    ParticipantState& participant = participant_it->second;
-    participant.last_poll = browser_->loop()->now();
-    std::vector<UserAction> outbox = std::move(participant.outbox);
-    participant.outbox.clear();
-    if (has_version_ && participant.doc_time_ms < current_doc_time_ms_) {
-      body = BuildContentBody(pid, parked.acked_doc_time_ms, parked.patch,
-                              std::move(outbox));
-      participant.doc_time_ms = current_doc_time_ms_;
-      ++metrics_.polls_with_content;
-      ++metrics_.transport_long_poll_flushes;
-    } else if (!outbox.empty()) {
-      Snapshot actions_only;
-      actions_only.doc_time_ms = participant.doc_time_ms;
-      actions_only.has_content = false;
-      actions_only.user_actions = std::move(outbox);
-      body = SerializeSnapshotXml(actions_only);
-      ++metrics_.polls_with_content;
-      ++metrics_.transport_long_poll_flushes;
-    } else {
-      // Counted as a transport expiry only — disjoint from polls_empty
-      // (classic empty replies), so transport::WastedPolls sums each wasted
-      // round trip exactly once.
-      ++metrics_.transport_long_poll_expiries;
-    }
+    participant_it->second.last_poll = browser_->loop()->now();
+    body = TakeDelivery(pid, participant_it->second, parked.acked_doc_time_ms);
+  }
+  if (body.has_value()) {
+    ++metrics_.transport_long_poll_flushes;
   } else {
+    // Counted as a transport expiry only — disjoint from polls_empty
+    // (classic empty replies), so transport::WastedPolls sums each wasted
+    // round trip exactly once.
     ++metrics_.transport_long_poll_expiries;
   }
-  HttpResponse response = HttpResponse::Ok("application/xml", body);
+  HttpResponse response =
+      HttpResponse::Ok("application/xml", std::move(body).value_or(""));
   response.headers.Set("RCB-Transport", parked.grant);
   AgentConn* conn = parked.conn;
   conn->endpoint->SetCloseHandler([this, conn] { RemoveConnection(conn); });
@@ -965,22 +807,16 @@ void RcbAgent::RecordContentServed(std::string_view trace_id) {
   }
 }
 
-std::string RcbAgent::BuildContentBody(const std::string& pid, int64_t acked,
-                                       bool patch_capable,
-                                       std::vector<UserAction> outbox) {
-  // The transport-side twin of HandlePoll's content path: same delta guard,
-  // same shared-snapshot fast path, same spliced per-participant flavour —
-  // so a parked release or data frame carries the exact poll-reply bytes.
+RcbAgent::ContentBody RcbAgent::BuildContentBody(
+    const std::string& pid, int64_t acked, std::vector<UserAction> outbox,
+    std::string_view exemplar) {
   SnapshotSlot& slot = RefreshSlot(CacheModeFor(pid), /*count_reuse=*/true);
-  // Exemplar trace for transport-pushed content: the frame spans' synthetic
-  // transport-<pid> chain (SendFrame), unless a traced poll is in flight.
-  std::string transport_trace;
-  if (!trace_ctx_.active() && config_.enable_trace) {
-    transport_trace = "transport-" + pid;
-  }
-  RecordContentServed(trace_ctx_.active() ? std::string_view(trace_ctx_.trace_id)
-                                          : std::string_view(transport_trace));
-  if (config_.enable_delta && patch_capable && acked >= 0) {
+  RecordContentServed(exemplar);
+  // Delta path (§4.1.1 guarded): only when the receiver acks a concrete
+  // version it advertised patch= for — and only when the patch is genuinely
+  // smaller than the snapshot (MaybeBuildPatchResponse returns nullopt
+  // otherwise, falling through to the full snapshot).
+  if (config_.enable_delta && acked >= 0) {
     std::optional<std::string> patch_xml =
         broadcast_->MaybeBuildPatchResponse(slot, acked, &outbox, trace_ctx_);
     SyncBroadcastCounters();
@@ -992,24 +828,62 @@ std::string RcbAgent::BuildContentBody(const std::string& pid, int64_t acked,
       if (patch_bytes_ != nullptr) {
         patch_bytes_->Record(static_cast<int64_t>(patch_xml->size()));
       }
-      return *patch_xml;
+      return {std::move(*patch_xml), /*patch=*/true};
     }
   }
   if (outbox.empty()) {
+    // Fast path: the serialized snapshot is shared across participants
+    // co-browsing in the same mode.
     metrics_.content_bytes_sent += slot.xml.size();
-    return slot.xml;
+    return {slot.xml};
   }
+  // Per-participant flavour of the shared snapshot: prescaped slot spans are
+  // spliced and the outbox rides along via override_actions, so the page
+  // bytes are never re-escaped or copied per receiver.
   std::string xml = SerializeSnapshotXml(
       slot.snapshot, nullptr,
       slot.escaped.has_content ? &slot.escaped : nullptr, &outbox);
   metrics_.content_bytes_sent += xml.size();
-  return xml;
+  return {std::move(xml)};
+}
+
+std::optional<std::string> RcbAgent::TakeDelivery(const std::string& pid,
+                                                  ParticipantState& participant,
+                                                  int64_t acked) {
+  std::vector<UserAction> outbox = std::move(participant.outbox);
+  participant.outbox.clear();
+  if (has_version_ && participant.doc_time_ms < current_doc_time_ms_) {
+    // Exemplar: the traced poll in flight (a kick from its merge), else the
+    // frame spans' synthetic transport-<pid> chain (SendFrame).
+    std::string exemplar = trace_ctx_.trace_id;
+    if (!trace_ctx_.active() && config_.enable_trace) {
+      exemplar = "transport-" + pid;
+    }
+    ContentBody body =
+        BuildContentBody(pid, acked, std::move(outbox), exemplar);
+    participant.doc_time_ms = current_doc_time_ms_;
+    ++metrics_.polls_with_content;
+    return std::move(body.xml);
+  }
+  if (outbox.empty()) {
+    return std::nullopt;
+  }
+  ++metrics_.polls_with_content;
+  return ActionsOnlyXml(participant.doc_time_ms, std::move(outbox));
+}
+
+std::string RcbAgent::ActionsOnlyXml(int64_t doc_time_ms,
+                                     std::vector<UserAction> actions) {
+  Snapshot actions_only;
+  actions_only.doc_time_ms = doc_time_ms;
+  actions_only.has_content = false;
+  actions_only.user_actions = std::move(actions);
+  return SerializeSnapshotXml(actions_only);
 }
 
 void RcbAgent::HandleFramesRequest(AgentConn* conn, const HttpRequest& request) {
   last_activity_ = browser_->loop()->now();
-  if (!config_.transport.enable_stream ||
-      config_.sync_model != SyncModel::kPoll) {
+  if (!config_.transport.enable_stream) {
     conn->endpoint->Send(
         HttpResponse::BadRequest("streamed transport disabled").Serialize());
     return;
@@ -1078,23 +952,9 @@ void RcbAgent::HandleFramesRequest(AgentConn* conn, const HttpRequest& request) 
                           config_.transport.heartbeat_interval.millis())));
   // If content already exists, deliver it right away; likewise anything that
   // was broadcast into this participant's outbox before the stream opened.
-  std::vector<UserAction> outbox = std::move(participant.outbox);
-  participant.outbox.clear();
-  if (has_version_ && participant.doc_time_ms < current_doc_time_ms_) {
-    std::string body =
-        BuildContentBody(pid, /*acked=*/-1, /*patch_capable=*/false,
-                         std::move(outbox));
-    participant.doc_time_ms = current_doc_time_ms_;
-    ++metrics_.polls_with_content;
-    SendFrame(pid, stream, transport::FrameType::kData, std::move(body));
-  } else if (!outbox.empty()) {
-    Snapshot actions_only;
-    actions_only.doc_time_ms = participant.doc_time_ms;
-    actions_only.has_content = false;
-    actions_only.user_actions = std::move(outbox);
-    ++metrics_.polls_with_content;
-    SendFrame(pid, stream, transport::FrameType::kData,
-              SerializeSnapshotXml(actions_only));
+  if (std::optional<std::string> body =
+          TakeDelivery(pid, participant, /*acked=*/-1)) {
+    SendFrame(pid, stream, transport::FrameType::kData, std::move(*body));
   }
   ArmHeartbeatTimer();
 }
@@ -1127,8 +987,8 @@ void RcbAgent::SendFrame(const std::string& pid, FramedStream& stream,
 
 void RcbAgent::ScheduleTransportFlush() {
   if (transport_flush_pending_) {
-    // Drop-oldest, exactly like the push path: the superseded version was
-    // never serialized for these receivers.
+    // Drop-oldest: the superseded version was never serialized for these
+    // receivers; only the newest one will go out.
     ++metrics_.snapshots_shed;
     return;
   }
@@ -1161,18 +1021,14 @@ void RcbAgent::FlushFramedStreams() {
       continue;
     }
     ParticipantState& participant = participant_it->second;
+    // Content only: a pending outbox alone already went out via
+    // KickTransport when it was queued.
     if (!has_version_ || participant.doc_time_ms >= current_doc_time_ms_) {
       continue;
     }
-    std::vector<UserAction> outbox = std::move(participant.outbox);
-    participant.outbox.clear();
-    std::string body = BuildContentBody(pid, /*acked=*/-1,
-                                        /*patch_capable=*/false,
-                                        std::move(outbox));
-    participant.doc_time_ms = current_doc_time_ms_;
     participant.last_poll = browser_->loop()->now();
-    ++metrics_.polls_with_content;
-    SendFrame(pid, stream, transport::FrameType::kData, std::move(body));
+    SendFrame(pid, stream, transport::FrameType::kData,
+              *TakeDelivery(pid, participant, /*acked=*/-1));
   }
 }
 
@@ -1184,13 +1040,11 @@ void RcbAgent::KickTransport(const std::string& pid) {
   }
   if (auto stream_it = framed_streams_.find(pid);
       stream_it != framed_streams_.end()) {
-    Snapshot actions_only;
-    actions_only.doc_time_ms = participant_it->second.doc_time_ms;
-    actions_only.has_content = false;
-    actions_only.user_actions = std::move(participant_it->second.outbox);
-    participant_it->second.outbox.clear();
+    ParticipantState& participant = participant_it->second;
+    std::vector<UserAction> outbox = std::move(participant.outbox);
+    participant.outbox.clear();
     SendFrame(pid, stream_it->second, transport::FrameType::kData,
-              SerializeSnapshotXml(actions_only));
+              ActionsOnlyXml(participant.doc_time_ms, std::move(outbox)));
     return;
   }
   if (parked_.contains(pid)) {
@@ -1390,8 +1244,9 @@ std::string RcbAgent::BuildInitialPage(const std::string& pid) const {
                     static_cast<long long>(config_.poll_interval.millis()));
   head += StrFormat("<meta name=\"rcb-cache-mode\" content=\"%s\">",
                     config_.cache_mode ? "1" : "0");
-  head += StrFormat("<meta name=\"rcb-sync-model\" content=\"%s\">",
-                    config_.sync_model == SyncModel::kPush ? "push" : "poll");
+  // Kept for wire compatibility: content is always delivered by polling or
+  // by the streamed transport a poll negotiates.
+  head += "<meta name=\"rcb-sync-model\" content=\"poll\">";
   std::string body;
   body += "<h1>RCB co-browsing</h1>";
   body += "<form id=\"rcb-join\" onsubmit=\"return rcbJoin(this)\">";
@@ -1429,17 +1284,7 @@ HttpResponse RcbAgent::HandleNewConnection(const HttpRequest& request) {
       joined.type = ActionType::kPresence;
       joined.data = "joined";
       joined.origin = pid;
-      for (auto& [other_pid, state] : participants_) {
-        EnqueueOutbox(state, joined);
-      }
-      if (config_.sync_model == SyncModel::kPush) {
-        for (const auto& [other_pid, state] : participants_) {
-          PushOutbox(other_pid);
-        }
-      }
-      for (const auto& [other_pid, state] : participants_) {
-        KickTransport(other_pid);
-      }
+      BroadcastToRoster(joined);
     }
     ParticipantState& participant = EnsureParticipant(pid);
     participant.last_poll = browser_->loop()->now();
@@ -1467,17 +1312,7 @@ HttpResponse RcbAgent::HandleNewConnection(const HttpRequest& request) {
   joined.type = ActionType::kPresence;
   joined.data = "joined";
   joined.origin = pid;
-  for (auto& [other_pid, state] : participants_) {
-    EnqueueOutbox(state, joined);
-  }
-  if (config_.sync_model == SyncModel::kPush) {
-    for (const auto& [other_pid, state] : participants_) {
-      PushOutbox(other_pid);
-    }
-  }
-  for (const auto& [other_pid, state] : participants_) {
-    KickTransport(other_pid);
-  }
+  BroadcastToRoster(joined);
   ParticipantState& participant = EnsureParticipant(pid);
   participant.last_poll = browser_->loop()->now();
   ++metrics_.new_connections;
@@ -1492,12 +1327,6 @@ void RcbAgent::RemoveParticipant(const std::string& pid) {
   participants_.erase(it);
   if (config_.state_observer != nullptr) {
     config_.state_observer->OnParticipantLeft(pid);
-  }
-  auto stream_it = streams_.find(pid);
-  if (stream_it != streams_.end()) {
-    NetEndpoint* endpoint = stream_it->second;
-    streams_.erase(stream_it);
-    endpoint->Close();
   }
   if (auto framed_it = framed_streams_.find(pid);
       framed_it != framed_streams_.end()) {
@@ -1517,17 +1346,7 @@ void RcbAgent::RemoveParticipant(const std::string& pid) {
   left.type = ActionType::kPresence;
   left.data = "left";
   left.origin = pid;
-  for (auto& [other_pid, state] : participants_) {
-    EnqueueOutbox(state, left);
-  }
-  if (config_.sync_model == SyncModel::kPush) {
-    for (const auto& [other_pid, state] : participants_) {
-      PushOutbox(other_pid);
-    }
-  }
-  for (const auto& [other_pid, state] : participants_) {
-    KickTransport(other_pid);
-  }
+  BroadcastToRoster(left);
 }
 
 RcbAgent::ParticipantState& RcbAgent::EnsureParticipant(const std::string& pid) {
@@ -1562,16 +1381,29 @@ void RcbAgent::EnqueueOutbox(ParticipantState& state, const UserAction& action) 
   state.outbox.push_back(action);
 }
 
+void RcbAgent::BroadcastToRoster(const UserAction& action,
+                                 const std::string& skip_pid) {
+  for (auto& [pid, state] : participants_) {
+    if (pid != skip_pid) {
+      EnqueueOutbox(state, action);
+    }
+  }
+  for (const auto& [pid, state] : participants_) {
+    if (pid != skip_pid) {
+      KickTransport(pid);
+    }
+  }
+}
+
 void RcbAgent::ReapStaleParticipants() {
   SimTime now = browser_->loop()->now();
   Duration liveness = config_.poll_interval * 5;
   std::vector<std::string> stale;
   for (const auto& [pid, state] : participants_) {
-    // A held push stream signals liveness by itself (its close handler does
-    // the removal when it drops); so do a held framed stream and a parked
-    // long-poll, whose hold may legitimately outlast the liveness window.
-    if (!streams_.contains(pid) && !framed_streams_.contains(pid) &&
-        !parked_.contains(pid) && state.polls > 0 &&
+    // A held framed stream or parked long-poll signals liveness by itself:
+    // its hold may legitimately outlast the liveness window.
+    if (!framed_streams_.contains(pid) && !parked_.contains(pid) &&
+        state.polls > 0 &&
         now - state.last_poll > liveness) {
       stale.push_back(pid);
     }
@@ -1602,9 +1434,8 @@ HttpResponse RcbAgent::HandleStatusPage() const {
   // The host-side session indicator the usability subjects asked for
   // (§5.2.3): who is connected, how fresh they are, what the agent has done.
   std::string body = "<h1>RCB session status</h1>";
-  body += StrFormat("<p id=\"mode\">mode: %s / %s</p>",
-                    config_.cache_mode ? "cache" : "non-cache",
-                    config_.sync_model == SyncModel::kPush ? "push" : "poll");
+  body += StrFormat("<p id=\"mode\">mode: %s / poll</p>",
+                    config_.cache_mode ? "cache" : "non-cache");
   body += "<table id=\"participants\"><tr><th>participant</th><th>doc version"
           "</th><th>polls</th><th>last seen</th></tr>";
   SimTime now = browser_->loop()->now();
@@ -1870,14 +1701,13 @@ HttpResponse RcbAgent::HandlePoll(const HttpRequest& request) {
   }
 
   // Transport negotiation (DESIGN.md §15): grant an upgrade only when both
-  // sides opted in, the agent runs the poll model, and the request arrived
-  // on a holdable connection — the synchronous front door cannot park, so
-  // its polls are answered classically and the snippet never upgrades.
+  // sides opted in and the request arrived on a holdable connection — the
+  // synchronous front door cannot park, so its polls are answered
+  // classically and the snippet never upgrades.
   const bool was_granted = participant.transport_granted;
   participant.transport_granted = false;
   if (config_.transport.enable_stream &&
-      poll.stream != transport::kStreamNone && !front_door_request_ &&
-      config_.sync_model == SyncModel::kPoll) {
+      poll.stream != transport::kStreamNone && !front_door_request_) {
     const size_t held = framed_streams_.size() + parked_.size();
     transport::TransportGrant grant;
     bool granted = false;
@@ -1926,78 +1756,40 @@ HttpResponse RcbAgent::HandlePoll(const HttpRequest& request) {
   std::vector<UserAction> outbox = std::move(participant.outbox);
   participant.outbox.clear();
 
+  // A patch needs a capability-advertising poll that acks a concrete
+  // version and is not resyncing; -1 asks the builder for a full snapshot.
+  const int64_t acked = poll.patch && !poll.resync ? poll.doc_time_ms : -1;
   if (needs_content) {
-    SnapshotSlot& slot =
-        RefreshSlot(CacheModeFor(poll.participant_id), /*count_reuse=*/true);
     ++metrics_.polls_with_content;
-    RecordContentServed(trace_ctx_.active() ? trace_ctx_.trace_id
-                                            : std::string());
+    participant.doc_time_ms = current_doc_time_ms_;
+    ContentBody body = BuildContentBody(poll.participant_id, acked,
+                                        std::move(outbox), trace_ctx_.trace_id);
     if (poll.resync) {
       ++metrics_.resyncs;  // full snapshot served to a recovering participant
       flight_.Trigger("resync", browser_->loop()->now().micros());
     }
-    participant.doc_time_ms = current_doc_time_ms_;
-    // Delta path (§4.1.1 guarded): only for a capability-advertising poll
-    // that acks a concrete version and is not resyncing — and only when the
-    // patch is genuinely smaller than the snapshot (MaybeBuildPatchResponse
-    // returns nullopt otherwise, falling through to the full snapshot).
-    if (config_.enable_delta && poll.patch && !poll.resync &&
-        poll.doc_time_ms >= 0) {
-      std::optional<std::string> patch_xml = broadcast_->MaybeBuildPatchResponse(
-          slot, poll.doc_time_ms, &outbox, trace_ctx_);
-      SyncBroadcastCounters();
-      if (patch_xml) {
-        ++metrics_.patches_served;
-        metrics_.patch_bytes_sent += patch_xml->size();
-        metrics_.patch_snapshot_bytes += slot.xml.size();
-        metrics_.content_bytes_sent += patch_xml->size();
-        if (patch_bytes_ != nullptr) {
-          patch_bytes_->Record(static_cast<int64_t>(patch_xml->size()));
-        }
-        TraceMarker(
-            "agent.response.patch",
-            {{"bytes", StrFormat("%zu", patch_xml->size())},
-             {"base_ts",
-              StrFormat("%lld", static_cast<long long>(poll.doc_time_ms))},
-             {"target_ts", StrFormat("%lld", static_cast<long long>(
-                                                 current_doc_time_ms_))}});
-        return HttpResponse::Ok("application/xml", *patch_xml);
-      }
+    const std::string bytes = StrFormat("%zu", body.xml.size());
+    const std::string ts =
+        StrFormat("%lld", static_cast<long long>(current_doc_time_ms_));
+    if (body.patch) {
+      TraceMarker("agent.response.patch",
+                  {{"bytes", bytes},
+                   {"base_ts", StrFormat("%lld", static_cast<long long>(
+                                                     poll.doc_time_ms))},
+                   {"target_ts", ts}});
+    } else {
+      TraceMarker("agent.response.snapshot", {{"bytes", bytes}, {"ts", ts}});
     }
-    if (outbox.empty()) {
-      // Fast path: the serialized snapshot is shared across participants
-      // co-browsing in the same mode.
-      metrics_.content_bytes_sent += slot.xml.size();
-      TraceMarker("agent.response.snapshot",
-                  {{"bytes", StrFormat("%zu", slot.xml.size())},
-                   {"ts", StrFormat("%lld", static_cast<long long>(
-                                                current_doc_time_ms_))}});
-      return HttpResponse::Ok("application/xml", slot.xml);
-    }
-    // Per-participant flavour of the shared snapshot: prescaped slot spans
-    // are spliced and the outbox rides along via override_actions, so the
-    // page bytes are never re-escaped or copied per poller.
-    std::string xml = SerializeSnapshotXml(
-        slot.snapshot, nullptr,
-        slot.escaped.has_content ? &slot.escaped : nullptr, &outbox);
-    metrics_.content_bytes_sent += xml.size();
-    TraceMarker("agent.response.snapshot",
-                {{"bytes", StrFormat("%zu", xml.size())},
-                 {"ts", StrFormat("%lld", static_cast<long long>(
-                                              current_doc_time_ms_))}});
-    return HttpResponse::Ok("application/xml", xml);
+    return HttpResponse::Ok("application/xml", std::move(body.xml));
   }
 
   participant.doc_time_ms = poll.doc_time_ms;
   if (!outbox.empty()) {
-    Snapshot actions_only;
-    actions_only.doc_time_ms = poll.doc_time_ms;
-    actions_only.has_content = false;
     TraceMarker("agent.response.actions",
                 {{"count", StrFormat("%zu", outbox.size())}});
-    actions_only.user_actions = std::move(outbox);
     ++metrics_.polls_with_content;
-    return HttpResponse::Ok("application/xml", SerializeSnapshotXml(actions_only));
+    return HttpResponse::Ok("application/xml",
+                            ActionsOnlyXml(poll.doc_time_ms, std::move(outbox)));
   }
   // Long-poll park (DESIGN.md §15): nothing to send and both sides already
   // hold the capability (the client saw a grant on its previous poll, so its
@@ -2005,9 +1797,7 @@ HttpResponse RcbAgent::HandlePoll(const HttpRequest& request) {
   // answering empty. OnConnData consumes the intent and parks the socket.
   if (was_granted && pending_grant_longpoll_ && !pending_grant_.empty() &&
       !front_door_request_) {
-    park_intent_ = ParkIntent{poll.participant_id, pending_grant_,
-                              poll.doc_time_ms,
-                              config_.enable_delta && poll.patch};
+    park_intent_ = ParkIntent{poll.participant_id, pending_grant_, acked};
     pending_grant_.clear();  // the grant header rides the parked release
     ++metrics_.transport_long_polls_parked;
     TraceMarker("agent.response.parked", {});
@@ -2040,15 +1830,7 @@ void RcbAgent::ApplyAction(const std::string& pid, const UserAction& action) {
     if (config_.policies.broadcast_mouse) {
       UserAction broadcast = action;
       broadcast.origin = pid;
-      for (auto& [other_pid, state] : participants_) {
-        if (other_pid != pid) {
-          EnqueueOutbox(state, broadcast);
-          if (config_.sync_model == SyncModel::kPush) {
-            PushOutbox(other_pid);
-          }
-          KickTransport(other_pid);
-        }
-      }
+      BroadcastToRoster(broadcast, /*skip_pid=*/pid);
       ++metrics_.actions_applied;
     }
     return;
@@ -2175,17 +1957,7 @@ void RcbAgent::PerformAction(const std::string& pid, const UserAction& action) {
 
 void RcbAgent::BroadcastAction(UserAction action) {
   action.origin = "host";
-  for (auto& [pid, state] : participants_) {
-    EnqueueOutbox(state, action);
-  }
-  if (config_.sync_model == SyncModel::kPush) {
-    for (const auto& [pid, state] : participants_) {
-      PushOutbox(pid);
-    }
-  }
-  for (const auto& [pid, state] : participants_) {
-    KickTransport(pid);
-  }
+  BroadcastToRoster(action);
 }
 
 std::vector<std::string> RcbAgent::ConnectedParticipants() const {
@@ -2193,10 +1965,9 @@ std::vector<std::string> RcbAgent::ConnectedParticipants() const {
   SimTime now = browser_->loop()->now();
   Duration liveness = config_.poll_interval * 5;
   for (const auto& [pid, state] : participants_) {
-    // A held push stream counts as live regardless of poll counters; so do
-    // a held framed stream and a parked long-poll.
-    if (streams_.contains(pid) || framed_streams_.contains(pid) ||
-        parked_.contains(pid) ||
+    // A held framed stream or parked long-poll counts as live regardless of
+    // poll counters.
+    if (framed_streams_.contains(pid) || parked_.contains(pid) ||
         (state.polls > 0 && now - state.last_poll <= liveness)) {
       out.push_back(pid);
     }

@@ -69,7 +69,7 @@ struct AgentPolicies {
 // an individual limit.
 struct AgentLimits {
   // Admission control.
-  size_t max_connections = 256;   // concurrent sockets, held push streams incl.
+  size_t max_connections = 256;   // concurrent sockets, held streams incl.
   size_t max_participants = 64;   // roster size; excess joins/polls get 503
   size_t max_request_head_bytes = 64 * 1024;   // request-line + headers
   size_t max_request_body_bytes = 1 << 20;     // declared Content-Length
@@ -105,7 +105,6 @@ struct AgentConfig {
   std::string session_key;
   // Poll interval advertised to participants in the initial page.
   Duration poll_interval = Duration::Seconds(1.0);
-  SyncModel sync_model = SyncModel::kPoll;
   // Optional per-object cache-mode selection (§4.1.2); see
   // ContentGenOptions::cache_object_filter.
   std::function<bool(const Url& url, const std::string& kind)>
@@ -139,8 +138,8 @@ struct AgentConfig {
   // --- Streamed transport (src/transport, DESIGN.md §15). Off by default:
   // the agent ignores the optional stream= poll field, never adds the
   // RCB-Transport response header, and rejects GET /frames — responses stay
-  // byte-identical to classic polling. Grants apply to poll-mode sessions on
-  // the agent's own port; front-door (RcbHost) requests are answered but
+  // byte-identical to classic polling. Grants apply to requests on the
+  // agent's own port; front-door (RcbHost) requests are answered but
   // never upgraded, since the synchronous router cannot hold a connection. ---
   transport::TransportConfig transport;
   // Flight-recorder dump directory. Empty falls back to $RCB_FLIGHT_DIR;
@@ -198,7 +197,7 @@ struct AgentMetrics {
   uint64_t polls_rate_limited = 0;     // 429s from the poll token bucket
   uint64_t actions_rate_limited = 0;   // piggybacked actions dropped by bucket
   uint64_t actions_shed = 0;           // reject-newest drops at a full queue
-  uint64_t snapshots_shed = 0;         // push versions superseded before send
+  uint64_t snapshots_shed = 0;         // held-stream versions superseded
   uint64_t idle_read_timeouts = 0;     // slow-loris connections closed
   uint64_t oversized_rejected = 0;     // 413s for head/body over the caps
   uint64_t recovery_deferrals = 0;     // 503s staggering post-recovery resync
@@ -209,8 +208,8 @@ struct AgentMetrics {
   uint64_t patch_bytes_sent = 0;       // cumulative patch response bytes
   uint64_t patch_snapshot_bytes = 0;   // snapshot bytes those patches replaced
   // Cumulative bytes of document-content-bearing response bodies (full
-  // snapshots and patches, poll and push) — the bytes-on-wire-per-update
-  // numerator the delta benchmarks read.
+  // snapshots and patches, poll replies and held-stream deliveries) — the
+  // bytes-on-wire-per-update numerator the delta benchmarks read.
   uint64_t content_bytes_sent = 0;
   // --- Streamed transport (src/transport, DESIGN.md §15) ---
   uint64_t transport_streams_opened = 0;   // framed streams upgraded
@@ -266,7 +265,7 @@ class RcbAgent {
   // port (same classification, auth, metrics, and trace behavior) — except
   // that transport upgrades are suppressed: Route() is synchronous, so a
   // front-door poll can never be parked or granted a held stream (DESIGN.md
-  // §15; held streams connect to the session's own port, like push streams).
+  // §15; held streams connect to the session's own port).
   HttpResponse HandleHostRequest(const HttpRequest& request);
 
   // Observability (DESIGN.md §9). The registry carries every AgentMetrics
@@ -294,8 +293,6 @@ class RcbAgent {
   // connected" (§3.3).
   std::vector<std::string> ConnectedParticipants() const;
   size_t participant_count() const { return participants_.size(); }
-  // Held push streams (push sync model).
-  size_t stream_count() const { return streams_.size(); }
   // Held framed transport streams / parked long-polls (DESIGN.md §15).
   size_t framed_stream_count() const { return framed_streams_.size(); }
   size_t parked_poll_count() const { return parked_.size(); }
@@ -386,17 +383,6 @@ class RcbAgent {
   // is sim-provenance, so the body is deterministic.
   HttpResponse HandleHealth(const HttpRequest& request);
 
-  // Push model: a GET /stream request upgrades the connection into a held
-  // multipart/x-mixed-replace stream; parts are written on every change.
-  void HandleStreamRequest(AgentConn* conn, const HttpRequest& request);
-  void PushToStreams();
-  // Defers PushToStreams by one zero-delay event so every document change in
-  // the same event-loop turn collapses into one part (drop-oldest shedding:
-  // a superseded version is never serialized, and counts as shed).
-  void SchedulePushFlush();
-  void PushOutbox(const std::string& pid);
-  static std::string MultipartPart(const std::string& xml);
-
   // --- Streamed transport (src/transport, DESIGN.md §15) ---
   // A long-poll the agent is holding until content arrives or the hold
   // deadline fires; the AgentConn stays in connections_ (the connection cap
@@ -404,8 +390,9 @@ class RcbAgent {
   struct ParkedPoll {
     AgentConn* conn = nullptr;
     std::string grant;            // RCB-Transport value echoed on release
+    // Patch base for the release (BuildContentBody's `acked`): the poll's
+    // doc time when it advertised patch=, else -1.
     int64_t acked_doc_time_ms = -1;
-    bool patch = false;           // poll advertised patch= capability
     uint64_t deadline_id = 0;     // hold-expiry timer
   };
   // A held framed stream: sequence-stamped frames are pushed on every change
@@ -421,7 +408,6 @@ class RcbAgent {
     std::string pid;
     std::string grant;
     int64_t acked_doc_time_ms = -1;
-    bool patch = false;
   };
 
   // GET /frames?pid=: upgrades the connection into a held framed stream.
@@ -430,13 +416,13 @@ class RcbAgent {
   // Answers a parked poll: newest content / pending actions when available,
   // empty when released by the hold deadline (`expired`).
   void ReleaseParkedPoll(const std::string& pid, bool expired);
-  // Same coalescing discipline as SchedulePushFlush, for parked long-polls
-  // and framed streams.
+  // Defers FlushTransport by one zero-delay event so every document change
+  // in the same event-loop turn collapses into one delivery (drop-oldest
+  // shedding: a superseded version is never serialized, and counts as shed).
   void ScheduleTransportFlush();
   void FlushTransport();
   void FlushFramedStreams();
-  // Immediate outbox delivery to a held framed stream / parked long-poll
-  // (the transport analogue of PushOutbox).
+  // Immediate outbox delivery to a held framed stream / parked long-poll.
   void KickTransport(const std::string& pid);
   void SendFrame(const std::string& pid, FramedStream& stream,
                  transport::FrameType type, std::string body);
@@ -444,12 +430,29 @@ class RcbAgent {
   // leaves the event queue drainable.
   void ArmHeartbeatTimer();
   void HeartbeatTick();
-  // Content response body for one participant at the current version: patch
-  // when the acked base and capability allow, else the shared snapshot (with
-  // the outbox folded in via override_actions when non-empty).
-  std::string BuildContentBody(const std::string& pid, int64_t acked,
-                               bool patch_capable,
-                               std::vector<UserAction> outbox);
+  // The one content body builder behind poll replies, long-poll releases and
+  // data frames, for one participant at the current version: a patch when
+  // `acked` names a base (>= 0) and delta is on, else the shared snapshot
+  // (with the outbox folded in via override_actions when non-empty).
+  // `exemplar` is the trace id the sync-latency observation carries.
+  struct ContentBody {
+    std::string xml;
+    bool patch = false;
+  };
+  ContentBody BuildContentBody(const std::string& pid, int64_t acked,
+                               std::vector<UserAction> outbox,
+                               std::string_view exemplar);
+  // Drains what `participant` is owed right now: content at the current
+  // version (outbox folded in) when it is behind, else its outbox alone;
+  // nullopt when there is nothing to send. Shared by parked releases and
+  // framed streams; `acked` is passed to BuildContentBody.
+  std::optional<std::string> TakeDelivery(const std::string& pid,
+                                          ParticipantState& participant,
+                                          int64_t acked);
+  // A body with no document content: only broadcast actions, stamped
+  // `doc_time_ms` (the version the participant already holds).
+  static std::string ActionsOnlyXml(int64_t doc_time_ms,
+                                    std::vector<UserAction> actions);
 
   // Health plane: records one content-sync latency observation (document
   // version stamp -> content serve, sim time) into the windowed tracker and
@@ -477,6 +480,10 @@ class RcbAgent {
   // Appends to a broadcast outbox, shedding the newest action (and counting
   // it) when the queue is at max_outbox_actions.
   void EnqueueOutbox(ParticipantState& state, const UserAction& action);
+  // Enqueues `action` to every participant except `skip_pid`, then kicks
+  // each one's held transport so streamed receivers get it at once.
+  void BroadcastToRoster(const UserAction& action,
+                         const std::string& skip_pid = "");
 
   // The generate-once pipeline state lives in broadcast_ (src/core/
   // broadcast.h); the agent-side aliases keep call sites readable.
@@ -529,12 +536,10 @@ class RcbAgent {
   std::optional<SnapshotBroadcast> broadcast_;
 
   std::map<std::string, ParticipantState> participants_;
-  std::map<std::string, NetEndpoint*> streams_;  // pid -> held push connection
   std::vector<PendingAction> pending_actions_;
   std::vector<std::unique_ptr<AgentConn>> connections_;
   AgentMetrics metrics_;
   uint64_t next_pid_ = 1;
-  bool push_flush_pending_ = false;
 
   // --- Streamed transport state (DESIGN.md §15) ---
   std::map<std::string, ParkedPoll> parked_;        // pid -> held long-poll

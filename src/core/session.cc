@@ -33,7 +33,6 @@ CoBrowsingSession::CoBrowsingSession(EventLoop* loop, Network* network,
   agent_config.cache_mode = options_.cache_mode;
   agent_config.session_key = session_key_;
   agent_config.poll_interval = options_.poll_interval;
-  agent_config.sync_model = options_.sync_model;
   agent_config.limits = options_.agent_limits;
   agent_config.enable_delta = options_.enable_delta;
   agent_config.transport.enable_stream = options_.enable_transport;
@@ -55,7 +54,6 @@ CoBrowsingSession::CoBrowsingSession(EventLoop* loop, Network* network,
     snippet_config.backoff_max = options_.backoff_max;
     snippet_config.backoff_jitter = options_.backoff_jitter;
     snippet_config.backoff_seed = options_.backoff_seed + participant_index++;
-    snippet_config.stream_reconnect = options_.stream_reconnect;
     snippet_config.enable_delta = options_.enable_delta;
     snippet_config.stream_mode = options_.snippet_stream_mode;
     snippet_config.heartbeat_timeout = options_.heartbeat_timeout;
@@ -97,15 +95,6 @@ Status CoBrowsingSession::Start() {
       [&] { return joined == participants_.size(); });
   if (!all_joined) {
     return DeadlineExceededError("event loop drained before all joins completed");
-  }
-  if (join_error.ok() && options_.sync_model == SyncModel::kPush) {
-    // Joins complete when the initial page is loaded; the push streams are
-    // still being established. Wait until the agent holds all of them.
-    bool streams_ready = loop_->RunUntilCondition(
-        [&] { return agent_->stream_count() == participants_.size(); });
-    if (!streams_ready) {
-      return DeadlineExceededError("push streams failed to establish");
-    }
   }
   return join_error;
 }

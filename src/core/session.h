@@ -30,8 +30,6 @@ struct SessionOptions {
   Duration poll_interval = Duration::Seconds(1.0);
   // Enables HMAC request authentication with a generated session key.
   bool enable_auth = false;
-  // Poll (paper's choice) or multipart push (§3.2.3 alternative).
-  SyncModel sync_model = SyncModel::kPoll;
   uint16_t agent_port = 3000;
   std::string host_machine = "host-pc";
   std::string participant_machine_prefix = "participant-pc";
@@ -46,7 +44,6 @@ struct SessionOptions {
   // Per-participant streams are derived from this (seed + index) so backoff
   // jitter never synchronizes participants into a retry stampede.
   uint64_t backoff_seed = 0xC0FFEE;
-  bool stream_reconnect = false;
 
   // Overload-protection knobs forwarded to AgentConfig::limits. Defaults are
   // generous enough that a well-behaved session never hits them.

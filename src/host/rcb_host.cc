@@ -352,9 +352,11 @@ size_t RcbHost::ReapIdleSessions() {
   SimTime now = loop_->now();
   std::vector<std::string> idle;
   for (const auto& [id, session] : sessions_) {
-    // A held push stream keeps the session alive regardless of request
-    // activity (streams receive without issuing further requests).
-    if (session->agent->stream_count() > 0) {
+    // A held framed stream or parked long-poll keeps the session alive
+    // regardless of request activity: an idle page sends no requests while
+    // its participants wait on the held connection.
+    if (session->agent->framed_stream_count() > 0 ||
+        session->agent->parked_poll_count() > 0) {
       continue;
     }
     if (now - session->agent->last_activity() >
@@ -388,7 +390,6 @@ persist::SessionCheckpoint RcbHost::BuildCheckpoint(HostSession* session) const 
   checkpoint.config.cache_mode = agent_config.cache_mode;
   checkpoint.config.enable_delta = agent_config.enable_delta;
   checkpoint.config.enable_trace = agent_config.enable_trace;
-  checkpoint.config.sync_model = static_cast<int>(agent_config.sync_model);
   checkpoint.config.port = session->port;
   checkpoint.state = session->agent->ExportState();
   return checkpoint;
@@ -498,8 +499,6 @@ Status RcbHost::RecoverOne(const std::string& checkpoint_path,
   agent_config.cache_mode = checkpoint.config.cache_mode;
   agent_config.enable_delta = checkpoint.config.enable_delta;
   agent_config.enable_trace = checkpoint.config.enable_trace;
-  agent_config.sync_model =
-      static_cast<SyncModel>(checkpoint.config.sync_model);
 
   auto session = std::make_unique<HostSession>();
   session->id = id;
@@ -677,11 +676,11 @@ HttpResponse RcbHost::HandleSessionRequest(const HttpRequest& request) {
     ++host_metrics_.unknown_session_requests;
     return HttpResponse::NotFound("no such session: " + id);
   }
-  if (rest == "/stream") {
-    // A held multipart stream cannot pass through the request/response front
-    // door; push participants connect to the session port directly.
+  if (rest == "/frames") {
+    // A held framed stream cannot pass through the request/response front
+    // door; streaming participants connect to the session port directly.
     return HttpResponse::BadRequest(
-        "push streams must connect to the session port");
+        "framed streams must connect to the session port");
   }
   HttpRequest forwarded = request;
   forwarded.target = rest;

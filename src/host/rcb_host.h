@@ -26,7 +26,7 @@
 //                                   (404 unknown, 410 reaped, 400 invalid),
 //   * GET /host/status              session table + counters,
 //   * GET /host/metrics             shared-registry Prometheus exposition.
-// Push streams (GET /stream) hold their connection open and cannot pass
+// Framed streams (GET /frames) hold their connection open and cannot pass
 // through the request/response front door; they connect to the session's own
 // port directly.
 #ifndef SRC_HOST_RCB_HOST_H_

@@ -155,7 +155,9 @@ std::string EncodeCheckpoint(const SessionCheckpoint& checkpoint) {
           {"cache", checkpoint.config.cache_mode ? "1" : "0"},
           {"delta", checkpoint.config.enable_delta ? "1" : "0"},
           {"trace", checkpoint.config.enable_trace ? "1" : "0"},
-          {"sync", StrFormat("%d", checkpoint.config.sync_model)},
+          // Retired delivery-model field, still written for format
+          // stability; polling (0) is the only value.
+          {"sync", "0"},
           {"port", U64(checkpoint.config.port)},
       });
   AppendFrame(&body, static_cast<uint8_t>(CheckpointFrame::kMeta), meta);
@@ -240,9 +242,11 @@ StatusOr<SessionCheckpoint> DecodeCheckpoint(std::string_view bytes) {
   RCB_RETURN_IF_ERROR(meta.GetBool("cache", &checkpoint.config.cache_mode));
   RCB_RETURN_IF_ERROR(meta.GetBool("delta", &checkpoint.config.enable_delta));
   RCB_RETURN_IF_ERROR(meta.GetBool("trace", &checkpoint.config.enable_trace));
-  int64_t sync_model = 0;
-  RCB_RETURN_IF_ERROR(meta.GetI64("sync", &sync_model));
-  checkpoint.config.sync_model = static_cast<int>(sync_model);
+  int64_t sync = 0;
+  RCB_RETURN_IF_ERROR(meta.GetI64("sync", &sync));
+  if (sync != 0) {
+    return AbortedError("checkpoint: unknown sync model");
+  }
   uint64_t port = 0;
   RCB_RETURN_IF_ERROR(meta.GetU64("port", &port));
   if (port > 65535) {

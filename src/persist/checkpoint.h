@@ -51,7 +51,6 @@ struct SessionConfigExport {
   bool cache_mode = true;
   bool enable_delta = false;
   bool enable_trace = false;
-  int sync_model = 0;  // SyncModel enum value
   // The port the session listened on. Snippets poll it directly, so recovery
   // must reopen the same one.
   uint16_t port = 0;

@@ -756,17 +756,17 @@ TEST_F(AgentTest, PollTokenBucketRefillsOverTime) {
   EXPECT_EQ(agent_->metrics().polls_rate_limited, 1u);
 }
 
-TEST_F(AgentTest, PushModeCoalescesBurstsDropOldest) {
+TEST_F(AgentTest, FramedStreamCoalescesBurstsDropOldest) {
   AgentConfig config;
-  config.sync_model = SyncModel::kPush;
+  config.transport.enable_stream = true;
   StartAgent(config);
   HostNavigate();
-  // Hold a raw push stream so document changes schedule push flushes.
+  // Hold a raw framed stream so document changes schedule transport flushes.
   auto stream = network_.Connect("participant-pc", "host-pc", 3000);
   ASSERT_TRUE(stream.ok());
-  (*stream)->Send("GET /stream?pid=p1 HTTP/1.1\r\n\r\n");
-  loop_.RunUntilCondition([&] { return agent_->stream_count() == 1; });
-  loop_.RunFor(Duration::Millis(10));  // flush the navigation's push
+  (*stream)->Send("GET /frames?pid=p1 HTTP/1.1\r\n\r\n");
+  loop_.RunUntilCondition([&] { return agent_->framed_stream_count() == 1; });
+  loop_.RunFor(Duration::Millis(10));  // deliver the navigation's content
   uint64_t shed_before = agent_->metrics().snapshots_shed;
   // Two document changes in the same event-loop turn: one flush is scheduled,
   // the superseded intermediate snapshot is shed (drop-oldest).

@@ -1,6 +1,6 @@
 // Tests for the paper-discussed extensions: NAT + port forwarding (§3.2.1),
-// TLS origins, presence notifications (§5.2.3 feedback), the push
-// synchronization model (§3.2.3 alternative), and the mobile profile (§6).
+// TLS origins, presence notifications (§5.2.3 feedback), push delivery over
+// framed streams (§3.2.3 alternative), and the mobile profile (§6).
 #include <gtest/gtest.h>
 
 #include "src/core/session.h"
@@ -244,17 +244,38 @@ TEST_F(PresenceTest, SilentParticipantReapedAndAnnounced) {
   EXPECT_TRUE(first->known_peers().empty());
 }
 
-// -------------------------------------------------------------- Push mode --
+// ------------------------------------------------------ Framed-stream push --
+//
+// §3.2.3's push alternative, delivered over the streamed transport: each
+// participant's first poll negotiates a framed stream, and from then on
+// content and broadcasts arrive as data frames without a poll tick.
 
-class PushModeTest : public ::testing::Test {
+class FramedPushTest : public ::testing::Test {
  protected:
-  PushModeTest() : network_(&loop_) {}
+  FramedPushTest() : network_(&loop_) {}
 
   void Start(SessionOptions options) {
+    options.enable_transport = true;
+    options.snippet_stream_mode = transport::kStreamFrames;
     network_.AddHost("www.shop.test", {});
     shop_ = std::make_unique<ShopSite>(&loop_, &network_, "www.shop.test");
     session_ = std::make_unique<CoBrowsingSession>(&loop_, &network_, options);
     ASSERT_TRUE(session_->Start().ok());
+    ASSERT_TRUE(loop_.RunUntilCondition([&] {
+      return session_->agent()->framed_stream_count() ==
+             options.participant_count;
+    }));
+  }
+
+  void LoadShop() {
+    bool loaded = false;
+    session_->host_browser()->Navigate(
+        Url::Make("http", "www.shop.test", 80, "/"),
+        [&](const Status& status, const PageLoadStats&) {
+          ASSERT_TRUE(status.ok());
+          loaded = true;
+        });
+    loop_.RunUntilCondition([&] { return loaded; });
   }
 
   EventLoop loop_;
@@ -263,47 +284,34 @@ class PushModeTest : public ::testing::Test {
   std::unique_ptr<CoBrowsingSession> session_;
 };
 
-TEST_F(PushModeTest, StreamOpensOnJoin) {
-  SessionOptions options;
-  options.sync_model = SyncModel::kPush;
-  Start(options);
-  EXPECT_EQ(session_->snippet(0)->sync_model(), SyncModel::kPush);
-  EXPECT_TRUE(session_->snippet(0)->stream_open());
-  // No poll traffic accumulates while idle.
+TEST_F(FramedPushTest, StreamOpensOnJoin) {
+  Start(SessionOptions{});
+  EXPECT_TRUE(session_->snippet(0)->frames_open());
+  // No poll traffic accumulates while idle; heartbeats keep the stream live.
   uint64_t polls = session_->agent()->metrics().polls_received;
   loop_.RunFor(Duration::Seconds(5.0));
   EXPECT_EQ(session_->agent()->metrics().polls_received, polls);
+  EXPECT_TRUE(session_->snippet(0)->frames_open());
 }
 
-TEST_F(PushModeTest, ContentPushedOnChange) {
-  SessionOptions options;
-  options.sync_model = SyncModel::kPush;
-  Start(options);
-  bool loaded = false;
-  session_->host_browser()->Navigate(
-      Url::Make("http", "www.shop.test", 80, "/"),
-      [&](const Status& status, const PageLoadStats&) {
-        ASSERT_TRUE(status.ok());
-        loaded = true;
-      });
-  loop_.RunUntilCondition([&] { return loaded; });
+TEST_F(FramedPushTest, ContentPushedOnChange) {
+  Start(SessionOptions{});
+  uint64_t polls = session_->agent()->metrics().polls_received;
+  LoadShop();
   loop_.RunUntilCondition([&] {
     return session_->participant_browser(0)->document()->ById("featured") !=
            nullptr;
   });
-  EXPECT_GT(session_->snippet(0)->metrics().stream_parts_received, 0u);
+  // The page arrived as a data frame, not as a poll reply.
+  EXPECT_EQ(session_->agent()->metrics().polls_received, polls);
+  EXPECT_GT(session_->agent()->metrics().transport_frames_sent, 1u);
 }
 
-TEST_F(PushModeTest, PushLatencyBeatsPollInterval) {
+TEST_F(FramedPushTest, PushLatencyBeatsPollInterval) {
   SessionOptions options;
-  options.sync_model = SyncModel::kPush;
   options.poll_interval = Duration::Seconds(1.0);
   Start(options);
-  bool loaded = false;
-  session_->host_browser()->Navigate(
-      Url::Make("http", "www.shop.test", 80, "/"),
-      [&](const Status&, const PageLoadStats&) { loaded = true; });
-  loop_.RunUntilCondition([&] { return loaded; });
+  LoadShop();
   loop_.RunUntilCondition([&] {
     return session_->snippet(0)->metrics().content_updates > 0;
   });
@@ -321,15 +329,9 @@ TEST_F(PushModeTest, PushLatencyBeatsPollInterval) {
   EXPECT_LT(latency, Duration::Millis(100));
 }
 
-TEST_F(PushModeTest, ParticipantActionsFlowInPushMode) {
-  SessionOptions options;
-  options.sync_model = SyncModel::kPush;
-  Start(options);
-  bool loaded = false;
-  session_->host_browser()->Navigate(
-      Url::Make("http", "www.shop.test", 80, "/"),
-      [&](const Status&, const PageLoadStats&) { loaded = true; });
-  loop_.RunUntilCondition([&] { return loaded; });
+TEST_F(FramedPushTest, ParticipantActionsFlushWithoutPollNow) {
+  Start(SessionOptions{});
+  LoadShop();
   loop_.RunUntilCondition([&] {
     return session_->participant_browser(0)->document()->ById("searchform") !=
            nullptr;
@@ -337,7 +339,7 @@ TEST_F(PushModeTest, ParticipantActionsFlowInPushMode) {
   Element* form =
       session_->participant_browser(0)->document()->ById("searchform");
   ASSERT_TRUE(session_->snippet(0)->FillFormField(form, "q", "kindle").ok());
-  // No PollNow needed: push mode flushes gestures immediately.
+  // No PollNow needed: a framed-stream participant flushes gestures at once.
   loop_.RunUntilCondition([&] {
     Element* host_form = session_->host_browser()->document()->ById("searchform");
     if (host_form == nullptr) {
@@ -356,51 +358,20 @@ TEST_F(PushModeTest, ParticipantActionsFlowInPushMode) {
   SUCCEED();
 }
 
-TEST_F(PushModeTest, MousePushedToPeersImmediately) {
+TEST_F(FramedPushTest, MousePushedToPeersImmediately) {
   SessionOptions options;
-  options.sync_model = SyncModel::kPush;
   options.participant_count = 2;
   Start(options);
   std::vector<UserAction> received;
   session_->snippet(1)->SetActionListener(
       [&](const UserAction& action) { received.push_back(action); });
+  SimTime moved_at = loop_.now();
   session_->snippet(0)->SendMouseMove(7, 9);
   loop_.RunUntilCondition([&] { return !received.empty(); });
   EXPECT_EQ(received[0].type, ActionType::kMouseMove);
   EXPECT_EQ(received[0].x, 7);
-}
-
-TEST_F(PushModeTest, StreamDropIsDetectedNotRecovered) {
-  // The paper prefers polling for reliability (§3.2.3): a dropped stream
-  // stays dropped, while polling recovers by construction on the next tick.
-  SessionOptions options;
-  options.sync_model = SyncModel::kPush;
-  Start(options);
-  ASSERT_TRUE(session_->snippet(0)->stream_open());
-  // Kill the agent (host side closes every connection).
-  session_->agent()->Stop();
-  loop_.RunFor(Duration::Seconds(2.0));
-  EXPECT_FALSE(session_->snippet(0)->stream_open());
-  EXPECT_EQ(session_->snippet(0)->metrics().stream_drops, 1u);
-}
-
-TEST_F(PushModeTest, StreamRequestRejectedInPollMode) {
-  SessionOptions options;
-  options.sync_model = SyncModel::kPoll;
-  Start(options);
-  // Hand-roll a stream request against a poll-mode agent.
-  network_.AddHost("prober", {});
-  Browser prober(&loop_, &network_, "prober");
-  bool done = false;
-  int code = 0;
-  prober.Fetch(HttpMethod::kGet,
-               Url::Make("http", "host-pc", 3000, "/stream", "pid=p1"), "", "",
-               [&](FetchResult result) {
-                 code = result.status.ok() ? result.response.status_code : -1;
-                 done = true;
-               });
-  loop_.RunUntilCondition([&] { return done; });
-  EXPECT_EQ(code, 400);
+  // Flushed by a POST and relayed as a data frame: no poll interval waited.
+  EXPECT_LT(loop_.now() - moved_at, Duration::Millis(100));
 }
 
 // ----------------------------------------------------------------- Mobile --

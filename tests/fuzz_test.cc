@@ -474,7 +474,7 @@ TEST_P(FuzzTest, HostRouterToleratesGarbageRequests) {
   const std::vector<std::string> valid_targets = {
       "/",           "/s/a/",        "/s/b/status",        "/s/a/metrics",
       "/host/status", "/host/metrics", "/host/sessions?id=c", "/s/a/obj/x",
-      "/s/b/",       "/s/a/stream",  "/s//",               "/s/a"};
+      "/s/b/",       "/s/a/frames",  "/s//",               "/s/a"};
   for (int i = 0; i < 64; ++i) {
     HttpRequest request;
     request.method =

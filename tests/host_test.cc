@@ -156,16 +156,31 @@ TEST_F(HostTest, IdleSessionsAreReapedAndActiveOnesKept) {
   auto idle = host->CreateSession("idle");
   ASSERT_TRUE(idle.ok());
   uint16_t idle_port = (*idle)->port;
+  AgentConfig streamed_config;
+  streamed_config.transport.enable_stream = true;
+  auto streamed = host->CreateSession("streamed", streamed_config);
+  ASSERT_TRUE(streamed.ok());
 
   // The joined participant keeps polling "active"; "idle" sees no requests.
   SetSessionDoc(*active, "Active");
   auto participant = JoinSession(*active, 1);
   WaitForContent(participant.get());
+  // "streamed" holds a framed stream: once content arrived its participant
+  // sends no requests at all, yet the session is live.
+  SetSessionDoc(*streamed, "Streamed");
+  SnippetConfig frames_config;
+  frames_config.stream_mode = transport::kStreamFrames;
+  auto streamer = JoinSession(*streamed, 2, frames_config);
+  WaitForContent(streamer.get());
+  ASSERT_TRUE(loop_.RunUntilCondition(
+      [&] { return (*streamed)->agent->framed_stream_count() == 1; }));
 
   loop_.RunFor(Duration::Seconds(6.0));
   EXPECT_EQ(host->ReapIdleSessions(), 1u);
   EXPECT_EQ(host->FindSession("idle"), nullptr);
   EXPECT_NE(host->FindSession("active"), nullptr);
+  EXPECT_NE(host->FindSession("streamed"), nullptr);
+  EXPECT_TRUE(streamer->snippet->frames_open());
   EXPECT_EQ(host->metrics().sessions_reaped, 1u);
 
   // A reaped id answers 410 (routing also reaps lazily), and its port is the
@@ -181,6 +196,7 @@ TEST_F(HostTest, IdleSessionsAreReapedAndActiveOnesKept) {
   // Reaping is lazy — no recurring timer may keep the loop's queue busy
   // forever (drain-based RunUntilCondition waits depend on this).
   participant->snippet->Leave();
+  streamer->snippet->Leave();
   loop_.RunFor(Duration::Seconds(1.0));
 }
 
@@ -377,7 +393,7 @@ TEST_F(HostTest, FrontDoorRoutesAndRejects) {
 
   EXPECT_EQ(get("/s/unknown/").status_code, 404);
   EXPECT_EQ(get("/s/bad id/").status_code, 400);
-  EXPECT_EQ(get("/s/s1/stream").status_code, 400);  // held streams can't proxy
+  EXPECT_EQ(get("/s/s1/frames").status_code, 400);  // held streams can't proxy
   EXPECT_EQ(get("/nonsense").status_code, 404);
   EXPECT_EQ(host->metrics().unknown_session_requests, 1u);
   EXPECT_EQ(host->metrics().invalid_session_ids, 1u);

@@ -1,6 +1,7 @@
 // Parameterized environment-matrix sweep: every combination of network
-// profile (LAN / WAN / mobile), cache mode, sync model, and participant
-// count must produce a correct synchronized session on a corpus site.
+// profile (LAN / WAN / mobile), cache mode, delivery (classic poll or a
+// framed-stream push), and participant count must produce a correct
+// synchronized session on a corpus site.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -22,7 +23,7 @@ namespace {
 struct MatrixCase {
   const char* profile;  // "lan" | "wan" | "mobile"
   bool cache_mode;
-  SyncModel sync_model;
+  bool frames;  // content pushed over framed streams instead of polled
   size_t participants;
 };
 
@@ -30,7 +31,7 @@ std::string CaseName(const ::testing::TestParamInfo<MatrixCase>& info) {
   const MatrixCase& c = info.param;
   std::string name = c.profile;
   name += c.cache_mode ? "_cache" : "_origin";
-  name += c.sync_model == SyncModel::kPush ? "_push" : "_poll";
+  name += c.frames ? "_frames" : "_poll";
   name += "_p" + std::to_string(c.participants);
   return name;
 }
@@ -54,7 +55,9 @@ TEST_P(EnvironmentMatrixTest, CoNavigationSynchronizesEveryone) {
   SessionOptions options;
   options.profile = ProfileByName(param.profile);
   options.cache_mode = param.cache_mode;
-  options.sync_model = param.sync_model;
+  options.enable_transport = param.frames;
+  options.snippet_stream_mode =
+      param.frames ? transport::kStreamFrames : transport::kStreamNone;
   options.participant_count = param.participants;
   options.poll_interval = Duration::Millis(500);
 
@@ -100,15 +103,17 @@ TEST_P(EnvironmentMatrixTest, CoNavigationSynchronizesEveryone) {
               nullptr)
         << "participant " << i;
   }
+  EXPECT_EQ(session.agent()->framed_stream_count(),
+            param.frames ? param.participants : 0u);
 }
 
 std::vector<MatrixCase> AllCases() {
   std::vector<MatrixCase> cases;
   for (const char* profile : {"lan", "wan", "mobile"}) {
     for (bool cache : {true, false}) {
-      for (SyncModel model : {SyncModel::kPoll, SyncModel::kPush}) {
+      for (bool frames : {false, true}) {
         for (size_t participants : {1u, 3u}) {
-          cases.push_back(MatrixCase{profile, cache, model, participants});
+          cases.push_back(MatrixCase{profile, cache, frames, participants});
         }
       }
     }

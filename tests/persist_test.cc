@@ -8,6 +8,7 @@
 #include <fstream>
 #include <set>
 
+#include "src/crypto/sha256.h"
 #include "src/net/fault_injector.h"
 #include "src/persist/checkpoint.h"
 #include "src/persist/frame.h"
@@ -50,7 +51,6 @@ SessionCheckpoint MakeCheckpoint() {
   checkpoint.config.cache_mode = true;
   checkpoint.config.enable_delta = true;
   checkpoint.config.enable_trace = false;
-  checkpoint.config.sync_model = 1;
   checkpoint.config.port = 3004;
   checkpoint.state.doc_time_ms = 9001;
   checkpoint.state.has_version = true;
@@ -151,6 +151,38 @@ TEST(CheckpointTest, BitFlipsAnywhereFailAnIntegrityGate) {
     auto decoded = DecodeCheckpoint(mutated);
     EXPECT_FALSE(decoded.ok()) << "flip at byte " << i;
   }
+}
+
+TEST(CheckpointTest, UnknownSyncModelIsRejected) {
+  // Re-frame the meta record with sync=1 under valid CRCs and a valid
+  // SHA-256 trailer: every integrity gate passes, so only the field check
+  // can reject it.
+  std::string bytes = EncodeCheckpoint(MakeCheckpoint());
+  std::string reframed(kCheckpointMagic, 8);
+  size_t offset = 8;
+  while (true) {
+    auto frame = ReadFrame(bytes, &offset);
+    if (!frame.ok()) {
+      ASSERT_EQ(frame.status().code(), StatusCode::kOutOfRange);
+      break;
+    }
+    if (frame->type == static_cast<uint8_t>(CheckpointFrame::kDigest)) {
+      continue;
+    }
+    std::string payload = frame->payload;
+    if (frame->type == static_cast<uint8_t>(CheckpointFrame::kMeta)) {
+      size_t at = payload.find("&sync=0&");
+      ASSERT_NE(at, std::string::npos);
+      payload.replace(at, 8, "&sync=1&");
+    }
+    AppendFrame(&reframed, frame->type, payload);
+  }
+  AppendFrame(&reframed, static_cast<uint8_t>(CheckpointFrame::kDigest),
+              Sha256::HexDigest(reframed));
+  auto decoded = DecodeCheckpoint(reframed);
+  EXPECT_EQ(decoded.status().code(), StatusCode::kAborted);
+  EXPECT_NE(decoded.status().message().find("sync"), std::string::npos)
+      << decoded.status();
 }
 
 // ------------------------------------------------------------------ WAL ----

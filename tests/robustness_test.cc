@@ -258,15 +258,15 @@ TEST_F(RobustnessTest, ModeratedSessionFiltersParticipants) {
 
 // ------------------------------------------------------------ chaos matrix --
 //
-// {LAN, WAN} x {loss, jitter, reset, partition} x {poll, push}: a fault hits
-// the host<->participant link mid-session while the host navigates; the
+// {LAN, WAN} x {loss, jitter, reset, partition} x {poll, frames}: a fault
+// hits the host<->participant link mid-session while the host navigates; the
 // participant must re-converge to the host snapshot within a bounded number
-// of polls (bounded simulated time for the push model).
+// of polls (bounded simulated time for framed-stream push).
 
 struct ChaosCase {
   const char* profile_name;
   FaultEvent::Kind kind;
-  SyncModel sync;
+  bool frames;  // push over a framed stream instead of classic polling
 };
 
 std::string ChaosCaseName(const ::testing::TestParamInfo<ChaosCase>& info) {
@@ -288,7 +288,7 @@ std::string ChaosCaseName(const ::testing::TestParamInfo<ChaosCase>& info) {
       name += "Flap";
       break;
   }
-  name += info.param.sync == SyncModel::kPush ? "Push" : "Poll";
+  name += info.param.frames ? "Frames" : "Poll";
   return name;
 }
 
@@ -319,14 +319,15 @@ TEST_P(ChaosMatrixTest, ReconvergesToHostSnapshotUnderFault) {
   SessionOptions options;
   options.profile = profile;
   options.enable_auth = true;
-  options.sync_model = chaos.sync;
+  options.enable_transport = chaos.frames;
+  options.snippet_stream_mode =
+      chaos.frames ? transport::kStreamFrames : transport::kStreamNone;
   options.poll_interval = Duration::Millis(250);
   options.poll_timeout = Duration::Seconds(1.0);
   options.reconnect_after = 2;
   options.backoff_base = Duration::Millis(250);
   options.backoff_max = Duration::Seconds(2.0);
   options.backoff_jitter = Duration::Millis(100);
-  options.stream_reconnect = true;
   CoBrowsingSession session(&loop_, &network_, options);
   ASSERT_TRUE(session.Start().ok());
 
@@ -364,32 +365,35 @@ TEST_P(ChaosMatrixTest, ReconvergesToHostSnapshotUnderFault) {
   }
   EXPECT_EQ(session.participant_browser(0)->document()->Title(), "B")
       << "participant did not re-converge under the injected fault";
-  if (chaos.sync == SyncModel::kPoll) {
+  if (!chaos.frames) {
     // Bounded number of polls, not just bounded time: backoff keeps the
     // retry count low even across a 5 s blackout.
     EXPECT_LE(session.snippet(0)->metrics().polls_sent - polls_before, 80u);
+  } else {
+    // The row really pushed: content rode a negotiated framed stream.
+    EXPECT_GE(session.snippet(0)->metrics().transport_streams_opened, 1u);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Chaos, ChaosMatrixTest,
     ::testing::Values(
-        ChaosCase{"Lan", FaultEvent::Kind::kLoss, SyncModel::kPoll},
-        ChaosCase{"Lan", FaultEvent::Kind::kJitter, SyncModel::kPoll},
-        ChaosCase{"Lan", FaultEvent::Kind::kReset, SyncModel::kPoll},
-        ChaosCase{"Lan", FaultEvent::Kind::kPartition, SyncModel::kPoll},
-        ChaosCase{"Lan", FaultEvent::Kind::kLoss, SyncModel::kPush},
-        ChaosCase{"Lan", FaultEvent::Kind::kJitter, SyncModel::kPush},
-        ChaosCase{"Lan", FaultEvent::Kind::kReset, SyncModel::kPush},
-        ChaosCase{"Lan", FaultEvent::Kind::kPartition, SyncModel::kPush},
-        ChaosCase{"Wan", FaultEvent::Kind::kLoss, SyncModel::kPoll},
-        ChaosCase{"Wan", FaultEvent::Kind::kJitter, SyncModel::kPoll},
-        ChaosCase{"Wan", FaultEvent::Kind::kReset, SyncModel::kPoll},
-        ChaosCase{"Wan", FaultEvent::Kind::kPartition, SyncModel::kPoll},
-        ChaosCase{"Wan", FaultEvent::Kind::kLoss, SyncModel::kPush},
-        ChaosCase{"Wan", FaultEvent::Kind::kJitter, SyncModel::kPush},
-        ChaosCase{"Wan", FaultEvent::Kind::kReset, SyncModel::kPush},
-        ChaosCase{"Wan", FaultEvent::Kind::kPartition, SyncModel::kPush}),
+        ChaosCase{"Lan", FaultEvent::Kind::kLoss, false},
+        ChaosCase{"Lan", FaultEvent::Kind::kJitter, false},
+        ChaosCase{"Lan", FaultEvent::Kind::kReset, false},
+        ChaosCase{"Lan", FaultEvent::Kind::kPartition, false},
+        ChaosCase{"Lan", FaultEvent::Kind::kLoss, true},
+        ChaosCase{"Lan", FaultEvent::Kind::kJitter, true},
+        ChaosCase{"Lan", FaultEvent::Kind::kReset, true},
+        ChaosCase{"Lan", FaultEvent::Kind::kPartition, true},
+        ChaosCase{"Wan", FaultEvent::Kind::kLoss, false},
+        ChaosCase{"Wan", FaultEvent::Kind::kJitter, false},
+        ChaosCase{"Wan", FaultEvent::Kind::kReset, false},
+        ChaosCase{"Wan", FaultEvent::Kind::kPartition, false},
+        ChaosCase{"Wan", FaultEvent::Kind::kLoss, true},
+        ChaosCase{"Wan", FaultEvent::Kind::kJitter, true},
+        ChaosCase{"Wan", FaultEvent::Kind::kReset, true},
+        ChaosCase{"Wan", FaultEvent::Kind::kPartition, true}),
     ChaosCaseName);
 
 // ------------------------------------------- deterministic WAN recovery ----

@@ -4,7 +4,9 @@
 // signed resume, capacity-capped downgrade, and adaptive polling.
 #include <gtest/gtest.h>
 
+#include "src/core/content_generator.h"
 #include "src/core/session.h"
+#include "src/delta/tree_diff.h"
 #include "src/html/dom.h"
 #include "src/net/fault_injector.h"
 #include "src/net/profiles.h"
@@ -387,6 +389,64 @@ TEST_F(TransportSessionTest, LongPollParksIdlePollsAndFlushesOnChange) {
   }));
   EXPECT_LT(loop_.now() - before, Duration::Millis(250));
   EXPECT_GE(session.agent()->metrics().transport_long_poll_flushes, 1u);
+}
+
+TEST_F(TransportSessionTest, LongPollReleaseCarriesDeltaPatch) {
+  // A page large enough that a one-element patch beats the size cutoff.
+  std::string body;
+  for (int i = 0; i < 40; ++i) {
+    body += "<p id=\"row" + std::to_string(i) + "\">row " + std::to_string(i) +
+            " of a long enough page</p>";
+  }
+  site_->ServeStatic("/long", "text/html",
+                     "<html><head><title>L</title></head><body>" + body +
+                         "</body></html>");
+  SessionOptions options = BaseOptions();
+  options.enable_delta = true;
+  options.enable_transport = true;
+  options.snippet_stream_mode = transport::kStreamLongPoll;
+  options.transport_hold = Duration::Seconds(2.0);
+  options.poll_timeout = Duration::Seconds(5.0);
+  CoBrowsingSession session(&loop_, &network_, options);
+  ASSERT_TRUE(session.Start().ok());
+  bool loaded = false;
+  session.host_browser()->Navigate(
+      Url::Make("http", "www.site.test", 80, "/long"),
+      [&](const Status& status, const PageLoadStats&) {
+        ASSERT_TRUE(status.ok()) << status;
+        loaded = true;
+      });
+  loop_.RunUntilCondition([&] { return loaded; });
+  ASSERT_TRUE(session.WaitForSync().ok());
+  ASSERT_TRUE(loop_.RunUntilCondition(
+      [&] { return session.agent()->parked_poll_count() == 1; }));
+
+  // The mutation releases the parked poll, and the release carries a
+  // newPatch against the version that poll acked — not a full snapshot.
+  const AgentMetrics& agent = session.agent()->metrics();
+  const SnippetMetrics& snippet = session.snippet(0)->metrics();
+  const uint64_t polls_before = agent.polls_received;
+  const uint64_t flushes_before = agent.transport_long_poll_flushes;
+  const uint64_t patches_before = agent.patches_served;
+  MutateHost(&session, "delta-marker");
+  ASSERT_TRUE(
+      loop_.RunUntilCondition([&] { return snippet.patches_applied > 0; }));
+  EXPECT_EQ(agent.polls_received, polls_before);
+  EXPECT_EQ(agent.transport_long_poll_flushes, flushes_before + 1);
+  EXPECT_EQ(agent.patches_served, patches_before + 1);
+  EXPECT_EQ(snippet.resyncs, 0u);
+  EXPECT_EQ(snippet.patch_digest_mismatches + snippet.patch_base_mismatches +
+                snippet.patch_apply_errors,
+            0u);
+
+  // Converged: the participant's canonical document digests like the
+  // host's rewritten snapshot.
+  Document* participant = session.participant_browser(0)->document();
+  EXPECT_NE(participant->ById("delta-marker"), nullptr);
+  EXPECT_EQ(
+      delta::TreeDigest(*delta::CanonicalizeDocument(*participant)),
+      delta::TreeDigest(*MaterializeSnapshotTree(
+          session.agent()->CurrentSnapshotForTest())));
 }
 
 TEST_F(TransportSessionTest, HeldStreamCapDeniesUpgradesGracefully) {

@@ -139,10 +139,10 @@ void PrintHuman(const FileReport& report, bool dump) {
         c.config.port);
     if (dump) {
       std::printf("  config: poll_interval_ms=%lld cache_mode=%d "
-                  "enable_delta=%d enable_trace=%d sync_model=%d key_bytes=%zu\n",
+                  "enable_delta=%d enable_trace=%d key_bytes=%zu\n",
                   static_cast<long long>(c.config.poll_interval_ms),
                   c.config.cache_mode ? 1 : 0, c.config.enable_delta ? 1 : 0,
-                  c.config.enable_trace ? 1 : 0, c.config.sync_model,
+                  c.config.enable_trace ? 1 : 0,
                   c.config.session_key.size());
       for (const auto& participant : c.state.participants) {
         std::printf("  participant %s: doc_time_ms=%lld last_seq=%llu "
