@@ -427,7 +427,7 @@ check_metrics_doc() {
 }
 
 check_e2e_smoke() {
-  echo "=== e2e smoke: ledger_test + edit_delta convergence ==="
+  echo "=== e2e smoke: ledger_test + edit_full/edit_delta convergence ==="
   # The benchmark's own CMake project (e2e_bench/README.md); run.py reuses
   # this build directory.
   local dir=".bench_build/e2e_bench"
@@ -435,16 +435,19 @@ check_e2e_smoke() {
     cmake -S e2e_bench -B "${dir}" -DCMAKE_BUILD_TYPE=Release
   cmake --build "${dir}" --target ledger_test
   "${dir}/ledger_test" --gtest_brief=1
-  # End-to-end convergence oracle over the delta path: every participant
-  # digest must match the host's, and no delivery may fail.
-  local result
-  result="$(python3 e2e_bench/run.py --workload edit_delta --seed 1 \
-      --seconds 3 --trace 0 | tail -n 1)"
-  python3 -c 'import json, sys
+  # End-to-end convergence oracle over the full-snapshot path (the clone-free
+  # generator) and the delta path: every participant digest must match the
+  # host's, and no delivery may fail.
+  local workload result
+  for workload in edit_full edit_delta; do
+    result="$(python3 e2e_bench/run.py --workload "${workload}" --seed 1 \
+        --seconds 3 --trace 0 | tail -n 1)"
+    python3 -c 'import json, sys
 r = json.loads(sys.argv[1])
 sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
-      "${result}" ||
-    { echo "e2e smoke failed: ${result}" >&2; return 1; }
+        "${result}" ||
+      { echo "e2e smoke failed (${workload}): ${result}" >&2; return 1; }
+  done
 }
 
 run_suite() {

@@ -358,7 +358,20 @@ void AjaxSnippet::ScheduleActionFlush() {
     action_queue_.clear();
     action_queue_waiting_ = false;
     metrics_.actions_sent += flush.actions.size();
-    SendPoll(std::move(flush), [](FetchResult) {});
+    // The agent answers this POST like a poll: when it carries the version
+    // the gestures themselves created, the agent marks it delivered and the
+    // framed stream skips it, so the reply must be applied here. Poll
+    // scheduling state stays untouched — the stream owns delivery.
+    SimTime sent_at = browser_->loop()->now();
+    SendPoll(std::move(flush), [this, epoch, sent_at](FetchResult result) {
+      if (epoch != epoch_ || !result.status.ok() ||
+          result.response.status_code != 200 ||
+          result.response.body.empty()) {
+        return;
+      }
+      ApplyReplyBody(result.response.body,
+                     browser_->loop()->now() - sent_at);
+    });
   });
 }
 
@@ -711,27 +724,34 @@ void AjaxSnippet::OnPollResponse(FetchResult result, SimTime sent_at) {
     ScheduleNextPoll(/*activity=*/false, sent_at);
     return;
   }
-  if (config_.enable_delta && delta::LooksLikePatchXml(result.response.body)) {
-    auto envelope_or = delta::ParsePatchXml(result.response.body);
+  if (!ApplyReplyBody(result.response.body,
+                      browser_->loop()->now() - sent_at)) {
+    SchedulePoll(interval_);
+    return;
+  }
+  ScheduleNextPoll(/*activity=*/true, sent_at);
+}
+
+bool AjaxSnippet::ApplyReplyBody(const std::string& body,
+                                 Duration transport_time) {
+  if (config_.enable_delta && delta::LooksLikePatchXml(body)) {
+    auto envelope_or = delta::ParsePatchXml(body);
     if (!envelope_or.ok()) {
       RCB_LOG(kWarning) << "ajax-snippet: bad patch: " << envelope_or.status();
       ++metrics_.patch_apply_errors;
       need_resync_ = true;  // next poll demands a full snapshot
-      SchedulePoll(interval_);
-      return;
+      return false;
     }
-    ProcessPatch(*envelope_or, browser_->loop()->now() - sent_at);
-    ScheduleNextPoll(/*activity=*/true, sent_at);
-    return;
+    ProcessPatch(*envelope_or, transport_time);
+    return true;
   }
-  auto snapshot_or = ParseSnapshotXml(result.response.body);
+  auto snapshot_or = ParseSnapshotXml(body);
   if (!snapshot_or.ok()) {
     RCB_LOG(kWarning) << "ajax-snippet: bad snapshot: " << snapshot_or.status();
-    SchedulePoll(interval_);
-    return;
+    return false;
   }
-  ProcessSnapshot(*snapshot_or, browser_->loop()->now() - sent_at);
-  ScheduleNextPoll(/*activity=*/true, sent_at);
+  ProcessSnapshot(*snapshot_or, transport_time);
+  return true;
 }
 
 void AjaxSnippet::ScheduleNextPoll(bool activity, SimTime sent_at) {

@@ -223,9 +223,13 @@ class AjaxSnippet {
  private:
   void SchedulePoll(Duration delay);
   void PollOnce();
-  // Builds and sends one signed poll; used by the regular loop and by the
-  // fire-and-forget goodbye in Leave().
+  // Builds and sends one signed poll; used by the regular loop, the framed
+  // stream's gesture flush and the fire-and-forget goodbye in Leave().
   void SendPoll(PollRequest poll, FetchCallback callback);
+  // Applies a non-empty 200 reply body to a poll or gesture flush: a patch,
+  // a full snapshot or an actions-only document. False when it does not
+  // parse (a bad patch also flags need_resync_).
+  bool ApplyReplyBody(const std::string& body, Duration transport_time);
   // Applies a received newContent document (shared by poll replies and data
   // frames). `transport_time` is recorded as last_content_download when
   // content was applied.

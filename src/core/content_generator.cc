@@ -33,6 +33,87 @@ std::vector<Element*> ContentGenerator::InteractiveElements(Node* root) {
 
 namespace {
 
+// SetAttribute's list semantics on a detached attribute list: replace the
+// first attribute of that name in place, else append.
+void SetInList(AttributeList* attributes, std::string_view name,
+               std::string value) {
+  for (auto& [key, existing] : *attributes) {
+    if (key == name) {
+      existing = std::move(value);
+      return;
+    }
+  }
+  attributes->emplace_back(std::string(name), std::move(value));
+}
+
+// Step 4's event attribute for an interactive element.
+std::pair<const char*, const char*> EventAttributeFor(const std::string& tag) {
+  if (tag == "form") {
+    return {"onsubmit", "return rcbSubmit(this)"};
+  }
+  if (tag == "a" || tag == "button") {
+    return {"onclick", "return rcbClick(this)"};
+  }
+  return {"onchange", "rcbFill(this)"};
+}
+
+}  // namespace
+
+bool AttributeRewriter::Rewrite(const Element& element, size_t rcb_id,
+                                AttributeList* out) {
+  std::string attr;
+  const bool has_url = UrlAttributeFor(element, &attr);
+  const bool interactive = ContentGenerator::IsInteractive(element);
+  if (!has_url && !interactive) {
+    return false;
+  }
+  *out = element.attributes();
+  if (has_url) {
+    std::string value = element.AttrOr(attr);
+    // Step 2: relative -> absolute.
+    if (!value.empty() && !StartsWith(value, "javascript:") &&
+        !StartsWith(value, "data:") && !StartsWith(value, "#") &&
+        !IsAbsoluteUrl(value)) {
+      auto resolved = base_.Resolve(value);
+      if (resolved.ok()) {
+        value = resolved->ToStringWithFragment();
+        SetInList(out, attr, value);
+        ++urls_absolutized_;
+      }
+    }
+    // Step 3: cached supplementary object -> agent URL.
+    const std::string kind =
+        cache_ != nullptr ? SupplementaryKindFor(element) : std::string();
+    if (!kind.empty() && IsAbsoluteUrl(value)) {
+      auto url = Url::Parse(value);
+      if (url.ok() && (!options_.cache_object_filter ||
+                       options_.cache_object_filter(*url, kind))) {
+        if (const CacheEntry* entry = cache_->Lookup(*url)) {
+          const Url& agent = options_.agent_url;
+          SetInList(out, attr,
+                    Url::Make(agent.scheme(), agent.host(), agent.port(),
+                              "/obj/" + entry->cache_key)
+                        .ToString());
+          ++urls_cache_rewritten_;
+        }
+      }
+    }
+  }
+  // Step 4: data-rcb-id tag, then the event attribute.
+  if (interactive) {
+    SetInList(out, "data-rcb-id", StrFormat("%zu", rcb_id));
+    auto [event, handler] = EventAttributeFor(element.tag_name());
+    SetInList(out, event, handler);
+  }
+  return true;
+}
+
+namespace {
+
+// The reference path's three whole-tree passes over a heap clone. They share
+// no code with AttributeRewriter, so comparing the two paths' output is a
+// real byte-identity check.
+
 // Step 2 of Fig. 3: convert relative URLs of the cloned document to absolute
 // origin-server URLs. Returns the number of attributes rewritten.
 size_t AbsolutizeUrls(Element* clone_root, const Url& base) {
@@ -50,11 +131,7 @@ size_t AbsolutizeUrls(Element* clone_root, const Url& base) {
     }
     auto resolved = base.Resolve(value);
     if (resolved.ok()) {
-      // KeepRev: the clone's revs must keep matching its source's so the
-      // serialization cache can key on them; everything this pass writes is
-      // a pure function of (source state, base URL), which the cache's
-      // config fingerprint covers.
-      element->SetAttributeKeepRev(attr, resolved->ToStringWithFragment());
+      element->SetAttribute(attr, resolved->ToStringWithFragment());
       ++rewritten;
     }
     return true;
@@ -96,8 +173,7 @@ size_t RewriteCachedUrls(Element* clone_root, ObjectCache* cache,
     }
     Url object_url = Url::Make(agent_url.scheme(), agent_url.host(),
                                agent_url.port(), "/obj/" + entry->cache_key);
-    // KeepRev: covered by the fingerprint's ObjectCache change_epoch term.
-    element->SetAttributeKeepRev(attr, object_url.ToString());
+    element->SetAttribute(attr, object_url.ToString());
     ++rewritten;
     return true;
   });
@@ -110,18 +186,16 @@ size_t RewriteEventAttributes(Element* clone_root) {
       ContentGenerator::InteractiveElements(clone_root);
   for (size_t i = 0; i < interactive.size(); ++i) {
     Element* element = interactive[i];
-    // KeepRev throughout: the assigned id depends only on pre-order
-    // position, which the cache revalidates per hit via its id_base check.
-    element->SetAttributeKeepRev("data-rcb-id", StrFormat("%zu", i));
+    element->SetAttribute("data-rcb-id", StrFormat("%zu", i));
     const std::string& tag = element->tag_name();
     if (tag == "form") {
-      element->SetAttributeKeepRev("onsubmit", "return rcbSubmit(this)");
+      element->SetAttribute("onsubmit", "return rcbSubmit(this)");
     } else if (tag == "a") {
-      element->SetAttributeKeepRev("onclick", "return rcbClick(this)");
+      element->SetAttribute("onclick", "return rcbClick(this)");
     } else if (tag == "button") {
-      element->SetAttributeKeepRev("onclick", "return rcbClick(this)");
+      element->SetAttribute("onclick", "return rcbClick(this)");
     } else {
-      element->SetAttributeKeepRev("onchange", "rcbFill(this)");
+      element->SetAttribute("onchange", "rcbFill(this)");
     }
   }
   return interactive.size();
@@ -135,9 +209,10 @@ ElementPayload ExtractPayload(const Element& element) {
   return payload;
 }
 
-// Incremental flavour: innerHTML through the serialization cache, raw and
-// escaped in lockstep. `counter` is the pre-order data-rcb-id counter; the
-// caller has already counted `element` itself. The encoded prefix (tag +
+// Incremental flavour over the live document: the payload root's rewritten
+// attributes, then its innerHTML through the serialization cache, raw and
+// escaped in lockstep. `counter` is the pre-order data-rcb-id counter,
+// advanced past `element` and its subtree. The encoded prefix (tag +
 // attributes, no innerHTML) is escaped straight into the output and the
 // cache splices the children's escaped spans after it — no intermediate copy
 // of the page-sized escaped image. `raw_hint`/`escaped_hint` (optional,
@@ -145,20 +220,26 @@ ElementPayload ExtractPayload(const Element& element) {
 // once instead of grown through reallocation.
 ElementPayload ExtractPayloadCached(const Element& element,
                                     SerializeCache* cache,
+                                    AttributeRewriter* rewriter,
                                     uint64_t fingerprint, size_t* counter,
                                     EscapedPayload* escaped,
                                     size_t* raw_hint = nullptr,
                                     size_t* escaped_hint = nullptr) {
   ElementPayload payload;
   payload.tag = element.tag_name();
-  payload.attributes = element.attributes();
+  if (!rewriter->Rewrite(element, *counter, &payload.attributes)) {
+    payload.attributes = element.attributes();
+  }
+  if (ContentGenerator::IsInteractive(element)) {
+    ++*counter;
+  }
   if (raw_hint != nullptr && *raw_hint != 0) {
     payload.inner_html.reserve(*raw_hint + *raw_hint / 8);
     escaped->escaped.reserve(*escaped_hint + *escaped_hint / 8);
   }
   const std::string prefix = EncodeElementPayloadPrefix(payload);
   JsEscapeAppend(prefix, &escaped->escaped);
-  cache->AppendChildrenHtml(element, fingerprint, counter,
+  cache->AppendChildrenHtml(element, fingerprint, rewriter, counter,
                             &payload.inner_html, &escaped->escaped);
   escaped->raw_bytes = prefix.size() + payload.inner_html.size();
   if (raw_hint != nullptr) {
@@ -182,7 +263,7 @@ size_t CountInteractive(const Element& element) {
   return count;
 }
 
-// Everything outside the DOM that the rewritten clone bytes depend on; part
+// Everything outside the DOM that the rewritten bytes depend on; part
 // of the serialization-cache key (see serialize_cache.h). The filter term is
 // presence-only: AgentConfig installs the filter once at construction, so
 // its behaviour is constant per generator.
@@ -224,44 +305,22 @@ GenerationResult ContentGenerator::Generate(int64_t doc_time_ms,
     result.snapshot.has_content = false;
     return result;
   }
-
-  // Step 1: clone the documentElement; everything below mutates the clone.
-  // The clone's nodes come from the generator's arena (freed wholesale at the
-  // end of this call); only the Clone itself allocates nodes, so the scope
-  // covers just it.
-  std::unique_ptr<Node> clone_owned;
-  {
-    ArenaScope arena_scope(&arena_);
-    clone_owned = document->document_element()->Clone();
-  }
-  Element* clone = clone_owned->AsElement();
-  result.stage_clone = end_stage();
-
-  // Step 2: relative -> absolute URLs.
-  result.urls_absolutized = AbsolutizeUrls(clone, browser_->current_url());
-  result.stage_absolutize = end_stage();
-
-  // Step 3: cache mode only — absolute -> agent URLs for cached objects.
-  if (options.cache_mode) {
-    result.urls_cache_rewritten =
-        RewriteCachedUrls(clone, &browser_->cache(), options);
-  }
-  result.stage_cache_rewrite = end_stage();
-
-  // Step 4: event-attribute rewriting.
-  result.interactive_elements = RewriteEventAttributes(clone);
-  result.stage_event_rewrite = end_stage();
-
-  // Step 5: extraction in DOM order. The incremental path threads one
-  // data-rcb-id counter through the whole clone in the same pre-order the
-  // event-rewrite pass numbered, so cached spans can assert their embedded
-  // ids are still current (serialize_cache.h).
   result.snapshot.has_content = true;
+
   if (tuning_.incremental_serialize) {
+    // Steps 2-5 in one walk over the live document: the cache serializes
+    // dirty subtrees, rewriting each missed element's attributes on the way
+    // out, and splices everything else. One data-rcb-id counter runs through
+    // the whole document in pre-order so cached spans can assert their
+    // embedded ids are still current (serialize_cache.h).
     result.escaped.has_content = true;
+    AttributeRewriter rewriter(browser_->current_url(),
+                               options.cache_mode ? &browser_->cache()
+                                                  : nullptr,
+                               options);
     const uint64_t fingerprint = ConfigFingerprint(browser_, options);
     size_t counter = 0;
-    for (const auto& child : clone->children()) {
+    for (const auto& child : document->document_element()->children()) {
       const Element* element = child->AsElement();
       if (element == nullptr) {
         continue;
@@ -270,49 +329,56 @@ GenerationResult ContentGenerator::Generate(int64_t doc_time_ms,
       if (tag == "head") {
         for (const auto& head_child : element->children()) {
           if (const Element* head_element = head_child->AsElement()) {
-            if (IsInteractive(*head_element)) {
-              ++counter;
-            }
             EscapedPayload escaped;
-            result.snapshot.head_children.push_back(
-                ExtractPayloadCached(*head_element, &serialize_cache_,
-                                     fingerprint, &counter, &escaped));
+            result.snapshot.head_children.push_back(ExtractPayloadCached(
+                *head_element, &serialize_cache_, &rewriter, fingerprint,
+                &counter, &escaped));
             result.escaped.head_children.push_back(std::move(escaped));
           }
         }
-      } else if (tag == "body") {
-        if (IsInteractive(*element)) {
-          ++counter;
-        }
+      } else if (tag == "body" || tag == "frameset") {
         EscapedPayload escaped;
-        result.snapshot.body = ExtractPayloadCached(
-            *element, &serialize_cache_, fingerprint, &counter, &escaped,
-            &main_payload_raw_hint_, &main_payload_escaped_hint_);
-        result.escaped.body = std::move(escaped);
-      } else if (tag == "frameset") {
-        if (IsInteractive(*element)) {
-          ++counter;
+        ElementPayload payload = ExtractPayloadCached(
+            *element, &serialize_cache_, &rewriter, fingerprint, &counter,
+            &escaped, &main_payload_raw_hint_, &main_payload_escaped_hint_);
+        if (tag == "body") {
+          result.snapshot.body = std::move(payload);
+          result.escaped.body = std::move(escaped);
+        } else {
+          result.snapshot.frameset = std::move(payload);
+          result.escaped.frameset = std::move(escaped);
         }
-        EscapedPayload escaped;
-        result.snapshot.frameset = ExtractPayloadCached(
-            *element, &serialize_cache_, fingerprint, &counter, &escaped,
-            &main_payload_raw_hint_, &main_payload_escaped_hint_);
-        result.escaped.frameset = std::move(escaped);
       } else if (tag == "noframes") {
-        if (IsInteractive(*element)) {
-          ++counter;
-        }
         EscapedPayload escaped;
-        result.snapshot.noframes = ExtractPayloadCached(
-            *element, &serialize_cache_, fingerprint, &counter, &escaped);
+        result.snapshot.noframes =
+            ExtractPayloadCached(*element, &serialize_cache_, &rewriter,
+                                 fingerprint, &counter, &escaped);
         result.escaped.noframes = std::move(escaped);
       } else {
-        // Not carried by the snapshot, but the rewrite pass numbered any
+        // Not carried by the snapshot, but the reference rewrite numbers any
         // interactive elements in here: keep the counter in step.
         counter += CountInteractive(*element);
       }
     }
+    result.interactive_elements = counter;
+    result.urls_absolutized = rewriter.urls_absolutized();
+    result.urls_cache_rewritten = rewriter.urls_cache_rewritten();
+    result.stage_extract = end_stage();
   } else {
+    // Reference path: step 1 clones the documentElement; steps 2-4 rewrite
+    // the whole clone; step 5 extracts from it.
+    std::unique_ptr<Node> clone_owned = document->document_element()->Clone();
+    Element* clone = clone_owned->AsElement();
+    result.stage_clone = end_stage();
+    result.urls_absolutized = AbsolutizeUrls(clone, browser_->current_url());
+    result.stage_absolutize = end_stage();
+    if (options.cache_mode) {
+      result.urls_cache_rewritten =
+          RewriteCachedUrls(clone, &browser_->cache(), options);
+    }
+    result.stage_cache_rewrite = end_stage();
+    result.interactive_elements = RewriteEventAttributes(clone);
+    result.stage_event_rewrite = end_stage();
     for (const auto& child : clone->children()) {
       const Element* element = child->AsElement();
       if (element == nullptr) {
@@ -333,15 +399,8 @@ GenerationResult ContentGenerator::Generate(int64_t doc_time_ms,
         result.snapshot.noframes = ExtractPayload(*element);
       }
     }
+    result.stage_extract = end_stage();
   }
-
-  result.stage_extract = end_stage();
-
-  // The clone dies here; rewind its arena so the next generation reuses the
-  // same blocks (quarantined instead if anything escaped — see arena.h).
-  clone_owned.reset();
-  clone = nullptr;
-  arena_.Reset();
 
   auto end = std::chrono::steady_clock::now();
   result.wall_time = Duration::Micros(

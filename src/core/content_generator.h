@@ -1,6 +1,6 @@
 // Response content generation — the Fig. 3 pipeline.
 //
-// When the host document changes, RCB-Agent:
+// In the paper, when the host document changes, RCB-Agent:
 //   1. clones the documentElement of the current document (all later steps
 //      touch only the clone, never the live page),
 //   2. converts relative URLs to absolute origin-server URLs,
@@ -11,16 +11,25 @@
 //      interactive element with its pre-order index ("data-rcb-id"),
 //   5. extracts the attribute lists and innerHTML of the head children and of
 //      the body (or frameset/noframes) into a Snapshot (Fig. 4).
+//
+// The incremental generator skips the clone: steps 2-4 are one
+// per-element attribute transform (AttributeRewriter) applied while the
+// SerializeCache serializes the live document, only to the elements it
+// misses on (and to the payload roots), so a generation costs O(change) and
+// never writes the DOM. The
+// reference path (GeneratorTuning::incremental_serialize = false) still
+// clones and rewrites the whole clone in three passes; it is the
+// byte-identity oracle the incremental path is tested against.
 #ifndef SRC_CORE_CONTENT_GENERATOR_H_
 #define SRC_CORE_CONTENT_GENERATOR_H_
 
+#include <utility>
 #include <vector>
 
 #include "src/browser/browser.h"
 #include "src/core/protocol.h"
 #include "src/html/intern.h"
 #include "src/core/serialize_cache.h"
-#include "src/util/arena.h"
 #include "src/util/sim_time.h"
 
 namespace rcb {
@@ -29,13 +38,12 @@ namespace rcb {
 // change cost only, never output bytes: incremental off must be
 // byte-identical to incremental on.
 struct GeneratorTuning {
-  // Serialize only dirty subtrees through the SerializeCache; off falls back
-  // to full InnerHtml + JsEscape per generation.
+  // Rewrite and serialize only dirty subtrees of the live document through
+  // the SerializeCache; off falls back to the reference path (clone, three
+  // whole-tree rewrite passes, full InnerHtml) per generation.
   bool incremental_serialize = true;
   size_t serialize_cache_budget = 4 * 1024 * 1024;
   size_t serialize_cache_min_span = 64;
-  // Arena block size for the transient clone tree (arena_block_bytes).
-  size_t arena_block_bytes = Arena::kDefaultBlockBytes;
   // Cap on the process-global tag/attribute interning table. The table is
   // shared by every document in the process (interned pointers must stay
   // stable across generator lifetimes), so this knob is applied process-wide
@@ -62,13 +70,18 @@ struct GenerationResult {
   // serializations splice instead of re-escaping the page.
   SnapshotEscaped escaped;
   size_t interactive_elements = 0;
+  // Rewrites this generation performed. The incremental path rewrites only
+  // the elements the SerializeCache misses on (and the payload roots), so an
+  // unchanged regeneration reads 0 here.
   size_t urls_absolutized = 0;
   size_t urls_cache_rewritten = 0;
   // Real (not simulated) CPU time of the pipeline — the paper's M5.
   Duration wall_time;
   // Per-stage breakdown of wall_time, one field per Fig. 3 step. The
   // generator stays observability-free; RcbAgent feeds these into its stage
-  // histograms (rcb_agent_gen_stage_us{stage=...}).
+  // histograms (rcb_agent_gen_stage_us{stage=...}). The incremental path
+  // neither clones nor runs separate rewrite passes: its clone and rewrite
+  // stages read 0 and the rewrite cost falls inside stage_extract.
   Duration stage_clone;
   Duration stage_absolutize;
   Duration stage_cache_rewrite;
@@ -76,12 +89,44 @@ struct GenerationResult {
   Duration stage_extract;
 };
 
+using AttributeList = std::vector<std::pair<std::string, std::string>>;
+
+// Fig. 3 steps 2-4 for one element of the live document. The output is a
+// pure function of the element's attributes, the base URL, the ObjectCache
+// mapping table, the options and the element's data-rcb-id — exactly what
+// the SerializeCache key (rev, config fingerprint) and its id_base check
+// cover. Steps run in pipeline order with Element::SetAttribute's list
+// semantics: a present attribute is replaced in place, a new one appended.
+class AttributeRewriter {
+ public:
+  // `cache` is null outside cache mode (step 3 is skipped).
+  // `cache` and `options` must outlive the rewriter (one Generate call).
+  AttributeRewriter(Url base, ObjectCache* cache,
+                    const ContentGenOptions& options)
+      : base_(std::move(base)), cache_(cache), options_(options) {}
+
+  // Stores `element`'s rewritten attribute list in `*out` and returns true,
+  // or returns false (leaving `*out` alone) when the element's own
+  // attributes are already its output. `rcb_id` is the element's pre-order
+  // interactive index, read only when the element is interactive.
+  bool Rewrite(const Element& element, size_t rcb_id, AttributeList* out);
+
+  size_t urls_absolutized() const { return urls_absolutized_; }
+  size_t urls_cache_rewritten() const { return urls_cache_rewritten_; }
+
+ private:
+  Url base_;
+  ObjectCache* cache_;
+  const ContentGenOptions& options_;
+  size_t urls_absolutized_ = 0;
+  size_t urls_cache_rewritten_ = 0;
+};
+
 class ContentGenerator {
  public:
   explicit ContentGenerator(Browser* host_browser, GeneratorTuning tuning = {})
       : browser_(host_browser),
         tuning_(tuning),
-        arena_(tuning.arena_block_bytes),
         serialize_cache_(SerializeCache::Tuning{
             tuning.serialize_cache_budget, tuning.serialize_cache_min_span}) {
     if (tuning.intern_table_max != 0) {
@@ -89,10 +134,10 @@ class ContentGenerator {
     }
   }
 
-  // Runs the five-step pipeline against the host browser's current document.
-  // `doc_time_ms` stamps the snapshot (§4.1.1 timestamp mechanism).
-  // Non-const: the clone arena and the serialization cache persist across
-  // calls — that reuse is where the incremental win comes from.
+  // Runs the pipeline against the host browser's current document, which it
+  // only reads. `doc_time_ms` stamps the snapshot (§4.1.1 timestamp
+  // mechanism). Non-const: the serialization cache persists across calls —
+  // that reuse is where the incremental win comes from.
   GenerationResult Generate(int64_t doc_time_ms,
                             const ContentGenOptions& options);
 
@@ -110,12 +155,10 @@ class ContentGenerator {
   const SerializeCache::Stats& serialize_cache_stats() const {
     return serialize_cache_.stats();
   }
-  Arena::Stats arena_stats() const { return arena_.stats(); }
 
  private:
   Browser* browser_;
   GeneratorTuning tuning_;
-  Arena arena_;              // holds each generation's transient clone tree
   SerializeCache serialize_cache_;
   // Previous update's main-payload (body/frameset) sizes, used to reserve
   // the raw and escaped output strings instead of growing them per append.

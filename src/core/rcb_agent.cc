@@ -331,37 +331,6 @@ void RcbAgent::RegisterMetrics() {
       },
       base_labels);
 
-  // Clone arena (src/util/arena.h): allocation traffic plus block footprint.
-  // Quarantines should stay 0 in a healthy agent — nonzero means a Reset ran
-  // while spans into the arena were still live.
-  reg->AddCallbackCounter(
-      "rcb_arena_allocations", "Node allocations served by the clone arena",
-      obs::Provenance::kSim,
-      [gen] { return gen->arena_stats().allocations; }, base_labels);
-  reg->AddCallbackCounter(
-      "rcb_arena_allocated_bytes", "Bytes allocated from the clone arena",
-      obs::Provenance::kSim,
-      [gen] { return gen->arena_stats().allocated_bytes; }, base_labels);
-  reg->AddCallbackCounter(
-      "rcb_arena_resets", "Arena resets (one per generation)",
-      obs::Provenance::kSim, [gen] { return gen->arena_stats().resets; },
-      base_labels);
-  reg->AddCallbackCounter(
-      "rcb_arena_quarantines",
-      "Blocks quarantined by a reset with live allocations",
-      obs::Provenance::kSim, [gen] { return gen->arena_stats().quarantines; },
-      base_labels);
-  reg->AddCallbackGauge(
-      "rcb_arena_block_bytes", "Bytes currently reserved in arena blocks",
-      obs::Provenance::kSim,
-      [gen] { return static_cast<double>(gen->arena_stats().block_bytes); },
-      base_labels);
-  reg->AddCallbackGauge(
-      "rcb_arena_live", "Arena allocations currently outstanding",
-      obs::Provenance::kSim,
-      [gen] { return static_cast<double>(gen->arena_stats().live); },
-      base_labels);
-
   // Session shape gauges.
   reg->AddCallbackGauge(
       "rcb_agent_participants", "Participants on the roster",
@@ -1489,19 +1458,16 @@ HttpResponse RcbAgent::HandleStatusPage() const {
   }
   {
     const SerializeCache::Stats& sc = generator_.serialize_cache_stats();
-    const Arena::Stats arena = generator_.arena_stats();
     body += StrFormat(
         "<p id=\"hotpath\">serialize cache: %s | hits %llu, misses %llu, "
         "evictions %llu | %zu spans, %zu bytes | spliced %llu raw bytes, "
-        "re-serialized %llu | arena: %zu bytes in %zu blocks, quarantines "
-        "%llu</p>",
+        "re-serialized %llu</p>",
         generator_.tuning().incremental_serialize ? "on" : "off",
         static_cast<unsigned long long>(sc.hits),
         static_cast<unsigned long long>(sc.misses),
         static_cast<unsigned long long>(sc.evictions), sc.spans, sc.bytes,
         static_cast<unsigned long long>(sc.hit_bytes),
-        static_cast<unsigned long long>(sc.miss_bytes), arena.block_bytes,
-        arena.blocks, static_cast<unsigned long long>(arena.quarantines));
+        static_cast<unsigned long long>(sc.miss_bytes));
   }
   if (config_.transport.enable_stream) {
     body += StrFormat(

@@ -116,8 +116,8 @@ struct AgentConfig {
   std::function<bool(const std::string& pid)> participant_cache_mode;
   AgentPolicies policies;
   AgentLimits limits;
-  // Hot-path knobs for this agent's content generator (arena block size,
-  // serialization-cache budget, intern cap; see docs/PERF_MODEL.md). The
+  // Hot-path knobs for this agent's content generator (serialization-cache
+  // budget, intern cap; see docs/PERF_MODEL.md). The
   // defaults keep incremental serialization on.
   GeneratorTuning generator_tuning;
   // --- Delta snapshots (src/delta). Off by default: unless BOTH the agent

@@ -13,25 +13,27 @@ namespace rcb {
 
 void SerializeCache::AppendChildrenHtml(const Element& element,
                                         uint64_t config_fingerprint,
+                                        AttributeRewriter* rewriter,
                                         size_t* interactive_counter,
                                         std::string* raw,
                                         std::string* escaped) {
   const bool raw_text =
       HtmlTokenizer::IsRawTextElement(element.tag_name());
   for (const auto& child : element.children()) {
-    AppendNode(*child, raw_text, config_fingerprint, interactive_counter, raw,
-               escaped);
+    AppendNode(*child, raw_text, config_fingerprint, rewriter,
+               interactive_counter, raw, escaped);
   }
 }
 
 void SerializeCache::AppendNode(const Node& node, bool raw_text_parent,
-                                uint64_t fingerprint, size_t* counter,
+                                uint64_t fingerprint,
+                                AttributeRewriter* rewriter, size_t* counter,
                                 std::string* raw, std::string* escaped) {
   switch (node.type()) {
     case NodeType::kDocument:
       for (const auto& child : node.children()) {
-        AppendNode(*child, /*raw_text_parent=*/false, fingerprint, counter,
-                   raw, escaped);
+        AppendNode(*child, /*raw_text_parent=*/false, fingerprint, rewriter,
+                   counter, raw, escaped);
       }
       break;
     case NodeType::kText: {
@@ -89,21 +91,24 @@ void SerializeCache::AppendNode(const Node& node, bool raw_text_parent,
       break;
     }
     case NodeType::kElement:
-      AppendElement(static_cast<const Element&>(node), fingerprint, counter,
-                    raw, escaped);
+      AppendElement(static_cast<const Element&>(node), fingerprint, rewriter,
+                    counter, raw, escaped);
       break;
   }
 }
 
 void SerializeCache::AppendElement(const Element& element,
-                                   uint64_t fingerprint, size_t* counter,
-                                   std::string* raw, std::string* escaped) {
+                                   uint64_t fingerprint,
+                                   AttributeRewriter* rewriter,
+                                   size_t* counter, std::string* raw,
+                                   std::string* escaped) {
   const Key key{element.rev(), fingerprint};
   if (TryAppendHit(key, counter, raw, escaped)) {
     return;
   }
   // Miss (or an id-shifted entry, which will be overwritten with the current
-  // numbering): serialize this subtree, then keep the produced spans.
+  // numbering): rewrite and serialize this subtree, then keep the produced
+  // spans.
   const size_t raw_start = raw->size();
   const size_t escaped_start = escaped->size();
   const size_t id_base = *counter;
@@ -111,10 +116,14 @@ void SerializeCache::AppendElement(const Element& element,
     ++*counter;
   }
   {
+    AttributeList rewritten;
+    const AttributeList& attributes =
+        rewriter->Rewrite(element, id_base, &rewritten) ? rewritten
+                                                        : element.attributes();
     size_t tag_start = raw->size();
     raw->push_back('<');
     raw->append(element.tag_name());
-    for (const auto& [name, value] : element.attributes()) {
+    for (const auto& [name, value] : attributes) {
       raw->push_back(' ');
       raw->append(name);
       raw->append("=\"");
@@ -125,7 +134,7 @@ void SerializeCache::AppendElement(const Element& element,
     JsEscapeAppend(std::string_view(*raw).substr(tag_start), escaped);
   }
   if (!IsVoidElement(element.tag_name())) {
-    AppendChildrenHtml(element, fingerprint, counter, raw, escaped);
+    AppendChildrenHtml(element, fingerprint, rewriter, counter, raw, escaped);
     size_t close_start = raw->size();
     raw->append("</");
     raw->append(element.tag_name());

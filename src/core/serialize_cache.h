@@ -6,16 +6,22 @@
 // every document version even when one text node changed. This cache makes
 // that cost proportional to the change.
 //
-// How it stays byte-identical to a cold serialization:
+// It serializes the *live* document: the Fig. 3 rewrites (absolutize,
+// cache-URL, event/data-rcb-id) are applied by an AttributeRewriter
+// (content_generator.h) to each element serialized on a miss, so hits cost
+// no rewrite and nothing is cloned.
+//
+// How it stays byte-identical to the reference (clone + whole-tree rewrite +
+// cold serialization):
 //
 //   * Identity. Every Node carries a revision (src/html/dom.h): mutations
-//     restamp the node and its ancestors with fresh, globally unique values,
-//     and Clone preserves them. The Fig. 3 rewrite passes use
-//     SetAttributeKeepRev, so a clone subtree's rev still equals its source's
-//     — and because a rev uniquely identifies one (node, subtree state), a
-//     cache entry keyed by rev can never alias a different state. A miss is
-//     always safe; the bet is only on hit *rate*, never on correctness of a
-//     hit... except for the two inputs below, which the key must also cover.
+//     restamp the node and its ancestors with fresh, globally unique values.
+//     A rev uniquely identifies one (node, subtree state), so a cache entry
+//     keyed by the live node's rev can never alias a different state. The
+//     cache never writes the DOM, so serializing does not restamp anything.
+//     A miss is always safe; the bet is only on hit *rate*, never on
+//     correctness of a hit... except for the two inputs below, which the key
+//     must also cover.
 //
 //   * Generation config. The rewritten bytes also depend on the absolutize
 //     base URL, the cache mode, the agent URL, the ObjectCache contents
@@ -37,7 +43,7 @@
 //     JsEscape image, built in lockstep; splicing cached escaped spans is
 //     byte-identical to escaping the full serialization.
 //
-// Entries are plain string copies (never pointers into a DOM or arena), LRU
+// Entries are plain string copies (never pointers into the DOM), LRU
 // evicted against a byte budget. Spans smaller than `min_span_bytes` are not
 // cached: they are cheaper to re-serialize than to track.
 #ifndef SRC_CORE_SERIALIZE_CACHE_H_
@@ -51,6 +57,8 @@
 #include "src/html/dom.h"
 
 namespace rcb {
+
+class AttributeRewriter;
 
 class SerializeCache {
  public:
@@ -80,14 +88,17 @@ class SerializeCache {
 
   // Serializes `element`'s children (its innerHTML) through the cache,
   // appending the raw bytes to `raw` and their JsEscape image to `escaped`.
-  // Byte-identical to SerializeChildren(element) + JsEscape of it — asserted
-  // by serialize_cache_test over random mutation schedules.
+  // Each element serialized on a miss gets `rewriter`'s attribute list
+  // instead of its own. Byte-identical to SerializeChildren + JsEscape of the
+  // rewritten clone — asserted by serialize_cache_test over random mutation
+  // schedules.
   //
   // `interactive_counter` is the running pre-order data-rcb-id counter; the
-  // caller threads one counter through the whole clone in DOM order (see
+  // caller threads one counter through the whole document in DOM order (see
   // ContentGenerator::Generate). It is read for hit validity and advanced
   // past every element either way.
   void AppendChildrenHtml(const Element& element, uint64_t config_fingerprint,
+                          AttributeRewriter* rewriter,
                           size_t* interactive_counter, std::string* raw,
                           std::string* escaped);
 
@@ -122,9 +133,11 @@ class SerializeCache {
   };
 
   void AppendNode(const Node& node, bool raw_text_parent, uint64_t fingerprint,
-                  size_t* counter, std::string* raw, std::string* escaped);
+                  AttributeRewriter* rewriter, size_t* counter,
+                  std::string* raw, std::string* escaped);
   void AppendElement(const Element& element, uint64_t fingerprint,
-                     size_t* counter, std::string* raw, std::string* escaped);
+                     AttributeRewriter* rewriter, size_t* counter,
+                     std::string* raw, std::string* escaped);
   // Appends the cached span for `key` if present and id-valid; advances the
   // counter past its interactive elements.
   bool TryAppendHit(const Key& key, size_t* counter, std::string* raw,

@@ -113,8 +113,8 @@ struct HostConfig {
   HostLimits limits;
   // Template for per-session agents: CreateSession(id) copies this and
   // overrides port/registry wiring. Per-session keys, policies, delta knobs,
-  // and hot-path generator tuning (AgentConfig::generator_tuning — arena
-  // block size, serialization-cache budget; docs/PERF_MODEL.md) go through
+  // and hot-path generator tuning (AgentConfig::generator_tuning —
+  // serialization-cache budget; docs/PERF_MODEL.md) go through
   // CreateSession(id, config) or apply host-wide when set here.
   AgentConfig agent_defaults;
   // --- Durability (src/persist, DESIGN.md §13). persist.dir empty keeps the

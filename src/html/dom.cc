@@ -109,10 +109,9 @@ std::unique_ptr<Node> Node::Detach() {
 }
 
 std::unique_ptr<Node> Node::Clone() const {
-  // Links children directly instead of going through AppendChild: a clone
-  // must carry its source's revs (that shared identity is what lets the
-  // serialization cache match clone subtrees back to source state), and
-  // AppendChild would restamp them.
+  // Links children directly instead of going through AppendChild, which
+  // would restamp the copy's ancestors per child: a copy carries its
+  // source's revs, since it shares the source's subtree state.
   std::unique_ptr<Node> copy = CloneSelf();
   copy->rev_ = rev_;
   copy->children_.reserve(children_.size());
@@ -219,29 +218,19 @@ std::string Element::AttrOr(std::string_view name, std::string_view fallback) co
 }
 
 void Element::SetAttribute(std::string_view name, std::string_view value) {
-  SetAttributeImpl(name, value, /*touch=*/true);
-}
-
-void Element::SetAttributeKeepRev(std::string_view name,
-                                  std::string_view value) {
-  SetAttributeImpl(name, value, /*touch=*/false);
-}
-
-void Element::SetAttributeImpl(std::string_view name, std::string_view value,
-                               bool touch) {
   std::string owned;
   const std::string* canon = CanonicalName(name, &owned);
   for (auto& [key, existing] : attributes_) {
     if (key == *canon) {
       if (existing != value) {
         existing = std::string(value);
-        if (touch) Touch();
+        Touch();
       }
       return;
     }
   }
   attributes_.emplace_back(*canon, std::string(value));
-  if (touch) Touch();
+  Touch();
 }
 
 void Element::RemoveAttribute(std::string_view name) {

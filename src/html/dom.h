@@ -1,10 +1,10 @@
 // DOM tree: Document, Element, Text, Comment nodes.
 //
 // This is the in-browser document model both RCB pipelines operate on:
-// RCB-Agent clones the documentElement and rewrites the clone (Fig. 3);
-// Ajax-Snippet applies received content to the live document via innerHTML
-// and DOM mutation (Fig. 5). Attribute order is preserved so serialization
-// round-trips byte-stably.
+// RCB-Agent reads the live document and emits rewritten serializations of it
+// (Fig. 3) without writing to it; Ajax-Snippet applies received content to
+// the live document via innerHTML and DOM mutation (Fig. 5). Attribute order
+// is preserved so serialization round-trips byte-stably.
 #ifndef SRC_HTML_DOM_H_
 #define SRC_HTML_DOM_H_
 
@@ -15,8 +15,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "src/util/arena.h"
 
 namespace rcb {
 
@@ -32,13 +30,6 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  // Arena-aware allocation (src/util/arena.h): nodes built while an
-  // ArenaScope is active come from that arena, all others from malloc. Each
-  // allocation carries a header naming its source, so delete is uniform.
-  static void* operator new(size_t n) { return ArenaAllocRaw(n); }
-  static void operator delete(void* p) noexcept { ArenaFreeRaw(p); }
-  static void operator delete(void* p, size_t) noexcept { ArenaFreeRaw(p); }
-
   NodeType type() const { return type_; }
   Node* parent() const { return parent_; }
 
@@ -46,8 +37,8 @@ class Node {
   // Drawn from one process-wide monotonic counter: every mutation restamps
   // the touched node and each of its ancestors with fresh, distinct values,
   // so a rev uniquely identifies one (node, subtree state) and is never
-  // reused. Clone() preserves revs — a clone's rev equals its source's, which
-  // is exactly the identity the cache keys on.
+  // reused. The cache keys the live document's spans on it. Clone()
+  // preserves revs: a clone shares its source's subtree state.
   uint64_t rev() const { return rev_; }
   // Restamps this node and every ancestor (call after any mutation that
   // changes this subtree's serialization).
@@ -165,12 +156,6 @@ class Element : public Node {
   // Missing attribute reads as "".
   std::string AttrOr(std::string_view name, std::string_view fallback = "") const;
   void SetAttribute(std::string_view name, std::string_view value);
-  // SetAttribute without restamping revs. Reserved for the Fig. 3 rewrite
-  // passes, which run on the generator's clone: the clone's output is a pure
-  // function of (source rev, generation config), so keeping clone revs equal
-  // to source revs is what lets the serialization cache key on them. Never
-  // use this on a live document.
-  void SetAttributeKeepRev(std::string_view name, std::string_view value);
   void RemoveAttribute(std::string_view name);
   bool HasAttribute(std::string_view name) const;
   const std::vector<std::pair<std::string, std::string>>& attributes() const {
@@ -204,8 +189,6 @@ class Element : public Node {
  private:
   struct CloneTag {};
   Element(const Element& src, CloneTag);
-  void SetAttributeImpl(std::string_view name, std::string_view value,
-                        bool touch);
 
   const std::string* tag_;  // interned, or &tag_owned_ when the table is full
   std::string tag_owned_;

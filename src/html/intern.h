@@ -12,7 +12,7 @@
 // string — correctness is unchanged, only the speed win is lost.
 //
 // Interned pointers are never invalidated (entries are heap-allocated and the
-// table is append-only), so they are safe to hold across arena resets and in
+// table is append-only), so they are safe to hold across documents and in
 // the serialization cache.
 #ifndef SRC_HTML_INTERN_H_
 #define SRC_HTML_INTERN_H_

@@ -151,12 +151,15 @@ TEST_F(ContentGeneratorTest, HostDocumentNotMutated) {
   Load("<html><body><form action=\"/go\"><input name=\"q\" value=\"\"></form>"
        "<img src=\"/img/a.png\"></body></html>",
        {{"/img/a.png", "A"}});
+  const uint64_t rev_before = browser_->document()->document_element()->rev();
   std::string before = browser_->document()->body()->OuterHtml();
   Generate(/*cache_mode=*/true);
   std::string after = browser_->document()->body()->OuterHtml();
-  // The Fig. 3 pipeline works on a clone; the live page must be untouched.
+  // The Fig. 3 rewrites only shape the emitted bytes; the live page must be
+  // untouched, down to its revision stamps.
   EXPECT_EQ(before, after);
   EXPECT_EQ(before.find("data-rcb-id"), std::string::npos);
+  EXPECT_EQ(browser_->document()->document_element()->rev(), rev_before);
 }
 
 TEST_F(ContentGeneratorTest, InteractiveEnumerationConsistentWithLiveDoc) {
@@ -164,8 +167,8 @@ TEST_F(ContentGeneratorTest, InteractiveEnumerationConsistentWithLiveDoc) {
        "<form action=\"/f\"><input name=\"x\" value=\"\"></form>"
        "<a href=\"/2\">2</a></body></html>");
   GenerationResult result = Generate(/*cache_mode=*/false);
-  // The clone enumeration order must match the live-document enumeration the
-  // agent uses when resolving participant action targets.
+  // The generated data-rcb-id numbering must match the live-document
+  // enumeration the agent uses when resolving participant action targets.
   auto live = ContentGenerator::InteractiveElements(browser_->document());
   ASSERT_EQ(live.size(), result.interactive_elements);
   EXPECT_EQ(live[0]->tag_name(), "a");

@@ -1,18 +1,19 @@
-// Hot-path correctness: the arena, the tag interner, DOM revision tracking,
-// and — the load-bearing property — that cached incremental serialization is
-// byte-identical to a cold full serialization for random mutation schedules
-// over corpus pages (docs/PERF_MODEL.md).
+// Hot-path correctness: the tag interner, DOM revision tracking, and — the
+// load-bearing property — that the incremental generator (Fig. 3 rewrites
+// applied on the serialization cache's miss path over the live DOM) is
+// byte-identical to the reference path (clone, whole-tree rewrite passes,
+// cold full serialization) for random mutation schedules over corpus pages
+// (docs/PERF_MODEL.md).
 //
 // The property test runs a persistent incremental generator against a fresh
-// cold generator (incremental off) after every mutation and compares the
-// serialized snapshot XML byte for byte, including the spliced pre-escaped
-// CDATA path. Under the RCB_SANITIZE (ASan) build the same schedules double
-// as a dangling-span detector: every arena allocation is an individual
-// malloc freed at Reset, so a cached span pointing into a reset arena is a
-// hard heap-use-after-free instead of silent corruption.
+// reference generator (incremental off) after every mutation and compares
+// the serialized snapshot XML byte for byte, including the spliced
+// pre-escaped CDATA path. The mutation mix targets the rewrite hazards: URL
+// writes of every shape, interactivity flips that shift trailing ids,
+// elements that already carry the attributes the rewrite sets, and head
+// edits. Under the RCB_SANITIZE (ASan) build any span that referenced the
+// DOM instead of owning its bytes would be a hard report.
 #include <gtest/gtest.h>
-
-#include <cstring>
 
 #include "src/core/content_generator.h"
 #include "src/html/intern.h"
@@ -20,111 +21,11 @@
 #include "src/html/serializer.h"
 #include "src/sites/corpus.h"
 #include "src/sites/site_server.h"
-#include "src/util/arena.h"
 #include "src/util/escape.h"
 #include "src/util/rand.h"
 
 namespace rcb {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Arena
-// ---------------------------------------------------------------------------
-
-TEST(ArenaTest, AllocationsAreCountedAndAligned) {
-  Arena arena(4096);
-  void* a = nullptr;
-  void* b = nullptr;
-  {
-    ArenaScope scope(&arena);
-    a = ArenaAllocRaw(10);
-    b = ArenaAllocRaw(100);
-  }
-  EXPECT_NE(a, nullptr);
-  EXPECT_NE(b, nullptr);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % 16, 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % 16, 0u);
-  Arena::Stats stats = arena.stats();
-  EXPECT_EQ(stats.allocations, 2u);
-  EXPECT_GE(stats.allocated_bytes, 110u);  // requests plus per-alloc headers
-  EXPECT_EQ(stats.live, 2u);
-  ArenaFreeRaw(a);
-  ArenaFreeRaw(b);
-  EXPECT_EQ(arena.stats().live, 0u);
-}
-
-TEST(ArenaTest, ResetWithLiveAllocationsQuarantines) {
-  Arena arena(4096);
-  char* p = nullptr;
-  {
-    ArenaScope scope(&arena);
-    p = static_cast<char*>(ArenaAllocRaw(64));
-  }
-  std::memset(p, 0xAB, 64);
-  arena.Reset();  // p is still live: blocks must be parked, not reused
-  EXPECT_EQ(arena.stats().quarantines, 1u);
-  EXPECT_EQ(arena.stats().live, 1u);
-  // The escapee's memory stays exactly as written.
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(static_cast<unsigned char>(p[i]), 0xABu);
-  }
-  ArenaFreeRaw(p);  // last holder: quarantined blocks become reclaimable
-  EXPECT_EQ(arena.stats().live, 0u);
-}
-
-TEST(ArenaTest, CleanResetRewindsWithoutQuarantine) {
-  Arena arena(4096);
-  {
-    ArenaScope scope(&arena);
-    void* p = ArenaAllocRaw(128);
-    ArenaFreeRaw(p);
-  }
-  arena.Reset();
-  Arena::Stats stats = arena.stats();
-  EXPECT_EQ(stats.resets, 1u);
-  EXPECT_EQ(stats.quarantines, 0u);
-  EXPECT_EQ(stats.live, 0u);
-}
-
-TEST(ArenaTest, ScopeInstallsAndRestores) {
-  EXPECT_EQ(ArenaScope::Current(), nullptr);
-  Arena outer_arena, inner_arena;
-  {
-    ArenaScope outer(&outer_arena);
-    EXPECT_EQ(ArenaScope::Current(), &outer_arena);
-    {
-      ArenaScope inner(&inner_arena);
-      EXPECT_EQ(ArenaScope::Current(), &inner_arena);
-    }
-    EXPECT_EQ(ArenaScope::Current(), &outer_arena);
-  }
-  EXPECT_EQ(ArenaScope::Current(), nullptr);
-}
-
-TEST(ArenaTest, NodeOutlivingArenaIsSurvivable) {
-  // The control record outlives the Arena while allocations are live: the
-  // node below stays readable after the Arena dies, and its delete releases
-  // the memory. Under ASan either ordering bug would be a hard report.
-  auto arena = std::make_unique<Arena>();
-  std::unique_ptr<Element> node;
-  {
-    ArenaScope scope(arena.get());
-    node = MakeElement("div");
-    node->SetAttribute("id", "escapee");
-  }
-  arena->Reset();  // quarantines: the node is still live
-  arena.reset();   // arena dies before the allocation
-  EXPECT_EQ(node->tag_name(), "div");
-  EXPECT_EQ(node->GetAttribute("id").value_or(""), "escapee");
-  node.reset();  // last holder frees the control record
-}
-
-TEST(ArenaTest, NodesWithoutScopeUseTheHeap) {
-  ASSERT_EQ(ArenaScope::Current(), nullptr);
-  auto node = MakeElement("span");  // malloc-headered path
-  node->AppendChild(MakeText("x"));
-  node.reset();
-}
 
 // ---------------------------------------------------------------------------
 // Tag interner
@@ -201,15 +102,6 @@ TEST(DomRevTest, UnchangedAttributeWriteDoesNotTouch) {
   EXPECT_GT(element->rev(), before);
 }
 
-TEST(DomRevTest, KeepRevWritesDoNotRestamp) {
-  auto element = MakeElement("a");
-  element->SetAttribute("href", "/x");
-  uint64_t before = element->rev();
-  element->SetAttributeKeepRev("href", "http://origin.test/x");
-  EXPECT_EQ(element->rev(), before);
-  EXPECT_EQ(element->GetAttribute("href").value_or(""), "http://origin.test/x");
-}
-
 TEST(DomRevTest, ClonePreservesRevsRecursively) {
   auto root = MakeElement("div");
   auto child = MakeElement("p");
@@ -227,16 +119,54 @@ TEST(DomRevTest, ClonePreservesRevsRecursively) {
 // Incremental-vs-cold byte identity (the correctness gate)
 // ---------------------------------------------------------------------------
 
+// URL shapes the absolutize step must treat differently: relative (rewritten),
+// fragment / javascript: / data: (left alone) and absolute (left alone, and
+// cache-rewritten when the object is cached).
+std::string RandomUrlValue(Rng* rng, int step,
+                           const std::vector<std::string>& known_objects) {
+  switch (rng->NextBelow(7)) {
+    case 0:
+      return "img/mut" + std::to_string(step) + ".png";
+    case 1:
+      return "../up/" + std::to_string(step) + "?q=1#top";
+    case 2:
+      return "#frag" + std::to_string(step);
+    case 3:
+      return "javascript:void(" + std::to_string(step) + ")";
+    case 4:
+      return "data:image/png;base64,AAAA";
+    case 5:
+      return "http://abs.test/" + std::to_string(step) + ".png";
+    default:
+      // A URL the page already uses: cached in cache mode, so step 3 fires.
+      return known_objects.empty()
+                 ? "/x.png"
+                 : known_objects[rng->NextBelow(known_objects.size())];
+  }
+}
+
 // One deterministic mutation drawn from `rng`. The mix deliberately includes
-// the hazards the cache must survive: inserting an interactive element early
-// in the body shifts every later data-rcb-id (id_base validation), removals
-// restructure the tree, and text/attribute edits dirty deep subtrees.
+// the hazards the cache and the live-DOM rewrite must survive: inserting an
+// interactive element early in the body (or flipping an anchor's href)
+// shifts every later data-rcb-id (id_base validation), removals restructure
+// the tree, text/attribute edits dirty deep subtrees, URL writes of every
+// shape exercise steps 2 and 3 on the miss path, pre-existing data-rcb-id /
+// onclick / onchange attributes pin the in-place replacement order, and head
+// edits reach payload roots outside the body.
 void ApplyRandomMutation(Document* document, Rng* rng, int step) {
   Element* body = document->body();
   ASSERT_NE(body, nullptr);
   std::vector<Element*> elements;
+  std::vector<Element*> anchors;
+  std::vector<std::string> known_objects;
   std::function<void(Element*)> collect = [&](Element* element) {
     elements.push_back(element);
+    if (element->tag_name() == "a") {
+      anchors.push_back(element);
+    }
+    if (element->tag_name() == "img" && element->HasAttribute("src")) {
+      known_objects.push_back(element->AttrOr("src"));
+    }
     for (const auto& child : element->children()) {
       if (Element* child_element = child->AsElement()) {
         collect(child_element);
@@ -245,17 +175,18 @@ void ApplyRandomMutation(Document* document, Rng* rng, int step) {
   };
   collect(body);
   Element* target = elements[rng->NextBelow(elements.size())];
-  switch (rng->NextBelow(6)) {
+  const std::string n = std::to_string(step);
+  switch (rng->NextBelow(12)) {
     case 0:  // text edit inside an element
-      target->AppendChild(MakeText("step " + std::to_string(step)));
+      target->AppendChild(MakeText("step " + n));
       break;
     case 1:  // attribute write
-      target->SetAttribute("data-step", std::to_string(step));
+      target->SetAttribute("data-step", n);
       break;
     case 2: {  // interactive element at the front: shifts all later ids
       auto link = MakeElement("a");
-      link->SetAttribute("href", "/mut" + std::to_string(step));
-      link->AppendChild(MakeText("m" + std::to_string(step)));
+      link->SetAttribute("href", "/mut" + n);
+      link->AppendChild(MakeText("m" + n));
       body->InsertBefore(std::move(link),
                          body->child_count() > 0 ? body->child_at(0) : nullptr);
       break;
@@ -268,10 +199,84 @@ void ApplyRandomMutation(Document* document, Rng* rng, int step) {
     case 4:  // attribute removal
       target->RemoveAttribute("data-step");
       break;
+    case 5: {  // URL write on an img or an anchor
+      auto element = MakeElement(rng->NextBelow(2) == 0 ? "img" : "a");
+      const bool is_img = element->tag_name() == "img";
+      element->SetAttribute(is_img ? "src" : "href",
+                            RandomUrlValue(rng, step, known_objects));
+      target->AppendChild(std::move(element));
+      break;
+    }
+    case 6: {  // rewrite an existing URL in place
+      Element* img = document->FindFirst("img");
+      if (img != nullptr) {
+        img->SetAttribute("src", RandomUrlValue(rng, step, known_objects));
+      } else {
+        target->SetAttribute("background", RandomUrlValue(rng, step, {}));
+      }
+      break;
+    }
+    case 7:  // href toggle: flips interactivity, shifts trailing ids
+      if (!anchors.empty()) {
+        Element* anchor = anchors[rng->NextBelow(anchors.size())];
+        if (anchor->HasAttribute("href")) {
+          anchor->RemoveAttribute("href");
+        } else {
+          anchor->SetAttribute("href", "rel/" + n);
+        }
+      }
+      break;
+    case 8: {  // attributes the rewrite sets are already present
+      static const char* const kTags[] = {"input", "a", "button", "form"};
+      auto element = MakeElement(kTags[rng->NextBelow(4)]);
+      element->SetAttribute("data-rcb-id", "99");
+      element->SetAttribute("onclick", "evil()");
+      element->SetAttribute("onchange", "evil()");
+      if (element->tag_name() == "a") {
+        element->SetAttribute("href", "rel/" + n);
+      }
+      element->SetAttribute("name", "pre" + n);
+      target->AppendChild(std::move(element));
+      break;
+    }
+    case 9: {  // image input: a form field with a supplementary object
+      auto input = MakeElement("input");
+      input->SetAttribute("type", "image");
+      // Half the time an object the page already loaded, so cache mode
+      // rewrites it to /obj/<key>.
+      input->SetAttribute(
+          "src", !known_objects.empty() && rng->NextBelow(2) == 0
+                     ? known_objects[rng->NextBelow(known_objects.size())]
+                     : RandomUrlValue(rng, step, known_objects));
+      target->AppendChild(std::move(input));
+      break;
+    }
+    case 10: {  // URL edit on a head child
+      Element* head = document->head();
+      if (head == nullptr) {
+        break;
+      }
+      Element* link = nullptr;
+      for (const auto& child : head->children()) {
+        Element* element = child->AsElement();
+        if (element != nullptr && (element->tag_name() == "link" ||
+                                   element->tag_name() == "script")) {
+          link = element;
+        }
+      }
+      if (link == nullptr) {
+        auto fresh = MakeElement("link");
+        fresh->SetAttribute("rel", "icon");
+        link = static_cast<Element*>(head->AppendChild(std::move(fresh)));
+      }
+      link->SetAttribute(link->tag_name() == "script" ? "src" : "href",
+                         RandomUrlValue(rng, step, known_objects));
+      break;
+    }
     default: {  // plain subtree insertion
       auto div = MakeElement("div");
       div->SetAttribute("class", "mut");
-      div->AppendChild(MakeText("item " + std::to_string(step)));
+      div->AppendChild(MakeText("item " + n));
       target->AppendChild(std::move(div));
       break;
     }
@@ -304,6 +309,12 @@ TEST_P(SerializeCachePropertyTest, IncrementalMatchesColdFullSerialization) {
   ContentGenOptions options;
   options.cache_mode = (seed % 2) == 0;
   options.agent_url = Url::Make("http", "host-pc", 3000, "/");
+  if (seed % 4 == 0) {
+    // §4.1.2 per-object modes: images via the agent, the rest from origin.
+    options.cache_object_filter = [](const Url&, const std::string& kind) {
+      return kind == "image";
+    };
+  }
 
   GeneratorTuning incremental_tuning;  // defaults: incremental on
   ContentGenerator incremental(&browser, incremental_tuning);
@@ -322,7 +333,7 @@ TEST_P(SerializeCachePropertyTest, IncrementalMatchesColdFullSerialization) {
     }
     GenerationResult warm = incremental.Generate(1000 + step, options);
     // A brand-new generator with incremental off is the cold reference: no
-    // cache, no arena reuse, the pre-PR serialization path.
+    // cache, a fresh clone rewritten by the three whole-tree passes.
     ContentGenerator cold(&browser, cold_tuning);
     GenerationResult reference = cold.Generate(1000 + step, options);
 
@@ -342,19 +353,22 @@ TEST_P(SerializeCachePropertyTest, IncrementalMatchesColdFullSerialization) {
     EXPECT_EQ(spliced_stats.payload_escaped_bytes,
               fresh_stats.payload_escaped_bytes);
     EXPECT_EQ(reference.interactive_elements, warm.interactive_elements);
+    if (step == 0) {
+      // Nothing cached yet: the live path rewrote everything the clone did.
+      EXPECT_EQ(reference.urls_absolutized, warm.urls_absolutized);
+      EXPECT_EQ(reference.urls_cache_rewritten, warm.urls_cache_rewritten);
+    }
   }
   // The schedules leave most of the page untouched, so the cache must have
   // done real splicing work — this is the perf half of the contract.
   const SerializeCache::Stats& stats = incremental.serialize_cache_stats();
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.hit_bytes, 0u);
-  // Arena hygiene: every generation reset cleanly (no escaped allocations).
-  EXPECT_EQ(incremental.arena_stats().quarantines, 0u);
-  EXPECT_EQ(incremental.arena_stats().live, 0u);
 }
 
+// Seeds 1..20 cover every Table 1 site once (site = seed % 20).
 INSTANTIATE_TEST_SUITE_P(Seeds, SerializeCachePropertyTest,
-                         ::testing::Range<uint64_t>(1, 9));
+                         ::testing::Range<uint64_t>(1, 21));
 
 // ---------------------------------------------------------------------------
 // Targeted cache-identity hazards
@@ -411,19 +425,26 @@ class SerializeCacheTest : public ::testing::Test {
 TEST_F(SerializeCacheTest, UnchangedRegenerationHitsTheCache) {
   Load("<html><head><title>T</title></head><body>"
        "<div id=\"a\"><p>alpha content long enough to clear the minimum "
-       "cacheable span size threshold</p></div>"
+       "cacheable span size threshold</p><img src=\"img/a.png\"></div>"
        "<div id=\"b\"><p>beta content long enough to clear the minimum "
-       "cacheable span size threshold</p></div>"
-       "</body></html>");
+       "cacheable span size threshold</p><img src=\"/img/b.png\"></div>"
+       "</body></html>",
+       {{"/img/a.png", "A"}, {"/img/b.png", "B"}});
   ContentGenerator generator(browser_.get());
-  ContentGenOptions options = Options(/*cache_mode=*/false);
+  ContentGenOptions options = Options(/*cache_mode=*/true);
   GenerationResult first = generator.Generate(1000, options);
+  EXPECT_EQ(first.urls_absolutized, 2u);
+  EXPECT_EQ(first.urls_cache_rewritten, 2u);
   uint64_t misses_after_first = generator.serialize_cache_stats().misses;
   GenerationResult second = generator.Generate(2000, options);
   EXPECT_EQ(first.snapshot.body->inner_html, second.snapshot.body->inner_html);
-  // The second pass re-serialized nothing below the payload roots.
+  // The second pass re-serialized nothing below the payload roots...
   EXPECT_GT(generator.serialize_cache_stats().hits, 0u);
   EXPECT_EQ(generator.serialize_cache_stats().misses, misses_after_first);
+  // ...and so rewrote nothing: the rewrites ride the miss path only.
+  EXPECT_EQ(second.urls_absolutized, 0u);
+  EXPECT_EQ(second.urls_cache_rewritten, 0u);
+  EXPECT_EQ(SerializeSnapshotXml(second.snapshot), ColdXml(2000, options));
 }
 
 TEST_F(SerializeCacheTest, InsertedInteractiveElementShiftsTrailingIds) {
@@ -509,11 +530,12 @@ TEST_F(SerializeCacheTest, BudgetIsEnforcedByEviction) {
   EXPECT_GT(generator.serialize_cache_stats().evictions, 0u);
 }
 
-TEST_F(SerializeCacheTest, ResultsRemainValidAfterArenaReuse) {
+TEST_F(SerializeCacheTest, ResultsRemainValidAcrossGenerations) {
   // Dangling-span regression: everything a Generate returns must be owned
-  // copies, never views into the arena'd clone or the cache. Reading the
-  // first result after later generations have reset and reused the arena is
-  // a heap-use-after-free under the RCB_SANITIZE build if any span escaped.
+  // copies, never views into the live DOM or the cache. Reading the first
+  // result after later mutations have freed the nodes it was serialized
+  // from is a heap-use-after-free under the RCB_SANITIZE build if any span
+  // escaped.
   Load("<html><head><title>T</title></head><body>"
        "<div id=\"a\"><p>alpha content that fills a cacheable span nicely"
        "</p></div><a href=\"/x\">go</a></body></html>");
@@ -524,8 +546,10 @@ TEST_F(SerializeCacheTest, ResultsRemainValidAfterArenaReuse) {
       SerializeSnapshotXml(first.snapshot, nullptr, &first.escaped, nullptr);
   for (int step = 0; step < 5; ++step) {
     browser_->MutateDocument([&](Document* document) {
-      document->ById("a")->AppendChild(
-          MakeText("more " + std::to_string(step)));
+      // Frees the nodes the first result was serialized from.
+      Element* div = document->ById("a");
+      div->RemoveAllChildren();
+      div->AppendChild(MakeText("more " + std::to_string(step)));
     });
     generator.Generate(2000 + step, options);
   }

@@ -301,6 +301,42 @@ TEST_F(TransportSessionTest, FramedStreamCarriesRemoteActionsPromptly) {
   EXPECT_TRUE(session.snippet(1)->frames_open());
 }
 
+TEST_F(TransportSessionTest, FramedStreamAppliesOwnCoFill) {
+  // A framed-stream participant's gestures leave on a side POST. When that
+  // POST creates the new version (its own co-fill), the agent answers it
+  // with the content and marks it delivered, so the stream never re-sends
+  // it: the snippet has to apply the POST's reply itself.
+  site_->ServeStatic("/", "text/html",
+                     "<html><head><title>T</title></head><body>"
+                     "<form id=\"f\"><input name=\"q\"></form>"
+                     "</body></html>");
+  SessionOptions options = BaseOptions();
+  options.enable_transport = true;
+  options.snippet_stream_mode = transport::kStreamFrames;
+  CoBrowsingSession session(&loop_, &network_, options);
+  ASSERT_TRUE(session.Start().ok());
+  NavigateHost(&session);
+  ASSERT_TRUE(loop_.RunUntilCondition(
+      [&] { return session.snippet(0)->frames_open(); }));
+  const int64_t before = session.snippet(0)->doc_time_ms();
+
+  auto host_value = [&] {
+    Element* input =
+        session.host_browser()->document()->ById("f")->FindFirst("input");
+    return input->AttrOr("value");
+  };
+  Element* form = session.participant_browser(0)->document()->ById("f");
+  ASSERT_NE(form, nullptr);
+  ASSERT_TRUE(session.snippet(0)->FillFormField(form, "q", "hello").ok());
+  ASSERT_TRUE(loop_.RunUntilCondition([&] { return host_value() == "hello"; }));
+
+  ASSERT_TRUE(session.WaitForSync().ok());
+  EXPECT_GT(session.snippet(0)->doc_time_ms(), before);
+  EXPECT_EQ(session.snippet(0)->doc_time_ms(),
+            session.agent()->CurrentSnapshotForTest().doc_time_ms);
+  EXPECT_TRUE(session.snippet(0)->frames_open());
+}
+
 TEST_F(TransportSessionTest, IdleFramedStreamStaysAliveOnHeartbeats) {
   SessionOptions options = BaseOptions();
   options.enable_transport = true;
