@@ -427,7 +427,7 @@ check_metrics_doc() {
 }
 
 check_e2e_smoke() {
-  echo "=== e2e smoke: ledger_test + edit_full/edit_delta convergence ==="
+  echo "=== e2e smoke: ledger_test + edit_full/edit_delta/host_fanout convergence ==="
   # The benchmark's own CMake project (e2e_bench/README.md); run.py reuses
   # this build directory.
   local dir=".bench_build/e2e_bench"
@@ -436,10 +436,11 @@ check_e2e_smoke() {
   cmake --build "${dir}" --target ledger_test
   "${dir}/ledger_test" --gtest_brief=1
   # End-to-end convergence oracle over the full-snapshot path (the clone-free
-  # generator) and the delta path: every participant digest must match the
+  # generator), the delta path and the multi-session host (every poll and
+  # frame HMAC-signed and verified): every participant digest must match the
   # host's, and no delivery may fail.
   local workload result
-  for workload in edit_full edit_delta; do
+  for workload in edit_full edit_delta host_fanout; do
     result="$(python3 e2e_bench/run.py --workload "${workload}" --seed 1 \
         --seconds 3 --trace 0 | tail -n 1)"
     python3 -c 'import json, sys

@@ -1,5 +1,6 @@
 #include "src/core/protocol.h"
 
+#include "src/crypto/hmac.h"
 #include "src/http/form.h"
 #include "src/util/escape.h"
 #include "src/util/strings.h"
@@ -254,6 +255,32 @@ StatusOr<PollRequest> DecodePollRequest(std::string_view body) {
     return InvalidArgumentError("poll request missing pid/ts");
   }
   return request;
+}
+
+bool VerifyRequestMac(std::string_view key, const HttpRequest& request) {
+  if (key.empty()) {
+    return true;
+  }
+  std::string provided;
+  std::vector<std::pair<std::string, std::string>> rest;
+  for (auto& [name, value] : ParseFormUrlEncodedOrdered(request.QueryString())) {
+    if (name == "hmac") {
+      provided = std::move(value);
+    } else {
+      rest.emplace_back(std::move(name), std::move(value));
+    }
+  }
+  if (provided.empty()) {
+    return false;
+  }
+  std::string message = std::string(HttpMethodName(request.method)) + " " +
+                        request.Path();
+  if (!rest.empty()) {
+    message += "?" + EncodeFormUrlEncoded(rest);
+  }
+  message += "\n";
+  message += request.body;
+  return ConstantTimeEquals(HmacSha256Hex(key, message), provided);
 }
 
 }  // namespace rcb

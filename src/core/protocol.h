@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/core/actions.h"
+#include "src/http/message.h"
 #include "src/util/status.h"
 
 namespace rcb {
@@ -149,6 +150,16 @@ struct PollRequest {
 
 std::string EncodePollRequest(const PollRequest& request);
 StatusOr<PollRequest> DecodePollRequest(std::string_view body);
+
+// ---------------------------------------------------------------------------
+// Request authentication (§3.4).
+// ---------------------------------------------------------------------------
+
+// True when `request` carries an `hmac` query parameter equal, in constant
+// time, to HmacSha256Hex(key, "<METHOD> <target>\n<body>"), where <target>
+// is the path plus the remaining query parameters re-encoded in order. An
+// empty key means authentication is off, and every request passes.
+bool VerifyRequestMac(std::string_view key, const HttpRequest& request);
 
 }  // namespace rcb
 

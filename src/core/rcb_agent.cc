@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdlib>
 
-#include "src/crypto/hmac.h"
 #include "src/delta/tree_diff.h"
 #include "src/html/parser.h"
 #include "src/html/serializer.h"
@@ -1524,30 +1523,7 @@ bool RcbAgent::VerifyRequestAuth(const HttpRequest& request) {
   obs::WallSpan span(&trace_, "agent.auth.hmac_verify",
                      browser_->loop()->now().micros(), hmac_verify_us_,
                      &trace_ctx_);
-  // The hmac parameter is carried in the request-URI; the MAC covers the
-  // method, the URI without that parameter, and the body.
-  auto params = ParseFormUrlEncodedOrdered(request.QueryString());
-  std::string provided;
-  std::vector<std::pair<std::string, std::string>> rest;
-  for (auto& [name, value] : params) {
-    if (name == "hmac") {
-      provided = value;
-    } else {
-      rest.emplace_back(name, value);
-    }
-  }
-  if (provided.empty()) {
-    return false;
-  }
-  std::string canonical_target = request.Path();
-  std::string rest_query = EncodeFormUrlEncoded(rest);
-  if (!rest_query.empty()) {
-    canonical_target += "?" + rest_query;
-  }
-  std::string message = std::string(HttpMethodName(request.method)) + " " +
-                        canonical_target + "\n" + request.body;
-  std::string expected = HmacSha256Hex(config_.session_key, message);
-  return ConstantTimeEquals(expected, provided);
+  return VerifyRequestMac(config_.session_key, request);
 }
 
 HttpResponse RcbAgent::HandlePoll(const HttpRequest& request) {

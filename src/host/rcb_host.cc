@@ -5,8 +5,6 @@
 #include <filesystem>
 #include <utility>
 
-#include "src/crypto/hmac.h"
-#include "src/http/form.h"
 #include "src/util/json.h"
 #include "src/util/logging.h"
 #include "src/util/rand.h"
@@ -767,38 +765,8 @@ HttpResponse RcbHost::HandleHostMetrics(const HttpRequest& request) const {
                           registry_.RenderPrometheus(options));
 }
 
-bool RcbHost::VerifyHostAuth(const HttpRequest& request) const {
-  const std::string& key = config_.agent_defaults.session_key;
-  if (key.empty()) {
-    return true;
-  }
-  // Same canonical message as RcbAgent::VerifyRequestAuth: the hmac query
-  // parameter is lifted out, the MAC covers method + remaining target + body.
-  auto params = ParseFormUrlEncodedOrdered(request.QueryString());
-  std::string provided;
-  std::vector<std::pair<std::string, std::string>> rest;
-  for (auto& [name, value] : params) {
-    if (name == "hmac") {
-      provided = value;
-    } else {
-      rest.emplace_back(name, value);
-    }
-  }
-  if (provided.empty()) {
-    return false;
-  }
-  std::string canonical_target = request.Path();
-  std::string rest_query = EncodeFormUrlEncoded(rest);
-  if (!rest_query.empty()) {
-    canonical_target += "?" + rest_query;
-  }
-  std::string message = std::string(HttpMethodName(request.method)) + " " +
-                        canonical_target + "\n" + request.body;
-  return ConstantTimeEquals(HmacSha256Hex(key, message), provided);
-}
-
 HttpResponse RcbHost::HandleHostHealth(const HttpRequest& request) {
-  if (!VerifyHostAuth(request)) {
+  if (!VerifyRequestMac(config_.agent_defaults.session_key, request)) {
     flight_.Trigger("auth_failure", loop_->now().micros());
     return HttpResponse::Forbidden("request authentication failed");
   }

@@ -261,9 +261,6 @@ class RcbHost {
   // first (DESIGN.md §16). HMAC-gated like the agents' /metrics when the
   // agent template carries a session key.
   HttpResponse HandleHostHealth(const HttpRequest& request);
-  // Same canonical "<METHOD> <target-minus-hmac>\n<body>" check the agents
-  // apply, keyed by agent_defaults.session_key (empty key = open).
-  bool VerifyHostAuth(const HttpRequest& request) const;
 
   // Tears down one session and folds its counters into retired_. Persist
   // files are removed when the session ends on purpose (close/reap) and kept

@@ -45,6 +45,63 @@ int HexValue(char c) {
   return -1;
 }
 
+// Emits a code point: a raw byte for the Latin-1 range (our DOM stores
+// bytes), UTF-8 for anything above it.
+void AppendCodePoint(uint32_t cp, std::string* out) {
+  if (cp <= 0xFF) {
+    out->push_back(static_cast<char>(cp));
+  } else if (cp <= 0x7FF) {
+    out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else if (cp <= 0xFFFF) {
+    out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else {
+    out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  }
+}
+
+// The code point of a JS escape() "%uXXXX" at input[i], or -1.
+int UnicodeEscapeAt(std::string_view input, size_t i) {
+  if (i + 5 >= input.size() || input[i] != '%' ||
+      (input[i + 1] != 'u' && input[i + 1] != 'U')) {
+    return -1;
+  }
+  int cp = 0;
+  for (size_t k = i + 2; k < i + 6; ++k) {
+    int v = HexValue(input[k]);
+    if (v < 0) {
+      return -1;
+    }
+    cp = (cp << 4) | v;
+  }
+  return cp;
+}
+
+// Decodes the "%uXXXX" at input[i] into `out`, joining a UTF-16 surrogate
+// pair (how escape() writes an astral code point) into one code point.
+// Returns the bytes consumed: 0 when input[i] starts no such escape.
+size_t AppendUnicodeEscape(std::string_view input, size_t i, std::string* out) {
+  int cp = UnicodeEscapeAt(input, i);
+  if (cp < 0) {
+    return 0;
+  }
+  size_t used = 6;
+  if (cp >= 0xD800 && cp <= 0xDBFF) {
+    int low = UnicodeEscapeAt(input, i + used);
+    if (low >= 0xDC00 && low <= 0xDFFF) {
+      cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+      used += 6;
+    }
+  }
+  AppendCodePoint(static_cast<uint32_t>(cp), out);
+  return used;
+}
+
 }  // namespace
 
 std::string JsEscape(std::string_view input) {
@@ -71,32 +128,19 @@ std::string JsUnescape(std::string_view input) {
   std::string out;
   out.reserve(input.size());
   for (size_t i = 0; i < input.size();) {
-    if (input[i] == '%' && i + 5 < input.size() &&
-        (input[i + 1] == 'u' || input[i + 1] == 'U')) {
-      int h1 = HexValue(input[i + 2]);
-      int h2 = HexValue(input[i + 3]);
-      int h3 = HexValue(input[i + 4]);
-      int h4 = HexValue(input[i + 5]);
-      if (h1 >= 0 && h2 >= 0 && h3 >= 0 && h4 >= 0) {
-        int cp = (h1 << 12) | (h2 << 8) | (h3 << 4) | h4;
-        if (cp <= 0xFF) {
-          out.push_back(static_cast<char>(cp));
-        } else {
-          // Encode as UTF-8 for code points above Latin-1; our DOM stores
-          // bytes, so this is the round-trippable representation.
-          out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
-          out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    if (input[i] == '%') {
+      // "%XX" first: it is the common form, and 'u' is no hex digit.
+      if (i + 2 < input.size()) {
+        int hi = HexValue(input[i + 1]);
+        int lo = HexValue(input[i + 2]);
+        if (hi >= 0 && lo >= 0) {
+          out.push_back(static_cast<char>((hi << 4) | lo));
+          i += 3;
+          continue;
         }
-        i += 6;
-        continue;
       }
-    }
-    if (input[i] == '%' && i + 2 < input.size()) {
-      int hi = HexValue(input[i + 1]);
-      int lo = HexValue(input[i + 2]);
-      if (hi >= 0 && lo >= 0) {
-        out.push_back(static_cast<char>((hi << 4) | lo));
-        i += 3;
+      if (size_t used = AppendUnicodeEscape(input, i, &out); used > 0) {
+        i += used;
         continue;
       }
     }
@@ -153,27 +197,34 @@ std::string HtmlEscape(std::string_view input) {
 }
 
 void HtmlEscapeAppend(std::string_view input, std::string* out) {
-  for (char c : input) {
-    switch (c) {
+  // Copy each run between escapable bytes in one append.
+  size_t run = 0;
+  for (size_t i = 0; i < input.size(); ++i) {
+    std::string_view entity;
+    switch (input[i]) {
       case '&':
-        out->append("&amp;");
+        entity = "&amp;";
         break;
       case '<':
-        out->append("&lt;");
+        entity = "&lt;";
         break;
       case '>':
-        out->append("&gt;");
+        entity = "&gt;";
         break;
       case '"':
-        out->append("&quot;");
+        entity = "&quot;";
         break;
       case '\'':
-        out->append("&#39;");
+        entity = "&#39;";
         break;
       default:
-        out->push_back(c);
+        continue;
     }
+    out->append(input.data() + run, i - run);
+    out->append(entity);
+    run = i + 1;
   }
+  out->append(input.data() + run, input.size() - run);
 }
 
 namespace {
@@ -207,37 +258,20 @@ constexpr NamedEntity kNamedEntities[] = {
     {"larr", 0x2190},  {"uarr", 0x2191}, {"rarr", 0x2192}, {"darr", 0x2193},
 };
 
-// Emits a code point: a raw byte for the Latin-1 range (our DOM stores
-// bytes), UTF-8 for anything above it.
-void AppendCodePoint(uint32_t cp, std::string* out) {
-  if (cp <= 0xFF) {
-    out->push_back(static_cast<char>(cp));
-  } else if (cp <= 0x7FF) {
-    out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  } else if (cp <= 0xFFFF) {
-    out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  } else {
-    out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  }
-}
-
 }  // namespace
 
 std::string HtmlUnescape(std::string_view input) {
   std::string out;
   out.reserve(input.size());
   for (size_t i = 0; i < input.size();) {
-    if (input[i] != '&') {
-      out.push_back(input[i]);
-      ++i;
-      continue;
+    // Copy everything up to the next '&' in one append.
+    size_t amp = input.find('&', i);
+    if (amp == std::string_view::npos) {
+      out.append(input.substr(i));
+      break;
     }
+    out.append(input.substr(i, amp - i));
+    i = amp;
     size_t semi = input.find(';', i + 1);
     if (semi == std::string_view::npos || semi - i > 10) {
       out.push_back(input[i]);

@@ -2,13 +2,20 @@
 // key generation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/crypto/hmac.h"
 #include "src/crypto/session_key.h"
 #include "src/crypto/sha256.h"
 #include "src/util/base64.h"
+#include "src/util/rand.h"
 
 namespace rcb {
 namespace {
+
+using sha256_internal::CompressFn;
+using sha256_internal::CompressPortable;
+using sha256_internal::ShaNiCompress;
 
 // FIPS 180-4 / NIST example vectors.
 TEST(Sha256Test, EmptyString) {
@@ -63,6 +70,94 @@ TEST(Sha256Test, BoundaryLengths) {
                           digest.size()),
               Sha256::Digest(message))
         << "length " << n;
+  }
+}
+
+// One-shot SHA-256 straight on a compression body: FIPS 180-4 padding, then
+// every block in a single multi-block call. Bypasses Sha256's buffering.
+std::string DigestWith(CompressFn body, std::string_view message) {
+  std::string padded(message);
+  padded.push_back('\x80');
+  while (padded.size() % Sha256::kBlockSize != Sha256::kBlockSize - 8) {
+    padded.push_back('\0');
+  }
+  uint64_t bit_len = message.size() * 8;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    padded.push_back(static_cast<char>(bit_len >> shift));
+  }
+  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  body(state, reinterpret_cast<const uint8_t*>(padded.data()),
+       padded.size() / Sha256::kBlockSize);
+  std::string digest;
+  for (uint32_t word : state) {
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      digest.push_back(static_cast<char>(word >> shift));
+    }
+  }
+  return digest;
+}
+
+// Feeds `message` to a Sha256 in random chunks (empty ones included).
+std::string ChunkedDigest(std::string_view message, Rng* rng) {
+  Sha256 hasher;
+  size_t pos = 0;
+  while (pos < message.size()) {
+    size_t n = rng->NextBelow(std::min<size_t>(message.size() - pos, 200) + 1);
+    hasher.Update(message.substr(pos, n));
+    pos += n;
+  }
+  auto digest = hasher.Finish();
+  return std::string(reinterpret_cast<const char*>(digest.data()),
+                     digest.size());
+}
+
+TEST(Sha256KernelTest, PortableBodyMatchesVectors) {
+  EXPECT_EQ(HexEncode(DigestWith(CompressPortable, "abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(HexEncode(DigestWith(
+                CompressPortable,
+                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+TEST(Sha256KernelTest, ShaNiBodyMatchesPortableOnRandomMessages) {
+  CompressFn shani = ShaNiCompress();
+  if (shani == nullptr) {
+    GTEST_SKIP() << "CPU lacks SHA-NI (or is not x86-64): only the portable "
+                    "body runs here";
+  }
+  Rng rng(180);
+  for (int iter = 0; iter < 400; ++iter) {
+    std::string message = rng.NextBytes(rng.NextBelow(1101));
+    EXPECT_EQ(DigestWith(shani, message),
+              DigestWith(CompressPortable, message))
+        << "length " << message.size();
+  }
+}
+
+// Sha256 runs the body the CPU selected; its buffering must agree with the
+// portable one-shot reference under any chunking.
+TEST(Sha256KernelTest, ChunkedUpdatesMatchPortableOneShot) {
+  Rng rng(4231);
+  for (int iter = 0; iter < 400; ++iter) {
+    std::string message = rng.NextBytes(rng.NextBelow(1101));
+    EXPECT_EQ(ChunkedDigest(message, &rng),
+              DigestWith(CompressPortable, message))
+        << "length " << message.size();
+  }
+  // A partial buffer, then a run that completes it and carries several
+  // whole blocks plus a tail.
+  std::string message = rng.NextBytes(1100);
+  for (size_t head : {1u, 10u, 63u}) {
+    Sha256 hasher;
+    hasher.Update(std::string_view(message).substr(0, head));
+    hasher.Update(std::string_view(message).substr(head));
+    auto digest = hasher.Finish();
+    EXPECT_EQ(std::string(reinterpret_cast<const char*>(digest.data()),
+                          digest.size()),
+              DigestWith(CompressPortable, message))
+        << "head " << head;
   }
 }
 

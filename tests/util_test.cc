@@ -1,6 +1,10 @@
 // Unit tests for src/util: status, strings, escape, base64, rand, sim_time.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "src/util/base64.h"
 #include "src/util/escape.h"
 #include "src/util/rand.h"
@@ -172,6 +176,11 @@ TEST(EscapeTest, JsUnescapeInverse) {
 
 TEST(EscapeTest, JsUnescapeHandlesUnicodeForm) {
   EXPECT_EQ(JsUnescape("%u0041"), "A");
+  // Above U+07FF: three UTF-8 bytes, like HtmlUnescape("&#x20AC;").
+  EXPECT_EQ(JsUnescape("%u20AC"), "\xE2\x82\xAC");
+  EXPECT_EQ(JsUnescape("%u0800"), "\xE0\xA0\x80");
+  // A UTF-16 surrogate pair, as escape() writes U+1F600: one 4-byte sequence.
+  EXPECT_EQ(JsUnescape("%uD83D%uDE00"), "\xF0\x9F\x98\x80");
   // Malformed sequences pass through.
   EXPECT_EQ(JsUnescape("%zz"), "%zz");
   EXPECT_EQ(JsUnescape("%"), "%");
@@ -225,6 +234,113 @@ TEST(EscapeTest, NumericEntitiesAboveLatin1) {
 TEST(EscapeTest, HtmlRoundTrip) {
   std::string text = "if (a < b && c > d) { print(\"x'\"); }";
   EXPECT_EQ(HtmlUnescape(HtmlEscape(text)), text);
+}
+
+// Byte-at-a-time HtmlEscapeAppend and HtmlUnescape as they were before the
+// run-copy kernels: the oracles for the differential tests below.
+void ReferenceHtmlEscapeAppend(std::string_view input, std::string* out) {
+  for (char c : input) {
+    switch (c) {
+      case '&':
+        out->append("&amp;");
+        break;
+      case '<':
+        out->append("&lt;");
+        break;
+      case '>':
+        out->append("&gt;");
+        break;
+      case '"':
+        out->append("&quot;");
+        break;
+      case '\'':
+        out->append("&#39;");
+        break;
+      default:
+        out->push_back(c);
+    }
+  }
+}
+
+// Entity decoding is delegated to HtmlUnescape one reference at a time, so
+// the oracle pins the run-copy scan (what is copied verbatim, where each
+// reference starts and ends) and not the unchanged entity table.
+std::string ReferenceHtmlUnescape(std::string_view input) {
+  std::string out;
+  for (size_t i = 0; i < input.size();) {
+    if (input[i] != '&') {
+      out.push_back(input[i]);
+      ++i;
+      continue;
+    }
+    size_t semi = input.find(';', i + 1);
+    if (semi == std::string_view::npos || semi - i > 10) {
+      out.push_back(input[i]);
+      ++i;
+      continue;
+    }
+    out += HtmlUnescape(input.substr(i, semi - i + 1));
+    i = semi + 1;
+  }
+  return out;
+}
+
+std::string AllBytes() {
+  std::string all;
+  for (int i = 0; i < 256; ++i) {
+    all.push_back(static_cast<char>(i));
+  }
+  return all;
+}
+
+// Random strings over `alphabet`, dense in the bytes the codecs act on.
+std::string RandomOver(std::string_view alphabet, size_t n, Rng* rng) {
+  std::string out;
+  for (size_t i = 0; i < n; ++i) {
+    out.push_back(alphabet[rng->NextBelow(alphabet.size())]);
+  }
+  return out;
+}
+
+TEST(EscapeKernelTest, HtmlEscapeAppendMatchesByteLoop) {
+  Rng rng(39);
+  std::vector<std::string> inputs = {"", AllBytes(), "&<>\"'", "plain"};
+  for (int i = 0; i < 200; ++i) {
+    inputs.push_back(RandomOver("&<>\"'ab", rng.NextBelow(64), &rng));
+    inputs.push_back(rng.NextBytes(rng.NextBelow(300)));
+  }
+  for (const std::string& input : inputs) {
+    for (std::string prefix : {"", "already here & <kept>"}) {
+      std::string expected = prefix;
+      ReferenceHtmlEscapeAppend(input, &expected);
+      std::string actual = prefix;
+      HtmlEscapeAppend(input, &actual);
+      EXPECT_EQ(actual, expected) << HexEncode(input);
+    }
+  }
+}
+
+TEST(EscapeKernelTest, HtmlUnescapeMatchesByteLoop) {
+  Rng rng(59);
+  std::vector<std::string> inputs = {
+      "", AllBytes(), "&", "x&", "&;", "&#;", "&#x;", "&amp", "a&amp",
+      "&verylongentity;", "&amp;&lt;&#65;&#x42;&euro;&bogus;", "&&amp;;",
+      "&#x110000;", "&#99999999999;", "tail &copy"};
+  for (int i = 0; i < 300; ++i) {
+    inputs.push_back(RandomOver("&;#xamp1lt", rng.NextBelow(64), &rng));
+    inputs.push_back(rng.NextBytes(rng.NextBelow(300)));
+  }
+  for (const std::string& input : inputs) {
+    EXPECT_EQ(HtmlUnescape(input), ReferenceHtmlUnescape(input))
+        << HexEncode(input);
+  }
+  EXPECT_EQ(HtmlUnescape("&"), "&");
+  EXPECT_EQ(HtmlUnescape("&;"), "&;");
+  EXPECT_EQ(HtmlUnescape("&#;"), "&#;");
+  EXPECT_EQ(HtmlUnescape("&#x;"), "&#x;");
+  EXPECT_EQ(HtmlUnescape("a &amp"), "a &amp");
+  EXPECT_EQ(HtmlUnescape("&verylongentity;"), "&verylongentity;");
+  EXPECT_EQ(HtmlUnescape(HtmlEscape(AllBytes())), AllBytes());
 }
 
 // Property sweep: JsEscape/JsUnescape round-trips random binary blobs.
