@@ -5,7 +5,8 @@
 #
 # Usage: scripts/bench_all.sh [build_dir] [artifact_dir]
 #   build_dir     default: build
-#   artifact_dir  default: bench-artifacts (created; existing JSON kept)
+#   artifact_dir  default: build/bench-artifacts (created; existing JSON kept;
+#                 git-ignored, the root BENCH_*.json are the committed copies)
 #
 # Every artifact carries a config_fingerprint; re-running with the same
 # configuration overwrites in place, so the directory always holds one
@@ -15,7 +16,7 @@ set -uo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build}"
-ARTIFACT_DIR="${2:-bench-artifacts}"
+ARTIFACT_DIR="${2:-build/bench-artifacts}"
 
 if [[ ! -d "${BUILD_DIR}/bench" ]]; then
   echo "error: ${BUILD_DIR}/bench not found — build first:" >&2

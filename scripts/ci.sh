@@ -98,7 +98,7 @@ check_hotpath() {
     # §5). Wall-clock under sanitizers is not comparable, so only the plain
     # build ratchets.
     if [[ "${build_dir}" != *asan* ]]; then
-      local committed="bench-artifacts/BENCH_hotpath.json"
+      local committed="BENCH_hotpath.json"
       if [[ -f "${committed}" ]]; then
         local ratchet_jq='([.metrics[] | select(.name == "speedup_median")
              | .value][0]) as $committed
@@ -120,7 +120,7 @@ check_hotpath() {
       # The committed micro artifact must stay self-consistent: for every
       # measured page the incremental per-update generation series must be
       # no slower than the pinned full series it rides next to.
-      local micro="bench-artifacts/BENCH_micro.json"
+      local micro="BENCH_micro.json"
       if [[ -f "${micro}" ]]; then
         jq -e '[.metrics[] | select(.name | test("^BM_ContentGeneration(Incremental)?_[0-9]+_real_ns$"))
                 | {name, value}] as $m
@@ -314,7 +314,7 @@ check_transport() {
     # flaky environment cannot block a good change. The sanitized sweep is
     # reduced, so only the plain build compares with the committed artifact.
     if [[ "${build_dir}" != *asan* ]]; then
-      local committed="bench-artifacts/BENCH_transport.json"
+      local committed="BENCH_transport.json"
       if [[ -f "${committed}" ]]; then
         local floor_jq='([.metrics[]
              | select(.name == "wan_poll_median_latency_us") | .value][0])

@@ -848,7 +848,11 @@ void AjaxSnippet::OnFramesData(std::string_view data) {
         std::string_view(frames_buffer_).substr(0, head_end);
     if (head.find(" 200 ") == std::string_view::npos) {
       RCB_LOG(kWarning) << "ajax-snippet: frames request rejected";
-      ++metrics_.auth_rejections;
+      // Only a 403 is an auth rejection; a 503 (held-stream cap, roster cap,
+      // recovery deferral) is load shedding.
+      if (head.find(" 403 ") != std::string_view::npos) {
+        ++metrics_.auth_rejections;
+      }
       OnFramedStreamFailure();
       return;
     }

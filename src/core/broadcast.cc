@@ -3,6 +3,7 @@
 #include <chrono>
 #include <utility>
 
+#include "src/core/rcb_agent.h"
 #include "src/delta/tree_diff.h"
 #include "src/util/strings.h"
 
@@ -19,7 +20,7 @@ SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
   Slot& slot = slots_[cache_mode ? 1 : 0];
   if (slot.valid) {
     if (count_reuse) {
-      ++counters_.snapshot_reuses;
+      ++instruments_.metrics->snapshot_reuses;
     }
     return slot;
   }
@@ -66,12 +67,13 @@ SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
       }
     }
   }
-  ++counters_.generations;
-  counters_.last_generation_time = result.wall_time;
-  counters_.total_generation_time += result.wall_time;
-  counters_.last_snapshot_bytes = slot.xml.size();
-  counters_.snapshot_bytes_raw += serialize_stats.payload_raw_bytes;
-  counters_.snapshot_bytes_escaped += serialize_stats.payload_escaped_bytes;
+  AgentMetrics& metrics = *instruments_.metrics;
+  ++metrics.generations;
+  metrics.last_generation_time = result.wall_time;
+  metrics.total_generation_time += result.wall_time;
+  metrics.last_snapshot_bytes = slot.xml.size();
+  metrics.snapshot_bytes_raw += serialize_stats.payload_raw_bytes;
+  metrics.snapshot_bytes_escaped += serialize_stats.payload_escaped_bytes;
   // Feed the generator's per-stage breakdown into the stage histograms and
   // the trace ring (the generator itself stays observability-free).
   const std::pair<const char*, Duration> stages[5] = {
@@ -132,7 +134,7 @@ std::optional<std::string> SnapshotBroadcast::MaybeBuildPatchResponse(
     if (base == nullptr) {
       // The acked version aged out of the history (or predates delta being
       // enabled): only a full snapshot can resynchronize the participant.
-      ++counters_.patch_fallback_no_base;
+      ++instruments_.metrics->patch_fallback_no_base;
       cached.fallback = true;
     } else {
       cached.envelope.patch.version = delta::kPatchFormatVersion;
@@ -162,7 +164,7 @@ std::optional<std::string> SnapshotBroadcast::MaybeBuildPatchResponse(
       if (cached.xml.size() >
           options_.patch_size_cutoff * static_cast<double>(slot.xml.size())) {
         // A patch near snapshot size buys nothing but apply-time risk.
-        ++counters_.patch_fallback_oversize;
+        ++instruments_.metrics->patch_fallback_oversize;
         cached.fallback = true;
       }
     }

@@ -35,6 +35,8 @@
 
 namespace rcb {
 
+struct AgentMetrics;  // src/core/rcb_agent.h
+
 // The AgentConfig knobs the broadcast pipeline acts on (copied at agent
 // construction; the agent remains the single owner of its config).
 struct BroadcastOptions {
@@ -45,10 +47,13 @@ struct BroadcastOptions {
       cache_object_filter;
 };
 
-// Observability sinks threaded through by the owning agent. Every pointer
+// Observability sinks threaded through by the owning agent. `metrics` is
+// required: the pipeline counts generations, reuses, patch fallbacks and
+// escape bytes straight into the agent's AgentMetrics. Every other pointer
 // may be null (metrics-lite agents under a 10k-session host register no
 // per-session instruments); null sinks simply record nothing.
 struct BroadcastInstruments {
+  AgentMetrics* metrics = nullptr;
   obs::TraceLog* trace = nullptr;
   // Fig. 3 stage histograms in pipeline order:
   // clone, absolutize, cache_rewrite, event_rewrite, extract, serialize.
@@ -56,20 +61,6 @@ struct BroadcastInstruments {
   obs::Histogram* generation_us = nullptr;   // whole pipeline, wall
   obs::Histogram* snapshot_bytes = nullptr;  // serialized XML size, sim
   obs::Histogram* patch_ops = nullptr;       // ops per served patch, sim
-};
-
-// What the pipeline did. The owning agent mirrors these into AgentMetrics
-// after every call, so the public metrics surface is unchanged.
-struct BroadcastCounters {
-  uint64_t generations = 0;       // Fig. 3 pipeline executions
-  uint64_t snapshot_reuses = 0;   // content served without regeneration
-  uint64_t patch_fallback_no_base = 0;
-  uint64_t patch_fallback_oversize = 0;
-  uint64_t snapshot_bytes_raw = 0;
-  uint64_t snapshot_bytes_escaped = 0;
-  Duration last_generation_time;  // real CPU time (M5)
-  Duration total_generation_time;
-  size_t last_snapshot_bytes = 0;
 };
 
 class SnapshotBroadcast {
@@ -138,14 +129,11 @@ class SnapshotBroadcast {
       Slot& slot, int64_t base_time, std::vector<UserAction>* outbox,
       const obs::TraceContext& trace_ctx);
 
-  const BroadcastCounters& counters() const { return counters_; }
-
  private:
   ContentGenerator* generator_;
   EventLoop* loop_;
   BroadcastOptions options_;
   BroadcastInstruments instruments_;
-  BroadcastCounters counters_;
   bool dirty_ = true;
   Slot slots_[2];  // [0] non-cache mode, [1] cache mode
 };

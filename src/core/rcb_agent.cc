@@ -49,6 +49,8 @@ function rcbSubmit(el) { rcbQueue('submit', el); return false; }
 function rcbFill(el) { rcbQueue('fill', el); }
 )JS";
 
+constexpr std::string_view kAuthFailed = "request authentication failed";
+
 std::string_view StripPrefixView(std::string_view s, size_t n) {
   return s.substr(n);
 }
@@ -97,6 +99,7 @@ RcbAgent::RcbAgent(Browser* host_browser, AgentConfig config)
   broadcast_options.delta_history = config_.delta_history;
   broadcast_options.cache_object_filter = config_.cache_object_filter;
   BroadcastInstruments instruments;
+  instruments.metrics = &metrics_;
   instruments.trace = &trace_;
   for (size_t i = 0; i < 6; ++i) {
     instruments.stage_hist[i] = stage_hist_[i];
@@ -500,12 +503,9 @@ void RcbAgent::Stop() {
 
 HttpResponse RcbAgent::HandleHostRequest(const HttpRequest& request) {
   // The front-door router is synchronous: it cannot hold this connection, so
-  // transport upgrades (grants and parking) are suppressed for its requests.
-  front_door_request_ = true;
-  HttpResponse response = HandleRequest(request);
-  front_door_request_ = false;
-  park_intent_.reset();  // defensive: parking is suppressed above
-  return response;
+  // its requests are never granted an upgrade nor parked.
+  RequestScope scope;
+  return HandleRequest(request, scope);
 }
 
 Url RcbAgent::AgentUrl() const {
@@ -670,13 +670,13 @@ void RcbAgent::OnConnData(AgentConn* conn, std::string_view data) {
       HandleFramesRequest(conn, request);
       return;  // connection is now a held framed stream (or closed)
     }
-    HttpResponse response = HandleRequest(request);
-    if (park_intent_.has_value()) {
+    RequestScope scope;
+    scope.holdable = true;
+    HttpResponse response = HandleRequest(request, scope);
+    if (scope.park.has_value()) {
       // The poll found nothing to send and both sides hold the long-poll
       // capability: hold the connection instead of answering (DESIGN.md §15).
-      ParkIntent intent = std::move(*park_intent_);
-      park_intent_.reset();
-      ParkPoll(conn, std::move(intent));
+      ParkPoll(conn, std::move(*scope.park), std::move(scope.grant));
       return;
     }
     conn->endpoint->Send(response.Serialize());
@@ -705,11 +705,11 @@ void RcbAgent::OnDocumentChange() {
 // Streamed transport (DESIGN.md §15): held long-polls and framed streams.
 // ---------------------------------------------------------------------------
 
-void RcbAgent::ParkPoll(AgentConn* conn, ParkIntent intent) {
+void RcbAgent::ParkPoll(AgentConn* conn, ParkIntent intent, std::string grant) {
   const std::string pid = intent.pid;
   ParkedPoll parked;
   parked.conn = conn;
-  parked.grant = std::move(intent.grant);
+  parked.grant = std::move(grant);
   parked.acked_doc_time_ms = intent.acked_doc_time_ms;
   parked.deadline_id = browser_->loop()->Schedule(
       config_.transport.long_poll_hold,
@@ -737,11 +737,12 @@ void RcbAgent::ReleaseParkedPoll(const std::string& pid, bool expired) {
   if (!expired) {
     browser_->loop()->Cancel(parked.deadline_id);
   }
-  std::optional<std::string> body;
+  std::optional<ContentBody> body;
   auto participant_it = participants_.find(pid);
   if (participant_it != participants_.end()) {
     participant_it->second.last_poll = browser_->loop()->now();
-    body = TakeDelivery(pid, participant_it->second, parked.acked_doc_time_ms);
+    body = TakeDelivery(pid, participant_it->second, parked.acked_doc_time_ms,
+                        TransportExemplar(pid));
   }
   if (body.has_value()) {
     ++metrics_.transport_long_poll_flushes;
@@ -751,8 +752,8 @@ void RcbAgent::ReleaseParkedPoll(const std::string& pid, bool expired) {
     // round trip exactly once.
     ++metrics_.transport_long_poll_expiries;
   }
-  HttpResponse response =
-      HttpResponse::Ok("application/xml", std::move(body).value_or(""));
+  HttpResponse response = HttpResponse::Ok(
+      "application/xml", body.has_value() ? std::move(body->xml) : "");
   response.headers.Set("RCB-Transport", parked.grant);
   AgentConn* conn = parked.conn;
   conn->endpoint->SetCloseHandler([this, conn] { RemoveConnection(conn); });
@@ -787,7 +788,6 @@ RcbAgent::ContentBody RcbAgent::BuildContentBody(
   if (config_.enable_delta && acked >= 0) {
     std::optional<std::string> patch_xml =
         broadcast_->MaybeBuildPatchResponse(slot, acked, &outbox, trace_ctx_);
-    SyncBroadcastCounters();
     if (patch_xml) {
       ++metrics_.patches_served;
       metrics_.patch_bytes_sent += patch_xml->size();
@@ -815,29 +815,31 @@ RcbAgent::ContentBody RcbAgent::BuildContentBody(
   return {std::move(xml)};
 }
 
-std::optional<std::string> RcbAgent::TakeDelivery(const std::string& pid,
-                                                  ParticipantState& participant,
-                                                  int64_t acked) {
+std::optional<RcbAgent::ContentBody> RcbAgent::TakeDelivery(
+    const std::string& pid, ParticipantState& participant, int64_t acked,
+    std::string_view exemplar) {
   std::vector<UserAction> outbox = std::move(participant.outbox);
   participant.outbox.clear();
   if (has_version_ && participant.doc_time_ms < current_doc_time_ms_) {
-    // Exemplar: the traced poll in flight (a kick from its merge), else the
-    // frame spans' synthetic transport-<pid> chain (SendFrame).
-    std::string exemplar = trace_ctx_.trace_id;
-    if (!trace_ctx_.active() && config_.enable_trace) {
-      exemplar = "transport-" + pid;
-    }
     ContentBody body =
         BuildContentBody(pid, acked, std::move(outbox), exemplar);
     participant.doc_time_ms = current_doc_time_ms_;
     ++metrics_.polls_with_content;
-    return std::move(body.xml);
+    return body;
   }
   if (outbox.empty()) {
     return std::nullopt;
   }
   ++metrics_.polls_with_content;
-  return ActionsOnlyXml(participant.doc_time_ms, std::move(outbox));
+  return ContentBody{
+      ActionsOnlyXml(participant.doc_time_ms, std::move(outbox))};
+}
+
+std::string RcbAgent::TransportExemplar(const std::string& pid) const {
+  if (!trace_ctx_.active() && config_.enable_trace) {
+    return "transport-" + pid;
+  }
+  return trace_ctx_.trace_id;
 }
 
 std::string RcbAgent::ActionsOnlyXml(int64_t doc_time_ms,
@@ -851,43 +853,38 @@ std::string RcbAgent::ActionsOnlyXml(int64_t doc_time_ms,
 
 void RcbAgent::HandleFramesRequest(AgentConn* conn, const HttpRequest& request) {
   last_activity_ = browser_->loop()->now();
-  if (!config_.transport.enable_stream) {
-    conn->endpoint->Send(
-        HttpResponse::BadRequest("streamed transport disabled").Serialize());
-    return;
-  }
-  if (!VerifyRequestAuth(request)) {
-    ++metrics_.auth_failures;
-    flight_.Trigger("auth_failure", browser_->loop()->now().micros());
-    conn->endpoint->Send(
-        HttpResponse::Forbidden("request authentication failed").Serialize());
-    return;
-  }
   auto params = request.QueryParams();
   auto pid_it = params.find("pid");
-  if (pid_it == params.end() || pid_it->second.empty()) {
-    conn->endpoint->Send(HttpResponse::BadRequest("missing pid").Serialize());
-    return;
-  }
-  std::string pid = pid_it->second;
-  if (!ParticipantAdmissible(pid)) {
-    ++metrics_.participants_rejected;
-    conn->endpoint->Send(
-        HttpResponse::ServiceUnavailable(
-            JitteredRetryAfter(config_.poll_interval, pid),
-            "participant limit reached")
-            .Serialize());
-    return;
-  }
+  const std::string pid = pid_it != params.end() ? pid_it->second : "";
   const bool replacing = framed_streams_.contains(pid);
-  if (!replacing &&
-      framed_streams_.size() + parked_.size() >= config_.transport.max_held) {
-    ++metrics_.transport_capacity_denials;
-    conn->endpoint->Send(
-        HttpResponse::ServiceUnavailable(
-            JitteredRetryAfter(config_.poll_interval, pid),
-            "held transport limit reached")
-            .Serialize());
+  // The /frames ladder: enabled, auth, pid, roster, recovery, held-stream cap.
+  std::optional<HttpResponse> rejection = [&]() -> std::optional<HttpResponse> {
+    if (!config_.transport.enable_stream) {
+      return HttpResponse::BadRequest("streamed transport disabled");
+    }
+    if (auto auth = AdmitAuth(request, kAuthFailed)) {
+      return auth;
+    }
+    if (pid.empty()) {
+      return HttpResponse::BadRequest("missing pid");
+    }
+    if (auto roster = AdmitRoster(&pid)) {
+      return roster;
+    }
+    if (auto recovery = AdmitRecovery(pid)) {
+      return recovery;
+    }
+    if (!replacing &&
+        framed_streams_.size() + parked_.size() >= config_.transport.max_held) {
+      ++metrics_.transport_capacity_denials;
+      return HttpResponse::ServiceUnavailable(
+          JitteredRetryAfter(config_.poll_interval, pid),
+          "held transport limit reached");
+    }
+    return std::nullopt;
+  }();
+  if (rejection.has_value()) {
+    conn->endpoint->Send(rejection->Serialize());
     return;
   }
   if (replacing) {
@@ -920,9 +917,9 @@ void RcbAgent::HandleFramesRequest(AgentConn* conn, const HttpRequest& request) 
                           config_.transport.heartbeat_interval.millis())));
   // If content already exists, deliver it right away; likewise anything that
   // was broadcast into this participant's outbox before the stream opened.
-  if (std::optional<std::string> body =
-          TakeDelivery(pid, participant, /*acked=*/-1)) {
-    SendFrame(pid, stream, transport::FrameType::kData, std::move(*body));
+  if (std::optional<ContentBody> body = TakeDelivery(
+          pid, participant, /*acked=*/-1, TransportExemplar(pid))) {
+    SendFrame(pid, stream, transport::FrameType::kData, std::move(body->xml));
   }
   ArmHeartbeatTimer();
 }
@@ -996,7 +993,9 @@ void RcbAgent::FlushFramedStreams() {
     }
     participant.last_poll = browser_->loop()->now();
     SendFrame(pid, stream, transport::FrameType::kData,
-              *TakeDelivery(pid, participant, /*acked=*/-1));
+              TakeDelivery(pid, participant, /*acked=*/-1,
+                           TransportExemplar(pid))
+                  ->xml);
   }
 }
 
@@ -1054,30 +1053,8 @@ bool RcbAgent::CacheModeFor(const std::string& pid) const {
 }
 
 RcbAgent::SnapshotSlot& RcbAgent::RefreshSlot(bool cache_mode, bool count_reuse) {
-  SnapshotSlot& slot = broadcast_->Refresh(cache_mode, count_reuse,
-                                           current_doc_time_ms_, AgentUrl(),
-                                           trace_ctx_);
-  SyncBroadcastCounters();
-  return slot;
-}
-
-void RcbAgent::SyncBroadcastCounters() {
-  const BroadcastCounters& c = broadcast_->counters();
-  metrics_.generations = c.generations;
-  metrics_.snapshot_reuses = c.snapshot_reuses;
-  metrics_.patch_fallback_no_base = c.patch_fallback_no_base;
-  metrics_.patch_fallback_oversize = c.patch_fallback_oversize;
-  metrics_.snapshot_bytes_raw = c.snapshot_bytes_raw;
-  metrics_.snapshot_bytes_escaped = c.snapshot_bytes_escaped;
-  metrics_.last_generation_time = c.last_generation_time;
-  metrics_.total_generation_time = c.total_generation_time;
-  metrics_.last_snapshot_bytes = c.last_snapshot_bytes;
-}
-
-void RcbAgent::RefreshSnapshotIfNeeded() { RefreshSnapshot(/*count_reuse=*/true); }
-
-void RcbAgent::RefreshSnapshot(bool count_reuse) {
-  RefreshSlot(config_.cache_mode, count_reuse);
+  return broadcast_->Refresh(cache_mode, count_reuse, current_doc_time_ms_,
+                             AgentUrl(), trace_ctx_);
 }
 
 const Snapshot& RcbAgent::CurrentSnapshotForTest() {
@@ -1085,9 +1062,10 @@ const Snapshot& RcbAgent::CurrentSnapshotForTest() {
   return RefreshSlot(config_.cache_mode, /*count_reuse=*/false).snapshot;
 }
 
-HttpResponse RcbAgent::HandleRequest(const HttpRequest& request) {
+HttpResponse RcbAgent::HandleRequest(const HttpRequest& request,
+                                     RequestScope& scope) {
   ++requests_handled_;
-  HttpResponse response = DispatchRequest(request);
+  HttpResponse response = DispatchRequest(request, scope);
   // End-of-request health sampling: every counter delta this request caused
   // lands in the current window bucket, and alert edges fire here — a
   // deterministic event site, so windowed state double-runs bit-identically.
@@ -1102,7 +1080,8 @@ HttpResponse RcbAgent::HandleRequest(const HttpRequest& request) {
   return response;
 }
 
-HttpResponse RcbAgent::DispatchRequest(const HttpRequest& request) {
+HttpResponse RcbAgent::DispatchRequest(const HttpRequest& request,
+                                       RequestScope& scope) {
   last_activity_ = browser_->loop()->now();
   int64_t sim_now_us = last_activity_.micros();
   // Fig. 2: classify by method token and request-URI token. Each class gets
@@ -1121,17 +1100,13 @@ HttpResponse RcbAgent::DispatchRequest(const HttpRequest& request) {
     obs::WallSpan span(&trace_, "agent.request.poll", sim_now_us,
                        request_hist_[0], &root_ctx);
     trace_ctx_ = obs::TraceContext{root_ctx.trace_id, span.span_id()};
-    HttpResponse response = HandlePoll(request);
+    HttpResponse response = HandlePoll(request, scope);
     trace_ctx_ = obs::TraceContext{};
-    if (!pending_grant_.empty()) {
-      // Capability answer (DESIGN.md §15): only successful poll responses
-      // carry the grant; error paths stay byte-identical to classic polling.
-      if (response.status_code == 200) {
-        response.headers.Set("RCB-Transport", pending_grant_);
-      }
-      pending_grant_.clear();
+    // Capability answer (DESIGN.md §15): only successful poll responses
+    // carry the grant; error paths stay byte-identical to classic polling.
+    if (!scope.grant.empty() && response.status_code == 200) {
+      response.headers.Set("RCB-Transport", scope.grant);
     }
-    pending_grant_longpoll_ = false;
     return response;
   }
   if (request.method == HttpMethod::kGet) {
@@ -1174,10 +1149,8 @@ HttpResponse RcbAgent::HandleMetrics(const HttpRequest& request) {
   // The exposition names participants and counts their behaviour, so it is
   // authenticated exactly like polls (§3.4): anyone holding the session key
   // may scrape it.
-  if (!VerifyRequestAuth(request)) {
-    ++metrics_.auth_failures;
-    flight_.Trigger("auth_failure", browser_->loop()->now().micros());
-    return HttpResponse::Forbidden("request authentication failed");
+  if (auto rejection = AdmitAuth(request, kAuthFailed)) {
+    return std::move(*rejection);
   }
   obs::RenderOptions options;
   auto params = request.QueryParams();
@@ -1191,10 +1164,8 @@ HttpResponse RcbAgent::HandleMetrics(const HttpRequest& request) {
 
 HttpResponse RcbAgent::HandleHealth(const HttpRequest& request) {
   // Same trust boundary as /metrics: the body names SLO state and trace ids.
-  if (!VerifyRequestAuth(request)) {
-    ++metrics_.auth_failures;
-    flight_.Trigger("auth_failure", browser_->loop()->now().micros());
-    return HttpResponse::Forbidden("request authentication failed");
+  if (auto rejection = AdmitAuth(request, kAuthFailed)) {
+    return std::move(*rejection);
   }
   return HttpResponse::Ok(
       "application/json",
@@ -1233,20 +1204,16 @@ HttpResponse RcbAgent::HandleNewConnection(const HttpRequest& request) {
   auto params = request.QueryParams();
   auto resume_it = params.find("resume");
   if (resume_it != params.end() && !resume_it->second.empty()) {
-    if (!VerifyRequestAuth(request)) {
-      ++metrics_.auth_failures;
-      flight_.Trigger("auth_failure", browser_->loop()->now().micros());
-      return HttpResponse::Forbidden("resume authentication failed");
+    // Resumes climb auth and roster only: re-establishing an identity is
+    // cheap, so the recovery window does not defer them.
+    if (auto rejection = AdmitAuth(request, "resume authentication failed")) {
+      return std::move(*rejection);
     }
     const std::string& pid = resume_it->second;
-    bool known = participants_.contains(pid);
-    if (!known) {
-      if (!ParticipantAdmissible(pid)) {
-        ++metrics_.participants_rejected;
-        return HttpResponse::ServiceUnavailable(
-            JitteredRetryAfter(config_.poll_interval, pid),
-            "participant limit reached");
-      }
+    if (auto rejection = AdmitRoster(&pid)) {
+      return std::move(*rejection);
+    }
+    if (!participants_.contains(pid)) {
       // Reaped while away: treat as a (re)join and announce it.
       UserAction joined;
       joined.type = ActionType::kPresence;
@@ -1263,15 +1230,8 @@ HttpResponse RcbAgent::HandleNewConnection(const HttpRequest& request) {
     return HttpResponse::Ok("text/html", BuildInitialPage(pid));
   }
 
-  if (config_.limits.max_participants > 0 &&
-      participants_.size() >= config_.limits.max_participants) {
-    ++metrics_.participants_rejected;
-    return HttpResponse::ServiceUnavailable(
-        JitteredRetryAfter(
-            config_.poll_interval,
-            StrFormat("join%llu", static_cast<unsigned long long>(
-                                      metrics_.participants_rejected))),
-        "participant limit reached");
+  if (auto rejection = AdmitRoster(/*pid=*/nullptr)) {
+    return std::move(*rejection);
   }
   std::string pid = StrFormat("p%llu", static_cast<unsigned long long>(next_pid_++));
   // Announce the newcomer to everyone already in the session (§5.2.3: users
@@ -1332,12 +1292,62 @@ RcbAgent::ParticipantState& RcbAgent::EnsureParticipant(const std::string& pid) 
   return it->second;
 }
 
-bool RcbAgent::ParticipantAdmissible(const std::string& pid) const {
-  if (participants_.contains(pid)) {
-    return true;
+std::optional<HttpResponse> RcbAgent::AdmitAuth(const HttpRequest& request,
+                                                std::string_view body) {
+  if (VerifyRequestAuth(request)) {
+    return std::nullopt;
   }
-  return config_.limits.max_participants == 0 ||
-         participants_.size() < config_.limits.max_participants;
+  return RejectAuth(body);
+}
+
+HttpResponse RcbAgent::RejectAuth(std::string_view body,
+                                  std::string_view reason) {
+  ++metrics_.auth_failures;
+  flight_.Trigger("auth_failure", browser_->loop()->now().micros());
+  obs::TraceAttrs attrs = {{"code", "403"}};
+  if (!reason.empty()) {
+    attrs.emplace_back("reason", reason);
+  }
+  TraceMarker("agent.response.rejected", std::move(attrs));
+  return HttpResponse::Forbidden(body);
+}
+
+std::optional<HttpResponse> RcbAgent::AdmitRoster(const std::string* pid) {
+  const size_t cap = config_.limits.max_participants;
+  if ((pid != nullptr && participants_.contains(*pid)) || cap == 0 ||
+      participants_.size() < cap) {
+    return std::nullopt;
+  }
+  ++metrics_.participants_rejected;
+  flight_.Trigger("overload", browser_->loop()->now().micros());
+  TraceMarker("agent.response.rejected", {{"code", "503"}});
+  const std::string key =
+      pid != nullptr ? *pid
+                     : StrFormat("join%llu",
+                                 static_cast<unsigned long long>(
+                                     metrics_.participants_rejected));
+  return HttpResponse::ServiceUnavailable(
+      JitteredRetryAfter(config_.poll_interval, key),
+      "participant limit reached");
+}
+
+std::optional<HttpResponse> RcbAgent::AdmitRecovery(const std::string& pid) {
+  const SimTime now = browser_->loop()->now();
+  if (now >= resync_admission_at_) {
+    return std::nullopt;
+  }
+  auto it = participants_.find(pid);
+  if (it == participants_.end()) {
+    return std::nullopt;  // first contact: nothing to resync yet
+  }
+  it->second.last_poll = now;
+  ++metrics_.recovery_deferrals;
+  flight_.Trigger("overload", now.micros());
+  TraceMarker("agent.response.rejected",
+              {{"code", "503"}, {"reason", "recovery_defer"}});
+  return HttpResponse::ServiceUnavailable(
+      JitteredRetryAfter(resync_admission_at_ - now, pid),
+      "recovering: resync admission deferred");
 }
 
 void RcbAgent::EnqueueOutbox(ParticipantState& state, const UserAction& action) {
@@ -1526,13 +1536,13 @@ bool RcbAgent::VerifyRequestAuth(const HttpRequest& request) {
   return VerifyRequestMac(config_.session_key, request);
 }
 
-HttpResponse RcbAgent::HandlePoll(const HttpRequest& request) {
+HttpResponse RcbAgent::HandlePoll(const HttpRequest& request,
+                                  RequestScope& scope) {
   ++metrics_.polls_received;
-  if (!VerifyRequestAuth(request)) {
-    ++metrics_.auth_failures;
-    flight_.Trigger("auth_failure", browser_->loop()->now().micros());
-    TraceMarker("agent.response.rejected", {{"code", "403"}});
-    return HttpResponse::Forbidden("request authentication failed");
+  // The poll ladder: auth, decode, anti-replay, roster, recovery; then the
+  // per-poll token bucket once the participant is known to be admitted.
+  if (auto rejection = AdmitAuth(request, kAuthFailed)) {
+    return std::move(*rejection);
   }
   auto poll_or = DecodePollRequest(request.body);
   if (!poll_or.ok()) {
@@ -1552,41 +1562,17 @@ HttpResponse RcbAgent::HandlePoll(const HttpRequest& request) {
   if (!config_.session_key.empty() && poll.seq != 0) {
     auto it = participants_.find(poll.participant_id);
     if (it != participants_.end() && poll.seq <= it->second.last_seq) {
-      ++metrics_.auth_failures;
-      flight_.Trigger("auth_failure", browser_->loop()->now().micros());
-      TraceMarker("agent.response.rejected",
-                  {{"code", "403"}, {"reason", "stale_seq"}});
-      return HttpResponse::Forbidden("stale poll seq (replay?)");
+      return RejectAuth("stale poll seq (replay?)", "stale_seq");
     }
   }
-
-  // Overload protection: a roster past the participant cap sheds unknown
-  // pollers with 503 before any per-poll work.
-  if (!ParticipantAdmissible(poll.participant_id)) {
-    ++metrics_.participants_rejected;
-    flight_.Trigger("overload", browser_->loop()->now().micros());
-    TraceMarker("agent.response.rejected", {{"code", "503"}});
-    return HttpResponse::ServiceUnavailable(
-        JitteredRetryAfter(config_.poll_interval, poll.participant_id),
-        "participant limit reached");
+  // Overload protection: a full roster sheds unknown pollers, and a
+  // just-recovered session staggers its known ones (DESIGN.md §13), both
+  // with 503 before any merge or content work.
+  if (auto rejection = AdmitRoster(&poll.participant_id)) {
+    return std::move(*rejection);
   }
-
-  // Restart-storm admission (DESIGN.md §13): a just-recovered session
-  // staggers resync readmission through the overload layer. Known
-  // participants before their slot get a liveness-preserving 503 with a
-  // jittered Retry-After and the poll does no merge or content work; resume
-  // handshakes and first-contact joins are not deferred.
-  if (browser_->loop()->now() < resync_admission_at_ &&
-      participants_.contains(poll.participant_id)) {
-    participants_[poll.participant_id].last_poll = browser_->loop()->now();
-    ++metrics_.recovery_deferrals;
-    flight_.Trigger("overload", browser_->loop()->now().micros());
-    TraceMarker("agent.response.rejected",
-                {{"code", "503"}, {"reason", "recovery_defer"}});
-    return HttpResponse::ServiceUnavailable(
-        JitteredRetryAfter(resync_admission_at_ - browser_->loop()->now(),
-                           poll.participant_id),
-        "recovering: resync admission deferred");
+  if (auto rejection = AdmitRecovery(poll.participant_id)) {
+    return std::move(*rejection);
   }
 
   // Presence housekeeping: drop participants that stopped polling, and
@@ -1648,8 +1634,9 @@ HttpResponse RcbAgent::HandlePoll(const HttpRequest& request) {
   // classically and the snippet never upgrades.
   const bool was_granted = participant.transport_granted;
   participant.transport_granted = false;
+  bool longpoll_granted = false;
   if (config_.transport.enable_stream &&
-      poll.stream != transport::kStreamNone && !front_door_request_) {
+      poll.stream != transport::kStreamNone && scope.holdable) {
     const size_t held = framed_streams_.size() + parked_.size();
     transport::TransportGrant grant;
     bool granted = false;
@@ -1667,8 +1654,8 @@ HttpResponse RcbAgent::HandlePoll(const HttpRequest& request) {
       ++metrics_.transport_capacity_denials;  // graceful: classic poll reply
     }
     if (granted) {
-      pending_grant_ = transport::FormatTransportGrant(grant);
-      pending_grant_longpoll_ = grant.mode == transport::GrantMode::kLongPoll;
+      scope.grant = transport::FormatTransportGrant(grant);
+      longpoll_granted = grant.mode == transport::GrantMode::kLongPoll;
       participant.transport_granted = true;
     }
   }
@@ -1692,28 +1679,27 @@ HttpResponse RcbAgent::HandlePoll(const HttpRequest& request) {
   // load (or scripted mutation) has stamped a version — a page whose
   // supplementary objects are still downloading is not served yet (the paper
   // generates content "when the webpage is loaded").
-  bool needs_content = has_version_ && poll.doc_time_ms < current_doc_time_ms_;
+  participant.doc_time_ms = poll.doc_time_ms;
+  const bool needs_content =
+      has_version_ && poll.doc_time_ms < current_doc_time_ms_;
+  const size_t outbox_size = participant.outbox.size();
 
-  // Step 3: response sending.
-  std::vector<UserAction> outbox = std::move(participant.outbox);
-  participant.outbox.clear();
-
+  // Step 3: response sending, through the drain transport deliveries share.
   // A patch needs a capability-advertising poll that acks a concrete
   // version and is not resyncing; -1 asks the builder for a full snapshot.
+  // The exemplar is this poll's own trace id ("" when untraced).
   const int64_t acked = poll.patch && !poll.resync ? poll.doc_time_ms : -1;
-  if (needs_content) {
-    ++metrics_.polls_with_content;
-    participant.doc_time_ms = current_doc_time_ms_;
-    ContentBody body = BuildContentBody(poll.participant_id, acked,
-                                        std::move(outbox), trace_ctx_.trace_id);
+  std::optional<ContentBody> body = TakeDelivery(
+      poll.participant_id, participant, acked, trace_ctx_.trace_id);
+  if (body.has_value() && needs_content) {
     if (poll.resync) {
       ++metrics_.resyncs;  // full snapshot served to a recovering participant
       flight_.Trigger("resync", browser_->loop()->now().micros());
     }
-    const std::string bytes = StrFormat("%zu", body.xml.size());
+    const std::string bytes = StrFormat("%zu", body->xml.size());
     const std::string ts =
         StrFormat("%lld", static_cast<long long>(current_doc_time_ms_));
-    if (body.patch) {
+    if (body->patch) {
       TraceMarker("agent.response.patch",
                   {{"bytes", bytes},
                    {"base_ts", StrFormat("%lld", static_cast<long long>(
@@ -1722,25 +1708,19 @@ HttpResponse RcbAgent::HandlePoll(const HttpRequest& request) {
     } else {
       TraceMarker("agent.response.snapshot", {{"bytes", bytes}, {"ts", ts}});
     }
-    return HttpResponse::Ok("application/xml", std::move(body.xml));
+    return HttpResponse::Ok("application/xml", std::move(body->xml));
   }
-
-  participant.doc_time_ms = poll.doc_time_ms;
-  if (!outbox.empty()) {
+  if (body.has_value()) {
     TraceMarker("agent.response.actions",
-                {{"count", StrFormat("%zu", outbox.size())}});
-    ++metrics_.polls_with_content;
-    return HttpResponse::Ok("application/xml",
-                            ActionsOnlyXml(poll.doc_time_ms, std::move(outbox)));
+                {{"count", StrFormat("%zu", outbox_size)}});
+    return HttpResponse::Ok("application/xml", std::move(body->xml));
   }
   // Long-poll park (DESIGN.md §15): nothing to send and both sides already
   // hold the capability (the client saw a grant on its previous poll, so its
   // timeout budget covers the hold) — keep the request open instead of
-  // answering empty. OnConnData consumes the intent and parks the socket.
-  if (was_granted && pending_grant_longpoll_ && !pending_grant_.empty() &&
-      !front_door_request_) {
-    park_intent_ = ParkIntent{poll.participant_id, pending_grant_, acked};
-    pending_grant_.clear();  // the grant header rides the parked release
+  // answering empty. OnConnData parks the socket; the grant rides the release.
+  if (was_granted && longpoll_granted) {
+    scope.park = ParkIntent{poll.participant_id, acked};
     ++metrics_.transport_long_polls_parked;
     TraceMarker("agent.response.parked", {});
     return HttpResponse::Ok("application/xml", "");

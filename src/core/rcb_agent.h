@@ -364,13 +364,32 @@ class RcbAgent {
   void RemoveConnection(AgentConn* conn);
   void DisarmReadDeadline(AgentConn* conn);
 
+  // A poll the agent holds open instead of answering empty: the pid and the
+  // patch base for its release (BuildContentBody's `acked`).
+  struct ParkIntent {
+    std::string pid;
+    int64_t acked_doc_time_ms = -1;
+  };
+  // One request's transport state: a value owned by the caller that read the
+  // request (OnConnData / HandleHostRequest) and handed down HandleRequest ->
+  // DispatchRequest -> HandlePoll, so nothing outlives the request.
+  struct RequestScope {
+    // In: the request arrived on the agent's own port, so its connection can
+    // be held. Front-door (RcbHost) requests cannot: no grant, no parking.
+    bool holdable = false;
+    // Out: the RCB-Transport grant a 200 poll reply carries (DESIGN.md §15).
+    std::string grant;
+    // Out: hold the connection instead of sending the reply.
+    std::optional<ParkIntent> park;
+  };
+
   // HandleRequest wraps DispatchRequest with end-of-request health sampling
   // (the deterministic event site where counter deltas enter the windows).
-  HttpResponse HandleRequest(const HttpRequest& request);
-  HttpResponse DispatchRequest(const HttpRequest& request);
+  HttpResponse HandleRequest(const HttpRequest& request, RequestScope& scope);
+  HttpResponse DispatchRequest(const HttpRequest& request, RequestScope& scope);
   HttpResponse HandleNewConnection(const HttpRequest& request);
   HttpResponse HandleObjectRequest(const HttpRequest& request);
-  HttpResponse HandlePoll(const HttpRequest& request);
+  HttpResponse HandlePoll(const HttpRequest& request, RequestScope& scope);
   // GET /status: the host-side session dashboard (roster, freshness,
   // counters) — the connection/status indicator suggested in §5.2.3.
   HttpResponse HandleStatusPage() const;
@@ -390,9 +409,7 @@ class RcbAgent {
   struct ParkedPoll {
     AgentConn* conn = nullptr;
     std::string grant;            // RCB-Transport value echoed on release
-    // Patch base for the release (BuildContentBody's `acked`): the poll's
-    // doc time when it advertised patch=, else -1.
-    int64_t acked_doc_time_ms = -1;
+    int64_t acked_doc_time_ms = -1;  // ParkIntent's patch base
     uint64_t deadline_id = 0;     // hold-expiry timer
   };
   // A held framed stream: sequence-stamped frames are pushed on every change
@@ -402,17 +419,9 @@ class RcbAgent {
     uint64_t next_seq = 1;
     SimTime last_frame;
   };
-  // HandlePoll cannot reach the connection, so it records the intent to park
-  // here and OnConnData consumes it instead of sending the response.
-  struct ParkIntent {
-    std::string pid;
-    std::string grant;
-    int64_t acked_doc_time_ms = -1;
-  };
-
   // GET /frames?pid=: upgrades the connection into a held framed stream.
   void HandleFramesRequest(AgentConn* conn, const HttpRequest& request);
-  void ParkPoll(AgentConn* conn, ParkIntent intent);
+  void ParkPoll(AgentConn* conn, ParkIntent intent, std::string grant);
   // Answers a parked poll: newest content / pending actions when available,
   // empty when released by the hold deadline (`expired`).
   void ReleaseParkedPoll(const std::string& pid, bool expired);
@@ -442,13 +451,18 @@ class RcbAgent {
   ContentBody BuildContentBody(const std::string& pid, int64_t acked,
                                std::vector<UserAction> outbox,
                                std::string_view exemplar);
-  // Drains what `participant` is owed right now: content at the current
-  // version (outbox folded in) when it is behind, else its outbox alone;
-  // nullopt when there is nothing to send. Shared by parked releases and
-  // framed streams; `acked` is passed to BuildContentBody.
-  std::optional<std::string> TakeDelivery(const std::string& pid,
+  // The one drain behind poll replies, parked releases and framed streams:
+  // what `participant` is owed right now — content at the current version
+  // (outbox folded in) when it is behind, else its outbox alone, stamped
+  // with the version it holds; nullopt when there is nothing to send.
+  // `acked` and `exemplar` are passed to BuildContentBody.
+  std::optional<ContentBody> TakeDelivery(const std::string& pid,
                                           ParticipantState& participant,
-                                          int64_t acked);
+                                          int64_t acked,
+                                          std::string_view exemplar);
+  // Exemplar of a transport delivery: the traced poll in flight (a kick from
+  // its merge), else the frame spans' synthetic transport-<pid> chain.
+  std::string TransportExemplar(const std::string& pid) const;
   // A body with no document content: only broadcast actions, stamped
   // `doc_time_ms` (the version the participant already holds).
   static std::string ActionsOnlyXml(int64_t doc_time_ms,
@@ -463,6 +477,24 @@ class RcbAgent {
   // Non-const: records the verification's CPU time (rcb_agent_hmac_verify_us).
   bool VerifyRequestAuth(const HttpRequest& request);
 
+  // --- The admission ladder (DESIGN.md §8.1). Every entry point climbs the
+  // rungs it needs in a fixed order; each rung returns the rejection to send,
+  // or nullopt to admit. One copy of each check, counter and flight trigger.
+  // Authenticate (§3.4): a failed MAC is rejected 403 with `body`.
+  std::optional<HttpResponse> AdmitAuth(const HttpRequest& request,
+                                        std::string_view body);
+  // The shared 403: counts an auth failure, fires the auth_failure trigger
+  // and marks the traced request rejected (`reason` optional). Anti-replay
+  // rejections come through here too.
+  HttpResponse RejectAuth(std::string_view body, std::string_view reason = "");
+  // Roster cap (AgentLimits::max_participants): 503 unless `pid` is already
+  // on the roster or the roster has room. A fresh join has no pid yet: it
+  // passes nullptr and its Retry-After jitter is keyed join<n>.
+  std::optional<HttpResponse> AdmitRoster(const std::string* pid);
+  // Restart-storm deferral (DESIGN.md §13): 503 for a known pid while the
+  // recovery window is open; the rejection still counts as liveness.
+  std::optional<HttpResponse> AdmitRecovery(const std::string& pid);
+
   // Data merging: routes one participant action through the policies.
   void ApplyAction(const std::string& pid, const UserAction& action);
   void PerformAction(const std::string& pid, const UserAction& action);
@@ -475,8 +507,6 @@ class RcbAgent {
   // Creates the participant on first use with token buckets initialized from
   // the configured limits.
   ParticipantState& EnsureParticipant(const std::string& pid);
-  // True when an unknown `pid` may still join (roster below the cap).
-  bool ParticipantAdmissible(const std::string& pid) const;
   // Appends to a broadcast outbox, shedding the newest action (and counting
   // it) when the queue is at max_outbox_actions.
   void EnqueueOutbox(ParticipantState& state, const UserAction& action);
@@ -492,14 +522,8 @@ class RcbAgent {
   // True if participant `pid` co-browses in cache mode.
   bool CacheModeFor(const std::string& pid) const;
   // Ensures the slot for `cache_mode` matches the current document version
-  // and returns it (delegates to broadcast_, then mirrors its counters into
-  // metrics_ so the public AgentMetrics surface is unchanged).
+  // and returns it (delegates to broadcast_, which counts into metrics_).
   SnapshotSlot& RefreshSlot(bool cache_mode, bool count_reuse);
-  // Copies BroadcastCounters into the matching AgentMetrics fields.
-  void SyncBroadcastCounters();
-  // Back-compat helpers for the default mode.
-  void RefreshSnapshotIfNeeded();
-  void RefreshSnapshot(bool count_reuse);
 
   std::string BuildInitialPage(const std::string& pid) const;
 
@@ -547,14 +571,6 @@ class RcbAgent {
   bool transport_flush_pending_ = false;
   bool hb_timer_armed_ = false;
   uint64_t hb_timer_id_ = 0;
-  // True while HandleHostRequest runs: grants and parking are suppressed.
-  bool front_door_request_ = false;
-  // Grant computed by the in-flight HandlePoll; HandleRequest attaches it as
-  // the RCB-Transport header on 200 responses, then clears it.
-  std::string pending_grant_;
-  // Longpoll grants only: was the grant mode longpoll (parking allowed)?
-  bool pending_grant_longpoll_ = false;
-  std::optional<ParkIntent> park_intent_;
 
   // --- Observability state (see metrics_registry()/trace_log()). ---
   obs::MetricsRegistry registry_;  // owned; bypassed under a shared registry

@@ -3,11 +3,14 @@
 // over the simulated network with raw HTTP requests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/browser/object_cache.h"
 #include "src/core/content_generator.h"
 #include "src/core/rcb_agent.h"
 #include "src/crypto/hmac.h"
 #include "src/delta/patch_codec.h"
+#include "src/http/http_parser.h"
 #include "src/sites/corpus.h"
 #include "src/sites/site_server.h"
 
@@ -1380,6 +1383,478 @@ TEST_F(AgentTest, PatchServedOnlyWhenBaseIsKnown) {
   body = Poll(poll).response.body;
   EXPECT_TRUE(delta::LooksLikePatchXml(body));
   EXPECT_EQ(agent_->metrics().patches_served, 1u);
+}
+
+
+// ------------------------------------------------------ admission ladder ----
+
+// A raw participant socket to the agent: records every byte the agent sends
+// and whether the agent closed it, so held replies (parked polls, framed
+// streams) and unanswered drops are observable.
+class RawClient {
+ public:
+  explicit RawClient(Network* network) {
+    auto endpoint = network->Connect("participant-pc", "host-pc", 3000);
+    EXPECT_TRUE(endpoint.ok());
+    endpoint_ = *endpoint;
+    endpoint_->SetDataHandler(
+        [this](std::string_view data) { received_.append(data); });
+    endpoint_->SetCloseHandler([this] { closed_ = true; });
+  }
+  ~RawClient() {
+    endpoint_->SetDataHandler(nullptr);
+    endpoint_->SetCloseHandler(nullptr);
+  }
+  RawClient(const RawClient&) = delete;
+  RawClient& operator=(const RawClient&) = delete;
+
+  void Send(const HttpRequest& request) { endpoint_->Send(request.Serialize()); }
+  // The first complete response received, if any.
+  std::optional<HttpResponse> Response() const {
+    HttpResponseParser parser;
+    auto response = parser.Feed(received_);
+    if (!response.ok() || !response->has_value()) {
+      return std::nullopt;
+    }
+    return **response;
+  }
+  const std::string& received() const { return received_; }
+  bool closed() const { return closed_; }
+
+ private:
+  NetEndpoint* endpoint_ = nullptr;
+  std::string received_;
+  bool closed_ = false;
+};
+
+// A request for `path` with `query`, signed with `key` the way the snippet
+// signs (§3.4: the MAC covers method, path, query minus hmac, and body).
+HttpRequest SignedRequest(HttpMethod method, const std::string& path,
+                          const std::string& query, const std::string& body,
+                          const std::string& key) {
+  HttpRequest request;
+  request.method = method;
+  std::string canonical = path + (query.empty() ? "" : "?" + query);
+  std::string mac = HmacSha256Hex(
+      key, std::string(HttpMethodName(method)) + " " + canonical + "\n" + body);
+  request.target =
+      path + "?" + (query.empty() ? "" : query + "&") + "hmac=" + mac;
+  request.body = body;
+  if (method == HttpMethod::kPost) {
+    request.headers.Set("Content-Type", "application/x-www-form-urlencoded");
+  }
+  return request;
+}
+
+HttpRequest PollHttpRequest(const PollRequest& poll) {
+  HttpRequest request;
+  request.method = HttpMethod::kPost;
+  request.target = "/";
+  request.body = EncodePollRequest(poll);
+  request.headers.Set("Content-Type", "application/x-www-form-urlencoded");
+  return request;
+}
+
+enum class Entry { kPoll, kFrames, kResume, kJoin, kMetrics, kHealth };
+enum class Condition { kBadMac, kRosterFull, kRecoveryWindow };
+
+// What one request did to the agent: the reply, plus the deltas of the
+// counters and flight triggers the ladder's rungs own.
+struct AdmissionOutcome {
+  int status = 0;
+  // Rejections: the exact body. 200s: a required substring (for an admitted
+  // /frames upgrade, of the frame stream after the head).
+  std::string body;
+  std::string retry_after;  // "" when the header is absent
+  uint64_t auth_failures = 0;
+  uint64_t participants_rejected = 0;
+  uint64_t recovery_deferrals = 0;
+  uint64_t auth_failure_triggers = 0;
+  uint64_t overload_triggers = 0;
+};
+
+// One cell of the admission matrix, in a fresh world: a keyed agent with
+// framed streams on and participant p1 on the roster, then one request from
+// `entry` for `pid` (p1 known, p2 unknown; unused by join and the operator
+// endpoints) under `condition`. "Roster full" caps the roster at p1.
+AdmissionOutcome RunAdmissionCell(Entry entry, const std::string& pid,
+                                  Condition condition) {
+  constexpr char kKey[] = "topsecretkey";
+  EventLoop loop;
+  Network network(&loop);
+  network.AddHost("host-pc", {});
+  network.AddHost("participant-pc", {});
+  network.AddHost("www.origin.test", {});
+  SiteServer origin(&loop, &network, "www.origin.test");
+  origin.ServeStatic("/", "text/html",
+                     "<html><head><title>Origin</title></head>"
+                     "<body><p id=\"p\">v1</p></body></html>");
+  Browser host(&loop, &network, "host-pc");
+  AgentConfig config;
+  config.session_key = kKey;
+  config.transport.enable_stream = true;
+  config.limits.retry_after_jitter = Duration::Zero();  // exact Retry-After
+  config.limits.max_participants =
+      condition == Condition::kRosterFull ? 1 : 0;
+  RcbAgent agent(&host, config);
+  EXPECT_TRUE(agent.Start().ok());
+  bool loaded = false;
+  host.Navigate(Url::Make("http", "www.origin.test", 80, "/"),
+                [&](const Status&, const PageLoadStats&) { loaded = true; });
+  loop.RunUntilCondition([&] { return loaded; });
+
+  PollRequest poll;
+  poll.participant_id = "p1";
+  poll.doc_time_ms = -1;
+  poll.seq = 1;
+  {
+    RawClient joiner(&network);
+    joiner.Send(SignedRequest(HttpMethod::kPost, "/", "",
+                              EncodePollRequest(poll), kKey));
+    loop.RunFor(Duration::Millis(100));
+    EXPECT_EQ(joiner.Response().value_or(HttpResponse{}).status_code, 200);
+  }
+  if (condition == Condition::kRecoveryWindow) {
+    agent.DeferResyncAdmissionUntil(loop.now() + Duration::Seconds(5.0));
+  }
+
+  const std::string key =
+      condition == Condition::kBadMac ? "wrong-key" : kKey;
+  HttpRequest request;
+  switch (entry) {
+    case Entry::kPoll:
+      poll.participant_id = pid;
+      poll.seq = 2;
+      request = SignedRequest(HttpMethod::kPost, "/", "",
+                              EncodePollRequest(poll), key);
+      break;
+    case Entry::kFrames:
+      request = SignedRequest(HttpMethod::kGet, "/frames", "pid=" + pid, "",
+                              key);
+      break;
+    case Entry::kResume:
+      request = SignedRequest(HttpMethod::kGet, "/", "resume=" + pid, "", key);
+      break;
+    case Entry::kJoin:
+      request = SignedRequest(HttpMethod::kGet, "/", "", "", key);
+      break;
+    case Entry::kMetrics:
+      request = SignedRequest(HttpMethod::kGet, "/metrics", "", "", key);
+      break;
+    case Entry::kHealth:
+      request = SignedRequest(HttpMethod::kGet, "/health", "", "", key);
+      break;
+  }
+
+  const AgentMetrics before = agent.metrics();
+  const obs::FlightRecorder& flight = agent.flight_recorder();
+  const uint64_t auth_triggers = flight.triggers("auth_failure");
+  const uint64_t overload_triggers = flight.triggers("overload");
+  RawClient client(&network);
+  client.Send(request);
+  loop.RunFor(Duration::Millis(100));
+  AdmissionOutcome out;
+  std::optional<HttpResponse> response = client.Response();
+  EXPECT_TRUE(response.has_value());
+  if (response.has_value()) {
+    out.status = response->status_code;
+    out.body = response->body;
+    out.retry_after = response->headers.Get("Retry-After").value_or("");
+    if (entry == Entry::kFrames && out.status == 200) {
+      const std::string& wire = client.received();
+      out.body = wire.substr(wire.find("\r\n\r\n") + 4);
+    }
+  }
+  const AgentMetrics& after = agent.metrics();
+  out.auth_failures = after.auth_failures - before.auth_failures;
+  out.participants_rejected =
+      after.participants_rejected - before.participants_rejected;
+  out.recovery_deferrals = after.recovery_deferrals - before.recovery_deferrals;
+  out.auth_failure_triggers = flight.triggers("auth_failure") - auth_triggers;
+  out.overload_triggers = flight.triggers("overload") - overload_triggers;
+  return out;
+}
+
+TEST(AdmissionMatrixTest, EveryEntryPointClimbsItsRungs) {
+  const std::string kAuth = "Forbidden: request authentication failed";
+  const std::string kResumeAuth = "Forbidden: resume authentication failed";
+  const std::string kRoster = "Service Unavailable: participant limit reached";
+  const std::string kDefer =
+      "Service Unavailable: recovering: resync admission deferred";
+  // {status, body, Retry-After, auth_failures, participants_rejected,
+  //  recovery_deferrals, auth_failure triggers, overload triggers}
+  const AdmissionOutcome auth403{403, kAuth, "", 1, 0, 0, 1, 0};
+  const AdmissionOutcome resume403{403, kResumeAuth, "", 1, 0, 0, 1, 0};
+  const AdmissionOutcome roster503{503, kRoster, "1", 0, 1, 0, 0, 1};
+  const AdmissionOutcome defer503{503, kDefer, "5", 0, 0, 1, 0, 1};
+  auto ok = [](std::string substring) {
+    return AdmissionOutcome{200, std::move(substring), "", 0, 0, 0, 0, 0};
+  };
+  const AdmissionOutcome stream = ok("hb=");  // the hello frame
+  const AdmissionOutcome page_p1 = ok("<meta name=\"rcb-pid\" content=\"p1\">");
+  const AdmissionOutcome page_p2 = ok("<meta name=\"rcb-pid\" content=\"p2\">");
+  const AdmissionOutcome page = ok("<meta name=\"rcb-pid\"");
+  struct Row {
+    const char* name;
+    Entry entry;
+    const char* pid;
+    AdmissionOutcome bad_mac, roster_full, recovery_window;
+  };
+  const Row rows[] = {
+      // A known pid is never over the cap; only a known pid is deferred.
+      {"poll_known", Entry::kPoll, "p1", auth403, ok("<![CDATA["), defer503},
+      {"poll_unknown", Entry::kPoll, "p2", auth403, roster503,
+       ok("<![CDATA[")},
+      {"frames_known", Entry::kFrames, "p1", auth403, stream, defer503},
+      {"frames_unknown", Entry::kFrames, "p2", auth403, roster503, stream},
+      // Resumes are never deferred.
+      {"resume_known", Entry::kResume, "p1", resume403, page_p1, page_p1},
+      {"resume_unknown", Entry::kResume, "p2", resume403, roster503, page_p2},
+      // A join carries no MAC rung and is never deferred.
+      {"join", Entry::kJoin, "", page, roster503, page},
+      // The operator endpoints climb the auth rung only.
+      {"metrics", Entry::kMetrics, "", auth403,
+       ok("rcb_agent_polls_received 1\n"), ok("rcb_agent_polls_received 1\n")},
+      {"health", Entry::kHealth, "", auth403, ok("\"score\":"), ok("\"score\":")},
+  };
+  for (const Row& row : rows) {
+    const std::pair<Condition, const AdmissionOutcome*> cells[] = {
+        {Condition::kBadMac, &row.bad_mac},
+        {Condition::kRosterFull, &row.roster_full},
+        {Condition::kRecoveryWindow, &row.recovery_window}};
+    for (const auto& [condition, want] : cells) {
+      SCOPED_TRACE(testing::Message()
+                   << row.name << " / condition " << static_cast<int>(condition));
+      AdmissionOutcome got = RunAdmissionCell(row.entry, row.pid, condition);
+      EXPECT_EQ(got.status, want->status);
+      if (want->status == 200) {
+        EXPECT_NE(got.body.find(want->body), std::string::npos) << got.body;
+      } else {
+        EXPECT_EQ(got.body, want->body);
+      }
+      EXPECT_EQ(got.retry_after, want->retry_after);
+      EXPECT_EQ(got.auth_failures, want->auth_failures);
+      EXPECT_EQ(got.participants_rejected, want->participants_rejected);
+      EXPECT_EQ(got.recovery_deferrals, want->recovery_deferrals);
+      EXPECT_EQ(got.auth_failure_triggers, want->auth_failure_triggers);
+      EXPECT_EQ(got.overload_triggers, want->overload_triggers);
+    }
+  }
+}
+
+// ------------------------------------------------- held transport paths ----
+
+class HeldTransportTest : public AgentTest {
+ protected:
+  // Starts a streaming agent and brings p1 to the point where its next empty
+  // poll is parked: one long-poll-capable poll that took content and a grant.
+  void StartAndGrant() {
+    AgentConfig config;
+    config.transport.enable_stream = true;
+    StartAgent(config);
+    HostNavigate();
+    poll_.participant_id = "p1";
+    poll_.doc_time_ms = -1;
+    poll_.stream = transport::kStreamLongPoll;
+    FetchResult first = Poll(poll_);
+    ASSERT_EQ(first.response.status_code, 200);
+    ASSERT_TRUE(first.response.headers.Get("RCB-Transport").has_value());
+    auto snapshot = ParseSnapshotXml(first.response.body);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+    poll_.doc_time_ms = snapshot->doc_time_ms;
+  }
+
+  // Sends p1's up-to-date poll on `client` and expects the agent to hold it.
+  void Park(RawClient& client) {
+    uint64_t parked_before = agent_->metrics().transport_long_polls_parked;
+    client.Send(PollHttpRequest(poll_));
+    loop_.RunFor(Duration::Millis(100));
+    ASSERT_EQ(agent_->metrics().transport_long_polls_parked, parked_before + 1);
+    ASSERT_EQ(agent_->parked_poll_count(), 1u);
+    ASSERT_TRUE(client.received().empty());
+  }
+
+  PollRequest poll_;
+};
+
+TEST_F(HeldTransportTest, FreshPollDropsStaleParkedPollUnanswered) {
+  StartAndGrant();
+  RawClient stale(&network_);
+  Park(stale);
+  // The client gave up on that hold and polls again: the stale hold is
+  // closed without a reply, and the fresh poll is held in its place.
+  RawClient fresh(&network_);
+  Park(fresh);
+  EXPECT_TRUE(stale.closed());
+  EXPECT_TRUE(stale.received().empty());
+  EXPECT_FALSE(fresh.closed());
+  // The next document change releases the fresh hold with content.
+  host_browser_->MutateDocument([](Document* document) {
+    Element* p = document->ById("p");
+    p->RemoveAllChildren();
+    p->AppendChild(MakeText("v2"));
+  });
+  loop_.RunFor(Duration::Millis(100));
+  std::optional<HttpResponse> released = fresh.Response();
+  ASSERT_TRUE(released.has_value());
+  EXPECT_EQ(released->status_code, 200);
+  EXPECT_TRUE(released->headers.Get("RCB-Transport").has_value());
+  auto snapshot = ParseSnapshotXml(released->body);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  EXPECT_TRUE(snapshot->has_content);
+  EXPECT_NE(snapshot->body->inner_html.find("v2"), std::string::npos);
+  EXPECT_EQ(agent_->metrics().transport_long_poll_flushes, 1u);
+  EXPECT_TRUE(stale.received().empty());
+}
+
+TEST_F(HeldTransportTest, GoodbyeClosesParkedPoll) {
+  StartAndGrant();
+  RawClient held(&network_);
+  Park(held);
+  PollRequest goodbye = poll_;
+  goodbye.stream = transport::kStreamNone;
+  UserAction left;
+  left.type = ActionType::kPresence;
+  left.data = "left";
+  goodbye.actions.push_back(left);
+  FetchResult reply = Poll(goodbye);
+  EXPECT_EQ(reply.response.status_code, 200);
+  EXPECT_EQ(reply.response.body, "");
+  loop_.RunFor(Duration::Millis(100));
+  EXPECT_EQ(agent_->parked_poll_count(), 0u);
+  EXPECT_EQ(agent_->participant_count(), 0u);
+  EXPECT_TRUE(held.closed());
+  EXPECT_TRUE(held.received().empty());
+}
+
+TEST_F(HeldTransportTest, HostBroadcastReleasesParkedPoll) {
+  StartAndGrant();
+  RawClient held(&network_);
+  Park(held);
+  UserAction move;
+  move.type = ActionType::kMouseMove;
+  move.x = 7;
+  move.y = 9;
+  agent_->BroadcastAction(move);
+  loop_.RunFor(Duration::Millis(100));
+  EXPECT_EQ(agent_->parked_poll_count(), 0u);
+  EXPECT_EQ(agent_->metrics().transport_long_poll_flushes, 1u);
+  std::optional<HttpResponse> released = held.Response();
+  ASSERT_TRUE(released.has_value());
+  EXPECT_EQ(released->status_code, 200);
+  EXPECT_TRUE(released->headers.Get("RCB-Transport").has_value());
+  auto actions = ParseSnapshotXml(released->body);
+  ASSERT_TRUE(actions.ok()) << actions.status();
+  EXPECT_FALSE(actions->has_content);
+  EXPECT_EQ(actions->doc_time_ms, poll_.doc_time_ms);
+  ASSERT_EQ(actions->user_actions.size(), 1u);
+  EXPECT_EQ(actions->user_actions[0].origin, "host");
+  EXPECT_EQ(actions->user_actions[0].x, 7);
+}
+
+// Sync-latency exemplars name the path a delivery took on a tracing agent:
+// a traced poll its own trace id, a framed-stream delivery the synthetic
+// transport-<pid> chain, and an untraced poll nothing at all.
+TEST_F(HeldTransportTest, DeliveryExemplarsFollowTheirPath) {
+  AgentConfig config;
+  config.enable_trace = true;
+  config.transport.enable_stream = true;
+  StartAgent(config);
+  HostNavigate();
+  auto exemplar_ids = [&] {
+    std::vector<std::string> ids;
+    for (const auto& entry :
+         agent_->session_health().Evaluate(loop_.now().micros()).exemplars) {
+      ids.push_back(entry.exemplar.trace_id);
+    }
+    return ids;
+  };
+  PollRequest untraced;
+  untraced.participant_id = "p1";
+  untraced.doc_time_ms = -1;
+  ASSERT_EQ(Poll(untraced).response.status_code, 200);
+  EXPECT_TRUE(exemplar_ids().empty());
+
+  HttpRequest frames;
+  frames.method = HttpMethod::kGet;
+  frames.target = "/frames?pid=p2";
+  RawClient stream(&network_);
+  stream.Send(frames);
+  loop_.RunFor(Duration::Millis(100));
+  ASSERT_EQ(agent_->framed_stream_count(), 1u);
+  EXPECT_EQ(exemplar_ids(), std::vector<std::string>{"transport-p2"});
+
+  PollRequest traced = untraced;
+  traced.participant_id = "p3";
+  traced.trace = "p3-1";
+  ASSERT_EQ(Poll(traced).response.status_code, 200);
+  std::vector<std::string> ids = exemplar_ids();
+  EXPECT_NE(std::find(ids.begin(), ids.end(), "p3-1"), ids.end());
+}
+
+TEST_F(HeldTransportTest, FramesRequestNeedsTransportOn) {
+  StartAgent();  // streamed transport off
+  HttpRequest frames;
+  frames.method = HttpMethod::kGet;
+  frames.target = "/frames?pid=p1";
+  RawClient client(&network_);
+  client.Send(frames);
+  loop_.RunFor(Duration::Millis(100));
+  std::optional<HttpResponse> response = client.Response();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status_code, 400);
+  EXPECT_EQ(response->body, "Bad Request: streamed transport disabled");
+  EXPECT_EQ(agent_->framed_stream_count(), 0u);
+}
+
+TEST_F(HeldTransportTest, FramesRequestNeedsPid) {
+  AgentConfig config;
+  config.transport.enable_stream = true;
+  StartAgent(config);
+  HttpRequest frames;
+  frames.method = HttpMethod::kGet;
+  frames.target = "/frames";
+  RawClient client(&network_);
+  client.Send(frames);
+  loop_.RunFor(Duration::Millis(100));
+  std::optional<HttpResponse> response = client.Response();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status_code, 400);
+  EXPECT_EQ(response->body, "Bad Request: missing pid");
+  EXPECT_EQ(agent_->framed_stream_count(), 0u);
+  EXPECT_EQ(agent_->participant_count(), 0u);
+}
+
+TEST_F(HeldTransportTest, FramesReconnectReplacesRacingStream) {
+  AgentConfig config;
+  config.transport.enable_stream = true;
+  StartAgent(config);
+  HostNavigate();
+  HttpRequest frames;
+  frames.method = HttpMethod::kGet;
+  frames.target = "/frames?pid=p1";
+  RawClient first(&network_);
+  first.Send(frames);
+  loop_.RunFor(Duration::Millis(100));
+  ASSERT_EQ(agent_->framed_stream_count(), 1u);
+  ASSERT_EQ(first.received().rfind("HTTP/1.1 200 OK\r\n", 0), 0u);
+  // The reconnect arrives before the first stream's close: the agent keeps
+  // the newer stream and silently drops the older one.
+  RawClient second(&network_);
+  second.Send(frames);
+  loop_.RunFor(Duration::Millis(100));
+  EXPECT_EQ(agent_->framed_stream_count(), 1u);
+  EXPECT_EQ(agent_->metrics().transport_streams_opened, 2u);
+  EXPECT_TRUE(first.closed());
+  EXPECT_FALSE(second.closed());
+  ASSERT_EQ(second.received().rfind("HTTP/1.1 200 OK\r\n", 0), 0u);
+  // Later content goes to the replacement only.
+  const size_t first_bytes = first.received().size();
+  const size_t second_bytes = second.received().size();
+  host_browser_->MutateDocument([](Document*) {});
+  loop_.RunFor(Duration::Millis(100));
+  EXPECT_EQ(first.received().size(), first_bytes);
+  EXPECT_GT(second.received().size(), second_bytes);
 }
 
 }  // namespace

@@ -510,6 +510,58 @@ TEST_F(TransportSessionTest, HeldStreamCapDeniesUpgradesGracefully) {
     EXPECT_NE(session.participant_browser(i)->document()->ById("cap-marker"),
               nullptr)
         << "participant " << i;
+    // A held-cap 503 is load shedding, not an auth rejection.
+    EXPECT_EQ(session.snippet(i)->metrics().auth_rejections, 0u)
+        << "participant " << i;
+  }
+}
+
+// A stand-in agent that grants framed streams on every poll but answers
+// every GET /frames with `frames_status`: the snippet files only a 403 as an
+// auth rejection; a 503 is load shedding, like the held-stream cap above.
+TEST(FramesRejectionTest, OnlyA403CountsAsAuthRejection) {
+  for (int frames_status : {403, 503}) {
+    SCOPED_TRACE(frames_status);
+    EventLoop loop;
+    Network network(&loop);
+    network.AddHost("agent-pc", {});
+    network.AddHost("participant-pc", {});
+    SiteServer agent(&loop, &network, "agent-pc", 3000);
+    agent.Route("/", [](const HttpRequest& request) {
+      if (request.method == HttpMethod::kGet) {
+        return HttpResponse::Ok(
+            "text/html",
+            "<html><head><meta name=\"rcb-pid\" content=\"p1\">"
+            "<meta name=\"rcb-poll-interval\" content=\"250\"></head>"
+            "<body></body></html>");
+      }
+      transport::TransportGrant grant;
+      grant.mode = transport::GrantMode::kFrames;
+      grant.heartbeat_ms = 5000;
+      HttpResponse reply = HttpResponse::Ok("application/xml", "");
+      reply.headers.Set("RCB-Transport", FormatTransportGrant(grant));
+      return reply;
+    });
+    agent.Route("/frames", [frames_status](const HttpRequest&) {
+      return frames_status == 403
+                 ? HttpResponse::Forbidden("request authentication failed")
+                 : HttpResponse::ServiceUnavailable(
+                       Duration::Seconds(1.0), "held transport limit reached");
+    });
+    Browser participant(&loop, &network, "participant-pc");
+    SnippetConfig config;
+    config.stream_mode = transport::kStreamFrames;
+    AjaxSnippet snippet(&participant, config);
+    bool joined = false;
+    snippet.Join(Url::Make("http", "agent-pc", 3000, "/"),
+                 [&](Status status) { joined = status.ok(); });
+    loop.RunFor(Duration::Seconds(2.0));
+    ASSERT_TRUE(joined);
+    const SnippetMetrics& metrics = snippet.metrics();
+    EXPECT_GT(metrics.transport_stream_failures, 0u);
+    EXPECT_EQ(metrics.auth_rejections,
+              frames_status == 403 ? metrics.transport_stream_failures : 0u);
+    snippet.Leave();
   }
 }
 
