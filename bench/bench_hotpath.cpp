@@ -4,9 +4,10 @@
 // The serialization cache makes producing snapshot bytes proportional to the
 // change instead of the page. This bench quantifies that: for each corpus
 // site it drives repeated single-field updates (the paper's motivating small
-// mutations) through two generators sharing one host document — one with
-// incremental serialization on (warm cache), one with it off (the pre-cache
-// full path) — and compares the real CPU time of one update's serialization:
+// mutations) through the live generator (warm cache) and the reference
+// generator (tests/support/reference_generator.h: clone, three rewrite
+// passes, cold serialization — the pre-cache full path) over one host
+// document, and compares the real CPU time of one update's serialization:
 // the Fig. 3 extract stage plus the Fig. 4 snapshot XML encode. The encode
 // step belongs in the measurement because that is where the full path pays
 // its JsEscape of every payload byte; the incremental path splices
@@ -28,6 +29,7 @@
 #include "src/core/content_generator.h"
 #include "src/core/protocol.h"
 #include "src/html/dom.h"
+#include "tests/support/reference_generator.h"
 
 using namespace rcb;
 using namespace rcb::benchutil;
@@ -44,7 +46,7 @@ double Percentile50(std::vector<double> samples) {
 
 struct SiteHotpath {
   double incremental_p50_us = 0;  // extract + XML encode per update, warm
-  double full_p50_us = 0;         // extract + XML encode, incremental off
+  double full_p50_us = 0;         // extract + XML encode, reference path
   double speedup = 0;             // full / incremental
   double hit_rate = 0;            // serialize-cache hits / lookups
   double generate_p50_us = 0;     // whole pipeline per update, incremental
@@ -85,10 +87,7 @@ SiteHotpath MeasureHotpath(const SiteSpec& spec) {
     document->body()->AppendChild(std::move(status));
   });
 
-  ContentGenerator incremental(&browser);  // defaults: incremental on
-  GeneratorTuning full_tuning;
-  full_tuning.incremental_serialize = false;
-  ContentGenerator full(&browser, full_tuning);
+  ContentGenerator incremental(&browser);
   ContentGenOptions options;
   options.cache_mode = true;
   options.agent_url = Url::Make("http", "host-pc", 3000, "/");
@@ -100,7 +99,7 @@ SiteHotpath MeasureHotpath(const SiteSpec& spec) {
     ++doc_time;
     MutateStatus(&browser, doc_time);
     GenerationResult warm = incremental.Generate(doc_time, options);
-    GenerationResult cold = full.Generate(doc_time, options);
+    GenerationResult cold = ReferenceGenerate(&browser, doc_time, options);
     std::string warm_xml =
         SerializeSnapshotXml(warm.snapshot, nullptr, &warm.escaped, nullptr);
     if (warm_xml != SerializeSnapshotXml(cold.snapshot)) {
@@ -139,12 +138,12 @@ SiteHotpath MeasureHotpath(const SiteSpec& spec) {
     }
     ++doc_time;
     MutateStatus(&browser, doc_time);
-    full.Generate(doc_time, options);  // uncounted transition update
+    ReferenceGenerate(&browser, doc_time, options);  // uncounted transition
     int64_t full_serialize = 0;
     for (int update = 0; update < kUpdatesPerRound; ++update) {
       ++doc_time;
       MutateStatus(&browser, doc_time);
-      GenerationResult cold = full.Generate(doc_time, options);
+      GenerationResult cold = ReferenceGenerate(&browser, doc_time, options);
       auto t0 = std::chrono::steady_clock::now();
       std::string cold_xml = SerializeSnapshotXml(cold.snapshot);
       auto t1 = std::chrono::steady_clock::now();

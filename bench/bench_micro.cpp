@@ -15,6 +15,7 @@
 #include "src/sites/corpus.h"
 #include "src/sites/site_server.h"
 #include "src/util/escape.h"
+#include "tests/support/reference_generator.h"
 
 namespace rcb {
 namespace {
@@ -61,10 +62,11 @@ void BM_InnerHtmlSet(benchmark::State& state) {
 }
 BENCHMARK(BM_InnerHtmlSet)->Arg(1)->Arg(12);
 
-// Full Fig. 3 pipeline against a live browser holding a corpus page.
-// Incremental serialization is pinned OFF so the series keeps measuring the
-// full per-generation cost across commits; the incremental path has its own
-// benchmark below and a dedicated artifact (bench_hotpath).
+// Full Fig. 3 pipeline against a live browser holding a corpus page, run by
+// the reference generator (clone, three rewrite passes, cold serialization)
+// so the series keeps measuring the full per-generation cost across commits;
+// the incremental path has its own benchmark below and a dedicated artifact
+// (bench_hotpath).
 void BM_ContentGeneration(benchmark::State& state) {
   const SiteSpec& spec = SiteByRangeIndex(state.range(0));
   EventLoop loop;
@@ -78,14 +80,11 @@ void BM_ContentGeneration(benchmark::State& state) {
                    [&](const Status&, const PageLoadStats&) { done = true; });
   loop.RunUntilCondition([&] { return done; });
 
-  GeneratorTuning tuning;
-  tuning.incremental_serialize = false;
-  ContentGenerator generator(&browser, tuning);
   ContentGenOptions options;
   options.cache_mode = true;
   options.agent_url = Url::Make("http", "host-pc", 3000, "/");
   for (auto _ : state) {
-    GenerationResult result = generator.Generate(1, options);
+    GenerationResult result = ReferenceGenerate(&browser, 1, options);
     benchmark::DoNotOptimize(result);
   }
   state.SetLabel(spec.name);
@@ -113,7 +112,7 @@ void BM_ContentGenerationIncremental(benchmark::State& state) {
     document->body()->AppendChild(std::move(status));
   });
 
-  ContentGenerator generator(&browser);  // defaults: incremental on
+  ContentGenerator generator(&browser);
   ContentGenOptions options;
   options.cache_mode = true;
   options.agent_url = Url::Make("http", "host-pc", 3000, "/");

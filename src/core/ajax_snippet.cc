@@ -889,7 +889,7 @@ void AjaxSnippet::OnFramesData(std::string_view data) {
             frames_hb_ms_ = static_cast<int64_t>(hb_ms);
           }
         }
-        ArmFramesWatchdog(EffectiveHeartbeatTimeout());
+        ArmFramesWatchdog(HeartbeatTimeout());
         break;
       }
       case transport::FrameType::kHeartbeat:
@@ -898,25 +898,17 @@ void AjaxSnippet::OnFramesData(std::string_view data) {
       case transport::FrameType::kData: {
         ++metrics_.frames_received;
         stream_failure_streak_ = 0;  // the transport demonstrably works
-        SimTime received = browser_->loop()->now();
-        auto snapshot_or = ParseSnapshotXml(frame.body);
-        if (!snapshot_or.ok()) {
-          RCB_LOG(kWarning) << "ajax-snippet: bad framed snapshot: "
-                            << snapshot_or.status();
-          break;
+        if (ApplyReplyBody(frame.body,
+                           browser_->loop()->now() - frames_last_part_start_)) {
+          frames_last_part_start_ = browser_->loop()->now();
         }
-        ProcessSnapshot(*snapshot_or, received - frames_last_part_start_);
-        frames_last_part_start_ = browser_->loop()->now();
         break;
       }
     }
   }
 }
 
-Duration AjaxSnippet::EffectiveHeartbeatTimeout() const {
-  if (config_.heartbeat_timeout > Duration::Zero()) {
-    return config_.heartbeat_timeout;
-  }
+Duration AjaxSnippet::HeartbeatTimeout() const {
   int64_t hb_ms = frames_hb_ms_ > 0 ? frames_hb_ms_ : 5000;
   return Duration::Millis(3 * hb_ms);
 }
@@ -942,7 +934,7 @@ void AjaxSnippet::OnFramesWatchdogTick() {
     return;
   }
   SimTime now = browser_->loop()->now();
-  Duration timeout = EffectiveHeartbeatTimeout();
+  Duration timeout = HeartbeatTimeout();
   if (now - last_frame_at_ >= timeout) {
     ++metrics_.heartbeat_timeouts;
     RCB_LOG(kWarning) << "ajax-snippet: framed stream heartbeat timeout after "
@@ -1034,15 +1026,9 @@ void AjaxSnippet::ProcessSnapshot(const Snapshot& snapshot,
     const bool traced = poll_ctx_.active();
     metrics_.last_content_download = transport_time;
     content_download_us_->Record(transport_time.micros());
-    if (traced) {
-      trace_.Append("snippet.content_download", obs::Provenance::kSim,
-                    sim_now_us - transport_time.micros(),
-                    transport_time.micros(), poll_ctx_);
-    } else {
-      trace_.Append("snippet.content_download", obs::Provenance::kSim,
-                    sim_now_us - transport_time.micros(),
-                    transport_time.micros());
-    }
+    trace_.Append("snippet.content_download", obs::Provenance::kSim,
+                  sim_now_us - transport_time.micros(),
+                  transport_time.micros(), poll_ctx_);
     auto start = std::chrono::steady_clock::now();
     {
       obs::WallSpan span(&trace_, "snippet.apply", sim_now_us, apply_us_,
@@ -1105,15 +1091,9 @@ void AjaxSnippet::ProcessPatch(const delta::PatchEnvelope& envelope,
     case delta::ApplyResult::kApplied:
       metrics_.last_content_download = transport_time;
       content_download_us_->Record(transport_time.micros());
-      if (traced) {
-        trace_.Append("snippet.content_download", obs::Provenance::kSim,
-                      sim_now_us - transport_time.micros(),
-                      transport_time.micros(), poll_ctx_);
-      } else {
-        trace_.Append("snippet.content_download", obs::Provenance::kSim,
-                      sim_now_us - transport_time.micros(),
-                      transport_time.micros());
-      }
+      trace_.Append("snippet.content_download", obs::Provenance::kSim,
+                    sim_now_us - transport_time.micros(),
+                    transport_time.micros(), poll_ctx_);
       metrics_.last_apply_time = Duration::Micros(
           std::chrono::duration_cast<std::chrono::microseconds>(end - start)
               .count());
@@ -1174,12 +1154,8 @@ void AjaxSnippet::ApplySnapshot(const Snapshot& snapshot) {
         std::chrono::duration_cast<std::chrono::microseconds>(now - stage_start)
             .count();
     apply_stage_hist_[stage_index++]->Record(elapsed_us);
-    if (apply_ctx_.active()) {
-      trace_.Append(name, obs::Provenance::kWall, sim_now_us, elapsed_us,
-                    apply_ctx_);
-    } else {
-      trace_.Append(name, obs::Provenance::kWall, sim_now_us, elapsed_us);
-    }
+    trace_.Append(name, obs::Provenance::kWall, sim_now_us, elapsed_us,
+                  apply_ctx_);
     stage_start = now;
   };
   Element* head = root->ChildByTag("head");

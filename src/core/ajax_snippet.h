@@ -78,9 +78,6 @@ struct SnippetConfig {
   // Capability advertised on polls: 0 = classic polling, 1 = long-poll
   // capable, 2 = framed-stream capable (transport::kStream*).
   uint32_t stream_mode = 0;
-  // Declare a framed stream dead after this much silence; zero derives
-  // 3x the agent-advertised heartbeat interval.
-  Duration heartbeat_timeout = Duration::Zero();
   // After this many consecutive framed-stream failures, stop advertising
   // stream= and stay on classic polling for good. 0 never downgrades.
   uint32_t stream_downgrade_after = 3;
@@ -276,8 +273,9 @@ class AjaxSnippet {
   void OnFramedStreamFailure();
   void ArmFramesWatchdog(Duration delay);
   void OnFramesWatchdogTick();
-  // Configured override, else 3x the agent-advertised heartbeat interval.
-  Duration EffectiveHeartbeatTimeout() const;
+  // Silence after which a framed stream is declared dead: 3x the
+  // agent-advertised heartbeat interval.
+  Duration HeartbeatTimeout() const;
   void ApplySnapshot(const Snapshot& snapshot);
   void FetchSupplementaryObjects();
   // Registers the snippet's metric families (constructor-time).

@@ -29,8 +29,8 @@ SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
   options.agent_url = agent_url;
   options.cache_object_filter = options_.cache_object_filter;
   int64_t sim_now_us = loop_->now().micros();
-  // When the generation happens inside a traced poll, the five Fig. 3 stage
-  // events (plus serialize) parent to one "agent.generate" span whose id is
+  // When the generation happens inside a traced poll, the extract and
+  // serialize stage events parent to one "agent.generate" span whose id is
   // reserved up front so children can reference it before it is appended.
   obs::TraceLog* trace = instruments_.trace;
   const bool traced_gen = trace != nullptr && trace_ctx.active();
@@ -42,11 +42,10 @@ SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
   SnapshotSerializeStats serialize_stats;
   {
     obs::WallSpan span(trace, "agent.generate.serialize", sim_now_us,
-                       instruments_.stage_hist[5],
+                       instruments_.stage_hist[1],
                        traced_gen ? &stage_ctx : nullptr);
-    slot.xml = SerializeSnapshotXml(
-        slot.snapshot, &serialize_stats,
-        slot.escaped.has_content ? &slot.escaped : nullptr, nullptr);
+    slot.xml = SerializeSnapshotXml(slot.snapshot, &serialize_stats,
+                                    &slot.escaped, nullptr);
   }
   slot.valid = true;
   if (options_.enable_delta) {
@@ -62,7 +61,7 @@ SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
     if (previous.tree != nullptr &&
         previous.doc_time_ms != slot.current.doc_time_ms) {
       slot.history.push_back(std::move(previous));
-      while (slot.history.size() > options_.delta_history) {
+      while (slot.history.size() > kDeltaHistory) {
         slot.history.pop_front();
       }
     }
@@ -74,28 +73,14 @@ SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
   metrics.last_snapshot_bytes = slot.xml.size();
   metrics.snapshot_bytes_raw += serialize_stats.payload_raw_bytes;
   metrics.snapshot_bytes_escaped += serialize_stats.payload_escaped_bytes;
-  // Feed the generator's per-stage breakdown into the stage histograms and
-  // the trace ring (the generator itself stays observability-free).
-  const std::pair<const char*, Duration> stages[5] = {
-      {"agent.generate.clone", result.stage_clone},
-      {"agent.generate.absolutize", result.stage_absolutize},
-      {"agent.generate.cache_rewrite", result.stage_cache_rewrite},
-      {"agent.generate.event_rewrite", result.stage_event_rewrite},
-      {"agent.generate.extract", result.stage_extract}};
-  for (size_t i = 0; i < 5; ++i) {
-    if (instruments_.stage_hist[i] != nullptr) {
-      instruments_.stage_hist[i]->Record(stages[i].second.micros());
-    }
-    if (trace == nullptr) {
-      continue;
-    }
-    if (traced_gen) {
-      trace->Append(stages[i].first, obs::Provenance::kWall, sim_now_us,
-                    stages[i].second.micros(), stage_ctx);
-    } else {
-      trace->Append(stages[i].first, obs::Provenance::kWall, sim_now_us,
-                    stages[i].second.micros());
-    }
+  // Feed the generator's extract stage into its histogram and the trace
+  // ring (the generator itself stays observability-free).
+  if (instruments_.stage_hist[0] != nullptr) {
+    instruments_.stage_hist[0]->Record(result.stage_extract.micros());
+  }
+  if (trace != nullptr) {
+    trace->Append("agent.generate.extract", obs::Provenance::kWall, sim_now_us,
+                  result.stage_extract.micros(), stage_ctx);
   }
   if (traced_gen) {
     trace->Append(
@@ -162,7 +147,7 @@ std::optional<std::string> SnapshotBroadcast::MaybeBuildPatchResponse(
              {"bytes", StrFormat("%zu", cached.xml.size())}});
       }
       if (cached.xml.size() >
-          options_.patch_size_cutoff * static_cast<double>(slot.xml.size())) {
+          kPatchSizeCutoff * static_cast<double>(slot.xml.size())) {
         // A patch near snapshot size buys nothing but apply-time risk.
         ++instruments_.metrics->patch_fallback_oversize;
         cached.fallback = true;

@@ -41,8 +41,6 @@ struct AgentMetrics;  // src/core/rcb_agent.h
 // construction; the agent remains the single owner of its config).
 struct BroadcastOptions {
   bool enable_delta = false;
-  double patch_size_cutoff = 0.6;
-  size_t delta_history = 8;
   std::function<bool(const Url& url, const std::string& kind)>
       cache_object_filter;
 };
@@ -55,9 +53,8 @@ struct BroadcastOptions {
 struct BroadcastInstruments {
   AgentMetrics* metrics = nullptr;
   obs::TraceLog* trace = nullptr;
-  // Fig. 3 stage histograms in pipeline order:
-  // clone, absolutize, cache_rewrite, event_rewrite, extract, serialize.
-  obs::Histogram* stage_hist[6] = {};
+  // Fig. 3 stage histograms in pipeline order: extract, serialize.
+  obs::Histogram* stage_hist[2] = {};
   obs::Histogram* generation_us = nullptr;   // whole pipeline, wall
   obs::Histogram* snapshot_bytes = nullptr;  // serialized XML size, sim
   obs::Histogram* patch_ops = nullptr;       // ops per served patch, sim
@@ -65,6 +62,14 @@ struct BroadcastInstruments {
 
 class SnapshotBroadcast {
  public:
+  // Base versions retained per cache-mode slot for patch generation; a poll
+  // acking an older version than the window holds gets a full snapshot.
+  static constexpr size_t kDeltaHistory = 8;
+  // Fall back to the full snapshot when the serialized patch exceeds this
+  // fraction of the snapshot XML (a patch barely smaller than the snapshot
+  // is not worth the apply risk).
+  static constexpr double kPatchSizeCutoff = 0.6;
+
   // One materialized canonical tree (src/delta) with its version, digest and
   // subtree hashes; the delta path diffs a history of these against the
   // current one. The hashes are computed once, with the tree, and live and
@@ -88,10 +93,10 @@ class SnapshotBroadcast {
   struct Slot {
     bool valid = false;
     Snapshot snapshot;
-    // Pre-escaped payload CDATA for `snapshot` (incremental generate path).
-    // Per-participant serializations (actions appended) splice these spans
-    // instead of re-escaping the whole page — the fan-out half of the
-    // serialization-cache win (docs/PERF_MODEL.md).
+    // Pre-escaped payload CDATA for `snapshot`. Per-participant
+    // serializations (actions appended) splice these spans instead of
+    // re-escaping the whole page — the fan-out half of the serialization-cache
+    // win (docs/PERF_MODEL.md).
     SnapshotEscaped escaped;
     std::string xml;  // the encoded bytes fanned out to matching pollers
     // --- Delta state (BroadcastOptions::enable_delta only) ---
@@ -123,8 +128,9 @@ class SnapshotBroadcast {
 
   // Delta path: returns the serialized newPatch response for a participant
   // acking `base_time`, or nullopt when the full snapshot must be served (no
-  // delta state, base outside the history window, or patch over the size
-  // cutoff). Consumes `outbox` only when a patch is returned.
+  // delta state, base outside the kDeltaHistory window, or patch over
+  // kPatchSizeCutoff of the snapshot). Consumes `outbox` only when a patch
+  // is returned.
   std::optional<std::string> MaybeBuildPatchResponse(
       Slot& slot, int64_t base_time, std::vector<UserAction>* outbox,
       const obs::TraceContext& trace_ctx);

@@ -4,7 +4,6 @@
 
 #include "src/browser/resources.h"
 #include "src/delta/tree_diff.h"
-#include "src/html/serializer.h"
 #include "src/util/escape.h"
 #include "src/util/rand.h"
 #include "src/util/strings.h"
@@ -110,106 +109,7 @@ bool AttributeRewriter::Rewrite(const Element& element, size_t rcb_id,
 
 namespace {
 
-// The reference path's three whole-tree passes over a heap clone. They share
-// no code with AttributeRewriter, so comparing the two paths' output is a
-// real byte-identity check.
-
-// Step 2 of Fig. 3: convert relative URLs of the cloned document to absolute
-// origin-server URLs. Returns the number of attributes rewritten.
-size_t AbsolutizeUrls(Element* clone_root, const Url& base) {
-  size_t rewritten = 0;
-  auto rewrite = [&](Element* element) {
-    std::string attr;
-    if (!UrlAttributeFor(*element, &attr)) {
-      return true;
-    }
-    std::string value = element->AttrOr(attr);
-    if (value.empty() || StartsWith(value, "javascript:") ||
-        StartsWith(value, "data:") || StartsWith(value, "#") ||
-        IsAbsoluteUrl(value)) {
-      return true;
-    }
-    auto resolved = base.Resolve(value);
-    if (resolved.ok()) {
-      element->SetAttribute(attr, resolved->ToStringWithFragment());
-      ++rewritten;
-    }
-    return true;
-  };
-  // The root element itself cannot carry a URL attribute (<html>), so walking
-  // descendants is sufficient.
-  clone_root->ForEachElement(rewrite);
-  return rewritten;
-}
-
-// Step 3: rewrite cached supplementary-object URLs to agent URLs.
-size_t RewriteCachedUrls(Element* clone_root, ObjectCache* cache,
-                         const ContentGenOptions& options) {
-  const Url& agent_url = options.agent_url;
-  size_t rewritten = 0;
-  clone_root->ForEachElement([&](Element* element) {
-    std::string kind = SupplementaryKindFor(*element);
-    if (kind.empty()) {
-      return true;
-    }
-    std::string attr;
-    if (!UrlAttributeFor(*element, &attr)) {
-      return true;
-    }
-    std::string value = element->AttrOr(attr);
-    if (!IsAbsoluteUrl(value)) {
-      return true;  // absolutization step already skipped it
-    }
-    auto url = Url::Parse(value);
-    if (!url.ok()) {
-      return true;
-    }
-    if (options.cache_object_filter && !options.cache_object_filter(*url, kind)) {
-      return true;  // this object stays in non-cache mode
-    }
-    const CacheEntry* entry = cache->Lookup(*url);
-    if (entry == nullptr) {
-      return true;  // not cached: participant fetches from the origin
-    }
-    Url object_url = Url::Make(agent_url.scheme(), agent_url.host(),
-                               agent_url.port(), "/obj/" + entry->cache_key);
-    element->SetAttribute(attr, object_url.ToString());
-    ++rewritten;
-    return true;
-  });
-  return rewritten;
-}
-
-// Step 4: event-attribute rewriting + data-rcb-id tagging.
-size_t RewriteEventAttributes(Element* clone_root) {
-  std::vector<Element*> interactive =
-      ContentGenerator::InteractiveElements(clone_root);
-  for (size_t i = 0; i < interactive.size(); ++i) {
-    Element* element = interactive[i];
-    element->SetAttribute("data-rcb-id", StrFormat("%zu", i));
-    const std::string& tag = element->tag_name();
-    if (tag == "form") {
-      element->SetAttribute("onsubmit", "return rcbSubmit(this)");
-    } else if (tag == "a") {
-      element->SetAttribute("onclick", "return rcbClick(this)");
-    } else if (tag == "button") {
-      element->SetAttribute("onclick", "return rcbClick(this)");
-    } else {
-      element->SetAttribute("onchange", "rcbFill(this)");
-    }
-  }
-  return interactive.size();
-}
-
-ElementPayload ExtractPayload(const Element& element) {
-  ElementPayload payload;
-  payload.tag = element.tag_name();
-  payload.attributes = element.attributes();
-  payload.inner_html = element.InnerHtml();
-  return payload;
-}
-
-// Incremental flavour over the live document: the payload root's rewritten
+// One payload over the live document: the payload root's rewritten
 // attributes, then its innerHTML through the serialization cache, raw and
 // escaped in lockstep. `counter` is the pre-order data-rcb-id counter,
 // advanced past `element` and its subtree. The encoded prefix (tag +
@@ -288,15 +188,6 @@ uint64_t ConfigFingerprint(Browser* browser, const ContentGenOptions& options) {
 GenerationResult ContentGenerator::Generate(int64_t doc_time_ms,
                                             const ContentGenOptions& options) {
   auto start = std::chrono::steady_clock::now();
-  auto stage_start = start;
-  auto end_stage = [&stage_start]() {
-    auto now = std::chrono::steady_clock::now();
-    Duration elapsed = Duration::Micros(
-        std::chrono::duration_cast<std::chrono::microseconds>(now - stage_start)
-            .count());
-    stage_start = now;
-    return elapsed;
-  };
   GenerationResult result;
   result.snapshot.doc_time_ms = doc_time_ms;
 
@@ -307,104 +198,66 @@ GenerationResult ContentGenerator::Generate(int64_t doc_time_ms,
   }
   result.snapshot.has_content = true;
 
-  if (tuning_.incremental_serialize) {
-    // Steps 2-5 in one walk over the live document: the cache serializes
-    // dirty subtrees, rewriting each missed element's attributes on the way
-    // out, and splices everything else. One data-rcb-id counter runs through
-    // the whole document in pre-order so cached spans can assert their
-    // embedded ids are still current (serialize_cache.h).
-    result.escaped.has_content = true;
-    AttributeRewriter rewriter(browser_->current_url(),
-                               options.cache_mode ? &browser_->cache()
-                                                  : nullptr,
-                               options);
-    const uint64_t fingerprint = ConfigFingerprint(browser_, options);
-    size_t counter = 0;
-    for (const auto& child : document->document_element()->children()) {
-      const Element* element = child->AsElement();
-      if (element == nullptr) {
-        continue;
+  // Steps 2-5 in one walk over the live document: the cache serializes
+  // dirty subtrees, rewriting each missed element's attributes on the way
+  // out, and splices everything else. One data-rcb-id counter runs through
+  // the whole document in pre-order so cached spans can assert their
+  // embedded ids are still current (serialize_cache.h).
+  result.escaped.has_content = true;
+  AttributeRewriter rewriter(browser_->current_url(),
+                             options.cache_mode ? &browser_->cache()
+                                                : nullptr,
+                             options);
+  const uint64_t fingerprint = ConfigFingerprint(browser_, options);
+  size_t counter = 0;
+  for (const auto& child : document->document_element()->children()) {
+    const Element* element = child->AsElement();
+    if (element == nullptr) {
+      continue;
+    }
+    const std::string& tag = element->tag_name();
+    if (tag == "head") {
+      for (const auto& head_child : element->children()) {
+        if (const Element* head_element = head_child->AsElement()) {
+          EscapedPayload escaped;
+          result.snapshot.head_children.push_back(ExtractPayloadCached(
+              *head_element, &serialize_cache_, &rewriter, fingerprint,
+              &counter, &escaped));
+          result.escaped.head_children.push_back(std::move(escaped));
+        }
       }
-      const std::string& tag = element->tag_name();
-      if (tag == "head") {
-        for (const auto& head_child : element->children()) {
-          if (const Element* head_element = head_child->AsElement()) {
-            EscapedPayload escaped;
-            result.snapshot.head_children.push_back(ExtractPayloadCached(
-                *head_element, &serialize_cache_, &rewriter, fingerprint,
-                &counter, &escaped));
-            result.escaped.head_children.push_back(std::move(escaped));
-          }
-        }
-      } else if (tag == "body" || tag == "frameset") {
-        EscapedPayload escaped;
-        ElementPayload payload = ExtractPayloadCached(
-            *element, &serialize_cache_, &rewriter, fingerprint, &counter,
-            &escaped, &main_payload_raw_hint_, &main_payload_escaped_hint_);
-        if (tag == "body") {
-          result.snapshot.body = std::move(payload);
-          result.escaped.body = std::move(escaped);
-        } else {
-          result.snapshot.frameset = std::move(payload);
-          result.escaped.frameset = std::move(escaped);
-        }
-      } else if (tag == "noframes") {
-        EscapedPayload escaped;
-        result.snapshot.noframes =
-            ExtractPayloadCached(*element, &serialize_cache_, &rewriter,
-                                 fingerprint, &counter, &escaped);
-        result.escaped.noframes = std::move(escaped);
+    } else if (tag == "body" || tag == "frameset") {
+      EscapedPayload escaped;
+      ElementPayload payload = ExtractPayloadCached(
+          *element, &serialize_cache_, &rewriter, fingerprint, &counter,
+          &escaped, &main_payload_raw_hint_, &main_payload_escaped_hint_);
+      if (tag == "body") {
+        result.snapshot.body = std::move(payload);
+        result.escaped.body = std::move(escaped);
       } else {
-        // Not carried by the snapshot, but the reference rewrite numbers any
-        // interactive elements in here: keep the counter in step.
-        counter += CountInteractive(*element);
+        result.snapshot.frameset = std::move(payload);
+        result.escaped.frameset = std::move(escaped);
       }
+    } else if (tag == "noframes") {
+      EscapedPayload escaped;
+      result.snapshot.noframes =
+          ExtractPayloadCached(*element, &serialize_cache_, &rewriter,
+                               fingerprint, &counter, &escaped);
+      result.escaped.noframes = std::move(escaped);
+    } else {
+      // Not carried by the snapshot, but Fig. 3 step 4 numbers any
+      // interactive elements in here: keep the counter in step.
+      counter += CountInteractive(*element);
     }
-    result.interactive_elements = counter;
-    result.urls_absolutized = rewriter.urls_absolutized();
-    result.urls_cache_rewritten = rewriter.urls_cache_rewritten();
-    result.stage_extract = end_stage();
-  } else {
-    // Reference path: step 1 clones the documentElement; steps 2-4 rewrite
-    // the whole clone; step 5 extracts from it.
-    std::unique_ptr<Node> clone_owned = document->document_element()->Clone();
-    Element* clone = clone_owned->AsElement();
-    result.stage_clone = end_stage();
-    result.urls_absolutized = AbsolutizeUrls(clone, browser_->current_url());
-    result.stage_absolutize = end_stage();
-    if (options.cache_mode) {
-      result.urls_cache_rewritten =
-          RewriteCachedUrls(clone, &browser_->cache(), options);
-    }
-    result.stage_cache_rewrite = end_stage();
-    result.interactive_elements = RewriteEventAttributes(clone);
-    result.stage_event_rewrite = end_stage();
-    for (const auto& child : clone->children()) {
-      const Element* element = child->AsElement();
-      if (element == nullptr) {
-        continue;
-      }
-      if (element->tag_name() == "head") {
-        for (const auto& head_child : element->children()) {
-          if (const Element* head_element = head_child->AsElement()) {
-            result.snapshot.head_children.push_back(
-                ExtractPayload(*head_element));
-          }
-        }
-      } else if (element->tag_name() == "body") {
-        result.snapshot.body = ExtractPayload(*element);
-      } else if (element->tag_name() == "frameset") {
-        result.snapshot.frameset = ExtractPayload(*element);
-      } else if (element->tag_name() == "noframes") {
-        result.snapshot.noframes = ExtractPayload(*element);
-      }
-    }
-    result.stage_extract = end_stage();
   }
-
+  result.interactive_elements = counter;
+  result.urls_absolutized = rewriter.urls_absolutized();
+  result.urls_cache_rewritten = rewriter.urls_cache_rewritten();
   auto end = std::chrono::steady_clock::now();
   result.wall_time = Duration::Micros(
       std::chrono::duration_cast<std::chrono::microseconds>(end - start).count());
+  // Steps 2-5 are one walk, so the extract stage is the whole pipeline.
+  result.stage_extract = result.wall_time;
   return result;
 }
 

@@ -12,14 +12,12 @@
 //   5. extracts the attribute lists and innerHTML of the head children and of
 //      the body (or frameset/noframes) into a Snapshot (Fig. 4).
 //
-// The incremental generator skips the clone: steps 2-4 are one
-// per-element attribute transform (AttributeRewriter) applied while the
-// SerializeCache serializes the live document, only to the elements it
-// misses on (and to the payload roots), so a generation costs O(change) and
-// never writes the DOM. The
-// reference path (GeneratorTuning::incremental_serialize = false) still
-// clones and rewrites the whole clone in three passes; it is the
-// byte-identity oracle the incremental path is tested against.
+// The generator skips the clone: steps 2-4 are one per-element attribute
+// transform (AttributeRewriter) applied while the SerializeCache serializes
+// the live document, only to the elements it misses on (and to the payload
+// roots), so a generation costs O(change) and never writes the DOM. The
+// literal clone-and-three-passes pipeline survives as the test oracle
+// ReferenceGenerate (tests/support/reference_generator.h).
 #ifndef SRC_CORE_CONTENT_GENERATOR_H_
 #define SRC_CORE_CONTENT_GENERATOR_H_
 
@@ -28,28 +26,10 @@
 
 #include "src/browser/browser.h"
 #include "src/core/protocol.h"
-#include "src/html/intern.h"
 #include "src/core/serialize_cache.h"
 #include "src/util/sim_time.h"
 
 namespace rcb {
-
-// Hot-path knobs (README "hot-path knobs" table, docs/PERF_MODEL.md). All
-// change cost only, never output bytes: incremental off must be
-// byte-identical to incremental on.
-struct GeneratorTuning {
-  // Rewrite and serialize only dirty subtrees of the live document through
-  // the SerializeCache; off falls back to the reference path (clone, three
-  // whole-tree rewrite passes, full InnerHtml) per generation.
-  bool incremental_serialize = true;
-  size_t serialize_cache_budget = 4 * 1024 * 1024;
-  size_t serialize_cache_min_span = 64;
-  // Cap on the process-global tag/attribute interning table. The table is
-  // shared by every document in the process (interned pointers must stay
-  // stable across generator lifetimes), so this knob is applied process-wide
-  // at generator construction; 0 leaves the current cap unchanged.
-  size_t intern_table_max = 0;
-};
 
 struct ContentGenOptions {
   bool cache_mode = true;
@@ -64,24 +44,24 @@ struct ContentGenOptions {
 
 struct GenerationResult {
   Snapshot snapshot;
-  // Pre-escaped payload CDATA text matching `snapshot` (filled on the
-  // incremental path; empty/has_content=false when incremental_serialize is
-  // off). SnapshotBroadcast stores it in the slot so per-participant
-  // serializations splice instead of re-escaping the page.
+  // Pre-escaped payload CDATA text matching `snapshot`. SnapshotBroadcast
+  // stores it in the slot so per-participant serializations splice instead
+  // of re-escaping the page.
   SnapshotEscaped escaped;
   size_t interactive_elements = 0;
-  // Rewrites this generation performed. The incremental path rewrites only
-  // the elements the SerializeCache misses on (and the payload roots), so an
+  // Rewrites this generation performed. Only the elements the
+  // SerializeCache misses on (and the payload roots) are rewritten, so an
   // unchanged regeneration reads 0 here.
   size_t urls_absolutized = 0;
   size_t urls_cache_rewritten = 0;
   // Real (not simulated) CPU time of the pipeline — the paper's M5.
   Duration wall_time;
   // Per-stage breakdown of wall_time, one field per Fig. 3 step. The
-  // generator stays observability-free; RcbAgent feeds these into its stage
-  // histograms (rcb_agent_gen_stage_us{stage=...}). The incremental path
-  // neither clones nor runs separate rewrite passes: its clone and rewrite
-  // stages read 0 and the rewrite cost falls inside stage_extract.
+  // generator stays observability-free; SnapshotBroadcast records
+  // stage_extract into rcb_agent_gen_stage_us{stage="extract"}. The
+  // generator neither clones nor runs separate rewrite passes: its clone and
+  // rewrite stages read 0 and the rewrite cost falls inside stage_extract.
+  // Only ReferenceGenerate fills them.
   Duration stage_clone;
   Duration stage_absolutize;
   Duration stage_cache_rewrite;
@@ -124,15 +104,7 @@ class AttributeRewriter {
 
 class ContentGenerator {
  public:
-  explicit ContentGenerator(Browser* host_browser, GeneratorTuning tuning = {})
-      : browser_(host_browser),
-        tuning_(tuning),
-        serialize_cache_(SerializeCache::Tuning{
-            tuning.serialize_cache_budget, tuning.serialize_cache_min_span}) {
-    if (tuning.intern_table_max != 0) {
-      SetTagInternCap(tuning.intern_table_max);
-    }
-  }
+  explicit ContentGenerator(Browser* host_browser) : browser_(host_browser) {}
 
   // Runs the pipeline against the host browser's current document, which it
   // only reads. `doc_time_ms` stamps the snapshot (§4.1.1 timestamp
@@ -151,14 +123,12 @@ class ContentGenerator {
   // action targets.
   static std::vector<Element*> InteractiveElements(Node* root);
 
-  const GeneratorTuning& tuning() const { return tuning_; }
   const SerializeCache::Stats& serialize_cache_stats() const {
     return serialize_cache_.stats();
   }
 
  private:
   Browser* browser_;
-  GeneratorTuning tuning_;
   SerializeCache serialize_cache_;
   // Previous update's main-payload (body/frameset) sizes, used to reserve
   // the raw and escaped output strings instead of growing them per append.

@@ -71,8 +71,8 @@ struct SnapshotSerializeStats {
   size_t payload_escaped_bytes = 0;
 };
 
-// Pre-escaped CDATA payloads for one Snapshot, produced by the incremental
-// generate path (src/core/serialize_cache): `escaped` is exactly
+// Pre-escaped CDATA payloads for one Snapshot, produced by ContentGenerator
+// through its SerializeCache (src/core/serialize_cache): `escaped` is exactly
 // JsEscape(EncodeElementPayload(payload)) for the payload at the same
 // position in the Snapshot. SnapshotBroadcast keeps one of these per slot so
 // per-participant serializations (actions appended) splice the page bytes

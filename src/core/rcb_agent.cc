@@ -81,10 +81,21 @@ obs::FlightRecorder::Options AgentFlightOptions(const AgentConfig& config) {
 
 }  // namespace
 
+Duration JitteredRetryAfter(Duration base, Duration jitter,
+                            std::string_view key) {
+  int64_t window_ms = jitter.millis();
+  if (window_ms <= 0) {
+    return base;
+  }
+  return base + Duration::Millis(static_cast<int64_t>(
+                    StableHash64(key) %
+                    static_cast<uint64_t>(window_ms + 1)));
+}
+
 RcbAgent::RcbAgent(Browser* host_browser, AgentConfig config)
     : browser_(host_browser),
       config_(std::move(config)),
-      generator_(host_browser, config_.generator_tuning),
+      generator_(host_browser),
       flight_(&trace_, &registry_, AgentFlightOptions(config_)),
       health_(config_.health_slo, &flight_) {
   effective_registry_ = config_.shared_registry != nullptr
@@ -95,13 +106,11 @@ RcbAgent::RcbAgent(Browser* host_browser, AgentConfig config)
   }
   BroadcastOptions broadcast_options;
   broadcast_options.enable_delta = config_.enable_delta;
-  broadcast_options.patch_size_cutoff = config_.patch_size_cutoff;
-  broadcast_options.delta_history = config_.delta_history;
   broadcast_options.cache_object_filter = config_.cache_object_filter;
   BroadcastInstruments instruments;
   instruments.metrics = &metrics_;
   instruments.trace = &trace_;
-  for (size_t i = 0; i < 6; ++i) {
+  for (size_t i = 0; i < 2; ++i) {
     instruments.stage_hist[i] = stage_hist_[i];
   }
   instruments.generation_us = generation_us_;
@@ -402,11 +411,9 @@ void RcbAgent::RegisterMetrics() {
 
   // Histograms. Stage and request CPU times are wall provenance; the
   // serialized snapshot size is sim provenance (deterministic bytes).
-  static constexpr const char* kStageLabels[6] = {
-      "stage=\"clone\"",         "stage=\"absolutize\"",
-      "stage=\"cache_rewrite\"", "stage=\"event_rewrite\"",
-      "stage=\"extract\"",       "stage=\"serialize\""};
-  for (size_t i = 0; i < 6; ++i) {
+  static constexpr const char* kStageLabels[2] = {"stage=\"extract\"",
+                                                  "stage=\"serialize\""};
+  for (size_t i = 0; i < 2; ++i) {
     stage_hist_[i] = reg->AddHistogram(
         "rcb_agent_gen_stage_us",
         "CPU microseconds per Fig. 3 snapshot-pipeline stage",
@@ -512,16 +519,6 @@ Url RcbAgent::AgentUrl() const {
   return Url::Make("http", browser_->machine(), config_.port, "/");
 }
 
-Duration RcbAgent::JitteredRetryAfter(Duration base, std::string_view key) const {
-  int64_t window_ms = config_.limits.retry_after_jitter.millis();
-  if (window_ms <= 0) {
-    return base;
-  }
-  return base + Duration::Millis(static_cast<int64_t>(
-                    StableHash64(key) %
-                    static_cast<uint64_t>(window_ms + 1)));
-}
-
 AgentStateExport RcbAgent::ExportState() const {
   AgentStateExport state;
   state.doc_time_ms = current_doc_time_ms_;
@@ -590,7 +587,7 @@ void RcbAgent::OnAccept(NetEndpoint* endpoint) {
     endpoint->Send(
         HttpResponse::ServiceUnavailable(
             JitteredRetryAfter(
-                config_.poll_interval,
+                config_.poll_interval, config_.limits.retry_after_jitter,
                 StrFormat("conn%llu", static_cast<unsigned long long>(
                                           metrics_.connections_rejected))),
             "connection limit reached")
@@ -808,9 +805,8 @@ RcbAgent::ContentBody RcbAgent::BuildContentBody(
   // Per-participant flavour of the shared snapshot: prescaped slot spans are
   // spliced and the outbox rides along via override_actions, so the page
   // bytes are never re-escaped or copied per receiver.
-  std::string xml = SerializeSnapshotXml(
-      slot.snapshot, nullptr,
-      slot.escaped.has_content ? &slot.escaped : nullptr, &outbox);
+  std::string xml =
+      SerializeSnapshotXml(slot.snapshot, nullptr, &slot.escaped, &outbox);
   metrics_.content_bytes_sent += xml.size();
   return {std::move(xml)};
 }
@@ -878,7 +874,8 @@ void RcbAgent::HandleFramesRequest(AgentConn* conn, const HttpRequest& request) 
         framed_streams_.size() + parked_.size() >= config_.transport.max_held) {
       ++metrics_.transport_capacity_denials;
       return HttpResponse::ServiceUnavailable(
-          JitteredRetryAfter(config_.poll_interval, pid),
+          JitteredRetryAfter(config_.poll_interval,
+                             config_.limits.retry_after_jitter, pid),
           "held transport limit reached");
     }
     return std::nullopt;
@@ -1327,7 +1324,8 @@ std::optional<HttpResponse> RcbAgent::AdmitRoster(const std::string* pid) {
                                  static_cast<unsigned long long>(
                                      metrics_.participants_rejected));
   return HttpResponse::ServiceUnavailable(
-      JitteredRetryAfter(config_.poll_interval, key),
+      JitteredRetryAfter(config_.poll_interval,
+                         config_.limits.retry_after_jitter, key),
       "participant limit reached");
 }
 
@@ -1346,7 +1344,8 @@ std::optional<HttpResponse> RcbAgent::AdmitRecovery(const std::string& pid) {
   TraceMarker("agent.response.rejected",
               {{"code", "503"}, {"reason", "recovery_defer"}});
   return HttpResponse::ServiceUnavailable(
-      JitteredRetryAfter(resync_admission_at_ - now, pid),
+      JitteredRetryAfter(resync_admission_at_ - now,
+                         config_.limits.retry_after_jitter, pid),
       "recovering: resync admission deferred");
 }
 
@@ -1468,10 +1467,9 @@ HttpResponse RcbAgent::HandleStatusPage() const {
   {
     const SerializeCache::Stats& sc = generator_.serialize_cache_stats();
     body += StrFormat(
-        "<p id=\"hotpath\">serialize cache: %s | hits %llu, misses %llu, "
+        "<p id=\"hotpath\">serialize cache: hits %llu, misses %llu, "
         "evictions %llu | %zu spans, %zu bytes | spliced %llu raw bytes, "
         "re-serialized %llu</p>",
-        generator_.tuning().incremental_serialize ? "on" : "off",
         static_cast<unsigned long long>(sc.hits),
         static_cast<unsigned long long>(sc.misses),
         static_cast<unsigned long long>(sc.evictions), sc.spans, sc.bytes,
@@ -1597,7 +1595,7 @@ HttpResponse RcbAgent::HandlePoll(const HttpRequest& request,
     return HttpResponse::TooManyRequests(
         JitteredRetryAfter(
             participant.poll_bucket.TimeUntilAvailable(browser_->loop()->now()),
-            poll.participant_id),
+            config_.limits.retry_after_jitter, poll.participant_id),
         "poll rate limit");
   }
   ++participant.polls;

@@ -98,6 +98,13 @@ struct AgentLimits {
   Duration retry_after_jitter = Duration::Seconds(3.0);
 };
 
+// `base` plus a deterministic jitter in [0, jitter] keyed by `key` (same key
+// -> same delay, different keys spread): the Retry-After value of every 503
+// and 429 the agent and the host front door answer. Zero() jitter returns
+// `base` exactly.
+Duration JitteredRetryAfter(Duration base, Duration jitter,
+                            std::string_view key);
+
 struct AgentConfig {
   uint16_t port = 3000;
   bool cache_mode = true;
@@ -116,21 +123,10 @@ struct AgentConfig {
   std::function<bool(const std::string& pid)> participant_cache_mode;
   AgentPolicies policies;
   AgentLimits limits;
-  // Hot-path knobs for this agent's content generator (serialization-cache
-  // budget, intern cap; see docs/PERF_MODEL.md). The
-  // defaults keep incremental serialization on.
-  GeneratorTuning generator_tuning;
   // --- Delta snapshots (src/delta). Off by default: unless BOTH the agent
   // enables delta and the participant advertises patch support on its polls,
   // behavior (and wire bytes) stay identical to full snapshots. ---
   bool enable_delta = false;
-  // Fall back to the full snapshot when the serialized patch exceeds this
-  // fraction of the snapshot XML (a patch barely smaller than the snapshot
-  // is not worth the apply risk).
-  double patch_size_cutoff = 0.6;
-  // Base versions retained per cache-mode slot for patch generation; polls
-  // acking an older version than the window holds get a full snapshot.
-  size_t delta_history = 8;
   // --- Causal tracing (DESIGN.md §11). Off by default: the agent ignores
   // the optional trace= poll field and appends exactly the pre-causal flat
   // spans, so responses, counters, and the trace ring stay unchanged. ---
@@ -204,7 +200,7 @@ struct AgentMetrics {
   // --- Delta snapshots (src/delta) ---
   uint64_t patches_served = 0;         // newPatch responses sent
   uint64_t patch_fallback_no_base = 0; // base version outside the history
-  uint64_t patch_fallback_oversize = 0;// patch exceeded patch_size_cutoff
+  uint64_t patch_fallback_oversize = 0;// patch exceeded kPatchSizeCutoff
   uint64_t patch_bytes_sent = 0;       // cumulative patch response bytes
   uint64_t patch_snapshot_bytes = 0;   // snapshot bytes those patches replaced
   // Cumulative bytes of document-content-bearing response bodies (full
@@ -527,10 +523,6 @@ class RcbAgent {
 
   std::string BuildInitialPage(const std::string& pid) const;
 
-  // AgentLimits::retry_after_jitter applied to one Retry-After value,
-  // deterministically keyed (same key -> same delay, different keys spread).
-  Duration JitteredRetryAfter(Duration base, std::string_view key) const;
-
   // Registers every family on the effective registry (constructor-time;
   // callback counters read metrics_ and the browser cache at render time).
   // Skipped entirely when config.register_metrics is false. Labels compose
@@ -577,8 +569,8 @@ class RcbAgent {
   obs::MetricsRegistry* effective_registry_ = nullptr;
   obs::TraceLog trace_;
   // Fig. 3 stage histograms, one per gen_stage label, in pipeline order:
-  // clone, absolutize, cache_rewrite, event_rewrite, extract, serialize.
-  obs::Histogram* stage_hist_[6] = {};
+  // extract, serialize.
+  obs::Histogram* stage_hist_[2] = {};
   obs::Histogram* generation_us_ = nullptr;   // whole pipeline, wall
   obs::Histogram* snapshot_bytes_ = nullptr;  // serialized XML size, sim
   obs::Histogram* hmac_verify_us_ = nullptr;  // wall

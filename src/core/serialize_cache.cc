@@ -44,7 +44,7 @@ void SerializeCache::AppendNode(const Node& node, bool raw_text_parent,
       // Spans under the size floor skip the cache entirely (no lookup, no
       // stats): they are cheaper to re-serialize than to hash.
       const std::string& data = static_cast<const Text&>(node).data();
-      const bool cacheable = data.size() >= tuning_.min_span_bytes;
+      const bool cacheable = data.size() >= kMinSpanBytes;
       const Key key{node.rev(), fingerprint};
       if (cacheable && TryAppendHit(key, counter, raw, escaped)) {
         break;
@@ -65,7 +65,7 @@ void SerializeCache::AppendNode(const Node& node, bool raw_text_parent,
     }
     case NodeType::kComment: {
       const std::string& data = static_cast<const Comment&>(node).data();
-      const bool cacheable = data.size() >= tuning_.min_span_bytes;
+      const bool cacheable = data.size() >= kMinSpanBytes;
       const Key key{node.rev(), fingerprint};
       if (cacheable && TryAppendHit(key, counter, raw, escaped)) {
         break;
@@ -174,8 +174,7 @@ void SerializeCache::RecordMissSpan(const Key& key, size_t raw_start,
   ++stats_.misses;
   const size_t span_bytes = raw->size() - raw_start;
   stats_.miss_bytes += span_bytes;
-  if (span_bytes < tuning_.min_span_bytes ||
-      span_bytes > tuning_.budget_bytes) {
+  if (span_bytes < kMinSpanBytes || span_bytes > kBudgetBytes) {
     return;
   }
   Entry entry;
@@ -204,7 +203,7 @@ void SerializeCache::Insert(Key key, Entry entry) {
 }
 
 void SerializeCache::EvictToBudget() {
-  while (stats_.bytes > tuning_.budget_bytes && !lru_.empty()) {
+  while (stats_.bytes > kBudgetBytes && !lru_.empty()) {
     Key victim = lru_.back();
     auto it = entries_.find(victim);
     size_t victim_bytes = it->second.raw.size() + it->second.escaped.size();

@@ -12,7 +12,7 @@
 // no rewrite and nothing is cloned.
 //
 // How it stays byte-identical to the reference (clone + whole-tree rewrite +
-// cold serialization):
+// cold serialization, tests/support/reference_generator.h):
 //
 //   * Identity. Every Node carries a revision (src/html/dom.h): mutations
 //     restamp the node and its ancestors with fresh, globally unique values.
@@ -44,8 +44,9 @@
 //     byte-identical to escaping the full serialization.
 //
 // Entries are plain string copies (never pointers into the DOM), LRU
-// evicted against a byte budget. Spans smaller than `min_span_bytes` are not
-// cached: they are cheaper to re-serialize than to track.
+// evicted against a byte budget (kBudgetBytes). Spans smaller than
+// kMinSpanBytes are not cached: they are cheaper to re-serialize than to
+// track.
 #ifndef SRC_CORE_SERIALIZE_CACHE_H_
 #define SRC_CORE_SERIALIZE_CACHE_H_
 
@@ -62,10 +63,10 @@ class AttributeRewriter;
 
 class SerializeCache {
  public:
-  struct Tuning {
-    size_t budget_bytes = 4 * 1024 * 1024;  // serialize_cache_budget
-    size_t min_span_bytes = 64;             // spans below this are not cached
-  };
+  // Bytes of cached spans (raw + escaped) per generator.
+  static constexpr size_t kBudgetBytes = 4 * 1024 * 1024;
+  // Spans below this are not cached.
+  static constexpr size_t kMinSpanBytes = 64;
 
   // Mirrors ObjectCache::Stats: the shared budget-metric convention
   // (DESIGN.md §14) is {hits, misses, evictions, evicted_bytes} counters plus
@@ -82,7 +83,6 @@ class SerializeCache {
   };
 
   SerializeCache() = default;
-  explicit SerializeCache(Tuning tuning) : tuning_(tuning) {}
   SerializeCache(const SerializeCache&) = delete;
   SerializeCache& operator=(const SerializeCache&) = delete;
 
@@ -106,7 +106,6 @@ class SerializeCache {
   void Clear();
 
   const Stats& stats() const { return stats_; }
-  const Tuning& tuning() const { return tuning_; }
 
  private:
   struct Key {
@@ -150,7 +149,6 @@ class SerializeCache {
   void Insert(Key key, Entry entry);
   void EvictToBudget();
 
-  Tuning tuning_;
   Stats stats_;
   std::unordered_map<Key, Entry, KeyHash> entries_;
   std::list<Key> lru_;  // front = most recent

@@ -56,7 +56,6 @@ CoBrowsingSession::CoBrowsingSession(EventLoop* loop, Network* network,
     snippet_config.backoff_seed = options_.backoff_seed + participant_index++;
     snippet_config.enable_delta = options_.enable_delta;
     snippet_config.stream_mode = options_.snippet_stream_mode;
-    snippet_config.heartbeat_timeout = options_.heartbeat_timeout;
     snippet_config.stream_downgrade_after = options_.stream_downgrade_after;
     snippet_config.adaptive_poll = options_.adaptive_poll;
     snippet_config.adaptive_max = options_.adaptive_max;

@@ -49,10 +49,6 @@ struct SessionOptions {
   // generous enough that a well-behaved session never hits them.
   AgentLimits agent_limits;
 
-  // Hot-path knobs forwarded to AgentConfig::generator_tuning
-  // (docs/PERF_MODEL.md). Cost-only: output bytes never depend on them.
-  GeneratorTuning generator_tuning;
-
   // Delta snapshots (src/delta) on both sides: the agent keeps per-version
   // base trees and answers capability-advertising polls with newPatch deltas;
   // every snippet advertises and applies them. Off keeps the seed wire
@@ -69,10 +65,9 @@ struct SessionOptions {
   Duration transport_heartbeat = Duration::Seconds(5.0);
   Duration transport_hold = Duration::Seconds(10.0);
   size_t max_held_streams = 64;
-  // Snippet-side failure handling: missed-heartbeat budget (zero derives
-  // 3x the granted interval) and the consecutive-failure count after which
-  // the snippet stops advertising stream= entirely.
-  Duration heartbeat_timeout = Duration::Zero();
+  // Snippet-side failure handling: the consecutive-failure count after which
+  // the snippet stops advertising stream= entirely. (A stream is declared
+  // dead after 3x the granted heartbeat interval of silence.)
   uint32_t stream_downgrade_after = 3;
   // Adaptive polling for participants staying on the classic path: idle
   // polls back off geometrically (bounded), local/remote activity snaps the

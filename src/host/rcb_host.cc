@@ -293,12 +293,9 @@ std::vector<std::string> RcbHost::SessionIds() const {
 }
 
 void RcbHost::RememberReaped(const std::string& id) {
-  if (config_.limits.reaped_id_memory == 0) {
-    return;
-  }
   if (reaped_ids_.insert(id).second) {
     reaped_order_.push_back(id);
-    while (reaped_order_.size() > config_.limits.reaped_id_memory) {
+    while (reaped_order_.size() > kReapedIdMemory) {
       reaped_ids_.erase(reaped_order_.front());
       reaped_order_.pop_front();
     }
@@ -367,15 +364,6 @@ size_t RcbHost::ReapIdleSessions() {
     ++host_metrics_.sessions_reaped;
   }
   return idle.size();
-}
-
-Duration RcbHost::JitteredRetryAfter(Duration base, std::string_view key) const {
-  int64_t window_ms = config_.limits.retry_after_jitter.millis();
-  if (window_ms <= 0) {
-    return base;
-  }
-  return base + Duration::Millis(static_cast<int64_t>(
-                    StableHash64(key) % static_cast<uint64_t>(window_ms + 1)));
 }
 
 persist::SessionCheckpoint RcbHost::BuildCheckpoint(HostSession* session) const {
@@ -566,6 +554,11 @@ Status RcbHost::RecoverOne(const std::string& checkpoint_path,
 void RcbHost::OnAccept(NetEndpoint* endpoint) {
   auto conn = std::make_unique<HostConn>();
   conn->endpoint = endpoint;
+  // Routed requests reach the agent through here, not its own port, so the
+  // front door enforces the agent's head/body caps itself.
+  const AgentLimits& limits = config_.agent_defaults.limits;
+  conn->parser.set_limits(
+      {limits.max_request_head_bytes, limits.max_request_body_bytes});
   HostConn* raw = conn.get();
   endpoint->SetDataHandler(
       [this, raw](std::string_view data) { OnConnData(raw, data); });
@@ -588,8 +581,15 @@ void RcbHost::OnConnData(HostConn* conn, std::string_view data) {
     auto result = conn->parser.Feed(remaining);
     remaining = {};
     if (!result.ok()) {
-      RCB_LOG(kWarning) << "rcb-host: malformed request: " << result.status();
       NetEndpoint* endpoint = conn->endpoint;
+      if (result.status().code() == StatusCode::kResourceExhausted) {
+        // Oversized head or declared body: 413 instead of buffering toward it.
+        endpoint->Send(HttpResponse::PayloadTooLarge(result.status().message())
+                           .Serialize());
+      } else {
+        RCB_LOG(kWarning) << "rcb-host: malformed request: "
+                          << result.status();
+      }
       RemoveConnection(conn);  // `conn` is destroyed here
       endpoint->Close();
       return;
@@ -641,6 +641,7 @@ HttpResponse RcbHost::HandleCreateSession(const HttpRequest& request) {
       case StatusCode::kUnavailable:
         return HttpResponse::ServiceUnavailable(
             JitteredRetryAfter(config_.limits.retry_after,
+                               config_.limits.retry_after_jitter,
                                id.empty() ? "create" : id),
             session.status().message());
       default:

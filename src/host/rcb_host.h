@@ -94,8 +94,6 @@ struct HostLimits {
   // as AgentLimits::retry_after_jitter), keyed per rejected request, so shed
   // creators do not retry in lockstep. Zero() disables.
   Duration retry_after_jitter = Duration::Seconds(3.0);
-  // Reaped/closed session ids remembered for 410 Gone answers (FIFO).
-  size_t reaped_id_memory = 256;
   // Only the first this-many sessions register per-session instrument
   // families (session="<id>" labels). Registration is O(families) per
   // session, so a 10k-session bench keeps the registry lean while the
@@ -112,10 +110,10 @@ struct HostConfig {
   uint16_t base_port = 3000;
   HostLimits limits;
   // Template for per-session agents: CreateSession(id) copies this and
-  // overrides port/registry wiring. Per-session keys, policies, delta knobs,
-  // and hot-path generator tuning (AgentConfig::generator_tuning —
-  // serialization-cache budget; docs/PERF_MODEL.md) go through
-  // CreateSession(id, config) or apply host-wide when set here.
+  // overrides port/registry wiring. Per-session keys, policies and delta
+  // knobs go through CreateSession(id, config) or apply host-wide when set
+  // here. Its limits.max_request_{head,body}_bytes also cap requests on the
+  // front door (413, then close).
   AgentConfig agent_defaults;
   // --- Durability (src/persist, DESIGN.md §13). persist.dir empty keeps the
   // host fully in-memory (the pre-PR-7 behavior, byte for byte). With a dir
@@ -277,7 +275,6 @@ class RcbHost {
                     const std::string& wal_path);
   // Builds the checkpoint payload for a live session.
   persist::SessionCheckpoint BuildCheckpoint(HostSession* session) const;
-  Duration JitteredRetryAfter(Duration base, std::string_view key) const;
 
   void RegisterHostMetrics();
   // Sums `field` over live sessions (plus the retired base).
@@ -293,6 +290,8 @@ class RcbHost {
   uint16_t next_port_offset_ = 1;
   size_t metric_sessions_registered_ = 0;
 
+  // Reaped/closed session ids remembered for 410 Gone answers (FIFO).
+  static constexpr size_t kReapedIdMemory = 256;
   std::deque<std::string> reaped_order_;  // FIFO for 410 memory
   std::set<std::string> reaped_ids_;
 

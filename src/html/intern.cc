@@ -20,10 +20,4 @@ StringInterner& TagInterner() {
   return *interner;
 }
 
-void SetTagInternCap(size_t max_entries) {
-  // The cap only matters for future inserts; shrinking below size() simply
-  // freezes the table. Existing interned pointers stay valid either way.
-  TagInterner().set_max_entries(max_entries);
-}
-
 }  // namespace rcb

@@ -6,7 +6,7 @@
 // owned copy, tag comparisons become pointer-width memcmps of short strings
 // already in cache, and Clone copies 8 bytes instead of re-allocating.
 //
-// The table is capped (`intern_table_max`, default 4096 names): hostile or
+// The table is capped (kDefaultMaxEntries, 4096 names): hostile or
 // fuzzed input with unbounded distinct tag names cannot grow it past the cap.
 // Past the cap Intern() returns nullptr and the caller falls back to an owned
 // string — correctness is unchanged, only the speed win is lost.
@@ -36,12 +36,11 @@ class StringInterner {
 
   size_t size() const { return table_.size(); }
   size_t max_entries() const { return max_entries_; }
-  void set_max_entries(size_t n) { max_entries_ = n; }
 
   static constexpr size_t kDefaultMaxEntries = 4096;
 
  private:
-  size_t max_entries_;
+  const size_t max_entries_;
   // Keys view into the heap-allocated values, so each name is stored once.
   std::unordered_map<std::string_view, std::unique_ptr<std::string>> table_;
 };
@@ -51,10 +50,6 @@ class StringInterner {
 // destruction. Not synchronized: all DOM work is single-threaded per process
 // (the host is an event loop), matching the rest of src/html.
 StringInterner& TagInterner();
-
-// Caps future growth of TagInterner() (the `intern_table_max` knob). Only
-// lowers the effective cap for new entries; existing entries stay valid.
-void SetTagInternCap(size_t max_entries);
 
 }  // namespace rcb
 

@@ -47,7 +47,7 @@ struct TraceContext {
 };
 
 struct TraceEvent {
-  std::string name;       // dotted path, e.g. "agent.generate.clone"
+  std::string name;       // dotted path, e.g. "agent.generate.extract"
   Provenance provenance;  // what duration_us was measured with
   int64_t sim_start_us;   // simulated instant the span began
   int64_t duration_us;

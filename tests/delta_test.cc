@@ -3,11 +3,13 @@
 // DOM mutations, byte identity of the hash-pruned differ against the
 // unpruned one, the integrity-checked applier's freshness/digest gates, its
 // malformed-op rejects and base-digest memo, and end-to-end sessions where
-// patches replace full snapshots on the wire.
+// patches replace full snapshots on the wire (and where the history window,
+// the size cutoff and piggybacked peer actions shape what is served).
 #include <gtest/gtest.h>
 
 #include <functional>
 
+#include "src/core/broadcast.h"
 #include "src/core/session.h"
 #include "src/delta/patch_applier.h"
 #include "src/delta/patch_codec.h"
@@ -1060,6 +1062,23 @@ class DeltaSessionTest : public ::testing::Test {
     });
   }
 
+  // Canonical digest of the host's rewritten snapshot: what every
+  // participant's document must reduce to at quiescence.
+  std::string HostDigest() {
+    ContentGenerator generator(session_->host_browser());
+    ContentGenOptions options;
+    options.cache_mode = true;
+    options.agent_url = session_->agent()->AgentUrl();
+    GenerationResult result = generator.Generate(0, options);
+    return delta::TreeDigest(*MaterializeSnapshotTree(result.snapshot));
+  }
+
+  std::string ParticipantDigest(size_t i) {
+    std::unique_ptr<Element> canonical = delta::CanonicalizeDocument(
+        *session_->participant_browser(i)->document());
+    return canonical == nullptr ? std::string() : delta::TreeDigest(*canonical);
+  }
+
   EventLoop loop_;
   Network network_;
   std::unique_ptr<SiteServer> site_;
@@ -1201,6 +1220,116 @@ TEST_F(DeltaSessionTest, CoFillPatchesPeersAndResyncsTheFiller) {
   EXPECT_EQ(session_->snippet(1)->metrics().patch_digest_mismatches, 0u);
   EXPECT_GE(session_->snippet(0)->metrics().patch_digest_mismatches, 1u);
   EXPECT_GE(session_->snippet(0)->metrics().resyncs, 1u);
+}
+
+TEST_F(DeltaSessionTest, ParticipantPastTheHistoryWindowGetsAFullSnapshot) {
+  SessionOptions options;
+  options.profile = LanProfile();
+  options.poll_interval = Duration::Millis(200);
+  options.enable_delta = true;
+  StartSession(options);
+  HostSetStatus("v2");
+  ASSERT_TRUE(session_->WaitForSync().ok());
+
+  const AgentMetrics& agent = session_->agent()->metrics();
+  const SnippetMetrics& snippet = session_->snippet(0)->metrics();
+  const uint64_t no_base = agent.patch_fallback_no_base;
+  const uint64_t served = agent.patches_served;
+  const uint64_t updates = snippet.content_updates;
+  const uint64_t applied = snippet.patches_applied;
+  // Two more versions than the history keeps are generated before the
+  // participant polls again, so the version it acks has aged out.
+  for (size_t i = 0; i < SnapshotBroadcast::kDeltaHistory + 2; ++i) {
+    HostSetStatus("burst " + std::to_string(i));
+    session_->agent()->CurrentSnapshotForTest();
+  }
+  ASSERT_TRUE(session_->WaitForSync().ok());
+
+  EXPECT_EQ(agent.patch_fallback_no_base - no_base, 1u);
+  EXPECT_EQ(agent.patches_served, served);
+  EXPECT_EQ(snippet.content_updates - updates, 1u);
+  EXPECT_EQ(snippet.patches_applied, applied);  // a full snapshot, not a patch
+  EXPECT_EQ(snippet.patch_digest_mismatches, 0u);
+  EXPECT_EQ(ParticipantDigest(0), HostDigest());
+}
+
+TEST_F(DeltaSessionTest, BodyRewriteOverTheSizeCutoffGetsAFullSnapshot) {
+  SessionOptions options;
+  options.profile = LanProfile();
+  options.poll_interval = Duration::Millis(200);
+  options.enable_delta = true;
+  StartSession(options);
+
+  const AgentMetrics& agent = session_->agent()->metrics();
+  const SnippetMetrics& snippet = session_->snippet(0)->metrics();
+  const uint64_t oversize = agent.patch_fallback_oversize;
+  const uint64_t served = agent.patches_served;
+  const uint64_t updates = snippet.content_updates;
+  const uint64_t applied = snippet.patches_applied;
+  // Every body child is replaced: the patch has to carry the whole new body,
+  // which is well over kPatchSizeCutoff of the snapshot.
+  session_->host_browser()->MutateDocument([](Document* document) {
+    Element* body = document->body();
+    body->RemoveAllChildren();
+    for (int i = 0; i < 40; ++i) {
+      auto block = MakeElement("div");
+      block->SetAttribute("class", "rewritten");
+      block->AppendChild(MakeText("rewritten block " + std::to_string(i) +
+                                  " shares no node with the page it replaces"));
+      body->AppendChild(std::move(block));
+    }
+  });
+  ASSERT_TRUE(session_->WaitForSync().ok());
+
+  EXPECT_EQ(agent.patch_fallback_oversize - oversize, 1u);
+  EXPECT_EQ(agent.patches_served, served);
+  EXPECT_EQ(snippet.content_updates - updates, 1u);
+  EXPECT_EQ(snippet.patches_applied, applied);  // a full snapshot, not a patch
+  EXPECT_EQ(ParticipantDigest(0), HostDigest());
+}
+
+TEST_F(DeltaSessionTest, PatchCarriesPiggybackedPeerActions) {
+  SessionOptions options;
+  options.profile = LanProfile();
+  // Slow polls: the peer's next poll comes long after both the document
+  // change and the mouse move have reached the agent.
+  options.poll_interval = Duration::Seconds(5.0);
+  options.participant_count = 2;
+  options.enable_delta = true;
+  StartSession(options);
+  ASSERT_TRUE(session_->WaitForSync().ok());
+
+  const AgentMetrics& agent = session_->agent()->metrics();
+  const SnippetMetrics& peer = session_->snippet(1)->metrics();
+  const uint64_t served = agent.patches_served;
+  const uint64_t peer_polls = peer.polls_sent;
+  const uint64_t peer_patches = peer.patches_applied;
+  const uint64_t peer_broadcasts = peer.broadcasts_received;
+  uint64_t patches_when_moved = 0;
+  int moves = 0;
+  session_->snippet(1)->SetActionListener([&](const UserAction& action) {
+    if (action.type == ActionType::kMouseMove) {
+      ++moves;
+      patches_when_moved = peer.patches_applied;
+    }
+  });
+
+  HostSetStatus("v2");
+  session_->snippet(0)->SendMouseMove(10, 20);
+  session_->snippet(0)->PollNow();
+  ASSERT_TRUE(loop_.RunUntilCondition(
+      [&] { return peer.patches_applied > peer_patches; }));
+
+  // One round trip delivered both: the mouse move was handled right before
+  // the patch it rode in was applied.
+  EXPECT_EQ(peer.polls_sent - peer_polls, 1u);
+  EXPECT_EQ(peer.patches_applied - peer_patches, 1u);
+  EXPECT_EQ(peer.broadcasts_received - peer_broadcasts, 1u);
+  EXPECT_EQ(moves, 1);
+  EXPECT_EQ(patches_when_moved, peer_patches);
+  EXPECT_EQ(agent.patches_served - served, 2u);  // the mover's and the peer's
+  EXPECT_EQ(ParticipantDigest(0), HostDigest());
+  EXPECT_EQ(ParticipantDigest(1), HostDigest());
 }
 
 TEST_F(DeltaSessionTest, DeltaOffSessionNeverSeesPatches) {

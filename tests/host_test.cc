@@ -14,6 +14,7 @@
 #include "src/crypto/hmac.h"
 #include "src/delta/tree_diff.h"
 #include "src/host/rcb_host.h"
+#include "src/http/http_parser.h"
 #include "src/html/parser.h"
 #include "src/net/fault_injector.h"
 #include "src/sites/site_server.h"
@@ -398,6 +399,71 @@ TEST_F(HostTest, FrontDoorRoutesAndRejects) {
   EXPECT_EQ(host->metrics().unknown_session_requests, 1u);
   EXPECT_EQ(host->metrics().invalid_session_ids, 1u);
   EXPECT_GE(host->metrics().front_door_requests, 7u);
+}
+
+TEST_F(HostTest, FrontDoorSocketRoutesPollsAndCapsRequestSize) {
+  // The front door's own socket path: a routed poll is answered over the
+  // wire, and the agent's request caps hold there too (413, then close), not
+  // only on the session's own port.
+  HostConfig config;
+  config.agent_defaults.limits.max_request_body_bytes = 4096;
+  auto host = MakeHost(std::move(config));
+  auto session = host->CreateSession("s1");
+  ASSERT_TRUE(session.ok());
+  SetSessionDoc(*session, "Doc", "<p>routed content</p>");
+
+  struct Client {
+    NetEndpoint* endpoint = nullptr;
+    HttpResponseParser parser;
+    std::vector<HttpResponse> responses;
+    bool closed = false;
+  };
+  auto connect = [&](Client* client) {
+    auto endpoint = network_.Connect("p-pc-1", "host-pc", kBasePort);
+    ASSERT_TRUE(endpoint.ok()) << endpoint.status();
+    client->endpoint = *endpoint;
+    client->endpoint->SetDataHandler([client](std::string_view data) {
+      auto response = client->parser.Feed(data);
+      ASSERT_TRUE(response.ok()) << response.status();
+      if (response->has_value()) {
+        client->responses.push_back(std::move(**response));
+      }
+    });
+    client->endpoint->SetCloseHandler([client] { client->closed = true; });
+  };
+  auto post = [](const std::string& body) {
+    HttpRequest request;
+    request.method = HttpMethod::kPost;
+    request.target = "/s/s1/";
+    request.headers.Set("Host", "host-pc:3000");
+    request.body = body;
+    return request.Serialize();
+  };
+
+  Client poller;
+  connect(&poller);
+  PollRequest poll;
+  poll.participant_id = "p1";
+  poller.endpoint->Send(post(EncodePollRequest(poll)));
+  ASSERT_TRUE(loop_.RunUntilCondition(
+      [&] { return !poller.responses.empty(); }));
+  EXPECT_EQ(poller.responses[0].status_code, 200);
+  auto snapshot = ParseSnapshotXml(poller.responses[0].body);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  ASSERT_TRUE(snapshot->body.has_value());
+  EXPECT_NE(snapshot->body->inner_html.find("routed content"),
+            std::string::npos);
+  EXPECT_EQ((*session)->agent->metrics().polls_received, 1u);
+  EXPECT_FALSE(poller.closed);
+
+  Client oversized;
+  connect(&oversized);
+  oversized.endpoint->Send(post(std::string(8192, 'x')));
+  ASSERT_TRUE(loop_.RunUntilCondition([&] { return oversized.closed; }));
+  ASSERT_EQ(oversized.responses.size(), 1u);
+  EXPECT_EQ(oversized.responses[0].status_code, 413);
+  // Rejected at the door: the agent never saw it.
+  EXPECT_EQ((*session)->agent->metrics().polls_received, 1u);
 }
 
 // ----------------------------------------- generate-once broadcast proof ---

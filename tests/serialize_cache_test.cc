@@ -5,8 +5,9 @@
 // cold full serialization) for random mutation schedules over corpus pages
 // (docs/PERF_MODEL.md).
 //
-// The property test runs a persistent incremental generator against a fresh
-// reference generator (incremental off) after every mutation and compares
+// The property test runs a persistent incremental generator against the
+// reference oracle (tests/support/reference_generator.h) after every
+// mutation and compares
 // the serialized snapshot XML byte for byte, including the spliced
 // pre-escaped CDATA path. The mutation mix targets the rewrite hazards: URL
 // writes of every shape, interactivity flips that shift trailing ids,
@@ -23,6 +24,7 @@
 #include "src/sites/site_server.h"
 #include "src/util/escape.h"
 #include "src/util/rand.h"
+#include "tests/support/reference_generator.h"
 
 namespace rcb {
 namespace {
@@ -43,8 +45,7 @@ TEST(InternTest, RepeatedNamesShareOnePointer) {
 }
 
 TEST(InternTest, CapStopsGrowthWithoutInvalidating) {
-  StringInterner interner;
-  interner.set_max_entries(2);
+  StringInterner interner(/*max_entries=*/2);
   const std::string* a = interner.Intern("one");
   const std::string* b = interner.Intern("two");
   ASSERT_NE(a, nullptr);
@@ -316,10 +317,7 @@ TEST_P(SerializeCachePropertyTest, IncrementalMatchesColdFullSerialization) {
     };
   }
 
-  GeneratorTuning incremental_tuning;  // defaults: incremental on
-  ContentGenerator incremental(&browser, incremental_tuning);
-  GeneratorTuning cold_tuning;
-  cold_tuning.incremental_serialize = false;
+  ContentGenerator incremental(&browser);
 
   Rng rng(seed * 0x9E3779B9u + 1);
   // First pass serializes the whole page (all misses); each later pass
@@ -332,10 +330,10 @@ TEST_P(SerializeCachePropertyTest, IncrementalMatchesColdFullSerialization) {
       });
     }
     GenerationResult warm = incremental.Generate(1000 + step, options);
-    // A brand-new generator with incremental off is the cold reference: no
-    // cache, a fresh clone rewritten by the three whole-tree passes.
-    ContentGenerator cold(&browser, cold_tuning);
-    GenerationResult reference = cold.Generate(1000 + step, options);
+    // The cold reference: no cache, a fresh clone rewritten by the three
+    // whole-tree passes.
+    GenerationResult reference =
+        ReferenceGenerate(&browser, 1000 + step, options);
 
     const std::string warm_xml = SerializeSnapshotXml(warm.snapshot);
     const std::string cold_xml = SerializeSnapshotXml(reference.snapshot);
@@ -410,10 +408,8 @@ class SerializeCacheTest : public ::testing::Test {
 
   // Cold reference bytes for the browser's current document.
   std::string ColdXml(int64_t doc_time_ms, const ContentGenOptions& options) {
-    GeneratorTuning tuning;
-    tuning.incremental_serialize = false;
-    ContentGenerator cold(browser_.get(), tuning);
-    return SerializeSnapshotXml(cold.Generate(doc_time_ms, options).snapshot);
+    return SerializeSnapshotXml(
+        ReferenceGenerate(browser_.get(), doc_time_ms, options).snapshot);
   }
 
   EventLoop loop_;
@@ -508,14 +504,19 @@ TEST_F(SerializeCacheTest, ModeSwitchKeepsBothFingerprintsCorrect) {
 }
 
 TEST_F(SerializeCacheTest, BudgetIsEnforcedByEviction) {
-  Load("<html><body>"
-       "<div><p>block one with enough bytes to be cacheable as a span</p></div>"
-       "<div><p>block two with enough bytes to be cacheable as a span</p></div>"
-       "<div><p>block three with enough bytes to be cacheable as a span</p>"
-       "</div></body></html>");
-  GeneratorTuning tuning;
-  tuning.serialize_cache_budget = 256;  // tiny: forces eviction churn
-  ContentGenerator generator(browser_.get(), tuning);
+  // A synthetic page whose cacheable spans (div, p and text, each raw plus
+  // escaped) add up to about twice SerializeCache::kBudgetBytes, so the real
+  // 4 MiB budget has to evict while staying byte-identical to the oracle.
+  std::string html = "<html><body>";
+  for (int i = 0; i < 4096; ++i) {
+    html += "<div class=\"block\"><p>block " + std::to_string(i) +
+            ": enough bytes, punctuation & spaces, to be cacheable as a span "
+            "and to grow under the JS escape; more words, more bytes.</p>"
+            "</div>";
+  }
+  html += "</body></html>";
+  Load(html);
+  ContentGenerator generator(browser_.get());
   ContentGenOptions options = Options(/*cache_mode=*/false);
   for (int step = 0; step < 4; ++step) {
     browser_->MutateDocument([&](Document* document) {
@@ -525,7 +526,7 @@ TEST_F(SerializeCacheTest, BudgetIsEnforcedByEviction) {
     EXPECT_EQ(SerializeSnapshotXml(result.snapshot),
               ColdXml(1000 + step, options));
     EXPECT_LE(generator.serialize_cache_stats().bytes,
-              generator.tuning().serialize_cache_budget);
+              SerializeCache::kBudgetBytes);
   }
   EXPECT_GT(generator.serialize_cache_stats().evictions, 0u);
 }
