@@ -1188,9 +1188,7 @@ void AjaxSnippet::ApplySnapshot(const Snapshot& snapshot) {
   // Step 2: append the new head children (attribute lists + innerHTML).
   for (const ElementPayload& payload : snapshot.head_children) {
     auto element = MakeElement(payload.tag);
-    for (const auto& [name, value] : payload.attributes) {
-      element->SetAttribute(name, value);
-    }
+    element->AssignAttributes(payload.attributes);
     element->SetInnerHtml(payload.inner_html);
     head->AppendChild(std::move(element));
   }
@@ -1230,14 +1228,7 @@ void AjaxSnippet::ApplySnapshot(const Snapshot& snapshot) {
     if (element == nullptr) {
       element = root->AppendChild(MakeElement(payload.tag))->AsElement();
     }
-    std::vector<std::pair<std::string, std::string>> old_attributes =
-        element->attributes();
-    for (const auto& attribute : old_attributes) {
-      element->RemoveAttribute(attribute.first);
-    }
-    for (const auto& [name, value] : payload.attributes) {
-      element->SetAttribute(name, value);
-    }
+    element->AssignAttributes(payload.attributes);
     element->SetInnerHtml(payload.inner_html);
   };
   if (snapshot.body.has_value()) {

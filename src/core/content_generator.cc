@@ -264,9 +264,7 @@ GenerationResult ContentGenerator::Generate(int64_t doc_time_ms,
 std::unique_ptr<Element> MaterializeSnapshotTree(const Snapshot& snapshot) {
   auto materialize = [](const ElementPayload& payload) {
     auto element = MakeElement(payload.tag);
-    for (const auto& [name, value] : payload.attributes) {
-      element->SetAttribute(name, value);
-    }
+    element->AssignAttributes(payload.attributes);
     element->SetInnerHtml(payload.inner_html);
     return element;
   };

@@ -58,8 +58,8 @@ void SerializeCache::AppendNode(const Node& node, bool raw_text_parent,
       }
       JsEscapeAppend(std::string_view(*raw).substr(raw_start), escaped);
       if (cacheable) {
-        RecordMissSpan(key, raw_start, escaped_start, *counter, counter, raw,
-                       escaped);
+        RecordMissSpan(node, key, raw_start, escaped_start, *counter, counter,
+                       raw, escaped);
       }
       break;
     }
@@ -77,8 +77,8 @@ void SerializeCache::AppendNode(const Node& node, bool raw_text_parent,
       raw->append("-->");
       JsEscapeAppend(std::string_view(*raw).substr(raw_start), escaped);
       if (cacheable) {
-        RecordMissSpan(key, raw_start, escaped_start, *counter, counter, raw,
-                       escaped);
+        RecordMissSpan(node, key, raw_start, escaped_start, *counter, counter,
+                       raw, escaped);
       }
       break;
     }
@@ -141,8 +141,8 @@ void SerializeCache::AppendElement(const Element& element,
     raw->push_back('>');
     JsEscapeAppend(std::string_view(*raw).substr(close_start), escaped);
   }
-  RecordMissSpan(key, raw_start, escaped_start, id_base, counter, raw,
-                 escaped);
+  RecordMissSpan(element, key, raw_start, escaped_start, id_base, counter,
+                 raw, escaped);
 }
 
 bool SerializeCache::TryAppendHit(const Key& key, size_t* counter,
@@ -166,9 +166,9 @@ bool SerializeCache::TryAppendHit(const Key& key, size_t* counter,
   return true;
 }
 
-void SerializeCache::RecordMissSpan(const Key& key, size_t raw_start,
-                                    size_t escaped_start, size_t id_base,
-                                    const size_t* counter,
+void SerializeCache::RecordMissSpan(const Node& node, const Key& key,
+                                    size_t raw_start, size_t escaped_start,
+                                    size_t id_base, const size_t* counter,
                                     const std::string* raw,
                                     const std::string* escaped) {
   ++stats_.misses;
@@ -182,17 +182,20 @@ void SerializeCache::RecordMissSpan(const Key& key, size_t raw_start,
   entry.escaped = escaped->substr(escaped_start);
   entry.id_base = id_base;
   entry.interactive_count = *counter - id_base;
+  entry.node = &node;
   Insert(key, std::move(entry));
 }
 
 void SerializeCache::Insert(Key key, Entry entry) {
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    // Same subtree state re-serialized under a shifted id_base: replace.
-    stats_.bytes -= it->second.raw.size() + it->second.escaped.size();
-    lru_.erase(it->second.lru);
-    --stats_.spans;
-    entries_.erase(it);
+  // Same subtree state re-serialized under a shifted id_base: replace. The
+  // node restamped since its last span: that span is superseded.
+  Erase(key);
+  auto [newest, fresh] = key_of_node_.try_emplace(entry.node, key);
+  if (!fresh) {
+    if (newest->second.fingerprint == key.fingerprint) {
+      Erase(newest->second);
+    }
+    newest->second = key;
   }
   stats_.bytes += entry.raw.size() + entry.escaped.size();
   ++stats_.spans;
@@ -202,23 +205,36 @@ void SerializeCache::Insert(Key key, Entry entry) {
   EvictToBudget();
 }
 
+void SerializeCache::Erase(const Key& key) {
+  auto it = entries_.find(key);
+  if (it == entries_.end()) {
+    return;
+  }
+  stats_.bytes -= it->second.raw.size() + it->second.escaped.size();
+  lru_.erase(it->second.lru);
+  --stats_.spans;
+  entries_.erase(it);
+}
+
 void SerializeCache::EvictToBudget() {
   while (stats_.bytes > kBudgetBytes && !lru_.empty()) {
     Key victim = lru_.back();
     auto it = entries_.find(victim);
     size_t victim_bytes = it->second.raw.size() + it->second.escaped.size();
-    stats_.bytes -= victim_bytes;
     stats_.evicted_bytes += victim_bytes;
     ++stats_.evictions;
-    --stats_.spans;
-    lru_.pop_back();
-    entries_.erase(it);
+    auto newest = key_of_node_.find(it->second.node);
+    if (newest != key_of_node_.end() && newest->second == victim) {
+      key_of_node_.erase(newest);
+    }
+    Erase(victim);
   }
 }
 
 void SerializeCache::Clear() {
   entries_.clear();
   lru_.clear();
+  key_of_node_.clear();
   stats_.bytes = 0;
   stats_.spans = 0;
 }

@@ -46,7 +46,9 @@
 // Entries are plain string copies (never pointers into the DOM), LRU
 // evicted against a byte budget (kBudgetBytes). Spans smaller than
 // kMinSpanBytes are not cached: they are cheaper to re-serialize than to
-// track.
+// track. A node's span recorded under a new rev replaces the one under its
+// old rev, which can never hit again, so the cache holds about one span per
+// node instead of filling its budget with the spans of past edits.
 #ifndef SRC_CORE_SERIALIZE_CACHE_H_
 #define SRC_CORE_SERIALIZE_CACHE_H_
 
@@ -128,6 +130,7 @@ class SerializeCache {
     std::string escaped;
     size_t id_base = 0;            // interactive counter at span start
     size_t interactive_count = 0;  // interactive elements inside the span
+    const Node* node = nullptr;    // identity only, never dereferenced
     std::list<Key>::iterator lru;
   };
 
@@ -143,15 +146,21 @@ class SerializeCache {
                     std::string* escaped);
   // Accounts a freshly serialized span [raw_start, raw->size()) and caches it
   // when it clears the size floor and fits the budget.
-  void RecordMissSpan(const Key& key, size_t raw_start, size_t escaped_start,
-                      size_t id_base, const size_t* counter,
-                      const std::string* raw, const std::string* escaped);
+  void RecordMissSpan(const Node& node, const Key& key, size_t raw_start,
+                      size_t escaped_start, size_t id_base,
+                      const size_t* counter, const std::string* raw,
+                      const std::string* escaped);
   void Insert(Key key, Entry entry);
+  // Drops the entry under `key`, if any, leaving key_of_node_ to the caller.
+  void Erase(const Key& key);
   void EvictToBudget();
 
   Stats stats_;
   std::unordered_map<Key, Entry, KeyHash> entries_;
   std::list<Key> lru_;  // front = most recent
+  // The key of each node's newest entry. A node address may be reused after
+  // the node is freed; that only drops a span no live node carries.
+  std::unordered_map<const Node*, Key> key_of_node_;
 };
 
 }  // namespace rcb

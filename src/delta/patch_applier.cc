@@ -46,8 +46,8 @@ void CommitCanonicalTree(Document* document,
     }
   }
   root->RemoveAllChildren();
-  while (canonical->first_child() != nullptr) {
-    root->AppendChild(canonical->first_child()->Detach());
+  for (std::unique_ptr<Node>& child : canonical->TakeChildren()) {
+    root->AppendChild(std::move(child));
   }
   Element* head = root->ChildByTag("head");
   if (head == nullptr) {

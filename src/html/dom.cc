@@ -1,5 +1,6 @@
 #include "src/html/dom.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "src/html/intern.h"
@@ -51,29 +52,16 @@ void Node::Touch() {
 }
 
 Node* Node::AppendChild(std::unique_ptr<Node> child) {
-  assert(child != nullptr);
-  assert(child->parent_ == nullptr && "child must be detached first");
-  child->parent_ = this;
-  children_.push_back(std::move(child));
-  Node* raw = children_.back().get();
-  Touch();
-  return raw;
+  return InsertChildAt(children_.size(), std::move(child));
 }
 
 Node* Node::InsertBefore(std::unique_ptr<Node> child, Node* reference) {
-  assert(child != nullptr);
-  assert(child->parent_ == nullptr);
   if (reference == nullptr) {
     return AppendChild(std::move(child));
   }
   for (size_t i = 0; i < children_.size(); ++i) {
     if (children_[i].get() == reference) {
-      child->parent_ = this;
-      Node* raw = child.get();
-      children_.insert(children_.begin() + static_cast<ptrdiff_t>(i),
-                       std::move(child));
-      Touch();
-      return raw;
+      return InsertChildAt(i, std::move(child));
     }
   }
   assert(false && "reference node is not a child");
@@ -93,11 +81,36 @@ std::unique_ptr<Node> Node::RemoveChild(Node* child) {
   return nullptr;
 }
 
-void Node::RemoveAllChildren() {
-  for (auto& child : children_) {
+void Node::RemoveAllChildren() { TakeChildren(); }
+
+std::vector<std::unique_ptr<Node>> Node::TakeChildren() {
+  std::vector<std::unique_ptr<Node>> out = std::move(children_);
+  children_.clear();
+  for (auto& child : out) {
     child->parent_ = nullptr;
   }
-  children_.clear();
+  Touch();
+  return out;
+}
+
+Node* Node::InsertChildAt(size_t index, std::unique_ptr<Node> child) {
+  assert(child != nullptr);
+  assert(child->parent_ == nullptr && "child must be detached first");
+  assert(index <= children_.size());
+  child->parent_ = this;
+  Node* raw = child.get();
+  children_.insert(children_.begin() + static_cast<ptrdiff_t>(index),
+                   std::move(child));
+  Touch();
+  return raw;
+}
+
+void Node::TruncateChildren(size_t count) {
+  if (count >= children_.size()) {
+    return;
+  }
+  children_.erase(children_.begin() + static_cast<ptrdiff_t>(count),
+                  children_.end());
   Touch();
 }
 
@@ -238,6 +251,33 @@ void Element::RemoveAttribute(std::string_view name) {
     return EqualsIgnoreCase(attr.first, name);
   });
   if (removed > 0) Touch();
+}
+
+void Element::AssignAttributes(
+    std::span<const std::pair<std::string, std::string>> attributes) {
+  // Fast path: the list already matches pair for pair. A stored list never
+  // repeats a name, so any incoming list it matches is already folded.
+  if (attributes.size() == attributes_.size() &&
+      std::equal(attributes.begin(), attributes.end(), attributes_.begin())) {
+    return;
+  }
+  std::vector<std::pair<std::string, std::string>> folded;
+  folded.reserve(attributes.size());
+  std::string owned;
+  for (const auto& [name, value] : attributes) {
+    const std::string* canon = CanonicalName(name, &owned);
+    auto it = std::find_if(folded.begin(), folded.end(),
+                           [&](const auto& attr) { return attr.first == *canon; });
+    if (it != folded.end()) {
+      it->second = value;
+    } else {
+      folded.emplace_back(*canon, value);
+    }
+  }
+  if (folded != attributes_) {
+    attributes_ = std::move(folded);
+    Touch();
+  }
 }
 
 bool Element::HasAttribute(std::string_view name) const {

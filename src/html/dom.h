@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,6 +61,14 @@ class Node {
   Node* InsertBefore(std::unique_ptr<Node> child, Node* reference);
   std::unique_ptr<Node> RemoveChild(Node* child);
   void RemoveAllChildren();
+  // Releases every child in order, each detached; restamps once.
+  std::vector<std::unique_ptr<Node>> TakeChildren();
+  // Index-based forms for in-place reconciliation (the parser's BuildTree).
+  // InsertChildAt puts `child` at position `index` (<= child_count()) and
+  // restamps once; TruncateChildren drops every child from position `count`
+  // on and restamps once, or does nothing when there is none.
+  Node* InsertChildAt(size_t index, std::unique_ptr<Node> child);
+  void TruncateChildren(size_t count);
   // Detaches this node from its parent (no-op when already detached).
   std::unique_ptr<Node> Detach();
 
@@ -157,6 +166,11 @@ class Element : public Node {
   std::string AttrOr(std::string_view name, std::string_view fallback = "") const;
   void SetAttribute(std::string_view name, std::string_view value);
   void RemoveAttribute(std::string_view name);
+  // Makes the attribute list what SetAttribute of each pair in order would
+  // leave on an attribute-less element (first position, last value).
+  // Restamps once, and only when the list changes.
+  void AssignAttributes(
+      std::span<const std::pair<std::string, std::string>> attributes);
   bool HasAttribute(std::string_view name) const;
   const std::vector<std::pair<std::string, std::string>>& attributes() const {
     return attributes_;
@@ -165,7 +179,9 @@ class Element : public Node {
   std::string id() const { return AttrOr("id"); }
 
   // innerHTML: serialization of children / replace children by parsing the
-  // fragment. Setter is defined in parser.cc (needs the parser).
+  // fragment. The setter reconciles in place (BuildTree, parser.cc): the
+  // result equals a fresh parse, and nodes the markup leaves unchanged keep
+  // their identity and rev.
   std::string InnerHtml() const;
   void SetInnerHtml(std::string_view html);
   // outerHTML: serialization including this element.

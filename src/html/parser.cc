@@ -1,6 +1,7 @@
 #include "src/html/parser.h"
 
 #include <array>
+#include <type_traits>
 
 #include "src/html/serializer.h"
 #include "src/html/tokenizer.h"
@@ -53,56 +54,117 @@ bool ClosesImplicitly(std::string_view opening, std::string_view open_tag) {
   return false;
 }
 
-// Builds a node tree from tokens under `root`.
+// One open node during tree construction: children before `cursor` are
+// settled, the rest are the previous content not yet reached.
+struct OpenNode {
+  Node* node;
+  size_t cursor;
+
+  // The previous child at the cursor, or nullptr past the end.
+  Node* at_cursor() const {
+    return cursor < node->child_count() ? node->child_at(cursor) : nullptr;
+  }
+};
+
+// Settles a Text, Comment or Doctype with `data` at the cursor. The node
+// already there is kept when it has the same type and data; a Text with
+// other data is kept too and given the new data. Otherwise a new node is
+// inserted at the cursor.
+template <typename Leaf>
+void PlaceLeaf(OpenNode* open, NodeType type, const std::string& data) {
+  Node* at = open->at_cursor();
+  if (at != nullptr && at->type() == type) {
+    auto* leaf = static_cast<Leaf*>(at);
+    if (leaf->data() == data) {
+      ++open->cursor;
+      return;
+    }
+    if constexpr (std::is_same_v<Leaf, Text>) {
+      leaf->set_data(data);
+      ++open->cursor;
+      return;
+    }
+  }
+  open->node->InsertChildAt(open->cursor++, std::make_unique<Leaf>(data));
+}
+
+// Settles the start tag `token` at the cursor: an element with the same tag
+// already there is kept and given the token's attributes, otherwise a new
+// element is inserted.
+Element* PlaceElement(OpenNode* open, const HtmlToken& token) {
+  Node* at = open->at_cursor();
+  Element* element = at != nullptr ? at->AsElement() : nullptr;
+  if (element != nullptr && element->tag_name() == token.tag_name) {
+    element->AssignAttributes(token.attributes());
+  } else {
+    auto fresh = MakeElement(token.tag_name);
+    fresh->AssignAttributes(token.attributes());
+    element = open->node->InsertChildAt(open->cursor, std::move(fresh))
+                  ->AsElement();
+  }
+  ++open->cursor;
+  return element;
+}
+
+// Builds the tree for `html` under `root` in place: the children `root`
+// already has are reused in order where they fit (PlaceLeaf, PlaceElement),
+// and whatever an element's markup does not reach is dropped when it closes.
+// The result equals building under an empty `root`; unchanged nodes keep
+// their identity and rev, so only changed nodes and their ancestors restamp.
 void BuildTree(std::string_view html, Node* root) {
   HtmlTokenizer tokenizer(html);
-  std::vector<Node*> stack;
-  stack.push_back(root);
+  HtmlToken token;
+  std::vector<OpenNode> stack;
+  stack.push_back({root, 0});
+  // Closes the open nodes from stack position `depth` up.
+  auto close_to = [&stack](size_t depth) {
+    while (stack.size() > depth) {
+      stack.back().node->TruncateChildren(stack.back().cursor);
+      stack.pop_back();
+    }
+  };
 
   while (true) {
-    HtmlToken token = tokenizer.Next();
+    tokenizer.Next(&token);
     switch (token.type) {
       case HtmlToken::Type::kEndOfFile:
+        close_to(0);
         return;
-      case HtmlToken::Type::kText: {
-        if (token.data.empty()) {
-          break;
+      case HtmlToken::Type::kText:
+        if (!token.data.empty()) {
+          PlaceLeaf<Text>(&stack.back(), NodeType::kText, token.data);
         }
-        stack.back()->AppendChild(MakeText(std::move(token.data)));
         break;
-      }
       case HtmlToken::Type::kComment:
-        stack.back()->AppendChild(std::make_unique<Comment>(std::move(token.data)));
+        PlaceLeaf<Comment>(&stack.back(), NodeType::kComment, token.data);
         break;
       case HtmlToken::Type::kDoctype:
-        stack.back()->AppendChild(std::make_unique<Doctype>(std::move(token.data)));
+        PlaceLeaf<Doctype>(&stack.back(), NodeType::kDoctype, token.data);
         break;
       case HtmlToken::Type::kStartTag: {
         // Pop elements this start tag implicitly terminates.
         while (stack.size() > 1) {
-          Element* open = stack.back()->AsElement();
+          Element* open = stack.back().node->AsElement();
           if (open != nullptr && ClosesImplicitly(token.tag_name, open->tag_name())) {
-            stack.pop_back();
+            close_to(stack.size() - 1);
           } else {
             break;
           }
         }
-        auto element = MakeElement(token.tag_name);
-        for (auto& [name, value] : token.attributes) {
-          element->SetAttribute(name, value);
-        }
-        Node* raw = stack.back()->AppendChild(std::move(element));
+        Element* element = PlaceElement(&stack.back(), token);
         if (!token.self_closing && !IsVoidElement(token.tag_name)) {
-          stack.push_back(raw);
+          stack.push_back({element, 0});
+        } else {
+          element->TruncateChildren(0);
         }
         break;
       }
       case HtmlToken::Type::kEndTag: {
         // Pop to the nearest matching open element; ignore stray end tags.
         for (size_t i = stack.size(); i-- > 1;) {
-          Element* element = stack[i]->AsElement();
+          Element* element = stack[i].node->AsElement();
           if (element != nullptr && element->tag_name() == token.tag_name) {
-            stack.resize(i);
+            close_to(i);
             break;
           }
         }
@@ -114,10 +176,24 @@ void BuildTree(std::string_view html, Node* root) {
 
 // Heads-only elements that belong in <head> when found at the top of a
 // document missing explicit structure.
-bool IsHeadContent(const Element& element) {
-  const std::string& tag = element.tag_name();
+bool IsHeadContent(const Node& node) {
+  const Element* element = node.AsElement();
+  if (element == nullptr) {
+    return false;
+  }
+  const std::string& tag = element->tag_name();
   return tag == "title" || tag == "meta" || tag == "link" || tag == "style" ||
          tag == "base";
+}
+
+// Moves the children of `from` that `take` selects to the end of `into`, in
+// order; the rest stay in `from`, in order. One pass over the children.
+template <typename Predicate>
+void MoveChildrenIf(Node* from, Node* into, Predicate take) {
+  for (std::unique_ptr<Node>& child : from->TakeChildren()) {
+    Node* destination = take(*child) ? into : from;
+    destination->AppendChild(std::move(child));
+  }
 }
 
 }  // namespace
@@ -132,23 +208,12 @@ std::unique_ptr<Document> ParseDocument(std::string_view html) {
     // Move existing top-level nodes (except doctype/comments) under a new
     // <html>.
     auto html_owned = MakeElement("html");
-    Element* html_element = html_owned.get();
-    std::vector<std::unique_ptr<Node>> moved;
-    while (document->child_count() > 0) {
-      Node* child = document->child_at(0);
-      std::unique_ptr<Node> owned = document->RemoveChild(child);
-      if (owned->type() == NodeType::kDoctype ||
-          owned->type() == NodeType::kComment) {
-        moved.push_back(std::move(owned));
-      } else {
-        html_element->AppendChild(std::move(owned));
-      }
-    }
-    for (auto& node : moved) {
-      document->AppendChild(std::move(node));
-    }
+    root = html_owned.get();
+    MoveChildrenIf(document.get(), root, [](const Node& node) {
+      return node.type() != NodeType::kDoctype &&
+             node.type() != NodeType::kComment;
+    });
     document->AppendChild(std::move(html_owned));
-    root = html_element;
   }
 
   // Frameset documents keep html > (head, frameset[, noframes]).
@@ -156,40 +221,21 @@ std::unique_ptr<Document> ParseDocument(std::string_view html) {
 
   Element* head = root->ChildByTag("head");
   if (head == nullptr) {
-    auto head_owned = MakeElement("head");
-    head = head_owned->AsElement();
-    root->InsertBefore(std::move(head_owned), root->first_child());
     // Relocate stray head-content elements that ended up directly under html.
-    std::vector<Node*> to_move;
-    for (const auto& child : root->children()) {
-      Element* element = child->AsElement();
-      if (element != nullptr && element != head && IsHeadContent(*element)) {
-        to_move.push_back(child.get());
-      }
-    }
-    for (Node* node : to_move) {
-      head->AppendChild(root->RemoveChild(node));
-    }
+    auto head_owned = MakeElement("head");
+    head = head_owned.get();
+    MoveChildrenIf(root, head, IsHeadContent);
+    root->InsertBefore(std::move(head_owned), root->first_child());
   }
 
   if (!is_frameset && root->ChildByTag("body") == nullptr) {
-    auto body_owned = MakeElement("body");
-    Element* body = body_owned->AsElement();
-    root->AppendChild(std::move(body_owned));
     // Move non-head top-level content into the body.
-    std::vector<Node*> to_move;
-    for (const auto& child : root->children()) {
-      Element* element = child->AsElement();
-      if (child.get() == head || child.get() == body) {
-        continue;
-      }
-      if (element != nullptr || child->type() == NodeType::kText) {
-        to_move.push_back(child.get());
-      }
-    }
-    for (Node* node : to_move) {
-      body->AppendChild(root->RemoveChild(node));
-    }
+    auto body_owned = MakeElement("body");
+    MoveChildrenIf(root, body_owned.get(), [head](const Node& node) {
+      return &node != head && (node.type() == NodeType::kElement ||
+                               node.type() == NodeType::kText);
+    });
+    root->AppendChild(std::move(body_owned));
   }
 
   return document;
@@ -199,21 +245,12 @@ std::vector<std::unique_ptr<Node>> ParseFragment(std::string_view html) {
   // Parse under a detached scratch element, then release the children.
   auto scratch = MakeElement("div");
   BuildTree(html, scratch.get());
-  std::vector<std::unique_ptr<Node>> out;
-  while (scratch->child_count() > 0) {
-    out.push_back(scratch->RemoveChild(scratch->child_at(0)));
-  }
-  return out;
+  return scratch->TakeChildren();
 }
 
 std::string Element::InnerHtml() const { return SerializeChildren(*this); }
 
-void Element::SetInnerHtml(std::string_view html) {
-  RemoveAllChildren();
-  for (auto& node : ParseFragment(html)) {
-    AppendChild(std::move(node));
-  }
-}
+void Element::SetInnerHtml(std::string_view html) { BuildTree(html, this); }
 
 std::string Element::OuterHtml() const { return SerializeNode(*this); }
 

@@ -20,7 +20,7 @@ namespace rcb {
 std::unique_ptr<Document> ParseDocument(std::string_view html);
 
 // Parses markup as a fragment: returns the top-level nodes without imposing
-// the document scaffold. Used by Element::SetInnerHtml.
+// the document scaffold. (Element::SetInnerHtml builds in place instead.)
 std::vector<std::unique_ptr<Node>> ParseFragment(std::string_view html);
 
 // True for elements with no content model (<img>, <br>, ...).

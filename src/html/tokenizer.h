@@ -8,8 +8,10 @@
 #ifndef SRC_HTML_TOKENIZER_H_
 #define SRC_HTML_TOKENIZER_H_
 
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace rcb {
@@ -19,27 +21,37 @@ struct HtmlToken {
 
   Type type = Type::kEndOfFile;
   std::string tag_name;  // lowercase, for tag tokens
-  std::vector<std::pair<std::string, std::string>> attributes;
   bool self_closing = false;
   std::string data;  // text/comment/doctype payload
+  // Start-tag attributes (lowercase names, source order, duplicates kept):
+  // the first `attribute_count` slots. Slots past the count are spare and
+  // keep their strings' capacity for the next tag.
+  std::vector<std::pair<std::string, std::string>> attribute_slots;
+  size_t attribute_count = 0;
+
+  std::span<const std::pair<std::string, std::string>> attributes() const {
+    return {attribute_slots.data(), attribute_count};
+  }
 };
 
 class HtmlTokenizer {
  public:
   explicit HtmlTokenizer(std::string_view input) : input_(input) {}
 
-  // Returns the next token; kEndOfFile forever once exhausted.
-  HtmlToken Next();
+  // Overwrites `*token` with the next token (kEndOfFile forever once
+  // exhausted). Reusing one token across calls reuses its strings' and
+  // vector's capacity.
+  void Next(HtmlToken* token);
 
   // True for elements whose content is raw text (no markup inside).
   static bool IsRawTextElement(std::string_view tag);
 
  private:
-  HtmlToken LexTag();
-  HtmlToken LexComment();
-  HtmlToken LexDoctypeOrBogus();
-  HtmlToken LexText();
-  HtmlToken LexRawText(const std::string& tag);
+  void LexTag(HtmlToken* token);
+  void LexComment(HtmlToken* token);
+  void LexDoctypeOrBogus(HtmlToken* token);
+  void LexText(HtmlToken* token);
+  void LexRawText(HtmlToken* token);
   void LexAttributes(HtmlToken* token);
 
   std::string_view input_;

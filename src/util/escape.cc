@@ -1,7 +1,9 @@
 #include "src/util/escape.h"
 
+#include <array>
 #include <cctype>
 #include <cstdint>
+#include <cstring>
 
 #include "src/util/strings.h"
 
@@ -32,18 +34,21 @@ bool IsUnreserved(unsigned char c) {
   return std::isalnum(c) || c == '-' || c == '_' || c == '.' || c == '~';
 }
 
-int HexValue(char c) {
-  if (c >= '0' && c <= '9') {
-    return c - '0';
+// Hex digit value per byte, -1 for a byte that is no hex digit.
+constexpr std::array<int8_t, 256> kHexValue = [] {
+  std::array<int8_t, 256> table{};
+  table.fill(-1);
+  for (int i = 0; i < 10; ++i) {
+    table['0' + i] = static_cast<int8_t>(i);
   }
-  if (c >= 'a' && c <= 'f') {
-    return c - 'a' + 10;
+  for (int i = 0; i < 6; ++i) {
+    table['a' + i] = static_cast<int8_t>(10 + i);
+    table['A' + i] = static_cast<int8_t>(10 + i);
   }
-  if (c >= 'A' && c <= 'F') {
-    return c - 'A' + 10;
-  }
-  return -1;
-}
+  return table;
+}();
+
+int HexValue(char c) { return kHexValue[static_cast<unsigned char>(c)]; }
 
 // Emits a code point: a raw byte for the Latin-1 range (our DOM stores
 // bytes), UTF-8 for anything above it.
@@ -102,6 +107,31 @@ size_t AppendUnicodeEscape(std::string_view input, size_t i, std::string* out) {
   return used;
 }
 
+// The byte-at-a-time JsUnescape loop, appending to `out`. JsUnescape runs it
+// only from the first "%u" on, where a code point may need UTF-8 bytes.
+void JsUnescapeGeneral(std::string_view input, std::string* out) {
+  for (size_t i = 0; i < input.size();) {
+    if (input[i] == '%') {
+      // "%XX" first: it is the common form, and 'u' is no hex digit.
+      if (i + 2 < input.size()) {
+        int hi = HexValue(input[i + 1]);
+        int lo = HexValue(input[i + 2]);
+        if (hi >= 0 && lo >= 0) {
+          out->push_back(static_cast<char>((hi << 4) | lo));
+          i += 3;
+          continue;
+        }
+      }
+      if (size_t used = AppendUnicodeEscape(input, i, out); used > 0) {
+        i += used;
+        continue;
+      }
+    }
+    out->push_back(input[i]);
+    ++i;
+  }
+}
+
 }  // namespace
 
 std::string JsEscape(std::string_view input) {
@@ -125,28 +155,45 @@ void JsEscapeAppend(std::string_view input, std::string* out) {
 }
 
 std::string JsUnescape(std::string_view input) {
-  std::string out;
-  out.reserve(input.size());
-  for (size_t i = 0; i < input.size();) {
-    if (input[i] == '%') {
-      // "%XX" first: it is the common form, and 'u' is no hex digit.
-      if (i + 2 < input.size()) {
-        int hi = HexValue(input[i + 1]);
-        int lo = HexValue(input[i + 2]);
-        if (hi >= 0 && lo >= 0) {
-          out.push_back(static_cast<char>((hi << 4) | lo));
-          i += 3;
-          continue;
-        }
-      }
-      if (size_t used = AppendUnicodeEscape(input, i, &out); used > 0) {
-        i += used;
+  // Decoding never lengthens: "%XX" is 3 bytes for 1, "%uXXXX" 6 for at most
+  // 3 and a surrogate pair 12 for 4. So the output is sized once and written
+  // through a pointer; runs between '%'s are copied whole.
+  std::string out(input.size(), '\0');
+  char* dst = out.data();
+  const char* p = input.data();
+  const char* end = p + input.size();
+  while (p < end) {
+    const char* percent =
+        static_cast<const char*>(std::memchr(p, '%', static_cast<size_t>(end - p)));
+    if (percent == nullptr) {
+      percent = end;
+    }
+    std::memcpy(dst, p, static_cast<size_t>(percent - p));
+    dst += percent - p;
+    p = percent;
+    if (p == end) {
+      break;
+    }
+    if (end - p > 2) {
+      int hi = HexValue(p[1]);
+      int lo = HexValue(p[2]);
+      if ((hi | lo) >= 0) {
+        *dst++ = static_cast<char>((hi << 4) | lo);
+        p += 3;
         continue;
       }
     }
-    out.push_back(input[i]);
-    ++i;
+    if (end - p > 1 && (p[1] == 'u' || p[1] == 'U')) {
+      // A "%uXXXX" candidate: the rare rest goes through the general loop.
+      out.resize(static_cast<size_t>(dst - out.data()));
+      JsUnescapeGeneral(input.substr(static_cast<size_t>(p - input.data())),
+                        &out);
+      return out;
+    }
+    *dst++ = '%';  // a stray '%' passes through
+    ++p;
   }
+  out.resize(static_cast<size_t>(dst - out.data()));
   return out;
 }
 
@@ -262,33 +309,44 @@ constexpr NamedEntity kNamedEntities[] = {
 
 std::string HtmlUnescape(std::string_view input) {
   std::string out;
-  out.reserve(input.size());
-  for (size_t i = 0; i < input.size();) {
+  HtmlUnescapeInto(input, &out);
+  return out;
+}
+
+void HtmlUnescapeInto(std::string_view input, std::string* out) {
+  size_t first = input.find('&');
+  if (first == std::string_view::npos) {
+    out->assign(input);
+    return;
+  }
+  out->reserve(input.size());
+  out->assign(input.substr(0, first));
+  for (size_t i = first; i < input.size();) {
     // Copy everything up to the next '&' in one append.
     size_t amp = input.find('&', i);
     if (amp == std::string_view::npos) {
-      out.append(input.substr(i));
+      out->append(input.substr(i));
       break;
     }
-    out.append(input.substr(i, amp - i));
+    out->append(input.substr(i, amp - i));
     i = amp;
     size_t semi = input.find(';', i + 1);
     if (semi == std::string_view::npos || semi - i > 10) {
-      out.push_back(input[i]);
+      out->push_back(input[i]);
       ++i;
       continue;
     }
     std::string_view entity = input.substr(i + 1, semi - i - 1);
     if (entity == "amp") {
-      out.push_back('&');
+      out->push_back('&');
     } else if (entity == "lt") {
-      out.push_back('<');
+      out->push_back('<');
     } else if (entity == "gt") {
-      out.push_back('>');
+      out->push_back('>');
     } else if (entity == "quot") {
-      out.push_back('"');
+      out->push_back('"');
     } else if (entity == "apos") {
-      out.push_back('\'');
+      out->push_back('\'');
     } else if (const NamedEntity* named = [&]() -> const NamedEntity* {
                  for (const NamedEntity& candidate : kNamedEntities) {
                    if (candidate.name == entity) {
@@ -297,7 +355,7 @@ std::string HtmlUnescape(std::string_view input) {
                  }
                  return nullptr;
                }()) {
-      AppendCodePoint(named->code_point, &out);
+      AppendCodePoint(named->code_point, out);
     } else if (!entity.empty() && entity[0] == '#') {
       int cp = 0;
       bool valid = false;
@@ -322,16 +380,15 @@ std::string HtmlUnescape(std::string_view input) {
         }
       }
       if (valid && cp >= 0 && cp <= 0x10FFFF) {
-        AppendCodePoint(static_cast<uint32_t>(cp), &out);
+        AppendCodePoint(static_cast<uint32_t>(cp), out);
       } else {
-        out.append(input.substr(i, semi - i + 1));
+        out->append(input.substr(i, semi - i + 1));
       }
     } else {
-      out.append(input.substr(i, semi - i + 1));
+      out->append(input.substr(i, semi - i + 1));
     }
     i = semi + 1;
   }
-  return out;
 }
 
 }  // namespace rcb

@@ -41,6 +41,8 @@ void HtmlEscapeAppend(std::string_view input, std::string* out);
 // Decodes the five named entities produced by HtmlEscape plus decimal/hex
 // numeric character references for the Latin-1 range.
 std::string HtmlUnescape(std::string_view input);
+// HtmlUnescape into `*out`, overwriting it and reusing its capacity.
+void HtmlUnescapeInto(std::string_view input, std::string* out);
 
 }  // namespace rcb
 

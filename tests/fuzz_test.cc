@@ -646,6 +646,100 @@ TEST_P(DomPropertyTest, SerializeParseRoundTrip) {
   EXPECT_EQ(SerializeNode(*nodes[0]), html);
 }
 
+// Markup soup for the in-place innerHTML set: implied ends, stray end tags,
+// void and self-closing elements, raw text, comments, duplicate and
+// uppercase attributes. A pieces list rather than a string, so a second
+// fragment can be an edit of the first and share most of its nodes.
+std::vector<std::string> RandomMarkupPieces(Rng* rng) {
+  static constexpr std::string_view kPieces[] = {
+      "<div>", "</div>", "<p>", "</p>", "<li>", "</li>", "<ul>", "</ul>",
+      "<table>", "<tr>", "<td>", "<th>", "</table>", "<dt>", "<dd>",
+      "<option>", "<span a=\"1\">", "<SPAN A=\"x\" a=\"y\" b>", "</span>",
+      "<b class=c>", "</B>", "</em>", "</x>", "<img src=\"i.png\">", "<br/>",
+      "<div/>", "<input value=\"v\" VALUE=\"w\">", "<hr>", "hello",
+      "a &amp; b", "x < y", "&lt;t&gt;", "<!-- c -->", "<!--d-->", "<!bogus>",
+      "<script>if (a<b) {}</script>", "<style>p{}</style>",
+      "<textarea><b>t</b></textarea>", "<title>T</title>", "<script>",
+      "</script>", "<p id=\"q\" id=\"r\">"};
+  std::vector<std::string> pieces;
+  size_t count = rng->NextBelow(30);
+  for (size_t i = 0; i < count; ++i) {
+    if (rng->NextBelow(6) == 0) {
+      pieces.push_back(rng->NextToken(rng->NextBelow(6) + 1));
+    } else {
+      pieces.emplace_back(kPieces[rng->NextBelow(std::size(kPieces))]);
+    }
+  }
+  return pieces;
+}
+
+// Replaces, inserts or deletes a few pieces.
+std::vector<std::string> EditPieces(Rng* rng, std::vector<std::string> pieces) {
+  std::vector<std::string> fresh = RandomMarkupPieces(rng);
+  size_t edits = rng->NextBelow(4);
+  for (size_t i = 0; i < edits && !fresh.empty(); ++i) {
+    const std::string& piece = fresh[rng->NextBelow(fresh.size())];
+    size_t at = pieces.empty() ? 0 : rng->NextBelow(pieces.size());
+    switch (rng->NextBelow(3)) {
+      case 0:
+        if (!pieces.empty()) {
+          pieces[at] = piece;
+        }
+        break;
+      case 1:
+        pieces.insert(pieces.begin() + static_cast<ptrdiff_t>(at), piece);
+        break;
+      case 2:
+        if (!pieces.empty()) {
+          pieces.erase(pieces.begin() + static_cast<ptrdiff_t>(at));
+        }
+        break;
+    }
+  }
+  return pieces;
+}
+
+std::string Join(const std::vector<std::string>& pieces) {
+  std::string out;
+  for (const std::string& piece : pieces) {
+    out += piece;
+  }
+  return out;
+}
+
+// One line per node (type, tag, attributes, data), indented by depth: two
+// trees dump equal iff they are equal node for node, including splits
+// between adjacent text nodes that serialization hides.
+void DumpTree(const Node& node, int depth, std::string* out) {
+  for (const auto& child : node.children()) {
+    out->append(static_cast<size_t>(depth), ' ');
+    switch (child->type()) {
+      case NodeType::kElement: {
+        const Element* element = child->AsElement();
+        *out += "<" + element->tag_name();
+        for (const auto& [name, value] : element->attributes()) {
+          *out += " " + name + "=" + value;
+        }
+        *out += ">";
+        break;
+      }
+      case NodeType::kText:
+        *out += "#text " + static_cast<const Text*>(child.get())->data();
+        break;
+      case NodeType::kComment:
+        *out += "#comment " + static_cast<const Comment*>(child.get())->data();
+        break;
+      case NodeType::kDoctype:
+        *out += "#doctype " + static_cast<const Doctype*>(child.get())->data();
+        break;
+      case NodeType::kDocument:
+        break;
+    }
+    *out += "\n";
+    DumpTree(*child, depth + 1, out);
+  }
+}
+
 TEST_P(DomPropertyTest, InnerHtmlSetGetRoundTrip) {
   Rng rng(GetParam() ^ 0xFACE);
   auto tree = RandomTree(&rng);
@@ -653,6 +747,26 @@ TEST_P(DomPropertyTest, InnerHtmlSetGetRoundTrip) {
   auto target = MakeElement("div");
   target->SetInnerHtml(inner);
   EXPECT_EQ(target->InnerHtml(), inner);
+
+  // In place: a second set over the first equals a fresh element given
+  // only the second, byte for byte and node for node.
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::string> first = RandomMarkupPieces(&rng);
+    std::vector<std::string> second =
+        rng.NextBelow(4) == 0 ? RandomMarkupPieces(&rng) : EditPieces(&rng, first);
+    auto reused = MakeElement("div");
+    reused->SetInnerHtml(Join(first));
+    reused->SetInnerHtml(Join(second));
+    auto fresh = MakeElement("div");
+    fresh->SetInnerHtml(Join(second));
+    EXPECT_EQ(reused->InnerHtml(), fresh->InnerHtml())
+        << Join(first) << "\n -> " << Join(second);
+    std::string reused_dump;
+    std::string fresh_dump;
+    DumpTree(*reused, 0, &reused_dump);
+    DumpTree(*fresh, 0, &fresh_dump);
+    EXPECT_EQ(reused_dump, fresh_dump) << Join(first) << "\n -> " << Join(second);
+  }
 }
 
 TEST_P(DomPropertyTest, DetachedCloneSharesNoState) {

@@ -1,104 +1,138 @@
 // Unit tests for the HTML substrate: tokenizer, parser, DOM, serializer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "src/html/dom.h"
 #include "src/html/parser.h"
 #include "src/html/serializer.h"
 #include "src/html/tokenizer.h"
+#include "src/sites/corpus.h"
+#include "src/util/rand.h"
 
 namespace rcb {
 namespace {
 
 // -------------------------------------------------------------- Tokenizer --
 
+HtmlToken NextToken(HtmlTokenizer* tokenizer) {
+  HtmlToken token;
+  tokenizer->Next(&token);
+  return token;
+}
+
 TEST(TokenizerTest, SimpleTags) {
   HtmlTokenizer tokenizer("<p>hi</p>");
-  HtmlToken open = tokenizer.Next();
+  HtmlToken open = NextToken(&tokenizer);
   EXPECT_EQ(open.type, HtmlToken::Type::kStartTag);
   EXPECT_EQ(open.tag_name, "p");
-  HtmlToken text = tokenizer.Next();
+  HtmlToken text = NextToken(&tokenizer);
   EXPECT_EQ(text.type, HtmlToken::Type::kText);
   EXPECT_EQ(text.data, "hi");
-  HtmlToken close = tokenizer.Next();
+  HtmlToken close = NextToken(&tokenizer);
   EXPECT_EQ(close.type, HtmlToken::Type::kEndTag);
   EXPECT_EQ(close.tag_name, "p");
-  EXPECT_EQ(tokenizer.Next().type, HtmlToken::Type::kEndOfFile);
+  EXPECT_EQ(NextToken(&tokenizer).type, HtmlToken::Type::kEndOfFile);
 }
 
 TEST(TokenizerTest, AttributesQuotedAndUnquoted) {
   HtmlTokenizer tokenizer(
       "<img src=\"a.png\" alt='pic' width=10 ismap>");
-  HtmlToken token = tokenizer.Next();
-  ASSERT_EQ(token.attributes.size(), 4u);
-  EXPECT_EQ(token.attributes[0], (std::pair<std::string, std::string>{"src", "a.png"}));
-  EXPECT_EQ(token.attributes[1], (std::pair<std::string, std::string>{"alt", "pic"}));
-  EXPECT_EQ(token.attributes[2], (std::pair<std::string, std::string>{"width", "10"}));
-  EXPECT_EQ(token.attributes[3], (std::pair<std::string, std::string>{"ismap", ""}));
+  HtmlToken token = NextToken(&tokenizer);
+  ASSERT_EQ(token.attributes().size(), 4u);
+  EXPECT_EQ(token.attributes()[0], (std::pair<std::string, std::string>{"src", "a.png"}));
+  EXPECT_EQ(token.attributes()[1], (std::pair<std::string, std::string>{"alt", "pic"}));
+  EXPECT_EQ(token.attributes()[2], (std::pair<std::string, std::string>{"width", "10"}));
+  EXPECT_EQ(token.attributes()[3], (std::pair<std::string, std::string>{"ismap", ""}));
 }
 
 TEST(TokenizerTest, TagNamesLowercased) {
   HtmlTokenizer tokenizer("<DIV CLASS=\"X\"></DIV>");
-  HtmlToken token = tokenizer.Next();
+  HtmlToken token = NextToken(&tokenizer);
   EXPECT_EQ(token.tag_name, "div");
-  EXPECT_EQ(token.attributes[0].first, "class");
-  EXPECT_EQ(token.attributes[0].second, "X");  // value case preserved
+  EXPECT_EQ(token.attributes()[0].first, "class");
+  EXPECT_EQ(token.attributes()[0].second, "X");  // value case preserved
 }
 
 TEST(TokenizerTest, SelfClosing) {
   HtmlTokenizer tokenizer("<br/>");
-  HtmlToken token = tokenizer.Next();
+  HtmlToken token = NextToken(&tokenizer);
   EXPECT_TRUE(token.self_closing);
 }
 
 TEST(TokenizerTest, Comment) {
   HtmlTokenizer tokenizer("<!-- a < b -->x");
-  HtmlToken comment = tokenizer.Next();
+  HtmlToken comment = NextToken(&tokenizer);
   EXPECT_EQ(comment.type, HtmlToken::Type::kComment);
   EXPECT_EQ(comment.data, " a < b ");
-  EXPECT_EQ(tokenizer.Next().data, "x");
+  EXPECT_EQ(NextToken(&tokenizer).data, "x");
 }
 
 TEST(TokenizerTest, Doctype) {
   HtmlTokenizer tokenizer("<!DOCTYPE html><html></html>");
-  HtmlToken doctype = tokenizer.Next();
+  HtmlToken doctype = NextToken(&tokenizer);
   EXPECT_EQ(doctype.type, HtmlToken::Type::kDoctype);
   EXPECT_EQ(doctype.data, "DOCTYPE html");
 }
 
 TEST(TokenizerTest, ScriptContentIsRawText) {
   HtmlTokenizer tokenizer("<script>if (a<b && c>d) {}</script>");
-  EXPECT_EQ(tokenizer.Next().type, HtmlToken::Type::kStartTag);
-  HtmlToken content = tokenizer.Next();
+  EXPECT_EQ(NextToken(&tokenizer).type, HtmlToken::Type::kStartTag);
+  HtmlToken content = NextToken(&tokenizer);
   EXPECT_EQ(content.type, HtmlToken::Type::kText);
   EXPECT_EQ(content.data, "if (a<b && c>d) {}");
-  EXPECT_EQ(tokenizer.Next().type, HtmlToken::Type::kEndTag);
+  EXPECT_EQ(NextToken(&tokenizer).type, HtmlToken::Type::kEndTag);
 }
 
 TEST(TokenizerTest, RawTextCaseInsensitiveClose) {
   HtmlTokenizer tokenizer("<style>a{}</STYLE>");
-  tokenizer.Next();
-  EXPECT_EQ(tokenizer.Next().data, "a{}");
-  EXPECT_EQ(tokenizer.Next().type, HtmlToken::Type::kEndTag);
+  NextToken(&tokenizer);
+  EXPECT_EQ(NextToken(&tokenizer).data, "a{}");
+  EXPECT_EQ(NextToken(&tokenizer).type, HtmlToken::Type::kEndTag);
 }
 
 TEST(TokenizerTest, EntitiesDecodedInText) {
   HtmlTokenizer tokenizer("<p>a &amp; b &lt;c&gt;</p>");
-  tokenizer.Next();
-  EXPECT_EQ(tokenizer.Next().data, "a & b <c>");
+  NextToken(&tokenizer);
+  EXPECT_EQ(NextToken(&tokenizer).data, "a & b <c>");
 }
 
 TEST(TokenizerTest, StrayLessThanIsText) {
   HtmlTokenizer tokenizer("a < b");
-  HtmlToken token = tokenizer.Next();
+  HtmlToken token = NextToken(&tokenizer);
   EXPECT_EQ(token.type, HtmlToken::Type::kText);
   EXPECT_EQ(token.data, "a < b");
 }
 
 TEST(TokenizerTest, UnterminatedTagAtEof) {
   HtmlTokenizer tokenizer("<div class=\"x");
-  HtmlToken token = tokenizer.Next();
+  HtmlToken token = NextToken(&tokenizer);
   EXPECT_EQ(token.type, HtmlToken::Type::kStartTag);
-  EXPECT_EQ(tokenizer.Next().type, HtmlToken::Type::kEndOfFile);
+  EXPECT_EQ(NextToken(&tokenizer).type, HtmlToken::Type::kEndOfFile);
+}
+
+TEST(TokenizerTest, ReusedTokenCarriesOnlyTheCurrentToken) {
+  HtmlTokenizer tokenizer("<a href=\"x\" id=\"y\" class=\"z\">t<B ID=\"w\"/>");
+  HtmlToken token;
+  tokenizer.Next(&token);
+  ASSERT_EQ(token.attributes().size(), 3u);
+  tokenizer.Next(&token);
+  EXPECT_EQ(token.type, HtmlToken::Type::kText);
+  EXPECT_EQ(token.data, "t");
+  EXPECT_TRUE(token.tag_name.empty());
+  EXPECT_TRUE(token.attributes().empty());
+  tokenizer.Next(&token);
+  EXPECT_EQ(token.type, HtmlToken::Type::kStartTag);
+  EXPECT_EQ(token.tag_name, "b");
+  EXPECT_TRUE(token.self_closing);
+  ASSERT_EQ(token.attributes().size(), 1u);
+  EXPECT_EQ(token.attributes()[0],
+            (std::pair<std::string, std::string>{"id", "w"}));
+  EXPECT_TRUE(token.data.empty());
+  tokenizer.Next(&token);
+  EXPECT_EQ(token.type, HtmlToken::Type::kEndOfFile);
+  EXPECT_FALSE(token.self_closing);
 }
 
 // ------------------------------------------------------------------- DOM --
@@ -233,6 +267,37 @@ TEST(DomTest, EveryMutatorRestampsTheDocumentElement) {
 }
 
 // ---------------------------------------------------------------- Parser --
+
+TEST(ParserTest, TenThousandTopLevelSiblingsKeepOrderAndParents) {
+  std::string html;
+  for (int i = 0; i < 10000; ++i) {
+    html += "<i>" + std::to_string(i) + "</i>";
+  }
+  std::vector<std::unique_ptr<Node>> nodes = ParseFragment(html);
+  ASSERT_EQ(nodes.size(), 10000u);
+  size_t misplaced = 0;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    if (nodes[i]->parent() != nullptr ||
+        nodes[i]->first_child()->parent() != nodes[i].get() ||
+        nodes[i]->TextContent() != std::to_string(i)) {
+      ++misplaced;
+    }
+  }
+  EXPECT_EQ(misplaced, 0u);
+
+  // The document scaffold hands the same siblings to <html>, then <body>.
+  std::unique_ptr<Document> document = ParseDocument(html);
+  Element* body = document->body();
+  ASSERT_NE(body, nullptr);
+  ASSERT_EQ(body->child_count(), 10000u);
+  for (size_t i = 0; i < body->child_count(); ++i) {
+    if (body->child_at(i)->parent() != body ||
+        body->child_at(i)->TextContent() != std::to_string(i)) {
+      ++misplaced;
+    }
+  }
+  EXPECT_EQ(misplaced, 0u);
+}
 
 TEST(ParserTest, FullDocumentScaffold) {
   auto doc = ParseDocument(
@@ -433,6 +498,249 @@ TEST(SerializerTest, InnerHtmlOfRawTextElement) {
   auto doc = ParseDocument("<html><head><style>a>b{}</style></head></html>");
   Element* style = doc->FindFirst("style");
   EXPECT_EQ(style->InnerHtml(), "a>b{}");
+}
+
+// ------------------------------------------------------ In-place innerHTML --
+//
+// An innerHTML set reconciles against the live children: the result equals
+// a fresh parse, and every node outside the region an edit touches keeps its
+// address and rev. Driven over the 20 Table 1 pages with seeded edits.
+
+using Path = std::vector<size_t>;
+
+// Every node under `node` (not `node` itself), keyed by child-index path.
+void CollectNodes(Node* node, Path* path, std::map<Path, Node*>* out) {
+  for (size_t i = 0; i < node->child_count(); ++i) {
+    path->push_back(i);
+    (*out)[*path] = node->child_at(i);
+    CollectNodes(node->child_at(i), path, out);
+    path->pop_back();
+  }
+}
+
+std::map<Path, Node*> NodesByPath(Node* root) {
+  std::map<Path, Node*> out;
+  Path path;
+  CollectNodes(root, &path, &out);
+  return out;
+}
+
+bool IsPrefix(const Path& prefix, const Path& path) {
+  return prefix.size() <= path.size() &&
+         std::equal(prefix.begin(), prefix.end(), path.begin());
+}
+
+// The nodes one edit may replace or restamp.
+struct EditRegion {
+  enum class Kind {
+    kNothing,        // the markup is unchanged
+    kPathTo,         // the edited node and its ancestors
+    kChildrenFrom,   // ancestors of `path`, and its children from `index` on
+    kEverything,     // the whole body was rewritten
+  };
+  Kind kind = Kind::kNothing;
+  Path path;
+  size_t index = 0;
+
+  bool Covers(const Path& node) const {
+    switch (kind) {
+      case Kind::kNothing:
+        return false;
+      case Kind::kPathTo:
+        return IsPrefix(node, path);
+      case Kind::kChildrenFrom:
+        return IsPrefix(node, path) ||
+               (node.size() > path.size() && IsPrefix(path, node) &&
+                node[path.size()] >= index);
+      case Kind::kEverything:
+        return true;
+    }
+    return true;
+  }
+};
+
+enum class EditKind {
+  kText, kCoFillValue, kAttribute, kInsertSibling, kRemoveSibling,
+  kRewriteBody, kNone,
+};
+constexpr EditKind kEditKinds[] = {
+    EditKind::kText,          EditKind::kCoFillValue,   EditKind::kAttribute,
+    EditKind::kInsertSibling, EditKind::kRemoveSibling, EditKind::kRewriteBody,
+    EditKind::kNone};
+
+bool TakesChildren(const Element& element) {
+  return !IsVoidElement(element.tag_name()) &&
+         !HtmlTokenizer::IsRawTextElement(element.tag_name());
+}
+
+// Makes one seeded edit of `kind` to `model` (a fresh parse of the current
+// body markup) and returns the new body markup; `region` says what it
+// touched. Falls back to no edit when the page has no candidate node.
+std::string EditBody(EditKind kind, Rng* rng, Element* model,
+                     const std::string& current, const std::string& other_body,
+                     EditRegion* region) {
+  *region = EditRegion{};
+  std::map<Path, Node*> nodes = NodesByPath(model);
+  std::vector<std::pair<Path, Node*>> candidates;
+  auto pick = [&]() -> std::pair<Path, Node*> {
+    return candidates[rng->NextBelow(candidates.size())];
+  };
+  switch (kind) {
+    case EditKind::kText:
+      for (const auto& [path, node] : nodes) {
+        if (node->type() == NodeType::kText) {
+          candidates.emplace_back(path, node);
+        }
+      }
+      if (candidates.empty()) {
+        return current;
+      } else {
+        auto [path, node] = pick();
+        auto* text = static_cast<Text*>(node);
+        text->set_data(text->data() + " " + rng->NextToken(6));
+        *region = {EditRegion::Kind::kPathTo, path, 0};
+      }
+      break;
+    case EditKind::kCoFillValue:
+    case EditKind::kAttribute:
+      for (const auto& [path, node] : nodes) {
+        Element* element = node->AsElement();
+        if (element != nullptr &&
+            (kind == EditKind::kAttribute || element->tag_name() == "input")) {
+          candidates.emplace_back(path, node);
+        }
+      }
+      if (candidates.empty()) {
+        return current;
+      } else {
+        auto [path, node] = pick();
+        Element* element = node->AsElement();
+        std::string name = "value";
+        if (kind == EditKind::kAttribute) {
+          name = element->attributes().empty()
+                     ? "data-edit"
+                     : element->attributes()[rng->NextBelow(
+                                                 element->attributes().size())]
+                           .first;
+        }
+        element->SetAttribute(name, "v-" + rng->NextToken(8));
+        *region = {EditRegion::Kind::kPathTo, path, 0};
+      }
+      break;
+    case EditKind::kInsertSibling: {
+      candidates.emplace_back(Path{}, model);
+      for (const auto& [path, node] : nodes) {
+        if (node->AsElement() != nullptr && TakesChildren(*node->AsElement())) {
+          candidates.emplace_back(path, node);
+        }
+      }
+      auto [path, parent] = pick();
+      size_t index = rng->NextBelow(parent->child_count() + 1);
+      auto span = MakeElement("span");
+      span->SetAttribute("class", "inserted");
+      span->AppendChild(MakeText(rng->NextToken(5)));
+      parent->InsertBefore(std::move(span), index < parent->child_count()
+                                                ? parent->child_at(index)
+                                                : nullptr);
+      *region = {EditRegion::Kind::kChildrenFrom, path, index};
+      break;
+    }
+    case EditKind::kRemoveSibling:
+      // An element whose neighbours are not both text: removing it must not
+      // merge two text nodes, which would change a node before it.
+      for (const auto& [path, node] : nodes) {
+        Node* parent = node->parent();
+        size_t index = path.back();
+        auto is_text = [&](size_t i) {
+          return i < parent->child_count() &&
+                 parent->child_at(i)->type() == NodeType::kText;
+        };
+        if (node->AsElement() != nullptr &&
+            !(index > 0 && is_text(index - 1) && is_text(index + 1))) {
+          candidates.emplace_back(path, node);
+        }
+      }
+      if (candidates.empty()) {
+        return current;
+      } else {
+        auto [path, node] = pick();
+        node->Detach();
+        *region = {EditRegion::Kind::kChildrenFrom,
+                   Path(path.begin(), path.end() - 1), path.back()};
+      }
+      break;
+    case EditKind::kRewriteBody:
+      *region = {EditRegion::Kind::kEverything, {}, 0};
+      return other_body;
+    case EditKind::kNone:
+      return current;
+  }
+  return model->InnerHtml();
+}
+
+TEST(InPlaceInnerHtmlTest, CorpusEditsEqualFreshParseAndKeepUntouchedNodes) {
+  const std::vector<SiteSpec>& sites = Table1Sites();
+  ASSERT_EQ(sites.size(), 20u);
+  for (size_t site = 0; site < sites.size(); ++site) {
+    SCOPED_TRACE(sites[site].name);
+    std::unique_ptr<Document> live =
+        ParseDocument(GenerateHomepage(sites[site]).html);
+    std::string other_body =
+        ParseDocument(GenerateHomepage(sites[(site + 1) % sites.size()]).html)
+            ->body()
+            ->InnerHtml();
+    Element* body = live->body();
+    ASSERT_NE(body, nullptr);
+    // Settle the body on its own serialization first, so the live tree and
+    // a fresh parse of `current` share child-index paths.
+    std::string current = body->InnerHtml();
+    body->SetInnerHtml(current);
+    Rng rng(0x5EED + site);
+    for (int round = 0; round < 2; ++round) {
+      for (EditKind kind : kEditKinds) {
+        SCOPED_TRACE(static_cast<int>(kind));
+        auto model = MakeElement("body");
+        model->SetInnerHtml(current);
+        EditRegion region;
+        std::string next =
+            EditBody(kind, &rng, model.get(), current, other_body, &region);
+
+        std::map<Path, Node*> before = NodesByPath(body);
+        std::map<Path, uint64_t> before_revs;
+        for (const auto& [path, node] : before) {
+          before_revs[path] = node->rev();
+        }
+        uint64_t root_rev = live->document_element()->rev();
+        uint64_t body_rev = body->rev();
+        body->SetInnerHtml(next);
+
+        auto fresh = MakeElement("body");
+        fresh->SetInnerHtml(next);
+        ASSERT_EQ(body->InnerHtml(), fresh->InnerHtml());
+
+        std::map<Path, Node*> after = NodesByPath(body);
+        size_t kept = 0;
+        size_t lost = 0;
+        for (const auto& [path, node] : before) {
+          if (region.Covers(path)) {
+            continue;
+          }
+          auto it = after.find(path);
+          if (it != after.end() && it->second == node &&
+              node->rev() == before_revs[path]) {
+            ++kept;
+          } else {
+            ++lost;
+          }
+        }
+        EXPECT_EQ(lost, 0u) << kept << " kept";
+        bool changed = next != current;
+        EXPECT_EQ(live->document_element()->rev() != root_rev, changed);
+        EXPECT_EQ(body->rev() != body_rev, changed);
+        current = next;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -531,6 +531,32 @@ TEST_F(SerializeCacheTest, BudgetIsEnforcedByEviction) {
   EXPECT_GT(generator.serialize_cache_stats().evictions, 0u);
 }
 
+TEST_F(SerializeCacheTest, RestampedNodeReplacesItsSpan) {
+  // Each edit restamps the edited node and its ancestors. Their spans under
+  // the old revs can never hit again, so recording the new spans drops them:
+  // the cache holds one span per node however many edits ran, and the
+  // budget is left to live spans.
+  Load("<html><body><div id=\"a\"><p id=\"p\">paragraph text long enough "
+       "to be cached as a span of its own</p></div><div id=\"b\"><p>sibling "
+       "text that stays the same across every edit below</p></div>"
+       "</body></html>");
+  ContentGenerator generator(browser_.get());
+  ContentGenOptions options = Options(/*cache_mode=*/false);
+  generator.Generate(1000, options);
+  const size_t spans = generator.serialize_cache_stats().spans;
+  ASSERT_GT(spans, 0u);
+  for (int step = 0; step < 50; ++step) {
+    browser_->MutateDocument([&](Document* document) {
+      document->ById("p")->SetAttribute("data-step", std::to_string(step % 10));
+    });
+    GenerationResult result = generator.Generate(1001 + step, options);
+    EXPECT_EQ(SerializeSnapshotXml(result.snapshot),
+              ColdXml(1001 + step, options));
+  }
+  EXPECT_EQ(generator.serialize_cache_stats().spans, spans);
+  EXPECT_EQ(generator.serialize_cache_stats().evictions, 0u);
+}
+
 TEST_F(SerializeCacheTest, ResultsRemainValidAcrossGenerations) {
   // Dangling-span regression: everything a Generate returns must be owned
   // copies, never views into the live DOM or the cache. Reading the first

@@ -219,6 +219,31 @@ TEST_F(SnippetTest, DynamicMutationSynchronized) {
   SUCCEED();
 }
 
+TEST_F(SnippetTest, ReapplyingTheSameSnapshotKeepsTheBody) {
+  StartAgent();
+  ASSERT_TRUE(Join().ok());
+  HostNavigate();
+  WaitForUpdate();
+  Document* doc = participant_browser_->document();
+  Element* body = doc->body();
+  Element* p = doc->ById("p");
+  ASSERT_NE(p, nullptr);
+  uint64_t body_rev = body->rev();
+  uint64_t updates = snippet_->metrics().content_updates;
+  // A change notification without a change: the next poll carries the same
+  // content under a newer doc time, and Fig. 5 applies it again. Step 4
+  // assigns the body's unchanged attributes and reconciles its unchanged
+  // children, so the body keeps its nodes and its rev.
+  host_browser_->MutateDocument([](Document*) {});
+  loop_.RunUntilCondition(
+      [&] { return snippet_->metrics().content_updates > updates; });
+  ASSERT_EQ(participant_browser_->document(), doc);
+  EXPECT_EQ(doc->body(), body);
+  EXPECT_EQ(body->rev(), body_rev);
+  EXPECT_EQ(doc->ById("p"), p);
+  EXPECT_EQ(body->AttrOr("class"), "c1");
+}
+
 TEST_F(SnippetTest, SupplementaryObjectsFetchedNonCacheMode) {
   AgentConfig config;
   config.cache_mode = false;

@@ -11,6 +11,7 @@
 #include "src/util/sim_time.h"
 #include "src/util/status.h"
 #include "src/util/strings.h"
+#include "tests/support/js_unescape_oracle.h"
 
 namespace rcb {
 namespace {
@@ -341,6 +342,65 @@ TEST(EscapeKernelTest, HtmlUnescapeMatchesByteLoop) {
   EXPECT_EQ(HtmlUnescape("a &amp"), "a &amp");
   EXPECT_EQ(HtmlUnescape("&verylongentity;"), "&verylongentity;");
   EXPECT_EQ(HtmlUnescape(HtmlEscape(AllBytes())), AllBytes());
+}
+
+TEST(EscapeKernelTest, HtmlUnescapeIntoOverwritesAndMatches) {
+  std::string out = "stale content that must go";
+  HtmlUnescapeInto("plain", &out);
+  EXPECT_EQ(out, "plain");
+  HtmlUnescapeInto("a &amp; b &#65;", &out);
+  EXPECT_EQ(out, "a & b A");
+  HtmlUnescapeInto("", &out);
+  EXPECT_EQ(out, "");
+}
+
+// Random strings dense in what the decoder branches on: '%', 'u'/'U', hex
+// and non-hex bytes and the 0x80-0xFF range, plus whole escapes spliced in
+// (surrogate pairs, lone surrogates, code points above U+00FF).
+std::string RandomJsEscaped(Rng* rng) {
+  static constexpr std::string_view kPieces[] = {
+      "%", "u", "U", "0", "9", "a", "F", "D8", "DC", "g", "z", " ", "\x80",
+      "\xFF", "\xC3", "%41", "%3c", "%u0041", "%U00e9", "%u20AC",
+      "%uD83D%uDE00", "%uD83D", "%uDE00", "%uD83Dx", "%uFFFF", "%u00FF",
+      "%u0100", "%u07FF", "%u0800", "%uZZZZ"};
+  std::string out;
+  size_t pieces = rng->NextBelow(24);
+  for (size_t i = 0; i < pieces; ++i) {
+    out += kPieces[rng->NextBelow(std::size(kPieces))];
+  }
+  // Half the inputs end in a truncated escape.
+  static constexpr std::string_view kTails[] = {"%", "%4", "%u", "%uD", "%uD8",
+                                                "%uD83", "%uD83D%u", "%uD83D%uDE0"};
+  if (rng->NextBelow(2) == 0) {
+    out += kTails[rng->NextBelow(std::size(kTails))];
+  }
+  return out;
+}
+
+TEST(EscapeKernelTest, JsUnescapeMatchesByteLoop) {
+  Rng rng(71);
+  std::vector<std::string> inputs = {
+      "", "%", "%%", "%4", "%41", "%u", "%u004", "%u0041", "%uD83D%uDE00",
+      "%uD83D", "%uDE00", "%uD83D%u0041", "%u20AC%41%zz", "%41%u20AC%41",
+      AllBytes(), JsEscape(AllBytes())};
+  for (int i = 0; i < 2000; ++i) {
+    inputs.push_back(RandomJsEscaped(&rng));
+  }
+  for (int i = 0; i < 100; ++i) {
+    inputs.push_back(RandomOver("%uU0123456789abcdefABCDEFgG\x80\xFF",
+                                rng.NextBelow(80), &rng));
+  }
+  for (const std::string& input : inputs) {
+    EXPECT_EQ(JsUnescape(input), ReferenceJsUnescape(input)) << HexEncode(input);
+  }
+}
+
+TEST(EscapeKernelTest, JsUnescapeInvertsJsEscape) {
+  Rng rng(73);
+  for (int i = 0; i < 300; ++i) {
+    std::string blob = rng.NextBytes(rng.NextBelow(600));
+    EXPECT_EQ(JsUnescape(JsEscape(blob)), blob) << HexEncode(blob);
+  }
 }
 
 // Property sweep: JsEscape/JsUnescape round-trips random binary blobs.
