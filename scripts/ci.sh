@@ -427,7 +427,7 @@ check_metrics_doc() {
 }
 
 check_e2e_smoke() {
-  echo "=== e2e smoke: ledger_test + edit_full/edit_delta/host_fanout convergence ==="
+  echo "=== e2e smoke: ledger_test + edit_full/edit_delta/host_fanout convergence + delta wire bytes ==="
   # The benchmark's own CMake project (e2e_bench/README.md); run.py reuses
   # this build directory.
   local dir=".bench_build/e2e_bench"
@@ -439,7 +439,7 @@ check_e2e_smoke() {
   # generator), the delta path and the multi-session host (every poll and
   # frame HMAC-signed and verified): every participant digest must match the
   # host's, and no delivery may fail.
-  local workload result
+  local workload result full_result="" delta_result=""
   for workload in edit_full edit_delta host_fanout; do
     result="$(python3 e2e_bench/run.py --workload "${workload}" --seed 1 \
         --seconds 3 --trace 0 | tail -n 1)"
@@ -448,7 +448,23 @@ r = json.loads(sys.argv[1])
 sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
         "${result}" ||
       { echo "e2e smoke failed (${workload}): ${result}" >&2; return 1; }
+    case "${workload}" in
+      edit_full) full_result="${result}" ;;
+      edit_delta) delta_result="${result}" ;;
+    esac
   done
+  # A broken in-place patch apply falls back to full-snapshot resyncs and
+  # still converges, so convergence alone would pass it: the delta path must
+  # also keep its wire saving, at most 5% of edit_full's bytes per delivery
+  # at the same seed.
+  python3 -c 'import json, sys
+full, delta = (json.loads(a)["metrics"]["wire_bytes_per_delivery"]["value"]
+               for a in sys.argv[1:3])
+print("edit_delta wire bytes per delivery: %.0f of edit_full %.0f (%.2f%%)"
+      % (delta, full, 100.0 * delta / full))
+sys.exit(0 if delta <= 0.05 * full else 1)' "${full_result}" "${delta_result}" ||
+    { echo "e2e smoke failed: edit_delta wire bytes over 5% of edit_full" >&2
+      return 1; }
 }
 
 run_suite() {

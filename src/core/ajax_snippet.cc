@@ -193,6 +193,15 @@ void AjaxSnippet::RegisterMetrics() {
         "CPU microseconds per Fig. 5 snapshot-apply stage",
         obs::Provenance::kWall, obs::LatencyBoundsUs(), kApplyStageLabels[i]);
   }
+  // Only a delta-capable snippet ever applies a patch.
+  static constexpr const char* kPatchStageLabels[3] = {
+      "stage=\"verify_base\"", "stage=\"apply\"", "stage=\"verify_target\""};
+  for (size_t i = 0; config_.enable_delta && i < 3; ++i) {
+    patch_stage_hist_[i] = registry_.AddHistogram(
+        "rcb_snippet_patch_stage_us",
+        "CPU microseconds per newPatch apply stage", obs::Provenance::kWall,
+        obs::LatencyBoundsUs(), kPatchStageLabels[i]);
+  }
   apply_us_ = registry_.AddHistogram(
       "rcb_snippet_apply_us",
       "CPU microseconds per whole Fig. 5 snapshot apply (M6)",
@@ -1083,8 +1092,16 @@ void AjaxSnippet::ProcessPatch(const delta::PatchEnvelope& envelope,
          {"target_ts",
           StrFormat("%lld",
                     static_cast<long long>(envelope.patch.target_doc_time_ms))}});
+    delta::ApplyStageTimes times;
     result = delta::ApplyPatchToDocument(browser_->document(), doc_time_ms_,
-                                         envelope.patch, &patch_memo_);
+                                         envelope.patch, &patch_memo_, &times);
+    const int64_t stage_us[3] = {times.verify_base_us, times.apply_us,
+                                 times.verify_target_us};
+    for (size_t i = 0; i < 3; ++i) {
+      if (stage_us[i] >= 0) {
+        patch_stage_hist_[i]->Record(stage_us[i]);
+      }
+    }
   }
   auto end = std::chrono::steady_clock::now();
   switch (result) {
@@ -1136,8 +1153,6 @@ void AjaxSnippet::ProcessPatch(const delta::PatchEnvelope& envelope,
 }
 
 void AjaxSnippet::ApplySnapshot(const Snapshot& snapshot) {
-  // The apply rebuilds the document, so the next patch digests it afresh.
-  patch_memo_.digest.clear();
   Document* document = browser_->document();
   Element* root = document->document_element();
   if (root == nullptr) {

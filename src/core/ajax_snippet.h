@@ -163,13 +163,13 @@ class AjaxSnippet {
   // leave after this snippet joined).
   const std::vector<std::string>& known_peers() const { return peers_; }
   const SnippetMetrics& metrics() const { return metrics_; }
-  // Base-digest memo of the last committed patch (src/delta/patch_applier.h);
-  // its `hits` counts the patches whose base digest it answered.
-  const delta::BaseDigestMemo& patch_digest_memo() const {
-    return patch_memo_;
-  }
+  // The canonical memo of the live document the patch gates digest through
+  // (src/delta/tree_diff.h); its hits() count the gates it answered without
+  // a walk, the document unchanged since the one before.
+  const delta::CanonicalMemo& patch_digest_memo() const { return patch_memo_; }
   // Observability (DESIGN.md §9): every SnippetMetrics counter
-  // (callback-backed), the Fig. 5 apply-stage histograms (wall), and the
+  // (callback-backed), the Fig. 5 apply-stage and patch-stage histograms
+  // (wall), and the
   // simulated content-download / object-fetch histograms (sim). The snippet
   // has no HTTP server, so its registry is read in-process (benches, tests).
   const obs::MetricsRegistry& metrics_registry() const { return registry_; }
@@ -296,7 +296,6 @@ class AjaxSnippet {
   std::string pid_;
   Duration interval_ = Duration::Seconds(1.0);
   int64_t doc_time_ms_ = -1;
-  delta::BaseDigestMemo patch_memo_;
 
   std::vector<UserAction> action_queue_;
   // Actions riding the in-flight poll; re-queued if the transport fails so
@@ -353,6 +352,8 @@ class AjaxSnippet {
   obs::FlightRecorder flight_;
   // Fig. 5 apply stages, in order: clean_head, set_head, drop_stale, set_body.
   obs::Histogram* apply_stage_hist_[4] = {};
+  // Patch apply stages, in order: verify_base, apply, verify_target.
+  obs::Histogram* patch_stage_hist_[3] = {};
   obs::Histogram* apply_us_ = nullptr;             // whole apply, wall (M6)
   obs::Histogram* content_download_us_ = nullptr;  // sim (M2)
   obs::Histogram* object_fetch_us_ = nullptr;      // sim (M3/M4)
@@ -360,6 +361,9 @@ class AjaxSnippet {
   std::function<void(int64_t)> update_listener_;
   std::function<void(Duration)> objects_listener_;
   std::function<void(const UserAction&)> action_listener_;
+
+  // The live document's canonical memo (delta only; cold otherwise).
+  delta::CanonicalMemo patch_memo_;
 };
 
 }  // namespace rcb

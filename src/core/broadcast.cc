@@ -8,6 +8,21 @@
 #include "src/util/strings.h"
 
 namespace rcb {
+namespace {
+
+int64_t MicrosSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+}  // namespace
+
+void SnapshotBroadcast::RecordDeltaStage(size_t stage, int64_t micros) {
+  if (instruments_.delta_stage_hist[stage] != nullptr) {
+    instruments_.delta_stage_hist[stage]->Record(micros);
+  }
+}
 
 SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
     bool cache_mode, bool count_reuse, int64_t doc_time_ms,
@@ -37,7 +52,7 @@ SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
   const uint64_t gen_span_id = traced_gen ? trace->ReserveSpanId() : 0;
   const obs::TraceContext stage_ctx{trace_ctx.trace_id, gen_span_id};
   GenerationResult result = generator_->Generate(doc_time_ms, options);
-  slot.snapshot = std::move(result.snapshot);
+  Snapshot previous = std::exchange(slot.snapshot, std::move(result.snapshot));
   slot.escaped = std::move(result.escaped);
   SnapshotSerializeStats serialize_stats;
   {
@@ -49,22 +64,41 @@ SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
   }
   slot.valid = true;
   if (options_.enable_delta) {
-    // Retire the previous materialized tree into the base history and
-    // materialize the new version the same way a participant's live document
-    // will look after applying it (so digests agree by construction).
-    BaseVersion previous = std::move(slot.current);
-    slot.current.doc_time_ms = doc_time_ms;
-    slot.current.tree = MaterializeSnapshotTree(slot.snapshot);
-    slot.current.digest = delta::TreeDigest(*slot.current.tree);
-    slot.current.hashes = delta::HashTree(*slot.current.tree);
-    slot.patch_cache.clear();
-    if (previous.tree != nullptr &&
-        previous.doc_time_ms != slot.current.doc_time_ms) {
-      slot.history.push_back(std::move(previous));
+    // The new version goes into the tree that does not hold the current one
+    // (into the current one when only its bytes were regenerated), so the
+    // other tree keeps the predecessor the usual patch diffs from. The
+    // materialization reads what a participant's live document will look
+    // like after applying it, so digests agree by construction.
+    MaterializedTree* tree = &slot.trees[slot.current];
+    const Snapshot* taken = &previous;
+    if (tree->root != nullptr && tree->doc_time_ms != doc_time_ms) {
+      slot.history.push_back(
+          {tree->doc_time_ms, std::move(previous), tree->memo.digest()});
       while (slot.history.size() > kDeltaHistory) {
         slot.history.pop_front();
       }
+      slot.current ^= 1;
+      tree = &slot.trees[slot.current];
+      taken = nullptr;
+      for (const BaseVersion& version : slot.history) {
+        if (version.doc_time_ms == tree->doc_time_ms) {
+          taken = &version.snapshot;
+          break;
+        }
+      }
     }
+    if (tree->root == nullptr) {
+      tree->root = MakeElement("html");
+      taken = nullptr;
+    }
+    auto stage_start = std::chrono::steady_clock::now();
+    ReconcileSnapshotTree(slot.snapshot, taken, tree->root.get());
+    tree->doc_time_ms = doc_time_ms;
+    RecordDeltaStage(0, MicrosSince(stage_start));
+    stage_start = std::chrono::steady_clock::now();
+    tree->memo.Digest(tree->root.get());
+    RecordDeltaStage(1, MicrosSince(stage_start));
+    slot.patch_cache.clear();
   }
   AgentMetrics& metrics = *instruments_.metrics;
   ++metrics.generations;
@@ -103,7 +137,8 @@ SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
 std::optional<std::string> SnapshotBroadcast::MaybeBuildPatchResponse(
     Slot& slot, int64_t base_time, std::vector<UserAction>* outbox,
     const obs::TraceContext& trace_ctx) {
-  if (slot.current.tree == nullptr || base_time >= slot.current.doc_time_ms) {
+  const MaterializedTree& current = slot.trees[slot.current];
+  if (current.root == nullptr || base_time >= current.doc_time_ms) {
     return std::nullopt;  // nothing newer than what the participant acks
   }
   auto cached_it = slot.patch_cache.find(base_time);
@@ -124,25 +159,38 @@ std::optional<std::string> SnapshotBroadcast::MaybeBuildPatchResponse(
     } else {
       cached.envelope.patch.version = delta::kPatchFormatVersion;
       cached.envelope.patch.base_doc_time_ms = base->doc_time_ms;
-      cached.envelope.patch.target_doc_time_ms = slot.current.doc_time_ms;
+      cached.envelope.patch.target_doc_time_ms = current.doc_time_ms;
       cached.envelope.patch.base_digest = base->digest;
-      cached.envelope.patch.target_digest = slot.current.digest;
+      cached.envelope.patch.target_digest = current.memo.digest();
+      const MaterializedTree& predecessor = slot.trees[slot.current ^ 1];
+      std::unique_ptr<Element> lagged;
+      delta::TreeHashes lagged_hashes;
+      if (predecessor.root == nullptr ||
+          predecessor.doc_time_ms != base_time) {
+        // A base older than the predecessor: materialized once, here.
+        auto materialize_start = std::chrono::steady_clock::now();
+        lagged = MaterializeSnapshotTree(base->snapshot);
+        lagged_hashes = delta::HashTree(*lagged);
+        RecordDeltaStage(0, MicrosSince(materialize_start));
+      }
       auto diff_start = std::chrono::steady_clock::now();
       cached.envelope.patch.ops =
-          delta::DiffTrees(*base->tree, base->hashes, *slot.current.tree,
-                           slot.current.hashes);
+          lagged != nullptr
+              ? delta::DiffTrees(*lagged, lagged_hashes, *current.root,
+                                 current.memo.hashes())
+              : delta::DiffTrees(*predecessor.root, predecessor.memo.hashes(),
+                                 *current.root, current.memo.hashes());
+      const int64_t diff_us = MicrosSince(diff_start);
+      RecordDeltaStage(2, diff_us);
       cached.xml = delta::SerializePatchXml(cached.envelope);
       if (instruments_.trace != nullptr && trace_ctx.active()) {
-        auto diff_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                           std::chrono::steady_clock::now() - diff_start)
-                           .count();
         instruments_.trace->Append(
             "agent.delta.diff", obs::Provenance::kWall, loop_->now().micros(),
             diff_us, trace_ctx,
             {{"base_ts", StrFormat("%lld", static_cast<long long>(base_time))},
              {"target_ts",
               StrFormat("%lld",
-                        static_cast<long long>(slot.current.doc_time_ms))},
+                        static_cast<long long>(current.doc_time_ms))},
              {"ops", delta::SummarizeOps(cached.envelope.patch.ops)},
              {"bytes", StrFormat("%zu", cached.xml.size())}});
       }

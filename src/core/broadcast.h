@@ -29,6 +29,7 @@
 #include "src/core/protocol.h"
 #include "src/delta/patch_codec.h"
 #include "src/delta/tree_diff.h"
+#include "src/html/dom.h"
 #include "src/net/event_loop.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -58,6 +59,8 @@ struct BroadcastInstruments {
   obs::Histogram* generation_us = nullptr;   // whole pipeline, wall
   obs::Histogram* snapshot_bytes = nullptr;  // serialized XML size, sim
   obs::Histogram* patch_ops = nullptr;       // ops per served patch, sim
+  // Delta stage histograms: materialize, digest, diff (wall).
+  obs::Histogram* delta_stage_hist[3] = {};
 };
 
 class SnapshotBroadcast {
@@ -70,15 +73,22 @@ class SnapshotBroadcast {
   // is not worth the apply risk).
   static constexpr double kPatchSizeCutoff = 0.6;
 
-  // One materialized canonical tree (src/delta) with its version, digest and
-  // subtree hashes; the delta path diffs a history of these against the
-  // current one. The hashes are computed once, with the tree, and live and
-  // die with it.
+  // One materialized canonical tree (src/delta) and the CanonicalMemo that
+  // holds its digest and subtree hashes. A slot keeps two and reconciles
+  // each new version into the older one, so both stay O(page) in memory and
+  // a version costs O(change) beyond one tokenize of the changed payloads.
+  struct MaterializedTree {
+    int64_t doc_time_ms = -1;
+    std::unique_ptr<Element> root;
+    delta::CanonicalMemo memo;
+  };
+  // A previously served version, kept as the snapshot it was generated as
+  // and its digest. A base neither tree holds any more is materialized from
+  // it once, for its cached patch.
   struct BaseVersion {
     int64_t doc_time_ms = -1;
-    std::unique_ptr<Element> tree;
+    Snapshot snapshot;
     std::string digest;
-    delta::TreeHashes hashes;
   };
   // A memoized diff against one base version, shared by every participant
   // that acked that version (the §4.1.2 reuse argument, applied to patches).
@@ -100,7 +110,8 @@ class SnapshotBroadcast {
     SnapshotEscaped escaped;
     std::string xml;  // the encoded bytes fanned out to matching pollers
     // --- Delta state (BroadcastOptions::enable_delta only) ---
-    BaseVersion current;                      // materialization of `snapshot`
+    MaterializedTree trees[2];  // trees[current] materializes `snapshot`,
+    int current = 0;            // the other the version served before it
     std::deque<BaseVersion> history;          // previously served versions
     std::map<int64_t, CachedPatch> patch_cache;  // keyed by base doc time
   };
@@ -136,6 +147,10 @@ class SnapshotBroadcast {
       const obs::TraceContext& trace_ctx);
 
  private:
+  // Records one delta stage (0 materialize, 1 digest, 2 diff) into its
+  // histogram.
+  void RecordDeltaStage(size_t stage, int64_t micros);
+
   ContentGenerator* generator_;
   EventLoop* loop_;
   BroadcastOptions options_;

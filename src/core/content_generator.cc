@@ -261,28 +261,73 @@ GenerationResult ContentGenerator::Generate(int64_t doc_time_ms,
   return result;
 }
 
-std::unique_ptr<Element> MaterializeSnapshotTree(const Snapshot& snapshot) {
-  auto materialize = [](const ElementPayload& payload) {
-    auto element = MakeElement(payload.tag);
-    element->AssignAttributes(payload.attributes);
+namespace {
+
+// The payloads that sit under the root after the head, in tree order.
+std::vector<const ElementPayload*> TopLevelPayloads(const Snapshot& snapshot) {
+  std::vector<const ElementPayload*> out;
+  for (const auto* payload :
+       {&snapshot.body, &snapshot.frameset, &snapshot.noframes}) {
+    if (payload->has_value()) {
+      out.push_back(&**payload);
+    }
+  }
+  return out;
+}
+
+// Makes child `index` of `parent` the element `payload` describes, as the
+// snippet instantiates it: attributes in payload order, children via
+// SetInnerHtml. An element of the same tag already there is kept; its
+// children are left alone when `taken` (the payload it was made from) has
+// the same inner HTML. Anything from `index` on is dropped otherwise.
+void ReconcilePayload(Element* parent, size_t index,
+                      const ElementPayload& payload,
+                      const ElementPayload* taken) {
+  Node* at = index < parent->child_count() ? parent->child_at(index) : nullptr;
+  Element* element = at != nullptr ? at->AsElement() : nullptr;
+  if (element == nullptr || !EqualsIgnoreCase(element->tag_name(), payload.tag)) {
+    parent->TruncateChildren(index);
+    element = parent->AppendChild(MakeElement(payload.tag))->AsElement();
+    taken = nullptr;
+  }
+  element->AssignAttributes(payload.attributes);
+  if (taken == nullptr || taken->inner_html != payload.inner_html) {
     element->SetInnerHtml(payload.inner_html);
-    return element;
-  };
+  }
+}
+
+}  // namespace
+
+void ReconcileSnapshotTree(const Snapshot& snapshot, const Snapshot* taken,
+                           Element* root) {
+  Node* first = root->first_child();
+  Element* head = first != nullptr ? first->AsElement() : nullptr;
+  if (head == nullptr || head->tag_name() != "head" ||
+      !head->attributes().empty()) {
+    root->TruncateChildren(0);
+    head = root->AppendChild(MakeElement("head"))->AsElement();
+  }
+  const size_t head_count = snapshot.head_children.size();
+  for (size_t i = 0; i < head_count; ++i) {
+    ReconcilePayload(head, i, snapshot.head_children[i],
+                     taken != nullptr && i < taken->head_children.size()
+                         ? &taken->head_children[i]
+                         : nullptr);
+  }
+  head->TruncateChildren(head_count);
+  const std::vector<const ElementPayload*> now = TopLevelPayloads(snapshot);
+  const std::vector<const ElementPayload*> was =
+      taken != nullptr ? TopLevelPayloads(*taken)
+                       : std::vector<const ElementPayload*>();
+  for (size_t k = 0; k < now.size(); ++k) {
+    ReconcilePayload(root, k + 1, *now[k], k < was.size() ? was[k] : nullptr);
+  }
+  root->TruncateChildren(now.size() + 1);
+}
+
+std::unique_ptr<Element> MaterializeSnapshotTree(const Snapshot& snapshot) {
   auto root = MakeElement("html");
-  auto head = MakeElement("head");
-  for (const ElementPayload& payload : snapshot.head_children) {
-    head->AppendChild(materialize(payload));
-  }
-  root->AppendChild(std::move(head));
-  if (snapshot.body.has_value()) {
-    root->AppendChild(materialize(*snapshot.body));
-  }
-  if (snapshot.frameset.has_value()) {
-    root->AppendChild(materialize(*snapshot.frameset));
-  }
-  if (snapshot.noframes.has_value()) {
-    root->AppendChild(materialize(*snapshot.noframes));
-  }
+  ReconcileSnapshotTree(snapshot, nullptr, root.get());
   delta::NormalizeTextNodes(root.get());
   return root;
 }

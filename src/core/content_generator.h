@@ -145,6 +145,17 @@ class ContentGenerator {
 // parse. This is the "last-acked tree" the delta path diffs against.
 std::unique_ptr<Element> MaterializeSnapshotTree(const Snapshot& snapshot);
 
+// Makes `root`, an attribute-less html element, what MaterializeSnapshotTree
+// builds before its text normalization, in place: payload elements whose tag
+// still matches are kept and given the payload's attributes and, through the
+// in-place SetInnerHtml, its inner HTML. `taken` is the snapshot `root` was
+// last made from (null when unknown or none): a payload whose inner HTML it
+// already holds at the same position is skipped. Nodes the new snapshot
+// leaves unchanged keep their address and rev, which is what lets the delta
+// path's CanonicalMemo re-digest only the change.
+void ReconcileSnapshotTree(const Snapshot& snapshot, const Snapshot* taken,
+                           Element* root);
+
 }  // namespace rcb
 
 #endif  // SRC_CORE_CONTENT_GENERATOR_H_

@@ -116,6 +116,9 @@ RcbAgent::RcbAgent(Browser* host_browser, AgentConfig config)
   instruments.generation_us = generation_us_;
   instruments.snapshot_bytes = snapshot_bytes_;
   instruments.patch_ops = patch_ops_;
+  for (size_t i = 0; i < 3; ++i) {
+    instruments.delta_stage_hist[i] = delta_stage_hist_[i];
+  }
   broadcast_.emplace(&generator_, browser_->loop(),
                      std::move(broadcast_options), instruments);
 }
@@ -419,6 +422,16 @@ void RcbAgent::RegisterMetrics() {
         "CPU microseconds per Fig. 3 snapshot-pipeline stage",
         obs::Provenance::kWall, obs::LatencyBoundsUs(),
         ComposedLabels(kStageLabels[i]));
+  }
+  // Only a delta-enabled agent runs the delta stages.
+  static constexpr const char* kDeltaStageLabels[3] = {
+      "stage=\"materialize\"", "stage=\"digest\"", "stage=\"diff\""};
+  for (size_t i = 0; config_.enable_delta && i < 3; ++i) {
+    delta_stage_hist_[i] = reg->AddHistogram(
+        "rcb_agent_delta_stage_us",
+        "CPU microseconds per delta-path stage on the host",
+        obs::Provenance::kWall, obs::LatencyBoundsUs(),
+        ComposedLabels(kDeltaStageLabels[i]));
   }
   generation_us_ = reg->AddHistogram(
       "rcb_agent_generation_us",

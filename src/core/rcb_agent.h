@@ -571,6 +571,8 @@ class RcbAgent {
   // Fig. 3 stage histograms, one per gen_stage label, in pipeline order:
   // extract, serialize.
   obs::Histogram* stage_hist_[2] = {};
+  // Delta stages, in order: materialize, digest, diff.
+  obs::Histogram* delta_stage_hist_[3] = {};
   obs::Histogram* generation_us_ = nullptr;   // whole pipeline, wall
   obs::Histogram* snapshot_bytes_ = nullptr;  // serialized XML size, sim
   obs::Histogram* hmac_verify_us_ = nullptr;  // wall

@@ -1,21 +1,12 @@
 #include "src/delta/patch_applier.h"
 
+#include <chrono>
+
 #include "src/html/parser.h"
 #include "src/util/strings.h"
 
 namespace rcb::delta {
 namespace {
-
-Node* NodeAtPath(Element* root, const std::vector<uint32_t>& path) {
-  Node* node = root;
-  for (uint32_t index : path) {
-    if (index >= node->child_count()) {
-      return nullptr;
-    }
-    node = node->child_at(index);
-  }
-  return node;
-}
 
 StatusOr<std::unique_ptr<Node>> ParseSingleNode(const std::string& html) {
   auto nodes = ParseFragment(html);
@@ -26,74 +17,231 @@ StatusOr<std::unique_ptr<Node>> ParseSingleNode(const std::string& html) {
   return std::move(nodes[0]);
 }
 
-// Swaps the verified patched tree into the live document: the live root's
-// children are replaced by the canonical children, and the bootstrap script
-// the Fig. 5 procedure preserves is re-attached at the head's front.
-void CommitCanonicalTree(Document* document,
-                         std::unique_ptr<Element> canonical) {
-  Element* root = document->document_element();
-  std::unique_ptr<Node> snippet_script;
-  if (Element* live_head = root->ChildByTag("head")) {
-    Node* found = nullptr;
-    for (const auto& child : live_head->children()) {
-      if (IsSnippetBootstrapScript(*child)) {
-        found = child.get();
+// One mutation of the live document, recorded so that a refused patch can
+// be rolled back. Undone in reverse order, each record finds the tree as it
+// left it, so its positions and pointers hold.
+struct Undo {
+  enum class Kind { kInserted, kRemoved, kMoved, kAttributes, kText };
+  Undo(Kind kind, Node* node, size_t index = 0, size_t to = 0)
+      : kind(kind), node(node), index(index), to(to) {}
+
+  Kind kind;
+  Node* node;  // the parent; the element (kAttributes); the text (kText)
+  size_t index;  // the child's position; kMoved: where it came from
+  size_t to;     // kMoved: where it went
+  std::unique_ptr<Node> removed;                                // kRemoved
+  std::vector<std::pair<std::string, std::string>> attributes;  // kAttributes
+  std::string data;                                             // kText
+};
+
+void Rollback(std::vector<Undo>* log) {
+  for (auto it = log->rbegin(); it != log->rend(); ++it) {
+    Node* node = it->node;
+    switch (it->kind) {
+      case Undo::Kind::kInserted:
+        node->RemoveChild(node->child_at(it->index));
+        break;
+      case Undo::Kind::kRemoved:
+        node->InsertChildAt(it->index, std::move(it->removed));
+        break;
+      case Undo::Kind::kMoved:
+        node->InsertChildAt(it->index,
+                            node->RemoveChild(node->child_at(it->to)));
+        break;
+      case Undo::Kind::kAttributes:
+        static_cast<Element*>(node)->AssignAttributes(it->attributes);
+        break;
+      case Undo::Kind::kText:
+        static_cast<Text*>(node)->set_data(std::move(it->data));
+        break;
+    }
+  }
+  log->clear();
+}
+
+// The tree the op paths address. In a canonical tree they index children
+// directly. In a live document they index its canonical view
+// (CanonicalizeDocument, without the copy): the root's children are its
+// head and first body, frameset and noframes, the head's are its children
+// minus bootstrap scripts, and everything deeper is itself.
+class OpTarget {
+ public:
+  OpTarget(Element* root, bool document_view)
+      : root_(root), document_view_(document_view) {}
+
+  Node* At(const std::vector<uint32_t>& path) const {
+    Node* node = root_;
+    for (uint32_t index : path) {
+      if (index >= Count(node)) {
+        return nullptr;
+      }
+      node = node->child_at(LiveIndex(node, index));
+    }
+    return node;
+  }
+  size_t Count(const Node* parent) const {
+    return Mapped(parent) ? ViewIndexes(parent).size() : parent->child_count();
+  }
+  // Live position of view child `index` (< Count).
+  size_t LiveIndex(const Node* parent, size_t index) const {
+    return Mapped(parent) ? ViewIndexes(parent)[index] : index;
+  }
+  // Live position an insert at view position `index` (<= Count) takes.
+  size_t InsertSlot(const Node* parent, size_t index) const {
+    return index < Count(parent) ? LiveIndex(parent, index)
+                                 : parent->child_count();
+  }
+
+ private:
+  bool Mapped(const Node* parent) const {
+    return document_view_ &&
+           (parent == root_ || parent == root_->ChildByTag("head"));
+  }
+  std::vector<size_t> ViewIndexes(const Node* parent) const {
+    std::vector<size_t> out;
+    if (parent == root_) {
+      for (const char* tag : {"head", "body", "frameset", "noframes"}) {
+        for (size_t i = 0; i < root_->child_count(); ++i) {
+          const Element* element = root_->child_at(i)->AsElement();
+          if (element != nullptr && element->tag_name() == tag) {
+            out.push_back(i);
+            break;
+          }
+        }
+      }
+      return out;
+    }
+    for (size_t i = 0; i < parent->child_count(); ++i) {
+      if (!IsSnippetBootstrapScript(*parent->child_at(i))) {
+        out.push_back(i);
+      }
+    }
+    return out;
+  }
+
+  Element* root_;
+  bool document_view_;
+};
+
+size_t IndexInParent(const Node* node) {
+  const Node* parent = node->parent();
+  size_t i = 0;
+  while (parent->child_at(i) != node) {
+    ++i;
+  }
+  return i;
+}
+
+// The one op engine: applies `ops` to `target` in order, logging each
+// mutation into `log` when one is given.
+Status ApplyOps(const OpTarget& target, const std::vector<PatchOp>& ops,
+                std::vector<Undo>* log) {
+  auto record = [log](Undo undo) {
+    if (log != nullptr) {
+      log->push_back(std::move(undo));
+    }
+  };
+  for (const PatchOp& op : ops) {
+    switch (op.type) {
+      case PatchOpType::kInsert: {
+        Node* parent = target.At(op.path);
+        if (parent == nullptr || op.index > target.Count(parent)) {
+          return InvalidArgumentError("patch insert out of range");
+        }
+        RCB_ASSIGN_OR_RETURN(auto node, ParseSingleNode(op.html));
+        const size_t slot = target.InsertSlot(parent, op.index);
+        parent->InsertChildAt(slot, std::move(node));
+        record({Undo::Kind::kInserted, parent, slot});
+        break;
+      }
+      case PatchOpType::kRemove: {
+        Node* parent = target.At(op.path);
+        if (parent == nullptr || op.index >= target.Count(parent)) {
+          return InvalidArgumentError("patch remove out of range");
+        }
+        const size_t live = target.LiveIndex(parent, op.index);
+        Undo undo{Undo::Kind::kRemoved, parent, live};
+        undo.removed = parent->RemoveChild(parent->child_at(live));
+        record(std::move(undo));
+        break;
+      }
+      case PatchOpType::kMove: {
+        Node* parent = target.At(op.path);
+        if (parent == nullptr || op.from >= target.Count(parent) ||
+            op.to >= target.Count(parent)) {
+          return InvalidArgumentError("patch move out of range");
+        }
+        const size_t from = target.LiveIndex(parent, op.from);
+        std::unique_ptr<Node> moving =
+            parent->RemoveChild(parent->child_at(from));
+        const size_t to = target.InsertSlot(parent, op.to);
+        parent->InsertChildAt(to, std::move(moving));
+        record({Undo::Kind::kMoved, parent, from, to});
+        break;
+      }
+      case PatchOpType::kReplace: {
+        if (op.path.empty()) {
+          return InvalidArgumentError("patch cannot replace the root");
+        }
+        Node* replaced = target.At(op.path);
+        if (replaced == nullptr) {
+          return InvalidArgumentError("patch replace path out of range");
+        }
+        RCB_ASSIGN_OR_RETURN(auto node, ParseSingleNode(op.html));
+        Node* parent = replaced->parent();
+        const size_t live = IndexInParent(replaced);
+        parent->InsertChildAt(live, std::move(node));
+        record({Undo::Kind::kInserted, parent, live});
+        Undo undo{Undo::Kind::kRemoved, parent, live + 1};
+        undo.removed = parent->RemoveChild(replaced);
+        record(std::move(undo));
+        break;
+      }
+      case PatchOpType::kSetAttr:
+      case PatchOpType::kRemoveAttr: {
+        Node* node = target.At(op.path);
+        Element* element = node != nullptr ? node->AsElement() : nullptr;
+        if (element == nullptr) {
+          return InvalidArgumentError(
+              op.type == PatchOpType::kSetAttr
+                  ? "patch set-attr target is not an element"
+                  : "patch remove-attr target is not an element");
+        }
+        Undo undo{Undo::Kind::kAttributes, element};
+        if (log != nullptr) {
+          undo.attributes = element->attributes();
+        }
+        if (op.type == PatchOpType::kSetAttr) {
+          element->SetAttribute(op.name, op.value);
+        } else {
+          element->RemoveAttribute(op.name);
+        }
+        record(std::move(undo));
+        break;
+      }
+      case PatchOpType::kSetText: {
+        Node* node = target.At(op.path);
+        if (node == nullptr || node->type() != NodeType::kText) {
+          return InvalidArgumentError("patch set-text target is not text");
+        }
+        auto* text = static_cast<Text*>(node);
+        Undo undo{Undo::Kind::kText, text};
+        if (log != nullptr) {
+          undo.data = text->data();
+        }
+        text->set_data(op.value);
+        record(std::move(undo));
         break;
       }
     }
-    if (found != nullptr) {
-      snippet_script = found->Detach();
-    }
   }
-  root->RemoveAllChildren();
-  for (std::unique_ptr<Node>& child : canonical->TakeChildren()) {
-    root->AppendChild(std::move(child));
-  }
-  Element* head = root->ChildByTag("head");
-  if (head == nullptr) {
-    head = root->InsertBefore(MakeElement("head"), root->first_child())
-               ->AsElement();
-  }
-  if (snippet_script != nullptr) {
-    head->InsertBefore(std::move(snippet_script), head->first_child());
-  }
+  return Status::Ok();
 }
 
-// True when committing `canonical` and canonicalizing the live document
-// again reproduces `canonical`: an attribute-less root whose first child is
-// an attribute-less head without a bootstrap script, followed by at most one
-// each of body, frameset and noframes, in that order. Only such a commit may
-// be memoized — any other shape verifies against its own target digest but
-// re-canonicalizes to a different tree.
-bool RoundTripsThroughCommit(const Element& canonical) {
-  const Node* first = canonical.first_child();
-  const Element* head = first != nullptr ? first->AsElement() : nullptr;
-  if (!canonical.attributes().empty() || head == nullptr ||
-      head->tag_name() != "head" || !head->attributes().empty()) {
-    return false;
-  }
-  for (const auto& child : head->children()) {
-    if (IsSnippetBootstrapScript(*child)) {
-      return false;
-    }
-  }
-  static constexpr std::string_view kTopLevel[] = {"body", "frameset",
-                                                   "noframes"};
-  size_t next = 0;
-  for (size_t i = 1; i < canonical.child_count(); ++i) {
-    const Element* element = canonical.child_at(i)->AsElement();
-    if (element == nullptr) {
-      return false;
-    }
-    while (next < 3 && element->tag_name() != kTopLevel[next]) {
-      ++next;
-    }
-    if (next == 3) {
-      return false;
-    }
-    ++next;
-  }
-  return true;
+int64_t MicrosSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now() - start)
+      .count();
 }
 
 }  // namespace
@@ -131,130 +279,66 @@ std::string_view ApplyResultName(ApplyResult result) {
 }
 
 Status ApplyPatchOps(Element* root, const std::vector<PatchOp>& ops) {
-  for (const PatchOp& op : ops) {
-    switch (op.type) {
-      case PatchOpType::kInsert: {
-        Node* parent = NodeAtPath(root, op.path);
-        if (parent == nullptr || op.index > parent->child_count()) {
-          return InvalidArgumentError("patch insert out of range");
-        }
-        RCB_ASSIGN_OR_RETURN(auto node, ParseSingleNode(op.html));
-        Node* reference = op.index < parent->child_count()
-                              ? parent->child_at(op.index)
-                              : nullptr;
-        parent->InsertBefore(std::move(node), reference);
-        break;
-      }
-      case PatchOpType::kRemove: {
-        Node* parent = NodeAtPath(root, op.path);
-        if (parent == nullptr || op.index >= parent->child_count()) {
-          return InvalidArgumentError("patch remove out of range");
-        }
-        parent->RemoveChild(parent->child_at(op.index));
-        break;
-      }
-      case PatchOpType::kMove: {
-        Node* parent = NodeAtPath(root, op.path);
-        if (parent == nullptr || op.from >= parent->child_count() ||
-            op.to >= parent->child_count()) {
-          return InvalidArgumentError("patch move out of range");
-        }
-        std::unique_ptr<Node> moving =
-            parent->RemoveChild(parent->child_at(op.from));
-        Node* reference = op.to < parent->child_count()
-                              ? parent->child_at(op.to)
-                              : nullptr;
-        parent->InsertBefore(std::move(moving), reference);
-        break;
-      }
-      case PatchOpType::kReplace: {
-        if (op.path.empty()) {
-          return InvalidArgumentError("patch cannot replace the root");
-        }
-        Node* target = NodeAtPath(root, op.path);
-        if (target == nullptr) {
-          return InvalidArgumentError("patch replace path out of range");
-        }
-        RCB_ASSIGN_OR_RETURN(auto node, ParseSingleNode(op.html));
-        Node* parent = target->parent();
-        parent->InsertBefore(std::move(node), target);
-        parent->RemoveChild(target);
-        break;
-      }
-      case PatchOpType::kSetAttr: {
-        Node* target = NodeAtPath(root, op.path);
-        Element* element = target != nullptr ? target->AsElement() : nullptr;
-        if (element == nullptr) {
-          return InvalidArgumentError("patch set-attr target is not an element");
-        }
-        element->SetAttribute(op.name, op.value);
-        break;
-      }
-      case PatchOpType::kRemoveAttr: {
-        Node* target = NodeAtPath(root, op.path);
-        Element* element = target != nullptr ? target->AsElement() : nullptr;
-        if (element == nullptr) {
-          return InvalidArgumentError(
-              "patch remove-attr target is not an element");
-        }
-        element->RemoveAttribute(op.name);
-        break;
-      }
-      case PatchOpType::kSetText: {
-        Node* target = NodeAtPath(root, op.path);
-        if (target == nullptr || target->type() != NodeType::kText) {
-          return InvalidArgumentError("patch set-text target is not text");
-        }
-        static_cast<Text*>(target)->set_data(op.value);
-        break;
-      }
-    }
-  }
-  return Status::Ok();
+  return ApplyOps(OpTarget(root, /*document_view=*/false), ops, nullptr);
 }
 
 ApplyResult ApplyPatchToDocument(Document* document,
                                  int64_t current_doc_time_ms,
                                  const Patch& patch) {
-  return ApplyPatchToDocument(document, current_doc_time_ms, patch, nullptr);
+  CanonicalMemo memo;
+  return ApplyPatchToDocument(document, current_doc_time_ms, patch, &memo);
 }
 
 ApplyResult ApplyPatchToDocument(Document* document,
                                  int64_t current_doc_time_ms,
-                                 const Patch& patch, BaseDigestMemo* memo) {
+                                 const Patch& patch, CanonicalMemo* memo,
+                                 ApplyStageTimes* times) {
+  ApplyStageTimes unused;
+  if (times == nullptr) {
+    times = &unused;
+  }
   if (patch.target_doc_time_ms <= current_doc_time_ms) {
     return ApplyResult::kStaleIgnored;
   }
   if (patch.base_doc_time_ms != current_doc_time_ms) {
     return ApplyResult::kBaseTimeMismatch;
   }
-  std::unique_ptr<Element> canonical = CanonicalizeDocument(*document);
-  if (canonical == nullptr) {
+  Element* root = document->document_element();
+  if (root == nullptr) {
     return ApplyResult::kBaseDigestMismatch;
   }
-  const Element* root = document->document_element();
-  if (memo != nullptr && !memo->digest.empty() &&
-      memo->root_rev == root->rev()) {
-    ++memo->hits;
-    if (memo->digest != patch.base_digest) {
-      return ApplyResult::kBaseDigestMismatch;
-    }
-  } else if (TreeDigest(*canonical) != patch.base_digest) {
+  auto start = std::chrono::steady_clock::now();
+  const bool base_ok = memo->Digest(document, /*normalize=*/true) ==
+                       patch.base_digest;
+  times->verify_base_us = MicrosSince(start);
+  if (!base_ok) {
     return ApplyResult::kBaseDigestMismatch;
   }
-  if (!ApplyPatchOps(canonical.get(), patch.ops).ok()) {
+  start = std::chrono::steady_clock::now();
+  std::vector<Undo> log;
+  if (root->ChildByTag("head") == nullptr) {
+    // The view always holds a head; give the ops a live one to address.
+    root->InsertChildAt(0, MakeElement("head"));
+    log.push_back({Undo::Kind::kInserted, root, 0});
+  }
+  const bool applied =
+      ApplyOps(OpTarget(root, /*document_view=*/true), patch.ops, &log).ok();
+  if (!applied) {
+    Rollback(&log);
+  }
+  times->apply_us = MicrosSince(start);
+  if (!applied) {
     return ApplyResult::kApplyError;
   }
-  if (TreeDigest(*canonical) != patch.target_digest) {
-    return ApplyResult::kTargetDigestMismatch;
+  start = std::chrono::steady_clock::now();
+  const bool target_ok = memo->Digest(document, /*normalize=*/false) ==
+                         patch.target_digest;
+  if (!target_ok) {
+    Rollback(&log);
   }
-  const bool memoizable = RoundTripsThroughCommit(*canonical);
-  CommitCanonicalTree(document, std::move(canonical));
-  if (memo != nullptr) {
-    memo->root_rev = root->rev();
-    memo->digest = memoizable ? patch.target_digest : std::string();
-  }
-  return ApplyResult::kApplied;
+  times->verify_target_us = MicrosSince(start);
+  return target_ok ? ApplyResult::kApplied
+                   : ApplyResult::kTargetDigestMismatch;
 }
 
 }  // namespace rcb::delta

@@ -1,17 +1,17 @@
 // Participant-side patch application with integrity checking.
 //
-// A patch is only committed to the live document after the full §4.1.1-style
-// freshness and integrity pipeline passes:
+// A patch is applied to the live document in place, and kept only when the
+// full §4.1.1-style freshness and integrity pipeline passes:
 //   1. target newer than the participant's current content (else ignore),
 //   2. base doc_time_ms equals the current content version (else resync —
 //      a stale or out-of-order patch must never apply),
-//   3. the canonicalized live tree hashes to the patch's baseDigest,
-//   4. the ops apply cleanly to a scratch clone,
-//   5. the patched clone hashes to the patch's docDigest,
-// and only then is the result swapped into the live document (preserving the
-// Ajax-Snippet bootstrap script). Any failure leaves the live document
-// untouched; outcomes 2-5 make the snippet request a full-snapshot resync
-// via the PR-1 recovery path.
+//   3. the live document's canonical view digests to the patch's baseDigest,
+//   4. the ops apply cleanly to the live view,
+//   5. the patched view digests to the patch's docDigest.
+// The ops address the canonical view (tree_diff.h) of the live document and
+// every mutation they make is logged, so a failure at 4 or 5 rolls them back:
+// the document is left as it was, every node at its address. Outcomes 2-5
+// make the snippet request a full-snapshot resync via the PR-1 recovery path.
 #ifndef SRC_DELTA_PATCH_APPLIER_H_
 #define SRC_DELTA_PATCH_APPLIER_H_
 
@@ -20,6 +20,7 @@
 #include <string_view>
 
 #include "src/delta/patch_codec.h"
+#include "src/delta/tree_diff.h"
 #include "src/html/dom.h"
 #include "src/util/status.h"
 
@@ -40,32 +41,30 @@ std::string_view ApplyResultName(ApplyResult result);
 
 // Applies `ops` to a canonical tree in place. Fails on out-of-range paths or
 // indexes, type-mismatched targets, and payloads that do not parse to
-// exactly one node; the tree may be partially mutated on failure, which is
-// why ApplyPatchToDocument works on a scratch clone.
+// exactly one node; the tree may be partially mutated on failure.
 Status ApplyPatchOps(Element* root, const std::vector<PatchOp>& ops);
 
-// The participant's record of its last committed apply: the document
-// element's rev() right after the commit and the target digest that commit
-// verified. Every DOM mutation restamps the revs of the touched node and all
-// its ancestors with fresh, never-reused values, so while the root's rev is
-// unchanged the canonical tree still digests to `digest`.
-struct BaseDigestMemo {
-  uint64_t root_rev = 0;
-  std::string digest;  // empty: nothing recorded
-  uint64_t hits = 0;   // base-digest gates answered from the memo
+// Wall microseconds of the pipeline's stages: gate 3, the ops (with a
+// rollback on their failure), and gate 5 (with a rollback on a mismatch).
+// A stage that did not run reads -1.
+struct ApplyStageTimes {
+  int64_t verify_base_us = -1;
+  int64_t apply_us = -1;
+  int64_t verify_target_us = -1;
 };
 
-// The full pipeline described in the file comment. `current_doc_time_ms` is
-// the version of the content the participant currently displays. With a
-// memo, gate 3 compares against the recorded digest when the root's rev
-// still matches (otherwise it digests the canonical tree as usual), and a
-// committed apply records the new rev and target digest.
+// The pipeline described in the file comment. `current_doc_time_ms` is the
+// version of the content the participant currently displays. `memo` carries
+// the live view's canonical bytes and digest from one call to the next, so
+// gates 3 and 5 re-serialize only what changed since (the participant keeps
+// one per document); without one, both gates serialize the whole view.
 ApplyResult ApplyPatchToDocument(Document* document,
                                  int64_t current_doc_time_ms,
                                  const Patch& patch);
 ApplyResult ApplyPatchToDocument(Document* document,
                                  int64_t current_doc_time_ms,
-                                 const Patch& patch, BaseDigestMemo* memo);
+                                 const Patch& patch, CanonicalMemo* memo,
+                                 ApplyStageTimes* times = nullptr);
 
 }  // namespace rcb::delta
 

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <numeric>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "src/crypto/sha256.h"
+#include "src/html/parser.h"
 #include "src/html/serializer.h"
+#include "src/html/tokenizer.h"
+#include "src/util/escape.h"
 
 namespace rcb::delta {
 namespace {
@@ -133,77 +137,107 @@ std::vector<int> ReorderChildren(const Element& base, const Element& target,
     target_keys[j] = NodeKey(*target.child_at(j));
   }
 
-  // Longest common subsequence over keys.
-  std::vector<std::vector<uint32_t>> lcs(m + 1,
-                                         std::vector<uint32_t>(n + 1, 0));
-  for (size_t i = m; i-- > 0;) {
-    for (size_t j = n; j-- > 0;) {
-      lcs[i][j] = base_keys[i] == target_keys[j]
-                      ? lcs[i + 1][j + 1] + 1
-                      : std::max(lcs[i + 1][j], lcs[i][j + 1]);
-    }
-  }
   std::vector<int> pair_of_target(n, -1);  // base index matched to target j
   std::vector<bool> base_matched(m, false);
-  {
-    size_t i = 0, j = 0;
-    while (i < m && j < n) {
-      if (base_keys[i] == target_keys[j]) {
-        pair_of_target[j] = static_cast<int>(i);
-        base_matched[i] = true;
-        ++i;
-        ++j;
-      } else if (lcs[i + 1][j] >= lcs[i][j + 1]) {
-        ++i;
-      } else {
-        ++j;
-      }
+  auto pair = [&](size_t i, size_t j) {
+    pair_of_target[j] = static_cast<int>(i);
+    base_matched[i] = true;
+  };
+  // Longest common subsequence over keys, walked greedily from the front.
+  // A common key prefix pairs off exactly as that walk pairs it. So does a
+  // common suffix S whose first key occurs in neither middle X, Y: since
+  // LCS(X+S, Y+S) = LCS(X, Y) + |S|, the walk takes the same steps inside
+  // the middle, and once it leaves the middle no key there equals S's first,
+  // so it skips ahead to S and pairs S off. The table spans the middle only.
+  size_t prefix = 0;
+  while (prefix < m && prefix < n && base_keys[prefix] == target_keys[prefix]) {
+    pair(prefix, prefix);
+    ++prefix;
+  }
+  size_t suffix = 0;
+  while (suffix < m - prefix && suffix < n - prefix &&
+         base_keys[m - 1 - suffix] == target_keys[n - 1 - suffix]) {
+    ++suffix;
+  }
+  if (suffix > 0) {
+    std::unordered_set<std::string_view> middle_keys;
+    for (size_t i = prefix; i < m - suffix; ++i) {
+      middle_keys.insert(base_keys[i]);
+    }
+    for (size_t j = prefix; j < n - suffix; ++j) {
+      middle_keys.insert(target_keys[j]);
+    }
+    // A suffix key already in the middle stays in the middle.
+    while (suffix > 0 && middle_keys.contains(base_keys[m - suffix])) {
+      --suffix;
+    }
+  }
+  for (size_t t = 0; t < suffix; ++t) {
+    pair(m - suffix + t, n - suffix + t);
+  }
+  const size_t rows = m - suffix - prefix;
+  const size_t cols = n - suffix - prefix;
+  std::vector<uint32_t> lcs((rows + 1) * (cols + 1), 0);
+  auto at = [&](size_t i, size_t j) -> uint32_t& {
+    return lcs[i * (cols + 1) + j];
+  };
+  auto same = [&](size_t i, size_t j) {
+    return base_keys[prefix + i] == target_keys[prefix + j];
+  };
+  for (size_t i = rows; i-- > 0;) {
+    for (size_t j = cols; j-- > 0;) {
+      at(i, j) = same(i, j) ? at(i + 1, j + 1) + 1
+                            : std::max(at(i + 1, j), at(i, j + 1));
+    }
+  }
+  for (size_t i = 0, j = 0; i < rows && j < cols;) {
+    if (same(i, j)) {
+      pair(prefix + i++, prefix + j++);
+    } else if (at(i + 1, j) >= at(i, j + 1)) {
+      ++i;
+    } else {
+      ++j;
     }
   }
 
   // Crossing pairs the LCS dropped: re-pair leftovers by key (becomes a
   // move), then element leftovers by tag (attribute churn on unkeyed
-  // elements — the recursion emits the attr ops).
-  std::map<std::string, std::vector<size_t>> spare_by_key;
+  // elements — the recursion emits the attr ops). Each spare list is taken
+  // front to back by a cursor.
+  struct Spares {
+    std::vector<size_t> indexes;
+    size_t next = 0;
+  };
+  auto take = [&](auto& spares, std::string_view key, size_t j) {
+    auto it = spares.find(key);
+    if (it != spares.end() && it->second.next < it->second.indexes.size()) {
+      pair(it->second.indexes[it->second.next++], j);
+    }
+  };
+  std::unordered_map<std::string_view, Spares> spare_by_key;
   for (size_t i = 0; i < m; ++i) {
     if (!base_matched[i]) {
-      spare_by_key[base_keys[i]].push_back(i);
+      spare_by_key[base_keys[i]].indexes.push_back(i);
     }
   }
   for (size_t j = 0; j < n; ++j) {
-    if (pair_of_target[j] >= 0) {
-      continue;
-    }
-    auto it = spare_by_key.find(target_keys[j]);
-    if (it != spare_by_key.end() && !it->second.empty()) {
-      size_t i = it->second.front();
-      it->second.erase(it->second.begin());
-      pair_of_target[j] = static_cast<int>(i);
-      base_matched[i] = true;
+    if (pair_of_target[j] < 0) {
+      take(spare_by_key, target_keys[j], j);
     }
   }
-  std::map<std::string, std::vector<size_t>> spare_by_tag;
+  std::unordered_map<std::string_view, Spares> spare_by_tag;
   for (size_t i = 0; i < m; ++i) {
     if (!base_matched[i]) {
       if (const Element* el = base.child_at(i)->AsElement()) {
-        spare_by_tag[el->tag_name()].push_back(i);
+        spare_by_tag[el->tag_name()].indexes.push_back(i);
       }
     }
   }
   for (size_t j = 0; j < n; ++j) {
-    if (pair_of_target[j] >= 0) {
-      continue;
-    }
-    const Element* el = target.child_at(j)->AsElement();
-    if (el == nullptr) {
-      continue;
-    }
-    auto it = spare_by_tag.find(el->tag_name());
-    if (it != spare_by_tag.end() && !it->second.empty()) {
-      size_t i = it->second.front();
-      it->second.erase(it->second.begin());
-      pair_of_target[j] = static_cast<int>(i);
-      base_matched[i] = true;
+    if (pair_of_target[j] < 0) {
+      if (const Element* el = target.child_at(j)->AsElement()) {
+        take(spare_by_tag, el->tag_name(), j);
+      }
     }
   }
 
@@ -361,10 +395,34 @@ uint64_t MixBytes(uint64_t h, std::string_view bytes) {
   return h;
 }
 
-uint64_t HashNode(const Node& node, TreeHashes* out) {
-  const size_t index = out->hash.size();
-  out->hash.push_back(0);
-  out->size.push_back(0);
+// One level of NormalizeTextNodes: merges adjacent text children of
+// `parent` and drops empty ones. With `view_of_head`, bootstrap scripts are
+// transparent, as in the canonical copy that leaves them out: the texts on
+// either side of one merge.
+void NormalizeChildList(Element* parent, bool view_of_head) {
+  Text* previous = nullptr;  // the text the next one would merge into
+  size_t i = 0;
+  while (i < parent->child_count()) {
+    Node* child = parent->child_at(i);
+    if (child->type() == NodeType::kText) {
+      auto* text = static_cast<Text*>(child);
+      if (text->data().empty() || previous != nullptr) {
+        if (!text->data().empty()) {
+          previous->set_data(previous->data() + text->data());
+        }
+        parent->RemoveChild(text);
+        continue;  // the next child slid into index i
+      }
+      previous = text;
+    } else if (!view_of_head || !IsSnippetBootstrapScript(*child)) {
+      previous = nullptr;
+    }
+    ++i;
+  }
+}
+
+// HashNode's header for one node: everything but the children.
+uint64_t HashHeader(const Node& node) {
   uint64_t h = Mix(0x243f6a8885a308d3ULL, static_cast<uint64_t>(node.type()));
   switch (node.type()) {
     case NodeType::kElement: {
@@ -388,6 +446,14 @@ uint64_t HashNode(const Node& node, TreeHashes* out) {
     case NodeType::kDocument:
       break;
   }
+  return h;
+}
+
+uint64_t HashNode(const Node& node, TreeHashes* out) {
+  const size_t index = out->hash.size();
+  out->hash.push_back(0);
+  out->size.push_back(0);
+  uint64_t h = HashHeader(node);
   for (const auto& child : node.children()) {
     h = Mix(h, HashNode(*child, out));
   }
@@ -406,25 +472,11 @@ bool IsSnippetBootstrapScript(const Node& node) {
 }
 
 void NormalizeTextNodes(Element* root) {
-  size_t i = 0;
-  while (i < root->child_count()) {
-    Node* child = root->child_at(i);
-    if (child->type() == NodeType::kText) {
-      Text* text = static_cast<Text*>(child);
-      while (i + 1 < root->child_count() &&
-             root->child_at(i + 1)->type() == NodeType::kText) {
-        text->set_data(text->data() +
-                       static_cast<Text*>(root->child_at(i + 1))->data());
-        root->RemoveChild(root->child_at(i + 1));
-      }
-      if (text->data().empty()) {
-        root->RemoveChild(text);
-        continue;  // the next child slid into index i
-      }
-    } else if (Element* element = child->AsElement()) {
+  NormalizeChildList(root, /*view_of_head=*/false);
+  for (const auto& child : root->children()) {
+    if (Element* element = child->AsElement()) {
       NormalizeTextNodes(element);
     }
-    ++i;
   }
 }
 
@@ -497,6 +549,265 @@ TreeHashes HashTree(const Element& root) {
   hashes.hash.shrink_to_fit();
   hashes.size.shrink_to_fit();
   return hashes;
+}
+
+uint32_t CanonicalMemo::OpenRecord() {
+  const auto index = static_cast<uint32_t>(next_entries_.size());
+  next_entries_.emplace_back();
+  next_hashes_.hash.push_back(0);
+  next_hashes_.size.push_back(0);
+  return index;
+}
+
+uint32_t CanonicalMemo::CloseRecord(uint32_t index, const Node* node,
+                                    uint64_t rev, size_t start,
+                                    size_t parent_start, uint64_t hash,
+                                    bool clean, Context context) {
+  next_entries_[index] = {node,
+                          rev,
+                          static_cast<uint32_t>(start - parent_start),
+                          static_cast<uint32_t>(next_bytes_.size() - start),
+                          clean,
+                          context};
+  next_hashes_.hash[index] = hash;
+  next_hashes_.size[index] =
+      static_cast<uint32_t>(next_entries_.size() - index);
+  return index;
+}
+
+template <typename ChildAt>
+void CanonicalMemo::VisitChildren(size_t count, ChildAt child_at, uint32_t old,
+                                  size_t old_start, Context context,
+                                  size_t start, uint64_t* hash, bool* clean) {
+  std::vector<uint32_t> previous;  // the records of `old`'s children
+  if (old != kNoEntry) {
+    const uint32_t end = old + hashes_.size[old];
+    for (uint32_t c = old + 1; c < end; c += hashes_.size[c]) {
+      previous.push_back(c);
+    }
+  }
+  // Children usually keep their order, so a cursor finds each one's record;
+  // the map answers only after an insert, removal or move.
+  std::unordered_map<const Node*, size_t> by_node;
+  size_t cursor = 0;
+  bool after_text = false;
+  for (size_t j = 0; j < count; ++j) {
+    Node* child = child_at(j);
+    uint32_t match = kNoEntry;
+    if (cursor < previous.size() && entries_[previous[cursor]].node == child) {
+      match = previous[cursor++];
+    } else if (!previous.empty()) {
+      if (by_node.empty()) {
+        for (size_t k = 0; k < previous.size(); ++k) {
+          by_node.emplace(entries_[previous[k]].node, k);
+        }
+      }
+      if (auto it = by_node.find(child); it != by_node.end()) {
+        match = previous[it->second];
+        cursor = it->second + 1;
+      }
+    }
+    const size_t child_start =
+        match == kNoEntry ? 0 : old_start + entries_[match].offset;
+    // nullptr stands for the document view's head (Digest(Document*)).
+    const uint32_t index =
+        child == nullptr
+            ? VisitView("head", view_head_, match, child_start, start)
+            : Visit(child, match, child_start, context, start);
+    *hash = Mix(*hash, next_hashes_.hash[index]);
+    const bool is_text = child != nullptr && child->type() == NodeType::kText;
+    *clean = *clean && next_entries_[index].clean &&
+             !(is_text && (after_text ||
+                           static_cast<const Text*>(child)->data().empty()));
+    after_text = is_text;
+  }
+  *hash = Mix(*hash, count);
+}
+
+uint32_t CanonicalMemo::Visit(Node* node, uint32_t old, size_t old_start,
+                              Context context, size_t parent_start) {
+  const size_t start = next_bytes_.size();
+  if (old != kNoEntry) {
+    const Entry& entry = entries_[old];
+    if (entry.rev == node->rev() && entry.context == context &&
+        (entry.clean || !normalize_)) {
+      // Unchanged since the last call: its bytes, records and hashes move
+      // over as they are; only its offset from the new parent changes.
+      const auto index = static_cast<uint32_t>(next_entries_.size());
+      const uint32_t count = hashes_.size[old];
+      next_bytes_.append(bytes_, old_start, entry.length);
+      next_entries_.insert(next_entries_.end(), entries_.begin() + old,
+                           entries_.begin() + old + count);
+      next_hashes_.hash.insert(next_hashes_.hash.end(),
+                               hashes_.hash.begin() + old,
+                               hashes_.hash.begin() + old + count);
+      next_hashes_.size.insert(next_hashes_.size.end(),
+                               hashes_.size.begin() + old,
+                               hashes_.size.begin() + old + count);
+      next_entries_[index].offset = static_cast<uint32_t>(start - parent_start);
+      return index;
+    }
+  }
+  const uint32_t index = OpenRecord();
+  const bool emit = context != Context::kMuted;
+  uint64_t hash = HashHeader(*node);
+  bool clean = true;
+  // The serializer's byte rules (src/html/serializer.cc), node by node.
+  Context child_context = Context::kMuted;
+  switch (node->type()) {
+    case NodeType::kText: {
+      const std::string& data = static_cast<const Text*>(node)->data();
+      if (context == Context::kRaw) {
+        next_bytes_.append(data);
+      } else if (emit) {
+        HtmlEscapeAppend(data, &next_bytes_);
+      }
+      break;
+    }
+    case NodeType::kComment:
+      if (emit) {
+        next_bytes_.append("<!--");
+        next_bytes_.append(static_cast<const Comment*>(node)->data());
+        next_bytes_.append("-->");
+      }
+      break;
+    case NodeType::kDoctype:
+      if (emit) {
+        next_bytes_.append("<!");
+        next_bytes_.append(static_cast<const Doctype*>(node)->data());
+        next_bytes_.push_back('>');
+      }
+      break;
+    case NodeType::kDocument:
+      child_context = emit ? Context::kNormal : Context::kMuted;
+      break;
+    case NodeType::kElement: {
+      Element* element = node->AsElement();
+      if (normalize_) {
+        NormalizeChildList(element, /*view_of_head=*/false);
+      }
+      const std::string& tag = element->tag_name();
+      const bool is_void = IsVoidElement(tag);
+      if (emit) {
+        next_bytes_.push_back('<');
+        next_bytes_.append(tag);
+        for (const auto& [name, value] : element->attributes()) {
+          next_bytes_.push_back(' ');
+          next_bytes_.append(name);
+          next_bytes_.append("=\"");
+          HtmlEscapeAppend(value, &next_bytes_);
+          next_bytes_.push_back('"');
+        }
+        next_bytes_.push_back('>');
+        if (!is_void) {
+          child_context = HtmlTokenizer::IsRawTextElement(tag)
+                              ? Context::kRaw
+                              : Context::kNormal;
+        }
+      }
+      break;
+    }
+  }
+  VisitChildren(
+      node->child_count(), [node](size_t j) { return node->child_at(j); }, old,
+      old_start, child_context, start, &hash, &clean);
+  if (const Element* element = node->AsElement();
+      element != nullptr && emit && !IsVoidElement(element->tag_name())) {
+    next_bytes_.append("</");
+    next_bytes_.append(element->tag_name());
+    next_bytes_.push_back('>');
+  }
+  return CloseRecord(index, node, node->rev(), start, parent_start, hash, clean,
+                     context);
+}
+
+uint32_t CanonicalMemo::VisitView(const char* tag,
+                                  const std::vector<Node*>& children,
+                                  uint32_t old, size_t old_start,
+                                  size_t parent_start) {
+  // An attribute-less element made up for the view: no rev, so never reused.
+  const size_t start = next_bytes_.size();
+  const uint32_t index = OpenRecord();
+  next_bytes_.push_back('<');
+  next_bytes_.append(tag);
+  next_bytes_.push_back('>');
+  uint64_t hash = Mix(
+      MixBytes(Mix(0x243f6a8885a308d3ULL,
+                   static_cast<uint64_t>(NodeType::kElement)),
+               tag),
+      0);
+  bool clean = true;
+  VisitChildren(
+      children.size(), [&children](size_t j) { return children[j]; }, old,
+      old_start, Context::kNormal, start, &hash, &clean);
+  next_bytes_.append("</");
+  next_bytes_.append(tag);
+  next_bytes_.push_back('>');
+  return CloseRecord(index, nullptr, 0, start, parent_start, hash, clean,
+                     Context::kNormal);
+}
+
+const std::string& CanonicalMemo::Finish(const Element* root, bool view) {
+  entries_.swap(next_entries_);
+  hashes_.hash.swap(next_hashes_.hash);
+  hashes_.size.swap(next_hashes_.size);
+  bytes_.swap(next_bytes_);
+  // An unchanged byte string keeps its digest: the one SHA-256 pass is
+  // skipped when only bytes outside the canonical tree moved.
+  if (digest_.empty() || bytes_ != next_bytes_) {
+    digest_ = Sha256::HexDigest(bytes_);
+  }
+  next_entries_.clear();
+  next_hashes_.hash.clear();
+  next_hashes_.size.clear();
+  next_bytes_.clear();
+  root_ = root;
+  root_rev_ = root->rev();
+  view_ = view;
+  return digest_;
+}
+
+const std::string& CanonicalMemo::Digest(Element* root) {
+  if (!view_ && root == root_ && root->rev() == root_rev_) {
+    ++hits_;
+    return digest_;
+  }
+  normalize_ = true;
+  Visit(root, view_ || entries_.empty() ? kNoEntry : 0, 0, Context::kNormal,
+        0);
+  return Finish(root, /*view=*/false);
+}
+
+const std::string& CanonicalMemo::Digest(Document* document, bool normalize) {
+  Element* root = document->document_element();
+  if (view_ && root == root_ && root->rev() == root_rev_ &&
+      (entries_[0].clean || !normalize)) {
+    ++hits_;
+    return digest_;
+  }
+  normalize_ = normalize;
+  // The view CanonicalizeDocument copies: an attribute-less html holding an
+  // attribute-less head (the live head's children minus bootstrap scripts)
+  // and the first body, frameset and noframes.
+  view_head_.clear();
+  if (Element* head = root->ChildByTag("head")) {
+    if (normalize) {
+      NormalizeChildList(head, /*view_of_head=*/true);
+    }
+    for (const auto& child : head->children()) {
+      if (!IsSnippetBootstrapScript(*child)) {
+        view_head_.push_back(child.get());
+      }
+    }
+  }
+  std::vector<Node*> top = {nullptr};  // nullptr: the view's head
+  for (const char* tag : {"body", "frameset", "noframes"}) {
+    if (Element* element = root->ChildByTag(tag)) {
+      top.push_back(element);
+    }
+  }
+  VisitView("html", top, view_ && !entries_.empty() ? 0 : kNoEntry, 0, 0);
+  return Finish(root, /*view=*/true);
 }
 
 std::vector<PatchOp> DiffTrees(const Element& base, const Element& target) {

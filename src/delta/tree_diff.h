@@ -88,6 +88,81 @@ struct TreeHashes {
 };
 TreeHashes HashTree(const Element& root);
 
+// Rev-memoized canonical serializer: the digest and subtree hashes of one
+// tree, kept from call to call as the tree changes. A node whose rev() is the
+// one recorded at the previous call copies its bytes, records and hashes from
+// there; only the changed spine is escaped and hashed again, and one SHA-256
+// pass over the bytes remains. Sound because a rev names one subtree state
+// and is never reused, and clones share it (src/html/dom.h). Memory is
+// O(tree): the last call's bytes and one record per node.
+class CanonicalMemo {
+ public:
+  // TreeDigest(*root) after NormalizeTextNodes(root). The normalization runs
+  // in place, only under nodes changed since the previous call.
+  const std::string& Digest(Element* root);
+  // TreeDigest(*CanonicalizeDocument(*document)) without building the copy;
+  // `document` must have a root element. With `normalize`, the text nodes of
+  // the canonical view are first normalized in place (only under changed
+  // nodes), so that patch paths index the live view as they index the
+  // canonical tree; without it the document is only read.
+  const std::string& Digest(Document* document, bool normalize);
+
+  // The digest and the pre-order subtree hashes of the last call; after a
+  // normalizing call the hashes equal HashTree of the tree (or of the
+  // document's canonical view).
+  const std::string& digest() const { return digest_; }
+  const TreeHashes& hashes() const { return hashes_; }
+  // Calls answered from the previous one: the root's rev was unchanged.
+  uint64_t hits() const { return hits_; }
+
+ private:
+  // Where a node's bytes went: normal text escapes, raw text (script/style
+  // content) is verbatim, and a void element's children emit nothing.
+  enum class Context : uint8_t { kNormal, kRaw, kMuted };
+  // One node's record, in pre-order beside hashes_: its bytes are `length`
+  // bytes from `offset` after its parent's first byte. `node` only guides
+  // the match of a changed parent's children; `rev` decides the reuse.
+  struct Entry {
+    const Node* node = nullptr;
+    uint64_t rev = 0;  // 0 for the view's html and head, which never match
+    uint32_t offset = 0;
+    uint32_t length = 0;
+    bool clean = false;  // subtree text nodes were normalized at that rev
+    Context context = Context::kNormal;
+  };
+  static constexpr uint32_t kNoEntry = UINT32_MAX;
+
+  uint32_t Visit(Node* node, uint32_t old, size_t old_start, Context context,
+                 size_t parent_start);
+  uint32_t VisitView(const char* tag, const std::vector<Node*>& children,
+                     uint32_t old, size_t old_start, size_t parent_start);
+  // Visits `children` (a changed parent's, starting at byte `start`) against
+  // the previous children of record `old`; folds their hashes into `*hash`
+  // and clears `*clean` on an unnormalized child list.
+  template <typename ChildAt>
+  void VisitChildren(size_t count, ChildAt child_at, uint32_t old,
+                     size_t old_start, Context context, size_t start,
+                     uint64_t* hash, bool* clean);
+  uint32_t OpenRecord();
+  uint32_t CloseRecord(uint32_t index, const Node* node, uint64_t rev,
+                       size_t start, size_t parent_start, uint64_t hash,
+                       bool clean, Context context);
+  const std::string& Finish(const Element* root, bool view);
+
+  // The last call's records, hashes and bytes, and the next call's, built
+  // beside them and then swapped in.
+  std::vector<Entry> entries_, next_entries_;
+  TreeHashes hashes_, next_hashes_;
+  std::string bytes_, next_bytes_;
+  std::string digest_;
+  bool normalize_ = true;         // the current call's mode
+  std::vector<Node*> view_head_;  // the current call's view of the head
+  const Element* root_ = nullptr;
+  uint64_t root_rev_ = 0;
+  bool view_ = false;  // the last call walked a document's canonical view
+  uint64_t hits_ = 0;
+};
+
 // Diffs two canonical trees: the returned ops transform `base` into a tree
 // that serializes identically to `target`. Matched pairs with equal subtree
 // hashes emit nothing and are skipped, so the keyed reconciliation runs only

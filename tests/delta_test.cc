@@ -1,24 +1,31 @@
 // Delta-snapshot subsystem tests: patch codec round trips, keyed tree diff,
 // the apply(diff(A,B), A) == B property over the Table 1 corpus with random
-// DOM mutations, byte identity of the hash-pruned differ against the
-// unpruned one, the integrity-checked applier's freshness/digest gates, its
-// malformed-op rejects and base-digest memo, and end-to-end sessions where
-// patches replace full snapshots on the wire (and where the history window,
-// the size cutoff and piggybacked peer actions shape what is served).
+// DOM mutations, byte identity of the hash-pruned, prefix/suffix-trimmed
+// differ against the unpruned one, the integrity-checked applier's
+// freshness/digest gates, its malformed-op rejects, in-place rollback and
+// digest memo, the host's reconciled trees, the in-place apply and the
+// rev-memoized serializer against their oracles over the corpus, and
+// end-to-end sessions where patches replace full snapshots on the wire (and
+// where the history window, the size cutoff and piggybacked peer actions
+// shape what is served).
 #include <gtest/gtest.h>
 
 #include <functional>
 
 #include "src/core/broadcast.h"
+#include "src/core/rcb_agent.h"
 #include "src/core/session.h"
 #include "src/delta/patch_applier.h"
 #include "src/delta/patch_codec.h"
 #include "src/delta/tree_diff.h"
 #include "src/html/parser.h"
 #include "src/html/serializer.h"
+#include "src/html/tokenizer.h"
 #include "src/net/profiles.h"
 #include "src/sites/corpus.h"
 #include "src/util/rand.h"
+#include "src/util/strings.h"
+#include "tests/support/reference_patch_applier.h"
 
 namespace rcb {
 namespace {
@@ -724,6 +731,81 @@ TEST_P(PrunedDiffIdentityTest, PatchBytesMatchUnprunedDifferOverTable1) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PrunedDiffIdentityTest,
                          ::testing::Range<uint64_t>(1, 9));
 
+// ReorderChildren builds its LCS table over the middle between the common
+// key prefix and suffix only. Child lists over a four-key alphabet (text
+// nodes share one key, so do equal elements) make the greedy walk's ties
+// and a suffix key that recurs in the middle common; the ops must still be
+// the full table's.
+TEST(TreeDiffTest, TrimmedLcsMatchesTheFullTableOnRepeatedKeys) {
+  Rng rng(7);
+  auto random_child = [&rng]() -> std::unique_ptr<Node> {
+    switch (rng.NextBelow(4)) {
+      case 0:
+        return MakeText("t" + std::to_string(rng.NextBelow(3)));
+      case 1:
+        return MakeElement("b");
+      case 2:
+        return MakeElement("i");
+      default: {
+        auto em = MakeElement("em");
+        em->AppendChild(MakeText("x" + std::to_string(rng.NextBelow(2))));
+        return em;
+      }
+    }
+  };
+  for (int round = 0; round < 400; ++round) {
+    auto base = MakeElement("html");
+    Element* base_list = base->AppendChild(MakeElement("body"))->AsElement();
+    const size_t count = rng.NextBelow(9);
+    for (size_t i = 0; i < count; ++i) {
+      base_list->AppendChild(random_child());
+    }
+    std::unique_ptr<Node> target_owned = base->Clone();
+    Element* target_list =
+        target_owned->AsElement()->ChildByTag("body");
+    for (size_t edits = 1 + rng.NextBelow(3); edits > 0; --edits) {
+      if (target_list->child_count() > 0 && rng.NextBelow(2) == 0) {
+        target_list->RemoveChild(
+            target_list->child_at(rng.NextBelow(target_list->child_count())));
+      } else {
+        target_list->InsertChildAt(
+            rng.NextBelow(target_list->child_count() + 1), random_child());
+      }
+    }
+    const Element& target = *target_owned->AsElement();
+    ASSERT_EQ(delta::DiffTrees(*base, target),
+              unpruned::DiffTrees(*base, target))
+        << SerializeNode(*base) << " -> " << SerializeNode(target);
+  }
+}
+
+// One sibling insert into a very wide list: the LCS table spans the one
+// new child instead of (m+1)x(n+1) cells, and the diff is one insert.
+TEST(TreeDiffTest, WideSiblingInsertIsOneInsertOp) {
+  constexpr size_t kChildren = 20'000;
+  auto base = MakeElement("html");
+  base->AppendChild(MakeElement("head"));
+  Element* list = base->AppendChild(MakeElement("body"))
+                      ->AppendChild(MakeElement("ul"))
+                      ->AsElement();
+  for (size_t i = 0; i < kChildren; ++i) {
+    auto item = MakeElement("li");
+    item->SetAttribute("data-k", std::to_string(i));
+    list->AppendChild(std::move(item));
+  }
+  std::unique_ptr<Node> target = base->Clone();
+  auto inserted = MakeElement("li");
+  inserted->SetAttribute("data-k", "new");
+  target->AsElement()->FindFirst("ul")->InsertChildAt(kChildren / 2,
+                                                      std::move(inserted));
+  const std::vector<delta::PatchOp> ops =
+      delta::DiffTrees(*base, *target->AsElement());
+  ASSERT_EQ(ops.size(), 1u);
+  EXPECT_EQ(ops[0].type, delta::PatchOpType::kInsert);
+  EXPECT_EQ(ops[0].path, (std::vector<uint32_t>{1, 0}));
+  EXPECT_EQ(ops[0].index, kChildren / 2);
+}
+
 // ---- Integrity-checked applier -------------------------------------------
 
 constexpr std::string_view kApplierPage =
@@ -883,21 +965,109 @@ std::vector<MalformedOpCase> MalformedOpCases() {
   return cases;
 }
 
+// Every node of `root`'s subtree, in pre-order.
+std::vector<const Node*> PreOrder(const Node& root) {
+  std::vector<const Node*> out{&root};
+  for (const auto& child : root.children()) {
+    std::vector<const Node*> below = PreOrder(*child);
+    out.insert(out.end(), below.begin(), below.end());
+  }
+  return out;
+}
+
+// Valid ops on kApplierPage that leave its shape as it was (an insert and
+// the remove of the same node, a set-text, a set-attr), so a malformed op
+// after them addresses what it would address alone.
+std::vector<delta::PatchOp> ShapePreservingOps() {
+  using enum delta::PatchOpType;
+  std::vector<delta::PatchOp> ops(4);
+  ops[0].type = kInsert;
+  ops[0].path = {1};
+  ops[0].html = "<hr>";
+  ops[1].type = kRemove;
+  ops[1].path = {1};
+  ops[2].type = kSetText;
+  ops[2].path = {1, 0, 0};
+  ops[2].value = "changed";
+  ops[3].type = kSetAttr;
+  ops[3].path = {1, 1};
+  ops[3].name = "class";
+  ops[3].value = "x";
+  return ops;
+}
+
 TEST(PatchApplierTest, EveryMalformedOpIsAnApplyErrorAndLeavesTheDocument) {
   for (const MalformedOpCase& c : MalformedOpCases()) {
-    std::unique_ptr<Document> document = ParseDocument(kApplierPage);
-    const std::string before = LiveDigest(*document);
-    delta::Patch patch;
-    patch.base_doc_time_ms = 1000;
-    patch.target_doc_time_ms = 2000;
-    patch.base_digest = before;
-    patch.target_digest = before;
-    patch.ops = {c.op};
-    EXPECT_EQ(delta::ApplyPatchToDocument(document.get(), 1000, patch),
-              delta::ApplyResult::kApplyError)
-        << c.name;
-    EXPECT_EQ(LiveDigest(*document), before) << c.name;
+    // Alone, and last after valid ops whose mutations must be rolled back.
+    for (size_t prefix : {size_t{0}, size_t{2}, size_t{4}}) {
+      std::unique_ptr<Document> document = ParseDocument(kApplierPage);
+      const std::string before = LiveDigest(*document);
+      const std::vector<const Node*> nodes = PreOrder(*document);
+      delta::Patch patch;
+      patch.base_doc_time_ms = 1000;
+      patch.target_doc_time_ms = 2000;
+      patch.base_digest = before;
+      patch.target_digest = before;
+      patch.ops = ShapePreservingOps();
+      patch.ops.resize(prefix);
+      patch.ops.push_back(c.op);
+      EXPECT_EQ(delta::ApplyPatchToDocument(document.get(), 1000, patch),
+                delta::ApplyResult::kApplyError)
+          << c.name << " after " << prefix;
+      EXPECT_EQ(LiveDigest(*document), before) << c.name << " after " << prefix;
+      EXPECT_EQ(PreOrder(*document), nodes) << c.name << " after " << prefix;
+    }
   }
+}
+
+// A patch that fails at its third op, and one whose ops apply but whose
+// target digest is corrupted: both roll back to the byte-identical
+// document, every node where it was.
+TEST(PatchApplierTest, RefusedPatchRollsBackInPlace) {
+  std::unique_ptr<Document> document = ParseDocument(
+      "<html><head><script id=\"rcb-snippet\"></script><title>A</title>"
+      "</head><body><p id=\"p\">v1</p><div id=\"d\"><i>x</i></div>"
+      "<ul><li>1</li><li>2</li></ul></body></html>");
+  std::unique_ptr<Element> base = delta::CanonicalizeDocument(*document);
+  std::unique_ptr<Node> target_owned = base->Clone();
+  Element* target = target_owned->AsElement();
+  target->FindFirst("p")->SetAttribute("class", "new");
+  Element* div = target->FindFirst("div");
+  div->RemoveChild(div->first_child());
+  div->AppendChild(MakeText("replaced"));
+  target->FindFirst("ul")->InsertChildAt(1, MakeElement("li"));
+  target->ChildByTag("head")->AppendChild(MakeElement("meta"));
+  const delta::Patch good = MakePatch(*base, *target, 1000, 2000);
+  ASSERT_GE(good.ops.size(), 3u);
+
+  const std::string before = SerializeNode(*delta::CanonicalizeDocument(*document));
+  const std::vector<const Node*> nodes = PreOrder(*document);
+  delta::CanonicalMemo memo;
+
+  delta::Patch third_fails = good;
+  third_fails.ops.resize(2);
+  delta::PatchOp bogus;
+  bogus.type = delta::PatchOpType::kRemove;
+  bogus.path = {1, 9};
+  third_fails.ops.push_back(bogus);
+  EXPECT_EQ(
+      delta::ApplyPatchToDocument(document.get(), 1000, third_fails, &memo),
+      delta::ApplyResult::kApplyError);
+  EXPECT_EQ(SerializeNode(*delta::CanonicalizeDocument(*document)), before);
+  EXPECT_EQ(PreOrder(*document), nodes);
+
+  delta::Patch corrupted = good;
+  corrupted.target_digest = std::string(64, '0');
+  EXPECT_EQ(delta::ApplyPatchToDocument(document.get(), 1000, corrupted, &memo),
+            delta::ApplyResult::kTargetDigestMismatch);
+  EXPECT_EQ(SerializeNode(*delta::CanonicalizeDocument(*document)), before);
+  EXPECT_EQ(PreOrder(*document), nodes);
+
+  // The memo followed the rollbacks: the genuine patch still verifies.
+  EXPECT_EQ(delta::ApplyPatchToDocument(document.get(), 1000, good, &memo),
+            delta::ApplyResult::kApplied);
+  EXPECT_EQ(LiveDigest(*document), good.target_digest);
+  EXPECT_EQ(document->ById("rcb-snippet")->parent(), document->head());
 }
 
 // Three versions of kApplierPage and the patches between them.
@@ -908,7 +1078,7 @@ struct MemoFixture {
   std::unique_ptr<Node> v3;
   delta::Patch p12;
   delta::Patch p23;
-  delta::BaseDigestMemo memo;
+  delta::CanonicalMemo memo;
 
   MemoFixture() {
     Element* p = v2->AsElement()->FindFirst("p");
@@ -926,30 +1096,21 @@ TEST(PatchApplierTest, MemoAnswersTheBaseDigestGateAfterACommit) {
   // The first patch finds no memo and digests the live tree.
   ASSERT_EQ(delta::ApplyPatchToDocument(f.document.get(), 1000, f.p12, &f.memo),
             delta::ApplyResult::kApplied);
-  EXPECT_EQ(f.memo.hits, 0u);
-  EXPECT_EQ(f.memo.digest, f.p12.target_digest);
-  EXPECT_EQ(f.memo.root_rev, f.document->document_element()->rev());
+  EXPECT_EQ(f.memo.hits(), 0u);
+  EXPECT_EQ(f.memo.digest(), f.p12.target_digest);
 
   // A memo hit with a wrong base digest is refused like a recomputed one.
   delta::Patch wrong = f.p23;
   wrong.base_digest = std::string(64, '0');
   EXPECT_EQ(delta::ApplyPatchToDocument(f.document.get(), 2000, wrong, &f.memo),
             delta::ApplyResult::kBaseDigestMismatch);
-  EXPECT_EQ(f.memo.hits, 1u);
-
-  // The memo, not a fresh digest, answers the gate: a corrupted record
-  // refuses the genuine patch while the root's rev still matches.
-  delta::BaseDigestMemo corrupted = f.memo;
-  corrupted.digest = std::string(64, '1');
-  EXPECT_EQ(
-      delta::ApplyPatchToDocument(f.document.get(), 2000, f.p23, &corrupted),
-      delta::ApplyResult::kBaseDigestMismatch);
+  EXPECT_EQ(f.memo.hits(), 1u);
 
   // A memo hit with the matching base digest applies and re-records.
   EXPECT_EQ(delta::ApplyPatchToDocument(f.document.get(), 2000, f.p23, &f.memo),
             delta::ApplyResult::kApplied);
-  EXPECT_EQ(f.memo.hits, 2u);
-  EXPECT_EQ(f.memo.digest, f.p23.target_digest);
+  EXPECT_EQ(f.memo.hits(), 2u);
+  EXPECT_EQ(f.memo.digest(), f.p23.target_digest);
   EXPECT_EQ(LiveDigest(*f.document), f.p23.target_digest);
 }
 
@@ -963,28 +1124,28 @@ TEST(PatchApplierTest, MutationOutsideTheSnippetMissesTheMemo) {
     EXPECT_EQ(
         delta::ApplyPatchToDocument(f.document.get(), 2000, f.p23, &f.memo),
         delta::ApplyResult::kBaseDigestMismatch);
-    EXPECT_EQ(f.memo.hits, 0u);
+    EXPECT_EQ(f.memo.hits(), 0u);
   }
-  {  // A mutation outside the canonical tree still misses the memo: the
-     // corrupted record is ignored and the fresh digest matches.
+  {  // A mutation outside the canonical view still misses the memo, and the
+     // fresh digest matches.
     MemoFixture f;
     ASSERT_EQ(
         delta::ApplyPatchToDocument(f.document.get(), 1000, f.p12, &f.memo),
         delta::ApplyResult::kApplied);
     f.document->document_element()->SetAttribute("lang", "en");
-    f.memo.digest = std::string(64, '1');
     EXPECT_EQ(
         delta::ApplyPatchToDocument(f.document.get(), 2000, f.p23, &f.memo),
         delta::ApplyResult::kApplied);
-    EXPECT_EQ(f.memo.hits, 0u);
-    EXPECT_EQ(f.memo.digest, f.p23.target_digest);
+    EXPECT_EQ(f.memo.hits(), 0u);
+    EXPECT_EQ(f.memo.digest(), f.p23.target_digest);
   }
 }
 
-TEST(PatchApplierTest, CommitThatDoesNotRoundTripIsNotMemoized) {
-  // Each target verifies against its own digest, but canonicalizing the
-  // committed live document yields a different tree, so the commit must not
-  // vouch for the target digest.
+TEST(PatchApplierTest, PatchTheLiveViewCannotHoldIsRefused) {
+  // Each target verifies against its own digest, but the live document's
+  // canonical view cannot take its shape: the ops land outside the view (or
+  // reorder what the view orders by tag), so gate 5 or the op engine refuses
+  // the patch and the rollback leaves the document as it was.
   const std::pair<const char*, std::function<void(Element*)>> shapes[] = {
       {"top-level element",
        [](Element* root) { root->AppendChild(MakeElement("aside")); }},
@@ -1008,16 +1169,17 @@ TEST(PatchApplierTest, CommitThatDoesNotRoundTripIsNotMemoized) {
   };
   for (const auto& [name, reshape] : shapes) {
     MemoFixture f;
+    const std::string before = LiveDigest(*f.document);
+    const Element* body = f.document->body();
     auto odd_owned = f.v1->Clone();
     Element* odd = odd_owned->AsElement();
     reshape(odd);
     delta::Patch patch = MakePatch(*f.v1, *odd, 1000, 2000);
-    ASSERT_EQ(
-        delta::ApplyPatchToDocument(f.document.get(), 1000, patch, &f.memo),
-        delta::ApplyResult::kApplied)
+    EXPECT_TRUE(delta::NeedsResync(delta::ApplyPatchToDocument(
+        f.document.get(), 1000, patch, &f.memo)))
         << name;
-    EXPECT_TRUE(f.memo.digest.empty()) << name;
-    EXPECT_NE(LiveDigest(*f.document), patch.target_digest) << name;
+    EXPECT_EQ(LiveDigest(*f.document), before) << name;
+    EXPECT_EQ(f.document->body(), body) << name;
   }
 }
 
@@ -1108,6 +1270,26 @@ TEST_F(DeltaSessionTest, SmallUpdatesTravelAsPatches) {
   // The point of the subsystem: patches are much smaller than the snapshots
   // they replace.
   EXPECT_LT(agent.patch_bytes_sent * 3, agent.patch_snapshot_bytes);
+  // The live stage histograms saw every stage: on the host a materialize
+  // and a digest per generation and a diff per patch, on the participant
+  // all three stages of each applied patch.
+  const obs::MetricsRegistry& host = session_->agent()->metrics_registry();
+  for (const char* stage : {"materialize", "digest"}) {
+    const obs::Histogram* hist = host.FindHistogram(
+        "rcb_agent_delta_stage_us", StrFormat("stage=\"%s\"", stage));
+    ASSERT_NE(hist, nullptr) << stage;
+    EXPECT_EQ(hist->count(), agent.generations) << stage;
+  }
+  EXPECT_EQ(host.FindHistogram("rcb_agent_delta_stage_us", "stage=\"diff\"")
+                ->count(),
+            3u);
+  for (const char* stage : {"verify_base", "apply", "verify_target"}) {
+    const obs::Histogram* hist =
+        session_->snippet(0)->metrics_registry().FindHistogram(
+            "rcb_snippet_patch_stage_us", StrFormat("stage=\"%s\"", stage));
+    ASSERT_NE(hist, nullptr) << stage;
+    EXPECT_EQ(hist->count(), 3u) << stage;
+  }
 }
 
 TEST_F(DeltaSessionTest, TamperedParticipantDomForcesFullResync) {
@@ -1142,7 +1324,7 @@ TEST_F(DeltaSessionTest, FullSnapshotApplyInvalidatesTheDigestMemo) {
   options.poll_interval = Duration::Millis(200);
   options.enable_delta = true;
   StartSession(options);
-  const delta::BaseDigestMemo& memo = session_->snippet(0)->patch_digest_memo();
+  const delta::CanonicalMemo& memo = session_->snippet(0)->patch_digest_memo();
 
   // The first patch follows the initial full snapshot and digests the live
   // tree; the second finds the first one's record.
@@ -1150,11 +1332,11 @@ TEST_F(DeltaSessionTest, FullSnapshotApplyInvalidatesTheDigestMemo) {
   ASSERT_TRUE(session_->WaitForSync().ok());
   HostSetStatus("v3");
   ASSERT_TRUE(session_->WaitForSync().ok());
-  EXPECT_EQ(memo.hits, 1u);
-  EXPECT_FALSE(memo.digest.empty());
+  EXPECT_EQ(memo.hits(), 1u);
+  EXPECT_FALSE(memo.digest().empty());
 
-  // Local drift misses the memo, the patch is refused, and the full
-  // snapshot that resyncs the participant clears the record.
+  // Local drift misses the memo, the patch is refused, and a full snapshot
+  // resyncs the participant.
   session_->participant_browser(0)->MutateDocument([](Document* document) {
     document->body()->AppendChild(MakeText("local drift"));
   });
@@ -1162,15 +1344,16 @@ TEST_F(DeltaSessionTest, FullSnapshotApplyInvalidatesTheDigestMemo) {
   ASSERT_TRUE(session_->WaitForSync().ok());
   const SnippetMetrics& snippet = session_->snippet(0)->metrics();
   EXPECT_EQ(snippet.resyncs, 1u);
-  EXPECT_EQ(memo.hits, 1u);
-  EXPECT_TRUE(memo.digest.empty());
+  EXPECT_EQ(memo.hits(), 1u);
 
-  // Patching resumes: one digest after the snapshot, then memo hits again.
+  // Patching resumes: the snapshot apply changed the document, so the first
+  // patch after it digests afresh; the next one hits the memo again.
   HostSetStatus("v5");
   ASSERT_TRUE(session_->WaitForSync().ok());
+  EXPECT_EQ(memo.hits(), 1u);
   HostSetStatus("v6");
   ASSERT_TRUE(session_->WaitForSync().ok());
-  EXPECT_EQ(memo.hits, 2u);
+  EXPECT_EQ(memo.hits(), 2u);
   EXPECT_EQ(snippet.patches_applied, 4u);
   EXPECT_EQ(snippet.patch_digest_mismatches, 1u);
   EXPECT_EQ(session_->participant_browser(0)->document()->ById("status")
@@ -1346,6 +1529,425 @@ TEST_F(DeltaSessionTest, DeltaOffSessionNeverSeesPatches) {
             "v2");
   EXPECT_EQ(session_->agent()->metrics().patches_served, 0u);
   EXPECT_EQ(session_->snippet(0)->metrics().patches_applied, 0u);
+}
+
+// ---- In place against the oracles, over the Table 1 corpus --------------
+
+// One step of a seeded edit schedule over a live page. Kinds: 0 text edit,
+// 1 co-fill (an input's value), 2 attribute change, 3 sibling insert,
+// 4 sibling remove, 5 whole-body rewrite (to `rewrite`), 6 no-op.
+void EditPage(Rng* rng, Document* document, int kind,
+              const std::string& rewrite) {
+  Element* body = document->body();
+  std::vector<Element*> elements{body};
+  body->ForEachElement([&](Element* element) {
+    elements.push_back(element);
+    return true;
+  });
+  Element* victim = elements[rng->NextBelow(elements.size())];
+  const std::string stamp = std::to_string(rng->NextBelow(1'000'000));
+  switch (kind) {
+    case 0: {
+      std::vector<Text*> texts;
+      CollectTexts(body, &texts);
+      if (!texts.empty()) {
+        Text* text = texts[rng->NextBelow(texts.size())];
+        text->set_data(text->data() + " edit " + stamp);
+      }
+      break;
+    }
+    case 1: {
+      std::vector<Element*> inputs = body->FindAll("input");
+      Element* field = inputs.empty() ? victim
+                                      : inputs[rng->NextBelow(inputs.size())];
+      field->SetAttribute("value", "typed " + stamp);
+      break;
+    }
+    case 2:
+      victim->SetAttribute("class", "c" + stamp);
+      break;
+    case 3: {
+      auto span = MakeElement("span");
+      span->AppendChild(MakeText("new " + stamp));
+      victim->InsertChildAt(rng->NextBelow(victim->child_count() + 1),
+                            std::move(span));
+      break;
+    }
+    case 4:
+      if (victim->child_count() > 0) {
+        victim->RemoveChild(
+            victim->child_at(rng->NextBelow(victim->child_count())));
+      }
+      break;
+    case 5:
+      body->SetInnerHtml(rewrite);
+      break;
+    default:
+      break;
+  }
+}
+
+// Position of `node` among its parent's children.
+size_t IndexOf(const Node& node) {
+  size_t i = 0;
+  while (node.parent()->child_at(i) != &node) {
+    ++i;
+  }
+  return i;
+}
+
+// The inner HTML of the next site's body: the whole-body rewrite's target.
+std::string RewriteFor(size_t site) {
+  const std::vector<SiteSpec>& sites = Table1Sites();
+  return ParseDocument(GenerateHomepage(sites[(site + 1) % sites.size()]).html)
+      ->body()
+      ->InnerHtml();
+}
+
+// Same node types, tags, attributes, data and child counts, recursively.
+void ExpectNodeEqual(const Node& a, const Node& b, const std::string& where) {
+  ASSERT_EQ(a.type(), b.type()) << where;
+  ASSERT_EQ(a.child_count(), b.child_count()) << where;
+  if (const Element* ea = a.AsElement()) {
+    ASSERT_EQ(ea->tag_name(), b.AsElement()->tag_name()) << where;
+    ASSERT_EQ(ea->attributes(), b.AsElement()->attributes()) << where;
+  } else if (a.type() != NodeType::kDocument) {
+    ASSERT_EQ(SerializeNode(a), SerializeNode(b)) << where;
+  }
+  for (size_t i = 0; i < a.child_count(); ++i) {
+    ExpectNodeEqual(*a.child_at(i), *b.child_at(i), where);
+  }
+}
+
+class DeltaEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+// The host's two reconciled trees against fresh materializations: each new
+// version's tree is node- and byte-equal to MaterializeSnapshotTree of its
+// snapshot, its memo digest and hashes are TreeDigest's and HashTree's, and
+// the patch served from every base in the window (the predecessor tree, or
+// a lagged base re-materialized from its stored Snapshot) is the one the
+// fresh trees diff to.
+TEST_P(DeltaEquivalenceTest, ReconciledHostTreesMatchFreshMaterialization) {
+  Rng rng(GetParam());
+  const std::vector<SiteSpec>& sites = Table1Sites();
+  for (size_t site = 0; site < sites.size(); ++site) {
+    const std::string rewrite = RewriteFor(site);
+    EventLoop loop;
+    Network network(&loop);
+    network.AddHost("host-pc", {});
+    Browser browser(&loop, &network, "host-pc");
+    browser.ReplaceDocument(ParseDocument(GenerateHomepage(sites[site]).html),
+                            Url::Make("http", sites[site].host, 80, "/"));
+    ContentGenerator generator(&browser);
+    AgentMetrics metrics;
+    BroadcastOptions delta_on;
+    delta_on.enable_delta = true;
+    BroadcastInstruments instruments;
+    instruments.metrics = &metrics;
+    SnapshotBroadcast broadcast(&generator, &loop, delta_on, instruments);
+    const Url agent_url = Url::Make("http", "host-pc", 3000, "/");
+    std::vector<Snapshot> versions;
+    for (int step = 1; step <= 12; ++step) {
+      const int kind = step == 1 ? 6 : static_cast<int>(rng.NextBelow(7));
+      browser.MutateDocument(
+          [&](Document* document) { EditPage(&rng, document, kind, rewrite); });
+      broadcast.Invalidate();
+      SnapshotBroadcast::Slot& slot =
+          broadcast.Refresh(true, false, step * 1000, agent_url, {});
+      versions.push_back(slot.snapshot);
+      const std::string where =
+          sites[site].name + " step " + std::to_string(step);
+      const SnapshotBroadcast::MaterializedTree& tree =
+          slot.trees[slot.current];
+      std::unique_ptr<Element> fresh = MaterializeSnapshotTree(slot.snapshot);
+      ExpectNodeEqual(*tree.root, *fresh, where);
+      ASSERT_EQ(SerializeNode(*tree.root), SerializeNode(*fresh)) << where;
+      ASSERT_EQ(tree.memo.digest(), delta::TreeDigest(*fresh)) << where;
+      const delta::TreeHashes hashes = delta::HashTree(*fresh);
+      ASSERT_EQ(tree.memo.hashes().hash, hashes.hash) << where;
+      ASSERT_EQ(tree.memo.hashes().size, hashes.size) << where;
+      for (int back = 1; back <= 3 && back < step; ++back) {
+        std::unique_ptr<Element> base =
+            MaterializeSnapshotTree(versions[step - back - 1]);
+        delta::PatchEnvelope expected;
+        expected.patch.base_doc_time_ms = (step - back) * 1000;
+        expected.patch.target_doc_time_ms = step * 1000;
+        expected.patch.base_digest = delta::TreeDigest(*base);
+        expected.patch.target_digest = delta::TreeDigest(*fresh);
+        expected.patch.ops = delta::DiffTrees(*base, *fresh);
+        const std::string xml = delta::SerializePatchXml(expected);
+        const std::optional<std::string> served =
+            broadcast.MaybeBuildPatchResponse(slot, (step - back) * 1000,
+                                              nullptr, {});
+        if (static_cast<double>(xml.size()) >
+            SnapshotBroadcast::kPatchSizeCutoff *
+                static_cast<double>(slot.xml.size())) {
+          EXPECT_FALSE(served.has_value()) << where << " back " << back;
+        } else {
+          ASSERT_TRUE(served.has_value()) << where << " back " << back;
+          EXPECT_EQ(*served, xml) << where << " back " << back;
+        }
+      }
+    }
+  }
+}
+
+// The participant's in-place apply against the clone-and-commit oracle:
+// same outcome and the same canonical digest after every patch, refused
+// ones included.
+TEST_P(DeltaEquivalenceTest, InPlaceApplyMatchesCloneAndCommit) {
+  Rng rng(GetParam());
+  const std::vector<SiteSpec>& sites = Table1Sites();
+  for (size_t site = 0; site < sites.size(); ++site) {
+    const std::string rewrite = RewriteFor(site);
+    const std::string html = GenerateHomepage(sites[site]).html;
+    std::unique_ptr<Document> host = ParseDocument(html);
+    std::unique_ptr<Document> live = ParseDocument(html);
+    auto script = MakeElement("script");
+    script->SetAttribute("id", "rcb-snippet");
+    live->head()->InsertChildAt(0, std::move(script));
+    std::unique_ptr<Document> oracle = live->CloneDocument();
+    std::unique_ptr<Element> base = delta::CanonicalizeDocument(*host);
+    delta::CanonicalMemo memo;
+    int64_t version = 1000;
+    for (int step = 1; step <= 12; ++step) {
+      const std::string where =
+          sites[site].name + " step " + std::to_string(step);
+      EditPage(&rng, host.get(), static_cast<int>(rng.NextBelow(7)), rewrite);
+      std::unique_ptr<Element> target = delta::CanonicalizeDocument(*host);
+      delta::Patch patch = MakePatch(*base, *target, version, version + 1000);
+      if (step % 4 == 0) {  // a refused patch first: both roll back
+        delta::Patch refused = patch;
+        refused.target_digest = std::string(64, 'f');
+        ASSERT_EQ(delta::ApplyPatchToDocument(live.get(), version, refused,
+                                              &memo),
+                  delta::ApplyResult::kTargetDigestMismatch)
+            << where;
+        ASSERT_EQ(ReferenceApplyPatch(oracle.get(), version, refused),
+                  delta::ApplyResult::kTargetDigestMismatch)
+            << where;
+        ASSERT_EQ(LiveDigest(*live), patch.base_digest) << where;
+      }
+      ASSERT_EQ(delta::ApplyPatchToDocument(live.get(), version, patch, &memo),
+                delta::ApplyResult::kApplied)
+          << where;
+      ASSERT_EQ(ReferenceApplyPatch(oracle.get(), version, patch),
+                delta::ApplyResult::kApplied)
+          << where;
+      ASSERT_EQ(LiveDigest(*live), LiveDigest(*oracle)) << where;
+      ASSERT_EQ(LiveDigest(*live), patch.target_digest) << where;
+      base = std::move(target);
+      version += 1000;
+    }
+  }
+}
+
+// Splits, empties and re-parents nodes so the canonical tree stops being
+// normalized, and moves unchanged subtrees (their revs intact) between raw
+// text parents, ordinary parents and void elements, where their bytes
+// differ. Every step of the memo must still equal a fresh serialization.
+void UnsettleOnce(Rng* rng, Element* root) {
+  std::vector<Element*> elements;
+  root->ForEachElement([&](Element* element) {
+    elements.push_back(element);
+    return true;
+  });
+  if (elements.empty()) {
+    return;
+  }
+  Element* victim = elements[rng->NextBelow(elements.size())];
+  switch (rng->NextBelow(4)) {
+    case 0:  // an empty text node
+      victim->InsertChildAt(rng->NextBelow(victim->child_count() + 1),
+                            MakeText(""));
+      break;
+    case 1: {  // a text node split in two adjacent ones
+      std::vector<Text*> texts;
+      CollectTexts(root, &texts);
+      if (!texts.empty()) {
+        Text* text = texts[rng->NextBelow(texts.size())];
+        const std::string data = text->data();
+        const size_t cut = data.size() / 2;
+        Node* parent = text->parent();
+        size_t index = 0;
+        while (parent->child_at(index) != text) {
+          ++index;
+        }
+        text->set_data(data.substr(0, cut));
+        parent->InsertChildAt(index + 1, MakeText(data.substr(cut)));
+      }
+      break;
+    }
+    case 2: {  // a text node into or out of a raw text element
+      std::vector<Element*> raw;
+      for (Element* element : elements) {
+        if (HtmlTokenizer::IsRawTextElement(element->tag_name())) {
+          raw.push_back(element);
+        }
+      }
+      if (raw.empty()) {
+        break;
+      }
+      Element* from = raw[rng->NextBelow(raw.size())];
+      if (from->child_count() > 0 && rng->NextBelow(2) == 0) {
+        victim->AppendChild(from->first_child()->Detach());
+      } else {
+        from->AppendChild(MakeText("a<b & \"c\""));
+      }
+      break;
+    }
+    case 3: {  // an unchanged subtree under a void element
+      if (victim->child_count() == 0) {
+        break;
+      }
+      std::unique_ptr<Node> moved =
+          victim->child_at(rng->NextBelow(victim->child_count()))->Detach();
+      auto hr = MakeElement("hr");
+      Element* target = hr.get();
+      victim->AppendChild(std::move(hr));
+      target->AppendChild(std::move(moved));
+      break;
+    }
+  }
+}
+
+TEST_P(DeltaEquivalenceTest, MemoizedSerializerMatchesAFreshOne) {
+  Rng rng(GetParam());
+  for (const SiteSpec& spec : Table1Sites()) {
+    std::unique_ptr<Document> document =
+        ParseDocument(GenerateHomepage(spec).html);
+    // The memo of a canonical tree (the host's case) ...
+    std::unique_ptr<Element> tree = delta::CanonicalizeDocument(*document);
+    delta::CanonicalMemo tree_memo;
+    // ... and of a live document's canonical view (the participant's), with
+    // texts around a bootstrap script in the head.
+    Element* head = document->head();
+    head->InsertChildAt(0, MakeText("lead"));
+    auto script = MakeElement("script");
+    script->SetAttribute("id", "rcb-snippet");
+    head->InsertChildAt(1, std::move(script));
+    head->InsertChildAt(2, MakeText("trail"));
+    delta::CanonicalMemo view_memo;
+    for (int step = 1; step <= 16; ++step) {
+      const std::string where = spec.name + " step " + std::to_string(step);
+      for (int i = rng.NextBelow(3); i >= 0; --i) {
+        if (rng.NextBelow(2) == 0) {
+          MutateTreeOnce(&rng, tree.get());
+        } else {
+          UnsettleOnce(&rng, tree.get());
+        }
+        UnsettleOnce(&rng, document->document_element());
+      }
+      const std::string& digest = tree_memo.Digest(tree.get());
+      std::unique_ptr<Node> normalized = tree->Clone();
+      delta::NormalizeTextNodes(normalized->AsElement());
+      ExpectNodeEqual(*tree, *normalized, where);
+      ASSERT_EQ(digest, delta::TreeDigest(*tree)) << where;
+      const delta::TreeHashes hashes = delta::HashTree(*tree);
+      ASSERT_EQ(tree_memo.hashes().hash, hashes.hash) << where;
+      ASSERT_EQ(tree_memo.hashes().size, hashes.size) << where;
+
+      std::unique_ptr<Element> view = delta::CanonicalizeDocument(*document);
+      ASSERT_EQ(view_memo.Digest(document.get(), /*normalize=*/false),
+                delta::TreeDigest(*view))
+          << where;
+      if (step % 2 == 0) {
+        ASSERT_EQ(view_memo.Digest(document.get(), /*normalize=*/true),
+                  delta::TreeDigest(*view))
+            << where;
+        ASSERT_EQ(view_memo.hashes().hash, delta::HashTree(*view).hash)
+            << where;
+        ExpectNodeEqual(*delta::CanonicalizeDocument(*document), *view, where);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DeltaEquivalenceTest,
+                         ::testing::Range<uint64_t>(1, 4));
+
+// Every single-field edit over the Table 1 corpus reaches the participant
+// as one patch applied to its live document: the body element and the
+// body's children off the edited path keep their addresses.
+TEST_F(DeltaSessionTest, CorpusEditsApplyInPlace) {
+  SessionOptions options;
+  options.profile = LanProfile();
+  options.poll_interval = Duration::Millis(200);
+  options.enable_delta = true;
+  std::vector<std::unique_ptr<SiteServer>> servers;
+  for (const SiteSpec& spec : Table1Sites()) {
+    AddOriginServer(&network_, options.profile, spec.host, spec.server_bps,
+                    spec.server_latency, options.host_machine,
+                    options.participant_machine_prefix + "-1");
+    servers.push_back(InstallSite(&loop_, &network_, spec));
+  }
+  session_ = std::make_unique<CoBrowsingSession>(&loop_, &network_, options);
+  ASSERT_TRUE(session_->Start().ok());
+  const SnippetMetrics& snippet = session_->snippet(0)->metrics();
+  Document* participant = session_->participant_browser(0)->document();
+  for (const SiteSpec& spec : Table1Sites()) {
+    auto stats = session_->CoNavigate(Url::Make("http", spec.host, 80, "/"));
+    ASSERT_TRUE(stats.ok()) << spec.name << ": " << stats.status();
+    participant = session_->participant_browser(0)->document();
+    // The single-field edits: a text edit in the middle of the body, then a
+    // co-fill of the first input (when the page has one).
+    const std::vector<std::function<size_t(Document*)>> edits = {
+        [](Document* document) {
+          std::vector<Text*> texts;
+          CollectTexts(document->body(), &texts);
+          Text* text = texts[texts.size() / 2];
+          text->set_data(text->data() + " (edited)");
+          Node* top = text;
+          while (top->parent() != document->body()) {
+            top = top->parent();
+          }
+          return IndexOf(*top);
+        },
+        [](Document* document) {
+          std::vector<Element*> inputs = document->body()->FindAll("input");
+          if (inputs.empty()) {
+            return SIZE_MAX;
+          }
+          inputs[0]->SetAttribute("value", "co-filled");
+          Node* top = inputs[0];
+          while (top->parent() != document->body()) {
+            top = top->parent();
+          }
+          return IndexOf(*top);
+        }};
+    for (const auto& edit : edits) {
+      const uint64_t applied = snippet.patches_applied;
+      const Element* body = participant->body();
+      std::vector<const Node*> siblings;
+      for (const auto& child : body->children()) {
+        siblings.push_back(child.get());
+      }
+      size_t touched = SIZE_MAX;
+      session_->host_browser()->MutateDocument(
+          [&](Document* document) { touched = edit(document); });
+      if (touched == SIZE_MAX) {
+        continue;
+      }
+      ASSERT_TRUE(session_->WaitForSync().ok()) << spec.name;
+      EXPECT_EQ(snippet.patches_applied, applied + 1) << spec.name;
+      EXPECT_EQ(snippet.resyncs, 0u) << spec.name;
+      EXPECT_EQ(snippet.patch_digest_mismatches, 0u) << spec.name;
+      ASSERT_EQ(participant->body(), body) << spec.name;
+      ASSERT_EQ(body->child_count(), siblings.size()) << spec.name;
+      for (size_t i = 0; i < siblings.size(); ++i) {
+        if (i != touched) {
+          EXPECT_EQ(body->child_at(i), siblings[i]) << spec.name << " " << i;
+        }
+      }
+      EXPECT_EQ(ParticipantDigest(0), HostDigest()) << spec.name;
+    }
+  }
+  // Every patch diffed the predecessor tree: the host materialized each
+  // version once, by reconciling it, and no base from its snapshot.
+  const obs::Histogram* materialize =
+      session_->agent()->metrics_registry().FindHistogram(
+          "rcb_agent_delta_stage_us", "stage=\"materialize\"");
+  EXPECT_EQ(materialize->count(), session_->agent()->metrics().generations);
 }
 
 }  // namespace
