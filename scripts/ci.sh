@@ -5,9 +5,30 @@
 # runs one fast bench in JSON-artifact mode and validates the emitted
 # BENCH_*.json against the schema (C++ validator, plus jq if present).
 #
+# Every gate runs, each in its own process that stops at its own first
+# failing command; a failing gate does not hide the ones after it. The
+# script lists the gates that failed and exits 1 if any did.
+#
 # Usage: scripts/ci.sh [extra cmake args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+failed=()
+
+# Runs gate function "$2" with the remaining arguments as its own process
+# and records "$1" when it fails. The gate is a background job waited on at
+# once: bash ignores set -e inside a function called from `if`, `||` or
+# `&&` (and in every process that call starts), so a gate run that way
+# would go on past its failing command. Call `gate` as a plain statement.
+gate() {
+  local name="$1"
+  shift
+  "$@" &
+  if ! wait "$!"; then
+    echo "=== gate failed: ${name} ===" >&2
+    failed+=("${name}")
+  fi
+}
 
 check_bench_json() {
   local build_dir="$1"
@@ -467,40 +488,66 @@ sys.exit(0 if delta <= 0.05 * full else 1)' "${full_result}" "${delta_result}" |
       return 1; }
 }
 
-run_suite() {
+build_tree() {
   local build_dir="$1"
   shift
   echo "=== ${build_dir}: configure ($*) ==="
   # No -G: reuse whatever generator an existing build dir was made with.
   cmake -B "${build_dir}" -S . "$@"
   echo "=== ${build_dir}: build ==="
-  cmake --build "${build_dir}" -j
+  cmake --build "${build_dir}" -j "$(nproc)"
+}
+
+check_ctest() {
+  local build_dir="$1"
   echo "=== ${build_dir}: ctest ==="
   ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
+}
+
+check_delta() {
+  local build_dir="$1"
   # Explicit delta gate: the diff/patch round-trip suite and the patch-codec
   # fuzz cases must pass in this build (ctest already ran them; this re-runs
   # them by name so a test-registration regression cannot silently drop them).
   echo "=== ${build_dir}: delta + patch-codec fuzz gate ==="
   "${build_dir}/tests/delta_test" --gtest_brief=1
   "${build_dir}/tests/fuzz_test" --gtest_filter='*Patch*' --gtest_brief=1
+}
+
+check_host_fanout() {
+  local build_dir="$1"
   # Host + fan-out gate: multi-session registry/isolation, broadcast
   # equivalence, and router fuzz must pass by name in this build.
   echo "=== ${build_dir}: host + fan-out gate ==="
   "${build_dir}/tests/host_test" --gtest_brief=1
   "${build_dir}/tests/fanout_equivalence_test" --gtest_brief=1
   "${build_dir}/tests/fuzz_test" --gtest_filter='*HostRouter*' --gtest_brief=1
-  check_bench_json "${build_dir}"
-  check_hotpath "${build_dir}"
-  check_scale_json "${build_dir}"
-  check_recovery "${build_dir}"
-  check_trace "${build_dir}"
-  check_transport "${build_dir}"
-  check_health "${build_dir}"
 }
 
-check_metrics_doc
-check_e2e_smoke
+run_suite() {
+  local build_dir="$1"
+  shift
+  gate "${build_dir}: build" build_tree "${build_dir}" "$@"
+  if [[ ${#failed[@]} -gt 0 && "${failed[-1]}" == "${build_dir}: build" ]]; then
+    echo "=== ${build_dir}: not built, its other gates cannot run ===" >&2
+    return 0
+  fi
+  local check
+  for check in check_ctest check_delta check_host_fanout check_bench_json \
+      check_hotpath check_scale_json check_recovery check_trace \
+      check_transport check_health; do
+    gate "${build_dir}: ${check}" "${check}" "${build_dir}"
+  done
+}
+
+gate check_metrics_doc check_metrics_doc
+gate check_e2e_smoke check_e2e_smoke
 run_suite build "$@"
 run_suite build-asan -DRCB_SANITIZE=ON "$@"
 
-echo "=== ci: both suites green ==="
+if [[ ${#failed[@]} -gt 0 ]]; then
+  echo "=== ci: ${#failed[@]} gate(s) failed ===" >&2
+  printf '  %s\n' "${failed[@]}" >&2
+  exit 1
+fi
+echo "=== ci: every gate green in both suites ==="

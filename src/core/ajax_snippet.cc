@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "src/browser/resources.h"
+#include "src/core/content_generator.h"
 #include "src/crypto/hmac.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"
@@ -184,15 +185,6 @@ void AjaxSnippet::RegisterMetrics() {
                                obs::Provenance::kSim,
                                [this] { return flight_.dumps_written(); });
 
-  static constexpr const char* kApplyStageLabels[4] = {
-      "stage=\"clean_head\"", "stage=\"set_head\"", "stage=\"drop_stale\"",
-      "stage=\"set_body\""};
-  for (size_t i = 0; i < 4; ++i) {
-    apply_stage_hist_[i] = registry_.AddHistogram(
-        "rcb_snippet_apply_stage_us",
-        "CPU microseconds per Fig. 5 snapshot-apply stage",
-        obs::Provenance::kWall, obs::LatencyBoundsUs(), kApplyStageLabels[i]);
-  }
   // Only a delta-capable snippet ever applies a patch.
   static constexpr const char* kPatchStageLabels[3] = {
       "stage=\"verify_base\"", "stage=\"apply\"", "stage=\"verify_target\""};
@@ -309,7 +301,6 @@ void AjaxSnippet::AbortWithoutGoodbye() {
   consecutive_failures_ = 0;
   need_resync_ = false;
   poll_ctx_ = obs::TraceContext{};
-  apply_ctx_ = obs::TraceContext{};
   action_queue_waiting_ = false;
 }
 
@@ -1044,12 +1035,7 @@ void AjaxSnippet::ProcessSnapshot(const Snapshot& snapshot,
                          traced ? &poll_ctx_ : nullptr,
                          {{"ts", StrFormat("%lld", static_cast<long long>(
                                                        snapshot.doc_time_ms))}});
-      // The four Fig. 5 stage events parent to the apply span, not the poll.
-      apply_ctx_ = traced
-                       ? obs::TraceContext{poll_ctx_.trace_id, span.span_id()}
-                       : obs::TraceContext{};
-      ApplySnapshot(snapshot);
-      apply_ctx_ = obs::TraceContext{};
+      ApplySnapshot(browser_->document(), snapshot);
     }
     auto end = std::chrono::steady_clock::now();
     metrics_.last_apply_time = Duration::Micros(
@@ -1152,110 +1138,21 @@ void AjaxSnippet::ProcessPatch(const delta::PatchEnvelope& envelope,
   }
 }
 
-void AjaxSnippet::ApplySnapshot(const Snapshot& snapshot) {
-  Document* document = browser_->document();
+void AjaxSnippet::ApplySnapshot(Document* document, const Snapshot& snapshot) {
   Element* root = document->document_element();
   if (root == nullptr) {
     return;
   }
-  int64_t sim_now_us = browser_->loop()->now().micros();
-  auto stage_start = std::chrono::steady_clock::now();
-  size_t stage_index = 0;
-  // Closes the current Fig. 5 stage: records its CPU time into the matching
-  // stage histogram and the trace ring, then restarts the stopwatch.
-  auto end_stage = [&](const char* name) {
-    auto now = std::chrono::steady_clock::now();
-    int64_t elapsed_us =
-        std::chrono::duration_cast<std::chrono::microseconds>(now - stage_start)
-            .count();
-    apply_stage_hist_[stage_index++]->Record(elapsed_us);
-    trace_.Append(name, obs::Provenance::kWall, sim_now_us, elapsed_us,
-                  apply_ctx_);
-    stage_start = now;
-  };
-  Element* head = root->ChildByTag("head");
-  if (head == nullptr) {
-    head = root->InsertBefore(MakeElement("head"), root->first_child())->AsElement();
-  }
-
-  // Step 1: clean the head element but always keep the snippet itself.
-  std::vector<Node*> head_children;
-  for (const auto& child : head->children()) {
-    Element* element = child->AsElement();
-    bool is_snippet = element != nullptr && element->tag_name() == "script" &&
-                      element->id() == "rcb-snippet";
-    if (!is_snippet) {
-      head_children.push_back(child.get());
-    }
-  }
-  for (Node* node : head_children) {
-    head->RemoveChild(node);
-  }
-  if (head->ChildByTag("script") == nullptr) {
-    // Arriving via an agent page guarantees the snippet script exists, but
-    // re-create it defensively so the invariant holds for any document.
+  ReconcileSnapshotTree(snapshot, nullptr, root);
+  // Arriving via an agent page guarantees the snippet script exists, but
+  // re-create it defensively so the invariant holds for any document.
+  Element* head = root->first_child()->AsElement();
+  if (head->child_count() == 0 ||
+      !delta::IsSnippetBootstrapScript(*head->first_child())) {
     auto script = MakeElement("script");
     script->SetAttribute("id", "rcb-snippet");
-    head->AppendChild(std::move(script));
+    head->InsertChildAt(0, std::move(script));
   }
-  end_stage("snippet.apply.clean_head");
-
-  // Step 2: append the new head children (attribute lists + innerHTML).
-  for (const ElementPayload& payload : snapshot.head_children) {
-    auto element = MakeElement(payload.tag);
-    element->AssignAttributes(payload.attributes);
-    element->SetInnerHtml(payload.inner_html);
-    head->AppendChild(std::move(element));
-  }
-  end_stage("snippet.apply.set_head");
-
-  // Step 3: clean up top-level elements not present in the new content.
-  auto wanted = [&](const std::string& tag) {
-    if (tag == "head") {
-      return true;
-    }
-    if (tag == "body") {
-      return snapshot.body.has_value();
-    }
-    if (tag == "frameset") {
-      return snapshot.frameset.has_value();
-    }
-    if (tag == "noframes") {
-      return snapshot.noframes.has_value();
-    }
-    return false;
-  };
-  std::vector<Node*> stale;
-  for (const auto& child : root->children()) {
-    Element* element = child->AsElement();
-    if (element == nullptr || !wanted(element->tag_name())) {
-      stale.push_back(child.get());
-    }
-  }
-  for (Node* node : stale) {
-    root->RemoveChild(node);
-  }
-  end_stage("snippet.apply.drop_stale");
-
-  // Step 4: set the remaining top-level elements from the new content.
-  auto apply_top = [&](const ElementPayload& payload) {
-    Element* element = root->ChildByTag(payload.tag);
-    if (element == nullptr) {
-      element = root->AppendChild(MakeElement(payload.tag))->AsElement();
-    }
-    element->AssignAttributes(payload.attributes);
-    element->SetInnerHtml(payload.inner_html);
-  };
-  if (snapshot.body.has_value()) {
-    apply_top(*snapshot.body);
-  }
-  if (snapshot.frameset.has_value()) {
-    apply_top(*snapshot.frameset);
-  }
-  if (snapshot.noframes.has_value()) {
-    apply_top(*snapshot.noframes);
-  }
-  end_stage("snippet.apply.set_body");
 }
 
 void AjaxSnippet::FetchSupplementaryObjects() {

@@ -3,10 +3,10 @@
 // The snippet arrives embedded in the agent's initial HTML page and then
 // (1) polls RCB-Agent with XMLHttpRequest POSTs on a fixed interval,
 //     piggybacking queued user actions (§4.2.1),
-// (2) applies received newContent snapshots to the live document via the
-//     Fig. 5 four-step procedure — clean the head but keep itself, set the
-//     new head children, drop stale top-level elements, set body/frameset
-//     content via innerHTML — and
+// (2) applies received newContent snapshots to the live document with the
+//     result of the Fig. 5 four-step procedure — clean the head but keep
+//     itself, set the new head children, drop stale top-level elements, set
+//     body/frameset content via innerHTML — reconciled in place, and
 // (3) triggers the download of the page's supplementary objects, which go to
 //     the origin servers (non-cache mode) or to RCB-Agent (cache mode).
 //
@@ -168,9 +168,8 @@ class AjaxSnippet {
   // a walk, the document unchanged since the one before.
   const delta::CanonicalMemo& patch_digest_memo() const { return patch_memo_; }
   // Observability (DESIGN.md §9): every SnippetMetrics counter
-  // (callback-backed), the Fig. 5 apply-stage and patch-stage histograms
-  // (wall), and the
-  // simulated content-download / object-fetch histograms (sim). The snippet
+  // (callback-backed), the Fig. 5 apply and patch-stage histograms (wall),
+  // and the simulated content-download / object-fetch histograms (sim). The snippet
   // has no HTTP server, so its registry is read in-process (benches, tests).
   const obs::MetricsRegistry& metrics_registry() const { return registry_; }
   const obs::TraceLog& trace_log() const { return trace_; }
@@ -216,6 +215,12 @@ class AjaxSnippet {
 
   // Sends a poll immediately instead of waiting for the timer.
   void PollNow();
+
+  // Fig. 5: applies a full snapshot to a participant's `document` in place
+  // (ReconcileSnapshotTree, src/core/content_generator.h), keeping the
+  // bootstrap script at the front of the head; one is made there when the
+  // document has none.
+  static void ApplySnapshot(Document* document, const Snapshot& snapshot);
 
  private:
   void SchedulePoll(Duration delay);
@@ -276,7 +281,6 @@ class AjaxSnippet {
   // Silence after which a framed stream is declared dead: 3x the
   // agent-advertised heartbeat interval.
   Duration HeartbeatTimeout() const;
-  void ApplySnapshot(const Snapshot& snapshot);
   void FetchSupplementaryObjects();
   // Registers the snippet's metric families (constructor-time).
   void RegisterMetrics();
@@ -343,15 +347,10 @@ class AjaxSnippet {
   // Context of the traced poll currently in flight (trace id + reserved root
   // span id); inactive when tracing is off.
   obs::TraceContext poll_ctx_;
-  // Context of the apply span while ApplySnapshot runs, so the four Fig. 5
-  // stage events parent to it rather than to the poll root.
-  obs::TraceContext apply_ctx_;
   // Queue-latency stopwatch: when the oldest still-unsent action was queued.
   SimTime action_queue_since_;
   bool action_queue_waiting_ = false;
   obs::FlightRecorder flight_;
-  // Fig. 5 apply stages, in order: clean_head, set_head, drop_stale, set_body.
-  obs::Histogram* apply_stage_hist_[4] = {};
   // Patch apply stages, in order: verify_base, apply, verify_target.
   obs::Histogram* patch_stage_hist_[3] = {};
   obs::Histogram* apply_us_ = nullptr;             // whole apply, wall (M6)

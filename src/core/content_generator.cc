@@ -263,66 +263,93 @@ GenerationResult ContentGenerator::Generate(int64_t doc_time_ms,
 
 namespace {
 
-// The payloads that sit under the root after the head, in tree order.
-std::vector<const ElementPayload*> TopLevelPayloads(const Snapshot& snapshot) {
+// The payloads of the head's children, in tree order; none for no snapshot.
+std::vector<const ElementPayload*> HeadPayloads(const Snapshot* snapshot) {
   std::vector<const ElementPayload*> out;
-  for (const auto* payload :
-       {&snapshot.body, &snapshot.frameset, &snapshot.noframes}) {
-    if (payload->has_value()) {
-      out.push_back(&**payload);
+  if (snapshot != nullptr) {
+    for (const ElementPayload& payload : snapshot->head_children) {
+      out.push_back(&payload);
     }
   }
   return out;
 }
 
-// Makes child `index` of `parent` the element `payload` describes, as the
-// snippet instantiates it: attributes in payload order, children via
-// SetInnerHtml. An element of the same tag already there is kept; its
-// children are left alone when `taken` (the payload it was made from) has
-// the same inner HTML. Anything from `index` on is dropped otherwise.
-void ReconcilePayload(Element* parent, size_t index,
-                      const ElementPayload& payload,
-                      const ElementPayload* taken) {
-  Node* at = index < parent->child_count() ? parent->child_at(index) : nullptr;
-  Element* element = at != nullptr ? at->AsElement() : nullptr;
-  if (element == nullptr || !EqualsIgnoreCase(element->tag_name(), payload.tag)) {
-    parent->TruncateChildren(index);
-    element = parent->AppendChild(MakeElement(payload.tag))->AsElement();
-    taken = nullptr;
+// The payloads that sit under the root after the head, in tree order.
+std::vector<const ElementPayload*> TopLevelPayloads(const Snapshot* snapshot) {
+  std::vector<const ElementPayload*> out;
+  if (snapshot != nullptr) {
+    for (const auto* payload :
+         {&snapshot->body, &snapshot->frameset, &snapshot->noframes}) {
+      if (payload->has_value()) {
+        out.push_back(&**payload);
+      }
+    }
   }
-  element->AssignAttributes(payload.attributes);
-  if (taken == nullptr || taken->inner_html != payload.inner_html) {
-    element->SetInnerHtml(payload.inner_html);
+  return out;
+}
+
+// Makes child `index` of `parent` an element of `tag`: the one already
+// there, else the first later one, moved there, else a new one.
+Element* PlaceElement(Element* parent, size_t index, std::string_view tag) {
+  for (size_t i = index; i < parent->child_count(); ++i) {
+    Element* element = parent->child_at(i)->AsElement();
+    if (element != nullptr && EqualsIgnoreCase(element->tag_name(), tag)) {
+      if (i != index) {
+        parent->InsertChildAt(index, parent->RemoveChild(element));
+      }
+      return element;
+    }
   }
+  return parent->InsertChildAt(index, MakeElement(std::string(tag)))
+      ->AsElement();
+}
+
+// Makes the children of `parent` from `first` on the elements `payloads`
+// describe, as Fig. 5 instantiates them (attributes in payload order,
+// children via the in-place SetInnerHtml), each kept by PlaceElement, and
+// drops the children after them. `taken` lists the payloads those children
+// were made from, or is empty: while every child so far was already in
+// place, child first + i was made from taken[i], and a payload whose inner
+// HTML it already holds is not set again.
+void ReconcileChildren(Element* parent, size_t first,
+                       const std::vector<const ElementPayload*>& payloads,
+                       const std::vector<const ElementPayload*>& taken) {
+  bool aligned = true;
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    const ElementPayload& payload = *payloads[i];
+    const size_t index = first + i;
+    const Node* there =
+        index < parent->child_count() ? parent->child_at(index) : nullptr;
+    Element* element = PlaceElement(parent, index, payload.tag);
+    aligned = aligned && element == there && i < taken.size();
+    element->AssignAttributes(payload.attributes);
+    if (!aligned || taken[i]->inner_html != payload.inner_html) {
+      element->SetInnerHtml(payload.inner_html);
+    }
+  }
+  parent->TruncateChildren(first + payloads.size());
 }
 
 }  // namespace
 
 void ReconcileSnapshotTree(const Snapshot& snapshot, const Snapshot* taken,
                            Element* root) {
-  Node* first = root->first_child();
-  Element* head = first != nullptr ? first->AsElement() : nullptr;
-  if (head == nullptr || head->tag_name() != "head" ||
-      !head->attributes().empty()) {
-    root->TruncateChildren(0);
-    head = root->AppendChild(MakeElement("head"))->AsElement();
+  Element* head = PlaceElement(root, 0, "head");
+  // Fig. 5 step 1 keeps the bootstrap scripts: they go first, and the
+  // payloads reconcile against the children after them.
+  size_t bootstraps = 0;
+  for (size_t i = 0; i < head->child_count(); ++i) {
+    if (delta::IsSnippetBootstrapScript(*head->child_at(i))) {
+      if (i != bootstraps) {
+        head->InsertChildAt(bootstraps, head->RemoveChild(head->child_at(i)));
+      }
+      ++bootstraps;
+    }
   }
-  const size_t head_count = snapshot.head_children.size();
-  for (size_t i = 0; i < head_count; ++i) {
-    ReconcilePayload(head, i, snapshot.head_children[i],
-                     taken != nullptr && i < taken->head_children.size()
-                         ? &taken->head_children[i]
-                         : nullptr);
-  }
-  head->TruncateChildren(head_count);
-  const std::vector<const ElementPayload*> now = TopLevelPayloads(snapshot);
-  const std::vector<const ElementPayload*> was =
-      taken != nullptr ? TopLevelPayloads(*taken)
-                       : std::vector<const ElementPayload*>();
-  for (size_t k = 0; k < now.size(); ++k) {
-    ReconcilePayload(root, k + 1, *now[k], k < was.size() ? was[k] : nullptr);
-  }
-  root->TruncateChildren(now.size() + 1);
+  ReconcileChildren(head, bootstraps, HeadPayloads(&snapshot),
+                    HeadPayloads(taken));
+  ReconcileChildren(root, 1, TopLevelPayloads(&snapshot),
+                    TopLevelPayloads(taken));
 }
 
 std::unique_ptr<Element> MaterializeSnapshotTree(const Snapshot& snapshot) {

@@ -137,22 +137,29 @@ class ContentGenerator {
 };
 
 // Materializes a snapshot into the canonical tree (src/delta/tree_diff.h) a
-// participant's live document reduces to after a full Fig. 5 apply: payload
-// elements are instantiated exactly as the snippet instantiates them
-// (attributes in payload order, children via SetInnerHtml), so the agent's
-// delta base trees and the participant's live tree digest-match by
+// participant's live document reduces to after a full Fig. 5 apply: it runs
+// the apply itself (ReconcileSnapshotTree) on an empty html element, so the
+// agent's delta base trees and the participant's live tree digest-match by
 // construction — parser quirks cancel out because both sides run the same
-// parse. This is the "last-acked tree" the delta path diffs against.
+// code. This is the "last-acked tree" the delta path diffs against.
 std::unique_ptr<Element> MaterializeSnapshotTree(const Snapshot& snapshot);
 
-// Makes `root`, an attribute-less html element, what MaterializeSnapshotTree
-// builds before its text normalization, in place: payload elements whose tag
-// still matches are kept and given the payload's attributes and, through the
-// in-place SetInnerHtml, its inner HTML. `taken` is the snapshot `root` was
-// last made from (null when unknown or none): a payload whose inner HTML it
-// already holds at the same position is skipped. Nodes the new snapshot
-// leaves unchanged keep their address and rev, which is what lets the delta
-// path's CanonicalMemo re-digest only the change.
+// The Fig. 5 apply, in place; the snippet runs it on the participant's live
+// document and the agent on its delta base trees. `root`'s children end as
+// [head, body?, frameset?, noframes?], the snapshot's: the first head is
+// kept (a new one is made at the front when there is none) with its
+// bootstrap scripts (delta::IsSnippetBootstrapScript) moved to its front,
+// and everything else under the root is dropped (step 3). Payload i of the
+// head becomes the head's child after the bootstrap scripts plus i, and each
+// top-level payload the root's child of its position. An element of the
+// payload's tag already at that position, or else the first later one,
+// moved there, is kept and given the payload's attributes and, through the
+// in-place SetInnerHtml, its inner HTML; one is made when there is none.
+// `taken` is the snapshot `root` was last made from (null when unknown or
+// none): a payload whose inner HTML it already holds at the same position
+// is skipped. Nodes the new snapshot leaves unchanged keep their address
+// and rev, which is what lets the delta path's CanonicalMemo re-digest only
+// the change.
 void ReconcileSnapshotTree(const Snapshot& snapshot, const Snapshot* taken,
                            Element* root);
 

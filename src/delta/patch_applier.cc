@@ -59,70 +59,6 @@ void Rollback(std::vector<Undo>* log) {
   log->clear();
 }
 
-// The tree the op paths address. In a canonical tree they index children
-// directly. In a live document they index its canonical view
-// (CanonicalizeDocument, without the copy): the root's children are its
-// head and first body, frameset and noframes, the head's are its children
-// minus bootstrap scripts, and everything deeper is itself.
-class OpTarget {
- public:
-  OpTarget(Element* root, bool document_view)
-      : root_(root), document_view_(document_view) {}
-
-  Node* At(const std::vector<uint32_t>& path) const {
-    Node* node = root_;
-    for (uint32_t index : path) {
-      if (index >= Count(node)) {
-        return nullptr;
-      }
-      node = node->child_at(LiveIndex(node, index));
-    }
-    return node;
-  }
-  size_t Count(const Node* parent) const {
-    return Mapped(parent) ? ViewIndexes(parent).size() : parent->child_count();
-  }
-  // Live position of view child `index` (< Count).
-  size_t LiveIndex(const Node* parent, size_t index) const {
-    return Mapped(parent) ? ViewIndexes(parent)[index] : index;
-  }
-  // Live position an insert at view position `index` (<= Count) takes.
-  size_t InsertSlot(const Node* parent, size_t index) const {
-    return index < Count(parent) ? LiveIndex(parent, index)
-                                 : parent->child_count();
-  }
-
- private:
-  bool Mapped(const Node* parent) const {
-    return document_view_ &&
-           (parent == root_ || parent == root_->ChildByTag("head"));
-  }
-  std::vector<size_t> ViewIndexes(const Node* parent) const {
-    std::vector<size_t> out;
-    if (parent == root_) {
-      for (const char* tag : {"head", "body", "frameset", "noframes"}) {
-        for (size_t i = 0; i < root_->child_count(); ++i) {
-          const Element* element = root_->child_at(i)->AsElement();
-          if (element != nullptr && element->tag_name() == tag) {
-            out.push_back(i);
-            break;
-          }
-        }
-      }
-      return out;
-    }
-    for (size_t i = 0; i < parent->child_count(); ++i) {
-      if (!IsSnippetBootstrapScript(*parent->child_at(i))) {
-        out.push_back(i);
-      }
-    }
-    return out;
-  }
-
-  Element* root_;
-  bool document_view_;
-};
-
 size_t IndexInParent(const Node* node) {
   const Node* parent = node->parent();
   size_t i = 0;
@@ -131,6 +67,56 @@ size_t IndexInParent(const Node* node) {
   }
   return i;
 }
+
+// The tree the op paths address. In a canonical tree they index children
+// directly. In a live document they index its canonical view
+// (CanonicalViewChildren): the root's and the view head's children are
+// mapped, and everything deeper is itself.
+class OpTarget {
+ public:
+  OpTarget(Element* root, bool document_view)
+      : root_(root), document_view_(document_view) {}
+
+  Node* At(const std::vector<uint32_t>& path) const {
+    Node* node = root_;
+    for (uint32_t index : path) {
+      if (node == nullptr || index >= Count(node)) {
+        return nullptr;
+      }
+      node = Child(node, index);
+    }
+    return node;
+  }
+  size_t Count(const Node* parent) const {
+    return Mapped(parent) ? View(parent).size() : parent->child_count();
+  }
+  // View child `index` (< Count); nullptr for a document's missing head.
+  Node* Child(const Node* parent, size_t index) const {
+    return Mapped(parent) ? View(parent)[index] : parent->child_at(index);
+  }
+  // Live position an insert at view position `index` (<= Count) takes; a
+  // missing head's is the front.
+  size_t InsertSlot(const Node* parent, size_t index) const {
+    if (index >= Count(parent)) {
+      return parent->child_count();
+    }
+    const Node* at = Child(parent, index);
+    return at != nullptr ? IndexInParent(at) : 0;
+  }
+
+ private:
+  bool Mapped(const Node* parent) const {
+    return document_view_ &&
+           (parent == root_ ||
+            (parent->parent() == root_ && parent == View(root_)[0]));
+  }
+  std::vector<Node*> View(const Node* parent) const {
+    return CanonicalViewChildren(*root_, *parent->AsElement());
+  }
+
+  Element* root_;
+  bool document_view_;
+};
 
 // The one op engine: applies `ops` to `target` in order, logging each
 // mutation into `log` when one is given.
@@ -159,9 +145,12 @@ Status ApplyOps(const OpTarget& target, const std::vector<PatchOp>& ops,
         if (parent == nullptr || op.index >= target.Count(parent)) {
           return InvalidArgumentError("patch remove out of range");
         }
-        const size_t live = target.LiveIndex(parent, op.index);
-        Undo undo{Undo::Kind::kRemoved, parent, live};
-        undo.removed = parent->RemoveChild(parent->child_at(live));
+        Node* removed = target.Child(parent, op.index);
+        if (removed == nullptr) {
+          return InvalidArgumentError("patch cannot remove a missing head");
+        }
+        Undo undo{Undo::Kind::kRemoved, parent, IndexInParent(removed)};
+        undo.removed = parent->RemoveChild(removed);
         record(std::move(undo));
         break;
       }
@@ -171,9 +160,12 @@ Status ApplyOps(const OpTarget& target, const std::vector<PatchOp>& ops,
             op.to >= target.Count(parent)) {
           return InvalidArgumentError("patch move out of range");
         }
-        const size_t from = target.LiveIndex(parent, op.from);
-        std::unique_ptr<Node> moving =
-            parent->RemoveChild(parent->child_at(from));
+        Node* moved = target.Child(parent, op.from);
+        if (moved == nullptr) {
+          return InvalidArgumentError("patch cannot move a missing head");
+        }
+        const size_t from = IndexInParent(moved);
+        std::unique_ptr<Node> moving = parent->RemoveChild(moved);
         const size_t to = target.InsertSlot(parent, op.to);
         parent->InsertChildAt(to, std::move(moving));
         record({Undo::Kind::kMoved, parent, from, to});
@@ -316,11 +308,6 @@ ApplyResult ApplyPatchToDocument(Document* document,
   }
   start = std::chrono::steady_clock::now();
   std::vector<Undo> log;
-  if (root->ChildByTag("head") == nullptr) {
-    // The view always holds a head; give the ops a live one to address.
-    root->InsertChildAt(0, MakeElement("head"));
-    log.push_back({Undo::Kind::kInserted, root, 0});
-  }
   const bool applied =
       ApplyOps(OpTarget(root, /*document_view=*/true), patch.ops, &log).ok();
   if (!applied) {

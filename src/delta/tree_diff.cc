@@ -480,26 +480,43 @@ void NormalizeTextNodes(Element* root) {
   }
 }
 
+std::vector<Node*> CanonicalViewChildren(const Element& root,
+                                         const Element& parent) {
+  std::vector<Node*> out;
+  if (&parent != &root) {
+    for (const auto& child : parent.children()) {
+      if (!IsSnippetBootstrapScript(*child)) {
+        out.push_back(child.get());
+      }
+    }
+    return out;
+  }
+  for (const char* tag : {"head", "body", "frameset", "noframes"}) {
+    // Children of a const node are mutable through children(), as here.
+    Element* first = const_cast<Element*>(root.ChildByTag(tag));
+    if (first != nullptr || out.empty()) {
+      out.push_back(first);
+    }
+  }
+  return out;
+}
+
 std::unique_ptr<Element> CanonicalizeDocument(const Document& document) {
   const Element* root = document.document_element();
   if (root == nullptr) {
     return nullptr;
   }
   auto canonical = MakeElement("html");
+  const std::vector<Node*> top = CanonicalViewChildren(*root, *root);
   auto head = MakeElement("head");
-  if (const Element* live_head = root->ChildByTag("head")) {
-    for (const auto& child : live_head->children()) {
-      if (IsSnippetBootstrapScript(*child)) {
-        continue;
-      }
+  if (top[0] != nullptr) {
+    for (Node* child : CanonicalViewChildren(*root, *top[0]->AsElement())) {
       head->AppendChild(child->Clone());
     }
   }
   canonical->AppendChild(std::move(head));
-  for (const char* tag : {"body", "frameset", "noframes"}) {
-    if (const Element* element = root->ChildByTag(tag)) {
-      canonical->AppendChild(element->Clone());
-    }
+  for (size_t i = 1; i < top.size(); ++i) {
+    canonical->AppendChild(top[i]->Clone());
   }
   NormalizeTextNodes(canonical.get());
   return canonical;
@@ -786,26 +803,17 @@ const std::string& CanonicalMemo::Digest(Document* document, bool normalize) {
     return digest_;
   }
   normalize_ = normalize;
-  // The view CanonicalizeDocument copies: an attribute-less html holding an
-  // attribute-less head (the live head's children minus bootstrap scripts)
-  // and the first body, frameset and noframes.
+  // The view CanonicalizeDocument copies, under an attribute-less html and
+  // an attribute-less head, which the walk makes up.
+  std::vector<Node*> top = CanonicalViewChildren(*root, *root);
   view_head_.clear();
-  if (Element* head = root->ChildByTag("head")) {
+  if (Element* head = top[0] != nullptr ? top[0]->AsElement() : nullptr) {
     if (normalize) {
       NormalizeChildList(head, /*view_of_head=*/true);
     }
-    for (const auto& child : head->children()) {
-      if (!IsSnippetBootstrapScript(*child)) {
-        view_head_.push_back(child.get());
-      }
-    }
+    view_head_ = CanonicalViewChildren(*root, *head);
   }
-  std::vector<Node*> top = {nullptr};  // nullptr: the view's head
-  for (const char* tag : {"body", "frameset", "noframes"}) {
-    if (Element* element = root->ChildByTag(tag)) {
-      top.push_back(element);
-    }
-  }
+  top[0] = nullptr;  // nullptr: the view's head
   VisitView("html", top, view_ && !entries_.empty() ? 0 : kNoEntry, 0, 0);
   return Finish(root, /*view=*/true);
 }

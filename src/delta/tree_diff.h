@@ -64,6 +64,17 @@ bool IsSnippetBootstrapScript(const Node& node);
 // live documents serialize identically.
 void NormalizeTextNodes(Element* root);
 
+// The canonical view of a live document, without the copy: the live nodes
+// the canonical tree holds as children of `parent`, which is the document's
+// root element `root` or the view's head (view index 0 under the root).
+// Under the root: the first head, always at index 0 (nullptr when there is
+// none, standing for an empty head), then the first body, frameset and
+// noframes. Under the head: its children minus bootstrap scripts. Every
+// deeper node is its own view. The one statement of the rule: the canonical
+// copy, CanonicalMemo and the patch op engine all read the view here.
+std::vector<Node*> CanonicalViewChildren(const Element& root,
+                                         const Element& parent);
+
 // Canonicalizes a live document (see file comment). Returns nullptr when the
 // document has no root element.
 std::unique_ptr<Element> CanonicalizeDocument(const Document& document);

@@ -1183,6 +1183,66 @@ TEST(PatchApplierTest, PatchTheLiveViewCannotHoldIsRefused) {
   }
 }
 
+TEST(PatchApplierTest, HeadlessDocumentAppliesABodyPatch) {
+  // A live document without a <head>: its canonical view still holds an
+  // empty head at index 0, so a body op addresses path [1] on both sides.
+  std::unique_ptr<Document> document =
+      ParseDocument("<html><head></head><body><p>x</p></body></html>");
+  Element* root = document->document_element();
+  root->RemoveChild(root->ChildByTag("head"));
+  ASSERT_EQ(root->ChildByTag("head"), nullptr);
+  std::unique_ptr<Element> base = delta::CanonicalizeDocument(*document);
+  std::unique_ptr<Node> target_owned = base->Clone();
+  Element* target = target_owned->AsElement();
+  target->ChildByTag("body")->SetAttribute("class", "b");
+  delta::Patch patch = MakePatch(*base, *target, 1000, 2000);
+  ASSERT_EQ(patch.ops.size(), 1u);
+  ASSERT_EQ(patch.ops[0].path, (std::vector<uint32_t>{1}));
+  EXPECT_EQ(delta::ApplyPatchToDocument(document.get(), 1000, patch),
+            delta::ApplyResult::kApplied);
+  EXPECT_EQ(LiveDigest(*document), patch.target_digest);
+  EXPECT_EQ(document->body()->AttrOr("class"), "b");
+}
+
+TEST(PatchApplierTest, HeadlessDocumentRefusesOpsOnTheMissingHead) {
+  // The view's head of a head-less document is empty and has no live node:
+  // ops into it, or that remove or move it, are refused and rolled back; an
+  // insert before it lands at the front of the root.
+  std::unique_ptr<Document> document =
+      ParseDocument("<html><head></head><body><p>x</p></body></html>");
+  Element* root = document->document_element();
+  root->RemoveChild(root->ChildByTag("head"));
+  const std::string base_digest = LiveDigest(*document);
+  auto op = [](delta::PatchOpType type, std::vector<uint32_t> path) {
+    delta::PatchOp out;
+    out.type = type;
+    out.path = std::move(path);
+    out.html = "<meta>";
+    return out;
+  };
+  delta::PatchOp move = op(delta::PatchOpType::kMove, {});
+  move.to = 1;
+  const std::pair<delta::PatchOp, delta::ApplyResult> cases[] = {
+      {op(delta::PatchOpType::kInsert, {0}), delta::ApplyResult::kApplyError},
+      {op(delta::PatchOpType::kRemove, {}), delta::ApplyResult::kApplyError},
+      {move, delta::ApplyResult::kApplyError},
+      {op(delta::PatchOpType::kInsert, {}),
+       delta::ApplyResult::kTargetDigestMismatch},
+  };
+  for (const auto& [patch_op, result] : cases) {
+    delta::Patch patch;
+    patch.base_doc_time_ms = 1000;
+    patch.target_doc_time_ms = 2000;
+    patch.base_digest = base_digest;
+    patch.target_digest = std::string(64, 'f');
+    patch.ops = {patch_op};
+    EXPECT_EQ(delta::ApplyPatchToDocument(document.get(), 1000, patch), result)
+        << delta::SummarizeOps(patch.ops);
+    EXPECT_EQ(LiveDigest(*document), base_digest);
+    EXPECT_EQ(root->child_count(), 1u);
+  }
+}
+
 // ---- End-to-end sessions -------------------------------------------------
 
 std::string DeltaTestPage() {

@@ -1,10 +1,22 @@
 // Tests for Ajax-Snippet: joining, the poll loop, the Fig. 5 apply
-// procedure, action queueing, and supplementary-object fetching.
+// procedure (against the four-step oracle over the Table 1 corpus and on
+// edge-shaped documents), action queueing, and supplementary-object
+// fetching.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+
 #include "src/core/ajax_snippet.h"
+#include "src/core/content_generator.h"
 #include "src/core/rcb_agent.h"
+#include "src/delta/tree_diff.h"
+#include "src/html/parser.h"
+#include "src/html/serializer.h"
+#include "src/sites/corpus.h"
 #include "src/sites/site_server.h"
+#include "src/util/rand.h"
+#include "tests/support/reference_apply_snapshot.h"
 
 namespace rcb {
 namespace {
@@ -463,6 +475,302 @@ TEST_F(SnippetTest, ApplyMeasuresM6) {
   EXPECT_LT(snippet_->metrics().last_apply_time, Duration::Seconds(1.0));
   EXPECT_GE(snippet_->metrics().total_apply_time,
             snippet_->metrics().last_apply_time);
+}
+
+// ---- Fig. 5 apply against the four-step oracle ----------------------------
+
+// The agent's initial page in miniature: the title comes before the
+// bootstrap script, as in RcbAgent's.
+constexpr char kParticipantPage[] =
+    "<html><head><title>RCB co-browsing session</title>"
+    "<script id=\"rcb-snippet\">/* snippet */</script>"
+    "<meta name=\"rcb-pid\" content=\"p1\"></head>"
+    "<body><h1>RCB co-browsing</h1><p>Waiting for the host.</p></body></html>";
+
+std::string CanonicalDigest(const Document& document) {
+  return delta::TreeDigest(*delta::CanonicalizeDocument(document));
+}
+
+std::string DocumentBytes(const Document& document) {
+  return SerializeNode(*document.document_element());
+}
+
+void CollectTexts(Node* node, std::vector<Text*>* out) {
+  if (node->type() == NodeType::kText) {
+    out->push_back(static_cast<Text*>(node));
+  }
+  for (const auto& child : node->children()) {
+    CollectTexts(child.get(), out);
+  }
+}
+
+// One step of a seeded edit schedule over the host page. Kinds: 0 text
+// edit, 1 co-fill (an input's value), 2 attribute change, 3 head-child edit,
+// 4 sibling insert, 5 sibling remove, 6 whole-body rewrite (to `rewrite`),
+// 7 no-op.
+void EditHostPage(Rng* rng, Document* document, int kind,
+                  const std::string& rewrite) {
+  Element* body = document->body();
+  std::vector<Element*> elements{body};
+  body->ForEachElement([&](Element* element) {
+    elements.push_back(element);
+    return true;
+  });
+  Element* victim = elements[rng->NextBelow(elements.size())];
+  const std::string stamp = std::to_string(rng->NextBelow(1'000'000));
+  switch (kind) {
+    case 0: {
+      std::vector<Text*> texts;
+      CollectTexts(body, &texts);
+      if (!texts.empty()) {
+        Text* text = texts[rng->NextBelow(texts.size())];
+        text->set_data(text->data() + " edit " + stamp);
+      }
+      break;
+    }
+    case 1: {
+      std::vector<Element*> inputs = body->FindAll("input");
+      Element* field = inputs.empty() ? victim
+                                      : inputs[rng->NextBelow(inputs.size())];
+      field->SetAttribute("value", "typed " + stamp);
+      break;
+    }
+    case 2:
+      victim->SetAttribute("class", "c" + stamp);
+      break;
+    case 3: {
+      std::vector<Element*> head_children = document->head()->ChildElements();
+      if (head_children.empty()) {
+        break;
+      }
+      Element* child = head_children[rng->NextBelow(head_children.size())];
+      std::vector<Text*> texts;
+      CollectTexts(child, &texts);
+      if (texts.empty()) {
+        child->SetAttribute("data-edit", stamp);
+      } else {
+        texts[0]->set_data(texts[0]->data() + " " + stamp);
+      }
+      break;
+    }
+    case 4: {
+      auto span = MakeElement("span");
+      span->AppendChild(MakeText("new " + stamp));
+      victim->InsertChildAt(rng->NextBelow(victim->child_count() + 1),
+                            std::move(span));
+      break;
+    }
+    case 5:
+      if (victim->child_count() > 0) {
+        victim->RemoveChild(
+            victim->child_at(rng->NextBelow(victim->child_count())));
+      }
+      break;
+    case 6:
+      body->SetInnerHtml(rewrite);
+      break;
+    default:
+      break;
+  }
+}
+
+// Every node of a document by child-index path from its root element: the
+// node, its rev, its subtree hash (delta::HashTree) and its ancestors' tags.
+struct NodeState {
+  const Node* node;
+  uint64_t rev;
+  uint64_t hash;
+  std::string lineage;
+};
+using NodeStates = std::map<std::vector<size_t>, NodeState>;
+
+void CollectStates(const Node& node, const delta::TreeHashes& hashes,
+                   const std::string& lineage, std::vector<size_t>* path,
+                   size_t* next, NodeStates* out) {
+  (*out)[*path] = {&node, node.rev(), hashes.hash[(*next)++], lineage};
+  const Element* element = node.AsElement();
+  const std::string below =
+      lineage + "/" + (element != nullptr ? element->tag_name() : "#");
+  for (size_t i = 0; i < node.child_count(); ++i) {
+    path->push_back(i);
+    CollectStates(*node.child_at(i), hashes, below, path, next, out);
+    path->pop_back();
+  }
+}
+
+NodeStates StatesOf(const Document& document) {
+  const Element& root = *document.document_element();
+  NodeStates out;
+  std::vector<size_t> path;
+  size_t next = 0;
+  CollectStates(root, delta::HashTree(root), "", &path, &next, &out);
+  return out;
+}
+
+// The 20 Table 1 sites under seeded edit schedules, each snapshot applied to
+// one participant document by the engine and to another by the oracle:
+// after every step both serialize byte-equal and digest equal, and every
+// node the step left alone (same path, same subtree, same ancestor tags)
+// keeps its address and rev in the engine's document. The oracle rebuilds
+// the head children on every apply; the engine must keep them too.
+TEST(Fig5ApplyTest, Fig5EngineMatchesReferenceApply) {
+  const std::vector<SiteSpec>& sites = Table1Sites();
+  ASSERT_EQ(sites.size(), 20u);
+  size_t kept = 0;
+  size_t kept_in_head = 0;
+  for (uint64_t seed : {1u, 7u}) {
+    Rng rng(seed);
+    for (size_t site = 0; site < sites.size(); ++site) {
+      const std::string rewrite =
+          ParseDocument(
+              GenerateHomepage(sites[(site + 1) % sites.size()]).html)
+              ->body()
+              ->InnerHtml();
+      EventLoop loop;
+      Network network(&loop);
+      network.AddHost("host-pc", {});
+      Browser host(&loop, &network, "host-pc");
+      host.ReplaceDocument(ParseDocument(GenerateHomepage(sites[site]).html),
+                           Url::Make("http", sites[site].host, 80, "/"));
+      ContentGenerator generator(&host);
+      ContentGenOptions options;
+      options.agent_url = Url::Make("http", "host-pc", 3000, "/");
+      std::unique_ptr<Document> engine = ParseDocument(kParticipantPage);
+      std::unique_ptr<Document> oracle = ParseDocument(kParticipantPage);
+      for (int step = 0; step <= 12; ++step) {
+        const int kind = static_cast<int>(rng.NextBelow(8));
+        const std::string where = sites[site].name + " seed " +
+                                  std::to_string(seed) + " step " +
+                                  std::to_string(step) + " kind " +
+                                  std::to_string(kind);
+        if (step > 0) {
+          host.MutateDocument([&](Document* document) {
+            EditHostPage(&rng, document, kind, rewrite);
+          });
+        }
+        const Snapshot snapshot =
+            generator.Generate(1000 * (step + 1), options).snapshot;
+        const NodeStates before = StatesOf(*engine);
+        AjaxSnippet::ApplySnapshot(engine.get(), snapshot);
+        ReferenceApplySnapshot(oracle.get(), snapshot);
+        ASSERT_EQ(DocumentBytes(*engine), DocumentBytes(*oracle)) << where;
+        ASSERT_EQ(CanonicalDigest(*engine), CanonicalDigest(*oracle)) << where;
+        const NodeStates after = StatesOf(*engine);
+        for (const auto& [path, was] : before) {
+          auto it = after.find(path);
+          if (it == after.end() || it->second.hash != was.hash ||
+              it->second.lineage != was.lineage) {
+            continue;
+          }
+          ASSERT_EQ(it->second.node, was.node) << where;
+          ASSERT_EQ(it->second.rev, was.rev) << where;
+          ++kept;
+          if (path.size() >= 2 && path[0] == 0) {
+            ++kept_in_head;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(kept, 0u);
+  EXPECT_GT(kept_in_head, 0u);
+}
+
+// Documents the agent's initial page does not produce, each applied a
+// sequence of snapshots (body, frameset + noframes, neither, body again) by
+// the engine and by the oracle. The canonical digests always agree, and so
+// do the bytes except where the live top-level elements were out of order:
+// the engine puts them in canonical order and the oracle leaves them. The
+// engine always leaves [head, body?, frameset?, noframes?] under the root
+// and the bootstrap script first in the head.
+TEST(Fig5ApplyTest, EdgeShapesMatchTheReferenceDigest) {
+  auto payload = [](std::string tag, std::string inner,
+                    std::vector<std::pair<std::string, std::string>> attrs =
+                        {}) {
+    return ElementPayload{std::move(tag), std::move(attrs), std::move(inner)};
+  };
+  Snapshot with_body;
+  with_body.head_children = {payload("title", "T1"),
+                             payload("meta", "", {{"name", "a"}})};
+  with_body.body = payload("body", "<p>one</p>", {{"class", "c"}});
+  Snapshot with_frames;
+  with_frames.head_children = {payload("title", "T2")};
+  with_frames.frameset =
+      payload("frameset", "<frame src=\"a.html\">", {{"cols", "50%,50%"}});
+  with_frames.noframes = payload("noframes", "<p>no frames</p>");
+  Snapshot with_neither;
+  with_neither.head_children = {payload("title", "T3"),
+                                payload("style", ".s{}")};
+  const std::vector<const Snapshot*> sequence = {
+      &with_body, &with_frames, &with_neither, &with_body, &with_frames};
+
+  struct Shape {
+    const char* name;
+    std::function<void(Element* root)> reshape;
+    bool out_of_order;
+  };
+  const Shape shapes[] = {
+      {"bootstrap script after the title", [](Element*) {}, false},
+      {"no bootstrap script",
+       [](Element* root) {
+         Element* head = root->ChildByTag("head");
+         head->RemoveChild(head->ChildByTag("script"));
+       },
+       false},
+      {"no head",
+       [](Element* root) { root->RemoveChild(root->ChildByTag("head")); },
+       false},
+      {"stray text, comment and unknown elements",
+       [](Element* root) {
+         root->InsertChildAt(0, MakeText("lead"));
+         root->InsertChildAt(2, std::make_unique<Comment>("note"));
+         root->AppendChild(MakeElement("aside"));
+         root->AppendChild(MakeText("trail"));
+       },
+       false},
+      {"body before head",
+       [](Element* root) {
+         root->InsertChildAt(0, root->RemoveChild(root->ChildByTag("body")));
+       },
+       true},
+  };
+  for (const Shape& shape : shapes) {
+    std::unique_ptr<Document> engine = ParseDocument(kParticipantPage);
+    shape.reshape(engine->document_element());
+    std::unique_ptr<Document> oracle = engine->CloneDocument();
+    for (size_t step = 0; step < sequence.size(); ++step) {
+      const Snapshot& snapshot = *sequence[step];
+      const std::string where =
+          std::string(shape.name) + " step " + std::to_string(step);
+      AjaxSnippet::ApplySnapshot(engine.get(), snapshot);
+      ReferenceApplySnapshot(oracle.get(), snapshot);
+      EXPECT_EQ(CanonicalDigest(*engine), CanonicalDigest(*oracle)) << where;
+      if (!shape.out_of_order) {
+        EXPECT_EQ(DocumentBytes(*engine), DocumentBytes(*oracle)) << where;
+      }
+      std::vector<std::string> tags;
+      for (const auto& child : engine->document_element()->children()) {
+        tags.push_back(child->AsElement() != nullptr
+                           ? child->AsElement()->tag_name()
+                           : "#");
+      }
+      std::vector<std::string> want = {"head"};
+      for (const auto* top :
+           {&snapshot.body, &snapshot.frameset, &snapshot.noframes}) {
+        if (top->has_value()) {
+          want.push_back((*top)->tag);
+        }
+      }
+      EXPECT_EQ(tags, want) << where;
+      Node* first = engine->head()->first_child();
+      ASSERT_NE(first, nullptr) << where;
+      EXPECT_TRUE(delta::IsSnippetBootstrapScript(*first)) << where;
+    }
+  }
+  // A document without a root element is left as it is.
+  Document empty;
+  AjaxSnippet::ApplySnapshot(&empty, with_body);
+  EXPECT_EQ(empty.child_count(), 0u);
 }
 
 }  // namespace
