@@ -15,9 +15,15 @@
 // byte-identical, so the speedup never comes from diverging bytes.
 //
 // BENCH_hotpath.json carries the distributions plus `speedup_median`, the
-// corpus-median full/incremental ratio that scripts/ci.sh ratchets: the
-// acceptance floor is 5x, and a change may not regress the committed ratio
-// by more than 20% (one re-run absorbs builder noise).
+// corpus-median full/incremental ratio with its 5x acceptance floor, and
+// `incremental_ref_median_us`, the incremental path's own time per update
+// (mutation, live generate and snapshot XML encode) in the reference-machine
+// microseconds of e2e_bench/speed.h: thread CPU time scaled by a fixed
+// reference kernel interleaved between updates, so machine-speed drift
+// mostly cancels. scripts/ci.sh ratchets that time against the committed
+// artifact (the fastest of three runs, speed within 0.8x). The ratio is not
+// ratcheted: the reference path's speed moves with the compiler's code for
+// functions no change touched.
 //
 // RCB_HOTPATH_SITES=<n> caps the corpus subset (sanitized CI runs use a
 // reduced sweep); default is the full Table 1 corpus.
@@ -26,6 +32,7 @@
 #include <cstdlib>
 
 #include "bench/common.h"
+#include "e2e_bench/speed.h"
 #include "src/core/content_generator.h"
 #include "src/core/protocol.h"
 #include "src/html/dom.h"
@@ -45,6 +52,10 @@ double Percentile50(std::vector<double> samples) {
 }
 
 struct SiteHotpath {
+  // Measurement-clock stretch of each round's warm block: kUpdatesPerRound
+  // single-field updates, each a mutation, a live generate and an XML
+  // encode. Normalized once every kernel sample is in (e2e::SpeedTimeline).
+  std::vector<e2e::Interval> incremental_blocks;
   double incremental_p50_us = 0;  // extract + XML encode per update, warm
   double full_p50_us = 0;         // extract + XML encode, reference path
   double speedup = 0;             // full / incremental
@@ -118,12 +129,15 @@ SiteHotpath MeasureHotpath(const SiteSpec& spec) {
   // switch pays the cache transition and goes uncounted. Adjacent blocks
   // share their timing epoch, so the per-round ratio cancels the machine's
   // epoch-scale noise and the site speedup is the median of paired ratios.
+  SiteHotpath out;
   std::vector<double> incremental_us, full_us, generate_us, ratios;
   for (int round = 0; round < kRounds; ++round) {
     ++doc_time;
     MutateStatus(&browser, doc_time);
     incremental.Generate(doc_time, options);  // uncounted transition update
     int64_t incremental_serialize = 0, generate_total = 0;
+    e2e::TickReference();
+    e2e::Interval block{e2e::NowNs(), 0};
     for (int update = 0; update < kUpdatesPerRound; ++update) {
       ++doc_time;
       MutateStatus(&browser, doc_time);
@@ -136,6 +150,9 @@ SiteHotpath MeasureHotpath(const SiteSpec& spec) {
           warm.stage_extract.micros() + MicrosBetween(t0, t1);
       generate_total += warm.wall_time.micros() + MicrosBetween(t0, t1);
     }
+    block.end_ns = e2e::NowNs();
+    out.incremental_blocks.push_back(block);
+    e2e::TickReference();
     ++doc_time;
     MutateStatus(&browser, doc_time);
     ReferenceGenerate(&browser, doc_time, options);  // uncounted transition
@@ -148,6 +165,7 @@ SiteHotpath MeasureHotpath(const SiteSpec& spec) {
       std::string cold_xml = SerializeSnapshotXml(cold.snapshot);
       auto t1 = std::chrono::steady_clock::now();
       full_serialize += cold.stage_extract.micros() + MicrosBetween(t0, t1);
+      e2e::TickReference();
     }
     double incremental_avg =
         static_cast<double>(incremental_serialize) / kUpdatesPerRound;
@@ -159,7 +177,6 @@ SiteHotpath MeasureHotpath(const SiteSpec& spec) {
     ratios.push_back(incremental_avg > 0 ? full_avg / incremental_avg : 0.0);
   }
 
-  SiteHotpath out;
   out.incremental_p50_us = Percentile50(incremental_us);
   out.full_p50_us = Percentile50(full_us);
   out.speedup = Percentile50(ratios);
@@ -200,9 +217,12 @@ int main() {
               "full p50(us)", "incr p50(us)", "speedup", "hit%");
   std::vector<double> incremental_p50, full_p50, speedups, hit_rates,
       generate_p50;
+  std::vector<std::vector<e2e::Interval>> incremental_blocks;
+  e2e::EnableReference();
   for (size_t i = 0; i < max_sites; ++i) {
     const SiteSpec& spec = Table1Sites()[i];
     SiteHotpath site = MeasureHotpath(spec);
+    incremental_blocks.push_back(std::move(site.incremental_blocks));
     incremental_p50.push_back(site.incremental_p50_us);
     full_p50.push_back(site.full_p50_us);
     speedups.push_back(site.speedup);
@@ -217,6 +237,21 @@ int main() {
   std::printf("corpus median speedup %.1fx (acceptance floor 5x); cache hit "
               "rate median %.1f%%\n",
               speedup_median, 100.0 * Percentile50(hit_rates));
+  // Per site, the p50 over rounds of one warm update in reference us.
+  const e2e::SpeedTimeline timeline = e2e::ReferenceTimeline();
+  std::vector<double> incremental_ref;
+  for (const std::vector<e2e::Interval>& blocks : incremental_blocks) {
+    std::vector<double> per_update_us;
+    for (const e2e::Interval& block : blocks) {
+      per_update_us.push_back(timeline.Normalize(block) / 1e3 /
+                              kUpdatesPerRound);
+    }
+    incremental_ref.push_back(Percentile50(per_update_us));
+  }
+  double incremental_ref_median = Percentile50(incremental_ref);
+  std::printf("incremental update median %.1f reference us (kernel median "
+              "%.0f us on this machine)\n",
+              incremental_ref_median, timeline.MedianKernelNs() / 1e3);
 
   obs::BenchReport report = MakeReport("hotpath", "none", /*cache_mode=*/true,
                                        /*repetitions=*/kRounds);
@@ -234,6 +269,10 @@ int main() {
                          obs::Provenance::kSim, hit_rates);
   report.AddValue("speedup_median", "ratio", obs::Provenance::kWall,
                   speedup_median);
+  report.AddDistribution("incremental_ref_us", "us", obs::Provenance::kWall,
+                         incremental_ref);
+  report.AddValue("incremental_ref_median_us", "us", obs::Provenance::kWall,
+                  incremental_ref_median);
   WriteReport(report);
 
   // Acceptance floor, overridable for instrumented builds (the sanitized CI

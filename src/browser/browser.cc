@@ -309,7 +309,7 @@ void Browser::Navigate(const Url& url, NavigateCallback callback) {
 
 void Browser::LoadObjects(std::shared_ptr<PageLoadContext> context) {
   std::vector<ResourceRef> resources =
-      CollectResources(document_.get(), current_url_);
+      CollectResources(document_.get(), current_url_, 0);
   context->outstanding = resources.size();
   context->stats.object_count = resources.size();
 

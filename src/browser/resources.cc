@@ -67,32 +67,50 @@ std::string SupplementaryKindFor(const Element& element) {
   return "";
 }
 
-std::vector<ResourceRef> CollectResources(Document* document, const Url& base) {
+namespace {
+
+// Pre-order over the element children of `node` stamped after `since_rev`.
+template <typename Visit>
+void WalkChangedElements(Node* node, uint64_t since_rev, const Visit& visit) {
+  for (const auto& child : node->children()) {
+    if (child->rev() <= since_rev) {
+      continue;
+    }
+    if (Element* element = child->AsElement()) {
+      visit(element);
+      WalkChangedElements(element, since_rev, visit);
+    }
+  }
+}
+
+}  // namespace
+
+std::vector<ResourceRef> CollectResources(Document* document, const Url& base,
+                                          uint64_t since_rev) {
   std::vector<ResourceRef> out;
   std::set<std::string> seen;
-  document->ForEachElement([&](Element* element) {
+  WalkChangedElements(document, since_rev, [&](Element* element) {
     std::string attr;
     if (!UrlAttributeFor(*element, &attr)) {
-      return true;
+      return;
     }
     std::string kind = SupplementaryKindFor(*element);
     if (kind.empty()) {
-      return true;  // navigation URL, not a supplementary object
+      return;  // navigation URL, not a supplementary object
     }
     std::string value = element->AttrOr(attr);
     if (value.empty() || StartsWith(value, "javascript:") ||
         StartsWith(value, "data:") || StartsWith(value, "#")) {
-      return true;
+      return;
     }
     auto resolved = base.Resolve(value);
     if (!resolved.ok()) {
-      return true;
+      return;
     }
     std::string canonical = resolved->ToString();
     if (seen.insert(canonical).second) {
       out.push_back(ResourceRef{std::move(*resolved), kind, element});
     }
-    return true;
   });
   return out;
 }

@@ -7,6 +7,7 @@
 #ifndef SRC_BROWSER_RESOURCES_H_
 #define SRC_BROWSER_RESOURCES_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -22,8 +23,14 @@ struct ResourceRef {
 };
 
 // Collects supplementary-object references from `document`, resolving
-// relative URLs against `base`. Unparsable URLs are skipped.
-std::vector<ResourceRef> CollectResources(Document* document, const Url& base);
+// relative URLs against `base`. Unparsable URLs are skipped. The walk
+// descends only into children whose rev() is greater than `since_rev`: by
+// the rev invariant (src/html/dom.h) those are the subtrees created or
+// mutated since the document's rev() was `since_rev`, so passing that value
+// from an earlier walk visits only what changed after it. 0 walks the whole
+// document.
+std::vector<ResourceRef> CollectResources(Document* document, const Url& base,
+                                          uint64_t since_rev);
 
 // True if `element` carries a URL-valued attribute RCB must rewrite, and
 // which attribute that is ("src", "href", "action", "background").

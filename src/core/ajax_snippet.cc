@@ -240,6 +240,7 @@ void AjaxSnippet::Join(const Url& agent_url, std::function<void(Status)> joined)
         }
         joined_ = true;
         doc_time_ms_ = -1;
+        object_watermark_ = 0;
         if (config_.adaptive_poll) {
           transport::AdaptivePollConfig adaptive_config;
           adaptive_config.base = interval_;
@@ -300,6 +301,7 @@ void AjaxSnippet::AbortWithoutGoodbye() {
   reconnect_in_flight_ = false;
   consecutive_failures_ = 0;
   need_resync_ = false;
+  object_watermark_ = 0;
   poll_ctx_ = obs::TraceContext{};
   action_queue_waiting_ = false;
 }
@@ -1045,9 +1047,11 @@ void AjaxSnippet::ProcessSnapshot(const Snapshot& snapshot,
     doc_time_ms_ = snapshot.doc_time_ms;
     ++metrics_.content_updates;
     if (need_resync_) {
-      // The full snapshot that re-converges us after a reconnect.
+      // The full snapshot that re-converges us after a reconnect; its
+      // objects are rediscovered from the whole page.
       ++metrics_.resyncs;
       need_resync_ = false;
+      object_watermark_ = 0;
       TraceMarker("snippet.resync_applied",
                   {{"ts", StrFormat("%lld", static_cast<long long>(
                                                 snapshot.doc_time_ms))}});
@@ -1156,8 +1160,10 @@ void AjaxSnippet::ApplySnapshot(Document* document, const Snapshot& snapshot) {
 }
 
 void AjaxSnippet::FetchSupplementaryObjects() {
-  std::vector<ResourceRef> resources =
-      CollectResources(browser_->document(), browser_->current_url());
+  Document* document = browser_->document();
+  std::vector<ResourceRef> resources = CollectResources(
+      document, browser_->current_url(), object_watermark_);
+  object_watermark_ = document->rev();
   metrics_.last_object_count = resources.size();
   metrics_.last_objects_from_host = 0;
   if (resources.empty()) {

@@ -121,11 +121,14 @@ struct SnippetMetrics {
   // M6: real CPU time spent applying the snapshot to the document.
   Duration last_apply_time;
   Duration total_apply_time;
-  // M3/M4: simulated time to download the supplementary objects of the last
-  // applied page.
+  // M3/M4: simulated time to download the supplementary objects the last
+  // applied update brought in: every object of the page after a join or a
+  // resync, else only those on elements it inserted or re-attributed (see
+  // AjaxSnippet::object_watermark()). Zero time and count when it brought
+  // none.
   Duration last_object_time;
   size_t last_object_count = 0;
-  size_t last_objects_from_host = 0;  // served by RCB-Agent (cache mode)
+  size_t last_objects_from_host = 0;  // of those, served by RCB-Agent
   uint64_t object_fetch_failures = 0;
   // --- Streamed transport (DESIGN.md §15) ---
   uint64_t wasted_polls = 0;       // classic empty round trips (no grant held)
@@ -167,6 +170,10 @@ class AjaxSnippet {
   // (src/delta/tree_diff.h); its hits() count the gates it answered without
   // a walk, the document unchanged since the one before.
   const delta::CanonicalMemo& patch_digest_memo() const { return patch_memo_; }
+  // The document rev() at the end of the last object walk (0 after a join,
+  // Leave() or a resync): the next applied update fetches objects only from
+  // the subtrees restamped after it (CollectResources' since_rev).
+  uint64_t object_watermark() const { return object_watermark_; }
   // Observability (DESIGN.md §9): every SnippetMetrics counter
   // (callback-backed), the Fig. 5 apply and patch-stage histograms (wall),
   // and the simulated content-download / object-fetch histograms (sim). The snippet
@@ -189,7 +196,8 @@ class AjaxSnippet {
   void SetUpdateListener(std::function<void(int64_t)> listener) {
     update_listener_ = std::move(listener);
   }
-  // Fired when the supplementary objects of an update finished downloading.
+  // Fired once per applied update, when the objects it brought in finished
+  // downloading (at once, with Duration::Zero(), when it brought none).
   void SetObjectsLoadedListener(std::function<void(Duration)> listener) {
     objects_listener_ = std::move(listener);
   }
@@ -318,6 +326,7 @@ class AjaxSnippet {
   uint32_t consecutive_failures_ = 0;
   bool need_resync_ = false;
   bool reconnect_in_flight_ = false;
+  uint64_t object_watermark_ = 0;  // see object_watermark()
   Rng backoff_rng_;
   bool action_flush_scheduled_ = false;
 

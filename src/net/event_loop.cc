@@ -17,27 +17,34 @@ uint64_t EventLoop::ScheduleAt(SimTime when, Callback fn) {
     when = now_;
   }
   uint64_t id = next_id_++;
-  queue_.push(Event{when, next_seq_++, id, std::move(fn)});
+  queue_.push_back(Event{when, next_seq_++, id, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
+  live_.insert(id);
   return id;
 }
 
-void EventLoop::Cancel(uint64_t id) { cancelled_.push_back(id); }
+const EventLoop::Event* EventLoop::NextLive() {
+  while (!queue_.empty() && !live_.contains(queue_.front().id)) {
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    queue_.pop_back();
+  }
+  return queue_.empty() ? nullptr : &queue_.front();
+}
 
 bool EventLoop::PopAndRunNext() {
-  while (!queue_.empty()) {
-    Event event = queue_.top();
-    queue_.pop();
-    auto it = std::find(cancelled_.begin(), cancelled_.end(), event.id);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    assert(event.when >= now_);
-    now_ = event.when;
-    event.fn();
-    return true;
+  if (NextLive() == nullptr) {
+    return false;
   }
-  return false;
+  // Moved out, not copied: the callback's captures can be large (a fetch's
+  // response body).
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  Event event = std::move(queue_.back());
+  queue_.pop_back();
+  live_.erase(event.id);
+  assert(event.when >= now_);
+  now_ = event.when;
+  event.fn();
+  return true;
 }
 
 size_t EventLoop::Run() {
@@ -50,24 +57,12 @@ size_t EventLoop::Run() {
 
 size_t EventLoop::RunUntil(SimTime deadline) {
   size_t count = 0;
-  while (!queue_.empty()) {
-    // Discard cancelled entries before the deadline check: a cancelled head
-    // with when <= deadline would otherwise let PopAndRunNext skip past it
-    // and run the next live event even when that event lies beyond the
-    // deadline, overshooting now_.
-    const Event& top = queue_.top();
-    auto it = std::find(cancelled_.begin(), cancelled_.end(), top.id);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      queue_.pop();
-      continue;
-    }
-    if (top.when > deadline) {
-      break;
-    }
-    if (PopAndRunNext()) {
-      ++count;
-    }
+  // Cancelled heads are dropped before the deadline check, so a cancelled
+  // event due before the deadline never lets a later live one run.
+  for (const Event* next = NextLive(); next != nullptr && next->when <= deadline;
+       next = NextLive()) {
+    PopAndRunNext();
+    ++count;
   }
   if (now_ < deadline) {
     now_ = deadline;

@@ -9,7 +9,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
+#include <unordered_set>
 #include <vector>
 
 #include "src/util/sim_time.h"
@@ -31,8 +31,8 @@ class EventLoop {
   uint64_t Schedule(Duration delay, Callback fn);
   uint64_t ScheduleAt(SimTime when, Callback fn);
 
-  // Cancels a pending event; no-op if already fired or unknown.
-  void Cancel(uint64_t id);
+  // Cancels a pending event; no-op if already fired, cancelled or unknown.
+  void Cancel(uint64_t id) { live_.erase(id); }
 
   // Runs until no events remain. Returns the number of events processed.
   size_t Run();
@@ -46,8 +46,8 @@ class EventLoop {
   // queue empties. Returns true if the predicate was satisfied.
   bool RunUntilCondition(const std::function<bool()>& predicate);
 
-  bool empty() const { return queue_.size() == cancelled_.size(); }
-  size_t pending_events() const { return queue_.size() - cancelled_.size(); }
+  bool empty() const { return live_.empty(); }
+  size_t pending_events() const { return live_.size(); }
 
  private:
   struct Event {
@@ -65,13 +65,18 @@ class EventLoop {
     }
   };
 
+  // Drops cancelled events off the head of the queue; returns the next
+  // pending event, or nullptr when none is left.
+  const Event* NextLive();
   bool PopAndRunNext();
 
   SimTime now_;
   uint64_t next_seq_ = 0;
   uint64_t next_id_ = 1;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::vector<uint64_t> cancelled_;
+  // A heap under Later (earliest event at the front). A cancelled event
+  // stays in it until it reaches the front; live_ holds the ids still due.
+  std::vector<Event> queue_;
+  std::unordered_set<uint64_t> live_;
 };
 
 }  // namespace rcb

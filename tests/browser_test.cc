@@ -340,7 +340,7 @@ TEST_F(BrowserTest, CollectResourcesKindsAndDedup) {
       "<a href=\"/nav\">x</a><img src=\"data:image/png;base64,xx\">"
       "<img src=\"javascript:void(0)\"></body></html>");
   Url base = Url::Make("http", "h", 80, "/");
-  auto resources = CollectResources(doc.get(), base);
+  auto resources = CollectResources(doc.get(), base, 0);
   // s.css, bg.png, a.png (once), j.js, f.html — not the alternate link,
   // anchor, data: or javascript: URLs.
   ASSERT_EQ(resources.size(), 5u);

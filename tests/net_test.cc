@@ -52,6 +52,46 @@ TEST(EventLoopTest, CancelPreventsExecution) {
   EXPECT_FALSE(ran);
 }
 
+TEST(EventLoopTest, CancellingAFiredOrUnknownIdLeavesTheCountExact) {
+  EventLoop loop;
+  uint64_t fired = loop.Schedule(Duration::Millis(1), [] {});
+  loop.Run();
+  loop.Cancel(fired);
+  loop.Cancel(fired + 1000);  // never scheduled
+  bool ran = false;
+  uint64_t id = loop.Schedule(Duration::Millis(1), [&] { ran = true; });
+  EXPECT_EQ(loop.pending_events(), 1u);
+  EXPECT_FALSE(loop.empty());
+  loop.Cancel(id);
+  loop.Cancel(id);  // twice
+  EXPECT_EQ(loop.pending_events(), 0u);
+  EXPECT_TRUE(loop.empty());
+  EXPECT_EQ(loop.Run(), 0u);
+  EXPECT_FALSE(ran);
+}
+
+TEST(EventLoopTest, PoppedEventIsMovedNotCopied) {
+  // A callback whose captures count their copies: running it must not copy
+  // them (a copy per pop duplicates every captured response body).
+  struct CopyCounter {
+    int* copies;
+    explicit CopyCounter(int* c) : copies(c) {}
+    CopyCounter(const CopyCounter& other) : copies(other.copies) {
+      ++*copies;
+    }
+    CopyCounter(CopyCounter&&) = default;
+  };
+  EventLoop loop;
+  int copies = 0;
+  bool ran = false;
+  loop.Schedule(Duration::Millis(1),
+                [counter = CopyCounter(&copies), &ran] { ran = true; });
+  copies = 0;
+  loop.Run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(copies, 0);
+}
+
 TEST(EventLoopTest, RunUntilStopsAtDeadline) {
   EventLoop loop;
   int count = 0;

@@ -65,7 +65,7 @@ TEST(CorpusTest, GeneratedPageParsesWithAllObjectsReferenced) {
   auto doc = ParseDocument(site.html);
   ASSERT_NE(doc->body(), nullptr);
   Url base = Url::Make("http", spec.host, 80, "/");
-  auto resources = CollectResources(doc.get(), base);
+  auto resources = CollectResources(doc.get(), base, 0);
   EXPECT_EQ(resources.size(), site.objects.size());
 }
 

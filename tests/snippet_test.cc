@@ -4,9 +4,12 @@
 // fetching.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <functional>
 #include <map>
+#include <set>
 
+#include "src/browser/resources.h"
 #include "src/core/ajax_snippet.h"
 #include "src/core/content_generator.h"
 #include "src/core/rcb_agent.h"
@@ -78,6 +81,44 @@ class SnippetTest : public ::testing::Test {
     return out;
   }
 
+  // Serves the origin's images through a handler that logs each request
+  // target, and turns the participant's object cache off: every object fetch
+  // the snippet makes then reaches the origin and is logged. Counts the
+  // snippet's objects-loaded callbacks in objects_loaded_.
+  void LogObjectRequests() {
+    participant_browser_->set_cache_enabled(false);
+    auto log = [this](const HttpRequest& request) {
+      object_requests_.push_back(request.target);
+      return HttpResponse::Ok("image/png", "PNG");
+    };
+    origin_->Route("/a.png", log);
+    origin_->RoutePrefix("/img/", log);
+    snippet_->SetObjectsLoadedListener([this](Duration) { ++objects_loaded_; });
+  }
+
+  // Runs until the snippet has applied an update past `updates` and the
+  // objects of every update it applied have loaded.
+  void WaitForObjects(uint64_t updates) {
+    loop_.RunUntilCondition([&] {
+      uint64_t applied = snippet_->metrics().content_updates;
+      return applied > updates && objects_loaded_ == applied;
+    });
+  }
+
+  // A non-cache agent (objects stay origin URLs), a joined snippet whose
+  // object requests are logged, the host on the origin page, and the first
+  // snapshot's objects loaded.
+  void JoinAndLoadFirstPage() {
+    AgentConfig config;
+    config.cache_mode = false;
+    StartAgent(config);
+    ASSERT_TRUE(Join().ok());
+    LogObjectRequests();
+    HostNavigate();
+    object_requests_.clear();  // the host's own page load
+    WaitForObjects(0);
+  }
+
   // Runs until the participant holds content version >= the agent's.
   void WaitForUpdate() {
     loop_.RunUntilCondition([&] {
@@ -93,6 +134,8 @@ class SnippetTest : public ::testing::Test {
   std::unique_ptr<Browser> participant_browser_;
   std::unique_ptr<RcbAgent> agent_;
   std::unique_ptr<AjaxSnippet> snippet_;
+  std::vector<std::string> object_requests_;
+  uint64_t objects_loaded_ = 0;
 };
 
 TEST_F(SnippetTest, JoinLoadsInitialPageAndReadsConfig) {
@@ -311,6 +354,150 @@ TEST_F(SnippetTest, NonCacheModeFailsWithoutOriginConnectivity) {
   snippet_->SetObjectsLoadedListener([&](Duration) { objects_done = true; });
   loop_.RunUntilCondition([&] { return objects_done; });
   EXPECT_GT(snippet_->metrics().object_fetch_failures, 0u);
+}
+
+// ---- Object discovery at the cost of the change (§3.2.2) -----------------
+
+TEST_F(SnippetTest, NoOpUpdateRequestsNoObjects) {
+  JoinAndLoadFirstPage();
+  EXPECT_EQ(object_requests_, std::vector<std::string>{"/a.png"});
+
+  // Same content under a newer doc time: the apply restamps nothing, so
+  // there is nothing to walk and nothing to request.
+  uint64_t updates = snippet_->metrics().content_updates;
+  host_browser_->MutateDocument([](Document*) {});
+  WaitForObjects(updates);
+  EXPECT_EQ(object_requests_, std::vector<std::string>{"/a.png"});
+  EXPECT_EQ(snippet_->metrics().last_object_count, 0u);
+  EXPECT_EQ(snippet_->metrics().last_object_time, Duration::Zero());
+  EXPECT_EQ(snippet_->object_watermark(),
+            participant_browser_->document()->rev());
+}
+
+TEST_F(SnippetTest, NewImageInTheBodyRequestsOnlyThatImage) {
+  JoinAndLoadFirstPage();
+  uint64_t updates = snippet_->metrics().content_updates;
+  host_browser_->MutateDocument([](Document* document) {
+    Element* body = document->body();
+    auto img = MakeElement("img");
+    img->SetAttribute("src", "/img/new.png");
+    body->InsertChildAt(body->child_count() / 2, std::move(img));
+  });
+  WaitForObjects(updates);
+  EXPECT_EQ(object_requests_,
+            (std::vector<std::string>{"/a.png", "/img/new.png"}));
+  EXPECT_EQ(snippet_->metrics().last_object_count, 1u);
+  EXPECT_EQ(snippet_->metrics().object_fetch_failures, 0u);
+}
+
+TEST_F(SnippetTest, LeaveResetsTheWatermarkAndARejoinWalksTheWholePage) {
+  JoinAndLoadFirstPage();
+  EXPECT_NE(snippet_->object_watermark(), 0u);
+
+  snippet_->Leave();
+  EXPECT_EQ(snippet_->object_watermark(), 0u);
+  // The rejoin loads a brand-new agent page; its first snapshot's objects
+  // are requested again, although the page did not change.
+  uint64_t updates = snippet_->metrics().content_updates;
+  bool joined = false;
+  snippet_->Join(agent_->AgentUrl(), [&](Status status) {
+    ASSERT_TRUE(status.ok());
+    joined = true;
+  });
+  loop_.RunUntilCondition([&] { return joined; });
+  WaitForObjects(updates);
+  EXPECT_EQ(object_requests_,
+            (std::vector<std::string>{"/a.png", "/a.png"}));
+  EXPECT_EQ(snippet_->metrics().last_object_count, 1u);
+}
+
+// A scripted agent on host-pc:3000 hands the snippet a patch whose target
+// digest is wrong: the patch is applied, refused and rolled back, and the
+// watermark stays where the last walk left it. The resync's full snapshot
+// then walks the whole page and requests the unchanged image again.
+TEST_F(SnippetTest, RolledBackPatchKeepsTheWatermarkAndResyncWalksThePage) {
+  SiteServer agent(&loop_, &network_, "host-pc", 3000);
+  std::deque<std::string> replies;
+  std::vector<PollRequest> polls;
+  agent.Route("/", [&](const HttpRequest& request) {
+    if (request.method == HttpMethod::kGet) {
+      return HttpResponse::Ok(
+          "text/html",
+          "<html><head><script id=\"rcb-snippet\"></script>"
+          "<meta name=\"rcb-pid\" content=\"p1\">"
+          "<meta name=\"rcb-poll-interval\" content=\"100\"></head>"
+          "<body></body></html>");
+    }
+    polls.push_back(DecodePollRequest(request.body).value());
+    std::string body;
+    if (!replies.empty()) {
+      body = std::move(replies.front());
+      replies.pop_front();
+    }
+    return HttpResponse::Ok("text/xml", body);
+  });
+  auto snapshot = [](int64_t doc_time_ms, const std::string& body) {
+    Snapshot out;
+    out.doc_time_ms = doc_time_ms;
+    out.has_content = true;
+    out.body = ElementPayload{"body", {}, body};
+    return out;
+  };
+  const std::string image = "<img src=\"http://www.origin.test/a.png\">";
+  const Snapshot v1 = snapshot(1000, image + "<p>one</p>");
+  const Snapshot v2 = snapshot(
+      2000, image + "<p>two</p><img src=\"http://www.origin.test/img/b.png\">");
+  const Snapshot v3 = snapshot(3000, image + "<p>three</p>");
+  std::unique_ptr<Element> base = MaterializeSnapshotTree(v1);
+  std::unique_ptr<Element> target = MaterializeSnapshotTree(v2);
+  delta::PatchEnvelope bad;
+  bad.patch.base_doc_time_ms = 1000;
+  bad.patch.target_doc_time_ms = 2000;
+  bad.patch.base_digest = delta::TreeDigest(*base);
+  bad.patch.target_digest = bad.patch.base_digest;  // not what the ops give
+  bad.patch.ops = delta::DiffTrees(*base, *target);
+  ASSERT_FALSE(bad.patch.ops.empty());
+  replies = {SerializeSnapshotXml(v1), delta::SerializePatchXml(bad),
+             SerializeSnapshotXml(v3)};
+
+  SnippetConfig config;
+  config.enable_delta = true;
+  snippet_ = std::make_unique<AjaxSnippet>(participant_browser_.get(), config);
+  LogObjectRequests();
+  bool joined = false;
+  snippet_->Join(Url::Make("http", "host-pc", 3000, "/"), [&](Status status) {
+    ASSERT_TRUE(status.ok());
+    joined = true;
+  });
+  loop_.RunUntilCondition([&] { return joined; });
+  WaitForObjects(0);
+  EXPECT_EQ(object_requests_, std::vector<std::string>{"/a.png"});
+  Document* document = participant_browser_->document();
+  const uint64_t watermark = snippet_->object_watermark();
+  EXPECT_EQ(watermark, document->rev());
+
+  loop_.RunUntilCondition(
+      [&] { return snippet_->metrics().patch_digest_mismatches > 0; });
+  EXPECT_EQ(snippet_->metrics().patch_digest_mismatches, 1u);
+  EXPECT_EQ(snippet_->metrics().patches_applied, 0u);
+  // It failed at the target gate, after its ops ran: a rollback.
+  EXPECT_EQ(snippet_->metrics_registry()
+                .FindHistogram("rcb_snippet_patch_stage_us",
+                               "stage=\"verify_target\"")
+                ->count(),
+            1u);
+  EXPECT_EQ(snippet_->object_watermark(), watermark);
+  EXPECT_EQ(document->body()->FindAll("img").size(), 1u);  // rolled back
+  EXPECT_EQ(object_requests_, std::vector<std::string>{"/a.png"});
+
+  uint64_t updates = snippet_->metrics().content_updates;
+  WaitForObjects(updates);
+  EXPECT_EQ(snippet_->metrics().resyncs, 1u);
+  ASSERT_EQ(polls.size(), 3u);
+  EXPECT_TRUE(polls[2].resync);
+  EXPECT_EQ(object_requests_,
+            (std::vector<std::string>{"/a.png", "/a.png"}));
+  EXPECT_EQ(snippet_->metrics().last_object_count, 1u);
 }
 
 TEST_F(SnippetTest, ClickQueuedAndAppliedOnHost) {
@@ -772,6 +959,214 @@ TEST(Fig5ApplyTest, EdgeShapesMatchTheReferenceDigest) {
   AjaxSnippet::ApplySnapshot(&empty, with_body);
   EXPECT_EQ(empty.child_count(), 0u);
 }
+
+// ---- Object discovery against a full walk, over the Table 1 corpus --------
+
+// Elements under `root` that carry a supplementary-object URL, in the
+// sense of CollectResources.
+std::vector<Element*> UrlCarriers(Element* root) {
+  std::vector<Element*> out;
+  root->ForEachElement([&](Element* element) {
+    std::string attr;
+    if (UrlAttributeFor(*element, &attr) &&
+        !SupplementaryKindFor(*element).empty()) {
+      out.push_back(element);
+    }
+    return true;
+  });
+  return out;
+}
+
+// One step of a seeded schedule that moves object URLs on the host page.
+// Kinds: 0 text edit, 1 co-fill, 2 URL change on an img, link or script,
+// 3 sibling insert of URL-carrying elements, 4 removal of one, 5 head-child
+// edit (a new stylesheet, or EditHostPage's), 6 whole-body rewrite, 7 no-op.
+void EditHostUrls(Rng* rng, Document* document, int kind,
+                  const std::string& rewrite) {
+  const std::string stamp = std::to_string(rng->NextBelow(1'000'000));
+  switch (kind) {
+    case 0:
+    case 1:
+      EditHostPage(rng, document, kind, rewrite);
+      break;
+    case 2: {
+      std::vector<Element*> carriers;
+      for (Element* element : UrlCarriers(document->document_element())) {
+        const std::string& tag = element->tag_name();
+        if (tag == "img" || tag == "link" || tag == "script") {
+          carriers.push_back(element);
+        }
+      }
+      if (carriers.empty()) {
+        break;
+      }
+      Element* element = carriers[rng->NextBelow(carriers.size())];
+      if (element->tag_name() == "link") {
+        element->SetAttribute("href", "/css/edit" + stamp + ".css");
+      } else {
+        element->SetAttribute("src", "/img/edit" + stamp + ".png");
+      }
+      break;
+    }
+    case 3: {
+      std::vector<Element*> parents{document->body()};
+      document->body()->ForEachElement([&](Element* element) {
+        parents.push_back(element);
+        return true;
+      });
+      Element* parent = parents[rng->NextBelow(parents.size())];
+      auto wrapper = MakeElement("p");
+      auto image = MakeElement("img");
+      image->SetAttribute("src", "/img/deep" + stamp + ".png");
+      wrapper->AppendChild(std::move(image));
+      auto script = MakeElement("script");
+      script->SetAttribute("src", "/js/new" + stamp + ".js");
+      size_t at = rng->NextBelow(parent->child_count() + 1);
+      parent->InsertChildAt(at, std::move(wrapper));
+      parent->InsertChildAt(at + 1, std::move(script));
+      break;
+    }
+    case 4: {
+      std::vector<Element*> carriers;
+      for (Element* element : UrlCarriers(document->document_element())) {
+        if (element != document->body()) {
+          carriers.push_back(element);
+        }
+      }
+      if (!carriers.empty()) {
+        Element* victim = carriers[rng->NextBelow(carriers.size())];
+        victim->parent()->RemoveChild(victim);
+      }
+      break;
+    }
+    case 5:
+      if (rng->NextBelow(2) == 0) {
+        auto link = MakeElement("link");
+        link->SetAttribute("rel", "stylesheet");
+        link->SetAttribute("href", "/css/head" + stamp + ".css");
+        document->head()->AppendChild(std::move(link));
+      } else {
+        EditHostPage(rng, document, 3, rewrite);
+      }
+      break;
+    case 6:
+      EditHostPage(rng, document, 6, rewrite);
+      break;
+    default:
+      break;
+  }
+}
+
+// After every applied update, every object a full walk of the participant
+// page finds on an element that is new, or restamped, since the previous
+// update's check was requested from the origin in between: the pruned walk
+// misses nothing that appeared or changed its URL. Parameter: delta on.
+class ObjectDiscoveryTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ObjectDiscoveryTest, EveryNewObjectIsRequestedAfterItsUpdate) {
+  const bool delta = GetParam();
+  const std::vector<SiteSpec>& sites = Table1Sites();
+  size_t demanded = 0;  // objects checked after an edit, over all sites
+  for (size_t site = 0; site < sites.size(); ++site) {
+    const SiteSpec& spec = sites[site];
+    const std::string rewrite =
+        ParseDocument(GenerateHomepage(sites[(site + 1) % sites.size()]).html)
+            ->body()
+            ->InnerHtml();
+    EventLoop loop;
+    Network network(&loop);
+    for (const std::string& host : {std::string("host-pc"),
+                                    std::string("participant-pc"), spec.host}) {
+      network.AddHost(host, {});
+    }
+    network.SetLatency("host-pc", "participant-pc", Duration::Millis(1));
+    network.SetLatency("host-pc", spec.host, Duration::Millis(1));
+    network.SetLatency("participant-pc", spec.host, Duration::Millis(1));
+    SiteServer origin(&loop, &network, spec.host);
+    origin.ServeStatic("/", "text/html", GenerateHomepage(spec).html);
+    std::vector<std::string> requests;  // object request targets, in order
+    origin.SetDefaultHandler([&](const HttpRequest& request) {
+      requests.push_back(request.target);
+      return HttpResponse::Ok("application/octet-stream", "x");
+    });
+
+    Browser host(&loop, &network, "host-pc");
+    AgentConfig agent_config;
+    agent_config.cache_mode = false;  // objects stay origin URLs
+    agent_config.enable_delta = delta;
+    agent_config.poll_interval = Duration::Millis(100);
+    RcbAgent agent(&host, agent_config);
+    ASSERT_TRUE(agent.Start().ok());
+    bool loaded = false;
+    host.Navigate(Url::Make("http", spec.host, 80, "/"),
+                  [&](const Status&, const PageLoadStats&) { loaded = true; });
+    loop.RunUntilCondition([&] { return loaded; });
+
+    Browser participant(&loop, &network, "participant-pc");
+    participant.set_cache_enabled(false);  // every object fetch is logged
+    SnippetConfig snippet_config;
+    snippet_config.enable_delta = delta;
+    AjaxSnippet snippet(&participant, snippet_config);
+    uint64_t objects_loaded = 0;
+    snippet.SetObjectsLoadedListener([&](Duration) { ++objects_loaded; });
+    requests.clear();  // the host's own page load
+    snippet.Join(agent.AgentUrl(), [](Status status) {
+      ASSERT_TRUE(status.ok());
+    });
+
+    std::set<std::pair<const Element*, uint64_t>> seen;  // (element, rev)
+    size_t checked = 0;  // requests before the last check
+    Rng rng(site * 2 + (delta ? 1 : 0));
+    for (int step = 0; step <= 24; ++step) {
+      const int kind = step == 0 ? -1 : static_cast<int>(rng.NextBelow(8));
+      const std::string where = spec.name + (delta ? " delta" : "") +
+                                " step " + std::to_string(step) + " kind " +
+                                std::to_string(kind);
+      const uint64_t updates = snippet.metrics().content_updates;
+      if (kind >= 0) {
+        host.MutateDocument([&](Document* document) {
+          EditHostUrls(&rng, document, kind, rewrite);
+        });
+      }
+      const SimTime deadline = loop.now() + Duration::Seconds(30.0);
+      loop.RunUntilCondition([&] {
+        const uint64_t applied = snippet.metrics().content_updates;
+        return (applied > updates && objects_loaded == applied) ||
+               loop.now() > deadline;
+      });
+      ASSERT_GT(snippet.metrics().content_updates, updates) << where;
+      ASSERT_EQ(objects_loaded, snippet.metrics().content_updates) << where;
+
+      const std::set<std::string> since(requests.begin() + checked,
+                                        requests.end());
+      Document* document = participant.document();
+      for (const ResourceRef& ref :
+           CollectResources(document, participant.current_url(), 0)) {
+        if (seen.count({ref.element, ref.element->rev()}) > 0) {
+          continue;
+        }
+        demanded += step > 0 ? 1 : 0;
+        EXPECT_EQ(ref.url.host(), spec.host) << where;
+        EXPECT_EQ(since.count(ref.url.PathAndQuery()), 1u)
+            << where << ": " << ref.url.ToString() << " never requested";
+      }
+      seen.clear();
+      document->ForEachElement([&](Element* element) {
+        seen.insert({element, element->rev()});
+        return true;
+      });
+      checked = requests.size();
+    }
+    EXPECT_EQ(snippet.metrics().object_fetch_failures, 0u) << spec.name;
+    EXPECT_EQ(snippet.metrics().resyncs, 0u) << spec.name;
+    snippet.Leave();
+  }
+  // The schedules did bring objects in after the first snapshot.
+  EXPECT_GT(demanded, 100u);
+}
+
+INSTANTIATE_TEST_SUITE_P(DeltaOffOn, ObjectDiscoveryTest,
+                         ::testing::Bool());
 
 }  // namespace
 }  // namespace rcb
