@@ -4,14 +4,16 @@
 // as the alternative that "increases the complexity of co-browsing
 // synchronization and decreases its reliability". This bench quantifies the
 // trade on the same workload. The push column runs through src/transport's
-// framed streaming (DESIGN.md §15): sequence-stamped HMAC frames with
-// heartbeats and a signed-resume reconnect ladder, which is how this repo
-// makes push reliable.
+// long-poll (DESIGN.md §15): the agent holds each poll until a change
+// releases it, and a held poll that dies is caught by the same poll timeout
+// and signed-resume ladder as a classic poll, which is how this repo keeps
+// push reliable.
 //   latency    — host change -> participant applied (push wins: no tick wait)
-//   overhead   — idle requests/bytes per minute (push wins: nothing polls)
+//   overhead   — idle requests/bytes per minute (push wins: one held poll
+//                per hold instead of one per tick)
 //   resilience — recovery after a dropped transport (both recover: the poll
-//                tick reconnects by construction; the framed stream detects
-//                the drop and re-handshakes via signed resume)
+//                tick reconnects by construction; the held poll times out
+//                and re-handshakes via signed resume)
 #include "bench/common.h"
 #include "src/sites/corpus.h"
 #include "src/util/rand.h"
@@ -29,7 +31,7 @@ struct ModeResult {
   bool recovered_after_drop = false;
 };
 
-ModeResult RunMode(bool framed) {
+ModeResult RunMode(bool push) {
   EventLoop loop;
   Network network(&loop);
   SessionOptions options;
@@ -42,12 +44,11 @@ ModeResult RunMode(bool framed) {
   options.reconnect_after = 1;
   options.backoff_base = Duration::Millis(250);
   options.backoff_max = Duration::Seconds(2.0);
-  if (framed) {
-    // Push rides the streamed transport: the agent grants framed streaming
-    // and pushes sequence-stamped HMAC frames instead of answering ticks.
+  if (push) {
+    // Push rides the streamed transport: the agent grants a long-poll and
+    // holds the participant's poll until there is something to send.
     options.enable_transport = true;
-    options.snippet_stream_mode = 2;
-    options.transport_heartbeat = Duration::Seconds(5.0);
+    options.snippet_stream_mode = transport::kStreamLongPoll;
   }
   const SiteSpec* spec = FindSite("google.com");
   AddOriginServer(&network, options.profile, spec->host, spec->server_bps,
@@ -131,8 +132,8 @@ int main() {
       "minute; agent restart probe");
 
   std::printf("%-22s %14s %14s\n", "", "poll", "push");
-  ModeResult poll = RunMode(/*framed=*/false);
-  ModeResult push = RunMode(/*framed=*/true);
+  ModeResult poll = RunMode(/*push=*/false);
+  ModeResult push = RunMode(/*push=*/true);
   std::printf("%-22s %14s %14s\n", "mean change latency",
               poll.mean_latency.ToString().c_str(),
               push.mean_latency.ToString().c_str());
@@ -171,10 +172,10 @@ int main() {
   }
   WriteReport(report);
   PrintRule();
-  std::printf("shape check: push (framed streaming, DESIGN.md §15) removes "
-              "the tick-wait latency and the idle\ntraffic; the heartbeat + "
-              "signed-resume ladder restores the reliability that made the "
-              "paper ship polling.\n");
+  std::printf("shape check: push (long-poll, DESIGN.md §15) removes the "
+              "tick-wait latency and most of the idle\ntraffic; the poll "
+              "timeout + signed-resume ladder restores the reliability that "
+              "made the paper ship polling.\n");
   if (!poll.recovered_after_drop || !push.recovered_after_drop) {
     std::printf("SHAPE CHECK FAILED: a mode did not recover after the drop\n");
     return 1;

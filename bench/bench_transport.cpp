@@ -1,26 +1,24 @@
 // Transport: streamed sync vs classic polling (DESIGN.md §15).
 //
-// Runs the same workload under four transports on each network profile
+// Runs the same workload under three transports on each network profile
 // {lan, wan, mobile} — classic 1 s polling (the committed baseline),
-// adaptive polling, held long-polls, and sequence-stamped HMAC frames —
-// and reports, per (profile, mode):
+// adaptive polling and held long-polls — and reports, per (profile, mode):
 //   * median / worst update-visible latency: host mutation -> participant
 //     applied it, over seeded mutation phases,
 //   * idle traffic: wire bytes/min plus the snippet's own wasted-poll
 //     counters (empty classic round trips and their request+response bytes),
-//   * the drop probe: agent restart mid-stream -> stream failure -> signed
-//     resume reconnect, and whether the next change still lands.
+//   * the drop probe: agent restart with a poll held -> poll timeout ->
+//     signed resume reconnect, and whether the next change still lands.
 // A final fan-out section runs S sessions x P pollers on one RcbHost under
-// classic polling and under framed streaming, comparing sync latency and
-// idle bytes per participant.
+// classic polling and under long-polls, comparing sync latency and idle
+// bytes per participant.
 //
-// Shape checks (the ISSUE's floors, enforced here and re-checked by
-// scripts/ci.sh check_transport against the committed artifact):
-//   * WAN framed median latency at least RCB_TRANSPORT_LATENCY_FLOOR_X
+// Shape checks (enforced here and re-checked by scripts/ci.sh
+// check_transport, which also holds WAN long-poll idle bytes/min to the
+// committed artifact):
+//   * WAN long-poll median latency at least RCB_TRANSPORT_LATENCY_FLOOR_X
 //     (default 2) times better than 1 s polling,
-//   * WAN framed idle bytes/min at least RCB_TRANSPORT_IDLE_FLOOR_X
-//     (default 10) times better than 1 s polling,
-//   * the framed drop probe recovers on every profile via signed resume.
+//   * the long-poll drop probe recovers on every profile via signed resume.
 //
 // Env knobs (CI shrinks the sweep under sanitizers):
 //   RCB_TRANSPORT_MUTATIONS        latency mutations per mode (default 15)
@@ -43,14 +41,13 @@ using namespace rcb::benchutil;
 
 namespace {
 
-enum class Mode { kPoll, kAdaptive, kLongPoll, kFrames };
+enum class Mode { kPoll, kAdaptive, kLongPoll };
 
 const char* ModeName(Mode mode) {
   switch (mode) {
     case Mode::kPoll: return "poll";
     case Mode::kAdaptive: return "adaptive";
     case Mode::kLongPoll: return "longpoll";
-    case Mode::kFrames: return "frames";
   }
   return "?";
 }
@@ -89,8 +86,8 @@ SessionOptions BaseOptions(const NetworkProfile& profile, Mode mode) {
   options.profile = profile;
   options.participant_count = 1;
   options.poll_interval = Duration::Seconds(1.0);
-  // Signed session: polls carry hmac=, framed streams carry per-frame MACs,
-  // and the drop probe's reconnect is a signed resume (§3.3).
+  // Signed session: polls carry hmac=, and the drop probe's reconnect is a
+  // signed resume (§3.3).
   options.enable_auth = true;
   options.poll_timeout = Duration::Seconds(2.0);
   options.reconnect_after = 1;
@@ -108,11 +105,6 @@ SessionOptions BaseOptions(const NetworkProfile& profile, Mode mode) {
       options.enable_transport = true;
       options.snippet_stream_mode = 1;
       options.transport_hold = Duration::Seconds(10.0);
-      break;
-    case Mode::kFrames:
-      options.enable_transport = true;
-      options.snippet_stream_mode = 2;
-      options.transport_heartbeat = Duration::Seconds(5.0);
       break;
   }
   return options;
@@ -185,8 +177,8 @@ ModeResult RunMode(const NetworkProfile& profile, Mode mode, int mutations,
   result.wasted_poll_bytes_per_minute =
       static_cast<double>(sm.wasted_poll_bytes - wasted_bytes_before) / minutes;
 
-  // Drop probe: restart the agent (every connection including a framed
-  // stream dies), then change the page. Recovery must come through the
+  // Drop probe: restart the agent (every connection including a held poll
+  // dies), then change the page. Recovery must come through the
   // ladder — failure detection, signed resume reconnect, resync — with no
   // operator help.
   uint64_t reconnects_before = sm.reconnects;
@@ -217,7 +209,7 @@ struct FanoutResult {
   std::string health_json;  // /host/health snapshot at the end of the run
 };
 
-FanoutResult RunFanout(bool frames, size_t sessions, size_t participants) {
+FanoutResult RunFanout(bool longpoll, size_t sessions, size_t participants) {
   FanoutResult result;
   EventLoop loop;
   Network network(&loop);
@@ -233,10 +225,7 @@ FanoutResult RunFanout(bool frames, size_t sessions, size_t participants) {
   config.limits.metrics_sessions = 0;
   config.limits.max_sessions = 0;
   config.agent_defaults.poll_interval = Duration::Seconds(1.0);
-  if (frames) {
-    config.agent_defaults.transport.enable_stream = true;
-    config.agent_defaults.transport.heartbeat_interval = Duration::Seconds(5.0);
-  }
+  config.agent_defaults.transport.enable_stream = longpoll;
   RcbHost host(&loop, &network, config);
   if (!host.Start().ok()) {
     return result;
@@ -272,8 +261,8 @@ FanoutResult RunFanout(bool frames, size_t sessions, size_t participants) {
           &loop, &network, "poller-pc-" + std::to_string(p + 1));
       SnippetConfig snippet_config;
       snippet_config.fetch_objects = false;
-      if (frames) {
-        snippet_config.stream_mode = 2;
+      if (longpoll) {
+        snippet_config.stream_mode = transport::kStreamLongPoll;
       }
       poller.snippet = std::make_unique<AjaxSnippet>(poller.browser.get(),
                                                      snippet_config);
@@ -347,7 +336,6 @@ int main() {
   const size_t fanout_participants =
       EnvSize("RCB_TRANSPORT_FANOUT_PARTICIPANTS", 3);
   const double latency_floor_x = EnvDouble("RCB_TRANSPORT_LATENCY_FLOOR_X", 2.0);
-  const double idle_floor_x = EnvDouble("RCB_TRANSPORT_IDLE_FLOOR_X", 10.0);
 
   PrintBenchHeader(
       "Transport — streamed sync vs classic polling (DESIGN.md §15)",
@@ -363,7 +351,8 @@ int main() {
   };
   ProfileRow profiles[] = {
       {"lan", LanProfile()}, {"wan", WanProfile()}, {"mobile", MobileProfile()}};
-  Mode modes[] = {Mode::kPoll, Mode::kAdaptive, Mode::kLongPoll, Mode::kFrames};
+  Mode modes[] = {Mode::kPoll, Mode::kAdaptive, Mode::kLongPoll};
+  constexpr int kModes = 3;
 
   obs::BenchReport report = MakeReport("transport", "lan+wan+mobile",
                                        /*cache_mode=*/true, /*repetitions=*/1);
@@ -374,43 +363,37 @@ int main() {
   report.SetConfig("fanout_sessions", StrFormat("%zu", fanout_sessions));
   report.SetConfig("fanout_participants", StrFormat("%zu", fanout_participants));
 
-  ModeResult wan_poll, wan_frames;
-  bool all_frames_recovered = true;
+  ModeResult wan_poll, wan_longpoll;
+  bool all_longpoll_recovered = true;
   for (const auto& row : profiles) {
     std::printf("\n[%s]\n", row.key);
-    std::printf("%-24s %12s %12s %12s %12s\n", "", "poll", "adaptive",
-                "longpoll", "frames");
-    ModeResult results[4];
-    for (int m = 0; m < 4; ++m) {
+    std::printf("%-24s %12s %12s %12s\n", "", "poll", "adaptive", "longpoll");
+    ModeResult results[kModes];
+    for (int m = 0; m < kModes; ++m) {
       results[m] = RunMode(row.profile, modes[m], mutations, idle_seconds);
     }
-    std::printf("%-24s %12s %12s %12s %12s\n", "median change latency",
+    std::printf("%-24s %12s %12s %12s\n", "median change latency",
                 results[0].median_latency.ToString().c_str(),
                 results[1].median_latency.ToString().c_str(),
-                results[2].median_latency.ToString().c_str(),
-                results[3].median_latency.ToString().c_str());
-    std::printf("%-24s %12.0f %12.0f %12.0f %12.0f\n", "idle requests/min",
+                results[2].median_latency.ToString().c_str());
+    std::printf("%-24s %12.0f %12.0f %12.0f\n", "idle requests/min",
                 results[0].idle_requests_per_minute,
                 results[1].idle_requests_per_minute,
-                results[2].idle_requests_per_minute,
-                results[3].idle_requests_per_minute);
-    std::printf("%-24s %12.0f %12.0f %12.0f %12.0f\n", "idle bytes/min",
+                results[2].idle_requests_per_minute);
+    std::printf("%-24s %12.0f %12.0f %12.0f\n", "idle bytes/min",
                 results[0].idle_bytes_per_minute,
                 results[1].idle_bytes_per_minute,
-                results[2].idle_bytes_per_minute,
-                results[3].idle_bytes_per_minute);
-    std::printf("%-24s %12.0f %12.0f %12.0f %12.0f\n", "wasted polls/min",
+                results[2].idle_bytes_per_minute);
+    std::printf("%-24s %12.0f %12.0f %12.0f\n", "wasted polls/min",
                 results[0].wasted_polls_per_minute,
                 results[1].wasted_polls_per_minute,
-                results[2].wasted_polls_per_minute,
-                results[3].wasted_polls_per_minute);
-    std::printf("%-24s %12s %12s %12s %12s\n", "recovers after drop",
+                results[2].wasted_polls_per_minute);
+    std::printf("%-24s %12s %12s %12s\n", "recovers after drop",
                 results[0].recovered_after_drop ? "yes" : "NO",
                 results[1].recovered_after_drop ? "yes" : "NO",
-                results[2].recovered_after_drop ? "yes" : "NO",
-                results[3].recovered_after_drop ? "yes" : "NO");
+                results[2].recovered_after_drop ? "yes" : "NO");
 
-    for (int m = 0; m < 4; ++m) {
+    for (int m = 0; m < kModes; ++m) {
       std::string prefix = StrFormat("%s_%s_", row.key, ModeName(modes[m]));
       const ModeResult& r = results[m];
       report.AddValue(prefix + "median_latency_us", "us",
@@ -434,40 +417,42 @@ int main() {
     }
     if (std::string(row.key) == "wan") {
       wan_poll = results[0];
-      wan_frames = results[3];
+      wan_longpoll = results[2];
     }
-    all_frames_recovered = all_frames_recovered && results[3].recovered_after_drop;
+    all_longpoll_recovered =
+        all_longpoll_recovered && results[2].recovered_after_drop;
   }
 
   std::printf("\n[fan-out: %zu sessions x %zu pollers, 1 ms links]\n",
               fanout_sessions, fanout_participants);
   FanoutResult fan_poll = RunFanout(false, fanout_sessions, fanout_participants);
-  FanoutResult fan_frames = RunFanout(true, fanout_sessions, fanout_participants);
+  FanoutResult fan_longpoll =
+      RunFanout(true, fanout_sessions, fanout_participants);
   std::printf("%-36s %12.0f %12.0f\n", "median sync latency (us)",
-              fan_poll.median_latency_us, fan_frames.median_latency_us);
+              fan_poll.median_latency_us, fan_longpoll.median_latency_us);
   std::printf("%-36s %12.0f %12.0f\n", "idle bytes/min/participant",
               fan_poll.idle_bytes_per_minute_per_participant,
-              fan_frames.idle_bytes_per_minute_per_participant);
+              fan_longpoll.idle_bytes_per_minute_per_participant);
   report.AddValue("fanout_poll_median_latency_us", "us", obs::Provenance::kSim,
                   fan_poll.median_latency_us);
-  report.AddValue("fanout_frames_median_latency_us", "us",
-                  obs::Provenance::kSim, fan_frames.median_latency_us);
+  report.AddValue("fanout_longpoll_median_latency_us", "us",
+                  obs::Provenance::kSim, fan_longpoll.median_latency_us);
   report.AddValue("fanout_poll_idle_bytes_per_minute_per_participant", "bytes",
                   obs::Provenance::kSim,
                   fan_poll.idle_bytes_per_minute_per_participant);
-  report.AddValue("fanout_frames_idle_bytes_per_minute_per_participant",
+  report.AddValue("fanout_longpoll_idle_bytes_per_minute_per_participant",
                   "bytes", obs::Provenance::kSim,
-                  fan_frames.idle_bytes_per_minute_per_participant);
-  report.SetHealthJson(fan_frames.health_json);
+                  fan_longpoll.idle_bytes_per_minute_per_participant);
+  report.SetHealthJson(fan_longpoll.health_json);
 
   double latency_x =
-      wan_frames.median_latency.micros() > 0
+      wan_longpoll.median_latency.micros() > 0
           ? static_cast<double>(wan_poll.median_latency.micros()) /
-                static_cast<double>(wan_frames.median_latency.micros())
+                static_cast<double>(wan_longpoll.median_latency.micros())
           : 0;
-  double idle_x = wan_frames.idle_bytes_per_minute > 0
+  double idle_x = wan_longpoll.idle_bytes_per_minute > 0
                       ? wan_poll.idle_bytes_per_minute /
-                            wan_frames.idle_bytes_per_minute
+                            wan_longpoll.idle_bytes_per_minute
                       : 0;
   report.AddValue("wan_latency_improvement_x", "ratio", obs::Provenance::kSim,
                   latency_x);
@@ -476,15 +461,14 @@ int main() {
   WriteReport(report);
 
   PrintRule();
-  std::printf("shape check: WAN framed streaming must cut median latency "
-              ">= %.1fx and idle bytes/min >= %.1fx vs 1 s polling, and the "
-              "framed drop probe must recover on every profile.\n",
-              latency_floor_x, idle_floor_x);
+  std::printf("shape check: WAN long-polls must cut median latency >= %.1fx "
+              "vs 1 s polling, and the long-poll drop probe must recover on "
+              "every profile.\n",
+              latency_floor_x);
   std::printf("  wan latency improvement: %.1fx   wan idle bytes "
-              "improvement: %.1fx   framed drop recovery: %s\n",
-              latency_x, idle_x, all_frames_recovered ? "yes" : "NO");
-  bool ok = latency_x >= latency_floor_x && idle_x >= idle_floor_x &&
-            all_frames_recovered;
+              "improvement: %.1fx   long-poll drop recovery: %s\n",
+              latency_x, idle_x, all_longpoll_recovered ? "yes" : "NO");
+  bool ok = latency_x >= latency_floor_x && all_longpoll_recovered;
   if (!ok) {
     std::printf("SHAPE CHECK FAILED\n");
     return 1;

@@ -1,5 +1,5 @@
-// Moderated classroom with the extension features: push delivery over framed
-// streams (§3.2.3 alternative), presence notifications (§5.2.3 user
+// Moderated classroom with the extension features: push delivery over
+// long-polls (§3.2.3 alternative), presence notifications (§5.2.3 user
 // feedback), a per-participant permission policy (§3.3), and a host behind
 // NAT reached through port forwarding (§3.2.1).
 //
@@ -23,9 +23,9 @@ void MustOk(const char* what, const Status& status) {
   }
 }
 
-// Runs the loop until `done` holds. Held streams keep the event queue busy
-// with heartbeats, so a minute of simulated time bounds the wait; draining
-// the queue or hitting that bound first is a failure.
+// Runs the loop until `done` holds. Parked long-polls keep the event queue
+// busy with hold deadlines and re-polls, so a minute of simulated time bounds
+// the wait; draining the queue or hitting that bound first is a failure.
 void MustReach(EventLoop& loop, const char* what,
                const std::function<bool()>& done) {
   bool expired = false;
@@ -63,8 +63,9 @@ int main() {
 
   Browser teacher(&loop, &network, "teacher-laptop");
   AgentConfig config;
-  // No polling once joined: each student's first poll negotiates a framed
-  // stream, and content and broadcasts arrive as data frames on change.
+  // No poll ticks once joined: each student's first poll negotiates a
+  // long-poll, the agent holds the next one, and content and broadcasts
+  // release it on change.
   config.transport.enable_stream = true;
   // Moderation: student gestures are limited to pointer movement; anything
   // else (clicks, navigation, form input) is dropped.
@@ -87,7 +88,9 @@ int main() {
     network.SetLatency("home-gateway", machine, Duration::Millis(2));
     student_browsers.push_back(std::make_unique<Browser>(&loop, &network, machine));
     SnippetConfig student_config;
-    student_config.stream_mode = 2;  // transport::kStreamFrames
+    // transport::kStreamFrames: long-poll, and a gesture pre-empts the
+    // parked poll instead of waiting for its release.
+    student_config.stream_mode = 2;
     students.push_back(std::make_unique<AjaxSnippet>(
         student_browsers.back().get(), student_config));
     bool joined = false;
@@ -98,11 +101,11 @@ int main() {
                           });
     MustReach(loop, "student joined", [&] { return joined; });
   }
-  MustReach(loop, "three framed streams",
-            [&] { return agent.framed_stream_count() == 3; });
+  MustReach(loop, "three parked long-polls",
+            [&] { return agent.parked_poll_count() == 3; });
   MustReach(loop, "student 1 knows both peers",
             [&] { return students[0]->known_peers().size() == 2; });
-  std::printf("3 students joined over framed streams; student 1 now knows %zu peers\n",
+  std::printf("3 students joined over long-polls; student 1 now knows %zu peers\n",
               students[0]->known_peers().size());
 
   // Teacher opens the lesson; it streams to everyone without a poll tick.

@@ -292,17 +292,18 @@ check_transport() {
   echo "=== ${build_dir}: streamed transport gate ==="
   rm -rf "${artifact_dir}"
   mkdir -p "${artifact_dir}"
-  # Frame codec, grant negotiation, heartbeat/reconnect ladder, long-poll
-  # parking, adaptive backoff, and the byte-identical downgrade suite by
-  # name: a test-registration regression cannot silently drop them.
+  # Grant negotiation, long-poll parking, the stream=2 gesture pre-empt,
+  # signed-resume recovery, adaptive backoff, and the byte-identical
+  # downgrade suite by name: a test-registration regression cannot silently
+  # drop them.
   "${build_dir}/tests/transport_test" --gtest_brief=1
   "${build_dir}/tests/agent_test" \
       --gtest_filter='*StreamCapabilityDowngrade*' --gtest_brief=1
-  # The bench enforces the floors on exit: WAN framed streaming >= 2x median
-  # latency cut and >= 10x idle bytes/min cut vs 1 s polling, and the drop
-  # probe recovers via signed resume on every profile. Every reading is
-  # simulated time, so the floors hold under sanitizers too; the sanitized
-  # build just runs a smaller sweep to bound wall time.
+  # The bench enforces the floors on exit: WAN long-polls >= 2x median
+  # latency cut vs 1 s polling, and the long-poll drop probe recovers via
+  # signed resume on every profile. Every reading is simulated time, so the
+  # floors hold under sanitizers too; the sanitized build just runs a
+  # smaller sweep to bound wall time.
   local mutations=15 idle=60 fanout=8
   if [[ "${build_dir}" == *asan* ]]; then
     mutations=7
@@ -317,48 +318,49 @@ check_transport() {
   local artifact="${artifact_dir}/BENCH_transport.json"
   "${build_dir}/tools/validate_bench_json" "${artifact}"
   if command -v jq >/dev/null; then
-    # Schema + in-artifact floors: the improvement ratios and the per-profile
-    # framed drop-recovery flags must hold in the artifact this build wrote.
+    # Schema + in-artifact floors: the latency ratio and the per-profile
+    # long-poll drop-recovery flags must hold in the artifact this build
+    # wrote.
     jq -e '.schema_version == 1 and .bench == "transport"
            and (.config_fingerprint | test("^[0-9a-f]{64}$"))
            and ([.metrics[].name]
                 | index("wan_poll_median_latency_us") != null)
            and ([.metrics[].name]
-                | index("wan_frames_median_latency_us") != null)
+                | index("wan_longpoll_median_latency_us") != null)
            and ([.metrics[].name]
-                | index("fanout_frames_median_latency_us") != null)
+                | index("fanout_longpoll_median_latency_us") != null)
            and ([.metrics[] | select(.name == "wan_latency_improvement_x")
                  | .value >= 2] == [true])
-           and ([.metrics[] | select(.name == "wan_idle_bytes_improvement_x")
-                 | .value >= 10] == [true])
            and ([.metrics[]
-                 | select(.name | test("^(lan|wan|mobile)_frames_recovered_after_drop$"))
+                 | select(.name | test("^(lan|wan|mobile)_longpoll_recovered_after_drop$"))
                  | .value] | length == 3 and all(. == 1))' \
         "${artifact}" > /dev/null
-    # Latency floor against the committed polling baseline: streamed sync
-    # must keep beating the poll numbers this repo ships. Sim time is
+    # Against the committed artifact: long-polls must keep beating the
+    # committed polling baseline's latency >= 2x, and WAN long-poll idle
+    # bytes/min must not grow past the committed value. Sim time is
     # deterministic, but the gate still re-runs once before tripping so a
     # flaky environment cannot block a good change. The sanitized sweep is
     # reduced, so only the plain build compares with the committed artifact.
     if [[ "${build_dir}" != *asan* ]]; then
       local committed="BENCH_transport.json"
       if [[ -f "${committed}" ]]; then
-        local floor_jq='([.metrics[]
-             | select(.name == "wan_poll_median_latency_us") | .value][0])
-             as $poll
-             | ([$cur[0].metrics[]
-                 | select(.name == "wan_frames_median_latency_us")
-                 | .value][0]) as $frames
-             | $frames * 2 <= $poll'
+        local floor_jq='def value($m; $name):
+               [$m.metrics[] | select(.name == $name) | .value][0];
+             value(.; "wan_poll_median_latency_us") as $poll
+             | value($cur[0]; "wan_longpoll_median_latency_us") as $longpoll
+             | value(.; "wan_longpoll_idle_bytes_per_minute") as $idle_cap
+             | value($cur[0]; "wan_longpoll_idle_bytes_per_minute") as $idle
+             | $longpoll * 2 <= $poll and $idle <= $idle_cap'
         if ! jq -e --slurpfile cur "${artifact}" "${floor_jq}" \
             "${committed}" > /dev/null; then
-          echo "transport latency floor below bound; re-running once" >&2
+          echo "transport floors below bound; re-running once" >&2
           RCB_BENCH_JSON_DIR="${artifact_dir}" \
               "${build_dir}/bench/bench_transport" > /dev/null
           jq -e --slurpfile cur "${artifact}" "${floor_jq}" \
               "${committed}" > /dev/null ||
-            { echo "streamed transport no longer >= 2x faster than the" \
-                   "committed polling baseline (twice)" >&2; return 1; }
+            { echo "long-polls no longer >= 2x faster than the committed" \
+                   "polling baseline, or WAN idle bytes/min above the" \
+                   "committed long-poll value (twice)" >&2; return 1; }
         fi
       fi
     fi
@@ -454,7 +456,7 @@ check_metrics_doc() {
 }
 
 check_e2e_smoke() {
-  echo "=== e2e smoke: ledger_test + edit_full/edit_delta/host_fanout convergence + delta wire bytes ==="
+  echo "=== e2e smoke: ledger_test + edit_full/edit_delta/host_fanout convergence + delta wire bytes + committed baseline ==="
   # The benchmark's own CMake project (e2e_bench/README.md); run.py reuses
   # this build directory.
   local dir=".bench_build/e2e_bench"
@@ -463,10 +465,10 @@ check_e2e_smoke() {
   cmake --build "${dir}" --target ledger_test
   "${dir}/ledger_test" --gtest_brief=1
   # End-to-end convergence oracle over the full-snapshot path (the clone-free
-  # generator), the delta path and the multi-session host (every poll and
-  # frame HMAC-signed and verified): every participant digest must match the
+  # generator), the delta path and the multi-session host (every poll
+  # HMAC-signed and verified): every participant digest must match the
   # host's, and no delivery may fail.
-  local workload result full_result="" delta_result=""
+  local workload result full_result="" delta_result="" results=()
   for workload in edit_full edit_delta host_fanout; do
     result="$(python3 e2e_bench/run.py --workload "${workload}" --seed 1 \
         --seconds 3 --trace 0 | tail -n 1)"
@@ -479,7 +481,16 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
       edit_full) full_result="${result}" ;;
       edit_delta) delta_result="${result}" ;;
     esac
+    results+=("${workload}=${result}")
   done
+  # The committed baseline (BENCH_e2e.json, same seed and size): simulated
+  # sync latency and wire bytes per delivery must equal it, and peak RSS stay
+  # within BENCHMARK.json's bound. Rewrite it with
+  # `python3 scripts/e2e_baseline.py write` when a change moves them on
+  # purpose.
+  python3 scripts/e2e_baseline.py check "${results[@]}" ||
+    { echo "e2e smoke failed: results differ from BENCH_e2e.json" >&2
+      return 1; }
   # A broken in-place patch apply falls back to full-snapshot resyncs and
   # still converges, so convergence alone would pass it: the delta path must
   # also keep its wire saving, at most 5% of edit_full's bytes per delivery

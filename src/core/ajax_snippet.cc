@@ -88,8 +88,6 @@ void AjaxSnippet::RegisterMetrics() {
         metrics_.broadcasts_received);
   field("rcb_snippet_auth_rejections", "Polls rejected by the agent (403)",
         metrics_.auth_rejections);
-  field("rcb_snippet_stream_drops", "Framed streams closed under us",
-        metrics_.stream_drops);
   field("rcb_snippet_poll_timeouts", "Polls abandoned after poll_timeout",
         metrics_.poll_timeouts);
   field("rcb_snippet_transport_failures", "Polls whose transport failed",
@@ -127,26 +125,9 @@ void AjaxSnippet::RegisterMetrics() {
   field("rcb_snippet_wasted_poll_bytes_total",
         "Request+response bytes moved by classic empty polls",
         metrics_.wasted_poll_bytes);
-  field("rcb_transport_frames_received_total",
-        "Hello and data frames received on framed streams",
-        metrics_.frames_received);
-  field("rcb_transport_heartbeats_received_total",
-        "Heartbeat frames received on framed streams",
-        metrics_.heartbeats_received);
-  field("rcb_transport_frame_errors_total",
-        "Framed-stream parse/MAC/seq failures (each tears the stream down)",
-        metrics_.frame_errors);
-  field("rcb_transport_heartbeat_timeouts_total",
-        "Framed streams declared dead after heartbeat silence",
-        metrics_.heartbeat_timeouts);
-  field("rcb_transport_streams_opened_total", "Framed streams opened",
-        metrics_.transport_streams_opened);
-  field("rcb_transport_stream_failures_total",
-        "Framed streams lost to drops, timeouts, or frame errors",
-        metrics_.transport_stream_failures);
-  field("rcb_transport_downgrades_total",
-        "Permanent downgrades to classic polling after repeated failures",
-        metrics_.transport_downgrades);
+  field("rcb_snippet_polls_superseded_total",
+        "Parked long-polls superseded by a fresh poll carrying gestures",
+        metrics_.polls_superseded);
   registry_.AddCallbackCounter(
       "rcb_snippet_adaptive_snapbacks_total",
       "Adaptive poll intervals snapped back to base on activity",
@@ -289,12 +270,12 @@ void AjaxSnippet::AbortWithoutGoodbye() {
     browser_->loop()->Cancel(timeout_timer_);
     timeout_timer_ = 0;
   }
-  CloseFramedStream();
+  if (preempt_timer_ != 0) {
+    browser_->loop()->Cancel(preempt_timer_);
+    preempt_timer_ = 0;
+  }
   longpoll_active_ = false;
   longpoll_hold_ms_ = 0;
-  frames_pending_ = false;
-  transport_downgraded_ = false;
-  stream_failure_streak_ = 0;
   adaptive_.reset();  // re-seeded from the advertised interval on next Join
   peers_.clear();
   poll_in_flight_ = false;
@@ -321,14 +302,7 @@ void AjaxSnippet::SchedulePoll(Duration delay) {
 }
 
 void AjaxSnippet::PollNow() {
-  if (!joined_) {
-    return;
-  }
-  if (frames_stream_ != nullptr) {
-    ScheduleActionFlush();
-    return;
-  }
-  if (poll_in_flight_) {
+  if (!joined_ || poll_in_flight_) {
     return;
   }
   if (poll_timer_ != 0) {
@@ -336,45 +310,6 @@ void AjaxSnippet::PollNow() {
     poll_timer_ = 0;
   }
   PollOnce();
-}
-
-void AjaxSnippet::ScheduleActionFlush() {
-  if (action_flush_scheduled_ || action_queue_.empty()) {
-    return;
-  }
-  action_flush_scheduled_ = true;
-  uint64_t epoch = epoch_;
-  // Zero-delay deferral coalesces a burst of gestures into one request.
-  browser_->loop()->Schedule(Duration::Zero(), [this, epoch] {
-    if (epoch != epoch_) {
-      return;
-    }
-    action_flush_scheduled_ = false;
-    if (action_queue_.empty()) {
-      return;
-    }
-    PollRequest flush;
-    flush.participant_id = pid_;
-    flush.doc_time_ms = doc_time_ms_;
-    flush.actions = std::move(action_queue_);
-    action_queue_.clear();
-    action_queue_waiting_ = false;
-    metrics_.actions_sent += flush.actions.size();
-    // The agent answers this POST like a poll: when it carries the version
-    // the gestures themselves created, the agent marks it delivered and the
-    // framed stream skips it, so the reply must be applied here. Poll
-    // scheduling state stays untouched — the stream owns delivery.
-    SimTime sent_at = browser_->loop()->now();
-    SendPoll(std::move(flush), [this, epoch, sent_at](FetchResult result) {
-      if (epoch != epoch_ || !result.status.ok() ||
-          result.response.status_code != 200 ||
-          result.response.body.empty()) {
-        return;
-      }
-      ApplyReplyBody(result.response.body,
-                     browser_->loop()->now() - sent_at);
-    });
-  });
 }
 
 void AjaxSnippet::SendPoll(PollRequest poll, FetchCallback callback) {
@@ -397,9 +332,6 @@ void AjaxSnippet::PollOnce() {
   if (!joined_ || poll_in_flight_ || reconnect_in_flight_) {
     return;
   }
-  if (frames_stream_ != nullptr) {
-    return;  // the framed stream owns delivery; gestures flush via POSTs
-  }
   poll_in_flight_ = true;
   uint64_t seq = ++poll_seq_;
 
@@ -420,10 +352,8 @@ void AjaxSnippet::PollOnce() {
   // A resyncing participant must get the full snapshot, not a delta.
   poll.patch = config_.enable_delta && !need_resync_;
   // Streamed-transport capability (DESIGN.md §15): absent when the feature is
-  // off or permanently downgraded, so the wire stays byte-identical.
-  if (config_.stream_mode != transport::kStreamNone && !transport_downgraded_) {
-    poll.stream = config_.stream_mode;
-  }
+  // off, so the wire stays byte-identical.
+  poll.stream = config_.stream_mode;
   if (config_.enable_trace) {
     // poll_seq_ never resets, so trace ids stay unique across reconnects and
     // resumes. The root span id is reserved now but appended only when the
@@ -450,8 +380,15 @@ void AjaxSnippet::PollOnce() {
     if (epoch != epoch_) {
       return;
     }
-    if (recovery_enabled() && (!poll_in_flight_ || seq != poll_seq_)) {
-      return;  // abandoned on timeout; a newer poll owns the loop now
+    if (!poll_in_flight_ || seq != poll_seq_) {
+      // Abandoned on timeout or superseded by a gesture (SchedulePreempt): a
+      // newer poll owns the loop now. A superseded park's reply can still
+      // race in with content or peer actions the agent will not send again.
+      if (seq > abandoned_seq_ && result.status.ok() &&
+          result.response.status_code == 200 && !result.response.body.empty()) {
+        ApplyReplyBody(result.response.body, browser_->loop()->now() - sent_at);
+      }
+      return;
     }
     poll_in_flight_ = false;
     if (timeout_timer_ != 0) {
@@ -488,6 +425,7 @@ void AjaxSnippet::OnPollTimeout(uint64_t seq) {
   // Abandon the outstanding request: responses for this seq are discarded if
   // they ever arrive, and the piggybacked gestures ride the next poll.
   poll_in_flight_ = false;
+  abandoned_seq_ = seq;
   ++metrics_.poll_timeouts;
   if (poll_ctx_.active()) {
     // The reserved root span id closes this trace as a deadline miss instead
@@ -557,15 +495,14 @@ void AjaxSnippet::Reconnect() {
     timeout_timer_ = 0;
   }
   poll_in_flight_ = false;
+  abandoned_seq_ = poll_seq_;
   if (!in_flight_actions_.empty()) {
     action_queue_.insert(action_queue_.begin(), in_flight_actions_.begin(),
                          in_flight_actions_.end());
     in_flight_actions_.clear();
     NoteActionQueued();
   }
-  CloseFramedStream();
   longpoll_active_ = false;
-  frames_pending_ = false;
   // Connections wedged on the dead link would swallow the re-handshake.
   browser_->AbortOriginConnections(agent_url_);
 
@@ -697,25 +634,18 @@ void AjaxSnippet::OnPollResponse(FetchResult result, SimTime sent_at) {
   // refreshes the grant; a response without the header (agent opted out,
   // capacity denial, front-door route) drops back to classic polling.
   longpoll_active_ = false;
-  frames_pending_ = false;
-  if (config_.stream_mode != transport::kStreamNone && !transport_downgraded_) {
+  if (config_.stream_mode != transport::kStreamNone) {
     if (auto header = result.response.headers.Get("RCB-Transport")) {
       if (auto grant = transport::ParseTransportGrant(*header)) {
-        if (grant->mode == transport::GrantMode::kFrames &&
-            config_.stream_mode >= transport::kStreamFrames) {
-          frames_pending_ = true;
-          frames_hb_ms_ = grant->heartbeat_ms;
-        } else if (grant->mode == transport::GrantMode::kLongPoll) {
-          longpoll_active_ = true;
-          longpoll_hold_ms_ = grant->hold_ms;
-        }
+        longpoll_active_ = true;
+        longpoll_hold_ms_ = grant->hold_ms;
       }
     }
   }
   if (result.response.body.empty()) {
     // "No new content": schedule the next poll after the interval.
     ++metrics_.empty_responses;
-    if (!longpoll_active_ && !frames_pending_) {
+    if (!longpoll_active_) {
       // The whole round trip moved no payload — the idle tax the streamed
       // transport exists to remove (wasted-poll accounting, DESIGN.md §15).
       ++metrics_.wasted_polls;
@@ -723,7 +653,7 @@ void AjaxSnippet::OnPollResponse(FetchResult result, SimTime sent_at) {
           in_flight_poll_bytes_ + result.response.Serialize().size();
     }
     TraceMarker("snippet.response.empty", {});
-    ScheduleNextPoll(/*activity=*/false, sent_at);
+    ScheduleNextPoll(/*activity=*/false);
     return;
   }
   if (!ApplyReplyBody(result.response.body,
@@ -731,7 +661,7 @@ void AjaxSnippet::OnPollResponse(FetchResult result, SimTime sent_at) {
     SchedulePoll(interval_);
     return;
   }
-  ScheduleNextPoll(/*activity=*/true, sent_at);
+  ScheduleNextPoll(/*activity=*/true);
 }
 
 bool AjaxSnippet::ApplyReplyBody(const std::string& body,
@@ -756,24 +686,13 @@ bool AjaxSnippet::ApplyReplyBody(const std::string& body,
   return true;
 }
 
-void AjaxSnippet::ScheduleNextPoll(bool activity, SimTime sent_at) {
+void AjaxSnippet::ScheduleNextPoll(bool activity) {
   if (adaptive_.has_value()) {
     if (activity) {
       adaptive_->OnActivity();
     } else {
       adaptive_->OnEmpty();
     }
-  }
-  if (frames_pending_) {
-    // The grant says a framed stream is waiting: open it instead of polling.
-    frames_pending_ = false;
-    OpenFramedStream();
-    if (frames_stream_ != nullptr) {
-      return;
-    }
-    // Open failed synchronously; OnFramedStreamFailure already re-entered
-    // the poll loop.
-    return;
   }
   if (longpoll_active_) {
     // Keep one request parked at the agent at all times: the next poll goes
@@ -788,215 +707,6 @@ void AjaxSnippet::ScheduleNextPoll(bool activity, SimTime sent_at) {
     return;
   }
   SchedulePoll(interval_);
-}
-
-void AjaxSnippet::OpenFramedStream() {
-  if (frames_stream_ != nullptr || !joined_) {
-    return;
-  }
-  std::string query = "pid=" + pid_;
-  if (!config_.session_key.empty()) {
-    std::string message = "GET /frames?" + query + "\n";
-    query += "&hmac=" + HmacSha256Hex(config_.session_key, message);
-  }
-  auto endpoint_or = browser_->network()->Connect(
-      browser_->machine(), agent_url_.host(), agent_url_.port());
-  if (!endpoint_or.ok()) {
-    RCB_LOG(kWarning) << "ajax-snippet: frames connect failed: "
-                      << endpoint_or.status();
-    OnFramedStreamFailure();
-    return;
-  }
-  frames_stream_ = *endpoint_or;
-  frames_buffer_.clear();
-  frames_head_done_ = false;
-  // A fresh stream means a fresh seq space: the parser's anti-replay floor
-  // resets with it (the MAC still binds every frame to the session key).
-  frame_parser_.emplace(config_.session_key);
-  last_frame_at_ = browser_->loop()->now();
-  frames_last_part_start_ = browser_->loop()->now();
-  ++metrics_.transport_streams_opened;
-  uint64_t epoch = epoch_;
-  frames_stream_->SetDataHandler([this, epoch](std::string_view data) {
-    if (epoch == epoch_) {
-      OnFramesData(data);
-    }
-  });
-  frames_stream_->SetCloseHandler([this, epoch] {
-    if (epoch != epoch_) {
-      return;
-    }
-    frames_stream_ = nullptr;
-    ++metrics_.stream_drops;
-    RCB_LOG(kWarning) << "ajax-snippet: framed stream closed by peer";
-    OnFramedStreamFailure();
-  });
-
-  HttpRequest request;
-  request.method = HttpMethod::kGet;
-  request.target = "/frames?" + query;
-  request.headers.Set("Host", agent_url_.Authority());
-  frames_stream_->Send(request.Serialize());
-}
-
-void AjaxSnippet::OnFramesData(std::string_view data) {
-  if (!frames_head_done_) {
-    frames_buffer_.append(data);
-    size_t head_end = frames_buffer_.find("\r\n\r\n");
-    if (head_end == std::string::npos) {
-      return;
-    }
-    std::string_view head =
-        std::string_view(frames_buffer_).substr(0, head_end);
-    if (head.find(" 200 ") == std::string_view::npos) {
-      RCB_LOG(kWarning) << "ajax-snippet: frames request rejected";
-      // Only a 403 is an auth rejection; a 503 (held-stream cap, roster cap,
-      // recovery deferral) is load shedding.
-      if (head.find(" 403 ") != std::string_view::npos) {
-        ++metrics_.auth_rejections;
-      }
-      OnFramedStreamFailure();
-      return;
-    }
-    std::string rest = frames_buffer_.substr(head_end + 4);
-    frames_buffer_.clear();
-    frames_head_done_ = true;
-    if (!rest.empty()) {
-      frame_parser_->Append(rest);
-    }
-  } else {
-    frame_parser_->Append(data);
-  }
-  while (true) {
-    auto frame_or = frame_parser_->Next();
-    if (!frame_or.ok()) {
-      // Sticky by design: a bad MAC or regressing seq compromises the whole
-      // stream, so it is torn down and re-established via signed resume.
-      RCB_LOG(kWarning) << "ajax-snippet: frame error: " << frame_or.status();
-      ++metrics_.frame_errors;
-      OnFramedStreamFailure();
-      return;
-    }
-    if (!frame_or->has_value()) {
-      return;  // no complete frame buffered yet
-    }
-    transport::Frame frame = std::move(**frame_or);
-    last_frame_at_ = browser_->loop()->now();
-    switch (frame.type) {
-      case transport::FrameType::kHello: {
-        ++metrics_.frames_received;
-        if (StartsWith(frame.body, "hb=")) {
-          uint64_t hb_ms = 0;
-          if (ParseUint64(std::string_view(frame.body).substr(3), &hb_ms)) {
-            frames_hb_ms_ = static_cast<int64_t>(hb_ms);
-          }
-        }
-        ArmFramesWatchdog(HeartbeatTimeout());
-        break;
-      }
-      case transport::FrameType::kHeartbeat:
-        ++metrics_.heartbeats_received;
-        break;
-      case transport::FrameType::kData: {
-        ++metrics_.frames_received;
-        stream_failure_streak_ = 0;  // the transport demonstrably works
-        if (ApplyReplyBody(frame.body,
-                           browser_->loop()->now() - frames_last_part_start_)) {
-          frames_last_part_start_ = browser_->loop()->now();
-        }
-        break;
-      }
-    }
-  }
-}
-
-Duration AjaxSnippet::HeartbeatTimeout() const {
-  int64_t hb_ms = frames_hb_ms_ > 0 ? frames_hb_ms_ : 5000;
-  return Duration::Millis(3 * hb_ms);
-}
-
-void AjaxSnippet::ArmFramesWatchdog(Duration delay) {
-  if (frames_watchdog_armed_ || frames_stream_ == nullptr) {
-    return;
-  }
-  frames_watchdog_armed_ = true;
-  uint64_t epoch = epoch_;
-  frames_watchdog_timer_ = browser_->loop()->Schedule(delay, [this, epoch] {
-    if (epoch != epoch_) {
-      return;
-    }
-    frames_watchdog_armed_ = false;
-    frames_watchdog_timer_ = 0;
-    OnFramesWatchdogTick();
-  });
-}
-
-void AjaxSnippet::OnFramesWatchdogTick() {
-  if (frames_stream_ == nullptr) {
-    return;
-  }
-  SimTime now = browser_->loop()->now();
-  Duration timeout = HeartbeatTimeout();
-  if (now - last_frame_at_ >= timeout) {
-    ++metrics_.heartbeat_timeouts;
-    RCB_LOG(kWarning) << "ajax-snippet: framed stream heartbeat timeout after "
-                      << timeout;
-    OnFramedStreamFailure();
-    return;
-  }
-  // Quiet but alive: re-check when the budget from the last frame runs out.
-  ArmFramesWatchdog(last_frame_at_ + timeout - now);
-}
-
-void AjaxSnippet::CloseFramedStream() {
-  if (frames_watchdog_armed_) {
-    browser_->loop()->Cancel(frames_watchdog_timer_);
-    frames_watchdog_armed_ = false;
-    frames_watchdog_timer_ = 0;
-  }
-  if (frames_stream_ != nullptr) {
-    frames_stream_->SetDataHandler(nullptr);
-    frames_stream_->SetCloseHandler(nullptr);
-    frames_stream_->Close();
-    frames_stream_ = nullptr;
-  }
-  frames_buffer_.clear();
-  frames_head_done_ = false;
-  frame_parser_.reset();
-}
-
-void AjaxSnippet::OnFramedStreamFailure() {
-  if (!joined_) {
-    return;
-  }
-  CloseFramedStream();
-  ++metrics_.transport_stream_failures;
-  ++stream_failure_streak_;
-  frames_pending_ = false;
-  longpoll_active_ = false;
-  if (!transport_downgraded_ && config_.stream_downgrade_after > 0 &&
-      stream_failure_streak_ >= config_.stream_downgrade_after) {
-    // Downgrade ladder (DESIGN.md §15): repeated stream failures mean the
-    // path cannot sustain a held connection; stop advertising stream= and
-    // live on classic polling (plus the adaptive policy, if configured).
-    transport_downgraded_ = true;
-    ++metrics_.transport_downgrades;
-    RCB_LOG(kWarning) << "ajax-snippet: streamed transport downgraded to "
-                         "classic polling after "
-                      << stream_failure_streak_ << " consecutive failures";
-  }
-  TraceMarker("snippet.transport_failure",
-              {{"streak", StrFormat("%u", stream_failure_streak_)},
-               {"downgraded", transport_downgraded_ ? "1" : "0"}});
-  // Recovery ladder: re-handshake through the signed resume when configured
-  // (the stream may have died with updates in flight), else resume polling
-  // with a forced full-snapshot resync.
-  if (config_.reconnect_after > 0) {
-    Reconnect();
-    return;
-  }
-  need_resync_ = true;
-  PollNow();
 }
 
 void AjaxSnippet::HandleBroadcastActions(
@@ -1258,9 +968,42 @@ StatusOr<int> RcbIdOf(Element* element) {
 void AjaxSnippet::QueueAction(UserAction action) {
   action_queue_.push_back(std::move(action));
   NoteActionQueued();
-  if (frames_stream_ != nullptr) {
-    ScheduleActionFlush();
+  if (config_.stream_mode >= transport::kStreamFrames) {
+    SchedulePreempt();
   }
+}
+
+void AjaxSnippet::SchedulePreempt() {
+  if (preempt_timer_ != 0 || !joined_) {
+    return;
+  }
+  // Zero-delay deferral coalesces a burst of gestures into one poll.
+  preempt_timer_ = browser_->loop()->Schedule(Duration::Zero(), [this] {
+    preempt_timer_ = 0;
+    // Only a granted poll can be parked; any other poll in flight is
+    // answered promptly and its successor carries the gestures.
+    if (action_queue_.empty() || !poll_in_flight_ || !longpoll_active_) {
+      return;
+    }
+    // The agent drops the stale park when the fresh poll arrives, and the
+    // callback of the superseded seq no longer drives scheduling. Its
+    // gestures reached the agent with it, so they are not re-queued.
+    poll_in_flight_ = false;
+    in_flight_actions_.clear();
+    if (timeout_timer_ != 0) {
+      browser_->loop()->Cancel(timeout_timer_);
+      timeout_timer_ = 0;
+    }
+    ++metrics_.polls_superseded;
+    if (poll_ctx_.active()) {
+      // Closes the superseded poll's trace under its reserved root span id.
+      trace_.Append("snippet.poll_superseded", obs::Provenance::kSim,
+                    browser_->loop()->now().micros(), 0,
+                    obs::TraceContext{poll_ctx_.trace_id, 0}, {},
+                    poll_ctx_.parent_span_id);
+    }
+    PollOnce();
+  });
 }
 
 Status AjaxSnippet::ClickElement(Element* element) {

@@ -29,7 +29,6 @@
 #include "src/obs/trace.h"
 #include "src/transport/adaptive_poll.h"
 #include "src/transport/capabilities.h"
-#include "src/transport/frame.h"
 #include "src/util/rand.h"
 
 namespace rcb {
@@ -75,16 +74,15 @@ struct SnippetConfig {
   // --- Streamed transport (DESIGN.md §15). stream_mode 0 keeps the classic
   // polling wire byte-for-byte; the agent side must also opt in via
   // AgentConfig::transport.enable_stream, same contract as patch=/trace=. ---
-  // Capability advertised on polls: 0 = classic polling, 1 = long-poll
-  // capable, 2 = framed-stream capable (transport::kStream*).
+  // Capability advertised on polls (transport::kStream*): 0 = classic
+  // polling, 1 = long-poll capable, 2 = long-poll capable with gestures that
+  // pre-empt the parked poll: a gesture queued while the granted poll is in
+  // flight supersedes it with a fresh poll carrying the gesture.
   uint32_t stream_mode = 0;
-  // After this many consecutive framed-stream failures, stop advertising
-  // stream= and stay on classic polling for good. 0 never downgrades.
-  uint32_t stream_downgrade_after = 3;
   // Adaptive polling for classic pollers: grow the interval while responses
   // come back empty (bounded by adaptive_max), snap back to the base
   // interval on any activity. Pure arithmetic — deterministic under sim
-  // time. Ignored when a long-poll or framed grant is in effect.
+  // time. Ignored when a long-poll grant is in effect.
   bool adaptive_poll = false;
   Duration adaptive_max = Duration::Seconds(8.0);
   double adaptive_growth = 2.0;
@@ -98,7 +96,6 @@ struct SnippetMetrics {
   uint64_t actions_sent = 0;
   uint64_t broadcasts_received = 0;
   uint64_t auth_rejections = 0;
-  uint64_t stream_drops = 0;           // framed stream closed under us
   // --- Recovery counters (§3.2.3) ---
   uint64_t poll_timeouts = 0;          // polls abandoned after poll_timeout
   uint64_t transport_failures = 0;     // polls whose transport failed outright
@@ -133,13 +130,8 @@ struct SnippetMetrics {
   // --- Streamed transport (DESIGN.md §15) ---
   uint64_t wasted_polls = 0;       // classic empty round trips (no grant held)
   uint64_t wasted_poll_bytes = 0;  // request+response bytes of those
-  uint64_t frames_received = 0;    // hello + data frames
-  uint64_t heartbeats_received = 0;
-  uint64_t frame_errors = 0;       // parse/MAC/seq failures (sticky)
-  uint64_t heartbeat_timeouts = 0; // framed streams declared dead on silence
-  uint64_t transport_streams_opened = 0;
-  uint64_t transport_stream_failures = 0;
-  uint64_t transport_downgrades = 0;  // permanent fallbacks to polling
+  // stream=2 only: parked polls superseded by a fresh poll carrying gestures.
+  uint64_t polls_superseded = 0;
 };
 
 class AjaxSnippet {
@@ -183,9 +175,7 @@ class AjaxSnippet {
   const obs::FlightRecorder& flight_recorder() const { return flight_; }
   Duration poll_interval() const { return interval_; }
   // Streamed transport state (DESIGN.md §15).
-  bool frames_open() const { return frames_stream_ != nullptr; }
   bool long_poll_active() const { return longpoll_active_; }
-  bool transport_downgraded() const { return transport_downgraded_; }
   // Interval the adaptive policy would use for the next poll (the configured
   // interval when adaptive polling is off).
   Duration current_poll_interval() const {
@@ -233,16 +223,16 @@ class AjaxSnippet {
  private:
   void SchedulePoll(Duration delay);
   void PollOnce();
-  // Builds and sends one signed poll; used by the regular loop, the framed
-  // stream's gesture flush and the fire-and-forget goodbye in Leave().
+  // Builds and sends one signed poll; used by the regular loop and the
+  // fire-and-forget goodbye in Leave().
   void SendPoll(PollRequest poll, FetchCallback callback);
-  // Applies a non-empty 200 reply body to a poll or gesture flush: a patch,
-  // a full snapshot or an actions-only document. False when it does not
-  // parse (a bad patch also flags need_resync_).
+  // Applies a non-empty 200 reply body to a poll, or to a superseded poll
+  // whose reply raced in: a patch, a full snapshot or an actions-only
+  // document. False when it does not parse (a bad patch also flags
+  // need_resync_).
   bool ApplyReplyBody(const std::string& body, Duration transport_time);
-  // Applies a received newContent document (shared by poll replies and data
-  // frames). `transport_time` is recorded as last_content_download when
-  // content was applied.
+  // Applies a received newContent document. `transport_time` is recorded
+  // as last_content_download when content was applied.
   void ProcessSnapshot(const Snapshot& snapshot, Duration transport_time);
   // Applies a received newPatch delta (src/delta) with integrity checks; any
   // mismatch flags need_resync_ so the next poll requests a full snapshot.
@@ -251,12 +241,13 @@ class AjaxSnippet {
   // Presence bookkeeping + action listener dispatch for broadcast actions
   // (shared by the snapshot and patch paths).
   void HandleBroadcastActions(const std::vector<UserAction>& actions);
-  // Queues one gesture for the next poll; while a framed stream owns
-  // delivery, flushes it right away instead.
+  // Queues one gesture for the next poll; at stream=2, also schedules the
+  // pre-empt of a parked poll.
   void QueueAction(UserAction action);
-  // Framed-stream mode: POSTs queued actions immediately (coalesced per
-  // event-loop turn) instead of waiting for a poll tick.
-  void ScheduleActionFlush();
+  // stream=2: one zero-delay event per event-loop turn (so a burst of
+  // gestures rides one poll) that supersedes the granted poll in flight
+  // with a fresh poll carrying the queued gestures.
+  void SchedulePreempt();
   void OnPollResponse(FetchResult result, SimTime sent_at);
   // --- Recovery (§3.2.3) ---
   bool recovery_enabled() const {
@@ -273,22 +264,8 @@ class AjaxSnippet {
   void Reconnect();
   // --- Streamed transport (DESIGN.md §15) ---
   // Chooses the next poll delay from the grant in effect and the adaptive
-  // policy; opens a granted framed stream instead of scheduling.
-  void ScheduleNextPoll(bool activity, SimTime sent_at);
-  // Opens GET /frames (HMAC-signed over the request line) and consumes
-  // frames from it.
-  void OpenFramedStream();
-  void OnFramesData(std::string_view data);
-  void CloseFramedStream();
-  // Shared teardown for heartbeat timeouts, frame errors, and peer closes:
-  // counts the failure, walks the downgrade ladder, then recovers via the
-  // signed resume handshake (reconnect_after > 0) or a resync poll.
-  void OnFramedStreamFailure();
-  void ArmFramesWatchdog(Duration delay);
-  void OnFramesWatchdogTick();
-  // Silence after which a framed stream is declared dead: 3x the
-  // agent-advertised heartbeat interval.
-  Duration HeartbeatTimeout() const;
+  // policy.
+  void ScheduleNextPoll(bool activity);
   void FetchSupplementaryObjects();
   // Registers the snippet's metric families (constructor-time).
   void RegisterMetrics();
@@ -324,27 +301,19 @@ class AjaxSnippet {
   uint64_t poll_seq_ = 0;
   uint64_t timeout_timer_ = 0;
   uint32_t consecutive_failures_ = 0;
+  // Highest poll seq abandoned by a timeout or a reconnect: a late reply to
+  // it is discarded. A later stale seq was superseded, and its reply is
+  // applied.
+  uint64_t abandoned_seq_ = 0;
   bool need_resync_ = false;
   bool reconnect_in_flight_ = false;
   uint64_t object_watermark_ = 0;  // see object_watermark()
   Rng backoff_rng_;
-  bool action_flush_scheduled_ = false;
+  uint64_t preempt_timer_ = 0;  // pending SchedulePreempt() event, or 0
 
   // --- Streamed transport state (DESIGN.md §15) ---
-  bool transport_downgraded_ = false;  // stop advertising stream= for good
-  uint32_t stream_failure_streak_ = 0; // reset by any data frame
   bool longpoll_active_ = false;       // last poll response granted longpoll
   int64_t longpoll_hold_ms_ = 0;
-  bool frames_pending_ = false;        // last poll response granted frames
-  int64_t frames_hb_ms_ = 0;           // agent's advertised heartbeat cadence
-  NetEndpoint* frames_stream_ = nullptr;
-  std::string frames_buffer_;          // HTTP head bytes before frames start
-  bool frames_head_done_ = false;
-  std::optional<transport::FrameParser> frame_parser_;
-  uint64_t frames_watchdog_timer_ = 0;
-  bool frames_watchdog_armed_ = false;
-  SimTime last_frame_at_;
-  SimTime frames_last_part_start_;
   std::optional<transport::AdaptivePollPolicy> adaptive_;
   size_t in_flight_poll_bytes_ = 0;  // request body bytes of the last poll
 

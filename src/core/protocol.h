@@ -142,7 +142,8 @@ struct PollRequest {
   std::string trace;
   // Streamed-transport capability level (DESIGN.md §15):
   // 0 = classic polling (field omitted on the wire, byte-identical to the
-  // pre-transport format), 1 = long-poll capable, 2 = framed-stream capable.
+  // pre-transport format), 1 or 2 = long-poll capable (2 also pre-empts its
+  // parked poll with gestures, a snippet-side difference only).
   // An agent with the transport disabled ignores the field, so the downgrade
   // is automatic in both directions — the same contract as patch=/trace=.
   uint32_t stream = 0;

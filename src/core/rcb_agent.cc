@@ -200,7 +200,7 @@ void RcbAgent::RegisterMetrics() {
   field("rcb_agent_actions_shed", "Reject-newest drops at a full action queue",
         metrics_.actions_shed);
   field("rcb_agent_snapshots_shed",
-        "Held-stream versions superseded before send",
+        "Parked-poll versions superseded before send",
         metrics_.snapshots_shed);
   field("rcb_agent_idle_read_timeouts", "Slow-loris connections closed",
         metrics_.idle_read_timeouts);
@@ -232,16 +232,8 @@ void RcbAgent::RegisterMetrics() {
         "CDATA payload bytes after JsEscape, across all generations",
         metrics_.snapshot_bytes_escaped);
 
-  // Streamed transport (DESIGN.md §15): frame/long-poll counters plus gauges
-  // for the currently-held sockets the overload cap reasons about.
-  field("rcb_transport_streams_opened", "Framed transport streams accepted",
-        metrics_.transport_streams_opened);
-  field("rcb_transport_frames_sent", "Hello/data frames sent on framed streams",
-        metrics_.transport_frames_sent);
-  field("rcb_transport_heartbeats_sent", "Heartbeat frames sent on framed streams",
-        metrics_.transport_heartbeats_sent);
-  field("rcb_transport_frame_bytes_sent", "Wire bytes sent as transport frames",
-        metrics_.transport_frame_bytes_sent);
+  // Streamed transport (DESIGN.md §15): long-poll counters plus a gauge for
+  // the currently-held sockets the overload cap reasons about.
   field("rcb_transport_long_polls_parked", "Empty polls held as long-polls",
         metrics_.transport_long_polls_parked);
   field("rcb_transport_long_poll_flushes",
@@ -251,13 +243,8 @@ void RcbAgent::RegisterMetrics() {
         "Held long-polls released empty at the hold deadline",
         metrics_.transport_long_poll_expiries);
   field("rcb_transport_capacity_denials",
-        "Transport upgrades refused at the held-socket cap",
+        "Long-poll grants refused at the held-socket cap",
         metrics_.transport_capacity_denials);
-  reg->AddCallbackGauge(
-      "rcb_transport_streams_held", "Framed transport streams currently held",
-      obs::Provenance::kSim,
-      [this] { return static_cast<double>(framed_streams_.size()); },
-      base_labels);
   reg->AddCallbackGauge(
       "rcb_transport_polls_parked", "Long-polls currently held open",
       obs::Provenance::kSim,
@@ -509,21 +496,11 @@ void RcbAgent::Stop() {
     }
   }
   connections_.clear();
-  // Stream endpoints are detached from connections_ on upgrade; closing our
-  // own side does not re-enter their close handlers.
-  for (auto& [pid, stream] : framed_streams_) {
-    stream.endpoint->Close();
-  }
-  framed_streams_.clear();
-  if (hb_timer_armed_) {
-    browser_->loop()->Cancel(hb_timer_id_);
-    hb_timer_armed_ = false;
-  }
 }
 
 HttpResponse RcbAgent::HandleHostRequest(const HttpRequest& request) {
   // The front-door router is synchronous: it cannot hold this connection, so
-  // its requests are never granted an upgrade nor parked.
+  // its requests are never granted a long-poll nor parked.
   RequestScope scope;
   return HandleRequest(request, scope);
 }
@@ -594,8 +571,7 @@ void RcbAgent::OnAccept(NetEndpoint* endpoint) {
   // Admission control: past the connection cap, answer a tiny 503 and close
   // instead of dedicating parser/timer state to the socket.
   if (config_.limits.max_connections > 0 &&
-      connections_.size() + framed_streams_.size() >=
-          config_.limits.max_connections) {
+      connections_.size() >= config_.limits.max_connections) {
     ++metrics_.connections_rejected;
     endpoint->Send(
         HttpResponse::ServiceUnavailable(
@@ -676,17 +652,13 @@ void RcbAgent::OnConnData(AgentConn* conn, std::string_view data) {
     }
     DisarmReadDeadline(conn);
     const HttpRequest& request = **result;
-    if (request.method == HttpMethod::kGet && request.Path() == "/frames") {
-      HandleFramesRequest(conn, request);
-      return;  // connection is now a held framed stream (or closed)
-    }
     RequestScope scope;
     scope.holdable = true;
     HttpResponse response = HandleRequest(request, scope);
     if (scope.park.has_value()) {
       // The poll found nothing to send and both sides hold the long-poll
       // capability: hold the connection instead of answering (DESIGN.md §15).
-      ParkPoll(conn, std::move(*scope.park), std::move(scope.grant));
+      ParkPoll(conn, std::move(*scope.park));
       return;
     }
     conn->endpoint->Send(response.Serialize());
@@ -706,20 +678,19 @@ void RcbAgent::OnDocumentChange() {
   if (config_.state_observer != nullptr) {
     config_.state_observer->OnDocVersion(current_doc_time_ms_);
   }
-  if (!parked_.empty() || !framed_streams_.empty()) {
+  if (!parked_.empty()) {
     ScheduleTransportFlush();
   }
 }
 
 // ---------------------------------------------------------------------------
-// Streamed transport (DESIGN.md §15): held long-polls and framed streams.
+// Streamed transport (DESIGN.md §15): held long-polls.
 // ---------------------------------------------------------------------------
 
-void RcbAgent::ParkPoll(AgentConn* conn, ParkIntent intent, std::string grant) {
+void RcbAgent::ParkPoll(AgentConn* conn, ParkIntent intent) {
   const std::string pid = intent.pid;
   ParkedPoll parked;
   parked.conn = conn;
-  parked.grant = std::move(grant);
   parked.acked_doc_time_ms = intent.acked_doc_time_ms;
   parked.deadline_id = browser_->loop()->Schedule(
       config_.transport.long_poll_hold,
@@ -764,10 +735,15 @@ void RcbAgent::ReleaseParkedPoll(const std::string& pid, bool expired) {
   }
   HttpResponse response = HttpResponse::Ok(
       "application/xml", body.has_value() ? std::move(body->xml) : "");
-  response.headers.Set("RCB-Transport", parked.grant);
+  response.headers.Set("RCB-Transport", GrantHeader());
   AgentConn* conn = parked.conn;
   conn->endpoint->SetCloseHandler([this, conn] { RemoveConnection(conn); });
   conn->endpoint->Send(response.Serialize());
+}
+
+std::string RcbAgent::GrantHeader() const {
+  return transport::FormatTransportGrant(
+      {config_.transport.long_poll_hold.millis()});
 }
 
 void RcbAgent::RecordContentServed(std::string_view trace_id) {
@@ -860,106 +836,6 @@ std::string RcbAgent::ActionsOnlyXml(int64_t doc_time_ms,
   return SerializeSnapshotXml(actions_only);
 }
 
-void RcbAgent::HandleFramesRequest(AgentConn* conn, const HttpRequest& request) {
-  last_activity_ = browser_->loop()->now();
-  auto params = request.QueryParams();
-  auto pid_it = params.find("pid");
-  const std::string pid = pid_it != params.end() ? pid_it->second : "";
-  const bool replacing = framed_streams_.contains(pid);
-  // The /frames ladder: enabled, auth, pid, roster, recovery, held-stream cap.
-  std::optional<HttpResponse> rejection = [&]() -> std::optional<HttpResponse> {
-    if (!config_.transport.enable_stream) {
-      return HttpResponse::BadRequest("streamed transport disabled");
-    }
-    if (auto auth = AdmitAuth(request, kAuthFailed)) {
-      return auth;
-    }
-    if (pid.empty()) {
-      return HttpResponse::BadRequest("missing pid");
-    }
-    if (auto roster = AdmitRoster(&pid)) {
-      return roster;
-    }
-    if (auto recovery = AdmitRecovery(pid)) {
-      return recovery;
-    }
-    if (!replacing &&
-        framed_streams_.size() + parked_.size() >= config_.transport.max_held) {
-      ++metrics_.transport_capacity_denials;
-      return HttpResponse::ServiceUnavailable(
-          JitteredRetryAfter(config_.poll_interval,
-                             config_.limits.retry_after_jitter, pid),
-          "held transport limit reached");
-    }
-    return std::nullopt;
-  }();
-  if (rejection.has_value()) {
-    conn->endpoint->Send(rejection->Serialize());
-    return;
-  }
-  if (replacing) {
-    // A reconnect raced the close of the previous stream: drop the old one
-    // silently — closing our own side does not re-enter its close handler.
-    framed_streams_[pid].endpoint->Close();
-    framed_streams_.erase(pid);
-  }
-  ParticipantState& participant = EnsureParticipant(pid);
-  participant.last_poll = browser_->loop()->now();
-  NetEndpoint* endpoint = conn->endpoint;
-  // The socket stops being a request connection: detach its parser record so
-  // the connection cap and read deadline no longer apply to it.
-  endpoint->SetDataHandler(nullptr);
-  RemoveConnection(conn);
-  // A dropped stream is not a goodbye: the participant resumes by polling or
-  // via the signed /resume handshake; true silence is handled by reaping.
-  endpoint->SetCloseHandler([this, pid] { framed_streams_.erase(pid); });
-  endpoint->Send(
-      "HTTP/1.1 200 OK\r\n"
-      "Content-Type: application/x-rcb-frames\r\n\r\n");
-  FramedStream& stream = framed_streams_[pid];
-  stream.endpoint = endpoint;
-  stream.next_seq = 1;
-  stream.last_frame = browser_->loop()->now();
-  ++metrics_.transport_streams_opened;
-  SendFrame(pid, stream, transport::FrameType::kHello,
-            StrFormat("hb=%lld",
-                      static_cast<long long>(
-                          config_.transport.heartbeat_interval.millis())));
-  // If content already exists, deliver it right away; likewise anything that
-  // was broadcast into this participant's outbox before the stream opened.
-  if (std::optional<ContentBody> body = TakeDelivery(
-          pid, participant, /*acked=*/-1, TransportExemplar(pid))) {
-    SendFrame(pid, stream, transport::FrameType::kData, std::move(body->xml));
-  }
-  ArmHeartbeatTimer();
-}
-
-void RcbAgent::SendFrame(const std::string& pid, FramedStream& stream,
-                         transport::FrameType type, std::string body) {
-  transport::Frame frame;
-  frame.type = type;
-  frame.seq = stream.next_seq++;
-  frame.body = std::move(body);
-  std::string wire = transport::EncodeFrame(frame, config_.session_key);
-  stream.last_frame = browser_->loop()->now();
-  metrics_.transport_frame_bytes_sent += wire.size();
-  if (type == transport::FrameType::kHeartbeat) {
-    ++metrics_.transport_heartbeats_sent;
-  } else {
-    ++metrics_.transport_frames_sent;
-  }
-  if (config_.enable_trace) {
-    trace_.Append(
-        "transport.frame", obs::Provenance::kSim,
-        browser_->loop()->now().micros(), 0,
-        obs::TraceContext{StrFormat("transport-%s", pid.c_str()), 0},
-        {{"type", std::string(transport::FrameTypeName(type))},
-         {"seq", StrFormat("%llu", static_cast<unsigned long long>(frame.seq))},
-         {"bytes", StrFormat("%zu", wire.size())}});
-  }
-  stream.endpoint->Send(wire);
-}
-
 void RcbAgent::ScheduleTransportFlush() {
   if (transport_flush_pending_) {
     // Drop-oldest: the superseded version was never serialized for these
@@ -986,27 +862,6 @@ void RcbAgent::FlushTransport() {
   for (const std::string& pid : held) {
     ReleaseParkedPoll(pid, /*expired=*/false);
   }
-  FlushFramedStreams();
-}
-
-void RcbAgent::FlushFramedStreams() {
-  for (auto& [pid, stream] : framed_streams_) {
-    auto participant_it = participants_.find(pid);
-    if (participant_it == participants_.end()) {
-      continue;
-    }
-    ParticipantState& participant = participant_it->second;
-    // Content only: a pending outbox alone already went out via
-    // KickTransport when it was queued.
-    if (!has_version_ || participant.doc_time_ms >= current_doc_time_ms_) {
-      continue;
-    }
-    participant.last_poll = browser_->loop()->now();
-    SendFrame(pid, stream, transport::FrameType::kData,
-              TakeDelivery(pid, participant, /*acked=*/-1,
-                           TransportExemplar(pid))
-                  ->xml);
-  }
 }
 
 void RcbAgent::KickTransport(const std::string& pid) {
@@ -1015,44 +870,9 @@ void RcbAgent::KickTransport(const std::string& pid) {
       participant_it->second.outbox.empty()) {
     return;
   }
-  if (auto stream_it = framed_streams_.find(pid);
-      stream_it != framed_streams_.end()) {
-    ParticipantState& participant = participant_it->second;
-    std::vector<UserAction> outbox = std::move(participant.outbox);
-    participant.outbox.clear();
-    SendFrame(pid, stream_it->second, transport::FrameType::kData,
-              ActionsOnlyXml(participant.doc_time_ms, std::move(outbox)));
-    return;
-  }
   if (parked_.contains(pid)) {
     ReleaseParkedPoll(pid, /*expired=*/false);
   }
-}
-
-void RcbAgent::ArmHeartbeatTimer() {
-  // Armed only while framed streams are held: a perpetual timer would keep
-  // the simulated event queue non-empty forever.
-  if (hb_timer_armed_ || framed_streams_.empty() || !running_ ||
-      config_.transport.heartbeat_interval <= Duration::Zero()) {
-    return;
-  }
-  hb_timer_armed_ = true;
-  hb_timer_id_ = browser_->loop()->Schedule(
-      config_.transport.heartbeat_interval, [this] { HeartbeatTick(); });
-}
-
-void RcbAgent::HeartbeatTick() {
-  hb_timer_armed_ = false;
-  if (!running_ || framed_streams_.empty()) {
-    return;  // the timer drains; re-armed when the next stream opens
-  }
-  SimTime now = browser_->loop()->now();
-  for (auto& [pid, stream] : framed_streams_) {
-    if (now - stream.last_frame >= config_.transport.heartbeat_interval) {
-      SendFrame(pid, stream, transport::FrameType::kHeartbeat, "");
-    }
-  }
-  ArmHeartbeatTimer();
 }
 
 bool RcbAgent::CacheModeFor(const std::string& pid) const {
@@ -1114,8 +934,8 @@ HttpResponse RcbAgent::DispatchRequest(const HttpRequest& request,
     trace_ctx_ = obs::TraceContext{};
     // Capability answer (DESIGN.md §15): only successful poll responses
     // carry the grant; error paths stay byte-identical to classic polling.
-    if (!scope.grant.empty() && response.status_code == 200) {
-      response.headers.Set("RCB-Transport", scope.grant);
+    if (scope.granted && response.status_code == 200) {
+      response.headers.Set("RCB-Transport", GrantHeader());
     }
     return response;
   }
@@ -1266,12 +1086,6 @@ void RcbAgent::RemoveParticipant(const std::string& pid) {
   if (config_.state_observer != nullptr) {
     config_.state_observer->OnParticipantLeft(pid);
   }
-  if (auto framed_it = framed_streams_.find(pid);
-      framed_it != framed_streams_.end()) {
-    NetEndpoint* endpoint = framed_it->second.endpoint;
-    framed_streams_.erase(framed_it);
-    endpoint->Close();
-  }
   if (auto parked_it = parked_.find(pid); parked_it != parked_.end()) {
     AgentConn* conn = parked_it->second.conn;
     browser_->loop()->Cancel(parked_it->second.deadline_id);
@@ -1390,10 +1204,9 @@ void RcbAgent::ReapStaleParticipants() {
   Duration liveness = config_.poll_interval * 5;
   std::vector<std::string> stale;
   for (const auto& [pid, state] : participants_) {
-    // A held framed stream or parked long-poll signals liveness by itself:
-    // its hold may legitimately outlast the liveness window.
-    if (!framed_streams_.contains(pid) && !parked_.contains(pid) &&
-        state.polls > 0 &&
+    // A parked long-poll signals liveness by itself: its hold may
+    // legitimately outlast the liveness window.
+    if (!parked_.contains(pid) && state.polls > 0 &&
         now - state.last_poll > liveness) {
       stale.push_back(pid);
     }
@@ -1491,15 +1304,10 @@ HttpResponse RcbAgent::HandleStatusPage() const {
   }
   if (config_.transport.enable_stream) {
     body += StrFormat(
-        "<p id=\"transport\">transport: streams held %zu, polls parked %zu | "
-        "streams opened %llu | frames %llu (hb %llu, %llu bytes) | "
+        "<p id=\"transport\">transport: polls parked %zu | "
         "long-poll flushes %llu, expiries %llu, parked %llu | "
         "capacity denials %llu</p>",
-        framed_streams_.size(), parked_.size(),
-        static_cast<unsigned long long>(metrics_.transport_streams_opened),
-        static_cast<unsigned long long>(metrics_.transport_frames_sent),
-        static_cast<unsigned long long>(metrics_.transport_heartbeats_sent),
-        static_cast<unsigned long long>(metrics_.transport_frame_bytes_sent),
+        parked_.size(),
         static_cast<unsigned long long>(metrics_.transport_long_poll_flushes),
         static_cast<unsigned long long>(metrics_.transport_long_poll_expiries),
         static_cast<unsigned long long>(metrics_.transport_long_polls_parked),
@@ -1639,35 +1447,19 @@ HttpResponse RcbAgent::HandlePoll(const HttpRequest& request,
     endpoint->Close();  // own-side close: handlers do not re-enter
   }
 
-  // Transport negotiation (DESIGN.md §15): grant an upgrade only when both
+  // Transport negotiation (DESIGN.md §15): grant a long-poll only when both
   // sides opted in and the request arrived on a holdable connection — the
   // synchronous front door cannot park, so its polls are answered
-  // classically and the snippet never upgrades.
+  // classically. stream=1 and stream=2 get the same grant.
   const bool was_granted = participant.transport_granted;
   participant.transport_granted = false;
-  bool longpoll_granted = false;
   if (config_.transport.enable_stream &&
       poll.stream != transport::kStreamNone && scope.holdable) {
-    const size_t held = framed_streams_.size() + parked_.size();
-    transport::TransportGrant grant;
-    bool granted = false;
-    if (poll.stream >= transport::kStreamFrames &&
-        (framed_streams_.contains(poll.participant_id) ||
-         held < config_.transport.max_held)) {
-      grant.mode = transport::GrantMode::kFrames;
-      grant.heartbeat_ms = config_.transport.heartbeat_interval.millis();
-      granted = true;
-    } else if (held < config_.transport.max_held) {
-      grant.mode = transport::GrantMode::kLongPoll;
-      grant.hold_ms = config_.transport.long_poll_hold.millis();
-      granted = true;
+    if (parked_.size() < config_.transport.max_held) {
+      scope.granted = true;
+      participant.transport_granted = true;
     } else {
       ++metrics_.transport_capacity_denials;  // graceful: classic poll reply
-    }
-    if (granted) {
-      scope.grant = transport::FormatTransportGrant(grant);
-      longpoll_granted = grant.mode == transport::GrantMode::kLongPoll;
-      participant.transport_granted = true;
     }
   }
 
@@ -1730,7 +1522,7 @@ HttpResponse RcbAgent::HandlePoll(const HttpRequest& request,
   // hold the capability (the client saw a grant on its previous poll, so its
   // timeout budget covers the hold) — keep the request open instead of
   // answering empty. OnConnData parks the socket; the grant rides the release.
-  if (was_granted && longpoll_granted) {
+  if (was_granted && participant.transport_granted) {
     scope.park = ParkIntent{poll.participant_id, acked};
     ++metrics_.transport_long_polls_parked;
     TraceMarker("agent.response.parked", {});
@@ -1898,9 +1690,8 @@ std::vector<std::string> RcbAgent::ConnectedParticipants() const {
   SimTime now = browser_->loop()->now();
   Duration liveness = config_.poll_interval * 5;
   for (const auto& [pid, state] : participants_) {
-    // A held framed stream or parked long-poll counts as live regardless of
-    // poll counters.
-    if (framed_streams_.contains(pid) || parked_.contains(pid) ||
+    // A parked long-poll counts as live regardless of poll counters.
+    if (parked_.contains(pid) ||
         (state.polls > 0 && now - state.last_poll <= liveness)) {
       out.push_back(pid);
     }

@@ -38,7 +38,6 @@
 #include "src/obs/slo.h"
 #include "src/obs/trace.h"
 #include "src/transport/capabilities.h"
-#include "src/transport/frame.h"
 #include "src/util/token_bucket.h"
 
 namespace rcb {
@@ -69,7 +68,7 @@ struct AgentPolicies {
 // an individual limit.
 struct AgentLimits {
   // Admission control.
-  size_t max_connections = 256;   // concurrent sockets, held streams incl.
+  size_t max_connections = 256;   // concurrent sockets, parked polls incl.
   size_t max_participants = 64;   // roster size; excess joins/polls get 503
   size_t max_request_head_bytes = 64 * 1024;   // request-line + headers
   size_t max_request_body_bytes = 1 << 20;     // declared Content-Length
@@ -132,11 +131,11 @@ struct AgentConfig {
   // spans, so responses, counters, and the trace ring stay unchanged. ---
   bool enable_trace = false;
   // --- Streamed transport (src/transport, DESIGN.md §15). Off by default:
-  // the agent ignores the optional stream= poll field, never adds the
-  // RCB-Transport response header, and rejects GET /frames — responses stay
-  // byte-identical to classic polling. Grants apply to requests on the
-  // agent's own port; front-door (RcbHost) requests are answered but
-  // never upgraded, since the synchronous router cannot hold a connection. ---
+  // the agent ignores the optional stream= poll field and never adds the
+  // RCB-Transport response header — responses stay byte-identical to
+  // classic polling. Grants apply to requests on the agent's own port;
+  // front-door (RcbHost) requests are answered but never granted, since
+  // the synchronous router cannot hold a connection. ---
   transport::TransportConfig transport;
   // Flight-recorder dump directory. Empty falls back to $RCB_FLIGHT_DIR;
   // with neither set, triggers are counted but no artifact is written.
@@ -193,7 +192,7 @@ struct AgentMetrics {
   uint64_t polls_rate_limited = 0;     // 429s from the poll token bucket
   uint64_t actions_rate_limited = 0;   // piggybacked actions dropped by bucket
   uint64_t actions_shed = 0;           // reject-newest drops at a full queue
-  uint64_t snapshots_shed = 0;         // held-stream versions superseded
+  uint64_t snapshots_shed = 0;         // parked-poll versions superseded
   uint64_t idle_read_timeouts = 0;     // slow-loris connections closed
   uint64_t oversized_rejected = 0;     // 413s for head/body over the caps
   uint64_t recovery_deferrals = 0;     // 503s staggering post-recovery resync
@@ -204,18 +203,18 @@ struct AgentMetrics {
   uint64_t patch_bytes_sent = 0;       // cumulative patch response bytes
   uint64_t patch_snapshot_bytes = 0;   // snapshot bytes those patches replaced
   // Cumulative bytes of document-content-bearing response bodies (full
-  // snapshots and patches, poll replies and held-stream deliveries) — the
+  // snapshots and patches, poll replies and long-poll releases) — the
   // bytes-on-wire-per-update numerator the delta benchmarks read.
   uint64_t content_bytes_sent = 0;
   // --- Streamed transport (src/transport, DESIGN.md §15) ---
-  uint64_t transport_streams_opened = 0;   // framed streams upgraded
-  uint64_t transport_frames_sent = 0;      // hello + data frames
-  uint64_t transport_heartbeats_sent = 0;  // hb frames
-  uint64_t transport_frame_bytes_sent = 0; // wire bytes across all frames
+  // Framed streams are retired, so these two always read 0; they stay
+  // because the end-to-end benchmark still reads them.
+  uint64_t transport_heartbeats_sent = 0;
+  uint64_t transport_frame_bytes_sent = 0;
   uint64_t transport_long_polls_parked = 0;   // polls held awaiting content
   uint64_t transport_long_poll_flushes = 0;   // parked polls answered w/ data
   uint64_t transport_long_poll_expiries = 0;  // parked polls released empty
-  uint64_t transport_capacity_denials = 0;    // upgrades denied by max_held
+  uint64_t transport_capacity_denials = 0;    // grants denied by max_held
   // --- escape() accounting (M2): cumulative CDATA payload bytes before and
   // after JsEscape across all generations. Their ratio is the inflation the
   // paper's transmission sizes absorb. ---
@@ -259,9 +258,9 @@ class RcbAgent {
   // In-process entry point for RcbHost's front-door router: handles one
   // already-parsed request exactly as if it had arrived on the agent's own
   // port (same classification, auth, metrics, and trace behavior) — except
-  // that transport upgrades are suppressed: Route() is synchronous, so a
-  // front-door poll can never be parked or granted a held stream (DESIGN.md
-  // §15; held streams connect to the session's own port).
+  // that transport grants are suppressed: Route() is synchronous, so a
+  // front-door poll can never be parked (DESIGN.md §15; long-polls connect
+  // to the session's own port).
   HttpResponse HandleHostRequest(const HttpRequest& request);
 
   // Observability (DESIGN.md §9). The registry carries every AgentMetrics
@@ -289,8 +288,7 @@ class RcbAgent {
   // connected" (§3.3).
   std::vector<std::string> ConnectedParticipants() const;
   size_t participant_count() const { return participants_.size(); }
-  // Held framed transport streams / parked long-polls (DESIGN.md §15).
-  size_t framed_stream_count() const { return framed_streams_.size(); }
+  // Parked long-polls (DESIGN.md §15).
   size_t parked_poll_count() const { return parked_.size(); }
 
   // Host-originated action broadcast (e.g. host mouse mirroring).
@@ -373,8 +371,8 @@ class RcbAgent {
     // In: the request arrived on the agent's own port, so its connection can
     // be held. Front-door (RcbHost) requests cannot: no grant, no parking.
     bool holdable = false;
-    // Out: the RCB-Transport grant a 200 poll reply carries (DESIGN.md §15).
-    std::string grant;
+    // Out: a 200 poll reply carries the RCB-Transport grant (DESIGN.md §15).
+    bool granted = false;
     // Out: hold the connection instead of sending the reply.
     std::optional<ParkIntent> park;
   };
@@ -404,20 +402,12 @@ class RcbAgent {
   // still applies) and the endpoint's close handler cancels the park.
   struct ParkedPoll {
     AgentConn* conn = nullptr;
-    std::string grant;            // RCB-Transport value echoed on release
     int64_t acked_doc_time_ms = -1;  // ParkIntent's patch base
     uint64_t deadline_id = 0;     // hold-expiry timer
   };
-  // A held framed stream: sequence-stamped frames are pushed on every change
-  // and a heartbeat covers idle gaps so the client can detect silent drops.
-  struct FramedStream {
-    NetEndpoint* endpoint = nullptr;
-    uint64_t next_seq = 1;
-    SimTime last_frame;
-  };
-  // GET /frames?pid=: upgrades the connection into a held framed stream.
-  void HandleFramesRequest(AgentConn* conn, const HttpRequest& request);
-  void ParkPoll(AgentConn* conn, ParkIntent intent, std::string grant);
+  void ParkPoll(AgentConn* conn, ParkIntent intent);
+  // The RCB-Transport value of every grant: `longpoll; hold=<ms>`.
+  std::string GrantHeader() const;
   // Answers a parked poll: newest content / pending actions when available,
   // empty when released by the hold deadline (`expired`).
   void ReleaseParkedPoll(const std::string& pid, bool expired);
@@ -426,17 +416,10 @@ class RcbAgent {
   // shedding: a superseded version is never serialized, and counts as shed).
   void ScheduleTransportFlush();
   void FlushTransport();
-  void FlushFramedStreams();
-  // Immediate outbox delivery to a held framed stream / parked long-poll.
+  // Immediate outbox delivery to a parked long-poll.
   void KickTransport(const std::string& pid);
-  void SendFrame(const std::string& pid, FramedStream& stream,
-                 transport::FrameType type, std::string body);
-  // Heartbeat timer: armed only while framed streams exist, so an idle agent
-  // leaves the event queue drainable.
-  void ArmHeartbeatTimer();
-  void HeartbeatTick();
-  // The one content body builder behind poll replies, long-poll releases and
-  // data frames, for one participant at the current version: a patch when
+  // The one content body builder behind poll replies and long-poll releases,
+  // for one participant at the current version: a patch when
   // `acked` names a base (>= 0) and delta is on, else the shared snapshot
   // (with the outbox folded in via override_actions when non-empty).
   // `exemplar` is the trace id the sync-latency observation carries.
@@ -447,7 +430,7 @@ class RcbAgent {
   ContentBody BuildContentBody(const std::string& pid, int64_t acked,
                                std::vector<UserAction> outbox,
                                std::string_view exemplar);
-  // The one drain behind poll replies, parked releases and framed streams:
+  // The one drain behind poll replies and parked releases:
   // what `participant` is owed right now — content at the current version
   // (outbox folded in) when it is behind, else its outbox alone, stamped
   // with the version it holds; nullopt when there is nothing to send.
@@ -456,8 +439,8 @@ class RcbAgent {
                                           ParticipantState& participant,
                                           int64_t acked,
                                           std::string_view exemplar);
-  // Exemplar of a transport delivery: the traced poll in flight (a kick from
-  // its merge), else the frame spans' synthetic transport-<pid> chain.
+  // Exemplar of a parked release: the traced poll in flight (a kick from its
+  // merge), else the synthetic transport-<pid> chain.
   std::string TransportExemplar(const std::string& pid) const;
   // A body with no document content: only broadcast actions, stamped
   // `doc_time_ms` (the version the participant already holds).
@@ -507,7 +490,7 @@ class RcbAgent {
   // it) when the queue is at max_outbox_actions.
   void EnqueueOutbox(ParticipantState& state, const UserAction& action);
   // Enqueues `action` to every participant except `skip_pid`, then kicks
-  // each one's held transport so streamed receivers get it at once.
+  // each one's parked poll so long-poll receivers get it at once.
   void BroadcastToRoster(const UserAction& action,
                          const std::string& skip_pid = "");
 
@@ -559,10 +542,7 @@ class RcbAgent {
 
   // --- Streamed transport state (DESIGN.md §15) ---
   std::map<std::string, ParkedPoll> parked_;        // pid -> held long-poll
-  std::map<std::string, FramedStream> framed_streams_;  // pid -> held stream
   bool transport_flush_pending_ = false;
-  bool hb_timer_armed_ = false;
-  uint64_t hb_timer_id_ = 0;
 
   // --- Observability state (see metrics_registry()/trace_log()). ---
   obs::MetricsRegistry registry_;  // owned; bypassed under a shared registry

@@ -36,7 +36,6 @@ CoBrowsingSession::CoBrowsingSession(EventLoop* loop, Network* network,
   agent_config.limits = options_.agent_limits;
   agent_config.enable_delta = options_.enable_delta;
   agent_config.transport.enable_stream = options_.enable_transport;
-  agent_config.transport.heartbeat_interval = options_.transport_heartbeat;
   agent_config.transport.long_poll_hold = options_.transport_hold;
   agent_config.transport.max_held = options_.max_held_streams;
   agent_config.enable_trace = options_.enable_trace;
@@ -56,7 +55,6 @@ CoBrowsingSession::CoBrowsingSession(EventLoop* loop, Network* network,
     snippet_config.backoff_seed = options_.backoff_seed + participant_index++;
     snippet_config.enable_delta = options_.enable_delta;
     snippet_config.stream_mode = options_.snippet_stream_mode;
-    snippet_config.stream_downgrade_after = options_.stream_downgrade_after;
     snippet_config.adaptive_poll = options_.adaptive_poll;
     snippet_config.adaptive_max = options_.adaptive_max;
     snippet_config.adaptive_growth = options_.adaptive_growth;

@@ -60,15 +60,10 @@ struct SessionOptions {
   // Agent side: answer capability-advertising polls with a transport grant.
   bool enable_transport = false;
   // Snippet side: what each participant advertises (transport::kStreamNone /
-  // kStreamLongPoll / kStreamFrames).
+  // kStreamLongPoll / kStreamFrames; see SnippetConfig::stream_mode).
   uint32_t snippet_stream_mode = 0;
-  Duration transport_heartbeat = Duration::Seconds(5.0);
   Duration transport_hold = Duration::Seconds(10.0);
   size_t max_held_streams = 64;
-  // Snippet-side failure handling: the consecutive-failure count after which
-  // the snippet stops advertising stream= entirely. (A stream is declared
-  // dead after 3x the granted heartbeat interval of silence.)
-  uint32_t stream_downgrade_after = 3;
   // Adaptive polling for participants staying on the classic path: idle
   // polls back off geometrically (bounded), local/remote activity snaps the
   // interval back to poll_interval.

@@ -347,11 +347,10 @@ size_t RcbHost::ReapIdleSessions() {
   SimTime now = loop_->now();
   std::vector<std::string> idle;
   for (const auto& [id, session] : sessions_) {
-    // A held framed stream or parked long-poll keeps the session alive
-    // regardless of request activity: an idle page sends no requests while
-    // its participants wait on the held connection.
-    if (session->agent->framed_stream_count() > 0 ||
-        session->agent->parked_poll_count() > 0) {
+    // A parked long-poll keeps the session alive regardless of request
+    // activity: an idle page sends no requests while its participants wait
+    // on the held connection.
+    if (session->agent->parked_poll_count() > 0) {
       continue;
     }
     if (now - session->agent->last_activity() >
@@ -674,12 +673,6 @@ HttpResponse RcbHost::HandleSessionRequest(const HttpRequest& request) {
     }
     ++host_metrics_.unknown_session_requests;
     return HttpResponse::NotFound("no such session: " + id);
-  }
-  if (rest == "/frames") {
-    // A held framed stream cannot pass through the request/response front
-    // door; streaming participants connect to the session port directly.
-    return HttpResponse::BadRequest(
-        "framed streams must connect to the session port");
   }
   HttpRequest forwarded = request;
   forwarded.target = rest;

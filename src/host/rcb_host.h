@@ -26,8 +26,8 @@
 //                                   (404 unknown, 410 reaped, 400 invalid),
 //   * GET /host/status              session table + counters,
 //   * GET /host/metrics             shared-registry Prometheus exposition.
-// Framed streams (GET /frames) hold their connection open and cannot pass
-// through the request/response front door; they connect to the session's own
+// Long-polls are never parked through the front door (it answers each
+// request synchronously); a long-poll client connects to the session's own
 // port directly.
 #ifndef SRC_HOST_RCB_HOST_H_
 #define SRC_HOST_RCB_HOST_H_

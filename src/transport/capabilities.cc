@@ -6,28 +6,16 @@ namespace rcb {
 namespace transport {
 
 std::string FormatTransportGrant(const TransportGrant& grant) {
-  if (grant.mode == GrantMode::kFrames) {
-    return StrFormat("frames; hb=%lld",
-                     static_cast<long long>(grant.heartbeat_ms));
-  }
   return StrFormat("longpoll; hold=%lld",
                    static_cast<long long>(grant.hold_ms));
 }
 
 std::optional<TransportGrant> ParseTransportGrant(std::string_view value) {
   std::vector<std::string> parts = StrSplitSkipEmpty(value, ';');
-  if (parts.empty()) {
+  if (parts.empty() || StripWhitespace(parts[0]) != "longpoll") {
     return std::nullopt;
   }
   TransportGrant grant;
-  std::string_view mode = StripWhitespace(parts[0]);
-  if (mode == "frames") {
-    grant.mode = GrantMode::kFrames;
-  } else if (mode == "longpoll") {
-    grant.mode = GrantMode::kLongPoll;
-  } else {
-    return std::nullopt;
-  }
   for (size_t i = 1; i < parts.size(); ++i) {
     std::string_view param = StripWhitespace(parts[i]);
     size_t eq = param.find('=');
@@ -39,16 +27,11 @@ std::optional<TransportGrant> ParseTransportGrant(std::string_view value) {
     if (!ParseUint64(param.substr(eq + 1), &number)) {
       return std::nullopt;
     }
-    if (name == "hb") {
-      grant.heartbeat_ms = static_cast<int64_t>(number);
-    } else if (name == "hold") {
+    if (name == "hold") {
       grant.hold_ms = static_cast<int64_t>(number);
     }
   }
-  if (grant.mode == GrantMode::kFrames && grant.heartbeat_ms <= 0) {
-    return std::nullopt;
-  }
-  if (grant.mode == GrantMode::kLongPoll && grant.hold_ms <= 0) {
+  if (grant.hold_ms <= 0) {
     return std::nullopt;
   }
   return grant;

@@ -4,7 +4,7 @@
 // trace= downgrade contract exactly:
 //
 //  - A streaming-capable snippet adds `stream=<mode>` to its poll body
-//    (1 = long-poll capable, 2 = framed-stream capable). A snippet with the
+//    (1 or 2, both long-poll capable; see kStreamFrames). A snippet with the
 //    capability off sends nothing — byte-identical to the pre-transport wire.
 //  - An agent with the transport enabled answers a capable poll with an
 //    `RCB-Transport:` response header naming the granted mode; with the
@@ -13,8 +13,10 @@
 //
 // Grant wire format (parsed leniently, emitted canonically):
 //
-//   RCB-Transport: frames; hb=<heartbeat interval ms>
 //   RCB-Transport: longpoll; hold=<max hold ms>
+//
+// Any other mode, including the retired `frames; hb=<ms>`, parses as no
+// grant: the client stays on classic polling.
 #ifndef SRC_TRANSPORT_CAPABILITIES_H_
 #define SRC_TRANSPORT_CAPABILITIES_H_
 
@@ -31,15 +33,14 @@ namespace transport {
 // Poll-body `stream=` capability levels, in increasing order.
 inline constexpr uint32_t kStreamNone = 0;
 inline constexpr uint32_t kStreamLongPoll = 1;
+// A wire value only: framed streams are retired, and a stream=2 poll is
+// granted long-poll like stream=1. Its one difference is on the snippet: a
+// gesture queued while its poll is parked supersedes that poll at once
+// (DESIGN.md §15) instead of waiting for the release.
 inline constexpr uint32_t kStreamFrames = 2;
 
-enum class GrantMode { kLongPoll, kFrames };
-
+// The one granted mode: the agent may hold a poll for up to `hold_ms`.
 struct TransportGrant {
-  GrantMode mode = GrantMode::kLongPoll;
-  // frames: heartbeat cadence the agent commits to.
-  int64_t heartbeat_ms = 0;
-  // longpoll: longest time the agent may hold a parked poll.
   int64_t hold_ms = 0;
 };
 
@@ -53,15 +54,13 @@ std::optional<TransportGrant> ParseTransportGrant(std::string_view value);
 // off/conservative so the seed wire behavior is untouched until a deployment
 // opts in on both sides.
 struct TransportConfig {
-  // Master switch: off never grants, never parks, rejects GET /frames.
+  // Master switch: off never grants and never parks.
   bool enable_stream = false;
-  // Heartbeat cadence committed to framed streams.
-  Duration heartbeat_interval = Duration::Seconds(5.0);
   // Longest a long-poll is parked before an empty response is released.
   Duration long_poll_hold = Duration::Seconds(10.0);
-  // Cap on concurrently held framed streams + parked long-polls (overload
-  // discipline, DESIGN.md §8); over the cap new upgrades are denied and the
-  // client gracefully stays on classic polling.
+  // Cap on concurrently parked long-polls (overload discipline, DESIGN.md
+  // §8); over the cap new grants are denied and the client gracefully stays
+  // on classic polling.
   size_t max_held = 64;
 };
 

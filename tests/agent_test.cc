@@ -759,29 +759,6 @@ TEST_F(AgentTest, PollTokenBucketRefillsOverTime) {
   EXPECT_EQ(agent_->metrics().polls_rate_limited, 1u);
 }
 
-TEST_F(AgentTest, FramedStreamCoalescesBurstsDropOldest) {
-  AgentConfig config;
-  config.transport.enable_stream = true;
-  StartAgent(config);
-  HostNavigate();
-  // Hold a raw framed stream so document changes schedule transport flushes.
-  auto stream = network_.Connect("participant-pc", "host-pc", 3000);
-  ASSERT_TRUE(stream.ok());
-  (*stream)->Send("GET /frames?pid=p1 HTTP/1.1\r\n\r\n");
-  loop_.RunUntilCondition([&] { return agent_->framed_stream_count() == 1; });
-  loop_.RunFor(Duration::Millis(10));  // deliver the navigation's content
-  uint64_t shed_before = agent_->metrics().snapshots_shed;
-  // Two document changes in the same event-loop turn: one flush is scheduled,
-  // the superseded intermediate snapshot is shed (drop-oldest).
-  host_browser_->MutateDocument([](Document*) {});
-  host_browser_->MutateDocument([](Document*) {});
-  EXPECT_EQ(agent_->metrics().snapshots_shed, shed_before + 1);
-  loop_.RunFor(Duration::Millis(10));
-  // Once the pending flush ran, new changes schedule fresh flushes again.
-  host_browser_->MutateDocument([](Document*) {});
-  EXPECT_EQ(agent_->metrics().snapshots_shed, shed_before + 1);
-}
-
 TEST_F(AgentTest, FullOutboxRejectsNewestBroadcasts) {
   AgentConfig config;
   config.limits.max_outbox_actions = 2;
@@ -1312,15 +1289,14 @@ TEST_F(AgentTest, StreamCapabilityDowngradeIsByteIdentical) {
   EXPECT_EQ(ReplayStreamScenario(false, 1).first, baseline);
   // Only when both sides opt in does the grant header appear — and the
   // bodies still match the baseline byte for byte.
-  auto [framed, framed_bodies] = ReplayStreamScenario(true, 2);
-  EXPECT_NE(framed, baseline);
-  EXPECT_EQ(framed_bodies, baseline_bodies);
-  ASSERT_EQ(framed.size(), 2u);
-  EXPECT_NE(framed[0].find("RCB-Transport: frames; hb="), std::string::npos);
   auto [longpoll, longpoll_bodies] = ReplayStreamScenario(true, 1);
+  EXPECT_NE(longpoll, baseline);
   EXPECT_EQ(longpoll_bodies, baseline_bodies);
+  ASSERT_EQ(longpoll.size(), 2u);
   EXPECT_NE(longpoll[0].find("RCB-Transport: longpoll; hold="),
             std::string::npos);
+  // stream=2 is granted the same long-poll, byte for byte.
+  EXPECT_EQ(ReplayStreamScenario(true, 2).first, longpoll);
 }
 
 TEST_F(AgentTest, ResyncPollGetsFullSnapshotDespitePatchCapability) {
@@ -1395,8 +1371,8 @@ TEST_F(AgentTest, PatchServedOnlyWhenBaseIsKnown) {
 // ------------------------------------------------------ admission ladder ----
 
 // A raw participant socket to the agent: records every byte the agent sends
-// and whether the agent closed it, so held replies (parked polls, framed
-// streams) and unanswered drops are observable.
+// and whether the agent closed it, so held replies (parked polls) and
+// unanswered drops are observable.
 class RawClient {
  public:
   explicit RawClient(Network* network) {
@@ -1461,15 +1437,14 @@ HttpRequest PollHttpRequest(const PollRequest& poll) {
   return request;
 }
 
-enum class Entry { kPoll, kFrames, kResume, kJoin, kMetrics, kHealth };
+enum class Entry { kPoll, kResume, kJoin, kMetrics, kHealth };
 enum class Condition { kBadMac, kRosterFull, kRecoveryWindow };
 
 // What one request did to the agent: the reply, plus the deltas of the
 // counters and flight triggers the ladder's rungs own.
 struct AdmissionOutcome {
   int status = 0;
-  // Rejections: the exact body. 200s: a required substring (for an admitted
-  // /frames upgrade, of the frame stream after the head).
+  // Rejections: the exact body. 200s: a required substring.
   std::string body;
   std::string retry_after;  // "" when the header is absent
   uint64_t auth_failures = 0;
@@ -1480,7 +1455,7 @@ struct AdmissionOutcome {
 };
 
 // One cell of the admission matrix, in a fresh world: a keyed agent with
-// framed streams on and participant p1 on the roster, then one request from
+// the streamed transport on and participant p1 on the roster, then one request from
 // `entry` for `pid` (p1 known, p2 unknown; unused by join and the operator
 // endpoints) under `condition`. "Roster full" caps the roster at p1.
 AdmissionOutcome RunAdmissionCell(Entry entry, const std::string& pid,
@@ -1534,10 +1509,6 @@ AdmissionOutcome RunAdmissionCell(Entry entry, const std::string& pid,
       request = SignedRequest(HttpMethod::kPost, "/", "",
                               EncodePollRequest(poll), key);
       break;
-    case Entry::kFrames:
-      request = SignedRequest(HttpMethod::kGet, "/frames", "pid=" + pid, "",
-                              key);
-      break;
     case Entry::kResume:
       request = SignedRequest(HttpMethod::kGet, "/", "resume=" + pid, "", key);
       break;
@@ -1566,10 +1537,6 @@ AdmissionOutcome RunAdmissionCell(Entry entry, const std::string& pid,
     out.status = response->status_code;
     out.body = response->body;
     out.retry_after = response->headers.Get("Retry-After").value_or("");
-    if (entry == Entry::kFrames && out.status == 200) {
-      const std::string& wire = client.received();
-      out.body = wire.substr(wire.find("\r\n\r\n") + 4);
-    }
   }
   const AgentMetrics& after = agent.metrics();
   out.auth_failures = after.auth_failures - before.auth_failures;
@@ -1596,7 +1563,6 @@ TEST(AdmissionMatrixTest, EveryEntryPointClimbsItsRungs) {
   auto ok = [](std::string substring) {
     return AdmissionOutcome{200, std::move(substring), "", 0, 0, 0, 0, 0};
   };
-  const AdmissionOutcome stream = ok("hb=");  // the hello frame
   const AdmissionOutcome page_p1 = ok("<meta name=\"rcb-pid\" content=\"p1\">");
   const AdmissionOutcome page_p2 = ok("<meta name=\"rcb-pid\" content=\"p2\">");
   const AdmissionOutcome page = ok("<meta name=\"rcb-pid\"");
@@ -1611,8 +1577,6 @@ TEST(AdmissionMatrixTest, EveryEntryPointClimbsItsRungs) {
       {"poll_known", Entry::kPoll, "p1", auth403, ok("<![CDATA["), defer503},
       {"poll_unknown", Entry::kPoll, "p2", auth403, roster503,
        ok("<![CDATA[")},
-      {"frames_known", Entry::kFrames, "p1", auth403, stream, defer503},
-      {"frames_unknown", Entry::kFrames, "p2", auth403, roster503, stream},
       // Resumes are never deferred.
       {"resume_known", Entry::kResume, "p1", resume403, page_p1, page_p1},
       {"resume_unknown", Entry::kResume, "p2", resume403, roster503, page_p2},
@@ -1758,9 +1722,35 @@ TEST_F(HeldTransportTest, HostBroadcastReleasesParkedPoll) {
   EXPECT_EQ(actions->user_actions[0].x, 7);
 }
 
+TEST_F(HeldTransportTest, ParkedPollCoalescesBurstsDropOldest) {
+  StartAndGrant();
+  // Hold p1's poll so document changes schedule transport flushes.
+  RawClient held(&network_);
+  Park(held);
+  uint64_t shed_before = agent_->metrics().snapshots_shed;
+  // Two document changes in the same event-loop turn: one flush is scheduled,
+  // the superseded intermediate snapshot is shed (drop-oldest).
+  host_browser_->MutateDocument([](Document*) {});
+  host_browser_->MutateDocument([](Document*) {});
+  EXPECT_EQ(agent_->metrics().snapshots_shed, shed_before + 1);
+  loop_.RunFor(Duration::Millis(10));
+  EXPECT_EQ(agent_->metrics().transport_long_poll_flushes, 1u);
+  std::optional<HttpResponse> released = held.Response();
+  ASSERT_TRUE(released.has_value());
+  auto snapshot = ParseSnapshotXml(released->body);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  // Once the pending flush ran, new changes schedule fresh flushes again.
+  poll_.doc_time_ms = snapshot->doc_time_ms;
+  RawClient again(&network_);
+  Park(again);
+  host_browser_->MutateDocument([](Document*) {});
+  EXPECT_EQ(agent_->metrics().snapshots_shed, shed_before + 1);
+}
+
 // Sync-latency exemplars name the path a delivery took on a tracing agent:
-// a traced poll its own trace id, a framed-stream delivery the synthetic
-// transport-<pid> chain, and an untraced poll nothing at all.
+// a traced poll its own trace id, a parked poll released by a document
+// change the synthetic transport-<pid> chain, and an untraced poll nothing
+// at all.
 TEST_F(HeldTransportTest, DeliveryExemplarsFollowTheirPath) {
   AgentConfig config;
   config.enable_trace = true;
@@ -1781,13 +1771,22 @@ TEST_F(HeldTransportTest, DeliveryExemplarsFollowTheirPath) {
   ASSERT_EQ(Poll(untraced).response.status_code, 200);
   EXPECT_TRUE(exemplar_ids().empty());
 
-  HttpRequest frames;
-  frames.method = HttpMethod::kGet;
-  frames.target = "/frames?pid=p2";
-  RawClient stream(&network_);
-  stream.Send(frames);
+  // p2 takes content and a grant, then parks; a document change releases
+  // the park outside any traced poll.
+  PollRequest longpoll = untraced;
+  longpoll.participant_id = "p2";
+  longpoll.stream = transport::kStreamLongPoll;
+  auto snapshot = ParseSnapshotXml(Poll(longpoll).response.body);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  longpoll.doc_time_ms = snapshot->doc_time_ms;
+  EXPECT_TRUE(exemplar_ids().empty());
+  RawClient held(&network_);
+  held.Send(PollHttpRequest(longpoll));
   loop_.RunFor(Duration::Millis(100));
-  ASSERT_EQ(agent_->framed_stream_count(), 1u);
+  ASSERT_EQ(agent_->parked_poll_count(), 1u);
+  host_browser_->MutateDocument([](Document*) {});
+  loop_.RunFor(Duration::Millis(100));
+  ASSERT_TRUE(held.Response().has_value());
   EXPECT_EQ(exemplar_ids(), std::vector<std::string>{"transport-p2"});
 
   PollRequest traced = untraced;
@@ -1796,71 +1795,6 @@ TEST_F(HeldTransportTest, DeliveryExemplarsFollowTheirPath) {
   ASSERT_EQ(Poll(traced).response.status_code, 200);
   std::vector<std::string> ids = exemplar_ids();
   EXPECT_NE(std::find(ids.begin(), ids.end(), "p3-1"), ids.end());
-}
-
-TEST_F(HeldTransportTest, FramesRequestNeedsTransportOn) {
-  StartAgent();  // streamed transport off
-  HttpRequest frames;
-  frames.method = HttpMethod::kGet;
-  frames.target = "/frames?pid=p1";
-  RawClient client(&network_);
-  client.Send(frames);
-  loop_.RunFor(Duration::Millis(100));
-  std::optional<HttpResponse> response = client.Response();
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status_code, 400);
-  EXPECT_EQ(response->body, "Bad Request: streamed transport disabled");
-  EXPECT_EQ(agent_->framed_stream_count(), 0u);
-}
-
-TEST_F(HeldTransportTest, FramesRequestNeedsPid) {
-  AgentConfig config;
-  config.transport.enable_stream = true;
-  StartAgent(config);
-  HttpRequest frames;
-  frames.method = HttpMethod::kGet;
-  frames.target = "/frames";
-  RawClient client(&network_);
-  client.Send(frames);
-  loop_.RunFor(Duration::Millis(100));
-  std::optional<HttpResponse> response = client.Response();
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status_code, 400);
-  EXPECT_EQ(response->body, "Bad Request: missing pid");
-  EXPECT_EQ(agent_->framed_stream_count(), 0u);
-  EXPECT_EQ(agent_->participant_count(), 0u);
-}
-
-TEST_F(HeldTransportTest, FramesReconnectReplacesRacingStream) {
-  AgentConfig config;
-  config.transport.enable_stream = true;
-  StartAgent(config);
-  HostNavigate();
-  HttpRequest frames;
-  frames.method = HttpMethod::kGet;
-  frames.target = "/frames?pid=p1";
-  RawClient first(&network_);
-  first.Send(frames);
-  loop_.RunFor(Duration::Millis(100));
-  ASSERT_EQ(agent_->framed_stream_count(), 1u);
-  ASSERT_EQ(first.received().rfind("HTTP/1.1 200 OK\r\n", 0), 0u);
-  // The reconnect arrives before the first stream's close: the agent keeps
-  // the newer stream and silently drops the older one.
-  RawClient second(&network_);
-  second.Send(frames);
-  loop_.RunFor(Duration::Millis(100));
-  EXPECT_EQ(agent_->framed_stream_count(), 1u);
-  EXPECT_EQ(agent_->metrics().transport_streams_opened, 2u);
-  EXPECT_TRUE(first.closed());
-  EXPECT_FALSE(second.closed());
-  ASSERT_EQ(second.received().rfind("HTTP/1.1 200 OK\r\n", 0), 0u);
-  // Later content goes to the replacement only.
-  const size_t first_bytes = first.received().size();
-  const size_t second_bytes = second.received().size();
-  host_browser_->MutateDocument([](Document*) {});
-  loop_.RunFor(Duration::Millis(100));
-  EXPECT_EQ(first.received().size(), first_bytes);
-  EXPECT_GT(second.received().size(), second_bytes);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the paper-discussed extensions: NAT + port forwarding (§3.2.1),
 // TLS origins, presence notifications (§5.2.3 feedback), push delivery over
-// framed streams (§3.2.3 alternative), and the mobile profile (§6).
+// long-polls (§3.2.3 alternative), and the mobile profile (§6).
 #include <gtest/gtest.h>
 
 #include "src/core/session.h"
@@ -244,15 +244,16 @@ TEST_F(PresenceTest, SilentParticipantReapedAndAnnounced) {
   EXPECT_TRUE(first->known_peers().empty());
 }
 
-// ------------------------------------------------------ Framed-stream push --
+// -------------------------------------------------------- Long-poll push --
 //
 // §3.2.3's push alternative, delivered over the streamed transport: each
-// participant's first poll negotiates a framed stream, and from then on
-// content and broadcasts arrive as data frames without a poll tick.
+// participant advertises stream=2, its first poll negotiates a long-poll,
+// and from then on the agent holds its poll until content or a broadcast
+// releases it; the participant's own gestures pre-empt the held poll.
 
-class FramedPushTest : public ::testing::Test {
+class LongPollPushTest : public ::testing::Test {
  protected:
-  FramedPushTest() : network_(&loop_) {}
+  LongPollPushTest() : network_(&loop_) {}
 
   void Start(SessionOptions options) {
     options.enable_transport = true;
@@ -262,7 +263,7 @@ class FramedPushTest : public ::testing::Test {
     session_ = std::make_unique<CoBrowsingSession>(&loop_, &network_, options);
     ASSERT_TRUE(session_->Start().ok());
     ASSERT_TRUE(loop_.RunUntilCondition([&] {
-      return session_->agent()->framed_stream_count() ==
+      return session_->agent()->parked_poll_count() ==
              options.participant_count;
     }));
   }
@@ -284,30 +285,35 @@ class FramedPushTest : public ::testing::Test {
   std::unique_ptr<CoBrowsingSession> session_;
 };
 
-TEST_F(FramedPushTest, StreamOpensOnJoin) {
+TEST_F(LongPollPushTest, PollParksOnJoin) {
   Start(SessionOptions{});
-  EXPECT_TRUE(session_->snippet(0)->frames_open());
-  // No poll traffic accumulates while idle; heartbeats keep the stream live.
+  EXPECT_TRUE(session_->snippet(0)->long_poll_active());
+  // No poll traffic accumulates while idle: the parked poll is held for
+  // the whole 10 s hold.
   uint64_t polls = session_->agent()->metrics().polls_received;
   loop_.RunFor(Duration::Seconds(5.0));
   EXPECT_EQ(session_->agent()->metrics().polls_received, polls);
-  EXPECT_TRUE(session_->snippet(0)->frames_open());
+  EXPECT_EQ(session_->agent()->parked_poll_count(), 1u);
+  EXPECT_TRUE(session_->snippet(0)->long_poll_active());
 }
 
-TEST_F(FramedPushTest, ContentPushedOnChange) {
+TEST_F(LongPollPushTest, ContentPushedOnChange) {
   Start(SessionOptions{});
-  uint64_t polls = session_->agent()->metrics().polls_received;
+  const AgentMetrics& metrics = session_->agent()->metrics();
+  const uint64_t flushes = metrics.transport_long_poll_flushes;
+  const uint64_t empties = metrics.polls_empty;
   LoadShop();
   loop_.RunUntilCondition([&] {
     return session_->participant_browser(0)->document()->ById("featured") !=
            nullptr;
   });
-  // The page arrived as a data frame, not as a poll reply.
-  EXPECT_EQ(session_->agent()->metrics().polls_received, polls);
-  EXPECT_GT(session_->agent()->metrics().transport_frames_sent, 1u);
+  // The page arrived as the release of the parked poll, and no classic
+  // empty reply was sent meanwhile.
+  EXPECT_GT(metrics.transport_long_poll_flushes, flushes);
+  EXPECT_EQ(metrics.polls_empty, empties);
 }
 
-TEST_F(FramedPushTest, PushLatencyBeatsPollInterval) {
+TEST_F(LongPollPushTest, PushLatencyBeatsPollInterval) {
   SessionOptions options;
   options.poll_interval = Duration::Seconds(1.0);
   Start(options);
@@ -329,17 +335,21 @@ TEST_F(FramedPushTest, PushLatencyBeatsPollInterval) {
   EXPECT_LT(latency, Duration::Millis(100));
 }
 
-TEST_F(FramedPushTest, ParticipantActionsFlushWithoutPollNow) {
+TEST_F(LongPollPushTest, ParticipantActionsFlushWithoutPollNow) {
   Start(SessionOptions{});
   LoadShop();
   loop_.RunUntilCondition([&] {
     return session_->participant_browser(0)->document()->ById("searchform") !=
            nullptr;
   });
+  loop_.RunFor(Duration::Seconds(2.0));  // idle: the poll is parked
+  ASSERT_EQ(session_->agent()->parked_poll_count(), 1u);
   Element* form =
       session_->participant_browser(0)->document()->ById("searchform");
+  const SimTime filled_at = loop_.now();
   ASSERT_TRUE(session_->snippet(0)->FillFormField(form, "q", "kindle").ok());
-  // No PollNow needed: a framed-stream participant flushes gestures at once.
+  // No PollNow needed: a stream=2 participant's gesture supersedes its
+  // parked poll at once, well inside the 10 s hold.
   loop_.RunUntilCondition([&] {
     Element* host_form = session_->host_browser()->document()->ById("searchform");
     if (host_form == nullptr) {
@@ -355,10 +365,10 @@ TEST_F(FramedPushTest, ParticipantActionsFlushWithoutPollNow) {
     });
     return filled;
   });
-  SUCCEED();
+  EXPECT_LT(loop_.now() - filled_at, Duration::Millis(250));
 }
 
-TEST_F(FramedPushTest, MousePushedToPeersImmediately) {
+TEST_F(LongPollPushTest, MousePushedToPeersImmediately) {
   SessionOptions options;
   options.participant_count = 2;
   Start(options);
@@ -370,7 +380,8 @@ TEST_F(FramedPushTest, MousePushedToPeersImmediately) {
   loop_.RunUntilCondition([&] { return !received.empty(); });
   EXPECT_EQ(received[0].type, ActionType::kMouseMove);
   EXPECT_EQ(received[0].x, 7);
-  // Flushed by a POST and relayed as a data frame: no poll interval waited.
+  // Carried by the poll that superseded the sender's park, and relayed by
+  // releasing the peer's park: no poll interval waited.
   EXPECT_LT(loop_.now() - moved_at, Duration::Millis(100));
 }
 

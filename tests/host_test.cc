@@ -166,22 +166,24 @@ TEST_F(HostTest, IdleSessionsAreReapedAndActiveOnesKept) {
   SetSessionDoc(*active, "Active");
   auto participant = JoinSession(*active, 1);
   WaitForContent(participant.get());
-  // "streamed" holds a framed stream: once content arrived its participant
-  // sends no requests at all, yet the session is live.
+  // "streamed" holds a parked long-poll: its participant sends no request
+  // for the whole 10 s hold, longer than the idle timeout, yet the session
+  // is live.
   SetSessionDoc(*streamed, "Streamed");
-  SnippetConfig frames_config;
-  frames_config.stream_mode = transport::kStreamFrames;
-  auto streamer = JoinSession(*streamed, 2, frames_config);
+  SnippetConfig longpoll_config;
+  longpoll_config.stream_mode = transport::kStreamLongPoll;
+  auto streamer = JoinSession(*streamed, 2, longpoll_config);
   WaitForContent(streamer.get());
   ASSERT_TRUE(loop_.RunUntilCondition(
-      [&] { return (*streamed)->agent->framed_stream_count() == 1; }));
+      [&] { return (*streamed)->agent->parked_poll_count() == 1; }));
 
   loop_.RunFor(Duration::Seconds(6.0));
   EXPECT_EQ(host->ReapIdleSessions(), 1u);
   EXPECT_EQ(host->FindSession("idle"), nullptr);
   EXPECT_NE(host->FindSession("active"), nullptr);
   EXPECT_NE(host->FindSession("streamed"), nullptr);
-  EXPECT_TRUE(streamer->snippet->frames_open());
+  EXPECT_EQ((*streamed)->agent->parked_poll_count(), 1u);
+  EXPECT_TRUE(streamer->snippet->long_poll_active());
   EXPECT_EQ(host->metrics().sessions_reaped, 1u);
 
   // A reaped id answers 410 (routing also reaps lazily), and its port is the
@@ -394,7 +396,6 @@ TEST_F(HostTest, FrontDoorRoutesAndRejects) {
 
   EXPECT_EQ(get("/s/unknown/").status_code, 404);
   EXPECT_EQ(get("/s/bad id/").status_code, 400);
-  EXPECT_EQ(get("/s/s1/frames").status_code, 400);  // held streams can't proxy
   EXPECT_EQ(get("/nonsense").status_code, 404);
   EXPECT_EQ(host->metrics().unknown_session_requests, 1u);
   EXPECT_EQ(host->metrics().invalid_session_ids, 1u);

@@ -1,6 +1,6 @@
 // Parameterized environment-matrix sweep: every combination of network
 // profile (LAN / WAN / mobile), cache mode, delivery (classic poll or a
-// framed-stream push), and participant count must produce a correct
+// stream=2 long-poll), and participant count must produce a correct
 // synchronized session on a corpus site.
 #include <gtest/gtest.h>
 
@@ -23,7 +23,7 @@ namespace {
 struct MatrixCase {
   const char* profile;  // "lan" | "wan" | "mobile"
   bool cache_mode;
-  bool frames;  // content pushed over framed streams instead of polled
+  bool stream2;  // participants advertise stream=2 and long-poll
   size_t participants;
 };
 
@@ -31,7 +31,7 @@ std::string CaseName(const ::testing::TestParamInfo<MatrixCase>& info) {
   const MatrixCase& c = info.param;
   std::string name = c.profile;
   name += c.cache_mode ? "_cache" : "_origin";
-  name += c.frames ? "_frames" : "_poll";
+  name += c.stream2 ? "_stream2" : "_poll";
   name += "_p" + std::to_string(c.participants);
   return name;
 }
@@ -55,9 +55,9 @@ TEST_P(EnvironmentMatrixTest, CoNavigationSynchronizesEveryone) {
   SessionOptions options;
   options.profile = ProfileByName(param.profile);
   options.cache_mode = param.cache_mode;
-  options.enable_transport = param.frames;
+  options.enable_transport = param.stream2;
   options.snippet_stream_mode =
-      param.frames ? transport::kStreamFrames : transport::kStreamNone;
+      param.stream2 ? transport::kStreamFrames : transport::kStreamNone;
   options.participant_count = param.participants;
   options.poll_interval = Duration::Millis(500);
 
@@ -103,17 +103,28 @@ TEST_P(EnvironmentMatrixTest, CoNavigationSynchronizesEveryone) {
               nullptr)
         << "participant " << i;
   }
-  EXPECT_EQ(session.agent()->framed_stream_count(),
-            param.frames ? param.participants : 0u);
+  // Every stream=2 participant holds the long-poll grant and, once idle,
+  // a parked poll; classic pollers never park.
+  const size_t want_parked = param.stream2 ? param.participants : 0u;
+  const SimTime deadline = loop.now() + Duration::Seconds(30.0);
+  while (loop.now() < deadline &&
+         session.agent()->parked_poll_count() != want_parked) {
+    loop.RunFor(Duration::Millis(10));
+  }
+  EXPECT_EQ(session.agent()->parked_poll_count(), want_parked);
+  for (size_t i = 0; i < param.participants; ++i) {
+    EXPECT_EQ(session.snippet(i)->long_poll_active(), param.stream2)
+        << "participant " << i;
+  }
 }
 
 std::vector<MatrixCase> AllCases() {
   std::vector<MatrixCase> cases;
   for (const char* profile : {"lan", "wan", "mobile"}) {
     for (bool cache : {true, false}) {
-      for (bool frames : {false, true}) {
+      for (bool stream2 : {false, true}) {
         for (size_t participants : {1u, 3u}) {
-          cases.push_back(MatrixCase{profile, cache, frames, participants});
+          cases.push_back(MatrixCase{profile, cache, stream2, participants});
         }
       }
     }
@@ -332,13 +343,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------- transport chaos matrix ----
 //
-// {LAN, WAN} x {loss, reset, partition} x {frames, long-poll, adaptive-poll}:
-// a transport-upgraded session takes the fault on its participant link
-// mid-update, must reconverge through the recovery ladder (heartbeat timeout
-// -> signed resume -> downgrade only if the ladder says so), and two
-// identical runs must produce bit-identical counter fingerprints.
+// {LAN, WAN} x {loss, reset, partition} x {stream=2, long-poll,
+// adaptive-poll}: a transport-upgraded session takes the fault on its
+// participant link mid-update, must reconverge through the recovery ladder
+// (poll timeout -> signed resume), and two identical runs must produce
+// bit-identical counter fingerprints. The stream=2 row also moves the
+// participant's pointer mid-fault, so a gesture pre-empts its parked poll.
 
-enum class TransportMode { kFrames, kLongPoll, kAdaptive };
+enum class TransportMode { kStream2, kLongPoll, kAdaptive };
 
 struct TransportChaosCase {
   const char* profile_name;  // "Lan" | "Wan"
@@ -361,8 +373,8 @@ std::string TransportChaosCaseName(
       break;
   }
   switch (info.param.mode) {
-    case TransportMode::kFrames:
-      name += "Frames";
+    case TransportMode::kStream2:
+      name += "Stream2";
       break;
     case TransportMode::kLongPoll:
       name += "LongPoll";
@@ -395,10 +407,10 @@ std::string RunTransportChaos(const TransportChaosCase& chaos) {
   options.backoff_max = Duration::Seconds(2.0);
   options.backoff_jitter = Duration::Millis(100);
   switch (chaos.mode) {
-    case TransportMode::kFrames:
+    case TransportMode::kStream2:
       options.enable_transport = true;
       options.snippet_stream_mode = 2;
-      options.transport_heartbeat = Duration::Millis(500);
+      options.transport_hold = Duration::Seconds(2.0);
       break;
     case TransportMode::kLongPoll:
       options.enable_transport = true;
@@ -437,6 +449,10 @@ std::string RunTransportChaos(const TransportChaosCase& chaos) {
       document->body()->AppendChild(std::move(marker));
     });
   });
+  if (chaos.mode == TransportMode::kStream2) {
+    loop.Schedule(Duration::Millis(700),
+                  [&] { session.snippet(0)->SendMouseMove(3, 4); });
+  }
 
   // Fixed simulated horizon so two runs execute the identical schedule.
   loop.RunFor(Duration::Seconds(40.0));
@@ -451,21 +467,15 @@ std::string RunTransportChaos(const TransportChaosCase& chaos) {
   const SnippetMetrics& snippet = session.snippet(0)->metrics();
   return StrFormat(
       "agent polls=%llu content=%llu timeouts=%llu reconnects=%llu "
-      "resyncs=%llu streams=%llu frames=%llu hbs=%llu bytes=%llu "
-      "parked=%llu flushes=%llu expiries=%llu denials=%llu\n"
-      "snippet polls=%llu wasted=%llu wasted_bytes=%llu frames=%llu "
-      "hbs=%llu frame_errors=%llu hb_timeouts=%llu opened=%llu "
-      "failures=%llu downgrades=%llu reconnects=%llu resyncs=%llu "
+      "resyncs=%llu parked=%llu flushes=%llu expiries=%llu denials=%llu\n"
+      "snippet polls=%llu wasted=%llu wasted_bytes=%llu superseded=%llu "
+      "timeouts=%llu failures=%llu reconnects=%llu resyncs=%llu "
       "doc_time=%lld\n",
       static_cast<unsigned long long>(agent.polls_received),
       static_cast<unsigned long long>(agent.polls_with_content),
       static_cast<unsigned long long>(agent.poll_timeouts),
       static_cast<unsigned long long>(agent.reconnects),
       static_cast<unsigned long long>(agent.resyncs),
-      static_cast<unsigned long long>(agent.transport_streams_opened),
-      static_cast<unsigned long long>(agent.transport_frames_sent),
-      static_cast<unsigned long long>(agent.transport_heartbeats_sent),
-      static_cast<unsigned long long>(agent.transport_frame_bytes_sent),
       static_cast<unsigned long long>(agent.transport_long_polls_parked),
       static_cast<unsigned long long>(agent.transport_long_poll_flushes),
       static_cast<unsigned long long>(agent.transport_long_poll_expiries),
@@ -473,13 +483,9 @@ std::string RunTransportChaos(const TransportChaosCase& chaos) {
       static_cast<unsigned long long>(snippet.polls_sent),
       static_cast<unsigned long long>(snippet.wasted_polls),
       static_cast<unsigned long long>(snippet.wasted_poll_bytes),
-      static_cast<unsigned long long>(snippet.frames_received),
-      static_cast<unsigned long long>(snippet.heartbeats_received),
-      static_cast<unsigned long long>(snippet.frame_errors),
-      static_cast<unsigned long long>(snippet.heartbeat_timeouts),
-      static_cast<unsigned long long>(snippet.transport_streams_opened),
-      static_cast<unsigned long long>(snippet.transport_stream_failures),
-      static_cast<unsigned long long>(snippet.transport_downgrades),
+      static_cast<unsigned long long>(snippet.polls_superseded),
+      static_cast<unsigned long long>(snippet.poll_timeouts),
+      static_cast<unsigned long long>(snippet.transport_failures),
       static_cast<unsigned long long>(snippet.reconnects),
       static_cast<unsigned long long>(snippet.resyncs),
       static_cast<long long>(session.snippet(0)->doc_time_ms()));
@@ -500,7 +506,7 @@ std::vector<TransportChaosCase> AllTransportChaosCases() {
     for (FaultEvent::Kind kind :
          {FaultEvent::Kind::kLoss, FaultEvent::Kind::kReset,
           FaultEvent::Kind::kPartition}) {
-      for (TransportMode mode : {TransportMode::kFrames,
+      for (TransportMode mode : {TransportMode::kStream2,
                                  TransportMode::kLongPoll,
                                  TransportMode::kAdaptive}) {
         cases.push_back(TransportChaosCase{profile, kind, mode});

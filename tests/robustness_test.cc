@@ -258,15 +258,15 @@ TEST_F(RobustnessTest, ModeratedSessionFiltersParticipants) {
 
 // ------------------------------------------------------------ chaos matrix --
 //
-// {LAN, WAN} x {loss, jitter, reset, partition} x {poll, frames}: a fault
+// {LAN, WAN} x {loss, jitter, reset, partition} x {poll, stream=2}: a fault
 // hits the host<->participant link mid-session while the host navigates; the
 // participant must re-converge to the host snapshot within a bounded number
-// of polls (bounded simulated time for framed-stream push).
+// of polls. A stream=2 row runs on the long-poll its polls are granted.
 
 struct ChaosCase {
   const char* profile_name;
   FaultEvent::Kind kind;
-  bool frames;  // push over a framed stream instead of classic polling
+  bool stream2;  // advertise stream=2 (long-poll) instead of classic polling
 };
 
 std::string ChaosCaseName(const ::testing::TestParamInfo<ChaosCase>& info) {
@@ -288,7 +288,7 @@ std::string ChaosCaseName(const ::testing::TestParamInfo<ChaosCase>& info) {
       name += "Flap";
       break;
   }
-  name += info.param.frames ? "Frames" : "Poll";
+  name += info.param.stream2 ? "Stream2" : "Poll";
   return name;
 }
 
@@ -319,9 +319,9 @@ TEST_P(ChaosMatrixTest, ReconvergesToHostSnapshotUnderFault) {
   SessionOptions options;
   options.profile = profile;
   options.enable_auth = true;
-  options.enable_transport = chaos.frames;
+  options.enable_transport = chaos.stream2;
   options.snippet_stream_mode =
-      chaos.frames ? transport::kStreamFrames : transport::kStreamNone;
+      chaos.stream2 ? transport::kStreamFrames : transport::kStreamNone;
   options.poll_interval = Duration::Millis(250);
   options.poll_timeout = Duration::Seconds(1.0);
   options.reconnect_after = 2;
@@ -365,13 +365,13 @@ TEST_P(ChaosMatrixTest, ReconvergesToHostSnapshotUnderFault) {
   }
   EXPECT_EQ(session.participant_browser(0)->document()->Title(), "B")
       << "participant did not re-converge under the injected fault";
-  if (!chaos.frames) {
-    // Bounded number of polls, not just bounded time: backoff keeps the
-    // retry count low even across a 5 s blackout.
-    EXPECT_LE(session.snippet(0)->metrics().polls_sent - polls_before, 80u);
-  } else {
-    // The row really pushed: content rode a negotiated framed stream.
-    EXPECT_GE(session.snippet(0)->metrics().transport_streams_opened, 1u);
+  // Bounded number of polls, not just bounded time: backoff keeps the
+  // retry count low even across a 5 s blackout.
+  EXPECT_LE(session.snippet(0)->metrics().polls_sent - polls_before, 80u);
+  if (chaos.stream2) {
+    // The row really held polls, and its last reply renewed the grant.
+    EXPECT_GE(session.agent()->metrics().transport_long_polls_parked, 1u);
+    EXPECT_TRUE(session.snippet(0)->long_poll_active());
   }
 }
 

@@ -1,7 +1,8 @@
-// Streamed-sync transport (src/transport, DESIGN.md §15): frame codec and
+// Streamed-sync transport (src/transport, DESIGN.md §15): grant and
 // adaptive-poll unit tests, plus end-to-end negotiation over full sessions —
-// framed push, long-poll parking, heartbeat-timeout recovery through the
-// signed resume, capacity-capped downgrade, and adaptive polling.
+// long-poll parking, stream=2 gestures pre-empting the parked poll,
+// poll-timeout recovery through the signed resume, the held-poll cap, and
+// adaptive polling.
 #include <gtest/gtest.h>
 
 #include "src/core/content_generator.h"
@@ -13,161 +14,30 @@
 #include "src/sites/site_server.h"
 #include "src/transport/adaptive_poll.h"
 #include "src/transport/capabilities.h"
-#include "src/transport/frame.h"
 
 namespace rcb {
 namespace {
 
 using transport::AdaptivePollConfig;
 using transport::AdaptivePollPolicy;
-using transport::EncodeFrame;
 using transport::FormatTransportGrant;
-using transport::Frame;
-using transport::FrameParser;
-using transport::FrameType;
-using transport::GrantMode;
 using transport::ParseTransportGrant;
 using transport::TransportGrant;
 
-// ------------------------------------------------------- frame codec ------
-
-Frame MakeFrame(FrameType type, uint64_t seq, std::string body) {
-  Frame frame;
-  frame.type = type;
-  frame.seq = seq;
-  frame.body = std::move(body);
-  return frame;
-}
-
-TEST(FrameCodecTest, RoundTripsAllTypesWithoutKey) {
-  FrameParser parser("");
-  parser.Append(EncodeFrame(MakeFrame(FrameType::kHello, 1, "hb=5000"), ""));
-  parser.Append(EncodeFrame(MakeFrame(FrameType::kData, 2, "<xml/>"), ""));
-  parser.Append(EncodeFrame(MakeFrame(FrameType::kHeartbeat, 3, ""), ""));
-
-  auto hello = parser.Next();
-  ASSERT_TRUE(hello.ok());
-  ASSERT_TRUE(hello->has_value());
-  EXPECT_EQ((*hello)->type, FrameType::kHello);
-  EXPECT_EQ((*hello)->seq, 1u);
-  EXPECT_EQ((*hello)->body, "hb=5000");
-
-  auto data = parser.Next();
-  ASSERT_TRUE(data.ok());
-  ASSERT_TRUE(data->has_value());
-  EXPECT_EQ((*data)->type, FrameType::kData);
-  EXPECT_EQ((*data)->body, "<xml/>");
-
-  auto hb = parser.Next();
-  ASSERT_TRUE(hb.ok());
-  ASSERT_TRUE(hb->has_value());
-  EXPECT_EQ((*hb)->type, FrameType::kHeartbeat);
-  EXPECT_TRUE((*hb)->body.empty());
-
-  auto none = parser.Next();
-  ASSERT_TRUE(none.ok());
-  EXPECT_FALSE(none->has_value());
-  EXPECT_EQ(parser.frames_parsed(), 3u);
-  EXPECT_EQ(parser.last_seq(), 3u);
-}
-
-TEST(FrameCodecTest, ParsesArbitraryTcpFragmentation) {
-  std::string wire;
-  for (uint64_t seq = 1; seq <= 5; ++seq) {
-    wire += EncodeFrame(
-        MakeFrame(FrameType::kData, seq, "payload-" + std::to_string(seq)),
-        "key");
-  }
-  // Worst-case fragmentation: one byte per Append.
-  FrameParser parser("key");
-  size_t frames = 0;
-  for (char c : wire) {
-    parser.Append(std::string_view(&c, 1));
-    while (true) {
-      auto frame = parser.Next();
-      ASSERT_TRUE(frame.ok()) << frame.status();
-      if (!frame->has_value()) {
-        break;
-      }
-      ++frames;
-      EXPECT_EQ((*frame)->body, "payload-" + std::to_string((*frame)->seq));
-    }
-  }
-  EXPECT_EQ(frames, 5u);
-}
-
-TEST(FrameCodecTest, MacCoversTypeSeqAndBody) {
-  std::string good = EncodeFrame(MakeFrame(FrameType::kData, 1, "body"), "k1");
-  // Same frame, different key: the MAC hex differs.
-  EXPECT_NE(good, EncodeFrame(MakeFrame(FrameType::kData, 1, "body"), "k2"));
-
-  // Tampering with the body is caught, and the error is sticky.
-  std::string tampered = good;
-  tampered[tampered.find("body")] = 'B';
-  FrameParser parser("k1");
-  parser.Append(tampered);
-  auto frame = parser.Next();
-  EXPECT_FALSE(frame.ok());
-  parser.Append(good);
-  EXPECT_FALSE(parser.Next().ok()) << "frame errors must be sticky";
-}
-
-TEST(FrameCodecTest, KeyedStreamRejectsUnsignedFrames) {
-  FrameParser parser("secret");
-  parser.Append(EncodeFrame(MakeFrame(FrameType::kData, 1, "x"), ""));
-  EXPECT_FALSE(parser.Next().ok());
-}
-
-TEST(FrameCodecTest, RejectsReplayedOrRegressingSequence) {
-  FrameParser parser("key");
-  parser.Append(EncodeFrame(MakeFrame(FrameType::kData, 5, "a"), "key"));
-  auto first = parser.Next();
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(first->has_value());
-  // Replaying seq 5 (or anything below it) is the poll path's anti-replay
-  // discipline applied to frames.
-  parser.Append(EncodeFrame(MakeFrame(FrameType::kData, 5, "a"), "key"));
-  EXPECT_FALSE(parser.Next().ok());
-}
-
-TEST(FrameCodecTest, RejectsMalformedAndOversizedHeaders) {
-  {
-    FrameParser parser("");
-    parser.Append("HTTP/1.1 200 OK\r\n");
-    EXPECT_FALSE(parser.Next().ok());
-  }
-  {
-    FrameParser parser("");
-    parser.Append("RCBF1 data 1 99999999999\r\n");
-    EXPECT_FALSE(parser.Next().ok()) << "body length above kMaxBodyBytes";
-  }
-  {
-    FrameParser parser("");
-    parser.Append("RCBF1 bogus 1 0\r\n\r\n");
-    EXPECT_FALSE(parser.Next().ok()) << "unknown frame type";
-  }
-}
-
-TEST(TransportGrantTest, FormatsAndParsesBothModes) {
-  TransportGrant frames;
-  frames.mode = GrantMode::kFrames;
-  frames.heartbeat_ms = 5000;
-  auto parsed = ParseTransportGrant(FormatTransportGrant(frames));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->mode, GrantMode::kFrames);
-  EXPECT_EQ(parsed->heartbeat_ms, 5000);
-
+TEST(TransportGrantTest, FormatsAndParsesTheLongPollGrant) {
   TransportGrant longpoll;
-  longpoll.mode = GrantMode::kLongPoll;
   longpoll.hold_ms = 10000;
-  parsed = ParseTransportGrant(FormatTransportGrant(longpoll));
+  EXPECT_EQ(FormatTransportGrant(longpoll), "longpoll; hold=10000");
+  auto parsed = ParseTransportGrant(FormatTransportGrant(longpoll));
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->mode, GrantMode::kLongPoll);
   EXPECT_EQ(parsed->hold_ms, 10000);
 
-  // Anything malformed downgrades (nullopt), never errors.
+  // Anything else downgrades (nullopt), never errors — the retired framed
+  // grant included.
   EXPECT_FALSE(ParseTransportGrant("").has_value());
+  EXPECT_FALSE(ParseTransportGrant("frames; hb=5000").has_value());
   EXPECT_FALSE(ParseTransportGrant("websocket; hb=1").has_value());
+  EXPECT_FALSE(ParseTransportGrant("longpoll; hold=0").has_value());
 }
 
 // ----------------------------------------------------- adaptive policy ----
@@ -236,6 +106,35 @@ class TransportSessionTest : public ::testing::Test {
     ASSERT_TRUE(session->WaitForSync().ok());
   }
 
+  // Runs until `done` holds or `limit` of simulated time passes (parked
+  // polls keep the event queue busy, so an unbounded wait would not end).
+  bool RunUntil(const std::function<bool()>& done, Duration limit) {
+    bool expired = false;
+    uint64_t deadline = loop_.Schedule(limit, [&] { expired = true; });
+    loop_.RunUntilCondition([&] { return expired || done(); });
+    loop_.Cancel(deadline);
+    return done();
+  }
+
+  // Runs until the agent holds `count` parked polls, for at most 5 s.
+  bool AwaitParked(CoBrowsingSession* session, size_t count) {
+    return RunUntil(
+        [&] { return session->agent()->parked_poll_count() == count; },
+        Duration::Seconds(5.0));
+  }
+
+  // The origin page with a one-field form, for co-fill tests.
+  void ServeFormPage() {
+    site_->ServeStatic("/", "text/html",
+                       "<html><head><title>T</title></head><body>"
+                       "<form id=\"f\"><input name=\"q\"></form>"
+                       "</body></html>");
+  }
+  static std::string HostFieldValue(CoBrowsingSession* session) {
+    Element* form = session->host_browser()->document()->ById("f");
+    return form == nullptr ? "" : form->FindFirst("input")->AttrOr("value");
+  }
+
   void MutateHost(CoBrowsingSession* session, const std::string& marker) {
     session->host_browser()->MutateDocument([&](Document* document) {
       auto element = MakeElement("div");
@@ -249,37 +148,32 @@ class TransportSessionTest : public ::testing::Test {
   std::unique_ptr<SiteServer> site_;
 };
 
-TEST_F(TransportSessionTest, FramedStreamPushesUpdatesWithoutPolling) {
+TEST_F(TransportSessionTest, Stream2PushesUpdatesOnTheGrantedLongPoll) {
   SessionOptions options = BaseOptions();
   options.enable_transport = true;
   options.snippet_stream_mode = transport::kStreamFrames;
-  options.transport_heartbeat = Duration::Seconds(1.0);
   CoBrowsingSession session(&loop_, &network_, options);
   ASSERT_TRUE(session.Start().ok());
   NavigateHost(&session);
 
-  // The first granted poll upgraded to a held framed stream.
-  ASSERT_TRUE(loop_.RunUntilCondition([&] { return session.snippet(0)->frames_open(); }));
-  EXPECT_EQ(session.agent()->framed_stream_count(), 1u);
-  EXPECT_EQ(session.agent()->metrics().transport_streams_opened, 1u);
+  // A stream=2 poll is granted a long-poll, and the next one is parked.
+  ASSERT_TRUE(AwaitParked(&session, 1));
+  EXPECT_TRUE(session.snippet(0)->long_poll_active());
 
-  // While streaming, the poll loop is quiescent: an update arrives as a
-  // pushed data frame, not as a poll response.
-  uint64_t polls_before = session.snippet(0)->metrics().polls_sent;
-  uint64_t frames_before = session.snippet(0)->metrics().frames_received;
-  MutateHost(&session, "framed-marker");
+  // An update releases the parked poll instead of waiting for a poll tick.
+  const AgentMetrics& agent = session.agent()->metrics();
+  const uint64_t flushes = agent.transport_long_poll_flushes;
+  MutateHost(&session, "pushed-marker");
   ASSERT_TRUE(session.WaitForSync().ok());
-  EXPECT_NE(session.participant_browser(0)->document()->ById("framed-marker"),
+  EXPECT_NE(session.participant_browser(0)->document()->ById("pushed-marker"),
             nullptr);
-  EXPECT_EQ(session.snippet(0)->metrics().polls_sent, polls_before);
-  EXPECT_GT(session.snippet(0)->metrics().frames_received, frames_before);
-  EXPECT_GT(session.agent()->metrics().transport_frames_sent, 0u);
-  EXPECT_GT(session.agent()->metrics().transport_frame_bytes_sent, 0u);
-  // Streaming pays no idle-poll tax.
+  EXPECT_EQ(agent.transport_long_poll_flushes, flushes + 1);
+  // Held round trips pay no idle-poll tax.
   EXPECT_EQ(session.snippet(0)->metrics().wasted_polls, 0u);
+  EXPECT_EQ(session.snippet(0)->metrics().polls_superseded, 0u);
 }
 
-TEST_F(TransportSessionTest, FramedStreamCarriesRemoteActionsPromptly) {
+TEST_F(TransportSessionTest, Stream2CarriesRemoteActionsPromptly) {
   SessionOptions options = BaseOptions();
   options.participant_count = 2;
   options.enable_transport = true;
@@ -287,80 +181,153 @@ TEST_F(TransportSessionTest, FramedStreamCarriesRemoteActionsPromptly) {
   CoBrowsingSession session(&loop_, &network_, options);
   ASSERT_TRUE(session.Start().ok());
   NavigateHost(&session);
-  ASSERT_TRUE(loop_.RunUntilCondition([&] {
-    return session.snippet(0)->frames_open() && session.snippet(1)->frames_open();
-  }));
+  ASSERT_TRUE(AwaitParked(&session, 2));
 
-  // Participant 0's gesture fans out to participant 1 over its held stream
-  // (actions-only data frame), without waiting for any poll interval.
+  // Participant 0's gesture supersedes its parked poll, and the agent
+  // releases participant 1's parked poll with it (an actions-only reply),
+  // without waiting for any poll interval.
   uint64_t broadcasts_before = session.snippet(1)->metrics().broadcasts_received;
+  SimTime moved_at = loop_.now();
   session.snippet(0)->SendMouseMove(11, 22);
-  ASSERT_TRUE(loop_.RunUntilCondition([&] {
-    return session.snippet(1)->metrics().broadcasts_received > broadcasts_before;
-  }));
-  EXPECT_TRUE(session.snippet(1)->frames_open());
+  ASSERT_TRUE(RunUntil(
+      [&] {
+        return session.snippet(1)->metrics().broadcasts_received >
+               broadcasts_before;
+      },
+      Duration::Seconds(5.0)));
+  EXPECT_LT(loop_.now() - moved_at, Duration::Millis(250));
+  EXPECT_TRUE(session.snippet(1)->long_poll_active());
 }
 
-TEST_F(TransportSessionTest, FramedStreamAppliesOwnCoFill) {
-  // A framed-stream participant's gestures leave on a side POST. When that
-  // POST creates the new version (its own co-fill), the agent answers it
-  // with the content and marks it delivered, so the stream never re-sends
-  // it: the snippet has to apply the POST's reply itself.
-  site_->ServeStatic("/", "text/html",
-                     "<html><head><title>T</title></head><body>"
-                     "<form id=\"f\"><input name=\"q\"></form>"
-                     "</body></html>");
+// The tentpole of stream=2: on an idle LAN session, with its poll parked for
+// the agent's whole hold, a participant's own co-fill and pointer move reach
+// the host and a peer at once, and the participant converges on the version
+// its co-fill created.
+TEST_F(TransportSessionTest, Stream2GesturesPreemptTheParkedPoll) {
+  ServeFormPage();
   SessionOptions options = BaseOptions();
+  options.participant_count = 2;
   options.enable_transport = true;
   options.snippet_stream_mode = transport::kStreamFrames;
   CoBrowsingSession session(&loop_, &network_, options);
   ASSERT_TRUE(session.Start().ok());
   NavigateHost(&session);
-  ASSERT_TRUE(loop_.RunUntilCondition(
-      [&] { return session.snippet(0)->frames_open(); }));
-  const int64_t before = session.snippet(0)->doc_time_ms();
+  ASSERT_TRUE(AwaitParked(&session, 2));
+  loop_.RunFor(Duration::Seconds(3.0));  // idle, well inside the 10 s hold
+  ASSERT_EQ(session.agent()->parked_poll_count(), 2u);
 
-  auto host_value = [&] {
-    Element* input =
-        session.host_browser()->document()->ById("f")->FindFirst("input");
-    return input->AttrOr("value");
-  };
+  std::vector<UserAction> peer_moves;
+  session.snippet(1)->SetActionListener([&](const UserAction& action) {
+    if (action.type == ActionType::kMouseMove) {
+      peer_moves.push_back(action);
+    }
+  });
   Element* form = session.participant_browser(0)->document()->ById("f");
   ASSERT_NE(form, nullptr);
+  const SimTime gesture_at = loop_.now();
   ASSERT_TRUE(session.snippet(0)->FillFormField(form, "q", "hello").ok());
-  ASSERT_TRUE(loop_.RunUntilCondition([&] { return host_value() == "hello"; }));
+  session.snippet(0)->SendMouseMove(40, 50);
 
+  ASSERT_TRUE(RunUntil([&] { return HostFieldValue(&session) == "hello"; },
+                       Duration::Seconds(1.0)));
+  EXPECT_LT(loop_.now() - gesture_at, Duration::Millis(250));
+  ASSERT_TRUE(RunUntil([&] { return !peer_moves.empty(); },
+                       Duration::Seconds(1.0)));
+  EXPECT_LT(loop_.now() - gesture_at, Duration::Millis(250));
+  EXPECT_EQ(peer_moves[0].x, 40);
+  EXPECT_EQ(peer_moves[0].y, 50);
+  // One supersede carried both gestures: the zero-delay deferral coalesces
+  // a burst into one poll.
+  EXPECT_EQ(session.snippet(0)->metrics().polls_superseded, 1u);
+
+  // The participant converges on the version its own co-fill created.
   ASSERT_TRUE(session.WaitForSync().ok());
-  EXPECT_GT(session.snippet(0)->doc_time_ms(), before);
-  EXPECT_EQ(session.snippet(0)->doc_time_ms(),
-            session.agent()->CurrentSnapshotForTest().doc_time_ms);
-  EXPECT_TRUE(session.snippet(0)->frames_open());
+  const Snapshot& current = session.agent()->CurrentSnapshotForTest();
+  EXPECT_EQ(session.snippet(0)->doc_time_ms(), current.doc_time_ms);
+  EXPECT_EQ(delta::TreeDigest(*delta::CanonicalizeDocument(
+                *session.participant_browser(0)->document())),
+            delta::TreeDigest(*MaterializeSnapshotTree(current)));
+  EXPECT_TRUE(session.snippet(0)->long_poll_active());
 }
 
-TEST_F(TransportSessionTest, IdleFramedStreamStaysAliveOnHeartbeats) {
+// A superseded park can already have been released: its reply, carrying a
+// peer's action the agent drained from the outbox, races the fresh poll.
+// The snippet applies it, so the action is not lost.
+TEST_F(TransportSessionTest, SupersededParkReplyIsApplied) {
   SessionOptions options = BaseOptions();
+  options.participant_count = 2;
   options.enable_transport = true;
   options.snippet_stream_mode = transport::kStreamFrames;
-  options.transport_heartbeat = Duration::Millis(500);
   CoBrowsingSession session(&loop_, &network_, options);
   ASSERT_TRUE(session.Start().ok());
   NavigateHost(&session);
-  ASSERT_TRUE(loop_.RunUntilCondition([&] { return session.snippet(0)->frames_open(); }));
+  ASSERT_TRUE(AwaitParked(&session, 2));
 
-  // Ten seconds of dead air: the stream survives on heartbeats alone.
-  loop_.RunFor(Duration::Seconds(10.0));
-  EXPECT_TRUE(session.snippet(0)->frames_open());
-  EXPECT_GE(session.snippet(0)->metrics().heartbeats_received, 8u);
-  EXPECT_GE(session.agent()->metrics().transport_heartbeats_sent, 8u);
-  EXPECT_EQ(session.snippet(0)->metrics().heartbeat_timeouts, 0u);
-  EXPECT_EQ(session.snippet(0)->metrics().wasted_polls, 0u);
+  std::vector<UserAction> moves[2];
+  for (size_t i = 0; i < 2; ++i) {
+    session.snippet(i)->SetActionListener([&moves, i](const UserAction& action) {
+      if (action.type == ActionType::kMouseMove) {
+        moves[i].push_back(action);
+      }
+    });
+  }
+  // Participant 1 moves: the agent releases participant 0's park with that
+  // move. Stop the moment the release is on the wire.
+  const AgentMetrics& agent = session.agent()->metrics();
+  const uint64_t flushes = agent.transport_long_poll_flushes;
+  session.snippet(1)->SendMouseMove(1, 2);
+  ASSERT_TRUE(RunUntil([&] { return agent.transport_long_poll_flushes > flushes; },
+                       Duration::Seconds(1.0)));
+  ASSERT_TRUE(moves[0].empty());
+  // Participant 0 moves while that reply is in flight: the gesture
+  // supersedes the released poll, and the agent has no park left to drop.
+  session.snippet(0)->SendMouseMove(5, 6);
+  loop_.RunFor(Duration::Seconds(1.0));
+
+  EXPECT_EQ(session.snippet(0)->metrics().polls_superseded, 1u);
+  ASSERT_EQ(moves[0].size(), 1u) << "the racing reply's action was lost";
+  EXPECT_EQ(moves[0][0].x, 1);
+  ASSERT_EQ(moves[1].size(), 1u);
+  EXPECT_EQ(moves[1][0].x, 5);
+  // Both are parked again, and neither side lost its grant.
+  EXPECT_EQ(session.agent()->parked_poll_count(), 2u);
+  EXPECT_TRUE(session.snippet(0)->long_poll_active());
+  EXPECT_TRUE(session.snippet(1)->long_poll_active());
 }
 
-TEST_F(TransportSessionTest, DroppedStreamRecoversThroughSignedResume) {
+// stream=1 keeps the long-poll as it is: a gesture queued while the poll is
+// parked rides the next poll, which leaves only when the park is released.
+TEST_F(TransportSessionTest, Stream1GestureWaitsForTheRelease) {
+  ServeFormPage();
+  SessionOptions options = BaseOptions();
+  options.enable_transport = true;
+  options.snippet_stream_mode = transport::kStreamLongPoll;
+  options.transport_hold = Duration::Seconds(2.0);
+  CoBrowsingSession session(&loop_, &network_, options);
+  ASSERT_TRUE(session.Start().ok());
+  NavigateHost(&session);
+  ASSERT_TRUE(AwaitParked(&session, 1));
+
+  const uint64_t expiries =
+      session.agent()->metrics().transport_long_poll_expiries;
+  const SimTime gesture_at = loop_.now();
+  Element* form = session.participant_browser(0)->document()->ById("f");
+  ASSERT_NE(form, nullptr);
+  ASSERT_TRUE(session.snippet(0)->FillFormField(form, "q", "later").ok());
+  ASSERT_TRUE(RunUntil([&] { return HostFieldValue(&session) == "later"; },
+                       Duration::Seconds(5.0)));
+  // The fill arrived only after the park expired empty.
+  EXPECT_GT(loop_.now() - gesture_at, Duration::Millis(250));
+  EXPECT_EQ(session.agent()->metrics().transport_long_poll_expiries,
+            expiries + 1);
+  EXPECT_EQ(session.snippet(0)->metrics().polls_superseded, 0u);
+}
+
+TEST_F(TransportSessionTest, Stream2RecoversThroughSignedResume) {
   SessionOptions options = BaseOptions();
   options.enable_transport = true;
   options.snippet_stream_mode = transport::kStreamFrames;
-  options.transport_heartbeat = Duration::Millis(500);
+  options.transport_hold = Duration::Seconds(2.0);
   options.poll_timeout = Duration::Seconds(1.0);
   options.reconnect_after = 1;
   options.backoff_base = Duration::Millis(250);
@@ -368,11 +335,11 @@ TEST_F(TransportSessionTest, DroppedStreamRecoversThroughSignedResume) {
   CoBrowsingSession session(&loop_, &network_, options);
   ASSERT_TRUE(session.Start().ok());
   NavigateHost(&session);
-  ASSERT_TRUE(loop_.RunUntilCondition([&] { return session.snippet(0)->frames_open(); }));
+  ASSERT_TRUE(AwaitParked(&session, 1));
 
-  // Black-hole the participant for 5 s: heartbeats stop arriving, the
-  // watchdog declares the stream dead, and the recovery ladder runs —
-  // reconnect_after=1 sends it straight through the signed resume.
+  // Black-hole the participant for 5 s: the parked poll's release is lost,
+  // its deadline (timeout plus the granted hold) passes, and reconnect_after=1
+  // sends the snippet straight through the signed resume.
   FaultInjector injector(&network_, /*seed=*/77);
   injector.InjectPartition("participant-pc-1", loop_.now() + Duration::Millis(100),
                            Duration::Seconds(5.0), Duration::Millis(200));
@@ -380,15 +347,13 @@ TEST_F(TransportSessionTest, DroppedStreamRecoversThroughSignedResume) {
   loop_.RunFor(Duration::Seconds(20.0));
 
   const SnippetMetrics& snippet = session.snippet(0)->metrics();
-  EXPECT_GE(snippet.heartbeat_timeouts, 1u);
-  EXPECT_GE(snippet.transport_stream_failures, 1u);
+  EXPECT_GE(snippet.poll_timeouts, 1u);
   EXPECT_GE(snippet.reconnects, 1u);
   // The resume was authenticated, not a fresh unauthenticated join.
   EXPECT_GE(session.agent()->metrics().reconnects, 1u);
   EXPECT_EQ(session.agent()->metrics().auth_failures, 0u);
-  // Recovered all the way back onto the streamed transport, content intact.
-  EXPECT_TRUE(session.snippet(0)->frames_open());
-  EXPECT_FALSE(session.snippet(0)->transport_downgraded());
+  // Recovered all the way back onto the granted long-poll, content intact.
+  EXPECT_TRUE(session.snippet(0)->long_poll_active());
   EXPECT_NE(session.participant_browser(0)->document()->ById("mid-fault"),
             nullptr);
 }
@@ -485,7 +450,7 @@ TEST_F(TransportSessionTest, LongPollReleaseCarriesDeltaPatch) {
           session.agent()->CurrentSnapshotForTest())));
 }
 
-TEST_F(TransportSessionTest, HeldStreamCapDeniesUpgradesGracefully) {
+TEST_F(TransportSessionTest, HeldPollCapDeniesGrantsGracefully) {
   SessionOptions options = BaseOptions();
   options.participant_count = 3;
   options.enable_transport = true;
@@ -495,13 +460,16 @@ TEST_F(TransportSessionTest, HeldStreamCapDeniesUpgradesGracefully) {
   ASSERT_TRUE(session.Start().ok());
   NavigateHost(&session);
 
-  // Exactly one participant wins the held slot; the others are denied and
-  // keep polling — no errors, no stuck clients.
-  ASSERT_TRUE(loop_.RunUntilCondition([&] {
-    return session.agent()->framed_stream_count() == 1;
-  }));
-  loop_.RunFor(Duration::Seconds(3.0));
-  EXPECT_EQ(session.agent()->framed_stream_count(), 1u);
+  // At most one participant holds the parked slot; the others are denied a
+  // grant and keep polling — no errors, no stuck clients.
+  ASSERT_TRUE(AwaitParked(&session, 1));
+  size_t most_parked = 0;
+  const SimTime until = loop_.now() + Duration::Seconds(3.0);
+  while (loop_.now() < until) {
+    loop_.RunFor(Duration::Millis(10));
+    most_parked = std::max(most_parked, session.agent()->parked_poll_count());
+  }
+  EXPECT_EQ(most_parked, 1u);
   EXPECT_GT(session.agent()->metrics().transport_capacity_denials, 0u);
 
   MutateHost(&session, "cap-marker");
@@ -510,58 +478,9 @@ TEST_F(TransportSessionTest, HeldStreamCapDeniesUpgradesGracefully) {
     EXPECT_NE(session.participant_browser(i)->document()->ById("cap-marker"),
               nullptr)
         << "participant " << i;
-    // A held-cap 503 is load shedding, not an auth rejection.
+    // A denied grant is a classic reply, not a rejection.
     EXPECT_EQ(session.snippet(i)->metrics().auth_rejections, 0u)
         << "participant " << i;
-  }
-}
-
-// A stand-in agent that grants framed streams on every poll but answers
-// every GET /frames with `frames_status`: the snippet files only a 403 as an
-// auth rejection; a 503 is load shedding, like the held-stream cap above.
-TEST(FramesRejectionTest, OnlyA403CountsAsAuthRejection) {
-  for (int frames_status : {403, 503}) {
-    SCOPED_TRACE(frames_status);
-    EventLoop loop;
-    Network network(&loop);
-    network.AddHost("agent-pc", {});
-    network.AddHost("participant-pc", {});
-    SiteServer agent(&loop, &network, "agent-pc", 3000);
-    agent.Route("/", [](const HttpRequest& request) {
-      if (request.method == HttpMethod::kGet) {
-        return HttpResponse::Ok(
-            "text/html",
-            "<html><head><meta name=\"rcb-pid\" content=\"p1\">"
-            "<meta name=\"rcb-poll-interval\" content=\"250\"></head>"
-            "<body></body></html>");
-      }
-      transport::TransportGrant grant;
-      grant.mode = transport::GrantMode::kFrames;
-      grant.heartbeat_ms = 5000;
-      HttpResponse reply = HttpResponse::Ok("application/xml", "");
-      reply.headers.Set("RCB-Transport", FormatTransportGrant(grant));
-      return reply;
-    });
-    agent.Route("/frames", [frames_status](const HttpRequest&) {
-      return frames_status == 403
-                 ? HttpResponse::Forbidden("request authentication failed")
-                 : HttpResponse::ServiceUnavailable(
-                       Duration::Seconds(1.0), "held transport limit reached");
-    });
-    Browser participant(&loop, &network, "participant-pc");
-    SnippetConfig config;
-    config.stream_mode = transport::kStreamFrames;
-    AjaxSnippet snippet(&participant, config);
-    bool joined = false;
-    snippet.Join(Url::Make("http", "agent-pc", 3000, "/"),
-                 [&](Status status) { joined = status.ok(); });
-    loop.RunFor(Duration::Seconds(2.0));
-    ASSERT_TRUE(joined);
-    const SnippetMetrics& metrics = snippet.metrics();
-    EXPECT_GT(metrics.transport_stream_failures, 0u);
-    EXPECT_EQ(metrics.auth_rejections,
-              frames_status == 403 ? metrics.transport_stream_failures : 0u);
-    snippet.Leave();
   }
 }
 
@@ -595,41 +514,6 @@ TEST_F(TransportSessionTest, AdaptivePollingBacksOffIdleAndSnapsBack) {
   // Mostly at the 2 s cap: far fewer than the 40 polls of a fixed 250 ms
   // cadence over the same window.
   EXPECT_LT(idle_polls_10s, 15u);
-}
-
-TEST_F(TransportSessionTest, RepeatedStreamFailuresDowngradeToPolling) {
-  SessionOptions options = BaseOptions();
-  options.enable_transport = true;
-  options.snippet_stream_mode = transport::kStreamFrames;
-  options.transport_heartbeat = Duration::Millis(500);
-  options.stream_downgrade_after = 2;
-  CoBrowsingSession session(&loop_, &network_, options);
-  ASSERT_TRUE(session.Start().ok());
-  NavigateHost(&session);
-  ASSERT_TRUE(loop_.RunUntilCondition([&] { return session.snippet(0)->frames_open(); }));
-
-  // Two long blackouts in a row: each kills the stream via the heartbeat
-  // watchdog before any data frame can reset the failure streak, so the
-  // snippet writes the transport off and settles on classic polling.
-  FaultInjector injector(&network_, /*seed=*/99);
-  injector.InjectPartition("participant-pc-1", loop_.now() + Duration::Millis(100),
-                           Duration::Seconds(4.0), Duration::Millis(200));
-  injector.InjectPartition("participant-pc-1", loop_.now() + Duration::Seconds(5.0),
-                           Duration::Seconds(4.0), Duration::Millis(200));
-  loop_.RunFor(Duration::Seconds(15.0));
-
-  EXPECT_TRUE(session.snippet(0)->transport_downgraded());
-  EXPECT_GE(session.snippet(0)->metrics().transport_downgrades, 1u);
-  EXPECT_FALSE(session.snippet(0)->frames_open());
-
-  // Downgraded but healthy: updates still arrive, over plain polls.
-  MutateHost(&session, "downgrade-marker");
-  ASSERT_TRUE(session.WaitForSync(Duration::Seconds(30.0)).ok());
-  EXPECT_NE(
-      session.participant_browser(0)->document()->ById("downgrade-marker"),
-      nullptr);
-  EXPECT_FALSE(session.snippet(0)->frames_open());
-  EXPECT_FALSE(session.snippet(0)->long_poll_active());
 }
 
 }  // namespace
