@@ -9,6 +9,9 @@
 //     counters (empty classic round trips and their request+response bytes),
 //   * the drop probe: agent restart with a poll held -> poll timeout ->
 //     signed resume reconnect, and whether the next change still lands.
+// On lan and wan, a separate session per (profile, poll|longpoll) also times
+// the other direction, a participant's gesture: FillFormField on the
+// participant -> the host DOM holds the value, over the same seeded phases.
 // A final fan-out section runs S sessions x P pollers on one RcbHost under
 // classic polling and under long-polls, comparing sync latency and idle
 // bytes per participant.
@@ -18,7 +21,9 @@
 // committed artifact):
 //   * WAN long-poll median latency at least RCB_TRANSPORT_LATENCY_FLOOR_X
 //     (default 2) times better than 1 s polling,
-//   * the long-poll drop probe recovers on every profile via signed resume.
+//   * the long-poll drop probe recovers on every profile via signed resume,
+//   * long-poll median gesture latency no worse than 1 s polling's, on lan
+//     and wan (a gesture pre-empts the parked poll).
 //
 // Env knobs (CI shrinks the sweep under sanitizers):
 //   RCB_TRANSPORT_MUTATIONS        latency mutations per mode (default 15)
@@ -203,6 +208,46 @@ ModeResult RunMode(const NetworkProfile& profile, Mode mode, int mutations,
   return result;
 }
 
+// Median participant-gesture latency: the participant co-fills the replica's
+// search box -> the host DOM holds the value. Phases as in RunMode.
+Duration RunGestures(const NetworkProfile& profile, Mode mode, int gestures) {
+  EventLoop loop;
+  Network network(&loop);
+  SessionOptions options = BaseOptions(profile, mode);
+  const SiteSpec* spec = FindSite("google.com");
+  AddOriginServer(&network, options.profile, spec->host, spec->server_bps,
+                  spec->server_latency, options.host_machine,
+                  options.participant_machine_prefix + "-1");
+  auto server = InstallSite(&loop, &network, *spec);
+  CoBrowsingSession session(&loop, &network, options);
+  if (!session.Start().ok() ||
+      !session.CoNavigate(Url::Make("http", spec->host, 80, "/")).ok()) {
+    return Duration::Zero();
+  }
+  auto host_query = [&]() -> std::string {
+    Element* form = session.host_browser()->document()->ById("search");
+    Element* input = form == nullptr ? nullptr : form->FindFirst("input");
+    return input == nullptr ? "" : input->AttrOr("value");
+  };
+  std::vector<int64_t> latencies_us;
+  latencies_us.reserve(gestures);
+  for (int i = 0; i < gestures; ++i) {
+    loop.RunFor(Duration::Millis(
+        1200 + (static_cast<int64_t>(i) * 617) % 1000));
+    Element* form = session.participant_browser(0)->document()->ById("search");
+    const std::string value = "g" + std::to_string(i);
+    SimTime gesture_at = loop.now();
+    if (form == nullptr ||
+        !session.snippet(0)->FillFormField(form, "q", value).ok()) {
+      return Duration::Zero();
+    }
+    loop.RunUntilCondition([&] { return host_query() == value; });
+    latencies_us.push_back((loop.now() - gesture_at).micros());
+  }
+  std::sort(latencies_us.begin(), latencies_us.end());
+  return Duration::Micros(latencies_us[latencies_us.size() / 2]);
+}
+
 struct FanoutResult {
   double median_latency_us = 0;
   double idle_bytes_per_minute_per_participant = 0;
@@ -365,6 +410,7 @@ int main() {
 
   ModeResult wan_poll, wan_longpoll;
   bool all_longpoll_recovered = true;
+  bool longpoll_gestures_no_slower = true;
   for (const auto& row : profiles) {
     std::printf("\n[%s]\n", row.key);
     std::printf("%-24s %12s %12s %12s\n", "", "poll", "adaptive", "longpoll");
@@ -415,6 +461,24 @@ int main() {
                       obs::Provenance::kSim,
                       static_cast<double>(r.drop_reconnects));
     }
+    if (std::string(row.key) != "mobile") {
+      const Duration poll_gesture =
+          RunGestures(row.profile, Mode::kPoll, mutations);
+      const Duration longpoll_gesture =
+          RunGestures(row.profile, Mode::kLongPoll, mutations);
+      std::printf("%-24s %12s %12s %12s\n", "median gesture latency",
+                  poll_gesture.ToString().c_str(), "-",
+                  longpoll_gesture.ToString().c_str());
+      report.AddValue(StrFormat("%s_poll_gesture_latency_us", row.key), "us",
+                      obs::Provenance::kSim,
+                      static_cast<double>(poll_gesture.micros()));
+      report.AddValue(StrFormat("%s_longpoll_gesture_latency_us", row.key),
+                      "us", obs::Provenance::kSim,
+                      static_cast<double>(longpoll_gesture.micros()));
+      longpoll_gestures_no_slower = longpoll_gestures_no_slower &&
+                                    longpoll_gesture > Duration::Zero() &&
+                                    longpoll_gesture <= poll_gesture;
+    }
     if (std::string(row.key) == "wan") {
       wan_poll = results[0];
       wan_longpoll = results[2];
@@ -462,13 +526,17 @@ int main() {
 
   PrintRule();
   std::printf("shape check: WAN long-polls must cut median latency >= %.1fx "
-              "vs 1 s polling, and the long-poll drop probe must recover on "
-              "every profile.\n",
+              "vs 1 s polling, the long-poll drop probe must recover on "
+              "every profile, and long-poll gestures must be no slower than "
+              "polled ones on lan and wan.\n",
               latency_floor_x);
   std::printf("  wan latency improvement: %.1fx   wan idle bytes "
-              "improvement: %.1fx   long-poll drop recovery: %s\n",
-              latency_x, idle_x, all_longpoll_recovered ? "yes" : "NO");
-  bool ok = latency_x >= latency_floor_x && all_longpoll_recovered;
+              "improvement: %.1fx   long-poll drop recovery: %s   long-poll "
+              "gestures no slower: %s\n",
+              latency_x, idle_x, all_longpoll_recovered ? "yes" : "NO",
+              longpoll_gestures_no_slower ? "yes" : "NO");
+  bool ok = latency_x >= latency_floor_x && all_longpoll_recovered &&
+            longpoll_gestures_no_slower;
   if (!ok) {
     std::printf("SHAPE CHECK FAILED\n");
     return 1;

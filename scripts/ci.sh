@@ -300,8 +300,9 @@ check_transport() {
   "${build_dir}/tests/agent_test" \
       --gtest_filter='*StreamCapabilityDowngrade*' --gtest_brief=1
   # The bench enforces the floors on exit: WAN long-polls >= 2x median
-  # latency cut vs 1 s polling, and the long-poll drop probe recovers via
-  # signed resume on every profile. Every reading is simulated time, so the
+  # latency cut vs 1 s polling, the long-poll drop probe recovers via
+  # signed resume on every profile, and long-poll gestures are no slower
+  # than polled ones on lan and wan. Every reading is simulated time, so the
   # floors hold under sanitizers too; the sanitized build just runs a
   # smaller sweep to bound wall time.
   local mutations=15 idle=60 fanout=8
@@ -318,8 +319,10 @@ check_transport() {
   local artifact="${artifact_dir}/BENCH_transport.json"
   "${build_dir}/tools/validate_bench_json" "${artifact}"
   if command -v jq >/dev/null; then
-    # Schema + in-artifact floors: the latency ratio and the per-profile
-    # long-poll drop-recovery flags must hold in the artifact this build
+    # Schema + in-artifact floors: the latency ratio, the per-profile
+    # long-poll drop-recovery flags and the gesture floor (a participant's
+    # gesture pre-empts its parked poll, so long-poll gesture latency is at
+    # most polling's on lan and wan) must hold in the artifact this build
     # wrote.
     jq -e '.schema_version == 1 and .bench == "transport"
            and (.config_fingerprint | test("^[0-9a-f]{64}$"))
@@ -333,7 +336,17 @@ check_transport() {
                  | .value >= 2] == [true])
            and ([.metrics[]
                  | select(.name | test("^(lan|wan|mobile)_longpoll_recovered_after_drop$"))
-                 | .value] | length == 3 and all(. == 1))' \
+                 | .value] | length == 3 and all(. == 1))
+           and ([.metrics[]
+                 | select(.name | test("^(lan|wan)_(poll|longpoll)_gesture_latency_us$"))]
+                | length == 4)
+           and ([("lan", "wan") as $p
+                 | [.metrics[]
+                    | select(.name == ($p + "_longpoll_gesture_latency_us"))
+                    | .value][0]
+                   <= [.metrics[]
+                       | select(.name == ($p + "_poll_gesture_latency_us"))
+                       | .value][0]] == [true, true])' \
         "${artifact}" > /dev/null
     # Against the committed artifact: long-polls must keep beating the
     # committed polling baseline's latency >= 2x, and WAN long-poll idle

@@ -968,7 +968,7 @@ StatusOr<int> RcbIdOf(Element* element) {
 void AjaxSnippet::QueueAction(UserAction action) {
   action_queue_.push_back(std::move(action));
   NoteActionQueued();
-  if (config_.stream_mode >= transport::kStreamFrames) {
+  if (config_.stream_mode != transport::kStreamNone) {
     SchedulePreempt();
   }
 }

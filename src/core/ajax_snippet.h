@@ -75,9 +75,9 @@ struct SnippetConfig {
   // polling wire byte-for-byte; the agent side must also opt in via
   // AgentConfig::transport.enable_stream, same contract as patch=/trace=. ---
   // Capability advertised on polls (transport::kStream*): 0 = classic
-  // polling, 1 = long-poll capable, 2 = long-poll capable with gestures that
-  // pre-empt the parked poll: a gesture queued while the granted poll is in
-  // flight supersedes it with a fresh poll carrying the gesture.
+  // polling, 1 or 2 = long-poll capable (2 is a wire alias of 1). A gesture
+  // queued while the granted poll is in flight supersedes it with a fresh
+  // poll carrying the gesture.
   uint32_t stream_mode = 0;
   // Adaptive polling for classic pollers: grow the interval while responses
   // come back empty (bounded by adaptive_max), snap back to the base
@@ -130,7 +130,7 @@ struct SnippetMetrics {
   // --- Streamed transport (DESIGN.md §15) ---
   uint64_t wasted_polls = 0;       // classic empty round trips (no grant held)
   uint64_t wasted_poll_bytes = 0;  // request+response bytes of those
-  // stream=2 only: parked polls superseded by a fresh poll carrying gestures.
+  // Granted polls superseded by a fresh poll carrying gestures.
   uint64_t polls_superseded = 0;
 };
 
@@ -241,10 +241,10 @@ class AjaxSnippet {
   // Presence bookkeeping + action listener dispatch for broadcast actions
   // (shared by the snapshot and patch paths).
   void HandleBroadcastActions(const std::vector<UserAction>& actions);
-  // Queues one gesture for the next poll; at stream=2, also schedules the
-  // pre-empt of a parked poll.
+  // Queues one gesture for the next poll; with the transport capability on,
+  // also schedules the pre-empt of a parked poll.
   void QueueAction(UserAction action);
-  // stream=2: one zero-delay event per event-loop turn (so a burst of
+  // Long-poll: one zero-delay event per event-loop turn (so a burst of
   // gestures rides one poll) that supersedes the granted poll in flight
   // with a fresh poll carrying the queued gestures.
   void SchedulePreempt();

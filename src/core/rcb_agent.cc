@@ -721,9 +721,14 @@ void RcbAgent::ReleaseParkedPoll(const std::string& pid, bool expired) {
   std::optional<ContentBody> body;
   auto participant_it = participants_.find(pid);
   if (participant_it != participants_.end()) {
-    participant_it->second.last_poll = browser_->loop()->now();
-    body = TakeDelivery(pid, participant_it->second, parked.acked_doc_time_ms,
+    ParticipantState& participant = participant_it->second;
+    participant.last_poll = browser_->loop()->now();
+    const int64_t held = participant.doc_time_ms;
+    body = TakeDelivery(pid, participant, parked.acked_doc_time_ms,
                         TransportExemplar(pid));
+    if (participant.doc_time_ms != held) {
+      participant.released_from = held;
+    }
   }
   if (body.has_value()) {
     ++metrics_.transport_long_poll_flushes;
@@ -1482,9 +1487,24 @@ HttpResponse RcbAgent::HandlePoll(const HttpRequest& request,
   // load (or scripted mutation) has stamped a version — a page whose
   // supplementary objects are still downloading is not served yet (the paper
   // generates content "when the webpage is loaded").
-  participant.doc_time_ms = poll.doc_time_ms;
+  //
+  // Send-once (DESIGN.md §15): a poll that still acks the version a parked
+  // release just replaced crossed that release on the wire (a gesture
+  // pre-empted the park as the agent released it). The snippet applies the
+  // racing release, so the version is not sent again: the poll gets its
+  // outbox or an empty granted reply, and is never parked. Should the
+  // release have been lost, the snippet's immediate re-poll acks the old
+  // version once more and gets the content then — one round trip, not a
+  // hold.
+  const bool release_crossed =
+      !poll.resync && participant.released_from == poll.doc_time_ms &&
+      participant.doc_time_ms == current_doc_time_ms_;
+  participant.released_from.reset();
+  if (!release_crossed) {
+    participant.doc_time_ms = poll.doc_time_ms;
+  }
   const bool needs_content =
-      has_version_ && poll.doc_time_ms < current_doc_time_ms_;
+      has_version_ && participant.doc_time_ms < current_doc_time_ms_;
   const size_t outbox_size = participant.outbox.size();
 
   // Step 3: response sending, through the drain transport deliveries share.
@@ -1522,7 +1542,7 @@ HttpResponse RcbAgent::HandlePoll(const HttpRequest& request,
   // hold the capability (the client saw a grant on its previous poll, so its
   // timeout budget covers the hold) — keep the request open instead of
   // answering empty. OnConnData parks the socket; the grant rides the release.
-  if (was_granted && participant.transport_granted) {
+  if (was_granted && participant.transport_granted && !release_crossed) {
     scope.park = ParkIntent{poll.participant_id, acked};
     ++metrics_.transport_long_polls_parked;
     TraceMarker("agent.response.parked", {});

@@ -341,6 +341,9 @@ class RcbAgent {
     // response carried an RCB-Transport grant, so the client is known to
     // have extended its poll timeout before the agent may park its poll.
     bool transport_granted = false;
+    // The version held before a parked release sent content, until the next
+    // poll: if that poll still acks it, it crossed the release on the wire.
+    std::optional<int64_t> released_from;
   };
   struct AgentConn {
     NetEndpoint* endpoint = nullptr;

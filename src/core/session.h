@@ -60,7 +60,7 @@ struct SessionOptions {
   // Agent side: answer capability-advertising polls with a transport grant.
   bool enable_transport = false;
   // Snippet side: what each participant advertises (transport::kStreamNone /
-  // kStreamLongPoll / kStreamFrames; see SnippetConfig::stream_mode).
+  // kStreamLongPoll; see SnippetConfig::stream_mode).
   uint32_t snippet_stream_mode = 0;
   Duration transport_hold = Duration::Seconds(10.0);
   size_t max_held_streams = 64;

@@ -4,8 +4,8 @@
 // trace= downgrade contract exactly:
 //
 //  - A streaming-capable snippet adds `stream=<mode>` to its poll body
-//    (1 or 2, both long-poll capable; see kStreamFrames). A snippet with the
-//    capability off sends nothing — byte-identical to the pre-transport wire.
+//    (1, or its alias 2; see kStreamFrames). A snippet with the capability
+//    off sends nothing — byte-identical to the pre-transport wire.
 //  - An agent with the transport enabled answers a capable poll with an
 //    `RCB-Transport:` response header naming the granted mode; with the
 //    transport off (or the client silent) the header is never added, so the
@@ -30,13 +30,13 @@
 namespace rcb {
 namespace transport {
 
-// Poll-body `stream=` capability levels, in increasing order.
+// Poll-body `stream=` capability values.
 inline constexpr uint32_t kStreamNone = 0;
 inline constexpr uint32_t kStreamLongPoll = 1;
-// A wire value only: framed streams are retired, and a stream=2 poll is
-// granted long-poll like stream=1. Its one difference is on the snippet: a
-// gesture queued while its poll is parked supersedes that poll at once
-// (DESIGN.md §15) instead of waiting for the release.
+// Only a wire alias of kStreamLongPoll, kept because the end-to-end
+// benchmark (e2e_bench/) still advertises it: framed streams are retired,
+// and a stream=2 poll is granted, held and pre-empted exactly like a
+// stream=1 poll (DESIGN.md §15).
 inline constexpr uint32_t kStreamFrames = 2;
 
 // The one granted mode: the agent may hold a poll for up to `hold_ms`.

@@ -1,8 +1,8 @@
 // Streamed-sync transport (src/transport, DESIGN.md §15): grant and
 // adaptive-poll unit tests, plus end-to-end negotiation over full sessions —
-// long-poll parking, stream=2 gestures pre-empting the parked poll,
-// poll-timeout recovery through the signed resume, the held-poll cap, and
-// adaptive polling.
+// long-poll parking, gestures pre-empting the parked poll, the send-once
+// rule for a release that pre-empt crosses, poll-timeout recovery through
+// the signed resume, the held-poll cap, and adaptive polling.
 #include <gtest/gtest.h>
 
 #include "src/core/content_generator.h"
@@ -199,10 +199,10 @@ TEST_F(TransportSessionTest, Stream2CarriesRemoteActionsPromptly) {
   EXPECT_TRUE(session.snippet(1)->long_poll_active());
 }
 
-// The tentpole of stream=2: on an idle LAN session, with its poll parked for
-// the agent's whole hold, a participant's own co-fill and pointer move reach
-// the host and a peer at once, and the participant converges on the version
-// its co-fill created.
+// The pre-empt, at stream=2 (the wire alias of stream=1): on an idle LAN
+// session, with its poll parked for the agent's whole hold, a participant's
+// own co-fill and pointer move reach the host and a peer at once, and the
+// participant converges on the version its co-fill created.
 TEST_F(TransportSessionTest, Stream2GesturesPreemptTheParkedPoll) {
   ServeFormPage();
   SessionOptions options = BaseOptions();
@@ -295,9 +295,9 @@ TEST_F(TransportSessionTest, SupersededParkReplyIsApplied) {
   EXPECT_TRUE(session.snippet(1)->long_poll_active());
 }
 
-// stream=1 keeps the long-poll as it is: a gesture queued while the poll is
-// parked rides the next poll, which leaves only when the park is released.
-TEST_F(TransportSessionTest, Stream1GestureWaitsForTheRelease) {
+// stream=1 pre-empts like stream=2: a gesture queued while the poll is
+// parked supersedes that poll at once instead of riding the park's release.
+TEST_F(TransportSessionTest, Stream1GesturesPreemptTheParkedPoll) {
   ServeFormPage();
   SessionOptions options = BaseOptions();
   options.enable_transport = true;
@@ -313,14 +313,98 @@ TEST_F(TransportSessionTest, Stream1GestureWaitsForTheRelease) {
   const SimTime gesture_at = loop_.now();
   Element* form = session.participant_browser(0)->document()->ById("f");
   ASSERT_NE(form, nullptr);
-  ASSERT_TRUE(session.snippet(0)->FillFormField(form, "q", "later").ok());
-  ASSERT_TRUE(RunUntil([&] { return HostFieldValue(&session) == "later"; },
+  ASSERT_TRUE(session.snippet(0)->FillFormField(form, "q", "now").ok());
+  ASSERT_TRUE(RunUntil([&] { return HostFieldValue(&session) == "now"; },
                        Duration::Seconds(5.0)));
-  // The fill arrived only after the park expired empty.
-  EXPECT_GT(loop_.now() - gesture_at, Duration::Millis(250));
-  EXPECT_EQ(session.agent()->metrics().transport_long_poll_expiries,
-            expiries + 1);
-  EXPECT_EQ(session.snippet(0)->metrics().polls_superseded, 0u);
+  EXPECT_LT(loop_.now() - gesture_at, Duration::Millis(250));
+  EXPECT_EQ(session.snippet(0)->metrics().polls_superseded, 1u);
+  // No park had to expire for the fill to leave.
+  EXPECT_EQ(session.agent()->metrics().transport_long_poll_expiries, expiries);
+}
+
+// A host change releases participant 0's park with content in the same
+// instant that participant 0's gesture supersedes it: the fresh poll still
+// acks the old version. The agent sends that version to participant 0 once
+// (the racing release carries it), and both participants park again.
+TEST_F(TransportSessionTest, SupersededContentReleaseIsSentOnce) {
+  SessionOptions options = BaseOptions();
+  options.participant_count = 2;
+  options.enable_transport = true;
+  options.snippet_stream_mode = transport::kStreamLongPoll;
+  CoBrowsingSession session(&loop_, &network_, options);
+  ASSERT_TRUE(session.Start().ok());
+  NavigateHost(&session);
+  ASSERT_TRUE(AwaitParked(&session, 2));
+
+  const AgentMetrics& agent = session.agent()->metrics();
+  const uint64_t with_content = agent.polls_with_content;
+  const uint64_t content_bytes = agent.content_bytes_sent;
+  const uint64_t expiries = agent.transport_long_poll_expiries;
+  MutateHost(&session, "crossed");
+  session.snippet(0)->SendMouseMove(3, 4);
+  ASSERT_TRUE(RunUntil(
+      [&] { return session.agent()->parked_poll_count() == 2 &&
+                   session.snippet(1)->metrics().broadcasts_received > 0; },
+      Duration::Seconds(1.0)));
+  loop_.RunFor(Duration::Millis(100));
+
+  EXPECT_EQ(session.snippet(0)->metrics().polls_superseded, 1u);
+  // One content body per participant, plus participant 1's actions-only
+  // reply with the move; the crossed poll got no content.
+  const size_t body =
+      SerializeSnapshotXml(session.agent()->CurrentSnapshotForTest()).size();
+  EXPECT_EQ(agent.polls_with_content, with_content + 3);
+  EXPECT_EQ(agent.content_bytes_sent, content_bytes + 2 * body);
+  EXPECT_EQ(agent.transport_long_poll_expiries, expiries);
+
+  const Snapshot& current = session.agent()->CurrentSnapshotForTest();
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(session.snippet(i)->doc_time_ms(), current.doc_time_ms) << i;
+    EXPECT_EQ(delta::TreeDigest(*delta::CanonicalizeDocument(
+                  *session.participant_browser(i)->document())),
+              delta::TreeDigest(*MaterializeSnapshotTree(current)))
+        << i;
+    EXPECT_TRUE(session.snippet(i)->long_poll_active()) << i;
+  }
+  EXPECT_EQ(session.agent()->parked_poll_count(), 2u);
+}
+
+// The same crossing, but the content release is lost in flight (its
+// retransmission lands 5 s late): the crossed poll is answered at once and
+// not parked, so the snippet's immediate re-poll, still acking the old
+// version, gets the content one round trip later — well inside the hold.
+TEST_F(TransportSessionTest, LostReleaseIsResentOnTheNextPoll) {
+  SessionOptions options = BaseOptions();
+  options.enable_transport = true;
+  options.snippet_stream_mode = transport::kStreamLongPoll;
+  CoBrowsingSession session(&loop_, &network_, options);
+  ASSERT_TRUE(session.Start().ok());
+  NavigateHost(&session);
+  ASSERT_TRUE(AwaitParked(&session, 1));
+
+  FaultInjector injector(&network_, /*seed=*/5);
+  const SimTime changed_at = loop_.now();
+  // Every message sent in the change's instant is lost once: the release.
+  injector.InjectLoss(options.host_machine,
+                      options.participant_machine_prefix + "-1", changed_at,
+                      Duration::Micros(1), /*loss_period=*/1,
+                      /*retransmit_delay=*/Duration::Seconds(5.0));
+  MutateHost(&session, "lost");
+  loop_.RunFor(Duration::Micros(1));  // the release leaves, and is lost
+  ASSERT_EQ(injector.metrics().messages_lost, 1u);
+  session.snippet(0)->SendMouseMove(7, 8);
+
+  const Snapshot& current = session.agent()->CurrentSnapshotForTest();
+  ASSERT_TRUE(RunUntil(
+      [&] { return session.snippet(0)->doc_time_ms() == current.doc_time_ms; },
+      Duration::Seconds(9.0)));
+  EXPECT_LT(loop_.now() - changed_at, Duration::Millis(250));
+  EXPECT_EQ(session.snippet(0)->metrics().polls_superseded, 1u);
+  EXPECT_EQ(session.agent()->metrics().transport_long_poll_expiries, 0u);
+  EXPECT_EQ(delta::TreeDigest(*delta::CanonicalizeDocument(
+                *session.participant_browser(0)->document())),
+            delta::TreeDigest(*MaterializeSnapshotTree(current)));
+  ASSERT_TRUE(AwaitParked(&session, 1));
 }
 
 TEST_F(TransportSessionTest, Stream2RecoversThroughSignedResume) {
