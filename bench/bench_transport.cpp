@@ -1,8 +1,8 @@
 // Transport: streamed sync vs classic polling (DESIGN.md §15).
 //
-// Runs the same workload under three transports on each network profile
-// {lan, wan, mobile} — classic 1 s polling (the committed baseline),
-// adaptive polling and held long-polls — and reports, per (profile, mode):
+// Runs the same workload under two transports on each network profile
+// {lan, wan, mobile} — classic 1 s polling (the committed baseline) and
+// held long-polls — and reports, per (profile, mode):
 //   * median / worst update-visible latency: host mutation -> participant
 //     applied it, over seeded mutation phases,
 //   * idle traffic: wire bytes/min plus the snippet's own wasted-poll
@@ -46,12 +46,11 @@ using namespace rcb::benchutil;
 
 namespace {
 
-enum class Mode { kPoll, kAdaptive, kLongPoll };
+enum class Mode { kPoll, kLongPoll };
 
 const char* ModeName(Mode mode) {
   switch (mode) {
     case Mode::kPoll: return "poll";
-    case Mode::kAdaptive: return "adaptive";
     case Mode::kLongPoll: return "longpoll";
   }
   return "?";
@@ -101,10 +100,6 @@ SessionOptions BaseOptions(const NetworkProfile& profile, Mode mode) {
   options.backoff_jitter = Duration::Millis(100);
   switch (mode) {
     case Mode::kPoll:
-      break;
-    case Mode::kAdaptive:
-      options.adaptive_poll = true;
-      options.adaptive_max = Duration::Seconds(8.0);
       break;
     case Mode::kLongPoll:
       options.enable_transport = true;
@@ -396,8 +391,8 @@ int main() {
   };
   ProfileRow profiles[] = {
       {"lan", LanProfile()}, {"wan", WanProfile()}, {"mobile", MobileProfile()}};
-  Mode modes[] = {Mode::kPoll, Mode::kAdaptive, Mode::kLongPoll};
-  constexpr int kModes = 3;
+  Mode modes[] = {Mode::kPoll, Mode::kLongPoll};
+  constexpr int kModes = 2;
 
   obs::BenchReport report = MakeReport("transport", "lan+wan+mobile",
                                        /*cache_mode=*/true, /*repetitions=*/1);
@@ -413,31 +408,26 @@ int main() {
   bool longpoll_gestures_no_slower = true;
   for (const auto& row : profiles) {
     std::printf("\n[%s]\n", row.key);
-    std::printf("%-24s %12s %12s %12s\n", "", "poll", "adaptive", "longpoll");
+    std::printf("%-24s %12s %12s\n", "", "poll", "longpoll");
     ModeResult results[kModes];
     for (int m = 0; m < kModes; ++m) {
       results[m] = RunMode(row.profile, modes[m], mutations, idle_seconds);
     }
-    std::printf("%-24s %12s %12s %12s\n", "median change latency",
+    std::printf("%-24s %12s %12s\n", "median change latency",
                 results[0].median_latency.ToString().c_str(),
-                results[1].median_latency.ToString().c_str(),
-                results[2].median_latency.ToString().c_str());
-    std::printf("%-24s %12.0f %12.0f %12.0f\n", "idle requests/min",
+                results[1].median_latency.ToString().c_str());
+    std::printf("%-24s %12.0f %12.0f\n", "idle requests/min",
                 results[0].idle_requests_per_minute,
-                results[1].idle_requests_per_minute,
-                results[2].idle_requests_per_minute);
-    std::printf("%-24s %12.0f %12.0f %12.0f\n", "idle bytes/min",
+                results[1].idle_requests_per_minute);
+    std::printf("%-24s %12.0f %12.0f\n", "idle bytes/min",
                 results[0].idle_bytes_per_minute,
-                results[1].idle_bytes_per_minute,
-                results[2].idle_bytes_per_minute);
-    std::printf("%-24s %12.0f %12.0f %12.0f\n", "wasted polls/min",
+                results[1].idle_bytes_per_minute);
+    std::printf("%-24s %12.0f %12.0f\n", "wasted polls/min",
                 results[0].wasted_polls_per_minute,
-                results[1].wasted_polls_per_minute,
-                results[2].wasted_polls_per_minute);
-    std::printf("%-24s %12s %12s %12s\n", "recovers after drop",
+                results[1].wasted_polls_per_minute);
+    std::printf("%-24s %12s %12s\n", "recovers after drop",
                 results[0].recovered_after_drop ? "yes" : "NO",
-                results[1].recovered_after_drop ? "yes" : "NO",
-                results[2].recovered_after_drop ? "yes" : "NO");
+                results[1].recovered_after_drop ? "yes" : "NO");
 
     for (int m = 0; m < kModes; ++m) {
       std::string prefix = StrFormat("%s_%s_", row.key, ModeName(modes[m]));
@@ -466,8 +456,8 @@ int main() {
           RunGestures(row.profile, Mode::kPoll, mutations);
       const Duration longpoll_gesture =
           RunGestures(row.profile, Mode::kLongPoll, mutations);
-      std::printf("%-24s %12s %12s %12s\n", "median gesture latency",
-                  poll_gesture.ToString().c_str(), "-",
+      std::printf("%-24s %12s %12s\n", "median gesture latency",
+                  poll_gesture.ToString().c_str(),
                   longpoll_gesture.ToString().c_str());
       report.AddValue(StrFormat("%s_poll_gesture_latency_us", row.key), "us",
                       obs::Provenance::kSim,
@@ -481,10 +471,10 @@ int main() {
     }
     if (std::string(row.key) == "wan") {
       wan_poll = results[0];
-      wan_longpoll = results[2];
+      wan_longpoll = results[1];
     }
     all_longpoll_recovered =
-        all_longpoll_recovered && results[2].recovered_after_drop;
+        all_longpoll_recovered && results[1].recovered_after_drop;
   }
 
   std::printf("\n[fan-out: %zu sessions x %zu pollers, 1 ms links]\n",

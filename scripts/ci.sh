@@ -292,10 +292,10 @@ check_transport() {
   echo "=== ${build_dir}: streamed transport gate ==="
   rm -rf "${artifact_dir}"
   mkdir -p "${artifact_dir}"
-  # Grant negotiation, long-poll parking, the stream=2 gesture pre-empt,
-  # signed-resume recovery, adaptive backoff, and the byte-identical
-  # downgrade suite by name: a test-registration regression cannot silently
-  # drop them.
+  # Grant negotiation, long-poll parking, the gesture pre-empt and its
+  # connection reuse, the send-once rule, signed-resume recovery, the
+  # held-poll cap, and the byte-identical downgrade suite by name: a
+  # test-registration regression cannot silently drop them.
   "${build_dir}/tests/transport_test" --gtest_brief=1
   "${build_dir}/tests/agent_test" \
       --gtest_filter='*StreamCapabilityDowngrade*' --gtest_brief=1
@@ -320,10 +320,12 @@ check_transport() {
   "${build_dir}/tools/validate_bench_json" "${artifact}"
   if command -v jq >/dev/null; then
     # Schema + in-artifact floors: the latency ratio, the per-profile
-    # long-poll drop-recovery flags and the gesture floor (a participant's
+    # long-poll drop-recovery flags, the gesture floor (a participant's
     # gesture pre-empts its parked poll, so long-poll gesture latency is at
-    # most polling's on lan and wan) must hold in the artifact this build
-    # wrote.
+    # most polling's on lan and wan) and the idle floor (on every profile
+    # long-poll idle bytes/min are at most polling's and at most 3,110, what
+    # the retired adaptive back-off reached; the long-poll is the only idle
+    # path left) must hold in the artifact this build wrote.
     jq -e '.schema_version == 1 and .bench == "transport"
            and (.config_fingerprint | test("^[0-9a-f]{64}$"))
            and ([.metrics[].name]
@@ -346,7 +348,15 @@ check_transport() {
                     | .value][0]
                    <= [.metrics[]
                        | select(.name == ($p + "_poll_gesture_latency_us"))
-                       | .value][0]] == [true, true])' \
+                       | .value][0]] == [true, true])
+           and ([("lan", "wan", "mobile") as $p
+                 | [.metrics[]
+                    | select(.name == ($p + "_longpoll_idle_bytes_per_minute"))
+                    | .value][0] as $idle
+                 | $idle != null and $idle <= 3110
+                   and $idle <= [.metrics[]
+                                 | select(.name == ($p + "_poll_idle_bytes_per_minute"))
+                                 | .value][0]] == [true, true, true])' \
         "${artifact}" > /dev/null
     # Against the committed artifact: long-polls must keep beating the
     # committed polling baseline's latency >= 2x, and WAN long-poll idle

@@ -62,11 +62,16 @@ void AjaxSnippet::NoteActionQueued() {
     action_queue_waiting_ = true;
     action_queue_since_ = browser_->loop()->now();
   }
-  if (adaptive_.has_value()) {
-    // Local input counts as activity: snap the poll interval back so the
-    // action (and whatever it triggers) round-trips promptly.
-    adaptive_->OnActivity();
+}
+
+void AjaxSnippet::RequeueInFlightActions() {
+  if (in_flight_actions_.empty()) {
+    return;
   }
+  action_queue_.insert(action_queue_.begin(), in_flight_actions_.begin(),
+                       in_flight_actions_.end());
+  in_flight_actions_.clear();
+  NoteActionQueued();
 }
 
 void AjaxSnippet::RegisterMetrics() {
@@ -128,19 +133,6 @@ void AjaxSnippet::RegisterMetrics() {
   field("rcb_snippet_polls_superseded_total",
         "Parked long-polls superseded by a fresh poll carrying gestures",
         metrics_.polls_superseded);
-  registry_.AddCallbackCounter(
-      "rcb_snippet_adaptive_snapbacks_total",
-      "Adaptive poll intervals snapped back to base on activity",
-      obs::Provenance::kSim,
-      [this] { return adaptive_.has_value() ? adaptive_->snapbacks() : 0; });
-  registry_.AddCallbackGauge(
-      "rcb_snippet_adaptive_interval_ms",
-      "Poll interval the adaptive policy will use next",
-      obs::Provenance::kSim, [this] {
-        return static_cast<double>(adaptive_.has_value()
-                                       ? adaptive_->Current().millis()
-                                       : interval_.millis());
-      });
 
   // Trace-ring health + flight recorder, under the same canonical names the
   // agent registry exposes (separate registries, so no collision).
@@ -222,14 +214,6 @@ void AjaxSnippet::Join(const Url& agent_url, std::function<void(Status)> joined)
         joined_ = true;
         doc_time_ms_ = -1;
         object_watermark_ = 0;
-        if (config_.adaptive_poll) {
-          transport::AdaptivePollConfig adaptive_config;
-          adaptive_config.base = interval_;
-          adaptive_config.max = config_.adaptive_max;
-          adaptive_config.growth = config_.adaptive_growth;
-          adaptive_config.idle_threshold = config_.adaptive_idle_threshold;
-          adaptive_.emplace(adaptive_config);
-        }
         // Per-participant dump filenames, so snippets sharing a flight dir
         // do not clobber each other's artifacts.
         flight_.set_component("snippet-" + pid_);
@@ -276,7 +260,6 @@ void AjaxSnippet::AbortWithoutGoodbye() {
   }
   longpoll_active_ = false;
   longpoll_hold_ms_ = 0;
-  adaptive_.reset();  // re-seeded from the advertised interval on next Join
   peers_.clear();
   poll_in_flight_ = false;
   reconnect_in_flight_ = false;
@@ -438,12 +421,7 @@ void AjaxSnippet::OnPollTimeout(uint64_t seq) {
                   poll_ctx_.parent_span_id);
   }
   flight_.Trigger("poll_timeout", browser_->loop()->now().micros());
-  if (!in_flight_actions_.empty()) {
-    action_queue_.insert(action_queue_.begin(), in_flight_actions_.begin(),
-                         in_flight_actions_.end());
-    in_flight_actions_.clear();
-    NoteActionQueued();
-  }
+  RequeueInFlightActions();
   RCB_LOG(kWarning) << "ajax-snippet: poll " << seq << " timed out after "
                     << config_.poll_timeout;
   OnPollFailure();
@@ -496,12 +474,7 @@ void AjaxSnippet::Reconnect() {
   }
   poll_in_flight_ = false;
   abandoned_seq_ = poll_seq_;
-  if (!in_flight_actions_.empty()) {
-    action_queue_.insert(action_queue_.begin(), in_flight_actions_.begin(),
-                         in_flight_actions_.end());
-    in_flight_actions_.clear();
-    NoteActionQueued();
-  }
+  RequeueInFlightActions();
   longpoll_active_ = false;
   // Connections wedged on the dead link would swallow the re-handshake.
   browser_->AbortOriginConnections(agent_url_);
@@ -574,12 +547,7 @@ void AjaxSnippet::OnPollResponse(FetchResult result, SimTime sent_at) {
                       << result.status;
     // The piggybacked gestures never reached the agent — put them back at
     // the front of the queue so the next successful poll retries them.
-    if (!in_flight_actions_.empty()) {
-      action_queue_.insert(action_queue_.begin(), in_flight_actions_.begin(),
-                           in_flight_actions_.end());
-      in_flight_actions_.clear();
-      NoteActionQueued();
-    }
+    RequeueInFlightActions();
     if (recovery_enabled()) {
       ++metrics_.transport_failures;
       OnPollFailure();
@@ -594,12 +562,7 @@ void AjaxSnippet::OnPollResponse(FetchResult result, SimTime sent_at) {
     // graceful degradation, not a failure: no backoff escalation and no
     // reconnect — just slow the poll loop down by the agent's Retry-After
     // hint. The piggybacked gestures were not applied, so requeue them.
-    if (!in_flight_actions_.empty()) {
-      action_queue_.insert(action_queue_.begin(), in_flight_actions_.begin(),
-                           in_flight_actions_.end());
-      in_flight_actions_.clear();
-      NoteActionQueued();
-    }
+    RequeueInFlightActions();
     ++metrics_.overload_deferrals;
     Duration delay = interval_;
     if (auto hint = result.response.RetryAfter(); hint.has_value()) {
@@ -653,7 +616,7 @@ void AjaxSnippet::OnPollResponse(FetchResult result, SimTime sent_at) {
           in_flight_poll_bytes_ + result.response.Serialize().size();
     }
     TraceMarker("snippet.response.empty", {});
-    ScheduleNextPoll(/*activity=*/false);
+    ScheduleNextPoll();
     return;
   }
   if (!ApplyReplyBody(result.response.body,
@@ -661,7 +624,7 @@ void AjaxSnippet::OnPollResponse(FetchResult result, SimTime sent_at) {
     SchedulePoll(interval_);
     return;
   }
-  ScheduleNextPoll(/*activity=*/true);
+  ScheduleNextPoll();
 }
 
 bool AjaxSnippet::ApplyReplyBody(const std::string& body,
@@ -686,27 +649,13 @@ bool AjaxSnippet::ApplyReplyBody(const std::string& body,
   return true;
 }
 
-void AjaxSnippet::ScheduleNextPoll(bool activity) {
-  if (adaptive_.has_value()) {
-    if (activity) {
-      adaptive_->OnActivity();
-    } else {
-      adaptive_->OnEmpty();
-    }
-  }
-  if (longpoll_active_) {
-    // Keep one request parked at the agent at all times: the next poll goes
-    // out immediately and the agent holds it until there is something to
-    // say (or the hold deadline passes). No busy loop: each round trip is
-    // either held for long_poll_hold or carries payload.
-    SchedulePoll(Duration::Zero());
-    return;
-  }
-  if (adaptive_.has_value()) {
-    SchedulePoll(adaptive_->Current());
-    return;
-  }
-  SchedulePoll(interval_);
+void AjaxSnippet::ScheduleNextPoll() {
+  // Under a grant, keep one request parked at the agent at all times: the
+  // next poll goes out immediately and the agent holds it until there is
+  // something to say (or the hold deadline passes). No busy loop: each round
+  // trip is either held for long_poll_hold or carries payload. Without one,
+  // poll at the advertised interval, as the paper's snippet does (§4.2.1).
+  SchedulePoll(longpoll_active_ ? Duration::Zero() : interval_);
 }
 
 void AjaxSnippet::HandleBroadcastActions(

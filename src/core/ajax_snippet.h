@@ -16,7 +16,6 @@
 #define SRC_CORE_AJAX_SNIPPET_H_
 
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,7 +26,6 @@
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/transport/adaptive_poll.h"
 #include "src/transport/capabilities.h"
 #include "src/util/rand.h"
 
@@ -79,14 +77,6 @@ struct SnippetConfig {
   // queued while the granted poll is in flight supersedes it with a fresh
   // poll carrying the gesture.
   uint32_t stream_mode = 0;
-  // Adaptive polling for classic pollers: grow the interval while responses
-  // come back empty (bounded by adaptive_max), snap back to the base
-  // interval on any activity. Pure arithmetic — deterministic under sim
-  // time. Ignored when a long-poll grant is in effect.
-  bool adaptive_poll = false;
-  Duration adaptive_max = Duration::Seconds(8.0);
-  double adaptive_growth = 2.0;
-  uint32_t adaptive_idle_threshold = 2;
 };
 
 struct SnippetMetrics {
@@ -176,11 +166,6 @@ class AjaxSnippet {
   Duration poll_interval() const { return interval_; }
   // Streamed transport state (DESIGN.md §15).
   bool long_poll_active() const { return longpoll_active_; }
-  // Interval the adaptive policy would use for the next poll (the configured
-  // interval when adaptive polling is off).
-  Duration current_poll_interval() const {
-    return adaptive_.has_value() ? adaptive_->Current() : interval_;
-  }
 
   // Fired after each applied content update (argument: new doc time).
   void SetUpdateListener(std::function<void(int64_t)> listener) {
@@ -263,9 +248,9 @@ class AjaxSnippet {
   // then resume the sync loop with a forced full-snapshot resync.
   void Reconnect();
   // --- Streamed transport (DESIGN.md §15) ---
-  // Chooses the next poll delay from the grant in effect and the adaptive
-  // policy.
-  void ScheduleNextPoll(bool activity);
+  // Next poll after a 200: at once under a long-poll grant, else after the
+  // advertised interval.
+  void ScheduleNextPoll();
   void FetchSupplementaryObjects();
   // Registers the snippet's metric families (constructor-time).
   void RegisterMetrics();
@@ -275,6 +260,9 @@ class AjaxSnippet {
   // Starts the queue-latency stopwatch the first time an action is queued
   // (or re-queued) while no poll is carrying it.
   void NoteActionQueued();
+  // Puts the in-flight poll's gestures back at the front of the queue: the
+  // agent never applied them (timeout, transport failure, overload, resume).
+  void RequeueInFlightActions();
   // Collects a form's current field values from the participant DOM.
   static std::vector<std::pair<std::string, std::string>> FormFields(
       Element* form);
@@ -314,7 +302,6 @@ class AjaxSnippet {
   // --- Streamed transport state (DESIGN.md §15) ---
   bool longpoll_active_ = false;       // last poll response granted longpoll
   int64_t longpoll_hold_ms_ = 0;
-  std::optional<transport::AdaptivePollPolicy> adaptive_;
   size_t in_flight_poll_bytes_ = 0;  // request body bytes of the last poll
 
   SnippetMetrics metrics_;

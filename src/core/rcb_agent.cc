@@ -141,6 +141,34 @@ void RcbAgent::TraceMarker(const char* name, obs::TraceAttrs attrs) {
                 0, trace_ctx_, std::move(attrs));
 }
 
+void RegisterObjectCacheMetrics(const ObjectCache* cache,
+                                obs::MetricsRegistry* registry,
+                                std::string_view labels) {
+  registry->AddCallbackCounter("rcb_cache_hits", "Object cache lookup hits",
+                               obs::Provenance::kSim,
+                               [cache] { return cache->hits(); }, labels);
+  registry->AddCallbackCounter("rcb_cache_misses", "Object cache lookup misses",
+                               obs::Provenance::kSim,
+                               [cache] { return cache->misses(); }, labels);
+  registry->AddCallbackCounter("rcb_cache_evictions",
+                               "Objects evicted by the cache byte budget",
+                               obs::Provenance::kSim,
+                               [cache] { return cache->evictions(); }, labels);
+  registry->AddCallbackCounter("rcb_cache_evicted_bytes",
+                               "Bytes evicted by the cache byte budget",
+                               obs::Provenance::kSim,
+                               [cache] { return cache->evicted_bytes(); },
+                               labels);
+  registry->AddCallbackGauge(
+      "rcb_cache_bytes", "Bytes currently held by the object cache",
+      obs::Provenance::kSim,
+      [cache] { return static_cast<double>(cache->total_bytes()); }, labels);
+  registry->AddCallbackGauge(
+      "rcb_cache_objects", "Objects currently held by the object cache",
+      obs::Provenance::kSim,
+      [cache] { return static_cast<double>(cache->size()); }, labels);
+}
+
 void RcbAgent::RegisterMetrics() {
   obs::MetricsRegistry* reg = effective_registry_;
   // Under a shared registry every instrument carries the session label, so
@@ -253,32 +281,7 @@ void RcbAgent::RegisterMetrics() {
   // ObjectCache counters/gauges (shared with the host browser). A hosted
   // agent skips them: the cache is host-wide and registered once up there.
   if (config_.register_cache_metrics) {
-    ObjectCache* cache = &browser_->cache();
-    reg->AddCallbackCounter("rcb_cache_hits", "Object cache lookup hits",
-                            obs::Provenance::kSim,
-                            [cache] { return cache->hits(); }, base_labels);
-    reg->AddCallbackCounter("rcb_cache_misses", "Object cache lookup misses",
-                            obs::Provenance::kSim,
-                            [cache] { return cache->misses(); }, base_labels);
-    reg->AddCallbackCounter("rcb_cache_evictions",
-                            "Objects evicted by the cache byte budget",
-                            obs::Provenance::kSim,
-                            [cache] { return cache->evictions(); },
-                            base_labels);
-    reg->AddCallbackCounter("rcb_cache_evicted_bytes",
-                            "Bytes evicted by the cache byte budget",
-                            obs::Provenance::kSim,
-                            [cache] { return cache->evicted_bytes(); },
-                            base_labels);
-    reg->AddCallbackGauge(
-        "rcb_cache_bytes", "Bytes currently held by the object cache",
-        obs::Provenance::kSim,
-        [cache] { return static_cast<double>(cache->total_bytes()); },
-        base_labels);
-    reg->AddCallbackGauge(
-        "rcb_cache_objects", "Objects currently held by the object cache",
-        obs::Provenance::kSim,
-        [cache] { return static_cast<double>(cache->size()); }, base_labels);
+    RegisterObjectCacheMetrics(&browser_->cache(), reg, base_labels);
   }
 
   // Serialization cache (docs/PERF_MODEL.md). Same budget-metric convention
@@ -368,12 +371,7 @@ void RcbAgent::RegisterMetrics() {
                           obs::Provenance::kSim,
                           [this] { return trace_.total_appended(); },
                           base_labels);
-  reg->AddCallbackCounter("rcb_agent_trace_dropped",
-                          "Spans evicted from the trace ring",
-                          obs::Provenance::kSim,
-                          [this] { return trace_.dropped(); }, base_labels);
-  // Canonical ring-health names shared with the snippet registry (the
-  // rcb_agent_trace_* pair above predates them and is kept for dashboards).
+  // Canonical ring-health names shared with the snippet registry.
   reg->AddCallbackCounter("rcb_trace_dropped_total",
                           "Spans evicted from the trace ring",
                           obs::Provenance::kSim,
@@ -1440,16 +1438,16 @@ HttpResponse RcbAgent::HandlePoll(const HttpRequest& request,
     participant.timeouts_reported = poll.timeouts;
   }
 
-  // A fresh poll while a long-poll is still held means the client abandoned
-  // that hold (timeout or reconnect): forget it without answering.
+  // A fresh poll while a long-poll is still held means the client superseded
+  // or abandoned that hold: answer it with an empty 200 (no grant, no counter)
+  // that the snippet discards, so its connection stays open for reuse.
   if (auto parked_it = parked_.find(poll.participant_id);
       parked_it != parked_.end()) {
     AgentConn* stale = parked_it->second.conn;
     browser_->loop()->Cancel(parked_it->second.deadline_id);
     parked_.erase(parked_it);
-    NetEndpoint* endpoint = stale->endpoint;
-    RemoveConnection(stale);
-    endpoint->Close();  // own-side close: handlers do not re-enter
+    stale->endpoint->SetCloseHandler([this, stale] { RemoveConnection(stale); });
+    stale->endpoint->Send(HttpResponse::Ok("application/xml", "").Serialize());
   }
 
   // Transport negotiation (DESIGN.md §15): grant a long-poll only when both

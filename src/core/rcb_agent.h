@@ -231,6 +231,13 @@ struct PendingAction {
   UserAction action;
 };
 
+// Registers the six rcb_cache_* families (hits, misses, evictions,
+// evicted_bytes counters; bytes, objects gauges) over `cache`: a standalone
+// agent over its host browser's cache, RcbHost once over its shared one.
+void RegisterObjectCacheMetrics(const ObjectCache* cache,
+                                obs::MetricsRegistry* registry,
+                                std::string_view labels = "");
+
 class RcbAgent {
  public:
   // The agent runs inside `host_browser` (shares its event loop, network,

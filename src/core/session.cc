@@ -55,10 +55,6 @@ CoBrowsingSession::CoBrowsingSession(EventLoop* loop, Network* network,
     snippet_config.backoff_seed = options_.backoff_seed + participant_index++;
     snippet_config.enable_delta = options_.enable_delta;
     snippet_config.stream_mode = options_.snippet_stream_mode;
-    snippet_config.adaptive_poll = options_.adaptive_poll;
-    snippet_config.adaptive_max = options_.adaptive_max;
-    snippet_config.adaptive_growth = options_.adaptive_growth;
-    snippet_config.adaptive_idle_threshold = options_.adaptive_idle_threshold;
     snippet_config.enable_trace = options_.enable_trace;
     snippet_config.flight_dir = options_.flight_dir;
     participant->snippet = std::make_unique<AjaxSnippet>(

@@ -64,13 +64,6 @@ struct SessionOptions {
   uint32_t snippet_stream_mode = 0;
   Duration transport_hold = Duration::Seconds(10.0);
   size_t max_held_streams = 64;
-  // Adaptive polling for participants staying on the classic path: idle
-  // polls back off geometrically (bounded), local/remote activity snaps the
-  // interval back to poll_interval.
-  bool adaptive_poll = false;
-  Duration adaptive_max = Duration::Seconds(8.0);
-  double adaptive_growth = 2.0;
-  uint32_t adaptive_idle_threshold = 2;
 
   // Causal tracing (DESIGN.md §11) on both sides: snippets stamp each poll
   // with trace=<pid>-<seq> and the agent threads that id through merge,

@@ -970,29 +970,7 @@ void RcbHost::RegisterHostMetrics() {
       });
 
   // Shared ObjectCache, registered once host-side (session agents skip it).
-  ObjectCache* cache = &shared_cache_;
-  registry_.AddCallbackCounter("rcb_cache_hits", "Object cache lookup hits",
-                               obs::Provenance::kSim,
-                               [cache] { return cache->hits(); });
-  registry_.AddCallbackCounter("rcb_cache_misses", "Object cache lookup misses",
-                               obs::Provenance::kSim,
-                               [cache] { return cache->misses(); });
-  registry_.AddCallbackCounter("rcb_cache_evictions",
-                               "Objects evicted by the cache byte budget",
-                               obs::Provenance::kSim,
-                               [cache] { return cache->evictions(); });
-  registry_.AddCallbackCounter("rcb_cache_evicted_bytes",
-                               "Bytes evicted by the cache byte budget",
-                               obs::Provenance::kSim,
-                               [cache] { return cache->evicted_bytes(); });
-  registry_.AddCallbackGauge(
-      "rcb_cache_bytes", "Bytes currently held by the object cache",
-      obs::Provenance::kSim,
-      [cache] { return static_cast<double>(cache->total_bytes()); });
-  registry_.AddCallbackGauge(
-      "rcb_cache_objects", "Objects currently held by the object cache",
-      obs::Provenance::kSim,
-      [cache] { return static_cast<double>(cache->size()); });
+  RegisterObjectCacheMetrics(&shared_cache_, &registry_);
 }
 
 }  // namespace rcb

@@ -151,6 +151,7 @@ StatusOr<NetEndpoint*> Network::Connect(const std::string& client_host,
         StrFormat("connection refused: %s:%u", server_host.c_str(), port));
   }
 
+  ++total_connections_;
   auto client_end = std::make_unique<NetEndpoint>();
   auto server_end = std::make_unique<NetEndpoint>();
   NetEndpoint* client = client_end.get();

@@ -144,6 +144,8 @@ class Network {
   // Traffic counters (payload bytes scheduled for transfer).
   uint64_t total_bytes_transferred() const { return total_bytes_; }
   uint64_t total_messages() const { return total_messages_; }
+  // Connections opened (every Connect that returned an endpoint).
+  uint64_t total_connections() const { return total_connections_; }
 
   // --- Fault injection (fault_injector.h) ----------------------------------
   // At most one injector; it is consulted on every Connect (partitions) and
@@ -196,6 +198,7 @@ class Network {
   bool slow_start_enabled_ = false;
   uint64_t total_bytes_ = 0;
   uint64_t total_messages_ = 0;
+  uint64_t total_connections_ = 0;
 };
 
 }  // namespace rcb

@@ -1647,17 +1647,30 @@ class HeldTransportTest : public AgentTest {
   PollRequest poll_;
 };
 
-TEST_F(HeldTransportTest, FreshPollDropsStaleParkedPollUnanswered) {
+TEST_F(HeldTransportTest, FreshPollAnswersStaleParkedPollEmpty) {
   StartAndGrant();
   RawClient stale(&network_);
   Park(stale);
-  // The client gave up on that hold and polls again: the stale hold is
-  // closed without a reply, and the fresh poll is held in its place.
+  // The client superseded that hold and polls again: the stale hold gets an
+  // empty 200 with no grant, its connection stays open for reuse, and the
+  // fresh poll is held in its place. No counter moves for the stale reply.
+  const AgentMetrics before = agent_->metrics();
   RawClient fresh(&network_);
   Park(fresh);
-  EXPECT_TRUE(stale.closed());
-  EXPECT_TRUE(stale.received().empty());
+  std::optional<HttpResponse> superseded = stale.Response();
+  ASSERT_TRUE(superseded.has_value());
+  EXPECT_EQ(superseded->status_code, 200);
+  EXPECT_EQ(superseded->body, "");
+  EXPECT_FALSE(superseded->headers.Get("RCB-Transport").has_value());
+  const std::string stale_bytes = stale.received();
+  EXPECT_FALSE(stale.closed());
   EXPECT_FALSE(fresh.closed());
+  EXPECT_EQ(agent_->metrics().polls_empty, before.polls_empty);
+  EXPECT_EQ(agent_->metrics().polls_with_content, before.polls_with_content);
+  EXPECT_EQ(agent_->metrics().transport_long_poll_flushes,
+            before.transport_long_poll_flushes);
+  EXPECT_EQ(agent_->metrics().transport_long_poll_expiries,
+            before.transport_long_poll_expiries);
   // The next document change releases the fresh hold with content.
   host_browser_->MutateDocument([](Document* document) {
     Element* p = document->ById("p");
@@ -1674,7 +1687,9 @@ TEST_F(HeldTransportTest, FreshPollDropsStaleParkedPollUnanswered) {
   EXPECT_TRUE(snapshot->has_content);
   EXPECT_NE(snapshot->body->inner_html.find("v2"), std::string::npos);
   EXPECT_EQ(agent_->metrics().transport_long_poll_flushes, 1u);
-  EXPECT_TRUE(stale.received().empty());
+  // The stale connection never gets content.
+  EXPECT_EQ(stale.received(), stale_bytes);
+  EXPECT_FALSE(stale.closed());
 }
 
 TEST_F(HeldTransportTest, GoodbyeClosesParkedPoll) {

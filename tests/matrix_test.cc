@@ -343,14 +343,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------- transport chaos matrix ----
 //
-// {LAN, WAN} x {loss, reset, partition} x {stream=2, long-poll,
-// adaptive-poll}: a transport-upgraded session takes the fault on its
-// participant link mid-update, must reconverge through the recovery ladder
+// {LAN, WAN} x {loss, reset, partition} x {stream=2, long-poll, classic
+// poll (transport off)}: a session takes the fault on its participant link
+// mid-update, must reconverge through the recovery ladder
 // (poll timeout -> signed resume), and two identical runs must produce
 // bit-identical counter fingerprints. The stream=2 row also moves the
 // participant's pointer mid-fault, so a gesture pre-empts its parked poll.
 
-enum class TransportMode { kStream2, kLongPoll, kAdaptive };
+enum class TransportMode { kStream2, kLongPoll, kClassic };
 
 struct TransportChaosCase {
   const char* profile_name;  // "Lan" | "Wan"
@@ -379,8 +379,8 @@ std::string TransportChaosCaseName(
     case TransportMode::kLongPoll:
       name += "LongPoll";
       break;
-    case TransportMode::kAdaptive:
-      name += "AdaptivePoll";
+    case TransportMode::kClassic:
+      name += "ClassicPoll";
       break;
   }
   return name;
@@ -417,9 +417,8 @@ std::string RunTransportChaos(const TransportChaosCase& chaos) {
       options.snippet_stream_mode = 1;
       options.transport_hold = Duration::Seconds(2.0);
       break;
-    case TransportMode::kAdaptive:
-      options.adaptive_poll = true;
-      options.adaptive_max = Duration::Seconds(2.0);
+    case TransportMode::kClassic:
+      // Transport off: the paper's fixed-interval poll.
       break;
   }
   CoBrowsingSession session(&loop, &network, options);
@@ -508,7 +507,7 @@ std::vector<TransportChaosCase> AllTransportChaosCases() {
           FaultEvent::Kind::kPartition}) {
       for (TransportMode mode : {TransportMode::kStream2,
                                  TransportMode::kLongPoll,
-                                 TransportMode::kAdaptive}) {
+                                 TransportMode::kClassic}) {
         cases.push_back(TransportChaosCase{profile, kind, mode});
       }
     }

@@ -1,8 +1,8 @@
-// Streamed-sync transport (src/transport, DESIGN.md §15): grant and
-// adaptive-poll unit tests, plus end-to-end negotiation over full sessions —
-// long-poll parking, gestures pre-empting the parked poll, the send-once
-// rule for a release that pre-empt crosses, poll-timeout recovery through
-// the signed resume, the held-poll cap, and adaptive polling.
+// Streamed-sync transport (src/transport, DESIGN.md §15): the grant's unit
+// test, plus end-to-end negotiation over full sessions — long-poll parking,
+// gestures pre-empting the parked poll, the send-once rule for a release
+// that pre-empt crosses, poll-timeout recovery through the signed resume,
+// and the held-poll cap.
 #include <gtest/gtest.h>
 
 #include "src/core/content_generator.h"
@@ -12,14 +12,11 @@
 #include "src/net/fault_injector.h"
 #include "src/net/profiles.h"
 #include "src/sites/site_server.h"
-#include "src/transport/adaptive_poll.h"
 #include "src/transport/capabilities.h"
 
 namespace rcb {
 namespace {
 
-using transport::AdaptivePollConfig;
-using transport::AdaptivePollPolicy;
 using transport::FormatTransportGrant;
 using transport::ParseTransportGrant;
 using transport::TransportGrant;
@@ -38,38 +35,6 @@ TEST(TransportGrantTest, FormatsAndParsesTheLongPollGrant) {
   EXPECT_FALSE(ParseTransportGrant("frames; hb=5000").has_value());
   EXPECT_FALSE(ParseTransportGrant("websocket; hb=1").has_value());
   EXPECT_FALSE(ParseTransportGrant("longpoll; hold=0").has_value());
-}
-
-// ----------------------------------------------------- adaptive policy ----
-
-TEST(AdaptivePollPolicyTest, GrowsAfterThresholdCapsAndSnapsBack) {
-  AdaptivePollConfig config;
-  config.base = Duration::Millis(250);
-  config.max = Duration::Seconds(2.0);
-  config.growth = 2.0;
-  config.idle_threshold = 2;
-  AdaptivePollPolicy policy(config);
-
-  EXPECT_EQ(policy.Current(), Duration::Millis(250));
-  policy.OnEmpty();
-  // Tolerated at base below the `idle_threshold` streak.
-  EXPECT_EQ(policy.Current(), Duration::Millis(250));
-  policy.OnEmpty();
-  EXPECT_EQ(policy.Current(), Duration::Millis(500));
-  policy.OnEmpty();
-  EXPECT_EQ(policy.Current(), Duration::Millis(1000));
-  policy.OnEmpty();
-  EXPECT_EQ(policy.Current(), Duration::Seconds(2.0));
-  policy.OnEmpty();
-  EXPECT_EQ(policy.Current(), Duration::Seconds(2.0)) << "capped at max";
-
-  policy.OnActivity();
-  EXPECT_EQ(policy.Current(), Duration::Millis(250));
-  EXPECT_EQ(policy.idle_streak(), 0u);
-  EXPECT_EQ(policy.snapbacks(), 1u);
-  // Snapping back while already at base is not a snap-back event.
-  policy.OnActivity();
-  EXPECT_EQ(policy.snapbacks(), 1u);
 }
 
 // ------------------------------------------------- end-to-end sessions ----
@@ -322,6 +287,40 @@ TEST_F(TransportSessionTest, Stream1GesturesPreemptTheParkedPoll) {
   EXPECT_EQ(session.agent()->metrics().transport_long_poll_expiries, expiries);
 }
 
+// The agent answers a superseded park with an empty 200 instead of closing
+// it, so the browser reuses that connection: after the first two pre-empts
+// have both of its per-origin connections open, a pre-empt opens none.
+TEST_F(TransportSessionTest, RepeatedPreemptsReuseTheSupersededConnection) {
+  SessionOptions options = BaseOptions();
+  options.enable_transport = true;
+  options.snippet_stream_mode = transport::kStreamLongPoll;
+  CoBrowsingSession session(&loop_, &network_, options);
+  ASSERT_TRUE(session.Start().ok());
+  NavigateHost(&session);
+  ASSERT_TRUE(AwaitParked(&session, 1));
+
+  const uint64_t parked_before =
+      session.agent()->metrics().transport_long_polls_parked;
+  uint64_t connections_after_second = 0;
+  for (int i = 1; i <= 6; ++i) {
+    session.snippet(0)->SendMouseMove(i, i);
+    ASSERT_TRUE(RunUntil(
+        [&] {
+          return session.agent()->metrics().transport_long_polls_parked ==
+                 parked_before + i;
+        },
+        Duration::Seconds(1.0)))
+        << "pre-empt " << i;
+    if (i == 2) {
+      connections_after_second = network_.total_connections();
+    }
+  }
+  EXPECT_EQ(session.snippet(0)->metrics().polls_superseded, 6u);
+  EXPECT_EQ(network_.total_connections(), connections_after_second);
+  EXPECT_EQ(session.agent()->parked_poll_count(), 1u);
+  EXPECT_TRUE(session.snippet(0)->long_poll_active());
+}
+
 // A host change releases participant 0's park with content in the same
 // instant that participant 0's gesture supersedes it: the fresh poll still
 // acks the old version. The agent sends that version to participant 0 once
@@ -545,8 +544,13 @@ TEST_F(TransportSessionTest, HeldPollCapDeniesGrantsGracefully) {
   NavigateHost(&session);
 
   // At most one participant holds the parked slot; the others are denied a
-  // grant and keep polling — no errors, no stuck clients.
+  // grant and keep polling at the advertised 250 ms interval, as the
+  // paper's snippet does — no errors, no stuck clients, no back-off.
   ASSERT_TRUE(AwaitParked(&session, 1));
+  uint64_t polls_before[3];
+  for (size_t i = 0; i < 3; ++i) {
+    polls_before[i] = session.snippet(i)->metrics().polls_sent;
+  }
   size_t most_parked = 0;
   const SimTime until = loop_.now() + Duration::Seconds(3.0);
   while (loop_.now() < until) {
@@ -555,6 +559,18 @@ TEST_F(TransportSessionTest, HeldPollCapDeniesGrantsGracefully) {
   }
   EXPECT_EQ(most_parked, 1u);
   EXPECT_GT(session.agent()->metrics().transport_capacity_denials, 0u);
+  size_t denied = 0;
+  for (size_t i = 0; i < 3; ++i) {
+    if (session.snippet(i)->long_poll_active()) {
+      continue;
+    }
+    ++denied;
+    const uint64_t polls = session.snippet(i)->metrics().polls_sent -
+                           polls_before[i];
+    EXPECT_GE(polls, 11u) << "participant " << i;
+    EXPECT_LE(polls, 13u) << "participant " << i;
+  }
+  EXPECT_EQ(denied, 2u);
 
   MutateHost(&session, "cap-marker");
   ASSERT_TRUE(session.WaitForSync().ok());
@@ -566,38 +582,6 @@ TEST_F(TransportSessionTest, HeldPollCapDeniesGrantsGracefully) {
     EXPECT_EQ(session.snippet(i)->metrics().auth_rejections, 0u)
         << "participant " << i;
   }
-}
-
-TEST_F(TransportSessionTest, AdaptivePollingBacksOffIdleAndSnapsBack) {
-  SessionOptions options = BaseOptions();
-  options.adaptive_poll = true;
-  options.adaptive_max = Duration::Seconds(2.0);
-  options.adaptive_growth = 2.0;
-  options.adaptive_idle_threshold = 2;
-  CoBrowsingSession session(&loop_, &network_, options);
-  ASSERT_TRUE(session.Start().ok());
-  NavigateHost(&session);
-
-  // Idle: the interval walks 250 ms -> 500 -> 1000 -> 2000 and stays capped.
-  loop_.RunFor(Duration::Seconds(15.0));
-  EXPECT_EQ(session.snippet(0)->current_poll_interval(), Duration::Seconds(2.0));
-  // Still classic polling underneath: the idle tax is counted.
-  EXPECT_GT(session.snippet(0)->metrics().wasted_polls, 0u);
-
-  // Activity snaps the cadence back to the base interval.
-  MutateHost(&session, "adaptive-marker");
-  ASSERT_TRUE(session.WaitForSync(Duration::Seconds(30.0)).ok());
-  EXPECT_EQ(session.snippet(0)->current_poll_interval(), Duration::Millis(250));
-
-  uint64_t idle_polls_10s;
-  {
-    uint64_t before = session.snippet(0)->metrics().polls_sent;
-    loop_.RunFor(Duration::Seconds(10.0));
-    idle_polls_10s = session.snippet(0)->metrics().polls_sent - before;
-  }
-  // Mostly at the 2 s cap: far fewer than the 40 polls of a fixed 250 ms
-  // cadence over the same window.
-  EXPECT_LT(idle_polls_10s, 15u);
 }
 
 }  // namespace

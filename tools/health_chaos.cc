@@ -8,7 +8,13 @@
 // Usage: health_chaos --scenario calm|delay|auth|waste [--out FILE]
 //   calm   long-poll transport, regular mutations: parked polls flush the
 //          instant content exists, so sync latency is ~network RTT and every
-//          session stays green.
+//          session stays green. On every other round the pollers gesture
+//          in the mutation's instant, so each gesture pre-empts a parked
+//          poll while the mutation's release is leaving: on one such round
+//          one poller per session co-fills a field, on the next every poller
+//          moves its pointer, and the agent answers those crossed polls
+//          without re-sending the released version (the send-once rule,
+//          DESIGN.md §15).
 //   delay  classic 500 ms interval polling against the same mutation load:
 //          content waits for the next poll, so serve latency is interval-
 //          bound (~250 ms mean >> the 20 ms target) -> sync_p99 burn alert.
@@ -45,6 +51,7 @@ struct Scenario {
   bool mutations = false;      // document rounds (content to sync)
   bool bad_auth = false;       // raw wrongly-signed polls instead of snippets
   bool tight_waste_budget = false;  // wasted_poll_budget 0.90 -> 0.10
+  bool gestures = false;       // pollers co-fill and move the pointer
 };
 
 int Fail(const std::string& message) {
@@ -74,6 +81,7 @@ int main(int argc, char** argv) {
   if (scenario_name == "calm") {
     scenario.long_poll = true;
     scenario.mutations = true;
+    scenario.gestures = true;
   } else if (scenario_name == "delay") {
     scenario.mutations = true;
   } else if (scenario_name == "auth") {
@@ -126,7 +134,9 @@ int main(int argc, char** argv) {
     hosted[s]->browser->ReplaceDocument(
         ParseDocument(StrFormat(
             "<html><head><title>chaos %zu</title></head>"
-            "<body><p id=\"status\">round 0</p></body></html>", s)),
+            "<body><p id=\"status\">round 0</p>%s</body></html>", s,
+            scenario.gestures ? "<form id=\"f\"><input name=\"q\"></form>"
+                              : "")),
         Url::Make("http", "host-pc", hosted[s]->port, "/doc"));
   }
 
@@ -182,6 +192,7 @@ int main(int argc, char** argv) {
     }
   }
 
+  size_t fill_errors = 0;
   if (scenario.mutations) {
     const SimTime epoch;
     for (int round = 1; round <= kRounds; ++round) {
@@ -196,10 +207,33 @@ int main(int argc, char** argv) {
           });
         }
       });
+      if (scenario.gestures && round % 4 == 0) {
+        loop.Schedule(fire - loop.now(), [&pollers, &fill_errors, round] {
+          for (size_t i = 0; i < pollers.size(); i += kParticipants) {
+            Element* form = pollers[i].browser->document()->ById("f");
+            if (form == nullptr ||
+                !pollers[i]
+                     .snippet->FillFormField(form, "q",
+                                             "round " + std::to_string(round))
+                     .ok()) {
+              ++fill_errors;
+            }
+          }
+        });
+      } else if (scenario.gestures && round % 4 == 2) {
+        loop.Schedule(fire - loop.now(), [&pollers, round] {
+          for (size_t i = 0; i < pollers.size(); ++i) {
+            pollers[i].snippet->SendMouseMove(round, static_cast<int>(i));
+          }
+        });
+      }
     }
   }
 
   loop.RunUntil(SimTime() + Duration::Millis(kRunMs));
+  if (fill_errors > 0) {
+    return Fail(StrFormat("%zu co-fills failed", fill_errors));
+  }
 
   HttpRequest health_request;
   health_request.method = HttpMethod::kGet;
