@@ -27,25 +27,15 @@ std::string MetaContent(Document* document, std::string_view name) {
   return out;
 }
 
-obs::FlightRecorder::Options SnippetFlightOptions(const SnippetConfig& config) {
-  obs::FlightRecorder::Options options;
-  options.component = "snippet";
-  options.dir = config.flight_dir;
-  if (options.dir.empty()) {
-    if (const char* env = std::getenv("RCB_FLIGHT_DIR")) {
-      options.dir = env;
-    }
-  }
-  return options;
-}
-
 }  // namespace
 
 AjaxSnippet::AjaxSnippet(Browser* participant_browser, SnippetConfig config)
     : browser_(participant_browser),
       config_(std::move(config)),
       backoff_rng_(config_.backoff_seed),
-      flight_(&trace_, &registry_, SnippetFlightOptions(config_)) {
+      flight_(&trace_, &registry_,
+              obs::FlightRecorder::Options::For("snippet",
+                                                config_.flight_dir)) {
   RegisterMetrics();
 }
 

@@ -159,7 +159,9 @@ StatusOr<Snapshot> ParseSnapshotXml(std::string_view xml) {
   if (doc_time == nullptr) {
     return InvalidArgumentError("snapshot missing docTime");
   }
-  snapshot.doc_time_ms = std::atoll(doc_time->text.c_str());
+  if (!ParseInt64(doc_time->text, &snapshot.doc_time_ms)) {
+    return InvalidArgumentError("snapshot docTime is not an integer");
+  }
 
   if (const XmlNode* content = root->FindChild("docContent")) {
     snapshot.has_content = true;
@@ -231,15 +233,20 @@ StatusOr<PollRequest> DecodePollRequest(std::string_view body) {
       request.participant_id = value;
       have_pid = true;
     } else if (name == "ts") {
-      request.doc_time_ms = std::atoll(value.c_str());
+      if (!ParseInt64(value, &request.doc_time_ms)) {
+        return InvalidArgumentError("poll ts is not an integer");
+      }
       have_ts = true;
     } else if (name == "actions") {
       RCB_ASSIGN_OR_RETURN(request.actions, DecodeActions(value));
     } else if (name == "seq") {
-      request.seq = static_cast<uint64_t>(std::strtoull(value.c_str(), nullptr, 10));
+      if (!ParseUint64(value, &request.seq)) {
+        return InvalidArgumentError("poll seq is not an unsigned integer");
+      }
     } else if (name == "timeouts") {
-      request.timeouts =
-          static_cast<uint64_t>(std::strtoull(value.c_str(), nullptr, 10));
+      if (!ParseUint64(value, &request.timeouts)) {
+        return InvalidArgumentError("poll timeouts is not an unsigned integer");
+      }
     } else if (name == "resync") {
       request.resync = value == "1";
     } else if (name == "patch") {

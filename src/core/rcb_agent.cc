@@ -1,7 +1,6 @@
 #include "src/core/rcb_agent.h"
 
 #include <chrono>
-#include <cstdlib>
 
 #include "src/delta/tree_diff.h"
 #include "src/html/parser.h"
@@ -67,19 +66,16 @@ std::string PeekTraceField(std::string_view body) {
   return "";
 }
 
-obs::FlightRecorder::Options AgentFlightOptions(const AgentConfig& config) {
-  obs::FlightRecorder::Options options;
-  options.component = "agent";
-  options.dir = config.flight_dir;
-  if (options.dir.empty()) {
-    if (const char* env = std::getenv("RCB_FLIGHT_DIR"); env != nullptr) {
-      options.dir = env;
-    }
-  }
-  return options;
-}
-
 }  // namespace
+
+HttpServerLimits SocketLimits(const AgentLimits& limits) {
+  HttpServerLimits server;
+  server.request = {limits.max_request_head_bytes,
+                    limits.max_request_body_bytes};
+  server.max_connections = limits.max_connections;
+  server.read_timeout = limits.idle_read_timeout;
+  return server;
+}
 
 Duration JitteredRetryAfter(Duration base, Duration jitter,
                             std::string_view key) {
@@ -96,11 +92,25 @@ RcbAgent::RcbAgent(Browser* host_browser, AgentConfig config)
     : browser_(host_browser),
       config_(std::move(config)),
       generator_(host_browser),
-      flight_(&trace_, &registry_, AgentFlightOptions(config_)),
-      health_(config_.health_slo, &flight_) {
-  effective_registry_ = config_.shared_registry != nullptr
-                            ? config_.shared_registry
-                            : &registry_;
+      effective_registry_(config_.shared_registry != nullptr
+                              ? config_.shared_registry
+                              : &registry_),
+      flight_(&trace_, effective_registry_,
+              obs::FlightRecorder::Options::For("agent", config_.flight_dir)),
+      health_(config_.health_slo, &flight_),
+      server_(browser_->loop(), browser_->network(), "rcb-agent",
+              SocketLimits(config_.limits),
+              {.on_request =
+                   [this](HttpServer::ConnId conn, const HttpRequest& request) {
+                     return OnRequest(conn, request);
+                   },
+               .over_capacity = [this] { return RejectConnection(); },
+               .on_oversized = [this] { ++metrics_.oversized_rejected; },
+               .on_read_timeout = [this] { ++metrics_.idle_read_timeouts; },
+               .on_close =
+                   [this](HttpServer::ConnId conn) {
+                     OnConnectionClosed(conn);
+                   }}) {
   if (config_.register_metrics) {
     RegisterMetrics();
   }
@@ -278,9 +288,10 @@ void RcbAgent::RegisterMetrics() {
       obs::Provenance::kSim,
       [this] { return static_cast<double>(parked_.size()); }, base_labels);
 
-  // ObjectCache counters/gauges (shared with the host browser). A hosted
-  // agent skips them: the cache is host-wide and registered once up there.
-  if (config_.register_cache_metrics) {
+  // ObjectCache counters/gauges (shared with the host browser). An agent on a
+  // shared registry skips them: RcbHost's cache is host-wide and registered
+  // once up there.
+  if (config_.shared_registry == nullptr) {
     RegisterObjectCacheMetrics(&browser_->cache(), reg, base_labels);
   }
 
@@ -457,9 +468,7 @@ Status RcbAgent::Start() {
   if (running_) {
     return FailedPreconditionError("agent already running");
   }
-  RCB_RETURN_IF_ERROR(browser_->network()->Listen(
-      browser_->machine(), config_.port,
-      [this](NetEndpoint* endpoint) { OnAccept(endpoint); }));
+  RCB_RETURN_IF_ERROR(server_.Listen(browser_->machine(), config_.port));
   browser_->SetDocumentChangeListener([this] { OnDocumentChange(); });
   if (config_.limits.cache_byte_budget > 0) {
     browser_->cache().set_byte_budget(config_.limits.cache_byte_budget);
@@ -479,21 +488,14 @@ void RcbAgent::Stop() {
     return;
   }
   running_ = false;
-  browser_->network()->StopListening(browser_->machine(), config_.port);
   browser_->SetDocumentChangeListener(nullptr);
-  // Parked long-polls ride connections_ records; cancel their hold timers
-  // before the shared connection teardown below closes the sockets.
+  // Parked long-polls are held server connections; cancel their hold timers
+  // before the server's teardown below closes the sockets.
   for (auto& [pid, parked] : parked_) {
     browser_->loop()->Cancel(parked.deadline_id);
   }
   parked_.clear();
-  for (auto& conn : connections_) {
-    DisarmReadDeadline(conn.get());
-    if (conn->endpoint != nullptr) {
-      conn->endpoint->Close();
-    }
-  }
-  connections_.clear();
+  server_.Stop();
 }
 
 HttpResponse RcbAgent::HandleHostRequest(const HttpRequest& request) {
@@ -565,101 +567,38 @@ Status RcbAgent::RestoreState(const AgentStateExport& state) {
   return Status::Ok();
 }
 
-void RcbAgent::OnAccept(NetEndpoint* endpoint) {
-  // Admission control: past the connection cap, answer a tiny 503 and close
-  // instead of dedicating parser/timer state to the socket.
-  if (config_.limits.max_connections > 0 &&
-      connections_.size() >= config_.limits.max_connections) {
-    ++metrics_.connections_rejected;
-    endpoint->Send(
-        HttpResponse::ServiceUnavailable(
-            JitteredRetryAfter(
-                config_.poll_interval, config_.limits.retry_after_jitter,
-                StrFormat("conn%llu", static_cast<unsigned long long>(
-                                          metrics_.connections_rejected))),
-            "connection limit reached")
-            .Serialize());
-    endpoint->Close();
-    return;
+std::optional<HttpResponse> RcbAgent::OnRequest(HttpServer::ConnId conn,
+                                                const HttpRequest& request) {
+  RequestScope scope;
+  scope.holdable = true;
+  HttpResponse response = HandleRequest(request, scope);
+  if (scope.park.has_value()) {
+    // The poll found nothing to send and both sides hold the long-poll
+    // capability: hold the connection instead of answering (DESIGN.md §15).
+    ParkPoll(conn, std::move(*scope.park));
+    return std::nullopt;
   }
-  auto conn = std::make_unique<AgentConn>();
-  conn->endpoint = endpoint;
-  conn->parser.set_limits({config_.limits.max_request_head_bytes,
-                           config_.limits.max_request_body_bytes});
-  AgentConn* raw = conn.get();
-  endpoint->SetDataHandler(
-      [this, raw](std::string_view data) { OnConnData(raw, data); });
-  endpoint->SetCloseHandler([this, raw] { RemoveConnection(raw); });
-  connections_.push_back(std::move(conn));
+  return response;
 }
 
-void RcbAgent::RemoveConnection(AgentConn* conn) {
-  DisarmReadDeadline(conn);
-  for (auto it = connections_.begin(); it != connections_.end(); ++it) {
-    if (it->get() == conn) {
-      connections_.erase(it);
-      return;
-    }
-  }
+HttpResponse RcbAgent::RejectConnection() {
+  ++metrics_.connections_rejected;
+  return HttpResponse::ServiceUnavailable(
+      JitteredRetryAfter(
+          config_.poll_interval, config_.limits.retry_after_jitter,
+          StrFormat("conn%llu", static_cast<unsigned long long>(
+                                    metrics_.connections_rejected))),
+      "connection limit reached");
 }
 
-void RcbAgent::DisarmReadDeadline(AgentConn* conn) {
-  if (conn->read_deadline_armed) {
-    browser_->loop()->Cancel(conn->read_deadline_id);
-    conn->read_deadline_armed = false;
-  }
-}
-
-void RcbAgent::OnConnData(AgentConn* conn, std::string_view data) {
-  std::string_view remaining = data;
-  while (true) {
-    auto result = conn->parser.Feed(remaining);
-    remaining = {};
-    if (!result.ok()) {
-      NetEndpoint* endpoint = conn->endpoint;
-      if (result.status().code() == StatusCode::kResourceExhausted) {
-        // Oversized head or declared body: reject cleanly with 413 instead of
-        // buffering toward it.
-        ++metrics_.oversized_rejected;
-        endpoint->Send(HttpResponse::PayloadTooLarge(result.status().message())
-                           .Serialize());
-      } else {
-        RCB_LOG(kWarning) << "rcb-agent: malformed request: " << result.status();
-      }
-      RemoveConnection(conn);  // `conn` is destroyed here
-      endpoint->Close();
+void RcbAgent::OnConnectionClosed(HttpServer::ConnId conn) {
+  // A client-side drop of a held long-poll forgets the hold.
+  for (auto it = parked_.begin(); it != parked_.end(); ++it) {
+    if (it->second.conn == conn) {
+      browser_->loop()->Cancel(it->second.deadline_id);
+      parked_.erase(it);
       return;
     }
-    if (!result->has_value()) {
-      // A partial request is buffered: ensure a read deadline covers it. The
-      // deadline is armed once per request and deliberately NOT re-armed by
-      // later fragments, so a slow-loris drip cannot keep the socket alive.
-      if (config_.limits.idle_read_timeout > Duration::Zero() &&
-          conn->parser.mid_message() && !conn->read_deadline_armed) {
-        conn->read_deadline_armed = true;
-        conn->read_deadline_id = browser_->loop()->Schedule(
-            config_.limits.idle_read_timeout, [this, conn] {
-              conn->read_deadline_armed = false;
-              ++metrics_.idle_read_timeouts;
-              NetEndpoint* endpoint = conn->endpoint;
-              RemoveConnection(conn);
-              endpoint->Close();
-            });
-      }
-      return;
-    }
-    DisarmReadDeadline(conn);
-    const HttpRequest& request = **result;
-    RequestScope scope;
-    scope.holdable = true;
-    HttpResponse response = HandleRequest(request, scope);
-    if (scope.park.has_value()) {
-      // The poll found nothing to send and both sides hold the long-poll
-      // capability: hold the connection instead of answering (DESIGN.md §15).
-      ParkPoll(conn, std::move(*scope.park));
-      return;
-    }
-    conn->endpoint->Send(response.Serialize());
   }
 }
 
@@ -685,36 +624,32 @@ void RcbAgent::OnDocumentChange() {
 // Streamed transport (DESIGN.md §15): held long-polls.
 // ---------------------------------------------------------------------------
 
-void RcbAgent::ParkPoll(AgentConn* conn, ParkIntent intent) {
+void RcbAgent::ParkPoll(HttpServer::ConnId conn, ParkIntent intent) {
   const std::string pid = intent.pid;
   ParkedPoll parked;
   parked.conn = conn;
   parked.acked_doc_time_ms = intent.acked_doc_time_ms;
   parked.deadline_id = browser_->loop()->Schedule(
       config_.transport.long_poll_hold,
-      [this, pid] { ReleaseParkedPoll(pid, /*expired=*/true); });
-  // The socket stays a tracked connection (cap + shutdown still apply); only
-  // the close handler changes so a client-side drop forgets the hold.
-  conn->endpoint->SetCloseHandler([this, conn, pid] {
-    auto it = parked_.find(pid);
-    if (it != parked_.end() && it->second.conn == conn) {
-      browser_->loop()->Cancel(it->second.deadline_id);
-      parked_.erase(it);
-    }
-    RemoveConnection(conn);
-  });
+      [this, pid] { ReleaseParkedPoll(pid); });
   parked_[pid] = std::move(parked);
 }
 
-void RcbAgent::ReleaseParkedPoll(const std::string& pid, bool expired) {
+std::optional<RcbAgent::ParkedPoll> RcbAgent::Unpark(const std::string& pid) {
   auto it = parked_.find(pid);
   if (it == parked_.end()) {
-    return;
+    return std::nullopt;
   }
-  ParkedPoll parked = std::move(it->second);
+  ParkedPoll parked = it->second;
   parked_.erase(it);
-  if (!expired) {
-    browser_->loop()->Cancel(parked.deadline_id);
+  browser_->loop()->Cancel(parked.deadline_id);  // no-op once it has fired
+  return parked;
+}
+
+void RcbAgent::ReleaseParkedPoll(const std::string& pid) {
+  std::optional<ParkedPoll> parked = Unpark(pid);
+  if (!parked.has_value()) {
+    return;
   }
   std::optional<ContentBody> body;
   auto participant_it = participants_.find(pid);
@@ -722,7 +657,7 @@ void RcbAgent::ReleaseParkedPoll(const std::string& pid, bool expired) {
     ParticipantState& participant = participant_it->second;
     participant.last_poll = browser_->loop()->now();
     const int64_t held = participant.doc_time_ms;
-    body = TakeDelivery(pid, participant, parked.acked_doc_time_ms,
+    body = TakeDelivery(pid, participant, parked->acked_doc_time_ms,
                         TransportExemplar(pid));
     if (participant.doc_time_ms != held) {
       participant.released_from = held;
@@ -739,9 +674,7 @@ void RcbAgent::ReleaseParkedPoll(const std::string& pid, bool expired) {
   HttpResponse response = HttpResponse::Ok(
       "application/xml", body.has_value() ? std::move(body->xml) : "");
   response.headers.Set("RCB-Transport", GrantHeader());
-  AgentConn* conn = parked.conn;
-  conn->endpoint->SetCloseHandler([this, conn] { RemoveConnection(conn); });
-  conn->endpoint->Send(response.Serialize());
+  server_.Answer(parked->conn, response);
 }
 
 std::string RcbAgent::GrantHeader() const {
@@ -863,7 +796,7 @@ void RcbAgent::FlushTransport() {
     held.push_back(pid);
   }
   for (const std::string& pid : held) {
-    ReleaseParkedPoll(pid, /*expired=*/false);
+    ReleaseParkedPoll(pid);
   }
 }
 
@@ -873,9 +806,7 @@ void RcbAgent::KickTransport(const std::string& pid) {
       participant_it->second.outbox.empty()) {
     return;
   }
-  if (parked_.contains(pid)) {
-    ReleaseParkedPoll(pid, /*expired=*/false);
-  }
+  ReleaseParkedPoll(pid);
 }
 
 bool RcbAgent::CacheModeFor(const std::string& pid) const {
@@ -1089,13 +1020,8 @@ void RcbAgent::RemoveParticipant(const std::string& pid) {
   if (config_.state_observer != nullptr) {
     config_.state_observer->OnParticipantLeft(pid);
   }
-  if (auto parked_it = parked_.find(pid); parked_it != parked_.end()) {
-    AgentConn* conn = parked_it->second.conn;
-    browser_->loop()->Cancel(parked_it->second.deadline_id);
-    parked_.erase(parked_it);
-    NetEndpoint* endpoint = conn->endpoint;
-    RemoveConnection(conn);
-    endpoint->Close();
+  if (std::optional<ParkedPoll> parked = Unpark(pid)) {
+    server_.Close(parked->conn);
   }
   UserAction left;
   left.type = ActionType::kPresence;
@@ -1441,13 +1367,8 @@ HttpResponse RcbAgent::HandlePoll(const HttpRequest& request,
   // A fresh poll while a long-poll is still held means the client superseded
   // or abandoned that hold: answer it with an empty 200 (no grant, no counter)
   // that the snippet discards, so its connection stays open for reuse.
-  if (auto parked_it = parked_.find(poll.participant_id);
-      parked_it != parked_.end()) {
-    AgentConn* stale = parked_it->second.conn;
-    browser_->loop()->Cancel(parked_it->second.deadline_id);
-    parked_.erase(parked_it);
-    stale->endpoint->SetCloseHandler([this, stale] { RemoveConnection(stale); });
-    stale->endpoint->Send(HttpResponse::Ok("application/xml", "").Serialize());
+  if (std::optional<ParkedPoll> stale = Unpark(poll.participant_id)) {
+    server_.Answer(stale->conn, HttpResponse::Ok("application/xml", ""));
   }
 
   // Transport negotiation (DESIGN.md §15): grant a long-poll only when both
@@ -1539,7 +1460,7 @@ HttpResponse RcbAgent::HandlePoll(const HttpRequest& request,
   // Long-poll park (DESIGN.md §15): nothing to send and both sides already
   // hold the capability (the client saw a grant on its previous poll, so its
   // timeout budget covers the hold) — keep the request open instead of
-  // answering empty. OnConnData parks the socket; the grant rides the release.
+  // answering empty. OnRequest parks the socket; the grant rides the release.
   if (was_granted && participant.transport_granted && !release_crossed) {
     scope.park = ParkIntent{poll.participant_id, acked};
     ++metrics_.transport_long_polls_parked;

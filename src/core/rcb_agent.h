@@ -18,9 +18,7 @@
 #ifndef SRC_CORE_RCB_AGENT_H_
 #define SRC_CORE_RCB_AGENT_H_
 
-#include <deque>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,7 +29,7 @@
 #include "src/core/content_generator.h"
 #include "src/core/protocol.h"
 #include "src/delta/patch_codec.h"
-#include "src/http/http_parser.h"
+#include "src/http/http_server.h"
 #include "src/net/network.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
@@ -72,9 +70,7 @@ struct AgentLimits {
   size_t max_participants = 64;   // roster size; excess joins/polls get 503
   size_t max_request_head_bytes = 64 * 1024;   // request-line + headers
   size_t max_request_body_bytes = 1 << 20;     // declared Content-Length
-  // Slow-loris defense: read deadline for one request's bytes, armed when the
-  // first byte arrives and NOT extended by further drip-fed bytes; the
-  // connection is closed unless the request completes in time.
+  // Slow-loris read deadline (HttpServerLimits::read_timeout).
   Duration idle_read_timeout = Duration::Zero();
   // Per-participant token buckets, refilled deterministically from sim time.
   // rate <= 0 disables the bucket. Rejected polls get 429 + Retry-After;
@@ -103,6 +99,10 @@ struct AgentLimits {
 // `base` exactly.
 Duration JitteredRetryAfter(Duration base, Duration jitter,
                             std::string_view key);
+
+// The socket rows of `limits` (DESIGN.md §8.1) as HttpServer limits: the
+// agent's own port, and the host's front door without the connection cap.
+HttpServerLimits SocketLimits(const AgentLimits& limits);
 
 struct AgentConfig {
   uint16_t port = 3000;
@@ -147,7 +147,9 @@ struct AgentConfig {
   // --- Multi-session hosting (src/host). Defaults keep the standalone
   // behavior: the agent owns its registry and registers everything. ---
   // When set, instruments register on this registry (not owned; must outlive
-  // the agent) instead of the agent's own; metrics_registry() returns it.
+  // the agent) instead of the agent's own; metrics_registry() and the flight
+  // recorder's dumps read it. The rcb_cache_* families are skipped then: the
+  // host shares one ObjectCache across sessions and registers it once.
   obs::MetricsRegistry* shared_registry = nullptr;
   // Label body prepended to every registered instrument, e.g. `session="s3"`.
   // Required for shared registries (two label-less agents would collide on
@@ -157,9 +159,6 @@ struct AgentConfig {
   // still accumulate). RcbHost uses this above its metrics_sessions cap so a
   // 10k-session bench does not pay per-session registry weight.
   bool register_metrics = true;
-  // false skips the rcb_cache_* families. RcbHost points every session at
-  // one shared ObjectCache and registers its counters once, host-side.
-  bool register_cache_metrics = true;
   // --- Durability (src/persist, DESIGN.md §13). When set, the agent reports
   // every persistent-state transition (document version, anti-replay seq
   // advance, merged action, roster change) before acking the request that
@@ -309,10 +308,6 @@ class RcbAgent {
   Status ApprovePending(size_t index);
   Status RejectPending(size_t index);
 
-  // Switches cache mode at runtime (the paper allows per-page / per-object
-  // flexibility; we expose the session-level switch).
-  void set_cache_mode(bool cache_mode) { config_.cache_mode = cache_mode; }
-
   // --- Durability (src/persist, DESIGN.md §13) ---
   // Snapshot of the protocol state a checkpoint captures: document content +
   // version, roster with anti-replay marks, confirmation queue.
@@ -352,21 +347,14 @@ class RcbAgent {
     // poll: if that poll still acks it, it crossed the release on the wire.
     std::optional<int64_t> released_from;
   };
-  struct AgentConn {
-    NetEndpoint* endpoint = nullptr;
-    HttpRequestParser parser;
-    // Slow-loris read deadline (AgentLimits::idle_read_timeout).
-    uint64_t read_deadline_id = 0;
-    bool read_deadline_armed = false;
-  };
-
-  void OnAccept(NetEndpoint* endpoint);
-  void OnConnData(AgentConn* conn, std::string_view data);
+  // The HttpServer handlers: a request on the agent's own port (holdable);
+  // the 503 + jittered Retry-After of a socket past max_connections; a
+  // connection gone, which forgets a long-poll held on it.
+  std::optional<HttpResponse> OnRequest(HttpServer::ConnId conn,
+                                        const HttpRequest& request);
+  HttpResponse RejectConnection();
+  void OnConnectionClosed(HttpServer::ConnId conn);
   void OnDocumentChange();
-  // Destroys the AgentConn record (cancelling its read deadline). Does not
-  // touch the endpoint — callers close it separately when needed.
-  void RemoveConnection(AgentConn* conn);
-  void DisarmReadDeadline(AgentConn* conn);
 
   // A poll the agent holds open instead of answering empty: the pid and the
   // patch base for its release (BuildContentBody's `acked`).
@@ -375,7 +363,7 @@ class RcbAgent {
     int64_t acked_doc_time_ms = -1;
   };
   // One request's transport state: a value owned by the caller that read the
-  // request (OnConnData / HandleHostRequest) and handed down HandleRequest ->
+  // request (OnRequest / HandleHostRequest) and handed down HandleRequest ->
   // DispatchRequest -> HandlePoll, so nothing outlives the request.
   struct RequestScope {
     // In: the request arrived on the agent's own port, so its connection can
@@ -408,19 +396,21 @@ class RcbAgent {
 
   // --- Streamed transport (src/transport, DESIGN.md §15) ---
   // A long-poll the agent is holding until content arrives or the hold
-  // deadline fires; the AgentConn stays in connections_ (the connection cap
-  // still applies) and the endpoint's close handler cancels the park.
+  // deadline fires: a held server connection (the connection cap still
+  // applies), forgotten by OnConnectionClosed when it goes away.
   struct ParkedPoll {
-    AgentConn* conn = nullptr;
+    HttpServer::ConnId conn = 0;
     int64_t acked_doc_time_ms = -1;  // ParkIntent's patch base
     uint64_t deadline_id = 0;     // hold-expiry timer
   };
-  void ParkPoll(AgentConn* conn, ParkIntent intent);
+  void ParkPoll(HttpServer::ConnId conn, ParkIntent intent);
   // The RCB-Transport value of every grant: `longpoll; hold=<ms>`.
   std::string GrantHeader() const;
-  // Answers a parked poll: newest content / pending actions when available,
-  // empty when released by the hold deadline (`expired`).
-  void ReleaseParkedPoll(const std::string& pid, bool expired);
+  // Forgets `pid`'s park and cancels its hold timer; nullopt when none.
+  std::optional<ParkedPoll> Unpark(const std::string& pid);
+  // Answers `pid`'s parked poll, if any: newest content / pending actions
+  // when available, else empty (the hold deadline's release).
+  void ReleaseParkedPoll(const std::string& pid);
   // Defers FlushTransport by one zero-delay event so every document change
   // in the same event-loop turn collapses into one delivery (drop-oldest
   // shedding: a superseded version is never serialized, and counts as shed).
@@ -546,7 +536,6 @@ class RcbAgent {
 
   std::map<std::string, ParticipantState> participants_;
   std::vector<PendingAction> pending_actions_;
-  std::vector<std::unique_ptr<AgentConn>> connections_;
   AgentMetrics metrics_;
   uint64_t next_pid_ = 1;
 
@@ -585,6 +574,7 @@ class RcbAgent {
   // window reads advance the rings, and the const status page reads it.
   mutable obs::SessionHealth health_;
   uint64_t requests_handled_ = 0;  // HealthSample.requests denominator
+  HttpServer server_;  // on config.port, limits from SocketLimits()
 };
 
 }  // namespace rcb

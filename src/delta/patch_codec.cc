@@ -1,7 +1,5 @@
 #include "src/delta/patch_codec.h"
 
-#include <cstdlib>
-
 #include "src/http/form.h"
 #include "src/util/escape.h"
 #include "src/util/strings.h"
@@ -329,8 +327,8 @@ StatusOr<PatchEnvelope> ParsePatchXml(std::string_view xml) {
   if (version == nullptr) {
     return InvalidArgumentError("patch missing version");
   }
-  patch.version = std::atoi(version->text.c_str());
-  if (patch.version != kPatchFormatVersion) {
+  int64_t format = 0;
+  if (!ParseInt64(version->text, &format) || format != kPatchFormatVersion) {
     return InvalidArgumentError("unsupported patch version: " + version->text);
   }
   const XmlNode* base_time = root->FindChild("baseTime");
@@ -338,8 +336,10 @@ StatusOr<PatchEnvelope> ParsePatchXml(std::string_view xml) {
   if (base_time == nullptr || doc_time == nullptr) {
     return InvalidArgumentError("patch missing baseTime/docTime");
   }
-  patch.base_doc_time_ms = std::atoll(base_time->text.c_str());
-  patch.target_doc_time_ms = std::atoll(doc_time->text.c_str());
+  if (!ParseInt64(base_time->text, &patch.base_doc_time_ms) ||
+      !ParseInt64(doc_time->text, &patch.target_doc_time_ms)) {
+    return InvalidArgumentError("patch baseTime/docTime is not an integer");
+  }
   const XmlNode* base_digest = root->FindChild("baseDigest");
   const XmlNode* doc_digest = root->FindChild("docDigest");
   if (base_digest == nullptr || doc_digest == nullptr) {

@@ -1,7 +1,6 @@
 #include "src/host/rcb_host.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <utility>
 
@@ -13,36 +12,30 @@
 namespace rcb {
 namespace {
 
-obs::FlightRecorder::Options HostFlightOptions(const HostConfig& config) {
-  obs::FlightRecorder::Options options;
-  options.component = "host";
-  options.dir = config.flight_dir;
-  if (options.dir.empty()) {
-    if (const char* env = std::getenv("RCB_FLIGHT_DIR"); env != nullptr) {
-      options.dir = env;
-    }
-  }
-  return options;
-}
-
 // 409/410 have no HttpResponse factory (nothing else in the repo sheds with
-// them); build them in place.
-HttpResponse Conflict(std::string_view detail) {
+// them); build them in place, the body being `detail` alone.
+HttpResponse PlainResponse(int status_code, std::string_view detail) {
   HttpResponse response;
-  response.status_code = 409;
-  response.reason = std::string(ReasonPhraseFor(409));
+  response.status_code = status_code;
+  response.reason = std::string(ReasonPhraseFor(status_code));
   response.headers.Set("Content-Type", "text/plain");
   response.body = std::string(detail);
   return response;
 }
 
-HttpResponse Gone(std::string_view detail) {
-  HttpResponse response;
-  response.status_code = 410;
-  response.reason = std::string(ReasonPhraseFor(410));
-  response.headers.Set("Content-Type", "text/plain");
-  response.body = std::string(detail);
-  return response;
+// The label body every family of session `id` carries on the shared
+// registry.
+std::string SessionLabel(const std::string& id) {
+  return StrFormat("session=\"%s\"", id.c_str());
+}
+
+// Routed requests reach the agents through the front door, not their own
+// ports, so it applies their head/body caps and read deadline itself. The
+// connection cap stays per agent.
+HttpServerLimits FrontDoorLimits(const AgentLimits& limits) {
+  HttpServerLimits server = SocketLimits(limits);
+  server.max_connections = 0;
+  return server;
 }
 
 }  // namespace
@@ -51,7 +44,14 @@ RcbHost::RcbHost(EventLoop* loop, Network* network, HostConfig config)
     : loop_(loop),
       network_(network),
       config_(std::move(config)),
-      flight_(&trace_, &registry_, HostFlightOptions(config_)) {
+      flight_(&trace_, &registry_,
+              obs::FlightRecorder::Options::For("host", config_.flight_dir)),
+      front_door_(loop, network, "rcb-host",
+                  FrontDoorLimits(config_.agent_defaults.limits),
+                  {.on_request = [this](HttpServer::ConnId,
+                                        const HttpRequest& request) {
+                    return std::optional<HttpResponse>(Route(request));
+                  }}) {
   RegisterHostMetrics();
 }
 
@@ -148,9 +148,7 @@ Status RcbHost::Start() {
   if (running_) {
     return FailedPreconditionError("host already running");
   }
-  RCB_RETURN_IF_ERROR(network_->Listen(
-      config_.machine, config_.base_port,
-      [this](NetEndpoint* endpoint) { OnAccept(endpoint); }));
+  RCB_RETURN_IF_ERROR(front_door_.Listen(config_.machine, config_.base_port));
   if (config_.limits.shared_cache_byte_budget > 0) {
     shared_cache_.set_byte_budget(config_.limits.shared_cache_byte_budget);
   }
@@ -166,13 +164,7 @@ void RcbHost::Stop() {
     return;
   }
   running_ = false;
-  network_->StopListening(config_.machine, config_.base_port);
-  for (auto& conn : connections_) {
-    if (conn->endpoint != nullptr) {
-      conn->endpoint->Close();
-    }
-  }
-  connections_.clear();
+  front_door_.Stop();
   // Checkpoint-on-close: a cleanly stopped host leaves every session
   // recoverable (no-op with persistence off or after a simulated crash).
   CheckpointAllSessions();
@@ -182,10 +174,6 @@ void RcbHost::Stop() {
   for (const std::string& id : ids) {
     DestroySession(id, /*remove_persist=*/false);
   }
-}
-
-Url RcbHost::FrontDoorUrl() const {
-  return Url::Make("http", config_.machine, config_.base_port, "/");
 }
 
 uint16_t RcbHost::AllocatePort() {
@@ -230,43 +218,12 @@ StatusOr<HostSession*> RcbHost::CreateSession(const std::string& id,
         std::find(reaped_order_.begin(), reaped_order_.end(), id));
   }
 
-  auto session = std::make_unique<HostSession>();
-  session->id = id;
-  session->port = AllocatePort();
-  session->created_at = loop_->now();
-  if (config_.persist.enabled()) {
-    auto store = std::make_unique<persist::SessionStore>(
-        id, config_.persist, &persist_counters_, config_.process_faults);
-    session->persist =
-        std::make_unique<SessionPersist>(this, id, std::move(store));
-    agent_config.state_observer = session->persist.get();
-  }
-  session->browser = std::make_unique<Browser>(loop_, network_, config_.machine);
-  session->browser->UseSharedCache(&shared_cache_);
-
-  agent_config.port = session->port;
-  agent_config.shared_registry = &registry_;
-  agent_config.metrics_label = StrFormat("session=\"%s\"", id.c_str());
-  agent_config.register_cache_metrics = false;  // host registers the shared one
-  session->lite = metric_sessions_registered_ >= config_.limits.metrics_sessions;
-  agent_config.register_metrics = !session->lite;
-  // The shared cache budget is host-owned; a per-session budget would
-  // clobber it for everyone.
-  agent_config.limits.cache_byte_budget = 0;
-  session->agent =
-      std::make_unique<RcbAgent>(session->browser.get(), agent_config);
-  Status started = session->agent->Start();
-  if (!started.ok()) {
-    registry_.RemoveLabeled(StrFormat("session=\"%s\"", id.c_str()));
-    free_ports_.push_back(session->port);
-    return started;
-  }
-  if (!session->lite) {
-    ++metric_sessions_registered_;
-  }
+  StatusOr<std::unique_ptr<HostSession>> session =
+      StartSession(id, AllocatePort(), std::move(agent_config), nullptr);
+  RCB_RETURN_IF_ERROR(session.status());
   ++host_metrics_.sessions_created;
-  HostSession* raw = session.get();
-  sessions_.emplace(id, std::move(session));
+  HostSession* raw = session->get();
+  sessions_.emplace(id, std::move(*session));
   // Baseline checkpoint: a session is recoverable from the moment it exists.
   if (raw->persist != nullptr) {
     Status baseline = raw->persist->store()->WriteCheckpoint(BuildCheckpoint(raw));
@@ -276,6 +233,53 @@ StatusOr<HostSession*> RcbHost::CreateSession(const std::string& id,
     }
   }
   return raw;
+}
+
+StatusOr<std::unique_ptr<HostSession>> RcbHost::StartSession(
+    const std::string& id, uint16_t port, AgentConfig agent_config,
+    const persist::LoadResult* recovered) {
+  auto session = std::make_unique<HostSession>();
+  session->id = id;
+  session->port = port;
+  session->recovered = recovered != nullptr;
+  if (config_.persist.enabled()) {
+    auto store = std::make_unique<persist::SessionStore>(
+        id, config_.persist, &persist_counters_, config_.process_faults);
+    if (recovered != nullptr) {
+      store->AdoptEpoch(recovered->epoch);
+    }
+    session->persist =
+        std::make_unique<SessionPersist>(this, id, std::move(store));
+    agent_config.state_observer = session->persist.get();
+  }
+  session->browser = std::make_unique<Browser>(loop_, network_, config_.machine);
+  session->browser->UseSharedCache(&shared_cache_);
+  agent_config.port = port;
+  agent_config.shared_registry = &registry_;
+  agent_config.metrics_label = SessionLabel(id);
+  session->lite = metric_sessions_registered_ >= config_.limits.metrics_sessions;
+  agent_config.register_metrics = !session->lite;
+  // The shared cache budget is host-owned; a per-session budget would
+  // clobber it for everyone.
+  agent_config.limits.cache_byte_budget = 0;
+  session->agent =
+      std::make_unique<RcbAgent>(session->browser.get(), agent_config);
+  Status started =
+      recovered != nullptr
+          ? session->agent->RestoreState(recovered->checkpoint.state)
+          : Status::Ok();
+  if (started.ok()) {
+    started = session->agent->Start();
+  }
+  if (!started.ok()) {
+    registry_.RemoveLabeled(SessionLabel(id));
+    free_ports_.push_back(port);
+    return started;
+  }
+  if (!session->lite) {
+    ++metric_sessions_registered_;
+  }
+  return session;
 }
 
 HostSession* RcbHost::FindSession(const std::string& id) {
@@ -322,7 +326,7 @@ void RcbHost::DestroySession(const std::string& id, bool remove_persist) {
   session->agent->Stop();
   // Shed the session's callback-backed families before their backing agent
   // dies; lite sessions registered none, and RemoveLabeled is a no-op then.
-  registry_.RemoveLabeled(StrFormat("session=\"%s\"", id.c_str()));
+  registry_.RemoveLabeled(SessionLabel(id));
   if (!session->lite && metric_sessions_registered_ > 0) {
     --metric_sessions_registered_;
   }
@@ -485,42 +489,10 @@ Status RcbHost::RecoverOne(const std::string& checkpoint_path,
   agent_config.enable_delta = checkpoint.config.enable_delta;
   agent_config.enable_trace = checkpoint.config.enable_trace;
 
-  auto session = std::make_unique<HostSession>();
-  session->id = id;
-  session->port = port;
-  session->created_at = loop_->now();
-  session->recovered = true;
-  auto store = std::make_unique<persist::SessionStore>(
-      id, config_.persist, &persist_counters_, config_.process_faults);
-  store->AdoptEpoch(loaded->epoch);
-  session->persist =
-      std::make_unique<SessionPersist>(this, id, std::move(store));
-  agent_config.state_observer = session->persist.get();
-  session->browser = std::make_unique<Browser>(loop_, network_, config_.machine);
-  session->browser->UseSharedCache(&shared_cache_);
-  agent_config.port = port;
-  agent_config.shared_registry = &registry_;
-  agent_config.metrics_label = StrFormat("session=\"%s\"", id.c_str());
-  agent_config.register_cache_metrics = false;
-  session->lite = metric_sessions_registered_ >= config_.limits.metrics_sessions;
-  agent_config.register_metrics = !session->lite;
-  agent_config.limits.cache_byte_budget = 0;
-  session->agent =
-      std::make_unique<RcbAgent>(session->browser.get(), agent_config);
-
-  auto fail = [&](const Status& status) {
-    registry_.RemoveLabeled(StrFormat("session=\"%s\"", id.c_str()));
-    free_ports_.push_back(port);
-    return status;
-  };
-  Status restored = session->agent->RestoreState(checkpoint.state);
-  if (!restored.ok()) {
-    return fail(restored);
-  }
-  Status started = session->agent->Start();
-  if (!started.ok()) {
-    return fail(started);
-  }
+  StatusOr<std::unique_ptr<HostSession>> started =
+      StartSession(id, port, std::move(agent_config), &*loaded);
+  RCB_RETURN_IF_ERROR(started.status());
+  std::unique_ptr<HostSession>& session = *started;
   if (loaded->wal_tail_discarded) {
     ++host_metrics_.wal_tails_discarded;
   }
@@ -534,9 +506,6 @@ Status RcbHost::RecoverOne(const std::string& checkpoint_path,
     session->agent->DeferResyncAdmissionUntil(
         loop_->now() + Duration::Millis(static_cast<int64_t>(slot_ms)));
   }
-  if (!session->lite) {
-    ++metric_sessions_registered_;
-  }
   HostSession* raw = session.get();
   sessions_.emplace(id, std::move(session));
   ++host_metrics_.sessions_recovered;
@@ -548,57 +517,6 @@ Status RcbHost::RecoverOne(const std::string& checkpoint_path,
                       << " failed: " << baseline;
   }
   return Status::Ok();
-}
-
-void RcbHost::OnAccept(NetEndpoint* endpoint) {
-  auto conn = std::make_unique<HostConn>();
-  conn->endpoint = endpoint;
-  // Routed requests reach the agent through here, not its own port, so the
-  // front door enforces the agent's head/body caps itself.
-  const AgentLimits& limits = config_.agent_defaults.limits;
-  conn->parser.set_limits(
-      {limits.max_request_head_bytes, limits.max_request_body_bytes});
-  HostConn* raw = conn.get();
-  endpoint->SetDataHandler(
-      [this, raw](std::string_view data) { OnConnData(raw, data); });
-  endpoint->SetCloseHandler([this, raw] { RemoveConnection(raw); });
-  connections_.push_back(std::move(conn));
-}
-
-void RcbHost::RemoveConnection(HostConn* conn) {
-  for (auto it = connections_.begin(); it != connections_.end(); ++it) {
-    if (it->get() == conn) {
-      connections_.erase(it);
-      return;
-    }
-  }
-}
-
-void RcbHost::OnConnData(HostConn* conn, std::string_view data) {
-  std::string_view remaining = data;
-  while (true) {
-    auto result = conn->parser.Feed(remaining);
-    remaining = {};
-    if (!result.ok()) {
-      NetEndpoint* endpoint = conn->endpoint;
-      if (result.status().code() == StatusCode::kResourceExhausted) {
-        // Oversized head or declared body: 413 instead of buffering toward it.
-        endpoint->Send(HttpResponse::PayloadTooLarge(result.status().message())
-                           .Serialize());
-      } else {
-        RCB_LOG(kWarning) << "rcb-host: malformed request: "
-                          << result.status();
-      }
-      RemoveConnection(conn);  // `conn` is destroyed here
-      endpoint->Close();
-      return;
-    }
-    if (!result->has_value()) {
-      return;  // partial request buffered
-    }
-    HttpResponse response = Route(**result);
-    conn->endpoint->Send(response.Serialize());
-  }
 }
 
 HttpResponse RcbHost::Route(const HttpRequest& request) {
@@ -636,7 +554,7 @@ HttpResponse RcbHost::HandleCreateSession(const HttpRequest& request) {
       case StatusCode::kInvalidArgument:
         return HttpResponse::BadRequest(session.status().message());
       case StatusCode::kAlreadyExists:
-        return Conflict(session.status().message());
+        return PlainResponse(409, session.status().message());
       case StatusCode::kUnavailable:
         return HttpResponse::ServiceUnavailable(
             JitteredRetryAfter(config_.limits.retry_after,
@@ -669,7 +587,7 @@ HttpResponse RcbHost::HandleSessionRequest(const HttpRequest& request) {
   if (session == nullptr) {
     if (reaped_ids_.contains(id)) {
       ++host_metrics_.expired_session_requests;
-      return Gone("session expired: " + id);
+      return PlainResponse(410, "session expired: " + id);
     }
     ++host_metrics_.unknown_session_requests;
     return HttpResponse::NotFound("no such session: " + id);

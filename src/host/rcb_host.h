@@ -113,7 +113,8 @@ struct HostConfig {
   // overrides port/registry wiring. Per-session keys, policies and delta
   // knobs go through CreateSession(id, config) or apply host-wide when set
   // here. Its limits.max_request_{head,body}_bytes also cap requests on the
-  // front door (413, then close).
+  // front door (413, then close), and its limits.idle_read_timeout is the
+  // front door's read deadline too.
   AgentConfig agent_defaults;
   // --- Durability (src/persist, DESIGN.md §13). persist.dir empty keeps the
   // host fully in-memory (the pre-PR-7 behavior, byte for byte). With a dir
@@ -158,7 +159,6 @@ struct HostMetrics {
 struct HostSession {
   std::string id;
   uint16_t port = 0;
-  SimTime created_at;
   bool lite = false;  // past metrics_sessions: no per-session families
   bool recovered = false;  // restored from a checkpoint on host Start
   // Declared before browser/agent so it is destroyed last: the agent holds a
@@ -179,9 +179,6 @@ class RcbHost {
   Status Start();
   void Stop();
   bool running() const { return running_; }
-
-  // The URL of the front door (status/metrics/create/route).
-  Url FrontDoorUrl() const;
 
   // Creates a session under the default agent template. Fails with
   // kInvalidArgument (malformed id), kAlreadyExists (live id collision), or
@@ -231,10 +228,6 @@ class RcbHost {
   EventLoop* loop() { return loop_; }
 
  private:
-  struct HostConn {
-    NetEndpoint* endpoint = nullptr;
-    HttpRequestParser parser;
-  };
   // AgentMetrics totals of destroyed sessions, folded into the rcb_host_*
   // aggregates so they stay monotone across reaps.
   struct RetiredTotals {
@@ -246,10 +239,6 @@ class RcbHost {
     uint64_t content_bytes_sent = 0;
     Duration total_generation_time;
   };
-
-  void OnAccept(NetEndpoint* endpoint);
-  void OnConnData(HostConn* conn, std::string_view data);
-  void RemoveConnection(HostConn* conn);
 
   HttpResponse HandleCreateSession(const HttpRequest& request);
   HttpResponse HandleSessionRequest(const HttpRequest& request);
@@ -264,6 +253,14 @@ class RcbHost {
   // files are removed when the session ends on purpose (close/reap) and kept
   // when the host is merely shutting down (Stop checkpoints first).
   void DestroySession(const std::string& id, bool remove_persist);
+  // The one hosted-session builder behind CreateSession and RecoverOne: a
+  // browser on the shared cache and a started agent on `port` under
+  // session="<id>" on the shared registry, persisted when persistence is on
+  // and restored from `recovered` unless null. On failure the session's
+  // families and port are released.
+  StatusOr<std::unique_ptr<HostSession>> StartSession(
+      const std::string& id, uint16_t port, AgentConfig agent_config,
+      const persist::LoadResult* recovered);
   void RememberReaped(const std::string& id);
   uint16_t AllocatePort();
 
@@ -295,8 +292,6 @@ class RcbHost {
   std::deque<std::string> reaped_order_;  // FIFO for 410 memory
   std::set<std::string> reaped_ids_;
 
-  std::vector<std::unique_ptr<HostConn>> connections_;
-
   ObjectCache shared_cache_;
   obs::MetricsRegistry registry_;
   HostMetrics host_metrics_;
@@ -306,6 +301,8 @@ class RcbHost {
   // every recovery (clean or degraded) fires the host_recovery anomaly.
   obs::TraceLog trace_;
   obs::FlightRecorder flight_;
+  // The front door on base_port (Route() behind the shared HttpServer loop).
+  HttpServer front_door_;
 };
 
 }  // namespace rcb

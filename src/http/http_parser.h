@@ -63,8 +63,8 @@ class HttpRequestParser {
   void set_limits(HttpParserLimits limits) { limits_ = limits; }
 
   // Bytes buffered for the in-progress message (0 when idle between
-  // pipelined requests). Lets the server arm a read deadline only while a
-  // partial request is pending.
+  // pipelined requests). mid_message() lets HttpServer arm a read deadline
+  // only while a partial request is pending.
   size_t buffered_bytes() const { return assembler_.buffered_bytes(); }
   bool mid_message() const {
     return pending_.has_value() || assembler_.buffered_bytes() > 0;

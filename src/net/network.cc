@@ -50,11 +50,6 @@ void Network::SetLatency(const std::string& a, const std::string& b,
   directed_latency_[{b, a}] = latency;
 }
 
-void Network::SetDirectedLatency(const std::string& from, const std::string& to,
-                                 Duration latency) {
-  directed_latency_[{from, to}] = latency;
-}
-
 Duration Network::LatencyBetween(const std::string& from,
                                  const std::string& to) const {
   auto it = directed_latency_.find({from, to});

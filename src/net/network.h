@@ -54,7 +54,6 @@ class NetEndpoint {
 
   bool closed() const { return closed_; }
   const std::string& local_host() const { return local_host_; }
-  const std::string& peer_host() const { return peer_host_; }
 
   // Total payload bytes sent from this side (for traffic accounting).
   uint64_t bytes_sent() const { return bytes_sent_; }
@@ -87,12 +86,9 @@ class Network {
   void AddHost(const std::string& name, HostInterface interface = {});
   bool HasHost(const std::string& name) const { return hosts_.contains(name); }
 
-  // Propagation latency defaults; directed overrides take precedence over the
-  // symmetric pair value, which takes precedence over the default.
+  // Propagation latency: a pair's SetLatency value, else the default.
   void SetDefaultLatency(Duration latency) { default_latency_ = latency; }
   void SetLatency(const std::string& a, const std::string& b, Duration latency);
-  void SetDirectedLatency(const std::string& from, const std::string& to,
-                          Duration latency);
   Duration LatencyBetween(const std::string& from, const std::string& to) const;
 
   using AcceptHandler = std::function<void(NetEndpoint*)>;
@@ -139,7 +135,6 @@ class Network {
   // unit tests keep exact closed-form timings; the corpus benchmarks and the
   // WAN environments enable it.
   void set_slow_start_enabled(bool enabled) { slow_start_enabled_ = enabled; }
-  bool slow_start_enabled() const { return slow_start_enabled_; }
 
   // Traffic counters (payload bytes scheduled for transfer).
   uint64_t total_bytes_transferred() const { return total_bytes_; }

@@ -1,6 +1,7 @@
 #include "src/obs/flight_recorder.h"
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "src/obs/trace_export.h"
 #include "src/util/json.h"
@@ -9,6 +10,18 @@
 
 namespace rcb {
 namespace obs {
+
+FlightRecorder::Options FlightRecorder::Options::For(std::string component,
+                                                     std::string dir) {
+  Options options;
+  options.component = std::move(component);
+  options.dir = std::move(dir);
+  if (const char* env = std::getenv("RCB_FLIGHT_DIR");
+      options.dir.empty() && env != nullptr) {
+    options.dir = env;
+  }
+  return options;
+}
 
 void FlightRecorder::Trigger(std::string_view reason, int64_t sim_now_us) {
   ++total_triggers_;

@@ -46,6 +46,10 @@ class FlightRecorder {
     // collapses to one artifact. 0 preserves the historical dump-per-trigger
     // behavior up to max_dumps.
     int64_t dedup_window_us = 0;
+
+    // `component` dumping into `dir`, or into $RCB_FLIGHT_DIR when `dir` is
+    // empty (the agent, host and snippet configs' shared fallback).
+    static Options For(std::string component, std::string dir);
   };
 
   FlightRecorder(const TraceLog* trace, const MetricsRegistry* registry,

@@ -182,13 +182,6 @@ MetricsRegistry::Family* MetricsRegistry::PrepareFamily(
   return families_.back().get();
 }
 
-Counter* MetricsRegistry::AddCounter(std::string_view name,
-                                     std::string_view help,
-                                     Provenance provenance,
-                                     std::string_view labels) {
-  return AddCallbackCounter(name, help, provenance, nullptr, labels);
-}
-
 Counter* MetricsRegistry::AddCallbackCounter(std::string_view name,
                                              std::string_view help,
                                              Provenance provenance,
@@ -204,12 +197,6 @@ Counter* MetricsRegistry::AddCallbackCounter(std::string_view name,
   instrument.counter->read_ = std::move(read);
   family->instruments.push_back(std::move(instrument));
   return family->instruments.back().counter.get();
-}
-
-Gauge* MetricsRegistry::AddGauge(std::string_view name, std::string_view help,
-                                 Provenance provenance,
-                                 std::string_view labels) {
-  return AddCallbackGauge(name, help, provenance, nullptr, labels);
 }
 
 Gauge* MetricsRegistry::AddCallbackGauge(std::string_view name,

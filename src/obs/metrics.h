@@ -32,30 +32,25 @@ enum class Provenance { kSim, kWall };
 
 std::string_view ProvenanceName(Provenance provenance);
 
-// Monotonically increasing count. Either owned (Add) or callback-backed —
-// the migration path for pre-existing ad-hoc counters (AgentMetrics,
-// ObjectCache stats): the struct field stays the source of truth and the
+// Monotonically increasing count, callback-backed: the counted struct field
+// (AgentMetrics, ObjectCache stats) stays the source of truth and the
 // registry reads it at render time, so /status semantics are untouched.
 class Counter {
  public:
-  void Add(uint64_t delta = 1) { owned_ += delta; }
-  uint64_t value() const { return read_ ? read_() : owned_; }
+  uint64_t value() const { return read_(); }
 
  private:
   friend class MetricsRegistry;
-  uint64_t owned_ = 0;
-  std::function<uint64_t()> read_;  // non-null for callback-backed counters
+  std::function<uint64_t()> read_;
 };
 
-// Point-in-time value, settable or callback-backed.
+// Point-in-time value, callback-backed like Counter.
 class Gauge {
  public:
-  void Set(double value) { owned_ = value; }
-  double value() const { return read_ ? read_() : owned_; }
+  double value() const { return read_(); }
 
  private:
   friend class MetricsRegistry;
-  double owned_ = 0.0;
   std::function<double()> read_;
 };
 
@@ -153,14 +148,10 @@ class MetricsRegistry {
 
   // `labels` is a pre-rendered Prometheus label body without braces, e.g.
   // `stage="clone"`; empty for an unlabelled instrument.
-  Counter* AddCounter(std::string_view name, std::string_view help,
-                      Provenance provenance, std::string_view labels = "");
   Counter* AddCallbackCounter(std::string_view name, std::string_view help,
                               Provenance provenance,
                               std::function<uint64_t()> read,
                               std::string_view labels = "");
-  Gauge* AddGauge(std::string_view name, std::string_view help,
-                  Provenance provenance, std::string_view labels = "");
   Gauge* AddCallbackGauge(std::string_view name, std::string_view help,
                           Provenance provenance, std::function<double()> read,
                           std::string_view labels = "");

@@ -23,24 +23,6 @@ std::string I64(int64_t value) {
   return StrFormat("%lld", static_cast<long long>(value));
 }
 
-bool ParseI64(std::string_view s, int64_t* out) {
-  if (s.empty()) {
-    return false;
-  }
-  bool negative = s.front() == '-';
-  std::string_view digits = negative ? s.substr(1) : s;
-  uint64_t magnitude = 0;
-  if (!ParseUint64(digits, &magnitude)) {
-    return false;
-  }
-  if (magnitude > static_cast<uint64_t>(INT64_MAX)) {
-    return false;
-  }
-  *out = negative ? -static_cast<int64_t>(magnitude)
-                  : static_cast<int64_t>(magnitude);
-  return true;
-}
-
 // Field lookup over a decoded form payload; every miss is an integrity
 // failure (the encoder always writes every field).
 class Fields {
@@ -67,7 +49,7 @@ class Fields {
   Status GetI64(const std::string& key, int64_t* out) const {
     std::string raw;
     RCB_RETURN_IF_ERROR(Get(key, &raw));
-    if (!ParseI64(raw, out)) {
+    if (!ParseInt64(raw, out)) {
       return AbortedError("checkpoint: bad integer field " + key);
     }
     return Status::Ok();

@@ -21,21 +21,6 @@ std::string I64(int64_t value) {
   return StrFormat("%lld", static_cast<long long>(value));
 }
 
-bool ParseI64(std::string_view s, int64_t* out) {
-  if (s.empty()) {
-    return false;
-  }
-  bool negative = s.front() == '-';
-  uint64_t magnitude = 0;
-  if (!ParseUint64(negative ? s.substr(1) : s, &magnitude) ||
-      magnitude > static_cast<uint64_t>(INT64_MAX)) {
-    return false;
-  }
-  *out = negative ? -static_cast<int64_t>(magnitude)
-                  : static_cast<int64_t>(magnitude);
-  return true;
-}
-
 bool Lookup(const std::map<std::string, std::string>& fields,
             const std::string& key, std::string* out) {
   auto it = fields.find(key);
@@ -55,7 +40,8 @@ bool DecodeRecord(const Frame& frame, WalRecord* record) {
   std::string raw;
   switch (record->type) {
     case WalRecordType::kDocVersion:
-      return Lookup(fields, "ts", &raw) && ParseI64(raw, &record->doc_time_ms);
+      return Lookup(fields, "ts", &raw) &&
+             ParseInt64(raw, &record->doc_time_ms);
     case WalRecordType::kSeq: {
       if (!Lookup(fields, "pid", &record->pid) || record->pid.empty() ||
           !Lookup(fields, "seq", &raw)) {
@@ -141,7 +127,7 @@ StatusOr<WalReplay> DecodeWal(std::string_view bytes) {
   if (!Lookup(fields, "session", &replay.session_id) ||
       replay.session_id.empty() || !Lookup(fields, "epoch", &raw) ||
       !ParseUint64(raw, &replay.epoch) || !Lookup(fields, "base_ts", &raw) ||
-      !ParseI64(raw, &replay.base_doc_time_ms)) {
+      !ParseInt64(raw, &replay.base_doc_time_ms)) {
     return AbortedError("wal: malformed header");
   }
   replay.bytes_replayed = offset;

@@ -2,27 +2,21 @@
 
 #include <cassert>
 
-#include "src/util/logging.h"
-
 namespace rcb {
 
 SiteServer::SiteServer(EventLoop* loop, Network* network, std::string host,
                        uint16_t port)
-    : loop_(loop), network_(network), host_(std::move(host)), port_(port) {
-  assert(network_->HasHost(host_) && "site host must be registered first");
-  Status status = network_->Listen(
-      host_, port_, [this](NetEndpoint* endpoint) { OnAccept(endpoint); });
+    : host_(std::move(host)),
+      port_(port),
+      server_(loop, network, host_, HttpServerLimits{},
+              {.on_request = [this](HttpServer::ConnId conn,
+                                    const HttpRequest& request) {
+                return Serve(conn, request);
+              }}) {
+  assert(network->HasHost(host_) && "site host must be registered first");
+  Status status = server_.Listen(host_, port_);
   assert(status.ok());
   (void)status;
-}
-
-SiteServer::~SiteServer() {
-  network_->StopListening(host_, port_);
-  for (auto& conn : connections_) {
-    if (conn->endpoint != nullptr) {
-      conn->endpoint->Close();
-    }
-  }
 }
 
 void SiteServer::Route(const std::string& path, Handler handler) {
@@ -41,48 +35,19 @@ void SiteServer::ServeStatic(const std::string& path, std::string content_type,
   });
 }
 
-void SiteServer::OnAccept(NetEndpoint* endpoint) {
-  auto conn = std::make_unique<ClientConn>();
-  conn->endpoint = endpoint;
-  ClientConn* raw = conn.get();
-  endpoint->SetDataHandler(
-      [this, raw](std::string_view data) { OnData(raw, data); });
-  connections_.push_back(std::move(conn));
-}
-
-void SiteServer::OnData(ClientConn* conn, std::string_view data) {
-  std::string_view remaining = data;
-  while (true) {
-    auto result = conn->parser.Feed(remaining);
-    remaining = {};
-    if (!result.ok()) {
-      RCB_LOG(kWarning) << host_ << ": dropping connection, bad request: "
-                        << result.status();
-      conn->endpoint->Close();
-      return;
-    }
-    if (!result->has_value()) {
-      return;
-    }
-    HttpRequest request = std::move(**result);
-    std::string path = request.Path();
-    HttpResponse response = Dispatch(request);
-    ++requests_served_;
-    NetEndpoint* endpoint = conn->endpoint;
-    std::string wire = response.Serialize();
-    Duration delay = processing_delay_;
-    auto delay_it = path_delays_.find(path);
-    if (delay_it != path_delays_.end()) {
-      delay = delay_it->second;
-    }
-    if (delay > Duration::Zero()) {
-      loop_->Schedule(delay, [endpoint, wire = std::move(wire)] {
-        endpoint->Send(wire);
-      });
-    } else {
-      endpoint->Send(std::move(wire));
-    }
+std::optional<HttpResponse> SiteServer::Serve(HttpServer::ConnId conn,
+                                              const HttpRequest& request) {
+  HttpResponse response = Dispatch(request);
+  ++requests_served_;
+  auto delay_it = path_delays_.find(request.Path());
+  Duration delay =
+      delay_it != path_delays_.end() ? delay_it->second : processing_delay_;
+  if (delay <= Duration::Zero()) {
+    return response;
   }
+  // Server think time: hold the connection and answer it after the delay.
+  server_.Answer(conn, response, delay);
+  return std::nullopt;
 }
 
 HttpResponse SiteServer::Dispatch(const HttpRequest& request) {

@@ -1,18 +1,18 @@
 // Generic simulated origin Web server.
 //
-// A SiteServer listens on a Network host, parses incoming HTTP requests, and
-// dispatches them to registered routes. Static resources and dynamic
-// handlers coexist; a configurable per-request processing delay models
-// server-side think time.
+// A SiteServer listens on a Network host through the shared HttpServer loop
+// and dispatches each request to registered routes. Static resources and
+// dynamic handlers coexist; a configurable per-request processing delay
+// models server-side think time.
 #ifndef SRC_SITES_SITE_SERVER_H_
 #define SRC_SITES_SITE_SERVER_H_
 
 #include <functional>
 #include <map>
-#include <memory>
+#include <optional>
 #include <string>
 
-#include "src/http/http_parser.h"
+#include "src/http/http_server.h"
 #include "src/http/message.h"
 #include "src/net/network.h"
 #include "src/util/sim_time.h"
@@ -28,7 +28,6 @@ class SiteServer {
   // listening on `port`.
   SiteServer(EventLoop* loop, Network* network, std::string host,
              uint16_t port = 80);
-  ~SiteServer();
   SiteServer(const SiteServer&) = delete;
   SiteServer& operator=(const SiteServer&) = delete;
 
@@ -54,19 +53,16 @@ class SiteServer {
   const std::string& host() const { return host_; }
   uint16_t port() const { return port_; }
   uint64_t requests_served() const { return requests_served_; }
+  // Connections currently open; a closed one leaves no record.
+  size_t open_connections() const { return server_.connection_count(); }
 
  private:
-  struct ClientConn {
-    NetEndpoint* endpoint = nullptr;
-    HttpRequestParser parser;
-  };
-
-  void OnAccept(NetEndpoint* endpoint);
-  void OnData(ClientConn* conn, std::string_view data);
+  // The HttpServer request handler: dispatches, then answers now or after
+  // the path's processing delay.
+  std::optional<HttpResponse> Serve(HttpServer::ConnId conn,
+                                    const HttpRequest& request);
   HttpResponse Dispatch(const HttpRequest& request);
 
-  EventLoop* loop_;
-  Network* network_;
   std::string host_;
   uint16_t port_;
   Duration processing_delay_;
@@ -74,8 +70,8 @@ class SiteServer {
   std::map<std::string, Handler> routes_;
   std::map<std::string, Handler> prefix_routes_;
   Handler default_handler_;
-  std::vector<std::unique_ptr<ClientConn>> connections_;
   uint64_t requests_served_ = 0;
+  HttpServer server_;
 };
 
 }  // namespace rcb

@@ -137,6 +137,18 @@ bool ParseUint64(std::string_view s, uint64_t* out) {
   return true;
 }
 
+bool ParseInt64(std::string_view s, int64_t* out) {
+  const bool negative = !s.empty() && s.front() == '-';
+  uint64_t magnitude = 0;
+  if (!ParseUint64(negative ? s.substr(1) : s, &magnitude) ||
+      magnitude > static_cast<uint64_t>(INT64_MAX)) {
+    return false;
+  }
+  *out = negative ? -static_cast<int64_t>(magnitude)
+                  : static_cast<int64_t>(magnitude);
+  return true;
+}
+
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

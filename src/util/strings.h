@@ -41,6 +41,11 @@ std::string StrReplaceAll(std::string_view input, std::string_view from,
 // overflow. Used by the HTTP parser (Content-Length) where leniency is a bug.
 bool ParseUint64(std::string_view s, uint64_t* out);
 
+// ParseUint64 with an optional leading '-': a decimal int64 in
+// (INT64_MIN, INT64_MAX]; false on anything else. The wire decoders and the
+// persistence codecs read signed fields with it.
+bool ParseInt64(std::string_view s, int64_t* out);
+
 // Formats with printf semantics into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -41,10 +41,4 @@ Duration TokenBucket::TimeUntilAvailable(SimTime now, double cost) const {
       static_cast<int64_t>(deficit / rate_per_sec_ * 1e6) + 1);
 }
 
-double TokenBucket::tokens_at(SimTime now) const {
-  TokenBucket copy = *this;
-  copy.Refill(now);
-  return copy.tokens_;
-}
-
 }  // namespace rcb

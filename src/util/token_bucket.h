@@ -29,8 +29,6 @@ class TokenBucket {
   // available). Used to populate Retry-After hints.
   Duration TimeUntilAvailable(SimTime now, double cost = 1.0) const;
 
-  double tokens_at(SimTime now) const;
-
  private:
   void Refill(SimTime now);
 

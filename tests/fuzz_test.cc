@@ -418,6 +418,31 @@ TEST_P(FuzzTest, PatchXmlParserToleratesMutatedPatches) {
   }
 }
 
+// Table cases: each integer field of a valid patch replaced by a malformed
+// value must be rejected, not read as its numeric prefix.
+TEST(PatchXmlIntegerFieldsTest, MalformedValuesRejected) {
+  const std::string valid = delta::SerializePatchXml(ValidPatchEnvelope());
+  ASSERT_TRUE(delta::ParsePatchXml(valid).ok());
+  for (const char* field : {"version", "baseTime", "docTime"}) {
+    const std::string open = std::string("<") + field + ">";
+    const std::string close = std::string("</") + field + ">";
+    const size_t start = valid.find(open);
+    ASSERT_NE(start, std::string::npos) << field;
+    const size_t value_start = start + open.size();
+    const size_t end = valid.find(close, value_start);
+    ASSERT_NE(end, std::string::npos) << field;
+    const std::string value = valid.substr(value_start, end - value_start);
+    for (const std::string& bad : {value + "x", std::string("x"),
+                                   std::string(""), " " + value}) {
+      std::string xml = valid;
+      xml.replace(value_start, end - value_start, bad);
+      auto parsed = delta::ParsePatchXml(xml);
+      ASSERT_FALSE(parsed.ok()) << field << "=" << bad;
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
 TEST_P(FuzzTest, PatchXmlParserToleratesGarbage) {
   Rng rng(GetParam() ^ 0xBEEF);
   for (int i = 0; i < 50; ++i) {

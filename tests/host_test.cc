@@ -18,6 +18,7 @@
 #include "src/html/parser.h"
 #include "src/net/fault_injector.h"
 #include "src/sites/site_server.h"
+#include "src/util/json.h"
 #include "src/util/rand.h"
 
 namespace rcb {
@@ -465,6 +466,90 @@ TEST_F(HostTest, FrontDoorSocketRoutesPollsAndCapsRequestSize) {
   EXPECT_EQ(oversized.responses[0].status_code, 413);
   // Rejected at the door: the agent never saw it.
   EXPECT_EQ((*session)->agent->metrics().polls_received, 1u);
+}
+
+TEST_F(HostTest, FrontDoorReadDeadlineClosesSlowLoris) {
+  // The front door applies the agents' read deadline too: a request head
+  // that never completes is closed once idle_read_timeout has passed since
+  // its first byte, and the door keeps serving well-behaved clients.
+  HostConfig config;
+  config.agent_defaults.limits.idle_read_timeout = Duration::Seconds(2.0);
+  auto host = MakeHost(std::move(config));
+
+  auto slow = network_.Connect("p-pc-1", "host-pc", kBasePort);
+  ASSERT_TRUE(slow.ok()) << slow.status();
+  bool slow_closed = false;
+  (*slow)->SetCloseHandler([&] { slow_closed = true; });
+  (*slow)->Send("POST /host/sessions?id=s1 HTTP/1.1\r\nContent-Le");
+  loop_.RunFor(Duration::Seconds(1.0));
+  (*slow)->Send("n");  // a drip does not extend the deadline
+  loop_.RunFor(Duration::Millis(500));
+  EXPECT_FALSE(slow_closed);
+  loop_.RunFor(Duration::Seconds(1.0));
+  EXPECT_TRUE(slow_closed);
+  EXPECT_EQ(host->session_count(), 0u);
+
+  auto polite = network_.Connect("p-pc-2", "host-pc", kBasePort);
+  ASSERT_TRUE(polite.ok()) << polite.status();
+  HttpResponseParser parser;
+  std::optional<HttpResponse> status;
+  (*polite)->SetDataHandler([&](std::string_view data) {
+    auto response = parser.Feed(data);
+    ASSERT_TRUE(response.ok()) << response.status();
+    if (response->has_value()) {
+      status = std::move(**response);
+    }
+  });
+  HttpRequest request;
+  request.method = HttpMethod::kGet;
+  request.target = "/host/status";
+  request.headers.Set("Host", "host-pc:3000");
+  (*polite)->Send(request.Serialize());
+  ASSERT_TRUE(loop_.RunUntilCondition([&] { return status.has_value(); }));
+  EXPECT_EQ(status->status_code, 200);
+}
+
+TEST_F(HostTest, HostedFlightDumpCarriesTheSessionMetrics) {
+  // A hosted agent's families live on the host's shared registry, so its
+  // flight dumps must render that registry: the metrics line names the
+  // session's own counters.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "rcb_host_flight_dump";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  HostConfig config;
+  config.agent_defaults.session_key = "key-s1";
+  config.agent_defaults.flight_dir = dir.string();
+  auto host = MakeHost(std::move(config));
+  auto session = host->CreateSession("s1");
+  ASSERT_TRUE(session.ok()) << session.status();
+  SetSessionDoc(*session, "Doc");
+
+  PollRequest poll;
+  poll.participant_id = "p1";
+  HttpRequest forged;
+  forged.method = HttpMethod::kPost;
+  forged.target = "/s/s1/?hmac=00";
+  forged.body = EncodePollRequest(poll);
+  EXPECT_EQ(host->Route(forged).status_code, 403);
+
+  const obs::FlightRecorder& flight = (*session)->agent->flight_recorder();
+  ASSERT_EQ(flight.triggers("auth_failure"), 1u);
+  ASSERT_EQ(flight.dumps_written(), 1u);
+  std::ifstream file(flight.last_dump_path());
+  ASSERT_TRUE(file.good()) << flight.last_dump_path();
+  std::string prometheus;
+  for (std::string line; std::getline(file, line);) {
+    auto parsed = ParseJson(line);
+    ASSERT_TRUE(parsed.ok()) << line;
+    if (parsed->Find("type")->string_value == "metrics") {
+      prometheus = parsed->Find("prometheus")->string_value;
+    }
+  }
+  EXPECT_NE(prometheus.find("rcb_agent_auth_failures{session=\"s1\"} 1\n"),
+            std::string::npos)
+      << prometheus;
+  std::filesystem::remove_all(dir);
 }
 
 // ----------------------------------------- generate-once broadcast proof ---

@@ -5,6 +5,7 @@
 #include "src/http/cookie.h"
 #include "src/http/form.h"
 #include "src/http/http_parser.h"
+#include "src/http/http_server.h"
 #include "src/http/message.h"
 #include "src/http/url.h"
 
@@ -459,6 +460,161 @@ TEST(CookieTest, UnknownAttributesIgnored) {
   Url origin = Url::Make("http", "h", 80, "/");
   jar.ApplySetCookie(origin, "a=1; HttpOnly; SameSite=Lax; Domain=h");
   EXPECT_EQ(jar.CookieHeaderFor(origin), "a=1");
+}
+
+// ---------------------------------------------------------------------------
+// HttpServer: the one accept/parse/respond loop.
+
+class HttpServerTest : public ::testing::Test {
+ protected:
+  HttpServerTest() : network_(&loop_) {
+    network_.AddHost("srv", {});
+    network_.AddHost("cli", {});
+    network_.SetLatency("cli", "srv", Duration::Millis(5));
+  }
+
+  static std::string Get(const std::string& target) {
+    HttpRequest request;
+    request.method = HttpMethod::kGet;
+    request.target = target;
+    request.headers.Set("Host", "srv");
+    return request.Serialize();
+  }
+
+  // A raw client connection collecting every response it receives.
+  struct Client {
+    NetEndpoint* endpoint = nullptr;
+    HttpResponseParser parser;
+    std::vector<HttpResponse> responses;
+  };
+  void Connect(Client* client) {
+    auto endpoint = network_.Connect("cli", "srv", 80);
+    ASSERT_TRUE(endpoint.ok()) << endpoint.status();
+    client->endpoint = *endpoint;
+    client->endpoint->SetDataHandler([client](std::string_view data) {
+      for (auto response = client->parser.Feed(data);
+           response.ok() && response->has_value();
+           response = client->parser.Feed("")) {
+        client->responses.push_back(std::move(**response));
+      }
+    });
+  }
+
+  EventLoop loop_;
+  Network network_;
+};
+
+TEST_F(HttpServerTest, HeldConnectionIsAnsweredLaterAndReadsNothingMeanwhile) {
+  std::vector<std::string> seen;
+  std::optional<HttpServer::ConnId> held;
+  HttpServer server(
+      &loop_, &network_, "test", {},
+      {.on_request = [&](HttpServer::ConnId conn, const HttpRequest& request)
+           -> std::optional<HttpResponse> {
+        seen.push_back(request.target);
+        if (request.target == "/hold") {
+          held = conn;
+          return std::nullopt;
+        }
+        return HttpResponse::Ok("text/plain", request.target);
+      }});
+  ASSERT_TRUE(server.Listen("srv", 80).ok());
+  Client client;
+  Connect(&client);
+  // Two pipelined requests: the second waits behind the hold.
+  client.endpoint->Send(Get("/hold") + Get("/next"));
+  loop_.Run();
+  ASSERT_TRUE(held.has_value());
+  EXPECT_EQ(seen, std::vector<std::string>{"/hold"});
+  EXPECT_TRUE(client.responses.empty());
+  server.Answer(*held, HttpResponse::Ok("text/plain", "released"));
+  loop_.Run();
+  ASSERT_EQ(client.responses.size(), 1u);
+  EXPECT_EQ(client.responses[0].body, "released");
+  // The buffered request is read when more bytes arrive.
+  client.endpoint->Send(Get("/last"));
+  loop_.Run();
+  EXPECT_EQ(seen, (std::vector<std::string>{"/hold", "/next", "/last"}));
+  ASSERT_EQ(client.responses.size(), 3u);
+  EXPECT_EQ(client.responses[2].body, "/last");
+}
+
+TEST_F(HttpServerTest, CloseIsReportedAndLaterAnswersAreDropped) {
+  std::vector<HttpServer::ConnId> closed;
+  std::optional<HttpServer::ConnId> held;
+  HttpServer server(
+      &loop_, &network_, "test", {},
+      {.on_request = [&](HttpServer::ConnId conn, const HttpRequest&)
+           -> std::optional<HttpResponse> {
+         held = conn;
+         return std::nullopt;
+       },
+       .on_close = [&](HttpServer::ConnId conn) { closed.push_back(conn); }});
+  ASSERT_TRUE(server.Listen("srv", 80).ok());
+  Client client;
+  Connect(&client);
+  client.endpoint->Send(Get("/hold"));
+  loop_.Run();
+  ASSERT_TRUE(held.has_value());
+  EXPECT_EQ(server.connection_count(), 1u);
+  client.endpoint->Close();
+  loop_.Run();
+  EXPECT_EQ(closed, std::vector<HttpServer::ConnId>{*held});
+  EXPECT_EQ(server.connection_count(), 0u);
+  server.Answer(*held, HttpResponse::Ok("text/plain", "late"));  // no-op
+  loop_.Run();
+  EXPECT_TRUE(client.responses.empty());
+}
+
+TEST_F(HttpServerTest, LimitsAnswerAndClose) {
+  int oversized = 0;
+  int timeouts = 0;
+  HttpServerLimits limits;
+  limits.request.max_body_bytes = 16;
+  limits.max_connections = 2;
+  limits.read_timeout = Duration::Seconds(1.0);
+  HttpServer server(
+      &loop_, &network_, "test", limits,
+      {.on_request =
+           [](HttpServer::ConnId, const HttpRequest&) {
+             return std::optional<HttpResponse>(
+                 HttpResponse::Ok("text/plain", "ok"));
+           },
+       .over_capacity =
+           [] {
+             return HttpResponse::ServiceUnavailable(Duration::Seconds(1.0),
+                                                     "full");
+           },
+       .on_oversized = [&] { ++oversized; },
+       .on_read_timeout = [&] { ++timeouts; }});
+  ASSERT_TRUE(server.Listen("srv", 80).ok());
+  Client big;
+  Connect(&big);
+  HttpRequest post;
+  post.method = HttpMethod::kPost;
+  post.target = "/";
+  post.body = std::string(64, 'x');
+  big.endpoint->Send(post.Serialize());
+  Client slow;
+  Connect(&slow);
+  slow.endpoint->Send("GET / HTTP/1.1\r\nHo");
+  loop_.RunFor(Duration::Millis(100));
+  ASSERT_EQ(big.responses.size(), 1u);
+  EXPECT_EQ(big.responses[0].status_code, 413);
+  EXPECT_EQ(oversized, 1);
+  EXPECT_EQ(server.connection_count(), 1u);  // the slow one
+  Client second;
+  Connect(&second);
+  Client third;  // past max_connections
+  Connect(&third);
+  loop_.RunFor(Duration::Millis(100));
+  ASSERT_EQ(third.responses.size(), 1u);
+  EXPECT_EQ(third.responses[0].status_code, 503);
+  EXPECT_TRUE(third.endpoint->closed());
+  loop_.RunFor(Duration::Seconds(1.0));
+  EXPECT_EQ(timeouts, 1);
+  EXPECT_TRUE(slow.endpoint->closed());
+  EXPECT_EQ(server.connection_count(), 1u);  // `second`, idle: no deadline
 }
 
 }  // namespace

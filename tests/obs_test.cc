@@ -111,31 +111,47 @@ TEST(MetricsRegistryTest, ValidAndInvalidNames) {
   EXPECT_FALSE(MetricsRegistry::IsValidMetricName("has space"));
 }
 
+// Every registry instrument is callback-backed; these fixed sources stand in
+// for the struct fields the program's instruments read.
+Counter* AddFixedCounter(MetricsRegistry& registry, std::string_view name,
+                         std::string_view help, Provenance provenance,
+                         uint64_t value = 0, std::string_view labels = "") {
+  return registry.AddCallbackCounter(
+      name, help, provenance, [value] { return value; }, labels);
+}
+
+Gauge* AddFixedGauge(MetricsRegistry& registry, std::string_view name,
+                     std::string_view help, Provenance provenance,
+                     double value = 0.0) {
+  return registry.AddCallbackGauge(name, help, provenance,
+                                   [value] { return value; });
+}
+
 TEST(MetricsRegistryTest, DuplicateRegistrationRejected) {
   MetricsRegistry registry;
-  Counter* first = registry.AddCounter("dup", "help", Provenance::kSim);
+  Counter* first = AddFixedCounter(registry, "dup", "help", Provenance::kSim);
   ASSERT_NE(first, nullptr);
   // Same (name, labels) again: rejected.
-  EXPECT_EQ(registry.AddCounter("dup", "help", Provenance::kSim), nullptr);
+  EXPECT_EQ(AddFixedCounter(registry, "dup", "help", Provenance::kSim),
+            nullptr);
   // Same name as another kind / provenance / help: rejected.
-  EXPECT_EQ(registry.AddGauge("dup", "help", Provenance::kSim), nullptr);
-  EXPECT_EQ(registry.AddCounter("dup", "help", Provenance::kWall), nullptr);
-  EXPECT_EQ(registry.AddCounter("dup", "other help", Provenance::kSim),
+  EXPECT_EQ(AddFixedGauge(registry, "dup", "help", Provenance::kSim), nullptr);
+  EXPECT_EQ(AddFixedCounter(registry, "dup", "help", Provenance::kWall),
+            nullptr);
+  EXPECT_EQ(AddFixedCounter(registry, "dup", "other help", Provenance::kSim),
             nullptr);
   // Same family, new label set: fine.
-  EXPECT_NE(registry.AddCounter("dup", "help", Provenance::kSim,
-                                "stage=\"x\""),
+  EXPECT_NE(AddFixedCounter(registry, "dup", "help", Provenance::kSim, 0,
+                            "stage=\"x\""),
             nullptr);
-  EXPECT_EQ(registry.AddCounter("bad name", "help", Provenance::kSim),
+  EXPECT_EQ(AddFixedCounter(registry, "bad name", "help", Provenance::kSim),
             nullptr);
   EXPECT_EQ(registry.family_count(), 1u);
 }
 
 TEST(MetricsRegistryTest, FindHonorsKindAndLabels) {
   MetricsRegistry registry;
-  Counter* counter =
-      registry.AddCounter("c", "help", Provenance::kSim, "k=\"v\"");
-  counter->Add(3);
+  AddFixedCounter(registry, "c", "help", Provenance::kSim, 3, "k=\"v\"");
   EXPECT_EQ(registry.FindCounter("c", "k=\"v\"")->value(), 3u);
   EXPECT_EQ(registry.FindCounter("c"), nullptr);       // label mismatch
   EXPECT_EQ(registry.FindGauge("c", "k=\"v\""), nullptr);  // kind mismatch
@@ -153,9 +169,8 @@ TEST(MetricsRegistryTest, CallbackInstrumentsReadSourceAtRenderTime) {
 
 TEST(MetricsRegistryTest, PrometheusRenderFormat) {
   MetricsRegistry registry;
-  registry.AddCounter("requests_total", "Requests.", Provenance::kSim)
-      ->Add(7);
-  registry.AddGauge("level", "Level.", Provenance::kSim)->Set(2.5);
+  AddFixedCounter(registry, "requests_total", "Requests.", Provenance::kSim, 7);
+  AddFixedGauge(registry, "level", "Level.", Provenance::kSim, 2.5);
   Histogram* histogram = registry.AddHistogram(
       "latency_us", "Latency.", Provenance::kSim, {10, 100}, "op=\"x\"");
   histogram->Record(5);
@@ -195,8 +210,8 @@ TEST(MetricsRegistryTest, PrometheusHistogramConformance) {
   for (int64_t value : {1, 499, 501, 502}) {
     labeled->Record(value);
   }
-  registry.AddCounter("noise_total", "Not a histogram.", Provenance::kSim)
-      ->Add(3);
+  AddFixedCounter(registry, "noise_total", "Not a histogram.",
+                  Provenance::kSim, 3);
 
   struct Family {
     std::vector<std::pair<std::string, double>> buckets;  // (le, count)
@@ -292,8 +307,8 @@ TEST(MetricsRegistryTest, PrometheusHistogramConformance) {
 
 TEST(MetricsRegistryTest, SimViewOmitsWallFamilies) {
   MetricsRegistry registry;
-  registry.AddCounter("sim_metric", "Sim.", Provenance::kSim)->Add(1);
-  registry.AddCounter("wall_metric", "Wall.", Provenance::kWall)->Add(1);
+  AddFixedCounter(registry, "sim_metric", "Sim.", Provenance::kSim, 1);
+  AddFixedCounter(registry, "wall_metric", "Wall.", Provenance::kWall, 1);
   std::string all = registry.RenderPrometheus();
   EXPECT_NE(all.find("wall_metric"), std::string::npos);
   std::string sim_only = registry.RenderPrometheus({.include_wall = false});
@@ -528,9 +543,7 @@ TEST(FlightRecorderTest, DumpsJsonlArtifactAndHonorsCap) {
   TraceContext ctx{"p1-4", 0};
   log.Append("snippet.poll_rtt", Provenance::kSim, 100, 40, ctx);
   MetricsRegistry registry;
-  Counter* polls = registry.AddCounter("rcb_test_polls", "help",
-                                       Provenance::kSim);
-  polls->Add();
+  AddFixedCounter(registry, "rcb_test_polls", "help", Provenance::kSim, 1);
   FlightRecorder::Options options;
   options.dir = ::testing::TempDir();
   options.component = "snippet-p1";

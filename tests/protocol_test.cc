@@ -4,6 +4,7 @@
 
 #include "src/core/protocol.h"
 #include "src/util/rand.h"
+#include "src/util/strings.h"
 
 namespace rcb {
 namespace {
@@ -284,6 +285,43 @@ TEST(PollRequestTest, RejectsMissingFields) {
   EXPECT_FALSE(DecodePollRequest("").ok());
   EXPECT_FALSE(DecodePollRequest("pid=p1").ok());
   EXPECT_FALSE(DecodePollRequest("ts=1").ok());
+}
+
+// Integer fields are read strictly: a malformed value is an error, never a
+// silently truncated number (ts=12x used to read as 12, seq=x as "no seq").
+TEST(PollRequestTest, RejectsMalformedIntegerFields) {
+  for (const char* body :
+       {"pid=p1&ts=12x", "pid=p1&ts=", "pid=p1&ts=x", "pid=p1&ts=1.5",
+        "pid=p1&ts=%2B1", "pid=p1&ts=99999999999999999999", "pid=p1&ts=1&seq=x",
+        "pid=p1&ts=1&seq=-1", "pid=p1&ts=1&seq=3x", "pid=p1&ts=1&seq=",
+        "pid=p1&ts=1&timeouts=x", "pid=p1&ts=1&timeouts=-2"}) {
+    auto decoded = DecodePollRequest(body);
+    ASSERT_FALSE(decoded.ok()) << body;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << body;
+  }
+  auto valid =
+      DecodePollRequest("pid=p1&ts=-1&seq=18446744073709551615&timeouts=0");
+  ASSERT_TRUE(valid.ok()) << valid.status();
+  EXPECT_EQ(valid->doc_time_ms, -1);
+  EXPECT_EQ(valid->seq, UINT64_MAX);
+}
+
+TEST(SnapshotTest, RejectsMalformedDocTime) {
+  Snapshot snapshot;
+  snapshot.doc_time_ms = 42;
+  const std::string xml = SerializeSnapshotXml(snapshot);
+  ASSERT_NE(xml.find("<docTime>42</docTime>"), std::string::npos);
+  for (const char* doc_time : {"42x", "x", "", "4 2"}) {
+    std::string bad = StrReplaceAll(xml, "<docTime>42</docTime>",
+                                    std::string("<docTime>") + doc_time +
+                                        "</docTime>");
+    auto parsed = ParseSnapshotXml(bad);
+    ASSERT_FALSE(parsed.ok()) << doc_time;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
+  auto parsed = ParseSnapshotXml(xml);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->doc_time_ms, 42);
 }
 
 TEST(PollRequestTest, TraceFieldRoundTrips) {

@@ -128,6 +128,33 @@ TEST_F(SiteServerTest, MalformedRequestDropsConnectionOnly) {
   EXPECT_EQ(Get("/x").response.body, "x");
 }
 
+TEST_F(SiteServerTest, ClosedConnectionsLeaveNoRecord) {
+  server_->ServeStatic("/x", "text/plain", "x");
+  auto endpoint = network_.Connect("cli", "srv", 80);
+  ASSERT_TRUE(endpoint.ok());
+  std::string received;
+  (*endpoint)->SetDataHandler(
+      [&](std::string_view data) { received.append(data); });
+  HttpRequest request;
+  request.method = HttpMethod::kGet;
+  request.target = "/x";
+  request.headers.Set("Host", "srv");
+  (*endpoint)->Send(request.Serialize());
+  loop_.Run();
+  EXPECT_NE(received.find("\r\n\r\nx"), std::string::npos);
+  EXPECT_EQ(server_->open_connections(), 1u);
+  // The client hangs up: the server forgets the connection.
+  (*endpoint)->Close();
+  loop_.Run();
+  EXPECT_EQ(server_->open_connections(), 0u);
+  // A connection the server drops for a malformed request is forgotten too.
+  auto bad = network_.Connect("cli", "srv", 80);
+  ASSERT_TRUE(bad.ok());
+  (*bad)->Send("NOT AN HTTP REQUEST\r\n\r\n");
+  loop_.Run();
+  EXPECT_EQ(server_->open_connections(), 0u);
+}
+
 TEST_F(SiteServerTest, StopsListeningOnDestruction) {
   server_->ServeStatic("/x", "text/plain", "x");
   EXPECT_EQ(Get("/x").response.status_code, 200);

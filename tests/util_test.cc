@@ -145,6 +145,21 @@ TEST(StringsTest, ParseUint64) {
   EXPECT_FALSE(ParseUint64(" 1", &value));
 }
 
+TEST(StringsTest, ParseInt64) {
+  int64_t value = 0;
+  EXPECT_TRUE(ParseInt64("-1", &value));
+  EXPECT_EQ(value, -1);
+  EXPECT_TRUE(ParseInt64("9223372036854775807", &value));
+  EXPECT_EQ(value, INT64_MAX);
+  EXPECT_TRUE(ParseInt64("-9223372036854775807", &value));
+  EXPECT_EQ(value, -INT64_MAX);
+  EXPECT_FALSE(ParseInt64("9223372036854775808", &value));  // overflow
+  for (const char* bad :
+       {"", "-", "+1", "12x", "x", " 1", "1 ", "--1", "1.5"}) {
+    EXPECT_FALSE(ParseInt64(bad, &value)) << bad;
+  }
+}
+
 TEST(StringsTest, StrFormat) {
   EXPECT_EQ(StrFormat("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(StrFormat("%05.1f", 2.25), "002.2");
