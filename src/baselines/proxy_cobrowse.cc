@@ -74,10 +74,11 @@ HttpResponse CoBrowseProxy::HandleNavigate(const HttpRequest& request) {
 
 HttpResponse CoBrowseProxy::HandlePage(const HttpRequest& request) {
   auto params = request.QueryParams();
+  // An absent or malformed v= holds no version: the page is sent.
   int64_t have = -1;
   auto it = params.find("v");
-  if (it != params.end()) {
-    have = std::atoll(it->second.c_str());
+  if (it != params.end() && !ParseInt64(it->second, &have)) {
+    have = -1;
   }
   if (version_ == 0 || have >= version_) {
     return HttpResponse::Ok("text/plain", "");
@@ -160,9 +161,12 @@ void ProxyCoBrowseClient::PollOnce() {
           SchedulePoll();
           return;
         }
+        // An absent or malformed version header counts one version on.
         auto version_header = result.response.headers.Get("X-CoBrowse-Version");
-        int64_t new_version =
-            version_header ? std::atoll(version_header->c_str()) : version_ + 1;
+        int64_t new_version = 0;
+        if (!version_header || !ParseInt64(*version_header, &new_version)) {
+          new_version = version_ + 1;
+        }
         auto url_header = result.response.headers.Get("X-CoBrowse-Url");
         Url page_base = proxy_url_;
         if (url_header.has_value()) {

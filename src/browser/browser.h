@@ -130,6 +130,7 @@ class Browser {
   // supplementary objects fetched for one session serve every session.
   // nullptr restores the built-in per-browser cache.
   void UseSharedCache(ObjectCache* shared) { shared_cache_ = shared; }
+  bool uses_shared_cache() const { return shared_cache_ != nullptr; }
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
   bool cache_enabled() const { return cache_enabled_; }
 

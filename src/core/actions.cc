@@ -1,6 +1,6 @@
 #include "src/core/actions.h"
 
-#include <cstdlib>
+#include <climits>
 
 #include "src/http/form.h"
 #include "src/util/strings.h"
@@ -91,14 +91,14 @@ StatusOr<std::vector<UserAction>> DecodeActions(std::string_view encoded) {
         have_type = true;
       } else if (name == "target") {
         uint64_t target = 0;
-        if (!ParseUint64(value, &target)) {
+        if (!ParseUint64(value, &target) || target > INT_MAX) {
           return InvalidArgumentError("bad action target: " + value);
         }
         action.target = static_cast<int>(target);
-      } else if (name == "x") {
-        action.x = std::atoi(value.c_str());
-      } else if (name == "y") {
-        action.y = std::atoi(value.c_str());
+      } else if (name == "x" || name == "y") {
+        if (!ParseInt(value, name == "x" ? &action.x : &action.y)) {
+          return InvalidArgumentError("bad action " + name + ": " + value);
+        }
       } else if (name == "data") {
         action.data = value;
       } else if (name == "origin") {

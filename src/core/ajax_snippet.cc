@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
+#include <climits>
+#include <cstdint>
 #include <memory>
 
 #include "src/browser/resources.h"
@@ -13,6 +14,9 @@
 
 namespace rcb {
 namespace {
+
+// The largest advertised poll interval whose microseconds fit a Duration.
+constexpr uint64_t kMaxPollIntervalMs = INT64_MAX / 1000;
 
 // Reads a <meta name=... content=...> value from the document head.
 std::string MetaContent(Document* document, std::string_view name) {
@@ -194,9 +198,12 @@ void AjaxSnippet::Join(const Url& agent_url, std::function<void(Status)> joined)
           joined(InternalError("initial page carries no participant id"));
           return;
         }
-        std::string interval_ms = MetaContent(document, "rcb-poll-interval");
-        if (IsDigits(interval_ms)) {
-          interval_ = Duration::Millis(std::atoll(interval_ms.c_str()));
+        // A malformed advertised interval is ignored, like an absent one.
+        uint64_t interval_ms = 0;
+        if (ParseUint64(MetaContent(document, "rcb-poll-interval"),
+                        &interval_ms) &&
+            interval_ms <= kMaxPollIntervalMs) {
+          interval_ = Duration::Millis(static_cast<int64_t>(interval_ms));
         }
         if (config_.poll_interval_override > Duration::Zero()) {
           interval_ = config_.poll_interval_override;
@@ -894,12 +901,12 @@ StatusOr<int> RcbIdOf(Element* element) {
   if (element == nullptr) {
     return InvalidArgumentError("null element");
   }
-  std::string id = element->AttrOr("data-rcb-id");
-  if (!IsDigits(id)) {
+  uint64_t id = 0;
+  if (!ParseUint64(element->AttrOr("data-rcb-id"), &id) || id > INT_MAX) {
     return FailedPreconditionError(
         "element carries no data-rcb-id (not part of a synchronized page?)");
   }
-  return std::atoi(id.c_str());
+  return static_cast<int>(id);
 }
 
 }  // namespace

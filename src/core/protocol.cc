@@ -254,8 +254,11 @@ StatusOr<PollRequest> DecodePollRequest(std::string_view body) {
     } else if (name == "trace") {
       request.trace = value;
     } else if (name == "stream") {
-      request.stream =
-          static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      // A malformed or out-of-range level reads as absent: classic polling.
+      uint64_t stream = 0;
+      request.stream = ParseUint64(value, &stream) && stream <= UINT32_MAX
+                           ? static_cast<uint32_t>(stream)
+                           : 0;
     }
   }
   if (!have_pid || !have_ts) {

@@ -92,10 +92,7 @@ RcbAgent::RcbAgent(Browser* host_browser, AgentConfig config)
     : browser_(host_browser),
       config_(std::move(config)),
       generator_(host_browser),
-      effective_registry_(config_.shared_registry != nullptr
-                              ? config_.shared_registry
-                              : &registry_),
-      flight_(&trace_, effective_registry_,
+      flight_(&trace_, &registry_,
               obs::FlightRecorder::Options::For("agent", config_.flight_dir)),
       health_(config_.health_slo, &flight_),
       server_(browser_->loop(), browser_->network(), "rcb-agent",
@@ -133,16 +130,6 @@ RcbAgent::RcbAgent(Browser* host_browser, AgentConfig config)
                      std::move(broadcast_options), instruments);
 }
 
-std::string RcbAgent::ComposedLabels(std::string_view labels) const {
-  if (config_.metrics_label.empty()) {
-    return std::string(labels);
-  }
-  if (labels.empty()) {
-    return config_.metrics_label;
-  }
-  return config_.metrics_label + "," + std::string(labels);
-}
-
 void RcbAgent::TraceMarker(const char* name, obs::TraceAttrs attrs) {
   if (!trace_ctx_.active()) {
     return;
@@ -152,45 +139,40 @@ void RcbAgent::TraceMarker(const char* name, obs::TraceAttrs attrs) {
 }
 
 void RegisterObjectCacheMetrics(const ObjectCache* cache,
-                                obs::MetricsRegistry* registry,
-                                std::string_view labels) {
+                                obs::MetricsRegistry* registry) {
   registry->AddCallbackCounter("rcb_cache_hits", "Object cache lookup hits",
                                obs::Provenance::kSim,
-                               [cache] { return cache->hits(); }, labels);
+                               [cache] { return cache->hits(); });
   registry->AddCallbackCounter("rcb_cache_misses", "Object cache lookup misses",
                                obs::Provenance::kSim,
-                               [cache] { return cache->misses(); }, labels);
+                               [cache] { return cache->misses(); });
   registry->AddCallbackCounter("rcb_cache_evictions",
                                "Objects evicted by the cache byte budget",
                                obs::Provenance::kSim,
-                               [cache] { return cache->evictions(); }, labels);
+                               [cache] { return cache->evictions(); });
   registry->AddCallbackCounter("rcb_cache_evicted_bytes",
                                "Bytes evicted by the cache byte budget",
                                obs::Provenance::kSim,
-                               [cache] { return cache->evicted_bytes(); },
-                               labels);
+                               [cache] { return cache->evicted_bytes(); });
   registry->AddCallbackGauge(
       "rcb_cache_bytes", "Bytes currently held by the object cache",
       obs::Provenance::kSim,
-      [cache] { return static_cast<double>(cache->total_bytes()); }, labels);
+      [cache] { return static_cast<double>(cache->total_bytes()); });
   registry->AddCallbackGauge(
       "rcb_cache_objects", "Objects currently held by the object cache",
       obs::Provenance::kSim,
-      [cache] { return static_cast<double>(cache->size()); }, labels);
+      [cache] { return static_cast<double>(cache->size()); });
 }
 
 void RcbAgent::RegisterMetrics() {
-  obs::MetricsRegistry* reg = effective_registry_;
-  // Under a shared registry every instrument carries the session label, so
-  // many agents coexist in one exposition without (name, labels) collisions.
-  const std::string base_labels = ComposedLabels("");
+  obs::MetricsRegistry* reg = &registry_;
   // Counters: every AgentMetrics field, callback-backed so the struct stays
   // the single source of truth (the /status page keeps reading it directly).
   // All of them are sim-provenance: they count simulated protocol events.
-  auto field = [reg, &base_labels](std::string_view name, std::string_view help,
-                                   const uint64_t& source) {
+  auto field = [reg](std::string_view name, std::string_view help,
+                     const uint64_t& source) {
     reg->AddCallbackCounter(name, help, obs::Provenance::kSim,
-                            [&source] { return source; }, base_labels);
+                            [&source] { return source; });
   };
   field("rcb_agent_polls_received", "Ajax polling requests received",
         metrics_.polls_received);
@@ -286,13 +268,13 @@ void RcbAgent::RegisterMetrics() {
   reg->AddCallbackGauge(
       "rcb_transport_polls_parked", "Long-polls currently held open",
       obs::Provenance::kSim,
-      [this] { return static_cast<double>(parked_.size()); }, base_labels);
+      [this] { return static_cast<double>(parked_.size()); });
 
-  // ObjectCache counters/gauges (shared with the host browser). An agent on a
-  // shared registry skips them: RcbHost's cache is host-wide and registered
-  // once up there.
-  if (config_.shared_registry == nullptr) {
-    RegisterObjectCacheMetrics(&browser_->cache(), reg, base_labels);
+  // ObjectCache counters/gauges (shared with the host browser). A browser on
+  // a shared cache skips them: RcbHost's cache is host-wide and registered
+  // once by the host.
+  if (!browser_->uses_shared_cache()) {
+    RegisterObjectCacheMetrics(&browser_->cache(), reg);
   }
 
   // Serialization cache (docs/PERF_MODEL.md). Same budget-metric convention
@@ -303,94 +285,87 @@ void RcbAgent::RegisterMetrics() {
   reg->AddCallbackCounter(
       "rcb_serialize_cache_hits", "Serialization cache subtree hits",
       obs::Provenance::kSim,
-      [gen] { return gen->serialize_cache_stats().hits; }, base_labels);
+      [gen] { return gen->serialize_cache_stats().hits; });
   reg->AddCallbackCounter(
       "rcb_serialize_cache_misses", "Serialization cache subtree misses",
       obs::Provenance::kSim,
-      [gen] { return gen->serialize_cache_stats().misses; }, base_labels);
+      [gen] { return gen->serialize_cache_stats().misses; });
   reg->AddCallbackCounter(
       "rcb_serialize_cache_evictions",
       "Spans evicted by the serialization cache byte budget",
       obs::Provenance::kSim,
-      [gen] { return gen->serialize_cache_stats().evictions; }, base_labels);
+      [gen] { return gen->serialize_cache_stats().evictions; });
   reg->AddCallbackCounter(
       "rcb_serialize_cache_evicted_bytes",
       "Bytes evicted by the serialization cache byte budget",
       obs::Provenance::kSim,
-      [gen] { return gen->serialize_cache_stats().evicted_bytes; },
-      base_labels);
+      [gen] { return gen->serialize_cache_stats().evicted_bytes; });
   reg->AddCallbackCounter(
       "rcb_serialize_cache_hit_bytes",
       "Raw payload bytes served by splicing cached spans",
       obs::Provenance::kSim,
-      [gen] { return gen->serialize_cache_stats().hit_bytes; }, base_labels);
+      [gen] { return gen->serialize_cache_stats().hit_bytes; });
   reg->AddCallbackCounter(
       "rcb_serialize_cache_miss_bytes",
       "Raw payload bytes serialized without a cached span",
       obs::Provenance::kSim,
-      [gen] { return gen->serialize_cache_stats().miss_bytes; }, base_labels);
+      [gen] { return gen->serialize_cache_stats().miss_bytes; });
   reg->AddCallbackGauge(
       "rcb_serialize_cache_bytes",
       "Bytes currently held by the serialization cache (raw + escaped)",
       obs::Provenance::kSim,
       [gen] {
         return static_cast<double>(gen->serialize_cache_stats().bytes);
-      },
-      base_labels);
+      });
   reg->AddCallbackGauge(
       "rcb_serialize_cache_spans",
       "Spans currently held by the serialization cache",
       obs::Provenance::kSim,
       [gen] {
         return static_cast<double>(gen->serialize_cache_stats().spans);
-      },
-      base_labels);
+      });
 
   // Session shape gauges.
   reg->AddCallbackGauge(
       "rcb_agent_participants", "Participants on the roster",
       obs::Provenance::kSim,
-      [this] { return static_cast<double>(participants_.size()); },
-      base_labels);
+      [this] { return static_cast<double>(participants_.size()); });
   reg->AddCallbackGauge(
       "rcb_agent_pending_actions", "Actions awaiting host confirmation",
       obs::Provenance::kSim,
-      [this] { return static_cast<double>(pending_actions_.size()); },
-      base_labels);
+      [this] { return static_cast<double>(pending_actions_.size()); });
   reg->AddCallbackGauge(
       "rcb_agent_last_snapshot_bytes", "Serialized size of the last snapshot",
       obs::Provenance::kSim,
-      [this] { return static_cast<double>(metrics_.last_snapshot_bytes); },
-      base_labels);
+      [this] { return static_cast<double>(metrics_.last_snapshot_bytes); });
   reg->AddCallbackGauge(
       "rcb_agent_last_generation_us",
       "CPU time of the last Fig. 3 pipeline run (M5)", obs::Provenance::kWall,
-      [this] { return static_cast<double>(metrics_.last_generation_time.micros()); },
-      base_labels);
+      [this] {
+        return static_cast<double>(metrics_.last_generation_time.micros());
+      });
   reg->AddCallbackGauge(
       "rcb_agent_total_generation_us",
       "Cumulative CPU time of all Fig. 3 pipeline runs",
       obs::Provenance::kWall, [this] {
         return static_cast<double>(metrics_.total_generation_time.micros());
-      },
-      base_labels);
+      });
 
   // Trace-log health: span counts are a pure function of the simulated
   // schedule even though span durations are wall time.
   reg->AddCallbackCounter("rcb_agent_trace_spans",
                           "Spans appended to the trace ring",
                           obs::Provenance::kSim,
-                          [this] { return trace_.total_appended(); },
-                          base_labels);
+                          [this] { return trace_.total_appended(); });
   // Canonical ring-health names shared with the snippet registry.
   reg->AddCallbackCounter("rcb_trace_dropped_total",
                           "Spans evicted from the trace ring",
                           obs::Provenance::kSim,
-                          [this] { return trace_.dropped(); }, base_labels);
+                          [this] { return trace_.dropped(); });
   reg->AddCallbackGauge(
       "rcb_trace_retained", "Spans currently retained by the trace ring",
       obs::Provenance::kSim,
-      [this] { return static_cast<double>(trace_.size()); }, base_labels);
+      [this] { return static_cast<double>(trace_.size()); });
   // Flight recorder (DESIGN.md §11): per-trigger counts plus artifacts
   // actually written (0 unless a dump directory is configured).
   static constexpr const char* kAgentTriggers[3] = {"resync", "auth_failure",
@@ -400,13 +375,12 @@ void RcbAgent::RegisterMetrics() {
         "rcb_flight_triggers_total", "Flight-recorder trigger firings",
         obs::Provenance::kSim,
         [this, trigger] { return flight_.triggers(trigger); },
-        ComposedLabels(StrFormat("trigger=\"%s\"", trigger)));
+        StrFormat("trigger=\"%s\"", trigger));
   }
   reg->AddCallbackCounter("rcb_flight_dumps_written",
                           "Flight-recorder JSONL artifacts written",
                           obs::Provenance::kSim,
-                          [this] { return flight_.dumps_written(); },
-                          base_labels);
+                          [this] { return flight_.dumps_written(); });
 
   // Histograms. Stage and request CPU times are wall provenance; the
   // serialized snapshot size is sim provenance (deterministic bytes).
@@ -417,7 +391,7 @@ void RcbAgent::RegisterMetrics() {
         "rcb_agent_gen_stage_us",
         "CPU microseconds per Fig. 3 snapshot-pipeline stage",
         obs::Provenance::kWall, obs::LatencyBoundsUs(),
-        ComposedLabels(kStageLabels[i]));
+        kStageLabels[i]);
   }
   // Only a delta-enabled agent runs the delta stages.
   static constexpr const char* kDeltaStageLabels[3] = {
@@ -427,29 +401,29 @@ void RcbAgent::RegisterMetrics() {
         "rcb_agent_delta_stage_us",
         "CPU microseconds per delta-path stage on the host",
         obs::Provenance::kWall, obs::LatencyBoundsUs(),
-        ComposedLabels(kDeltaStageLabels[i]));
+        kDeltaStageLabels[i]);
   }
   generation_us_ = reg->AddHistogram(
       "rcb_agent_generation_us",
       "CPU microseconds per whole Fig. 3 pipeline run (M5)",
-      obs::Provenance::kWall, obs::LatencyBoundsUs(), base_labels);
+      obs::Provenance::kWall, obs::LatencyBoundsUs());
   snapshot_bytes_ = reg->AddHistogram(
       "rcb_agent_snapshot_bytes", "Serialized snapshot XML bytes (M2)",
-      obs::Provenance::kSim, obs::SizeBoundsBytes(), base_labels);
+      obs::Provenance::kSim, obs::SizeBoundsBytes());
   hmac_verify_us_ = reg->AddHistogram(
       "rcb_agent_hmac_verify_us",
       "CPU microseconds per HMAC request verification (§3.4)",
-      obs::Provenance::kWall, obs::LatencyBoundsUs(), base_labels);
+      obs::Provenance::kWall, obs::LatencyBoundsUs());
   patch_ops_ = reg->AddHistogram(
       "rcb_agent_patch_ops", "Tree-diff ops per served patch",
-      obs::Provenance::kSim, obs::CountBounds(), base_labels);
+      obs::Provenance::kSim, obs::CountBounds());
   patch_bytes_ = reg->AddHistogram(
       "rcb_agent_patch_bytes", "Serialized bytes per served patch response",
-      obs::Provenance::kSim, obs::SizeBoundsBytes(), base_labels);
+      obs::Provenance::kSim, obs::SizeBoundsBytes());
   sync_latency_us_ = reg->AddHistogram(
       "rcb_agent_sync_latency_us",
       "Simulated microseconds from document version stamp to content served",
-      obs::Provenance::kSim, obs::LatencyBoundsUs(), base_labels);
+      obs::Provenance::kSim, obs::LatencyBoundsUs());
   static constexpr const char* kRequestLabels[6] = {
       "type=\"poll\"",   "type=\"new_connection\"", "type=\"object\"",
       "type=\"status\"", "type=\"metrics\"",        "type=\"other\""};
@@ -458,7 +432,7 @@ void RcbAgent::RegisterMetrics() {
         "rcb_agent_request_us",
         "CPU microseconds handling one request, by Fig. 2 class",
         obs::Provenance::kWall, obs::LatencyBoundsUs(),
-        ComposedLabels(kRequestLabels[i]));
+        kRequestLabels[i]);
   }
 }
 
@@ -923,7 +897,7 @@ HttpResponse RcbAgent::HandleMetrics(const HttpRequest& request) {
     options.include_wall = false;  // deterministic subset only
   }
   return HttpResponse::Ok("text/plain; version=0.0.4; charset=utf-8",
-                          effective_registry_->RenderPrometheus(options));
+                          registry_.RenderPrometheus(options));
 }
 
 HttpResponse RcbAgent::HandleHealth(const HttpRequest& request) {

@@ -144,17 +144,6 @@ struct AgentConfig {
   // geometry for the always-on per-session health tracker behind GET /health
   // and /host/health; fixed-size, so it survives the host's lite mode. ---
   obs::SloConfig health_slo;
-  // --- Multi-session hosting (src/host). Defaults keep the standalone
-  // behavior: the agent owns its registry and registers everything. ---
-  // When set, instruments register on this registry (not owned; must outlive
-  // the agent) instead of the agent's own; metrics_registry() and the flight
-  // recorder's dumps read it. The rcb_cache_* families are skipped then: the
-  // host shares one ObjectCache across sessions and registers it once.
-  obs::MetricsRegistry* shared_registry = nullptr;
-  // Label body prepended to every registered instrument, e.g. `session="s3"`.
-  // Required for shared registries (two label-less agents would collide on
-  // every family); composed before per-instrument labels like stage="clone".
-  std::string metrics_label;
   // false skips instrument registration entirely (counters in AgentMetrics
   // still accumulate). RcbHost uses this above its metrics_sessions cap so a
   // 10k-session bench does not pay per-session registry weight.
@@ -234,8 +223,7 @@ struct PendingAction {
 // evicted_bytes counters; bytes, objects gauges) over `cache`: a standalone
 // agent over its host browser's cache, RcbHost once over its shared one.
 void RegisterObjectCacheMetrics(const ObjectCache* cache,
-                                obs::MetricsRegistry* registry,
-                                std::string_view labels = "");
+                                obs::MetricsRegistry* registry);
 
 class RcbAgent {
  public:
@@ -273,12 +261,9 @@ class RcbAgent {
   // counter (callback-backed, same names), the ObjectCache counters, and the
   // stage/request histograms; /metrics renders it in the Prometheus text
   // format. The trace log keeps the most recent spans (generation stages,
-  // request handling, HMAC checks). Under a shared registry (src/host) this
-  // returns the host's registry, where this agent's families carry
-  // config.metrics_label.
-  const obs::MetricsRegistry& metrics_registry() const {
-    return *effective_registry_;
-  }
+  // request handling, HMAC checks). The registry is the agent's own, also
+  // when hosted: RcbHost labels it session="<id>" only in /host/metrics.
+  const obs::MetricsRegistry& metrics_registry() const { return registry_; }
   const obs::TraceLog& trace_log() const { return trace_; }
   // Anomaly flight recorder (DESIGN.md §11): triggers on resync, HMAC
   // failure, and overload shedding; dumps the trace ring + a deterministic
@@ -506,12 +491,10 @@ class RcbAgent {
 
   std::string BuildInitialPage(const std::string& pid) const;
 
-  // Registers every family on the effective registry (constructor-time;
-  // callback counters read metrics_ and the browser cache at render time).
-  // Skipped entirely when config.register_metrics is false. Labels compose
-  // config.metrics_label with the per-instrument label.
+  // Registers every family on registry_ (constructor-time; callback
+  // counters read metrics_ and the browser cache at render time). Skipped
+  // entirely when config.register_metrics is false.
   void RegisterMetrics();
-  std::string ComposedLabels(std::string_view labels) const;
 
   // Appends a zero-duration sim marker carrying `attrs` to the current
   // request's causal chain; no-op when the request carried no trace id.
@@ -544,8 +527,7 @@ class RcbAgent {
   bool transport_flush_pending_ = false;
 
   // --- Observability state (see metrics_registry()/trace_log()). ---
-  obs::MetricsRegistry registry_;  // owned; bypassed under a shared registry
-  obs::MetricsRegistry* effective_registry_ = nullptr;
+  obs::MetricsRegistry registry_;
   obs::TraceLog trace_;
   // Fig. 3 stage histograms, one per gen_stage label, in pipeline order:
   // extract, serialize.

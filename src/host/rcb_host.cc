@@ -23,12 +23,6 @@ HttpResponse PlainResponse(int status_code, std::string_view detail) {
   return response;
 }
 
-// The label body every family of session `id` carries on the shared
-// registry.
-std::string SessionLabel(const std::string& id) {
-  return StrFormat("session=\"%s\"", id.c_str());
-}
-
 // Routed requests reach the agents through the front door, not their own
 // ports, so it applies their head/body caps and read deadline itself. The
 // connection cap stays per agent.
@@ -255,8 +249,12 @@ StatusOr<std::unique_ptr<HostSession>> RcbHost::StartSession(
   session->browser = std::make_unique<Browser>(loop_, network_, config_.machine);
   session->browser->UseSharedCache(&shared_cache_);
   agent_config.port = port;
-  agent_config.shared_registry = &registry_;
-  agent_config.metrics_label = SessionLabel(id);
+  // A subdirectory per session: no two sessions write the same dump path.
+  std::string flight_dir =
+      obs::FlightRecorder::ResolveDir(agent_config.flight_dir);
+  if (!flight_dir.empty()) {
+    agent_config.flight_dir = (std::filesystem::path(flight_dir) / id).string();
+  }
   session->lite = metric_sessions_registered_ >= config_.limits.metrics_sessions;
   agent_config.register_metrics = !session->lite;
   // The shared cache budget is host-owned; a per-session budget would
@@ -272,7 +270,6 @@ StatusOr<std::unique_ptr<HostSession>> RcbHost::StartSession(
     started = session->agent->Start();
   }
   if (!started.ok()) {
-    registry_.RemoveLabeled(SessionLabel(id));
     free_ports_.push_back(port);
     return started;
   }
@@ -324,9 +321,6 @@ void RcbHost::DestroySession(const std::string& id, bool remove_persist) {
   retired_.content_bytes_sent += m.content_bytes_sent;
   retired_.total_generation_time += m.total_generation_time;
   session->agent->Stop();
-  // Shed the session's callback-backed families before their backing agent
-  // dies; lite sessions registered none, and RemoveLabeled is a no-op then.
-  registry_.RemoveLabeled(SessionLabel(id));
   if (!session->lite && metric_sessions_registered_ > 0) {
     --metric_sessions_registered_;
   }
@@ -526,11 +520,15 @@ HttpResponse RcbHost::Route(const HttpRequest& request) {
   if (path == "/host/status" && request.method == HttpMethod::kGet) {
     return HandleHostStatus();
   }
-  if (path == "/host/metrics" && request.method == HttpMethod::kGet) {
-    return HandleHostMetrics(request);
-  }
-  if (path == "/host/health" && request.method == HttpMethod::kGet) {
-    return HandleHostHealth(request);
+  if ((path == "/host/metrics" || path == "/host/health") &&
+      request.method == HttpMethod::kGet) {
+    // Both name every session, so both take the template's session key.
+    if (!VerifyRequestMac(config_.agent_defaults.session_key, request)) {
+      flight_.Trigger("auth_failure", loop_->now().micros());
+      return HttpResponse::Forbidden("request authentication failed");
+    }
+    return path == "/host/metrics" ? HandleHostMetrics(request)
+                                   : HandleHostHealth();
   }
   if (path == "/host/sessions") {
     if (request.method != HttpMethod::kPost) {
@@ -673,15 +671,18 @@ HttpResponse RcbHost::HandleHostMetrics(const HttpRequest& request) const {
   if (view != params.end() && view->second == "sim") {
     options.include_wall = false;
   }
+  std::vector<obs::RenderPart> parts = {{&registry_, ""}};
+  for (const auto& [id, session] : sessions_) {
+    if (!session->lite) {
+      parts.push_back({&session->agent->metrics_registry(),
+                       StrFormat("session=\"%s\"", id.c_str())});
+    }
+  }
   return HttpResponse::Ok("text/plain; version=0.0.4; charset=utf-8",
-                          registry_.RenderPrometheus(options));
+                          obs::RenderPrometheus(parts, options));
 }
 
-HttpResponse RcbHost::HandleHostHealth(const HttpRequest& request) {
-  if (!VerifyRequestMac(config_.agent_defaults.session_key, request)) {
-    flight_.Trigger("auth_failure", loop_->now().micros());
-    return HttpResponse::Forbidden("request authentication failed");
-  }
+HttpResponse RcbHost::HandleHostHealth() {
   int64_t now_us = loop_->now().micros();
   struct Row {
     const std::string* id;

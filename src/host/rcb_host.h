@@ -8,9 +8,9 @@
 // port of the host machine, so unmodified Ajax-Snippets join a session by
 // URL. Shared across sessions:
 //   * one ObjectCache (Browser::UseSharedCache) under a host byte budget,
-//   * one MetricsRegistry, per-session families labelled session="<id>",
-//     plus host-level rcb_host_* aggregates,
 //   * the event loop and network.
+// Each agent keeps its own MetricsRegistry; /host/metrics renders the host's
+// with every session's, labelled session="<id>".
 //
 // Inside each session the generate-once broadcast buffer (src/core/
 // broadcast.h) amortizes the Fig. 3 pipeline across the session's N pollers:
@@ -25,7 +25,7 @@
 //   * /s/<id>/<rest>                forward <rest> to that session's agent
 //                                   (404 unknown, 410 reaped, 400 invalid),
 //   * GET /host/status              session table + counters,
-//   * GET /host/metrics             shared-registry Prometheus exposition.
+//   * GET /host/metrics             host + per-session Prometheus exposition.
 // Long-polls are never parked through the front door (it answers each
 // request synchronously); a long-poll client connects to the session's own
 // port directly.
@@ -94,9 +94,9 @@ struct HostLimits {
   // as AgentLimits::retry_after_jitter), keyed per rejected request, so shed
   // creators do not retry in lockstep. Zero() disables.
   Duration retry_after_jitter = Duration::Seconds(3.0);
-  // Only the first this-many sessions register per-session instrument
-  // families (session="<id>" labels). Registration is O(families) per
-  // session, so a 10k-session bench keeps the registry lean while the
+  // Only the first this-many sessions register their instrument families
+  // (listed under session="<id>" in /host/metrics). Registration costs each
+  // session a family table, so a 10k-session bench stays lean while the
   // rcb_host_* aggregates still cover every session. 0 = none.
   size_t metrics_sessions = 64;
 };
@@ -110,7 +110,8 @@ struct HostConfig {
   uint16_t base_port = 3000;
   HostLimits limits;
   // Template for per-session agents: CreateSession(id) copies this and
-  // overrides port/registry wiring. Per-session keys, policies and delta
+  // overrides the port; a flight_dir (or $RCB_FLIGHT_DIR) becomes
+  // <dir>/<id>/ per session. Per-session keys, policies and delta
   // knobs go through CreateSession(id, config) or apply host-wide when set
   // here. Its limits.max_request_{head,body}_bytes also cap requests on the
   // front door (413, then close), and its limits.idle_read_timeout is the
@@ -184,8 +185,8 @@ class RcbHost {
   // kInvalidArgument (malformed id), kAlreadyExists (live id collision), or
   // kUnavailable (session cap, after attempting an idle reap).
   StatusOr<HostSession*> CreateSession(const std::string& id);
-  // Same, with an explicit per-session agent config (port and registry
-  // wiring are overridden by the host).
+  // Same, with an explicit per-session agent config (the host overrides its
+  // port and flight_dir as for the template).
   StatusOr<HostSession*> CreateSession(const std::string& id,
                                        AgentConfig config);
   // nullptr when absent.
@@ -243,21 +244,22 @@ class RcbHost {
   HttpResponse HandleCreateSession(const HttpRequest& request);
   HttpResponse HandleSessionRequest(const HttpRequest& request);
   HttpResponse HandleHostStatus() const;
+  // GET /host/metrics: the host's registry, then every non-lite session's
+  // under session="<id>".
   HttpResponse HandleHostMetrics(const HttpRequest& request) const;
   // GET /host/health: health-plane snapshot over every live session, worst
-  // first (DESIGN.md §16). HMAC-gated like the agents' /metrics when the
-  // agent template carries a session key.
-  HttpResponse HandleHostHealth(const HttpRequest& request);
+  // first (DESIGN.md §16). Route() HMAC-gates both with the agent template's
+  // session key, like the agents' /metrics.
+  HttpResponse HandleHostHealth();
 
   // Tears down one session and folds its counters into retired_. Persist
   // files are removed when the session ends on purpose (close/reap) and kept
   // when the host is merely shutting down (Stop checkpoints first).
   void DestroySession(const std::string& id, bool remove_persist);
   // The one hosted-session builder behind CreateSession and RecoverOne: a
-  // browser on the shared cache and a started agent on `port` under
-  // session="<id>" on the shared registry, persisted when persistence is on
-  // and restored from `recovered` unless null. On failure the session's
-  // families and port are released.
+  // browser on the shared cache and a started agent on `port` dumping into
+  // <flight dir>/<id>/, persisted when persistence is on and restored from
+  // `recovered` unless null. On failure the session's port is released.
   StatusOr<std::unique_ptr<HostSession>> StartSession(
       const std::string& id, uint16_t port, AgentConfig agent_config,
       const persist::LoadResult* recovered);

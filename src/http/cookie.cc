@@ -49,7 +49,11 @@ void CookieJar::ApplySetCookie(const Url& origin, std::string_view set_cookie_va
     } else if (name == "secure") {
       cookie.secure = true;
     } else if (name == "max-age") {
-      int64_t seconds = std::atoll(value.c_str());
+      // RFC 6265 §5.2.2: a Max-Age that is not an integer is ignored.
+      int64_t seconds = 0;
+      if (!ParseInt64(value, &seconds)) {
+        continue;
+      }
       cookie.has_expiry = true;
       if (seconds <= 0) {
         cookie.expires_at = now;  // expires immediately = deletion

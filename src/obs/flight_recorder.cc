@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 
 #include "src/obs/trace_export.h"
 #include "src/util/json.h"
@@ -11,15 +12,19 @@
 namespace rcb {
 namespace obs {
 
+std::string FlightRecorder::ResolveDir(std::string dir) {
+  if (const char* env = std::getenv("RCB_FLIGHT_DIR");
+      dir.empty() && env != nullptr) {
+    dir = env;
+  }
+  return dir;
+}
+
 FlightRecorder::Options FlightRecorder::Options::For(std::string component,
                                                      std::string dir) {
   Options options;
   options.component = std::move(component);
-  options.dir = std::move(dir);
-  if (const char* env = std::getenv("RCB_FLIGHT_DIR");
-      options.dir.empty() && env != nullptr) {
-    options.dir = env;
-  }
+  options.dir = ResolveDir(std::move(dir));
   return options;
 }
 
@@ -78,6 +83,8 @@ void FlightRecorder::Trigger(std::string_view reason, int64_t sim_now_us) {
   }
   // Truncate-then-write: a re-fired trigger index never appends to a stale
   // artifact from an earlier process in the same directory.
+  std::error_code ignored;
+  std::filesystem::create_directories(options_.dir, ignored);
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {
     RCB_LOG(kWarning) << "flight-recorder: cannot write " << path;

@@ -47,10 +47,12 @@ class FlightRecorder {
     // behavior up to max_dumps.
     int64_t dedup_window_us = 0;
 
-    // `component` dumping into `dir`, or into $RCB_FLIGHT_DIR when `dir` is
-    // empty (the agent, host and snippet configs' shared fallback).
+    // `component` dumping into ResolveDir(dir).
     static Options For(std::string component, std::string dir);
   };
+
+  // `dir`, or $RCB_FLIGHT_DIR when `dir` is empty: the shared fallback.
+  static std::string ResolveDir(std::string dir);
 
   FlightRecorder(const TraceLog* trace, const MetricsRegistry* registry,
                  Options options)
@@ -68,6 +70,7 @@ class FlightRecorder {
 
   // Records one anomaly. Counting is unconditional; the JSONL artifact is
   // written only when a dump directory is set and max_dumps not yet reached.
+  // A missing dump directory is created on the first dump.
   void Trigger(std::string_view reason, int64_t sim_now_us);
 
   uint64_t total_triggers() const { return total_triggers_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 
 #include "src/util/strings.h"
 
@@ -248,30 +249,6 @@ const MetricsRegistry::Instrument* MetricsRegistry::FindInstrument(
   return nullptr;
 }
 
-size_t MetricsRegistry::RemoveLabeled(std::string_view label) {
-  if (label.empty()) {
-    return 0;
-  }
-  size_t removed = 0;
-  for (auto family_it = families_.begin(); family_it != families_.end();) {
-    auto& instruments = (*family_it)->instruments;
-    for (auto it = instruments.begin(); it != instruments.end();) {
-      if (it->labels.find(label) != std::string::npos) {
-        it = instruments.erase(it);
-        ++removed;
-      } else {
-        ++it;
-      }
-    }
-    if (instruments.empty()) {
-      family_it = families_.erase(family_it);
-    } else {
-      ++family_it;
-    }
-  }
-  return removed;
-}
-
 const Counter* MetricsRegistry::FindCounter(std::string_view name,
                                             std::string_view labels) const {
   const Instrument* instrument = FindInstrument(name, Kind::kCounter, labels);
@@ -300,78 +277,90 @@ std::string FormatDouble(double value) {
   return StrFormat("%.6g", value);
 }
 
-std::string SeriesName(const std::string& name, const std::string& suffix,
-                       const std::string& labels,
-                       const std::string& extra_label = "") {
-  std::string out = name + suffix;
-  std::string body = labels;
-  if (!extra_label.empty()) {
-    if (!body.empty()) {
-      body += ",";
-    }
-    body += extra_label;
-  }
-  if (!body.empty()) {
-    out += "{" + body + "}";
-  }
-  return out;
+// Two label bodies joined with a comma; either may be empty.
+std::string JoinLabels(const std::string& a, const std::string& b) {
+  return a.empty() ? b : b.empty() ? a : a + "," + b;
+}
+
+std::string SeriesName(const std::string& name, const char* suffix,
+                       const std::string& labels) {
+  return labels.empty() ? name + suffix : name + suffix + "{" + labels + "}";
 }
 
 }  // namespace
 
 std::string MetricsRegistry::RenderPrometheus(
     const RenderOptions& options) const {
-  std::string out;
-  for (const auto& family : families_) {
-    if (!options.include_wall && family->provenance == Provenance::kWall) {
-      continue;
+  return obs::RenderPrometheus({{this, ""}}, options);
+}
+
+std::string RenderPrometheus(const std::vector<RenderPart>& parts,
+                             const RenderOptions& options) {
+  using Family = MetricsRegistry::Family;
+  using Kind = MetricsRegistry::Kind;
+  // Family names in first-appearance order, each with its (part label,
+  // family) members in part order.
+  struct Group {
+    const Family* first;
+    std::vector<std::pair<const std::string*, const Family*>> members;
+  };
+  std::vector<Group> groups;
+  std::unordered_map<std::string_view, size_t> group_of;
+  for (const RenderPart& part : parts) {
+    for (const auto& family : part.registry->families_) {
+      if (!options.include_wall && family->provenance == Provenance::kWall) {
+        continue;
+      }
+      auto [it, added] = group_of.try_emplace(family->name, groups.size());
+      if (added) {
+        groups.push_back({family.get(), {}});
+      }
+      Group& group = groups[it->second];
+      if (group.first->kind == family->kind &&
+          group.first->help == family->help &&
+          group.first->provenance == family->provenance) {
+        group.members.emplace_back(&part.label, family.get());
+      }
     }
-    const char* type = family->kind == Kind::kCounter    ? "counter"
-                       : family->kind == Kind::kGauge    ? "gauge"
-                                                         : "histogram";
-    out += "# HELP " + family->name + " " + family->help + "\n";
-    out += "# TYPE " + family->name + " " + std::string(type) + "\n";
-    for (const Instrument& instrument : family->instruments) {
-      switch (family->kind) {
-        case Kind::kCounter:
-          out += SeriesName(family->name, "", instrument.labels) + " " +
-                 StrFormat("%llu", static_cast<unsigned long long>(
-                                       instrument.counter->value())) +
-                 "\n";
-          break;
-        case Kind::kGauge:
-          out += SeriesName(family->name, "", instrument.labels) + " " +
-                 FormatDouble(instrument.gauge->value()) + "\n";
-          break;
-        case Kind::kHistogram: {
-          const Histogram& histogram = *instrument.histogram;
-          uint64_t cumulative = 0;
-          const auto& counts = histogram.bucket_counts();
-          for (size_t i = 0; i < histogram.bounds().size(); ++i) {
-            cumulative += counts[i];
-            out += SeriesName(family->name, "_bucket", instrument.labels,
-                              StrFormat("le=\"%lld\"",
-                                        static_cast<long long>(
-                                            histogram.bounds()[i]))) +
-                   " " +
-                   StrFormat("%llu",
-                             static_cast<unsigned long long>(cumulative)) +
-                   "\n";
+  }
+
+  std::string out;
+  for (const Group& group : groups) {
+    const Family& head = *group.first;
+    const char* type = head.kind == Kind::kCounter    ? "counter"
+                       : head.kind == Kind::kGauge    ? "gauge"
+                                                      : "histogram";
+    out += "# HELP " + head.name + " " + head.help + "\n";
+    out += "# TYPE " + head.name + " " + type + "\n";
+    for (const auto& [part_label, family] : group.members) {
+      for (const auto& instrument : family->instruments) {
+        const std::string labels = JoinLabels(*part_label, instrument.labels);
+        auto series = [&](const char* suffix, const std::string& extra,
+                          const std::string& value) {
+          out += SeriesName(head.name, suffix, JoinLabels(labels, extra)) +
+                 " " + value + "\n";
+        };
+        switch (head.kind) {
+          case Kind::kCounter:
+            series("", "", std::to_string(instrument.counter->value()));
+            break;
+          case Kind::kGauge:
+            series("", "", FormatDouble(instrument.gauge->value()));
+            break;
+          case Kind::kHistogram: {
+            const Histogram& histogram = *instrument.histogram;
+            uint64_t cumulative = 0;
+            for (size_t i = 0; i < histogram.bounds().size(); ++i) {
+              cumulative += histogram.bucket_counts()[i];
+              series("_bucket",
+                     "le=\"" + std::to_string(histogram.bounds()[i]) + "\"",
+                     std::to_string(cumulative));
+            }
+            series("_bucket", "le=\"+Inf\"", std::to_string(histogram.count()));
+            series("_sum", "", std::to_string(histogram.sum()));
+            series("_count", "", std::to_string(histogram.count()));
+            break;
           }
-          out += SeriesName(family->name, "_bucket", instrument.labels,
-                            "le=\"+Inf\"") +
-                 " " +
-                 StrFormat("%llu", static_cast<unsigned long long>(
-                                       histogram.count())) +
-                 "\n";
-          out += SeriesName(family->name, "_sum", instrument.labels) + " " +
-                 StrFormat("%lld", static_cast<long long>(histogram.sum())) +
-                 "\n";
-          out += SeriesName(family->name, "_count", instrument.labels) + " " +
-                 StrFormat("%llu", static_cast<unsigned long long>(
-                                       histogram.count())) +
-                 "\n";
-          break;
         }
       }
     }

@@ -134,6 +134,22 @@ struct RenderOptions {
   bool include_wall = true;
 };
 
+class MetricsRegistry;
+
+// One registry of a combined exposition. `label` (a `key="value"` body, empty
+// for none) is put ahead of the labels of every series the registry renders.
+struct RenderPart {
+  const MetricsRegistry* registry;
+  std::string label;
+};
+
+// Renders `parts` as one exposition: a family's # HELP/# TYPE once, where it
+// first appears, then its series from every part in part order. A family
+// whose kind, help or provenance disagrees with its first appearance is
+// left out of the later parts, so the body stays a valid exposition.
+std::string RenderPrometheus(const std::vector<RenderPart>& parts,
+                             const RenderOptions& options = {});
+
 // Families keyed by (name, labels). Registration rejects (returns nullptr):
 //   * an invalid metric name,
 //   * a (name, labels) pair registered twice,
@@ -159,14 +175,8 @@ class MetricsRegistry {
                           Provenance provenance, std::vector<int64_t> bounds,
                           std::string_view labels = "");
 
+  // The one-part case of the combined obs::RenderPrometheus.
   std::string RenderPrometheus(const RenderOptions& options = {}) const;
-
-  // Removes every instrument whose label body contains `label` as a complete
-  // `key="value"` token (e.g. `session="s3"`), dropping families left empty.
-  // This is how a shared registry sheds a reaped session's callback-backed
-  // instruments before their backing object is destroyed. Returns the number
-  // of instruments removed.
-  size_t RemoveLabeled(std::string_view label);
 
   // Lookup for tests/tools; nullptr when absent or of another kind.
   const Counter* FindCounter(std::string_view name,
@@ -205,6 +215,9 @@ class MetricsRegistry {
                         std::string_view labels);
   const Instrument* FindInstrument(std::string_view name, Kind kind,
                                    std::string_view labels) const;
+
+  friend std::string RenderPrometheus(const std::vector<RenderPart>& parts,
+                                      const RenderOptions& options);
 
   std::vector<std::unique_ptr<Family>> families_;
 };

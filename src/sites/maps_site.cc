@@ -168,10 +168,12 @@ void MapsApp::Search(const std::string& query, std::function<void(Status)> done)
                       done(result.status);
                       return;
                     }
+                    std::vector<std::string> xy =
+                        StrSplit(result.response.body, ' ');
                     int x = 0;
                     int y = 0;
-                    if (std::sscanf(result.response.body.c_str(), "%d %d", &x,
-                                    &y) != 2) {
+                    if (xy.size() != 2 || !ParseInt(xy[0], &x) ||
+                        !ParseInt(xy[1], &y)) {
                       done(InternalError("bad geocode response"));
                       return;
                     }

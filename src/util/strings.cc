@@ -1,6 +1,7 @@
 #include "src/util/strings.h"
 
 #include <cctype>
+#include <climits>
 #include <cstdarg>
 #include <cstdio>
 
@@ -149,6 +150,15 @@ bool ParseInt64(std::string_view s, int64_t* out) {
   return true;
 }
 
+bool ParseInt(std::string_view s, int* out) {
+  int64_t value = 0;
+  if (!ParseInt64(s, &value) || value < INT_MIN || value > INT_MAX) {
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
+}
+
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);
@@ -163,18 +173,6 @@ std::string StrFormat(const char* fmt, ...) {
   }
   va_end(args_copy);
   return out;
-}
-
-bool IsDigits(std::string_view s) {
-  if (s.empty()) {
-    return false;
-  }
-  for (char c : s) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace rcb

@@ -45,12 +45,11 @@ bool ParseUint64(std::string_view s, uint64_t* out);
 // (INT64_MIN, INT64_MAX]; false on anything else. The wire decoders and the
 // persistence codecs read signed fields with it.
 bool ParseInt64(std::string_view s, int64_t* out);
+// ParseInt64 narrowed to int: false also when the value does not fit.
+bool ParseInt(std::string_view s, int* out);
 
 // Formats with printf semantics into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-
-// True if every char is an ASCII digit (and s is non-empty).
-bool IsDigits(std::string_view s);
 
 }  // namespace rcb
 

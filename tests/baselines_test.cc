@@ -171,6 +171,64 @@ TEST_F(BaselinesTest, ProxyCoBrowseSynchronizesMembers) {
   follower_client.Stop();
 }
 
+TEST_F(BaselinesTest, ProxyReadsOnlyWellFormedVersions) {
+  // The proxy's v= and the client's X-CoBrowse-Version take the absent path
+  // when malformed: the page is sent, and the client counts one version on
+  // from its initial -1.
+  network_.AddHost("cobrowse-proxy", {});
+  network_.AddHost("www.static.test", {});
+  SiteServer site(&loop_, &network_, "www.static.test");
+  site.ServeStatic("/", "text/html", "<html><body>x</body></html>");
+  CoBrowseProxy proxy(&loop_, &network_, "cobrowse-proxy");
+  Browser member(&loop_, &network_, "host-pc");
+  ProxyCoBrowseClient leader(&member, proxy.ProxyUrl(), Duration::Millis(500));
+  bool navigated = false;
+  leader.Navigate(Url::Make("http", "www.static.test", 80, "/"),
+                  [&](Status) { navigated = true; });
+  loop_.RunUntilCondition([&] { return navigated && proxy.version() == 1; });
+  ASSERT_EQ(proxy.version(), 1);
+  const std::pair<const char*, bool> page_cases[] = {
+      {"v=1", false}, {"v=0", true}, {"v=1x", true}, {"v=", true},
+      {"v=99999999999999999999", true}};
+  for (const auto& [query, sends_page] : page_cases) {
+    FetchResult result;
+    bool done = false;
+    member.Fetch(HttpMethod::kGet,
+                 Url::Make("http", "cobrowse-proxy", proxy.ProxyUrl().port(),
+                           "/page", query),
+                 "", "", [&](FetchResult fetched) {
+                   result = std::move(fetched);
+                   done = true;
+                 });
+    loop_.RunUntilCondition([&] { return done; });
+    ASSERT_TRUE(result.status.ok()) << query;
+    EXPECT_EQ(!result.response.body.empty(), sends_page) << query;
+  }
+
+  network_.AddHost("fake-proxy", {});
+  SiteServer fake(&loop_, &network_, "fake-proxy");
+  std::string header;
+  fake.Route("/page", [&](const HttpRequest&) {
+    HttpResponse response =
+        HttpResponse::Ok("text/html", "<html><body>copy</body></html>");
+    response.headers.Set("X-CoBrowse-Version", header);
+    return response;
+  });
+  const std::pair<const char*, int64_t> header_cases[] = {
+      {"5", 5}, {"5x", 0}, {"", 0}, {"99999999999999999999", 0}};
+  for (const auto& [value, version] : header_cases) {
+    header = value;
+    Browser browser(&loop_, &network_, "participant-pc");
+    ProxyCoBrowseClient client(
+        &browser, Url::Make("http", "fake-proxy", 80, "/"),
+        Duration::Millis(500));
+    client.Start();
+    loop_.RunUntilCondition([&] { return client.updates_received() > 0; });
+    client.Stop();
+    EXPECT_EQ(client.version(), version) << value;
+  }
+}
+
 TEST_F(BaselinesTest, ProxyIsSinglePointOfFailure) {
   network_.AddHost("cobrowse-proxy", {});
   network_.AddHost("www.static.test", {});

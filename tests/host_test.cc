@@ -20,6 +20,7 @@
 #include "src/sites/site_server.h"
 #include "src/util/json.h"
 #include "src/util/rand.h"
+#include "src/util/strings.h"
 
 namespace rcb {
 namespace {
@@ -509,10 +510,45 @@ TEST_F(HostTest, FrontDoorReadDeadlineClosesSlowLoris) {
   EXPECT_EQ(status->status_code, 200);
 }
 
+// The sim-view Prometheus body of a flight dump's metrics line.
+std::string DumpedPrometheus(const std::string& path) {
+  std::ifstream file(path);
+  EXPECT_TRUE(file.good()) << path;
+  std::string prometheus;
+  for (std::string line; std::getline(file, line);) {
+    auto parsed = ParseJson(line);
+    EXPECT_TRUE(parsed.ok()) << line;
+    if (parsed.ok() && parsed->Find("type")->string_value == "metrics") {
+      prometheus = parsed->Find("prometheus")->string_value;
+    }
+  }
+  return prometheus;
+}
+
+// Lines of `body` that start with `prefix`.
+size_t CountLinesStartingWith(const std::string& body,
+                              const std::string& prefix) {
+  size_t count = 0;
+  for (std::string_view line : StrSplit(body, '\n')) {
+    count += StartsWith(line, prefix) ? 1 : 0;
+  }
+  return count;
+}
+
+// Forges an unsigned poll to hosted session `id`: a 403 and an auth_failure.
+void ForgePoll(RcbHost* host, const std::string& id) {
+  PollRequest poll;
+  poll.participant_id = "p1";
+  HttpRequest forged;
+  forged.method = HttpMethod::kPost;
+  forged.target = "/s/" + id + "/?hmac=00";
+  forged.body = EncodePollRequest(poll);
+  EXPECT_EQ(host->Route(forged).status_code, 403);
+}
+
 TEST_F(HostTest, HostedFlightDumpCarriesTheSessionMetrics) {
-  // A hosted agent's families live on the host's shared registry, so its
-  // flight dumps must render that registry: the metrics line names the
-  // session's own counters.
+  // A hosted agent's flight dumps go to <flight dir>/<session id>/ and render
+  // its own registry: the metrics line names the session's own counters.
   const std::filesystem::path dir =
       std::filesystem::path(::testing::TempDir()) / "rcb_host_flight_dump";
   std::filesystem::remove_all(dir);
@@ -524,31 +560,56 @@ TEST_F(HostTest, HostedFlightDumpCarriesTheSessionMetrics) {
   auto session = host->CreateSession("s1");
   ASSERT_TRUE(session.ok()) << session.status();
   SetSessionDoc(*session, "Doc");
-
-  PollRequest poll;
-  poll.participant_id = "p1";
-  HttpRequest forged;
-  forged.method = HttpMethod::kPost;
-  forged.target = "/s/s1/?hmac=00";
-  forged.body = EncodePollRequest(poll);
-  EXPECT_EQ(host->Route(forged).status_code, 403);
+  ForgePoll(host.get(), "s1");
 
   const obs::FlightRecorder& flight = (*session)->agent->flight_recorder();
   ASSERT_EQ(flight.triggers("auth_failure"), 1u);
   ASSERT_EQ(flight.dumps_written(), 1u);
-  std::ifstream file(flight.last_dump_path());
-  ASSERT_TRUE(file.good()) << flight.last_dump_path();
-  std::string prometheus;
-  for (std::string line; std::getline(file, line);) {
-    auto parsed = ParseJson(line);
-    ASSERT_TRUE(parsed.ok()) << line;
-    if (parsed->Find("type")->string_value == "metrics") {
-      prometheus = parsed->Find("prometheus")->string_value;
-    }
-  }
-  EXPECT_NE(prometheus.find("rcb_agent_auth_failures{session=\"s1\"} 1\n"),
+  EXPECT_EQ(std::filesystem::path(flight.last_dump_path()).parent_path(),
+            dir / "s1");
+  std::string prometheus = DumpedPrometheus(flight.last_dump_path());
+  EXPECT_NE(prometheus.find("\nrcb_agent_auth_failures 1\n"),
             std::string::npos)
       << prometheus;
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(HostTest, TwoHostedSessionsDumpOnlyTheirOwnFamiliesToTheirOwnFiles) {
+  // Two sessions under one flight dir: each anomaly leaves its own file, and
+  // each file renders only its session's families (no other session's
+  // series, no host families).
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "rcb_host_flight_two";
+  std::filesystem::remove_all(dir);
+  HostConfig config;
+  config.agent_defaults.session_key = "shared-key";
+  config.agent_defaults.flight_dir = dir.string();
+  auto host = MakeHost(std::move(config));
+  auto s1 = host->CreateSession("s1");
+  auto s2 = host->CreateSession("s2");
+  ASSERT_TRUE(s1.ok() && s2.ok());
+  ForgePoll(host.get(), "s1");
+  ForgePoll(host.get(), "s2");
+
+  std::set<std::string> paths;
+  for (HostSession* session : {*s1, *s2}) {
+    const obs::FlightRecorder& flight = session->agent->flight_recorder();
+    ASSERT_EQ(flight.dumps_written(), 1u) << session->id;
+    paths.insert(flight.last_dump_path());
+    std::string prometheus = DumpedPrometheus(flight.last_dump_path());
+    EXPECT_EQ(CountLinesStartingWith(prometheus, "rcb_agent_auth_failures"),
+              1u)
+        << prometheus;
+    EXPECT_EQ(prometheus.find("session="), std::string::npos) << prometheus;
+    EXPECT_EQ(prometheus.find("rcb_host_"), std::string::npos) << prometheus;
+  }
+  EXPECT_EQ(paths.size(), 2u);
+  size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    files += entry.is_regular_file() ? 1 : 0;
+  }
+  EXPECT_EQ(files, 2u);
   std::filesystem::remove_all(dir);
 }
 
@@ -611,6 +672,14 @@ TEST_F(HostTest, PipelineRunsOncePerUpdateNotPerParticipant) {
 
 // -------------------------------------------------------- metrics modes ----
 
+// GET `target` through the front door.
+HttpResponse FrontDoorGet(RcbHost* host, const std::string& target) {
+  HttpRequest request;
+  request.method = HttpMethod::kGet;
+  request.target = target;
+  return host->Route(request);
+}
+
 TEST_F(HostTest, LiteSessionsSkipPerSessionFamiliesButCountInAggregates) {
   HostConfig config;
   config.limits.metrics_sessions = 1;
@@ -629,17 +698,103 @@ TEST_F(HostTest, LiteSessionsSkipPerSessionFamiliesButCountInAggregates) {
   WaitForContent(participant_full.get());
   WaitForContent(participant_lite.get());
 
-  std::string rendered = host->metrics_registry().RenderPrometheus();
+  std::string rendered = FrontDoorGet(host.get(), "/host/metrics").body;
   EXPECT_NE(rendered.find("session=\"full\""), std::string::npos);
   EXPECT_EQ(rendered.find("session=\"lite\""), std::string::npos);
   // The lite session still counts in the host aggregates.
   EXPECT_NE(rendered.find("rcb_host_doc_updates_total 2"), std::string::npos)
       << rendered;
 
-  // Closing the labelled session removes its families from the registry.
+  // Closing the labelled session removes its families from the exposition.
   ASSERT_TRUE(host->CloseSession("full").ok());
-  rendered = host->metrics_registry().RenderPrometheus();
+  rendered = FrontDoorGet(host.get(), "/host/metrics").body;
   EXPECT_EQ(rendered.find("session=\"full\""), std::string::npos);
+}
+
+TEST_F(HostTest, SessionMetricsShowOnlyThatSession) {
+  auto host = MakeHost();
+  auto s1 = host->CreateSession("s1");
+  auto s2 = host->CreateSession("s2");
+  ASSERT_TRUE(s1.ok() && s2.ok());
+  SetSessionDoc(*s1, "One");
+  SetSessionDoc(*s2, "Two");
+  auto participant = JoinSession(*s2, 1);
+  WaitForContent(participant.get());
+
+  HttpResponse response = FrontDoorGet(host.get(), "/s/s1/metrics");
+  ASSERT_EQ(response.status_code, 200);
+  EXPECT_EQ(CountLinesStartingWith(response.body, "rcb_agent_polls_received"),
+            1u)
+      << response.body;
+  EXPECT_EQ(response.body.find("session=\"s2\""), std::string::npos);
+  EXPECT_EQ(response.body.find("session="), std::string::npos);
+  EXPECT_EQ(response.body.find("rcb_host_"), std::string::npos);
+  // The host's shared object cache is the host's, not the session's.
+  EXPECT_EQ(response.body.find("rcb_cache_"), std::string::npos);
+}
+
+TEST_F(HostTest, HostMetricsComposeEveryFullSessionUnderItsLabel) {
+  HostConfig config;
+  config.limits.metrics_sessions = 2;
+  auto host = MakeHost(std::move(config));
+  for (const char* id : {"a", "b", "c"}) {
+    auto session = host->CreateSession(id);
+    ASSERT_TRUE(session.ok());
+    SetSessionDoc(*session, id);
+  }
+  ASSERT_TRUE(host->FindSession("c")->lite);
+  // The host's own registry holds only host-wide families.
+  EXPECT_EQ(host->metrics_registry().RenderPrometheus().find("session="),
+            std::string::npos);
+
+  std::string rendered = FrontDoorGet(host.get(), "/host/metrics").body;
+  std::set<std::string> types;
+  size_t type_lines = 0;
+  for (std::string_view line : StrSplit(rendered, '\n')) {
+    if (StartsWith(line, "# TYPE ")) {
+      ++type_lines;
+      types.insert(std::string(line));
+    }
+  }
+  EXPECT_GT(type_lines, 0u);
+  EXPECT_EQ(types.size(), type_lines) << rendered;
+  EXPECT_EQ(CountLinesStartingWith(rendered, "# TYPE rcb_agent_doc_updates "),
+            1u);
+  for (std::string id : {"a", "b"}) {
+    const std::string label = "session=\"" + id + "\"";
+    EXPECT_NE(rendered.find("rcb_agent_doc_updates{" + label + "}"),
+              std::string::npos)
+        << id;
+    EXPECT_NE(rendered.find("rcb_flight_triggers_total{" + label +
+                            ",trigger=\"resync\"}"),
+              std::string::npos)
+        << id;
+  }
+  EXPECT_EQ(rendered.find("session=\"c\""), std::string::npos);
+  EXPECT_EQ(CountLinesStartingWith(rendered, "# TYPE rcb_cache_hits "), 1u);
+  EXPECT_EQ(CountLinesStartingWith(rendered, "rcb_cache_hits"), 1u);
+
+  ASSERT_TRUE(host->CloseSession("a").ok());
+  rendered = FrontDoorGet(host.get(), "/host/metrics").body;
+  EXPECT_EQ(rendered.find("session=\"a\""), std::string::npos);
+  EXPECT_NE(rendered.find("session=\"b\""), std::string::npos);
+}
+
+TEST_F(HostTest, HostMetricsTakeTheTemplateKey) {
+  HostConfig config;
+  config.agent_defaults.session_key = "metrics-key";
+  auto host = MakeHost(std::move(config));
+  ASSERT_TRUE(host->CreateSession("s1").ok());
+
+  EXPECT_EQ(FrontDoorGet(host.get(), "/host/metrics").status_code, 403);
+  EXPECT_EQ(host->flight_recorder().triggers("auth_failure"), 1u);
+  std::string mac = HmacSha256Hex("metrics-key", "GET /host/metrics\n");
+  HttpResponse signed_response =
+      FrontDoorGet(host.get(), "/host/metrics?hmac=" + mac);
+  EXPECT_EQ(signed_response.status_code, 200);
+  EXPECT_NE(signed_response.body.find("rcb_agent_doc_updates{session=\"s1\"}"),
+            std::string::npos);
+  EXPECT_EQ(host->flight_recorder().triggers("auth_failure"), 1u);
 }
 
 // ------------------------------------------------ durability & recovery ----

@@ -447,6 +447,25 @@ TEST(CookieTest, MaxAgeZeroDeletes) {
   EXPECT_EQ(jar.CountFor(origin), 0u);
 }
 
+TEST(CookieTest, MalformedMaxAgeIsIgnored) {
+  // RFC 6265 §5.2.2: a Max-Age that is not an integer is ignored, so the
+  // cookie stays a session cookie instead of being deleted or mis-timed.
+  for (const char* max_age :
+       {"abc", "60x", "", "1.5", "+60", "99999999999999999999"}) {
+    CookieJar jar;
+    Url origin = Url::Make("http", "h", 80, "/");
+    SimTime t0 = SimTime::FromMicros(0);
+    jar.ApplySetCookie(origin, std::string("a=1; Max-Age=") + max_age, t0);
+    EXPECT_EQ(jar.CookieHeaderFor(origin, t0 + Duration::Seconds(3600.0)),
+              "a=1")
+        << max_age;
+  }
+  CookieJar jar;
+  Url origin = Url::Make("http", "h", 80, "/");
+  jar.ApplySetCookie(origin, "a=1; Max-Age=-1");
+  EXPECT_EQ(jar.CountFor(origin), 0u);  // a valid non-positive age deletes
+}
+
 TEST(CookieTest, SecureCookieOnlyOverHttps) {
   CookieJar jar;
   Url https_origin = Url::Make("https", "h", 443, "/");

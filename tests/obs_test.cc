@@ -194,6 +194,47 @@ TEST(MetricsRegistryTest, PrometheusRenderFormat) {
   EXPECT_NE(body.find("latency_us_count{op=\"x\"} 3\n"), std::string::npos);
 }
 
+TEST(MetricsRegistryTest, CombinedRenderLabelsEachPartAndTypesFamiliesOnce) {
+  MetricsRegistry host;
+  AddFixedCounter(host, "requests_total", "Requests.", Provenance::kSim, 7);
+  MetricsRegistry session;
+  AddFixedCounter(session, "requests_total", "Requests.", Provenance::kSim, 2);
+  session.AddHistogram("latency_us", "Latency.", Provenance::kSim, {10},
+                       "op=\"x\"")
+      ->Record(5);
+  // A family that disagrees with the first appearance of its name is left
+  // out of the later part, so the body stays one valid exposition.
+  AddFixedGauge(session, "requests_total_mismatch", "M.", Provenance::kSim, 1);
+  MetricsRegistry other;
+  AddFixedGauge(other, "requests_total", "Requests.", Provenance::kSim, 9);
+  AddFixedGauge(other, "requests_total_mismatch", "M.", Provenance::kWall, 3);
+
+  const std::vector<RenderPart> parts = {{&host, ""},
+                                         {&session, "session=\"s1\""},
+                                         {&other, "session=\"s2\""}};
+  EXPECT_EQ(RenderPrometheus(parts),
+            "# HELP requests_total Requests.\n"
+            "# TYPE requests_total counter\n"
+            "requests_total 7\n"
+            "requests_total{session=\"s1\"} 2\n"
+            "# HELP latency_us Latency.\n"
+            "# TYPE latency_us histogram\n"
+            "latency_us_bucket{session=\"s1\",op=\"x\",le=\"10\"} 1\n"
+            "latency_us_bucket{session=\"s1\",op=\"x\",le=\"+Inf\"} 1\n"
+            "latency_us_sum{session=\"s1\",op=\"x\"} 5\n"
+            "latency_us_count{session=\"s1\",op=\"x\"} 1\n"
+            "# HELP requests_total_mismatch M.\n"
+            "# TYPE requests_total_mismatch gauge\n"
+            "requests_total_mismatch{session=\"s1\"} 1\n");
+  // The sim view leaves wall families out; a single registry renders as its
+  // one-part case.
+  EXPECT_EQ(RenderPrometheus({{&other, ""}}, {.include_wall = false}),
+            "# HELP requests_total Requests.\n"
+            "# TYPE requests_total gauge\n"
+            "requests_total 9\n");
+  EXPECT_EQ(RenderPrometheus({{&session, ""}}), session.RenderPrometheus());
+}
+
 // Structural conformance over the whole exposition, not just pinned lines:
 // for every histogram family, bucket counts must be cumulative
 // non-decreasing in bound order, end with le="+Inf", and the +Inf bucket

@@ -2,6 +2,8 @@
 // Fig. 4 snapshot XML, and poll request bodies.
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "src/core/protocol.h"
 #include "src/util/rand.h"
 #include "src/util/strings.h"
@@ -100,6 +102,26 @@ TEST(ActionsTest, DecodeRejectsMissingType) {
   EXPECT_FALSE(DecodeActions("target=3").ok());
   EXPECT_FALSE(DecodeActions("type=warp").ok());
   EXPECT_FALSE(DecodeActions("type=click&target=abc").ok());
+}
+
+TEST(ActionsTest, DecodeRejectsMalformedIntegerFields) {
+  // Each integer field reads strictly: no numeric prefix, no overflow, and
+  // no value an int cannot hold.
+  for (const char* line :
+       {"type=click&target=3x", "type=click&target=4294967297",
+        "type=click&target=2147483648", "type=mouse&x=12x",
+        "type=mouse&x=", "type=mouse&x=%2B5", "type=mouse&y=4294967297",
+        "type=mouse&y=-2147483649", "type=mouse&x=1.5"}) {
+    auto decoded = DecodeActions(line);
+    ASSERT_FALSE(decoded.ok()) << line;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+  auto valid = DecodeActions(
+      "type=mouse&target=2147483647&x=-2147483648&y=2147483647");
+  ASSERT_TRUE(valid.ok()) << valid.status();
+  EXPECT_EQ((*valid)[0].target, INT_MAX);
+  EXPECT_EQ((*valid)[0].x, INT_MIN);
+  EXPECT_EQ((*valid)[0].y, INT_MAX);
 }
 
 TEST(ActionsTest, FieldValuesWithNewlines) {
@@ -304,6 +326,22 @@ TEST(PollRequestTest, RejectsMalformedIntegerFields) {
   ASSERT_TRUE(valid.ok()) << valid.status();
   EXPECT_EQ(valid->doc_time_ms, -1);
   EXPECT_EQ(valid->seq, UINT64_MAX);
+}
+
+TEST(PollRequestTest, MalformedStreamLevelReadsAsClassicPolling) {
+  // stream= is an optional capability: a value that is not a uint32 reads
+  // as the field's absence, never as a truncated or prefix level.
+  const std::pair<const char*, uint32_t> cases[] = {
+      {"stream=1", 1},          {"stream=2", 2},
+      {"stream=4294967295", UINT32_MAX},
+      {"stream=4294967297", 0}, {"stream=1x", 0},
+      {"stream=-1", 0},         {"stream=", 0},
+      {"stream=%2B1", 0}};
+  for (const auto& [field, level] : cases) {
+    auto decoded = DecodePollRequest(std::string("pid=p1&ts=3&") + field);
+    ASSERT_TRUE(decoded.ok()) << field << ": " << decoded.status();
+    EXPECT_EQ(decoded->stream, level) << field;
+  }
 }
 
 TEST(SnapshotTest, RejectsMalformedDocTime) {

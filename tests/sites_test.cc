@@ -333,6 +333,27 @@ TEST_F(MapsTest, StreetViewSwapsInFlashEmbed) {
             std::string::npos);
 }
 
+TEST_F(MapsTest, SearchRejectsAMalformedGeocodeReply) {
+  ASSERT_TRUE(Wait([&](auto done) { app_->Open(maps_->PageUrl(), done); }).ok());
+  std::string reply;
+  maps_->server()->Route("/geocode", [&](const HttpRequest&) {
+    return HttpResponse::Ok("text/plain", reply);
+  });
+  // Exactly two decimal ints separated by one space; nothing else.
+  for (const char* bad : {"12 34x", "12 34 56", "12x 34", "12", "",
+                          "12  34", "2147483648 0", "0 -2147483649"}) {
+    reply = bad;
+    EXPECT_FALSE(Wait([&](auto done) { app_->Search("q", done); }).ok())
+        << bad;
+  }
+  reply = "-7 42";
+  ASSERT_TRUE(Wait([&](auto done) { app_->Search("q", done); }).ok());
+  Element* map = browser_->document()->ById("map");
+  ASSERT_NE(map, nullptr);
+  EXPECT_EQ(map->AttrOr("data-x"), "-7");
+  EXPECT_EQ(map->AttrOr("data-y"), "42");
+}
+
 TEST_F(MapsTest, GeocodeDeterministic) {
   auto a = MapsSite::Geocode("somewhere");
   auto b = MapsSite::Geocode("somewhere");

@@ -13,12 +13,14 @@
 #include "src/core/ajax_snippet.h"
 #include "src/core/content_generator.h"
 #include "src/core/rcb_agent.h"
+#include "src/delta/patch_codec.h"
 #include "src/delta/tree_diff.h"
 #include "src/html/parser.h"
 #include "src/html/serializer.h"
 #include "src/sites/corpus.h"
 #include "src/sites/site_server.h"
 #include "src/util/rand.h"
+#include "src/util/strings.h"
 #include "tests/support/reference_apply_snapshot.h"
 
 namespace rcb {
@@ -125,6 +127,54 @@ class SnippetTest : public ::testing::Test {
       return snippet_->doc_time_ms() >= 0 &&
              snippet_->metrics().content_updates > 0;
     });
+  }
+
+  // A scripted agent on host-pc:<port>: GET / answers the initial page
+  // advertising `interval` as rcb-poll-interval, and each poll is logged and
+  // answered with the next queued reply (an empty body once none is left).
+  struct FakeAgent {
+    std::unique_ptr<SiteServer> server;
+    std::deque<std::string> replies;
+    std::vector<PollRequest> polls;
+  };
+  std::unique_ptr<FakeAgent> ServeFakeAgent(uint16_t port,
+                                            const std::string& interval) {
+    auto agent = std::make_unique<FakeAgent>();
+    agent->server =
+        std::make_unique<SiteServer>(&loop_, &network_, "host-pc", port);
+    agent->server->Route("/", [agent = agent.get(),
+                               interval](const HttpRequest& request) {
+      if (request.method == HttpMethod::kGet) {
+        return HttpResponse::Ok(
+            "text/html",
+            "<html><head><script id=\"rcb-snippet\"></script>"
+            "<meta name=\"rcb-pid\" content=\"p1\">"
+            "<meta name=\"rcb-poll-interval\" content=\"" +
+                interval + "\"></head><body></body></html>");
+      }
+      agent->polls.push_back(DecodePollRequest(request.body).value());
+      std::string body;
+      if (!agent->replies.empty()) {
+        body = std::move(agent->replies.front());
+        agent->replies.pop_front();
+      }
+      return HttpResponse::Ok("text/xml", body);
+    });
+    return agent;
+  }
+
+  // Joins a delta-capable snippet on `browser` to the fake agent on `port`.
+  std::unique_ptr<AjaxSnippet> JoinFakeAgent(Browser* browser, uint16_t port) {
+    SnippetConfig config;
+    config.enable_delta = true;
+    auto snippet = std::make_unique<AjaxSnippet>(browser, config);
+    Status joined = UnavailableError("join pending");
+    snippet->Join(Url::Make("http", "host-pc", port, "/"),
+                  [&](Status status) { joined = status; });
+    loop_.RunUntilCondition(
+        [&] { return joined.code() != StatusCode::kUnavailable; });
+    EXPECT_TRUE(joined.ok()) << joined;
+    return snippet;
   }
 
   EventLoop loop_;
@@ -498,6 +548,118 @@ TEST_F(SnippetTest, RolledBackPatchKeepsTheWatermarkAndResyncWalksThePage) {
   EXPECT_EQ(object_requests_,
             (std::vector<std::string>{"/a.png", "/a.png"}));
   EXPECT_EQ(snippet_->metrics().last_object_count, 1u);
+}
+
+TEST_F(SnippetTest, PatchVerdictsCountAndResyncAsTheirBranchSays) {
+  // One reply per verdict after a v1 snapshot: each is counted, leaves the
+  // document as v1 left it, and only the resync verdicts make the next poll
+  // ask for a full snapshot (resync=1, no patch=1) and fire patch_resync.
+  Snapshot v1;
+  v1.doc_time_ms = 1000;
+  v1.has_content = true;
+  v1.body = ElementPayload{"body", {}, "<p>one</p>"};
+  Snapshot v2 = v1;
+  v2.doc_time_ms = 2000;
+  v2.body->inner_html = "<p>two</p>";
+  std::unique_ptr<Element> base = MaterializeSnapshotTree(v1);
+  std::unique_ptr<Element> target = MaterializeSnapshotTree(v2);
+  auto patch = [&](int64_t base_ms, int64_t target_ms) {
+    delta::PatchEnvelope envelope;
+    envelope.patch.base_doc_time_ms = base_ms;
+    envelope.patch.target_doc_time_ms = target_ms;
+    envelope.patch.base_digest = delta::TreeDigest(*base);
+    envelope.patch.target_digest = delta::TreeDigest(*target);
+    envelope.patch.ops = delta::DiffTrees(*base, *target);
+    return envelope;
+  };
+  delta::PatchEnvelope failing = patch(1000, 2000);
+  delta::PatchOp out_of_range;
+  out_of_range.type = delta::PatchOpType::kRemove;
+  out_of_range.index = 999;
+  failing.patch.ops = {out_of_range};
+  const std::string good = delta::SerializePatchXml(patch(1000, 2000));
+  ASSERT_NE(good.find("<baseTime>1000</baseTime>"), std::string::npos);
+
+  struct Case {
+    const char* name;
+    std::string reply;
+    uint64_t SnippetMetrics::*counter;
+    bool resync;
+    uint64_t patch_resync_triggers;
+  };
+  const Case cases[] = {
+      {"stale", delta::SerializePatchXml(patch(500, 1000)),
+       &SnippetMetrics::patches_stale_ignored, false, 0},
+      {"base_time", delta::SerializePatchXml(patch(900, 2000)),
+       &SnippetMetrics::patch_base_mismatches, true, 1},
+      {"apply_error", delta::SerializePatchXml(failing),
+       &SnippetMetrics::patch_apply_errors, true, 1},
+      // A body that does not parse resyncs without a patch_resync trigger.
+      {"malformed",
+       StrReplaceAll(good, "<baseTime>1000</baseTime>",
+                     "<baseTime>1000x</baseTime>"),
+       &SnippetMetrics::patch_apply_errors, true, 0},
+  };
+  uint16_t port = 3100;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto agent = ServeFakeAgent(++port, "100");
+    agent->replies = {SerializeSnapshotXml(v1), c.reply};
+    Browser browser(&loop_, &network_, "participant-pc");
+    auto snippet = JoinFakeAgent(&browser, port);
+    ASSERT_TRUE(loop_.RunUntilCondition(
+        [&] { return snippet->metrics().content_updates == 1; }));
+    const std::string before = SerializeNode(*browser.document()->body());
+    ASSERT_TRUE(loop_.RunUntilCondition(
+        [&] { return agent->polls.size() == 3; }));
+
+    EXPECT_EQ(snippet->metrics().*c.counter, 1u);
+    EXPECT_EQ(snippet->metrics().patches_applied, 0u);
+    EXPECT_EQ(snippet->doc_time_ms(), 1000);
+    EXPECT_EQ(SerializeNode(*browser.document()->body()), before);
+    EXPECT_EQ(agent->polls[2].resync, c.resync);
+    EXPECT_EQ(agent->polls[2].patch, !c.resync);
+    EXPECT_EQ(snippet->flight_recorder().triggers("patch_resync"),
+              c.patch_resync_triggers);
+    snippet->Leave();
+  }
+}
+
+TEST_F(SnippetTest, MalformedAdvertisedIntervalIsIgnored) {
+  // The interval keeps its default unless the advertised value is a
+  // non-negative integer whose microseconds fit a Duration.
+  const std::pair<const char*, Duration> cases[] = {
+      {"250", Duration::Millis(250)},
+      {"250x", Duration::Seconds(1.0)},
+      {"", Duration::Seconds(1.0)},
+      {"-250", Duration::Seconds(1.0)},
+      {"9223372036854776", Duration::Seconds(1.0)},
+      {"99999999999999999999", Duration::Seconds(1.0)}};
+  uint16_t port = 3200;
+  for (const auto& [advertised, interval] : cases) {
+    auto agent = ServeFakeAgent(++port, advertised);
+    Browser browser(&loop_, &network_, "participant-pc");
+    auto snippet = JoinFakeAgent(&browser, port);
+    EXPECT_EQ(snippet->poll_interval(), interval) << advertised;
+    snippet->Leave();
+  }
+}
+
+TEST_F(SnippetTest, ClickRejectsAnRcbIdAnIntCannotHold) {
+  StartAgent();
+  ASSERT_TRUE(Join().ok());
+  HostNavigate();
+  WaitForUpdate();
+  Element* anchor = participant_browser_->document()->ById("l");
+  ASSERT_NE(anchor, nullptr);
+  for (const char* id : {"2147483648", "4294967297", "99999999999999999999"}) {
+    anchor->SetAttribute("data-rcb-id", id);
+    EXPECT_EQ(snippet_->ClickElement(anchor).code(),
+              StatusCode::kFailedPrecondition)
+        << id;
+  }
+  anchor->SetAttribute("data-rcb-id", "2147483647");
+  EXPECT_TRUE(snippet_->ClickElement(anchor).ok());
 }
 
 TEST_F(SnippetTest, ClickQueuedAndAppliedOnHost) {

@@ -1,6 +1,7 @@
 // Unit tests for src/util: status, strings, escape, base64, rand, sim_time.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -166,10 +167,19 @@ TEST(StringsTest, StrFormat) {
   EXPECT_EQ(StrFormat("empty"), "empty");
 }
 
-TEST(StringsTest, IsDigits) {
-  EXPECT_TRUE(IsDigits("0123"));
-  EXPECT_FALSE(IsDigits(""));
-  EXPECT_FALSE(IsDigits("12x"));
+TEST(StringsTest, ParseInt) {
+  int value = 7;
+  EXPECT_TRUE(ParseInt("0123", &value));
+  EXPECT_EQ(value, 123);
+  EXPECT_TRUE(ParseInt("-2147483648", &value));
+  EXPECT_EQ(value, INT_MIN);
+  EXPECT_TRUE(ParseInt("2147483647", &value));
+  EXPECT_EQ(value, INT_MAX);
+  for (const char* bad : {"", "12x", "+1", "2147483648", "-2147483649"}) {
+    value = 7;
+    EXPECT_FALSE(ParseInt(bad, &value)) << bad;
+    EXPECT_EQ(value, 7) << bad;
+  }
 }
 
 // ---------------------------------------------------------------- Escape --
