@@ -92,7 +92,6 @@ StatusOr<RecoveryPoint> RunPoint(size_t sessions, size_t participants) {
   auto make_config = [&] {
     HostConfig config;
     config.base_port = 3000;
-    config.limits.metrics_sessions = 0;  // registry stays lean at scale
     config.limits.max_sessions = 0;
     config.agent_defaults.poll_interval = Duration::Millis(500);
     config.persist.dir = dir.string();

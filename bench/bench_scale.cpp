@@ -1,13 +1,15 @@
 // Scale: multi-session host with shared-snapshot broadcast fan-out.
 //
 // Sweeps session count x 8 participants on one RcbHost (one event loop, one
-// shared cache, one registry) and reports, per point:
+// shared cache) and reports, per point:
 //   * p99 / mean sync latency — document version stamped -> participant
 //     applied it (simulated time),
 //   * bytes per participant per update, and per content-bearing send,
 //   * generation CPU per update (real time, the Fig. 3 pipeline),
 //   * the generate-once proof: rcb_host pipeline runs vs document updates vs
-//     fan-out sends (runs ~= updates; sends ~= updates x participants).
+//     fan-out sends (runs ~= updates; sends ~= updates x participants),
+//   * the process's peak resident set (VmHWM) after the point: every hosted
+//     agent's registry and every participant's state, at that scale.
 //
 // Env knobs (CI shrinks the sweep under sanitizers):
 //   RCB_SCALE_MAX_SESSIONS  largest point to run (default 1024, try 10240)
@@ -15,6 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 
 #include "bench/common.h"
 #include "src/core/ajax_snippet.h"
@@ -56,6 +59,20 @@ size_t EnvSize(const char* name, size_t fallback) {
   return parsed <= 0 ? fallback : static_cast<size_t>(parsed);
 }
 
+// The process's peak resident set so far, in MiB (VmHWM; 0 when unreadable).
+// The sweep runs its points in ascending size, so the value read after a
+// point is that point's peak.
+double PeakRssMb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.starts_with("VmHWM:")) {
+      return static_cast<double>(std::atol(line.c_str() + 6)) / 1024.0;
+    }
+  }
+  return 0;
+}
+
 StatusOr<ScalePoint> RunPoint(size_t sessions, size_t participants) {
   auto wall_start = std::chrono::steady_clock::now();
   ScalePoint point;
@@ -73,10 +90,6 @@ StatusOr<ScalePoint> RunPoint(size_t sessions, size_t participants) {
 
   HostConfig config;
   config.base_port = 3000;
-  // Per-session instrument families are O(sessions) registry weight; at this
-  // scale every session runs lite and the rcb_host_* aggregates carry the
-  // proof metrics.
-  config.limits.metrics_sessions = 0;
   config.limits.max_sessions = 0;  // the sweep is the cap
   config.agent_defaults.poll_interval = Duration::Millis(500);
   // Traced runs feed the health plane's exemplar trace ids; ci.sh
@@ -244,9 +257,9 @@ int main() {
   report.SetConfig("mutation_rounds", std::to_string(kRounds));
   report.SetConfig("max_sessions", std::to_string(max_sessions));
 
-  std::printf("%-9s %12s %12s %14s %12s %12s %12s %10s\n", "sessions",
+  std::printf("%-9s %12s %12s %14s %12s %12s %12s %10s %10s\n", "sessions",
               "p99 sync", "mean sync", "B/ppt/update", "updates", "runs",
-              "fanout", "wall s");
+              "fanout", "wall s", "peak MiB");
   bool shape_ok = true;
   for (size_t sessions : {16ul, 64ul, 256ul, 1024ul, 4096ul, 10240ul}) {
     if (sessions > max_sessions) {
@@ -259,14 +272,15 @@ int main() {
       shape_ok = false;
       continue;
     }
-    std::printf("%-9zu %10.1fms %10.1fms %14.0f %12llu %12llu %12llu %10.2f\n",
-                sessions, point->p99_sync_us / 1000.0,
-                point->mean_sync_us / 1000.0,
-                point->bytes_per_participant_update,
-                static_cast<unsigned long long>(point->doc_updates),
-                static_cast<unsigned long long>(point->pipeline_runs),
-                static_cast<unsigned long long>(point->fanout_sends),
-                point->wall_seconds);
+    const double peak_rss_mb = PeakRssMb();
+    std::printf(
+        "%-9zu %10.1fms %10.1fms %14.0f %12llu %12llu %12llu %10.2f %10.1f\n",
+        sessions, point->p99_sync_us / 1000.0, point->mean_sync_us / 1000.0,
+        point->bytes_per_participant_update,
+        static_cast<unsigned long long>(point->doc_updates),
+        static_cast<unsigned long long>(point->pipeline_runs),
+        static_cast<unsigned long long>(point->fanout_sends),
+        point->wall_seconds, peak_rss_mb);
     // Generate-once must hold at every point: the pipeline ran (about) once
     // per update — never once per participant poll.
     if (point->pipeline_runs > point->doc_updates ||
@@ -296,6 +310,8 @@ int main() {
                     point->generation_cpu_us_per_update);
     report.AddValue(prefix + "wall_seconds", "s", obs::Provenance::kWall,
                     point->wall_seconds);
+    report.AddValue(prefix + "peak_rss_mb", "MiB", obs::Provenance::kWall,
+                    peak_rss_mb);
     // The largest completed point's snapshot represents the artifact.
     report.SetHealthJson(point->health_json);
   }

@@ -262,7 +262,6 @@ FanoutResult RunFanout(bool longpoll, size_t sessions, size_t participants) {
 
   HostConfig config;
   config.base_port = 3000;
-  config.limits.metrics_sessions = 0;
   config.limits.max_sessions = 0;
   config.agent_defaults.poll_interval = Duration::Seconds(1.0);
   config.agent_defaults.transport.enable_stream = longpoll;

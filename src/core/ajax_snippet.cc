@@ -37,11 +37,9 @@ AjaxSnippet::AjaxSnippet(Browser* participant_browser, SnippetConfig config)
     : browser_(participant_browser),
       config_(std::move(config)),
       backoff_rng_(config_.backoff_seed),
-      flight_(&trace_, &registry_,
+      flight_(&trace_, /*registry=*/nullptr,
               obs::FlightRecorder::Options::For("snippet",
-                                                config_.flight_dir)) {
-  RegisterMetrics();
-}
+                                                config_.flight_dir)) {}
 
 void AjaxSnippet::TraceMarker(const char* name, obs::TraceAttrs attrs) {
   if (!poll_ctx_.active()) {
@@ -66,114 +64,6 @@ void AjaxSnippet::RequeueInFlightActions() {
                        in_flight_actions_.end());
   in_flight_actions_.clear();
   NoteActionQueued();
-}
-
-void AjaxSnippet::RegisterMetrics() {
-  // Callback counters over SnippetMetrics: the struct stays the source of
-  // truth (same migration pattern as RcbAgent's AgentMetrics).
-  auto field = [this](std::string_view name, std::string_view help,
-                      const uint64_t& source) {
-    registry_.AddCallbackCounter(name, help, obs::Provenance::kSim,
-                                 [&source] { return source; });
-  };
-  field("rcb_snippet_polls_sent", "Ajax polls sent", metrics_.polls_sent);
-  field("rcb_snippet_content_updates", "Snapshots with content applied",
-        metrics_.content_updates);
-  field("rcb_snippet_empty_responses", "Polls answered with no new content",
-        metrics_.empty_responses);
-  field("rcb_snippet_actions_sent", "User actions piggybacked on polls",
-        metrics_.actions_sent);
-  field("rcb_snippet_broadcasts_received", "Broadcast actions received",
-        metrics_.broadcasts_received);
-  field("rcb_snippet_auth_rejections", "Polls rejected by the agent (403)",
-        metrics_.auth_rejections);
-  field("rcb_snippet_poll_timeouts", "Polls abandoned after poll_timeout",
-        metrics_.poll_timeouts);
-  field("rcb_snippet_transport_failures", "Polls whose transport failed",
-        metrics_.transport_failures);
-  field("rcb_snippet_reconnects", "Successful resume re-handshakes",
-        metrics_.reconnects);
-  field("rcb_snippet_reconnect_failures", "Resume attempts that failed",
-        metrics_.reconnect_failures);
-  field("rcb_snippet_resyncs", "Full snapshots applied after recovery",
-        metrics_.resyncs);
-  field("rcb_snippet_patches_applied", "newPatch deltas committed",
-        metrics_.patches_applied);
-  field("rcb_snippet_patches_stale_ignored",
-        "newPatch deltas dropped as stale (target <= current doc time)",
-        metrics_.patches_stale_ignored);
-  field("rcb_snippet_patch_base_mismatches",
-        "newPatch deltas rejected on base doc-time mismatch",
-        metrics_.patch_base_mismatches);
-  field("rcb_snippet_patch_digest_mismatches",
-        "newPatch deltas rejected on base/target digest mismatch",
-        metrics_.patch_digest_mismatches);
-  field("rcb_snippet_patch_apply_errors",
-        "newPatch deltas that were malformed or failed to apply",
-        metrics_.patch_apply_errors);
-  field("rcb_snippet_overload_deferrals", "429/503 Retry-After hints honored",
-        metrics_.overload_deferrals);
-  field("rcb_snippet_object_fetch_failures", "Supplementary fetches that failed",
-        metrics_.object_fetch_failures);
-
-  // Streamed transport (DESIGN.md §15). The wasted-poll pair quantifies the
-  // idle tax of classic polling that the transport exists to remove.
-  field("rcb_snippet_wasted_polls_total",
-        "Classic empty poll round trips (no transport grant held)",
-        metrics_.wasted_polls);
-  field("rcb_snippet_wasted_poll_bytes_total",
-        "Request+response bytes moved by classic empty polls",
-        metrics_.wasted_poll_bytes);
-  field("rcb_snippet_polls_superseded_total",
-        "Parked long-polls superseded by a fresh poll carrying gestures",
-        metrics_.polls_superseded);
-
-  // Trace-ring health + flight recorder, under the same canonical names the
-  // agent registry exposes (separate registries, so no collision).
-  registry_.AddCallbackCounter("rcb_trace_dropped_total",
-                               "Spans evicted from the trace ring",
-                               obs::Provenance::kSim,
-                               [this] { return trace_.dropped(); });
-  registry_.AddCallbackGauge(
-      "rcb_trace_retained", "Spans currently retained by the trace ring",
-      obs::Provenance::kSim,
-      [this] { return static_cast<double>(trace_.size()); });
-  static constexpr const char* kSnippetTriggers[3] = {"poll_timeout",
-                                                      "patch_resync", "overload"};
-  for (const char* trigger : kSnippetTriggers) {
-    registry_.AddCallbackCounter(
-        "rcb_flight_triggers_total", "Flight-recorder trigger firings",
-        obs::Provenance::kSim,
-        [this, trigger] { return flight_.triggers(trigger); },
-        StrFormat("trigger=\"%s\"", trigger));
-  }
-  registry_.AddCallbackCounter("rcb_flight_dumps_written",
-                               "Flight-recorder JSONL artifacts written",
-                               obs::Provenance::kSim,
-                               [this] { return flight_.dumps_written(); });
-
-  // Only a delta-capable snippet ever applies a patch.
-  static constexpr const char* kPatchStageLabels[3] = {
-      "stage=\"verify_base\"", "stage=\"apply\"", "stage=\"verify_target\""};
-  for (size_t i = 0; config_.enable_delta && i < 3; ++i) {
-    patch_stage_hist_[i] = registry_.AddHistogram(
-        "rcb_snippet_patch_stage_us",
-        "CPU microseconds per newPatch apply stage", obs::Provenance::kWall,
-        obs::LatencyBoundsUs(), kPatchStageLabels[i]);
-  }
-  apply_us_ = registry_.AddHistogram(
-      "rcb_snippet_apply_us",
-      "CPU microseconds per whole Fig. 5 snapshot apply (M6)",
-      obs::Provenance::kWall, obs::LatencyBoundsUs());
-  content_download_us_ = registry_.AddHistogram(
-      "rcb_snippet_content_download_us",
-      "Simulated microseconds from poll send to content received (M2)",
-      obs::Provenance::kSim, obs::LatencyBoundsUs());
-  object_fetch_us_ = registry_.AddHistogram(
-      "rcb_snippet_object_fetch_us",
-      "Simulated microseconds to download an update's supplementary objects "
-      "(M3/M4)",
-      obs::Provenance::kSim, obs::LatencyBoundsUs());
 }
 
 AjaxSnippet::~AjaxSnippet() { Leave(); }
@@ -631,7 +521,7 @@ bool AjaxSnippet::ApplyReplyBody(const std::string& body,
     if (!envelope_or.ok()) {
       RCB_LOG(kWarning) << "ajax-snippet: bad patch: " << envelope_or.status();
       ++metrics_.patch_apply_errors;
-      need_resync_ = true;  // next poll demands a full snapshot
+      RejectPatch("malformed");
       return false;
     }
     ProcessPatch(*envelope_or, transport_time);
@@ -683,13 +573,12 @@ void AjaxSnippet::ProcessSnapshot(const Snapshot& snapshot,
     int64_t sim_now_us = browser_->loop()->now().micros();
     const bool traced = poll_ctx_.active();
     metrics_.last_content_download = transport_time;
-    content_download_us_->Record(transport_time.micros());
     trace_.Append("snippet.content_download", obs::Provenance::kSim,
                   sim_now_us - transport_time.micros(),
                   transport_time.micros(), poll_ctx_);
     auto start = std::chrono::steady_clock::now();
     {
-      obs::WallSpan span(&trace_, "snippet.apply", sim_now_us, apply_us_,
+      obs::WallSpan span(&trace_, "snippet.apply", sim_now_us, nullptr,
                          traced ? &poll_ctx_ : nullptr,
                          {{"ts", StrFormat("%lld", static_cast<long long>(
                                                        snapshot.doc_time_ms))}});
@@ -731,29 +620,20 @@ void AjaxSnippet::ProcessPatch(const delta::PatchEnvelope& envelope,
   delta::ApplyResult result;
   {
     obs::WallSpan span(
-        &trace_, "snippet.apply_patch", sim_now_us, apply_us_,
+        &trace_, "snippet.apply_patch", sim_now_us, nullptr,
         traced ? &poll_ctx_ : nullptr,
         {{"base_ts", StrFormat("%lld", static_cast<long long>(
                                            envelope.patch.base_doc_time_ms))},
          {"target_ts",
           StrFormat("%lld",
                     static_cast<long long>(envelope.patch.target_doc_time_ms))}});
-    delta::ApplyStageTimes times;
     result = delta::ApplyPatchToDocument(browser_->document(), doc_time_ms_,
-                                         envelope.patch, &patch_memo_, &times);
-    const int64_t stage_us[3] = {times.verify_base_us, times.apply_us,
-                                 times.verify_target_us};
-    for (size_t i = 0; i < 3; ++i) {
-      if (stage_us[i] >= 0) {
-        patch_stage_hist_[i]->Record(stage_us[i]);
-      }
-    }
+                                         envelope.patch, &patch_memo_);
   }
   auto end = std::chrono::steady_clock::now();
   switch (result) {
     case delta::ApplyResult::kApplied:
       metrics_.last_content_download = transport_time;
-      content_download_us_->Record(transport_time.micros());
       trace_.Append("snippet.content_download", obs::Provenance::kSim,
                     sim_now_us - transport_time.micros(),
                     transport_time.micros(), poll_ctx_);
@@ -788,14 +668,16 @@ void AjaxSnippet::ProcessPatch(const delta::PatchEnvelope& envelope,
       break;
   }
   if (delta::NeedsResync(result)) {
-    RCB_LOG(kWarning) << "ajax-snippet: patch rejected ("
-                      << delta::ApplyResultName(result)
-                      << "), requesting full resync";
-    need_resync_ = true;
-    TraceMarker("snippet.patch_rejected",
-                {{"result", std::string(delta::ApplyResultName(result))}});
-    flight_.Trigger("patch_resync", browser_->loop()->now().micros());
+    RejectPatch(delta::ApplyResultName(result));
   }
+}
+
+void AjaxSnippet::RejectPatch(std::string_view result) {
+  RCB_LOG(kWarning) << "ajax-snippet: patch rejected (" << result
+                    << "), requesting full resync";
+  need_resync_ = true;  // next poll demands a full snapshot
+  TraceMarker("snippet.patch_rejected", {{"result", std::string(result)}});
+  flight_.Trigger("patch_resync", browser_->loop()->now().micros());
 }
 
 void AjaxSnippet::ApplySnapshot(Document* document, const Snapshot& snapshot) {
@@ -853,7 +735,6 @@ void AjaxSnippet::FetchSupplementaryObjects() {
           }
           if (--*remaining == 0) {
             metrics_.last_object_time = browser_->loop()->now() - start;
-            object_fetch_us_->Record(metrics_.last_object_time.micros());
             if (fetch_ctx.active()) {
               trace_.Append("snippet.object_fetch", obs::Provenance::kSim,
                             start.micros(),

@@ -24,7 +24,6 @@
 #include "src/delta/patch_applier.h"
 #include "src/delta/patch_codec.h"
 #include "src/obs/flight_recorder.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/transport/capabilities.h"
 #include "src/util/rand.h"
@@ -156,11 +155,10 @@ class AjaxSnippet {
   // Leave() or a resync): the next applied update fetches objects only from
   // the subtrees restamped after it (CollectResources' since_rev).
   uint64_t object_watermark() const { return object_watermark_; }
-  // Observability (DESIGN.md §9): every SnippetMetrics counter
-  // (callback-backed), the Fig. 5 apply and patch-stage histograms (wall),
-  // and the simulated content-download / object-fetch histograms (sim). The snippet
-  // has no HTTP server, so its registry is read in-process (benches, tests).
-  const obs::MetricsRegistry& metrics_registry() const { return registry_; }
+  // Observability (DESIGN.md §9): the snippet has no HTTP server, so its
+  // counters are the plain SnippetMetrics above, read in-process (benches,
+  // tests). The trace ring holds the Fig. 5 apply spans; flight dumps carry
+  // the header and the retained spans.
   const obs::TraceLog& trace_log() const { return trace_; }
   const obs::FlightRecorder& flight_recorder() const { return flight_; }
   Duration poll_interval() const { return interval_; }
@@ -223,6 +221,9 @@ class AjaxSnippet {
   // mismatch flags need_resync_ so the next poll requests a full snapshot.
   void ProcessPatch(const delta::PatchEnvelope& envelope,
                     Duration transport_time);
+  // A patch that must not apply (`result` names why): flags need_resync_,
+  // marks the traced poll and fires the patch_resync flight trigger.
+  void RejectPatch(std::string_view result);
   // Presence bookkeeping + action listener dispatch for broadcast actions
   // (shared by the snapshot and patch paths).
   void HandleBroadcastActions(const std::vector<UserAction>& actions);
@@ -252,8 +253,6 @@ class AjaxSnippet {
   // advertised interval.
   void ScheduleNextPoll();
   void FetchSupplementaryObjects();
-  // Registers the snippet's metric families (constructor-time).
-  void RegisterMetrics();
   // Zero-duration sim event parented to the in-flight poll's root span;
   // no-op when that poll was not traced.
   void TraceMarker(const char* name, obs::TraceAttrs attrs);
@@ -306,8 +305,7 @@ class AjaxSnippet {
 
   SnippetMetrics metrics_;
 
-  // --- Observability state (see metrics_registry()/trace_log()). ---
-  obs::MetricsRegistry registry_;
+  // --- Observability state (see trace_log()). ---
   obs::TraceLog trace_;
   // Context of the traced poll currently in flight (trace id + reserved root
   // span id); inactive when tracing is off.
@@ -316,11 +314,6 @@ class AjaxSnippet {
   SimTime action_queue_since_;
   bool action_queue_waiting_ = false;
   obs::FlightRecorder flight_;
-  // Patch apply stages, in order: verify_base, apply, verify_target.
-  obs::Histogram* patch_stage_hist_[3] = {};
-  obs::Histogram* apply_us_ = nullptr;             // whole apply, wall (M6)
-  obs::Histogram* content_download_us_ = nullptr;  // sim (M2)
-  obs::Histogram* object_fetch_us_ = nullptr;      // sim (M3/M4)
 
   std::function<void(int64_t)> update_listener_;
   std::function<void(Duration)> objects_listener_;

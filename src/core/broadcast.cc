@@ -19,9 +19,7 @@ int64_t MicrosSince(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 void SnapshotBroadcast::RecordDeltaStage(size_t stage, int64_t micros) {
-  if (instruments_.delta_stage_hist[stage] != nullptr) {
-    instruments_.delta_stage_hist[stage]->Record(micros);
-  }
+  instruments_.delta_stage_hist[stage]->Record(micros);
 }
 
 SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
@@ -48,7 +46,7 @@ SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
   // serialize stage events parent to one "agent.generate" span whose id is
   // reserved up front so children can reference it before it is appended.
   obs::TraceLog* trace = instruments_.trace;
-  const bool traced_gen = trace != nullptr && trace_ctx.active();
+  const bool traced_gen = trace_ctx.active();
   const uint64_t gen_span_id = traced_gen ? trace->ReserveSpanId() : 0;
   const obs::TraceContext stage_ctx{trace_ctx.trace_id, gen_span_id};
   GenerationResult result = generator_->Generate(doc_time_ms, options);
@@ -109,13 +107,9 @@ SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
   metrics.snapshot_bytes_escaped += serialize_stats.payload_escaped_bytes;
   // Feed the generator's extract stage into its histogram and the trace
   // ring (the generator itself stays observability-free).
-  if (instruments_.stage_hist[0] != nullptr) {
-    instruments_.stage_hist[0]->Record(result.stage_extract.micros());
-  }
-  if (trace != nullptr) {
-    trace->Append("agent.generate.extract", obs::Provenance::kWall, sim_now_us,
-                  result.stage_extract.micros(), stage_ctx);
-  }
+  instruments_.stage_hist[0]->Record(result.stage_extract.micros());
+  trace->Append("agent.generate.extract", obs::Provenance::kWall, sim_now_us,
+                result.stage_extract.micros(), stage_ctx);
   if (traced_gen) {
     trace->Append(
         "agent.generate", obs::Provenance::kWall, sim_now_us,
@@ -125,12 +119,8 @@ SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
          {"bytes", StrFormat("%zu", slot.xml.size())}},
         gen_span_id);
   }
-  if (instruments_.generation_us != nullptr) {
-    instruments_.generation_us->Record(result.wall_time.micros());
-  }
-  if (instruments_.snapshot_bytes != nullptr) {
-    instruments_.snapshot_bytes->Record(static_cast<int64_t>(slot.xml.size()));
-  }
+  instruments_.generation_us->Record(result.wall_time.micros());
+  instruments_.snapshot_bytes->Record(static_cast<int64_t>(slot.xml.size()));
   return slot;
 }
 
@@ -183,7 +173,7 @@ std::optional<std::string> SnapshotBroadcast::MaybeBuildPatchResponse(
       const int64_t diff_us = MicrosSince(diff_start);
       RecordDeltaStage(2, diff_us);
       cached.xml = delta::SerializePatchXml(cached.envelope);
-      if (instruments_.trace != nullptr && trace_ctx.active()) {
+      if (trace_ctx.active()) {
         instruments_.trace->Append(
             "agent.delta.diff", obs::Provenance::kWall, loop_->now().micros(),
             diff_us, trace_ctx,
@@ -207,10 +197,8 @@ std::optional<std::string> SnapshotBroadcast::MaybeBuildPatchResponse(
   if (cached.fallback) {
     return std::nullopt;
   }
-  if (instruments_.patch_ops != nullptr) {
-    instruments_.patch_ops->Record(
-        static_cast<int64_t>(cached.envelope.patch.ops.size()));
-  }
+  instruments_.patch_ops->Record(
+      static_cast<int64_t>(cached.envelope.patch.ops.size()));
   if (outbox == nullptr || outbox->empty()) {
     return cached.xml;
   }

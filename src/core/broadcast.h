@@ -46,11 +46,11 @@ struct BroadcastOptions {
       cache_object_filter;
 };
 
-// Observability sinks threaded through by the owning agent. `metrics` is
-// required: the pipeline counts generations, reuses, patch fallbacks and
-// escape bytes straight into the agent's AgentMetrics. Every other pointer
-// may be null (metrics-lite agents under a 10k-session host register no
-// per-session instruments); null sinks simply record nothing.
+// Observability sinks threaded through by the owning agent, none of them
+// null: the pipeline counts generations, reuses, patch fallbacks and escape
+// bytes straight into the agent's AgentMetrics and records its stages into
+// the agent's registry and trace ring. The delta-stage and patch-op
+// histograms are read only with BroadcastOptions::enable_delta on.
 struct BroadcastInstruments {
   AgentMetrics* metrics = nullptr;
   obs::TraceLog* trace = nullptr;

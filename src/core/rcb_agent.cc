@@ -108,9 +108,7 @@ RcbAgent::RcbAgent(Browser* host_browser, AgentConfig config)
                    [this](HttpServer::ConnId conn) {
                      OnConnectionClosed(conn);
                    }}) {
-  if (config_.register_metrics) {
-    RegisterMetrics();
-  }
+  RegisterMetrics();
   BroadcastOptions broadcast_options;
   broadcast_options.enable_delta = config_.enable_delta;
   broadcast_options.cache_object_filter = config_.cache_object_filter;
@@ -357,7 +355,6 @@ void RcbAgent::RegisterMetrics() {
                           "Spans appended to the trace ring",
                           obs::Provenance::kSim,
                           [this] { return trace_.total_appended(); });
-  // Canonical ring-health names shared with the snippet registry.
   reg->AddCallbackCounter("rcb_trace_dropped_total",
                           "Spans evicted from the trace ring",
                           obs::Provenance::kSim,
@@ -658,18 +655,15 @@ std::string RcbAgent::GrantHeader() const {
 
 void RcbAgent::RecordContentServed(std::string_view trace_id) {
   // Health-plane sync latency: document version stamp -> content on the
-  // wire, in sim time. Fed to the always-on windowed tracker and (when
-  // registered) the exemplar-carrying registry histogram, so a p99 spike
-  // names the trace that caused it.
+  // wire, in sim time. Fed to the registry histogram and to the windowed
+  // tracker, whose exemplars let a p99 spike name the trace that caused it.
   int64_t now_us = browser_->loop()->now().micros();
   int64_t latency_us = now_us - current_doc_time_ms_ * 1000;
   if (latency_us < 0) {
     latency_us = 0;
   }
   health_.RecordSyncLatency(latency_us, now_us, trace_id);
-  if (sync_latency_us_ != nullptr) {
-    sync_latency_us_->RecordExemplar(latency_us, trace_id, now_us);
-  }
+  sync_latency_us_->Record(latency_us);
 }
 
 RcbAgent::ContentBody RcbAgent::BuildContentBody(
@@ -689,9 +683,7 @@ RcbAgent::ContentBody RcbAgent::BuildContentBody(
       metrics_.patch_bytes_sent += patch_xml->size();
       metrics_.patch_snapshot_bytes += slot.xml.size();
       metrics_.content_bytes_sent += patch_xml->size();
-      if (patch_bytes_ != nullptr) {
-        patch_bytes_->Record(static_cast<int64_t>(patch_xml->size()));
-      }
+      patch_bytes_->Record(static_cast<int64_t>(patch_xml->size()));
       return {std::move(*patch_xml), /*patch=*/true};
     }
   }

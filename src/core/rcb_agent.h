@@ -142,12 +142,8 @@ struct AgentConfig {
   std::string flight_dir;
   // --- Health plane (src/obs/slo.h, DESIGN.md §16). SLO targets and window
   // geometry for the always-on per-session health tracker behind GET /health
-  // and /host/health; fixed-size, so it survives the host's lite mode. ---
+  // and /host/health. ---
   obs::SloConfig health_slo;
-  // false skips instrument registration entirely (counters in AgentMetrics
-  // still accumulate). RcbHost uses this above its metrics_sessions cap so a
-  // 10k-session bench does not pay per-session registry weight.
-  bool register_metrics = true;
   // --- Durability (src/persist, DESIGN.md §13). When set, the agent reports
   // every persistent-state transition (document version, anti-replay seq
   // advance, merged action, roster change) before acking the request that
@@ -270,7 +266,6 @@ class RcbAgent {
   // metrics snapshot when a dump directory is configured.
   const obs::FlightRecorder& flight_recorder() const { return flight_; }
   // Health plane (DESIGN.md §16): windowed SLO state behind GET /health.
-  // Always on — fixed-size even when register_metrics is false (lite mode).
   // Non-const: window reads advance the rings to the query instant.
   obs::SessionHealth& session_health() { return health_; }
 
@@ -492,8 +487,7 @@ class RcbAgent {
   std::string BuildInitialPage(const std::string& pid) const;
 
   // Registers every family on registry_ (constructor-time; callback
-  // counters read metrics_ and the browser cache at render time). Skipped
-  // entirely when config.register_metrics is false.
+  // counters read metrics_ and the browser cache at render time).
   void RegisterMetrics();
 
   // Appends a zero-duration sim marker carrying `attrs` to the current
@@ -547,9 +541,9 @@ class RcbAgent {
   // Inactive outside HandlePoll or when tracing is off on either side.
   obs::TraceContext trace_ctx_;
   obs::FlightRecorder flight_;
-  // Sync-latency registry histogram with trace exemplars (document update ->
-  // content served); nullptr when register_metrics is false. The always-on
-  // windowed view of the same observations lives in health_.
+  // Sync-latency registry histogram (document update -> content served).
+  // The windowed view of the same observations, with trace exemplars, lives
+  // in health_.
   obs::Histogram* sync_latency_us_ = nullptr;
   // Declared after flight_: alert edges fire it. Every request the agent
   // handles samples the cumulative counters into the windows. Mutable:

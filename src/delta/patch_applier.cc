@@ -1,7 +1,5 @@
 #include "src/delta/patch_applier.h"
 
-#include <chrono>
-
 #include "src/html/parser.h"
 #include "src/util/strings.h"
 
@@ -230,12 +228,6 @@ Status ApplyOps(const OpTarget& target, const std::vector<PatchOp>& ops,
   return Status::Ok();
 }
 
-int64_t MicrosSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 }  // namespace
 
 bool NeedsResync(ApplyResult result) {
@@ -283,12 +275,7 @@ ApplyResult ApplyPatchToDocument(Document* document,
 
 ApplyResult ApplyPatchToDocument(Document* document,
                                  int64_t current_doc_time_ms,
-                                 const Patch& patch, CanonicalMemo* memo,
-                                 ApplyStageTimes* times) {
-  ApplyStageTimes unused;
-  if (times == nullptr) {
-    times = &unused;
-  }
+                                 const Patch& patch, CanonicalMemo* memo) {
   if (patch.target_doc_time_ms <= current_doc_time_ms) {
     return ApplyResult::kStaleIgnored;
   }
@@ -299,33 +286,21 @@ ApplyResult ApplyPatchToDocument(Document* document,
   if (root == nullptr) {
     return ApplyResult::kBaseDigestMismatch;
   }
-  auto start = std::chrono::steady_clock::now();
-  const bool base_ok = memo->Digest(document, /*normalize=*/true) ==
-                       patch.base_digest;
-  times->verify_base_us = MicrosSince(start);
-  if (!base_ok) {
+  if (memo->Digest(document, /*normalize=*/true) != patch.base_digest) {
     return ApplyResult::kBaseDigestMismatch;
   }
-  start = std::chrono::steady_clock::now();
   std::vector<Undo> log;
   const bool applied =
       ApplyOps(OpTarget(root, /*document_view=*/true), patch.ops, &log).ok();
   if (!applied) {
     Rollback(&log);
-  }
-  times->apply_us = MicrosSince(start);
-  if (!applied) {
     return ApplyResult::kApplyError;
   }
-  start = std::chrono::steady_clock::now();
-  const bool target_ok = memo->Digest(document, /*normalize=*/false) ==
-                         patch.target_digest;
-  if (!target_ok) {
+  if (memo->Digest(document, /*normalize=*/false) != patch.target_digest) {
     Rollback(&log);
+    return ApplyResult::kTargetDigestMismatch;
   }
-  times->verify_target_us = MicrosSince(start);
-  return target_ok ? ApplyResult::kApplied
-                   : ApplyResult::kTargetDigestMismatch;
+  return ApplyResult::kApplied;
 }
 
 }  // namespace rcb::delta

@@ -44,15 +44,6 @@ std::string_view ApplyResultName(ApplyResult result);
 // exactly one node; the tree may be partially mutated on failure.
 Status ApplyPatchOps(Element* root, const std::vector<PatchOp>& ops);
 
-// Wall microseconds of the pipeline's stages: gate 3, the ops (with a
-// rollback on their failure), and gate 5 (with a rollback on a mismatch).
-// A stage that did not run reads -1.
-struct ApplyStageTimes {
-  int64_t verify_base_us = -1;
-  int64_t apply_us = -1;
-  int64_t verify_target_us = -1;
-};
-
 // The pipeline described in the file comment. `current_doc_time_ms` is the
 // version of the content the participant currently displays. `memo` carries
 // the live view's canonical bytes and digest from one call to the next, so
@@ -63,8 +54,7 @@ ApplyResult ApplyPatchToDocument(Document* document,
                                  const Patch& patch);
 ApplyResult ApplyPatchToDocument(Document* document,
                                  int64_t current_doc_time_ms,
-                                 const Patch& patch, CanonicalMemo* memo,
-                                 ApplyStageTimes* times = nullptr);
+                                 const Patch& patch, CanonicalMemo* memo);
 
 }  // namespace rcb::delta
 

@@ -255,8 +255,6 @@ StatusOr<std::unique_ptr<HostSession>> RcbHost::StartSession(
   if (!flight_dir.empty()) {
     agent_config.flight_dir = (std::filesystem::path(flight_dir) / id).string();
   }
-  session->lite = metric_sessions_registered_ >= config_.limits.metrics_sessions;
-  agent_config.register_metrics = !session->lite;
   // The shared cache budget is host-owned; a per-session budget would
   // clobber it for everyone.
   agent_config.limits.cache_byte_budget = 0;
@@ -272,9 +270,6 @@ StatusOr<std::unique_ptr<HostSession>> RcbHost::StartSession(
   if (!started.ok()) {
     free_ports_.push_back(port);
     return started;
-  }
-  if (!session->lite) {
-    ++metric_sessions_registered_;
   }
   return session;
 }
@@ -321,9 +316,6 @@ void RcbHost::DestroySession(const std::string& id, bool remove_persist) {
   retired_.content_bytes_sent += m.content_bytes_sent;
   retired_.total_generation_time += m.total_generation_time;
   session->agent->Stop();
-  if (!session->lite && metric_sessions_registered_ > 0) {
-    --metric_sessions_registered_;
-  }
   free_ports_.push_back(session->port);
   sessions_.erase(it);
   RememberReaped(id);
@@ -673,10 +665,8 @@ HttpResponse RcbHost::HandleHostMetrics(const HttpRequest& request) const {
   }
   std::vector<obs::RenderPart> parts = {{&registry_, ""}};
   for (const auto& [id, session] : sessions_) {
-    if (!session->lite) {
-      parts.push_back({&session->agent->metrics_registry(),
-                       StrFormat("session=\"%s\"", id.c_str())});
-    }
+    parts.push_back({&session->agent->metrics_registry(),
+                     StrFormat("session=\"%s\"", id.c_str())});
   }
   return HttpResponse::Ok("text/plain; version=0.0.4; charset=utf-8",
                           obs::RenderPrometheus(parts, options));

@@ -94,11 +94,6 @@ struct HostLimits {
   // as AgentLimits::retry_after_jitter), keyed per rejected request, so shed
   // creators do not retry in lockstep. Zero() disables.
   Duration retry_after_jitter = Duration::Seconds(3.0);
-  // Only the first this-many sessions register their instrument families
-  // (listed under session="<id>" in /host/metrics). Registration costs each
-  // session a family table, so a 10k-session bench stays lean while the
-  // rcb_host_* aggregates still cover every session. 0 = none.
-  size_t metrics_sessions = 64;
 };
 
 struct HostConfig {
@@ -160,7 +155,6 @@ struct HostMetrics {
 struct HostSession {
   std::string id;
   uint16_t port = 0;
-  bool lite = false;  // past metrics_sessions: no per-session families
   bool recovered = false;  // restored from a checkpoint on host Start
   // Declared before browser/agent so it is destroyed last: the agent holds a
   // raw AgentStateObserver pointer into it. nullptr when persistence is off.
@@ -244,8 +238,8 @@ class RcbHost {
   HttpResponse HandleCreateSession(const HttpRequest& request);
   HttpResponse HandleSessionRequest(const HttpRequest& request);
   HttpResponse HandleHostStatus() const;
-  // GET /host/metrics: the host's registry, then every non-lite session's
-  // under session="<id>".
+  // GET /host/metrics: the host's registry, then every session's under
+  // session="<id>".
   HttpResponse HandleHostMetrics(const HttpRequest& request) const;
   // GET /host/health: health-plane snapshot over every live session, worst
   // first (DESIGN.md §16). Route() HMAC-gates both with the agent template's
@@ -287,7 +281,6 @@ class RcbHost {
   std::map<std::string, std::unique_ptr<HostSession>> sessions_;
   std::vector<uint16_t> free_ports_;  // reaped session ports, reusable
   uint16_t next_port_offset_ = 1;
-  size_t metric_sessions_registered_ = 0;
 
   // Reaped/closed session ids remembered for 410 Gone answers (FIFO).
   static constexpr size_t kReapedIdMemory = 256;

@@ -1,11 +1,11 @@
 // Anomaly-triggered flight recorder (DESIGN.md §11).
 //
-// A component (RCB-Agent, Ajax-Snippet) registers its trace ring and metrics
-// registry here; when an anomaly fires — resync, HMAC failure, overload
-// shedding, poll deadline miss — Trigger() freezes the moment: it counts the
-// trigger (always, deterministically) and, when a dump directory is
-// configured, writes a JSONL artifact holding the retained trace window plus
-// a deterministic metrics snapshot. The counting happens whether or not
+// A component (RCB-Agent, Ajax-Snippet) registers its trace ring and, when
+// it has one, its metrics registry here; when an anomaly fires — resync,
+// HMAC failure, overload shedding, poll deadline miss — Trigger() freezes
+// the moment: it counts the trigger (always, deterministically) and, when a
+// dump directory is configured, writes a JSONL artifact holding the
+// retained trace window plus a deterministic metrics snapshot. The counting happens whether or not
 // dumping is enabled, so trigger counters stay bit-identical between a run
 // that records artifacts and one that does not.
 //
@@ -15,7 +15,8 @@
 //   {"type":"metrics","view":"sim","prometheus":"..."}
 // The metrics line renders the sim-provenance registry subset (the
 // /metrics?view=sim body), so the whole artifact is reproducible except for
-// wall-provenance span durations.
+// wall-provenance span durations. A component without a registry (the
+// participant's snippet) dumps the header and the spans only.
 #ifndef SRC_OBS_FLIGHT_RECORDER_H_
 #define SRC_OBS_FLIGHT_RECORDER_H_
 

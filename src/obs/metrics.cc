@@ -37,32 +37,6 @@ size_t Histogram::BucketOf(int64_t value) const {
       bounds_.begin());
 }
 
-void Histogram::RecordExemplar(int64_t value, std::string_view trace_id,
-                               int64_t sim_now_us) {
-  Record(value);
-  if (trace_id.empty()) {
-    return;
-  }
-  if (exemplars_.empty()) {
-    exemplars_.resize(counts_.size());
-  }
-  TraceExemplar& slot = exemplars_[BucketOf(value)];
-  bool stale = !slot.trace_id.empty() &&
-               sim_now_us - slot.sim_time_us >= exemplar_ttl_us_;
-  if (slot.trace_id.empty() || stale || value >= slot.value) {
-    slot.value = value;
-    slot.sim_time_us = sim_now_us;
-    slot.trace_id.assign(trace_id.data(), trace_id.size());
-  }
-}
-
-const TraceExemplar* Histogram::BucketExemplar(size_t i) const {
-  if (i >= exemplars_.size() || exemplars_[i].trace_id.empty()) {
-    return nullptr;
-  }
-  return &exemplars_[i];
-}
-
 double Histogram::Percentile(double p) const {
   if (count_ == 0) {
     return 0.0;

@@ -58,16 +58,6 @@ class Gauge {
 // Bucket math is plain integer counting, so sim-provenance histograms are
 // bit-reproducible. Percentiles are estimated by linear interpolation inside
 // the bucket containing the rank, clamped to the observed [min, max].
-// A trace exemplar: the worst recent observation a histogram bucket has
-// seen, linked to its causal trace so a tail-latency spike resolves to a
-// retained trace (tools/trace_report --trace-id). Exposition format is
-// unchanged — exemplars surface through the /health JSON endpoints.
-struct TraceExemplar {
-  int64_t value = 0;
-  int64_t sim_time_us = 0;
-  std::string trace_id;
-};
-
 class Histogram {
  public:
   // `bounds` are ascending inclusive upper bounds; values above the last
@@ -75,12 +65,6 @@ class Histogram {
   explicit Histogram(std::vector<int64_t> bounds);
 
   void Record(int64_t value);
-  // Record() plus an exemplar offer: the bucket keeps `trace_id` when the
-  // value is the worst it has seen or the incumbent exemplar is older than
-  // exemplar_ttl_us — so exemplars track *recent* worst cases whose traces
-  // are still in the bounded span ring. Empty trace ids record only.
-  void RecordExemplar(int64_t value, std::string_view trace_id,
-                      int64_t sim_now_us);
 
   uint64_t count() const { return count_; }
   int64_t sum() const { return sum_; }
@@ -100,11 +84,6 @@ class Histogram {
   // bounds().size() + 1 entries; the last is the overflow bucket.
   const std::vector<uint64_t>& bucket_counts() const { return counts_; }
 
-  // nullptr when bucket `i` holds no exemplar; `i` indexes like
-  // bucket_counts(). Allocated lazily on the first RecordExemplar.
-  const TraceExemplar* BucketExemplar(size_t i) const;
-  void set_exemplar_ttl_us(int64_t ttl_us) { exemplar_ttl_us_ = ttl_us; }
-
   // {start, start*factor, ...} — `n` bounds for latency/size scales.
   static std::vector<int64_t> ExponentialBounds(int64_t start, double factor,
                                                 size_t n);
@@ -118,8 +97,6 @@ class Histogram {
   int64_t sum_ = 0;
   int64_t min_ = 0;
   int64_t max_ = 0;
-  std::vector<TraceExemplar> exemplars_;  // empty until RecordExemplar
-  int64_t exemplar_ttl_us_ = 30'000'000;  // 30 s sim
 };
 
 // Preset bucket scales: 1µs…~100s for CPU/simulated durations, 64B…~64MB

@@ -80,7 +80,7 @@ struct HealthStatus {
   double sync_p99_us = 0.0;
   uint64_t fast_polls = 0;
   std::vector<ObjectiveStatus> objectives;
-  std::vector<WindowedHistogram::BucketExemplar> exemplars;
+  std::vector<WindowedHistogram::BoundExemplar> exemplars;
 
   // Worst slow burn across objectives — the host's worst-first sort key.
   double MaxSlowBurn() const;
@@ -101,9 +101,8 @@ struct HealthSample {
 };
 
 // Always-on per-session health tracker. Fixed-size (compact window geometry,
-// compact latency bounds), so the host keeps one per session even past the
-// lite-mode metrics cap. Not thread-safe; lives on the session's event loop
-// like everything else.
+// compact latency bounds). Not thread-safe; lives on the session's event
+// loop like everything else.
 class SessionHealth {
  public:
   explicit SessionHealth(const SloConfig& config = SloConfig(),

@@ -268,14 +268,14 @@ double WindowedHistogram::SlowPercentile(double p, int64_t sim_now_us) {
   return WindowPercentile(p, false, sim_now_us);
 }
 
-std::vector<WindowedHistogram::BucketExemplar> WindowedHistogram::Exemplars()
+std::vector<WindowedHistogram::BoundExemplar> WindowedHistogram::Exemplars()
     const {
-  std::vector<BucketExemplar> out;
+  std::vector<BoundExemplar> out;
   for (size_t bucket = 0; bucket < exemplars_.size(); ++bucket) {
     if (exemplars_[bucket].trace_id.empty()) {
       continue;
     }
-    BucketExemplar entry;
+    BoundExemplar entry;
     entry.bound = bucket < bounds_.size()
                       ? bounds_[bucket]
                       : std::numeric_limits<int64_t>::max();

@@ -46,9 +46,9 @@ struct WindowConfig {
   }
 };
 
-// A compact geometry for per-session always-on tracking (survives the host's
-// lite mode): 12 × 5 s fine buckets + 4 × 60 s coarse buckets keeps the same
-// 1 min fast / 5 min slow spans at a quarter of the slots.
+// A compact geometry for per-session always-on tracking: 12 × 5 s fine
+// buckets + 4 × 60 s coarse buckets keeps the same 1 min fast / 5 min slow
+// spans at a quarter of the slots.
 WindowConfig CompactWindowConfig();
 
 // The shared ring engine: `lanes` parallel uint64 accumulators advanced in
@@ -156,11 +156,11 @@ class WindowedHistogram {
 
   // Exemplars for every bucket that currently holds one, bucket-ascending.
   // `bound` is the bucket's inclusive upper bound (INT64_MAX for overflow).
-  struct BucketExemplar {
+  struct BoundExemplar {
     int64_t bound = 0;
     Exemplar exemplar;
   };
-  std::vector<BucketExemplar> Exemplars() const;
+  std::vector<BoundExemplar> Exemplars() const;
 
   const std::vector<int64_t>& bounds() const { return bounds_; }
   void set_exemplar_ttl_us(int64_t ttl_us) { exemplar_ttl_us_ = ttl_us; }

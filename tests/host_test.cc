@@ -680,35 +680,66 @@ HttpResponse FrontDoorGet(RcbHost* host, const std::string& target) {
   return host->Route(request);
 }
 
-TEST_F(HostTest, LiteSessionsSkipPerSessionFamiliesButCountInAggregates) {
-  HostConfig config;
-  config.limits.metrics_sessions = 1;
-  auto host = MakeHost(std::move(config));
-  auto full = host->CreateSession("full");
-  auto lite = host->CreateSession("lite");
-  ASSERT_TRUE(full.ok());
-  ASSERT_TRUE(lite.ok());
-  EXPECT_FALSE((*full)->lite);
-  EXPECT_TRUE((*lite)->lite);
-
-  SetSessionDoc(*full, "F");
-  SetSessionDoc(*lite, "L");
-  auto participant_full = JoinSession(*full, 1);
-  auto participant_lite = JoinSession(*lite, 2);
-  WaitForContent(participant_full.get());
-  WaitForContent(participant_lite.get());
+// Every hosted session registers its families, however many the host runs
+// (65 here): each is listed under its label and counts in the aggregates.
+TEST_F(HostTest, EverySessionListsItsFamiliesAndCountsInAggregates) {
+  auto host = MakeHost();
+  std::vector<HostSession*> sessions;
+  for (int i = 0; i < 65; ++i) {
+    auto session = host->CreateSession("s" + std::to_string(i));
+    ASSERT_TRUE(session.ok()) << i;
+    sessions.push_back(*session);
+  }
+  HostSession* first = sessions.front();
+  HostSession* last = sessions.back();
+  SetSessionDoc(first, "F");
+  SetSessionDoc(last, "L");
+  auto participant_first = JoinSession(first, 1);
+  auto participant_last = JoinSession(last, 2);
+  WaitForContent(participant_first.get());
+  WaitForContent(participant_last.get());
 
   std::string rendered = FrontDoorGet(host.get(), "/host/metrics").body;
-  EXPECT_NE(rendered.find("session=\"full\""), std::string::npos);
-  EXPECT_EQ(rendered.find("session=\"lite\""), std::string::npos);
-  // The lite session still counts in the host aggregates.
+  for (std::string id : {"s0", "s64"}) {
+    EXPECT_NE(rendered.find("rcb_agent_doc_updates{session=\"" + id + "\"} 1"),
+              std::string::npos)
+        << id << "\n"
+        << rendered;
+  }
   EXPECT_NE(rendered.find("rcb_host_doc_updates_total 2"), std::string::npos)
       << rendered;
 
-  // Closing the labelled session removes its families from the exposition.
-  ASSERT_TRUE(host->CloseSession("full").ok());
+  // Closing a session removes its families from the exposition; its counts
+  // stay in the host aggregates.
+  ASSERT_TRUE(host->CloseSession("s0").ok());
   rendered = FrontDoorGet(host.get(), "/host/metrics").body;
-  EXPECT_EQ(rendered.find("session=\"full\""), std::string::npos);
+  EXPECT_EQ(rendered.find("session=\"s0\""), std::string::npos);
+  EXPECT_NE(rendered.find("session=\"s64\""), std::string::npos);
+  EXPECT_NE(rendered.find("rcb_host_doc_updates_total 2"), std::string::npos)
+      << rendered;
+}
+
+// Every hosted session registers, however many the host runs: the 70th
+// lists its families under its label and serves them on its own /metrics.
+TEST_F(HostTest, SeventiethSessionServesItsOwnFamilies) {
+  HostConfig config;
+  config.agent_defaults.session_key = "many-key";
+  auto host = MakeHost(std::move(config));
+  for (int i = 0; i < 70; ++i) {
+    ASSERT_TRUE(host->CreateSession("s" + std::to_string(i)).ok()) << i;
+  }
+
+  std::string host_mac = HmacSha256Hex("many-key", "GET /host/metrics\n");
+  HttpResponse all = FrontDoorGet(host.get(), "/host/metrics?hmac=" + host_mac);
+  ASSERT_EQ(all.status_code, 200);
+  EXPECT_NE(all.body.find("rcb_agent_polls_received{session=\"s69\"} 0"),
+            std::string::npos);
+
+  std::string mac = HmacSha256Hex("many-key", "GET /metrics\n");
+  HttpResponse own = FrontDoorGet(host.get(), "/s/s69/metrics?hmac=" + mac);
+  ASSERT_EQ(own.status_code, 200);
+  EXPECT_EQ(CountLinesStartingWith(own.body, "rcb_agent_polls_received 0"), 1u)
+      << own.body;
 }
 
 TEST_F(HostTest, SessionMetricsShowOnlyThatSession) {
@@ -733,16 +764,13 @@ TEST_F(HostTest, SessionMetricsShowOnlyThatSession) {
   EXPECT_EQ(response.body.find("rcb_cache_"), std::string::npos);
 }
 
-TEST_F(HostTest, HostMetricsComposeEveryFullSessionUnderItsLabel) {
-  HostConfig config;
-  config.limits.metrics_sessions = 2;
-  auto host = MakeHost(std::move(config));
+TEST_F(HostTest, HostMetricsComposeEverySessionUnderItsLabel) {
+  auto host = MakeHost();
   for (const char* id : {"a", "b", "c"}) {
     auto session = host->CreateSession(id);
     ASSERT_TRUE(session.ok());
     SetSessionDoc(*session, id);
   }
-  ASSERT_TRUE(host->FindSession("c")->lite);
   // The host's own registry holds only host-wide families.
   EXPECT_EQ(host->metrics_registry().RenderPrometheus().find("session="),
             std::string::npos);
@@ -760,7 +788,7 @@ TEST_F(HostTest, HostMetricsComposeEveryFullSessionUnderItsLabel) {
   EXPECT_EQ(types.size(), type_lines) << rendered;
   EXPECT_EQ(CountLinesStartingWith(rendered, "# TYPE rcb_agent_doc_updates "),
             1u);
-  for (std::string id : {"a", "b"}) {
+  for (std::string id : {"a", "b", "c"}) {
     const std::string label = "session=\"" + id + "\"";
     EXPECT_NE(rendered.find("rcb_agent_doc_updates{" + label + "}"),
               std::string::npos)
@@ -770,7 +798,6 @@ TEST_F(HostTest, HostMetricsComposeEveryFullSessionUnderItsLabel) {
               std::string::npos)
         << id;
   }
-  EXPECT_EQ(rendered.find("session=\"c\""), std::string::npos);
   EXPECT_EQ(CountLinesStartingWith(rendered, "# TYPE rcb_cache_hits "), 1u);
   EXPECT_EQ(CountLinesStartingWith(rendered, "rcb_cache_hits"), 1u);
 

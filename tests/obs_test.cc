@@ -677,7 +677,7 @@ TEST(FlightRecorderTest, ZeroDedupWindowDumpsEveryTrigger) {
 // must be byte-identical (the contract /metrics?view=sim serves).
 // ---------------------------------------------------------------------------
 
-std::string RunSessionAndRenderSimMetrics(std::string* snippet_body) {
+std::string RunSessionAndRenderSimMetrics() {
   EventLoop loop;
   Network network(&loop);
   SessionOptions options;
@@ -700,19 +700,14 @@ std::string RunSessionAndRenderSimMetrics(std::string* snippet_body) {
   });
   loop.RunFor(Duration::Seconds(3.0));
   RenderOptions sim_only{.include_wall = false};
-  *snippet_body = session.snippet(0)->metrics_registry().RenderPrometheus(
-      sim_only);
   return session.agent()->metrics_registry().RenderPrometheus(sim_only);
 }
 
 TEST(ObsDeterminismTest, TwoIdenticalSessionsRenderIdenticalSimMetrics) {
-  std::string snippet_first;
-  std::string snippet_second;
-  std::string agent_first = RunSessionAndRenderSimMetrics(&snippet_first);
-  std::string agent_second = RunSessionAndRenderSimMetrics(&snippet_second);
+  std::string agent_first = RunSessionAndRenderSimMetrics();
+  std::string agent_second = RunSessionAndRenderSimMetrics();
   EXPECT_FALSE(agent_first.empty());
   EXPECT_EQ(agent_first, agent_second);
-  EXPECT_EQ(snippet_first, snippet_second);
   // The deterministic body must carry real activity, not just zeros.
   EXPECT_NE(agent_first.find("rcb_agent_generations"), std::string::npos);
   EXPECT_EQ(agent_first.find("rcb_agent_generations 0\n"), std::string::npos)

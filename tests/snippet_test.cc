@@ -512,6 +512,7 @@ TEST_F(SnippetTest, RolledBackPatchKeepsTheWatermarkAndResyncWalksThePage) {
 
   SnippetConfig config;
   config.enable_delta = true;
+  config.enable_trace = true;
   snippet_ = std::make_unique<AjaxSnippet>(participant_browser_.get(), config);
   LogObjectRequests();
   bool joined = false;
@@ -531,11 +532,17 @@ TEST_F(SnippetTest, RolledBackPatchKeepsTheWatermarkAndResyncWalksThePage) {
   EXPECT_EQ(snippet_->metrics().patch_digest_mismatches, 1u);
   EXPECT_EQ(snippet_->metrics().patches_applied, 0u);
   // It failed at the target gate, after its ops ran: a rollback.
-  EXPECT_EQ(snippet_->metrics_registry()
-                .FindHistogram("rcb_snippet_patch_stage_us",
-                               "stage=\"verify_target\"")
-                ->count(),
-            1u);
+  std::vector<std::string> rejections;
+  for (const obs::TraceEvent& event : snippet_->trace_log().Events()) {
+    if (event.name == "snippet.patch_rejected") {
+      for (const auto& [key, value] : event.attrs) {
+        if (key == "result") {
+          rejections.push_back(value);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(rejections, std::vector<std::string>{"target_digest_mismatch"});
   EXPECT_EQ(snippet_->object_watermark(), watermark);
   EXPECT_EQ(document->body()->FindAll("img").size(), 1u);  // rolled back
   EXPECT_EQ(object_requests_, std::vector<std::string>{"/a.png"});
@@ -594,11 +601,11 @@ TEST_F(SnippetTest, PatchVerdictsCountAndResyncAsTheirBranchSays) {
        &SnippetMetrics::patch_base_mismatches, true, 1},
       {"apply_error", delta::SerializePatchXml(failing),
        &SnippetMetrics::patch_apply_errors, true, 1},
-      // A body that does not parse resyncs without a patch_resync trigger.
+      // A body that does not parse resyncs like any refused patch.
       {"malformed",
        StrReplaceAll(good, "<baseTime>1000</baseTime>",
                      "<baseTime>1000x</baseTime>"),
-       &SnippetMetrics::patch_apply_errors, true, 0},
+       &SnippetMetrics::patch_apply_errors, true, 1},
   };
   uint16_t port = 3100;
   for (const Case& c : cases) {
