@@ -1,11 +1,12 @@
 // Microbenchmarks (google-benchmark) of RCB's hot paths: HTML parse and
 // serialize over the Table 1 corpus sizes, the Fig. 3 content-generation
 // pipeline, Fig. 4 snapshot serialize/parse, the Fig. 5 apply procedure's
-// innerHTML set, and HMAC request authentication.
+// innerHTML set and its snapshot splice, and HMAC request authentication.
 #include <benchmark/benchmark.h>
 
 #include <cctype>
 
+#include "src/core/ajax_snippet.h"
 #include "src/core/content_generator.h"
 #include "src/core/protocol.h"
 #include "src/obs/bench_report.h"
@@ -97,6 +98,48 @@ void BM_InnerHtmlSetFresh(benchmark::State& state) {
   state.SetLabel(spec.name);
 }
 BENCHMARK(BM_InnerHtmlSetFresh)->Arg(1)->Arg(12);
+
+// The participant's whole Fig. 5 path for a full snapshot as edit_full
+// drives it: the snippet's parse of the reply (escaped payloads) plus the
+// apply, over two newContent documents whose bodies differ by one text
+// edit, alternating on one page, so each iteration splices one change.
+void BM_SnapshotApplyEdit(benchmark::State& state) {
+  const SiteSpec& spec = SiteByRangeIndex(state.range(0));
+  GeneratedSite site = GenerateHomepage(spec);
+  auto source = ParseDocument(site.html);
+  Element* body = source->body();
+  std::vector<Text*> texts;
+  body->ForEachElement([&](Element* element) {
+    for (const auto& child : element->children()) {
+      if (child->type() == NodeType::kText) {
+        texts.push_back(static_cast<Text*>(child.get()));
+      }
+    }
+    return true;
+  });
+  Snapshot snapshot;
+  snapshot.has_content = true;
+  snapshot.body = ElementPayload{"body", {}, body->InnerHtml()};
+  std::string xml[2];
+  xml[0] = SerializeSnapshotXml(snapshot);
+  Text* edited = texts[texts.size() / 2];
+  edited->set_data(edited->data() + " edited");
+  snapshot.body->inner_html = body->InnerHtml();
+  xml[1] = SerializeSnapshotXml(snapshot);
+  auto page = ParseDocument("<html><head></head><body></body></html>");
+  AppliedSnapshot applied;
+  AjaxSnippet::ApplySnapshot(page.get(), ParseSnapshotReply(xml[0])->payloads,
+                             &applied);
+  size_t next = 1;
+  for (auto _ : state) {
+    StatusOr<SnapshotReply> reply = ParseSnapshotReply(xml[next]);
+    AjaxSnippet::ApplySnapshot(page.get(), reply->payloads, &applied);
+    next ^= 1;
+    benchmark::DoNotOptimize(page);
+  }
+  state.SetLabel(spec.name);
+}
+BENCHMARK(BM_SnapshotApplyEdit)->Arg(1)->Arg(12);
 
 // Full Fig. 3 pipeline against a live browser holding a corpus page, run by
 // the reference generator (clone, three rewrite passes, cold serialization)

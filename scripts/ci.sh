@@ -554,6 +554,22 @@ check_delta() {
   "${build_dir}/tests/fuzz_test" --gtest_filter='*Patch*' --gtest_brief=1
 }
 
+check_fig5() {
+  local build_dir="$1"
+  # Fig. 5 gate: a splice that silently falls back to whole payloads still
+  # converges, so the e2e smoke would pass it. The apply suites (against
+  # the four-step oracle, adversarial splices, the Table 1 splice counts)
+  # and the in-place innerHTML property cases must pass by name.
+  echo "=== ${build_dir}: Fig. 5 splice gate ==="
+  "${build_dir}/tests/snippet_test" --gtest_filter='Fig5ApplyTest.*' \
+      --gtest_brief=1
+  "${build_dir}/tests/session_integration_test" \
+      --gtest_filter='*Table1EditsSpliceTheBodyPayload' --gtest_brief=1
+  "${build_dir}/tests/html_test" --gtest_filter='InPlaceInnerHtmlTest.*' \
+      --gtest_brief=1
+  "${build_dir}/tests/fuzz_test" --gtest_filter='*InnerHtml*' --gtest_brief=1
+}
+
 check_host_fanout() {
   local build_dir="$1"
   # Host + fan-out gate: multi-session registry/isolation, broadcast
@@ -573,7 +589,7 @@ run_suite() {
     return 0
   fi
   local check
-  for check in check_ctest check_delta check_host_fanout check_bench_json \
+  for check in check_ctest check_delta check_fig5 check_host_fanout check_bench_json \
       check_hotpath check_scale_json check_recovery check_trace \
       check_transport check_health; do
     gate "${build_dir}: ${check}" "${check}" "${build_dir}"

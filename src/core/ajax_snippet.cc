@@ -153,6 +153,7 @@ void AjaxSnippet::AbortWithoutGoodbye() {
   consecutive_failures_ = 0;
   need_resync_ = false;
   object_watermark_ = 0;
+  applied_ = AppliedSnapshot{};
   poll_ctx_ = obs::TraceContext{};
   action_queue_waiting_ = false;
 }
@@ -527,12 +528,12 @@ bool AjaxSnippet::ApplyReplyBody(const std::string& body,
     ProcessPatch(*envelope_or, transport_time);
     return true;
   }
-  auto snapshot_or = ParseSnapshotXml(body);
-  if (!snapshot_or.ok()) {
-    RCB_LOG(kWarning) << "ajax-snippet: bad snapshot: " << snapshot_or.status();
+  auto reply_or = ParseSnapshotReply(body);
+  if (!reply_or.ok()) {
+    RCB_LOG(kWarning) << "ajax-snippet: bad snapshot: " << reply_or.status();
     return false;
   }
-  ProcessSnapshot(*snapshot_or, transport_time);
+  ProcessSnapshot(*reply_or, transport_time);
   return true;
 }
 
@@ -565,31 +566,43 @@ void AjaxSnippet::HandleBroadcastActions(
   }
 }
 
-void AjaxSnippet::ProcessSnapshot(const Snapshot& snapshot,
-                                  Duration transport_time) {
-  HandleBroadcastActions(snapshot.user_actions);
+namespace {
 
-  if (snapshot.has_content && snapshot.doc_time_ms > doc_time_ms_) {
+// Real time since `start`, the one clock read pair of an apply.
+Duration Since(std::chrono::steady_clock::time_point start) {
+  return Duration::Micros(std::chrono::duration_cast<std::chrono::microseconds>(
+                              std::chrono::steady_clock::now() - start)
+                              .count());
+}
+
+std::string DocTimeAttr(int64_t doc_time_ms) {
+  return StrFormat("%lld", static_cast<long long>(doc_time_ms));
+}
+
+}  // namespace
+
+void AjaxSnippet::ProcessSnapshot(const SnapshotReply& reply,
+                                  Duration transport_time) {
+  HandleBroadcastActions(reply.user_actions);
+
+  if (reply.payloads.has_content && reply.doc_time_ms > doc_time_ms_) {
+    const int64_t doc_time_ms = reply.doc_time_ms;
     int64_t sim_now_us = browser_->loop()->now().micros();
-    const bool traced = poll_ctx_.active();
     metrics_.last_content_download = transport_time;
     trace_.Append("snippet.content_download", obs::Provenance::kSim,
                   sim_now_us - transport_time.micros(),
                   transport_time.micros(), poll_ctx_);
-    auto start = std::chrono::steady_clock::now();
-    {
-      obs::WallSpan span(&trace_, "snippet.apply", sim_now_us, nullptr,
-                         traced ? &poll_ctx_ : nullptr,
-                         {{"ts", StrFormat("%lld", static_cast<long long>(
-                                                       snapshot.doc_time_ms))}});
-      ApplySnapshot(browser_->document(), snapshot);
-    }
-    auto end = std::chrono::steady_clock::now();
-    metrics_.last_apply_time = Duration::Micros(
-        std::chrono::duration_cast<std::chrono::microseconds>(end - start)
-            .count());
+    const auto start = std::chrono::steady_clock::now();
+    ApplySnapshot(browser_->document(), reply.payloads, &applied_,
+                  &metrics_.payloads_spliced, &metrics_.payloads_rebuilt);
+    metrics_.last_apply_time = Since(start);
     metrics_.total_apply_time += metrics_.last_apply_time;
-    doc_time_ms_ = snapshot.doc_time_ms;
+    trace_.Append("snippet.apply", obs::Provenance::kWall, sim_now_us,
+                  metrics_.last_apply_time.micros(), poll_ctx_,
+                  poll_ctx_.active()
+                      ? obs::TraceAttrs{{"ts", DocTimeAttr(doc_time_ms)}}
+                      : obs::TraceAttrs{});
+    doc_time_ms_ = doc_time_ms;
     ++metrics_.content_updates;
     if (need_resync_) {
       // The full snapshot that re-converges us after a reconnect; its
@@ -598,8 +611,7 @@ void AjaxSnippet::ProcessSnapshot(const Snapshot& snapshot,
       need_resync_ = false;
       object_watermark_ = 0;
       TraceMarker("snippet.resync_applied",
-                  {{"ts", StrFormat("%lld", static_cast<long long>(
-                                                snapshot.doc_time_ms))}});
+                  {{"ts", DocTimeAttr(doc_time_ms)}});
     }
     if (update_listener_) {
       update_listener_(doc_time_ms_);
@@ -615,32 +627,28 @@ void AjaxSnippet::ProcessPatch(const delta::PatchEnvelope& envelope,
   HandleBroadcastActions(envelope.user_actions);
 
   int64_t sim_now_us = browser_->loop()->now().micros();
-  const bool traced = poll_ctx_.active();
-  auto start = std::chrono::steady_clock::now();
-  delta::ApplyResult result;
-  {
-    obs::WallSpan span(
-        &trace_, "snippet.apply_patch", sim_now_us, nullptr,
-        traced ? &poll_ctx_ : nullptr,
-        {{"base_ts", StrFormat("%lld", static_cast<long long>(
-                                           envelope.patch.base_doc_time_ms))},
-         {"target_ts",
-          StrFormat("%lld",
-                    static_cast<long long>(envelope.patch.target_doc_time_ms))}});
-    result = delta::ApplyPatchToDocument(browser_->document(), doc_time_ms_,
-                                         envelope.patch, &patch_memo_);
-  }
-  auto end = std::chrono::steady_clock::now();
+  const auto start = std::chrono::steady_clock::now();
+  const delta::ApplyResult result = delta::ApplyPatchToDocument(
+      browser_->document(), doc_time_ms_, envelope.patch, &patch_memo_);
+  const Duration elapsed = Since(start);
+  trace_.Append(
+      "snippet.apply_patch", obs::Provenance::kWall, sim_now_us,
+      elapsed.micros(), poll_ctx_,
+      poll_ctx_.active()
+          ? obs::TraceAttrs{{"base_ts",
+                             DocTimeAttr(envelope.patch.base_doc_time_ms)},
+                            {"target_ts",
+                             DocTimeAttr(envelope.patch.target_doc_time_ms)}}
+          : obs::TraceAttrs{});
   switch (result) {
     case delta::ApplyResult::kApplied:
       metrics_.last_content_download = transport_time;
       trace_.Append("snippet.content_download", obs::Provenance::kSim,
                     sim_now_us - transport_time.micros(),
                     transport_time.micros(), poll_ctx_);
-      metrics_.last_apply_time = Duration::Micros(
-          std::chrono::duration_cast<std::chrono::microseconds>(end - start)
-              .count());
-      metrics_.total_apply_time += metrics_.last_apply_time;
+      metrics_.last_apply_time = elapsed;
+      metrics_.total_apply_time += elapsed;
+      applied_ = AppliedSnapshot{};  // the patched page no longer matches it
       doc_time_ms_ = envelope.patch.target_doc_time_ms;
       ++metrics_.content_updates;
       ++metrics_.patches_applied;
@@ -680,12 +688,15 @@ void AjaxSnippet::RejectPatch(std::string_view result) {
   flight_.Trigger("patch_resync", browser_->loop()->now().micros());
 }
 
-void AjaxSnippet::ApplySnapshot(Document* document, const Snapshot& snapshot) {
+void AjaxSnippet::ApplySnapshot(Document* document,
+                                const SnapshotEscaped& payloads,
+                                AppliedSnapshot* applied, uint64_t* spliced,
+                                uint64_t* rebuilt) {
   Element* root = document->document_element();
   if (root == nullptr) {
     return;
   }
-  ReconcileSnapshotTree(snapshot, nullptr, root);
+  ReconcileSnapshotTree(payloads, applied, root, spliced, rebuilt);
   // Arriving via an agent page guarantees the snippet script exists, but
   // re-create it defensively so the invariant holds for any document.
   Element* head = root->first_child()->AsElement();

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/browser/browser.h"
+#include "src/core/content_generator.h"
 #include "src/core/protocol.h"
 #include "src/delta/patch_applier.h"
 #include "src/delta/patch_codec.h"
@@ -104,9 +105,16 @@ struct SnippetMetrics {
   Duration last_retry_after;           // most recent Retry-After hint honored
   // M2: poll request -> content response fully received (content polls only).
   Duration last_content_download;
-  // M6: real CPU time spent applying the snapshot to the document.
+  // M6: real CPU time spent applying the snapshot (or patch) to the
+  // document; the same reading the snippet.apply(_patch) trace span carries.
   Duration last_apply_time;
   Duration total_apply_time;
+  // Fig. 5 payloads, by how the apply took them (ReconcileSnapshotTree):
+  // changed payloads rebuilt below their root, and payloads whose whole
+  // content was rebuilt (a join, a local edit such as the participant's own
+  // co-fill, or a change the splice could not contain).
+  uint64_t payloads_spliced = 0;
+  uint64_t payloads_rebuilt = 0;
   // M3/M4: simulated time to download the supplementary objects the last
   // applied update brought in: every object of the page after a join or a
   // resync, else only those on elements it inserted or re-attributed (see
@@ -197,11 +205,16 @@ class AjaxSnippet {
   // Sends a poll immediately instead of waiting for the timer.
   void PollNow();
 
-  // Fig. 5: applies a full snapshot to a participant's `document` in place
-  // (ReconcileSnapshotTree, src/core/content_generator.h), keeping the
-  // bootstrap script at the front of the head; one is made there when the
-  // document has none.
-  static void ApplySnapshot(Document* document, const Snapshot& snapshot);
+  // Fig. 5: applies a full snapshot's escaped payloads to a participant's
+  // `document` in place (ReconcileSnapshotTree, src/core/content_generator.h,
+  // splicing against `applied`, what the document took from its last
+  // apply), keeping the bootstrap script at the front of the head; one is
+  // made there when the document has none. `spliced` and `rebuilt` as in
+  // ReconcileSnapshotTree.
+  static void ApplySnapshot(Document* document, const SnapshotEscaped& payloads,
+                            AppliedSnapshot* applied,
+                            uint64_t* spliced = nullptr,
+                            uint64_t* rebuilt = nullptr);
 
  private:
   void SchedulePoll(Duration delay);
@@ -216,7 +229,7 @@ class AjaxSnippet {
   bool ApplyReplyBody(const std::string& body, Duration transport_time);
   // Applies a received newContent document. `transport_time` is recorded
   // as last_content_download when content was applied.
-  void ProcessSnapshot(const Snapshot& snapshot, Duration transport_time);
+  void ProcessSnapshot(const SnapshotReply& reply, Duration transport_time);
   // Applies a received newPatch delta (src/delta) with integrity checks; any
   // mismatch flags need_resync_ so the next poll requests a full snapshot.
   void ProcessPatch(const delta::PatchEnvelope& envelope,
@@ -321,6 +334,9 @@ class AjaxSnippet {
 
   // The live document's canonical memo (delta only; cold otherwise).
   delta::CanonicalMemo patch_memo_;
+  // What the live document took from its last full snapshot (the escaped
+  // payloads and their span tables the next one splices against).
+  AppliedSnapshot applied_;
 };
 
 }  // namespace rcb

@@ -51,7 +51,45 @@ SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
   const obs::TraceContext stage_ctx{trace_ctx.trace_id, gen_span_id};
   GenerationResult result = generator_->Generate(doc_time_ms, options);
   Snapshot previous = std::exchange(slot.snapshot, std::move(result.snapshot));
-  slot.escaped = std::move(result.escaped);
+  // The replaced version's escaped payloads live only through the delta
+  // trees' reconcile, not into the page-sized XML built after it.
+  SnapshotEscaped replaced =
+      std::exchange(slot.escaped, std::move(result.escaped));
+  if (options_.enable_delta) {
+    // The new version goes into the tree that does not hold the current one
+    // (into the current one when only its bytes were regenerated), so the
+    // other tree keeps the predecessor the usual patch diffs from. The
+    // materialization reads what a participant's live document will look
+    // like after applying it, so digests agree by construction.
+    auto stage_start = std::chrono::steady_clock::now();
+    MaterializedTree* tree = &slot.trees[slot.current];
+    if (tree->root != nullptr && tree->doc_time_ms != doc_time_ms) {
+      slot.history.push_back(
+          {tree->doc_time_ms, std::move(previous), tree->memo.digest()});
+      while (slot.history.size() > kDeltaHistory) {
+        slot.history.pop_front();
+      }
+      slot.current ^= 1;
+      tree = &slot.trees[slot.current];
+      if (tree->root != nullptr) {
+        // That tree holds the version before the replaced one: step it
+        // through the replaced version first, so each splice spans one
+        // version's change.
+        ReconcileSnapshotTree(replaced, &tree->applied, tree->root.get());
+      }
+    }
+    if (tree->root == nullptr) {
+      tree->root = MakeElement("html");
+    }
+    ReconcileSnapshotTree(slot.escaped, &tree->applied, tree->root.get());
+    tree->doc_time_ms = doc_time_ms;
+    RecordDeltaStage(0, MicrosSince(stage_start));
+    stage_start = std::chrono::steady_clock::now();
+    tree->memo.Digest(tree->root.get());
+    RecordDeltaStage(1, MicrosSince(stage_start));
+    slot.patch_cache.clear();
+  }
+  replaced = SnapshotEscaped{};
   SnapshotSerializeStats serialize_stats;
   {
     obs::WallSpan span(trace, "agent.generate.serialize", sim_now_us,
@@ -61,43 +99,6 @@ SnapshotBroadcast::Slot& SnapshotBroadcast::Refresh(
                                     &slot.escaped, nullptr);
   }
   slot.valid = true;
-  if (options_.enable_delta) {
-    // The new version goes into the tree that does not hold the current one
-    // (into the current one when only its bytes were regenerated), so the
-    // other tree keeps the predecessor the usual patch diffs from. The
-    // materialization reads what a participant's live document will look
-    // like after applying it, so digests agree by construction.
-    MaterializedTree* tree = &slot.trees[slot.current];
-    const Snapshot* taken = &previous;
-    if (tree->root != nullptr && tree->doc_time_ms != doc_time_ms) {
-      slot.history.push_back(
-          {tree->doc_time_ms, std::move(previous), tree->memo.digest()});
-      while (slot.history.size() > kDeltaHistory) {
-        slot.history.pop_front();
-      }
-      slot.current ^= 1;
-      tree = &slot.trees[slot.current];
-      taken = nullptr;
-      for (const BaseVersion& version : slot.history) {
-        if (version.doc_time_ms == tree->doc_time_ms) {
-          taken = &version.snapshot;
-          break;
-        }
-      }
-    }
-    if (tree->root == nullptr) {
-      tree->root = MakeElement("html");
-      taken = nullptr;
-    }
-    auto stage_start = std::chrono::steady_clock::now();
-    ReconcileSnapshotTree(slot.snapshot, taken, tree->root.get());
-    tree->doc_time_ms = doc_time_ms;
-    RecordDeltaStage(0, MicrosSince(stage_start));
-    stage_start = std::chrono::steady_clock::now();
-    tree->memo.Digest(tree->root.get());
-    RecordDeltaStage(1, MicrosSince(stage_start));
-    slot.patch_cache.clear();
-  }
   AgentMetrics& metrics = *instruments_.metrics;
   ++metrics.generations;
   metrics.last_generation_time = result.wall_time;

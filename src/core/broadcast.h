@@ -73,14 +73,17 @@ class SnapshotBroadcast {
   // is not worth the apply risk).
   static constexpr double kPatchSizeCutoff = 0.6;
 
-  // One materialized canonical tree (src/delta) and the CanonicalMemo that
-  // holds its digest and subtree hashes. A slot keeps two and reconciles
-  // each new version into the older one, so both stay O(page) in memory and
-  // a version costs O(change) beyond one tokenize of the changed payloads.
+  // One materialized canonical tree (src/delta), the CanonicalMemo that
+  // holds its digest and subtree hashes, and what the tree took from its
+  // last Fig. 5 apply. A slot keeps two and reconciles each new version
+  // into the older one by splicing (ReconcileSnapshotTree), so both stay
+  // O(page) in memory and a version costs O(change) beyond a memcmp of the
+  // escaped payloads.
   struct MaterializedTree {
     int64_t doc_time_ms = -1;
     std::unique_ptr<Element> root;
     delta::CanonicalMemo memo;
+    AppliedSnapshot applied;
   };
   // A previously served version, kept as the snapshot it was generated as
   // and its digest. A base neither tree holds any more is materialized from

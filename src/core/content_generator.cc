@@ -1,6 +1,9 @@
 #include "src/core/content_generator.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
+#include <utility>
 
 #include "src/browser/resources.h"
 #include "src/delta/tree_diff.h"
@@ -263,31 +266,6 @@ GenerationResult ContentGenerator::Generate(int64_t doc_time_ms,
 
 namespace {
 
-// The payloads of the head's children, in tree order; none for no snapshot.
-std::vector<const ElementPayload*> HeadPayloads(const Snapshot* snapshot) {
-  std::vector<const ElementPayload*> out;
-  if (snapshot != nullptr) {
-    for (const ElementPayload& payload : snapshot->head_children) {
-      out.push_back(&payload);
-    }
-  }
-  return out;
-}
-
-// The payloads that sit under the root after the head, in tree order.
-std::vector<const ElementPayload*> TopLevelPayloads(const Snapshot* snapshot) {
-  std::vector<const ElementPayload*> out;
-  if (snapshot != nullptr) {
-    for (const auto* payload :
-         {&snapshot->body, &snapshot->frameset, &snapshot->noframes}) {
-      if (payload->has_value()) {
-        out.push_back(&**payload);
-      }
-    }
-  }
-  return out;
-}
-
 // Makes child `index` of `parent` an element of `tag`: the one already
 // there, else the first later one, moved there, else a new one.
 Element* PlaceElement(Element* parent, size_t index, std::string_view tag) {
@@ -304,36 +282,277 @@ Element* PlaceElement(Element* parent, size_t index, std::string_view tag) {
       ->AsElement();
 }
 
+// Bytes per memcmp call in CommonPrefix/CommonSuffix, coarse then fine:
+// 1 KB calls keep the call overhead small on a page-sized payload (64 B
+// calls alone were 3x slower on 300 KB), 64 B ones keep the byte loop short.
+constexpr size_t kCompareBlocks[] = {1024, 64};
+
+// Length of the common prefix of `a` and `b`: memcmp over blocks, then
+// bytes.
+size_t CommonPrefix(std::string_view a, std::string_view b) {
+  const size_t limit = std::min(a.size(), b.size());
+  size_t n = 0;
+  for (size_t block : kCompareBlocks) {
+    while (n + block <= limit &&
+           std::memcmp(a.data() + n, b.data() + n, block) == 0) {
+      n += block;
+    }
+  }
+  while (n < limit && a[n] == b[n]) {
+    ++n;
+  }
+  return n;
+}
+
+// Length of the common suffix of `a` and `b`, at most `limit`.
+size_t CommonSuffix(std::string_view a, std::string_view b, size_t limit) {
+  const char* a_end = a.data() + a.size();
+  const char* b_end = b.data() + b.size();
+  size_t n = 0;
+  for (size_t block : kCompareBlocks) {
+    while (n + block <= limit &&
+           std::memcmp(a_end - n - block, b_end - n - block, block) == 0) {
+      n += block;
+    }
+  }
+  while (n < limit && a_end[-1 - static_cast<ptrdiff_t>(n)] ==
+                          b_end[-1 - static_cast<ptrdiff_t>(n)]) {
+    ++n;
+  }
+  return n;
+}
+
+// True when `at` may lie inside a "%XX" unit of `s`: a '%' one or two bytes
+// before it. Every '%' starts a unit, and without "%u" a unit is at most
+// three bytes, so an offset with neither is a unit boundary.
+bool MayCutUnit(std::string_view s, size_t at) {
+  return (at >= 1 && s[at - 1] == '%') || (at >= 2 && s[at - 2] == '%');
+}
+
+// One element on the way down to the change: the payload root (span npos)
+// or an element with its index in the span table.
+struct Straddler {
+  Element* element;
+  size_t span;
+};
+
+// The elements whose content holds the changed window [at, old_end) of
+// `was`, from the payload root down to the deepest, skipping leaves. The
+// tree below `root` is the one `was` recorded, so its elements are the span
+// table's entries in pre-order.
+std::vector<Straddler> Straddlers(Element* root, const AppliedPayload& was,
+                                  size_t at, size_t old_end) {
+  std::vector<Straddler> chain{{root, std::string::npos}};
+  const std::vector<ElementSpan>& spans = was.spans;
+  size_t next = 0;  // first child entry of the deepest element so far
+  size_t stop = spans.size();
+  while (true) {
+    Element* parent = chain.back().element;
+    size_t child = 0;  // index into parent's children
+    bool descended = false;
+    // Entry j is parent's next element child; the step skips its subtree's
+    // entries to the next sibling's.
+    for (size_t j = next; j < stop && spans[j].begin <= at;
+         j += 1 + spans[j].descendants) {
+      while (child < parent->child_count() &&
+             parent->child_at(child)->AsElement() == nullptr) {
+        ++child;
+      }
+      if (child == parent->child_count()) {
+        return chain;  // the tree disagrees with the table: stop here
+      }
+      Element* element = parent->child_at(child++)->AsElement();
+      const ElementSpan& span = spans[j];
+      if (!span.leaf && old_end <= span.end) {
+        chain.push_back({element, j});
+        next = j + 1;
+        stop = j + 1 + span.descendants;
+        descended = true;
+        break;
+      }
+    }
+    if (!descended) {
+      return chain;
+    }
+  }
+}
+
+// Rebuilds the content of `element`, escaped as b[begin, end), in place,
+// and stores its spans (in `b` offsets) in `*spans`. `contained` as in
+// BuildTree. False when the range holds a "%u" unit or, contained, does not
+// close exactly at the element's end.
+bool RebuildContent(std::string_view b, size_t begin, size_t end,
+                    Element* element, bool contained,
+                    std::vector<ElementSpan>* spans) {
+  JsUnescapeMap map;
+  std::string raw;
+  if (!map.Decode(b.substr(begin, end - begin), &raw)) {
+    return false;
+  }
+  spans->clear();
+  if (!BuildTree(raw, element, spans, contained)) {
+    return false;
+  }
+  for (ElementSpan& span : *spans) {
+    span.begin = static_cast<uint32_t>(begin + map.EscapedOffset(span.begin));
+    span.end = static_cast<uint32_t>(begin + map.EscapedOffset(span.end));
+  }
+  return true;
+}
+
+enum class Took { kUnchanged, kSpliced, kRebuilt };
+
+// Replaces s[at, at + count) with `with`. A string that must grow is made
+// anew at its exact size: growing in place would double its capacity, and
+// every participant keeps one of these per payload.
+void ReplaceExact(std::string* s, size_t at, size_t count,
+                  std::string_view with) {
+  const size_t size = s->size() - count + with.size();
+  if (size <= s->capacity()) {
+    s->replace(at, count, with);
+    return;
+  }
+  std::string grown;
+  grown.reserve(size);
+  grown.append(*s, 0, at).append(with).append(*s, at + count);
+  s->swap(grown);
+}
+
+// Builds the escaped payload `b`, whose inner HTML starts at `inner_begin`,
+// under `root`, and makes `*kept` its record. `kept` holds the record of
+// what `root` was built from when `recorded`, else stale buffers to reuse.
+// Its escaped bytes become `b` by copying only the changed window.
+Took ApplyPayload(Element* root, std::string_view b, size_t inner_begin,
+                  bool recorded, AppliedPayload* kept) {
+  std::string& a = kept->escaped;
+  if (recorded && kept->spliceable) {
+    size_t at = CommonPrefix(a, b);
+    if (at == a.size() && at == b.size()) {
+      return Took::kUnchanged;
+    }
+    if (MayCutUnit(b, at)) {
+      at -= b[at - 1] == '%' ? 1 : 2;
+    }
+    const size_t suffix =
+        CommonSuffix(a, b, std::min(a.size(), b.size()) - at);
+    size_t a_end = a.size() - suffix;
+    size_t b_end = b.size() - suffix;
+    while (b_end < b.size() && (MayCutUnit(a, a_end) || MayCutUnit(b, b_end))) {
+      ++a_end;
+      ++b_end;
+    }
+    const ptrdiff_t delta = static_cast<ptrdiff_t>(b.size()) -
+                            static_cast<ptrdiff_t>(a.size());
+    auto shift = [delta](uint32_t offset) {
+      return static_cast<uint32_t>(static_cast<ptrdiff_t>(offset) + delta);
+    };
+    ReplaceExact(&a, at, a_end - at, b.substr(at, b_end - at));
+    const size_t old_inner_begin = std::exchange(kept->inner_begin, inner_begin);
+    std::vector<ElementSpan>& spans = kept->spans;
+    if (at < inner_begin) {
+      // The root's own attributes changed. Unless the content did too,
+      // it only moved.
+      if (a_end <= old_inner_begin && b_end <= inner_begin) {
+        for (ElementSpan& span : spans) {
+          span.begin = shift(span.begin);
+          span.end = shift(span.end);
+        }
+        return Took::kSpliced;
+      }
+    } else {
+      std::vector<Straddler> chain = Straddlers(root, *kept, at, a_end);
+      std::vector<ElementSpan> fresh;
+      for (size_t k = chain.size(); k-- > 1;) {
+        const ElementSpan& outer = spans[chain[k].span];
+        if (!RebuildContent(b, outer.begin, shift(outer.end),
+                            chain[k].element, /*contained=*/true, &fresh)) {
+          continue;  // widen to the parent
+        }
+        // Keep the prefix, shift the suffix, and put the rebuilt
+        // element's new descendants in place of its old ones.
+        const size_t first = chain[k].span + 1;
+        const size_t old_count = outer.descendants;
+        for (size_t i = 0; i < spans.size(); ++i) {
+          if (i >= first && i < first + old_count) {
+            continue;
+          }
+          ElementSpan& span = spans[i];
+          if (span.begin > a_end) {
+            span.begin = shift(span.begin);
+          }
+          if (span.end >= a_end) {
+            span.end = shift(span.end);
+          }
+        }
+        for (size_t up = 1; up <= k; ++up) {
+          ElementSpan& span = spans[chain[up].span];
+          span.descendants = static_cast<uint32_t>(
+              span.descendants + fresh.size() - old_count);
+        }
+        spans.erase(spans.begin() + static_cast<ptrdiff_t>(first),
+                    spans.begin() + static_cast<ptrdiff_t>(first + old_count));
+        spans.insert(spans.begin() + static_cast<ptrdiff_t>(first),
+                     fresh.begin(), fresh.end());
+        return Took::kSpliced;
+      }
+    }
+  } else {
+    ReplaceExact(&a, 0, a.size(), b);
+    kept->inner_begin = inner_begin;
+  }
+  // The degenerate splice: the payload root straddles the whole content.
+  kept->spliceable = RebuildContent(b, inner_begin, b.size(), root,
+                                    /*contained=*/false, &kept->spans);
+  if (!kept->spliceable) {
+    kept->spans.clear();
+    BuildTree(JsUnescape(b.substr(inner_begin)), root);
+  }
+  kept->spans.shrink_to_fit();
+  return Took::kRebuilt;
+}
+
 // Makes the children of `parent` from `first` on the elements `payloads`
 // describe, as Fig. 5 instantiates them (attributes in payload order,
-// children via the in-place SetInnerHtml), each kept by PlaceElement, and
-// drops the children after them. `taken` lists the payloads those children
-// were made from, or is empty: while every child so far was already in
-// place, child first + i was made from taken[i], and a payload whose inner
-// HTML it already holds is not set again.
+// children built in place), each kept by PlaceElement, and drops the
+// children after them. `applied` is what those children took from the last
+// apply, and is replaced by what they take from this one.
 void ReconcileChildren(Element* parent, size_t first,
-                       const std::vector<const ElementPayload*>& payloads,
-                       const std::vector<const ElementPayload*>& taken) {
-  bool aligned = true;
+                       const std::vector<const EscapedPayload*>& payloads,
+                       std::vector<AppliedPayload>* applied, uint64_t* spliced,
+                       uint64_t* rebuilt) {
+  applied->resize(payloads.size());
   for (size_t i = 0; i < payloads.size(); ++i) {
-    const ElementPayload& payload = *payloads[i];
-    const size_t index = first + i;
-    const Node* there =
-        index < parent->child_count() ? parent->child_at(index) : nullptr;
-    Element* element = PlaceElement(parent, index, payload.tag);
-    aligned = aligned && element == there && i < taken.size();
-    element->AssignAttributes(payload.attributes);
-    if (!aligned || taken[i]->inner_html != payload.inner_html) {
-      element->SetInnerHtml(payload.inner_html);
+    const std::string& escaped = payloads[i]->escaped;
+    ElementPayload head;
+    const size_t inner_begin = DecodeEscapedPayloadHead(escaped, &head).value();
+    Element* element = PlaceElement(parent, first + i, head.tag);
+    AppliedPayload& kept = (*applied)[i];
+    const bool recorded = kept.rev == element->rev();
+    element->AssignAttributes(head.attributes);
+    switch (ApplyPayload(element, escaped, inner_begin, recorded, &kept)) {
+      case Took::kUnchanged:
+        break;
+      case Took::kSpliced:
+        if (spliced != nullptr) {
+          ++*spliced;
+        }
+        break;
+      case Took::kRebuilt:
+        if (rebuilt != nullptr) {
+          ++*rebuilt;
+        }
+        break;
     }
+    kept.rev = element->rev();
   }
   parent->TruncateChildren(first + payloads.size());
 }
 
 }  // namespace
 
-void ReconcileSnapshotTree(const Snapshot& snapshot, const Snapshot* taken,
-                           Element* root) {
+void ReconcileSnapshotTree(const SnapshotEscaped& payloads,
+                           AppliedSnapshot* applied, Element* root,
+                           uint64_t* spliced, uint64_t* rebuilt) {
   Element* head = PlaceElement(root, 0, "head");
   // Fig. 5 step 1 keeps the bootstrap scripts: they go first, and the
   // payloads reconcile against the children after them.
@@ -346,15 +565,26 @@ void ReconcileSnapshotTree(const Snapshot& snapshot, const Snapshot* taken,
       ++bootstraps;
     }
   }
-  ReconcileChildren(head, bootstraps, HeadPayloads(&snapshot),
-                    HeadPayloads(taken));
-  ReconcileChildren(root, 1, TopLevelPayloads(&snapshot),
-                    TopLevelPayloads(taken));
+  std::vector<const EscapedPayload*> head_payloads;
+  for (const EscapedPayload& payload : payloads.head_children) {
+    head_payloads.push_back(&payload);
+  }
+  ReconcileChildren(head, bootstraps, head_payloads, &applied->head, spliced,
+                    rebuilt);
+  std::vector<const EscapedPayload*> top_payloads;
+  for (auto* payload :
+       {&payloads.body, &payloads.frameset, &payloads.noframes}) {
+    if (payload->has_value()) {
+      top_payloads.push_back(&**payload);
+    }
+  }
+  ReconcileChildren(root, 1, top_payloads, &applied->top, spliced, rebuilt);
 }
 
 std::unique_ptr<Element> MaterializeSnapshotTree(const Snapshot& snapshot) {
   auto root = MakeElement("html");
-  ReconcileSnapshotTree(snapshot, nullptr, root.get());
+  AppliedSnapshot applied;
+  ReconcileSnapshotTree(EscapeSnapshot(snapshot), &applied, root.get());
   delta::NormalizeTextNodes(root.get());
   return root;
 }

@@ -27,6 +27,7 @@
 #include "src/browser/browser.h"
 #include "src/core/protocol.h"
 #include "src/core/serialize_cache.h"
+#include "src/html/parser.h"
 #include "src/util/sim_time.h"
 
 namespace rcb {
@@ -136,6 +137,32 @@ class ContentGenerator {
   size_t main_payload_escaped_hint_ = 0;
 };
 
+// What one payload root took from its last Fig. 5 apply: the escaped
+// payload it was built from and where each element below it got its
+// content, so the next apply rebuilds only the element the change falls in.
+struct AppliedPayload {
+  std::string escaped;     // JsEscape(EncodeElementPayload(payload))
+  size_t inner_begin = 0;  // where the escaped inner HTML starts in it
+  // The payload root's descendant elements, pre-order, in `escaped`
+  // offsets (ElementSpan, src/html/parser.h).
+  std::vector<ElementSpan> spans;
+  // False when the content holds a "%u" unit, whose offsets the spans
+  // cannot map: the next apply takes the whole payload.
+  bool spliceable = false;
+  // The payload root's rev() when the apply ended. The record counts only
+  // while the element in the payload's place still has this rev: any other
+  // mutation below it (a participant's own co-fill, say) restamps it, and
+  // the next apply then takes that payload whole. Revs are unique per node
+  // and subtree state (src/html/dom.h), so a match also names the element.
+  uint64_t rev = 0;
+};
+
+// What a tree took from its last Fig. 5 apply, payload by payload.
+struct AppliedSnapshot {
+  std::vector<AppliedPayload> head;  // the head's payload children
+  std::vector<AppliedPayload> top;   // body?, frameset?, noframes?
+};
+
 // Materializes a snapshot into the canonical tree (src/delta/tree_diff.h) a
 // participant's live document reduces to after a full Fig. 5 apply: it runs
 // the apply itself (ReconcileSnapshotTree) on an empty html element, so the
@@ -145,7 +172,9 @@ class ContentGenerator {
 std::unique_ptr<Element> MaterializeSnapshotTree(const Snapshot& snapshot);
 
 // The Fig. 5 apply, in place; the snippet runs it on the participant's live
-// document and the agent on its delta base trees. `root`'s children end as
+// document and the agent on its delta base trees. `payloads` are the
+// snapshot's escaped payloads (each head must decode,
+// DecodeEscapedPayloadHead). `root`'s children end as
 // [head, body?, frameset?, noframes?], the snapshot's: the first head is
 // kept (a new one is made at the front when there is none) with its
 // bootstrap scripts (delta::IsSnippetBootstrapScript) moved to its front,
@@ -153,15 +182,27 @@ std::unique_ptr<Element> MaterializeSnapshotTree(const Snapshot& snapshot);
 // head becomes the head's child after the bootstrap scripts plus i, and each
 // top-level payload the root's child of its position. An element of the
 // payload's tag already at that position, or else the first later one,
-// moved there, is kept and given the payload's attributes and, through the
-// in-place SetInnerHtml, its inner HTML; one is made when there is none.
-// `taken` is the snapshot `root` was last made from (null when unknown or
-// none): a payload whose inner HTML it already holds at the same position
-// is skipped. Nodes the new snapshot leaves unchanged keep their address
-// and rev, which is what lets the delta path's CanonicalMemo re-digest only
-// the change.
-void ReconcileSnapshotTree(const Snapshot& snapshot, const Snapshot* taken,
-                           Element* root);
+// moved there, is kept and given the payload's attributes and its inner
+// HTML, built in place (BuildTree).
+//
+// `applied` is what `root` took from its last apply, and is replaced by
+// what it takes from this one. A payload root still in place since then is
+// spliced: the common prefix and suffix of its old and new escaped bytes
+// are kept (cut points moved off any "%XX" unit), and only the deepest
+// element whose content holds the changed bytes is rebuilt, from those
+// bytes alone, widening to its parent when the rebuilt markup does not
+// close exactly at that element's end. A payload with no usable record is
+// the degenerate splice: its whole content is rebuilt. Either way the tree
+// equals a fresh build, and nodes the new snapshot leaves unchanged keep
+// their address and rev, which is what lets the delta path's CanonicalMemo
+// re-digest only the change. `spliced` and `rebuilt` (optional) count the
+// changed payloads rebuilt below their root (or only shifted, when just the
+// root's attributes changed) and those whose whole content was rebuilt;
+// byte-equal payloads with a record count as neither.
+void ReconcileSnapshotTree(const SnapshotEscaped& payloads,
+                           AppliedSnapshot* applied, Element* root,
+                           uint64_t* spliced = nullptr,
+                           uint64_t* rebuilt = nullptr);
 
 }  // namespace rcb
 

@@ -12,6 +12,22 @@ namespace {
 
 constexpr char kUnitSep = '\x1f';
 
+// Room in a newContent document for all but its payloads: the declaration,
+// the tags, docTime and a few user actions.
+constexpr size_t kXmlFrameBytes = 1024;
+
+size_t EscapedBytes(const SnapshotEscaped& escaped) {
+  size_t bytes = 0;
+  for (const EscapedPayload& child : escaped.head_children) {
+    bytes += child.escaped.size();
+  }
+  for (const auto* payload : {&escaped.body, &escaped.frameset,
+                              &escaped.noframes}) {
+    bytes += payload->has_value() ? (*payload)->escaped.size() : 0;
+  }
+  return bytes;
+}
+
 }  // namespace
 
 std::string EncodeElementPayload(const ElementPayload& payload) {
@@ -48,12 +64,49 @@ StatusOr<ElementPayload> DecodeElementPayload(std::string_view encoded) {
   return payload;
 }
 
+StatusOr<size_t> DecodeEscapedPayloadHead(std::string_view escaped,
+                                          ElementPayload* payload) {
+  // Unit by unit up to the second separator: the head is a few bytes of a
+  // page-sized payload.
+  std::string head;
+  size_t pos = 0;
+  int separators = 0;
+  while (pos < escaped.size() && separators < 2) {
+    pos = JsUnescapeUnit(escaped, pos, &head);
+    separators += head.back() == kUnitSep ? 1 : 0;
+  }
+  RCB_ASSIGN_OR_RETURN(*payload, DecodeElementPayload(head));
+  return pos;
+}
+
 bool SnapshotEscaped::Matches(const Snapshot& snapshot) const {
   return has_content == snapshot.has_content &&
          head_children.size() == snapshot.head_children.size() &&
          body.has_value() == snapshot.body.has_value() &&
          frameset.has_value() == snapshot.frameset.has_value() &&
          noframes.has_value() == snapshot.noframes.has_value();
+}
+
+SnapshotEscaped EscapeSnapshot(const Snapshot& snapshot) {
+  auto escape = [](const ElementPayload& payload) {
+    const std::string raw = EncodeElementPayload(payload);
+    return EscapedPayload{JsEscape(raw), raw.size()};
+  };
+  SnapshotEscaped out;
+  out.has_content = snapshot.has_content;
+  for (const ElementPayload& payload : snapshot.head_children) {
+    out.head_children.push_back(escape(payload));
+  }
+  if (snapshot.body.has_value()) {
+    out.body = escape(*snapshot.body);
+  }
+  if (snapshot.frameset.has_value()) {
+    out.frameset = escape(*snapshot.frameset);
+  }
+  if (snapshot.noframes.has_value()) {
+    out.noframes = escape(*snapshot.noframes);
+  }
+  return out;
 }
 
 std::string SerializeSnapshotXml(const Snapshot& snapshot) {
@@ -69,14 +122,17 @@ std::string SerializeSnapshotXml(
     const Snapshot& snapshot, SnapshotSerializeStats* stats,
     const SnapshotEscaped* prescaped,
     const std::vector<UserAction>* override_actions) {
+  if (prescaped != nullptr && !prescaped->Matches(snapshot)) {
+    prescaped = nullptr;  // shape drifted from the snapshot: escape fresh
+  }
   XmlWriter writer;
+  if (prescaped != nullptr && snapshot.has_content) {
+    writer.Reserve(EscapedBytes(*prescaped) + kXmlFrameBytes);
+  }
   writer.WriteDeclaration();
   writer.StartElement("newContent");
   writer.WriteTextElement("docTime", StrFormat("%lld", static_cast<long long>(
                                                             snapshot.doc_time_ms)));
-  if (prescaped != nullptr && !prescaped->Matches(snapshot)) {
-    prescaped = nullptr;  // shape drifted from the snapshot: escape fresh
-  }
   auto escape_counted = [stats](std::string raw) {
     std::string escaped = JsEscape(raw);
     if (stats != nullptr) {
@@ -149,48 +205,75 @@ std::string SerializeSnapshotXml(
   return writer.TakeString();
 }
 
-StatusOr<Snapshot> ParseSnapshotXml(std::string_view xml) {
-  RCB_ASSIGN_OR_RETURN(auto root, ParseXml(xml));
+StatusOr<SnapshotReply> ParseSnapshotReply(std::string_view xml) {
+  RCB_ASSIGN_OR_RETURN(std::unique_ptr<XmlNode> root, ParseXml(xml));
   if (root->name != "newContent") {
     return InvalidArgumentError("expected newContent root, got " + root->name);
   }
-  Snapshot snapshot;
+  SnapshotReply reply;
   const XmlNode* doc_time = root->FindChild("docTime");
   if (doc_time == nullptr) {
     return InvalidArgumentError("snapshot missing docTime");
   }
-  if (!ParseInt64(doc_time->text, &snapshot.doc_time_ms)) {
+  if (!ParseInt64(doc_time->text, &reply.doc_time_ms)) {
     return InvalidArgumentError("snapshot docTime is not an integer");
   }
 
-  if (const XmlNode* content = root->FindChild("docContent")) {
-    snapshot.has_content = true;
-    if (const XmlNode* head = content->FindChild("docHead")) {
+  // The CDATA text is moved out of the parsed XML, not copied.
+  auto take = [](XmlNode* node) -> StatusOr<EscapedPayload> {
+    EscapedPayload payload{std::move(node->text), 0};
+    ElementPayload head;
+    RCB_RETURN_IF_ERROR(
+        DecodeEscapedPayloadHead(payload.escaped, &head).status());
+    return payload;
+  };
+  SnapshotEscaped& payloads = reply.payloads;
+  if (XmlNode* content = root->FindChild("docContent")) {
+    payloads.has_content = true;
+    if (XmlNode* head = content->FindChild("docHead")) {
       for (const auto& child : head->children) {
-        RCB_ASSIGN_OR_RETURN(ElementPayload payload,
-                             DecodeElementPayload(JsUnescape(child->text)));
-        snapshot.head_children.push_back(std::move(payload));
+        RCB_ASSIGN_OR_RETURN(EscapedPayload payload, take(child.get()));
+        payloads.head_children.push_back(std::move(payload));
       }
     }
-    if (const XmlNode* body = content->FindChild("docBody")) {
-      RCB_ASSIGN_OR_RETURN(ElementPayload payload,
-                           DecodeElementPayload(JsUnescape(body->text)));
-      snapshot.body = std::move(payload);
+    if (XmlNode* body = content->FindChild("docBody")) {
+      RCB_ASSIGN_OR_RETURN(payloads.body, take(body));
     }
-    if (const XmlNode* frameset = content->FindChild("docFrameSet")) {
-      RCB_ASSIGN_OR_RETURN(ElementPayload payload,
-                           DecodeElementPayload(JsUnescape(frameset->text)));
-      snapshot.frameset = std::move(payload);
+    if (XmlNode* frameset = content->FindChild("docFrameSet")) {
+      RCB_ASSIGN_OR_RETURN(payloads.frameset, take(frameset));
     }
-    if (const XmlNode* noframes = content->FindChild("docNoFrames")) {
-      RCB_ASSIGN_OR_RETURN(ElementPayload payload,
-                           DecodeElementPayload(JsUnescape(noframes->text)));
-      snapshot.noframes = std::move(payload);
+    if (XmlNode* noframes = content->FindChild("docNoFrames")) {
+      RCB_ASSIGN_OR_RETURN(payloads.noframes, take(noframes));
     }
   }
   if (const XmlNode* actions = root->FindChild("userActions")) {
-    RCB_ASSIGN_OR_RETURN(snapshot.user_actions,
+    RCB_ASSIGN_OR_RETURN(reply.user_actions,
                          DecodeActions(JsUnescape(actions->text)));
+  }
+  return reply;
+}
+
+StatusOr<Snapshot> ParseSnapshotXml(std::string_view xml) {
+  RCB_ASSIGN_OR_RETURN(SnapshotReply reply, ParseSnapshotReply(xml));
+  Snapshot snapshot;
+  snapshot.doc_time_ms = reply.doc_time_ms;
+  snapshot.has_content = reply.payloads.has_content;
+  snapshot.user_actions = std::move(reply.user_actions);
+  // Each payload's head was checked by the parse, so the decode succeeds.
+  auto decode = [](const EscapedPayload& payload) {
+    return DecodeElementPayload(JsUnescape(payload.escaped)).value();
+  };
+  for (const EscapedPayload& payload : reply.payloads.head_children) {
+    snapshot.head_children.push_back(decode(payload));
+  }
+  if (reply.payloads.body.has_value()) {
+    snapshot.body = decode(*reply.payloads.body);
+  }
+  if (reply.payloads.frameset.has_value()) {
+    snapshot.frameset = decode(*reply.payloads.frameset);
+  }
+  if (reply.payloads.noframes.has_value()) {
+    snapshot.noframes = decode(*reply.payloads.noframes);
   }
   return snapshot;
 }

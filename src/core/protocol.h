@@ -40,6 +40,12 @@ std::string EncodeElementPayload(const ElementPayload& payload);
 // and splices the cached escaped inner_html after it.
 std::string EncodeElementPayloadPrefix(const ElementPayload& payload);
 StatusOr<ElementPayload> DecodeElementPayload(std::string_view encoded);
+// Decodes only the tag and attributes of an escaped payload,
+// JsEscape(EncodeElementPayload(p)), into `*payload` (inner_html left
+// empty) and returns the offset in `escaped` where the escaped inner HTML
+// starts. Fails exactly when DecodeElementPayload(JsUnescape(escaped)) does.
+StatusOr<size_t> DecodeEscapedPayloadHead(std::string_view escaped,
+                                          ElementPayload* payload);
 
 // User actions (ActionType/UserAction and their codec) live in
 // src/core/actions.h, re-exported here for the protocol's historical users.
@@ -94,6 +100,9 @@ struct SnapshotEscaped {
   bool Matches(const Snapshot& snapshot) const;
 };
 
+// Escapes every payload of `snapshot` afresh (raw_bytes filled in).
+SnapshotEscaped EscapeSnapshot(const Snapshot& snapshot);
+
 // Serializes per Fig. 4 (with the <?xml?> declaration).
 std::string SerializeSnapshotXml(const Snapshot& snapshot);
 std::string SerializeSnapshotXml(const Snapshot& snapshot,
@@ -108,6 +117,18 @@ std::string SerializeSnapshotXml(const Snapshot& snapshot,
                                  SnapshotSerializeStats* stats,
                                  const SnapshotEscaped* prescaped,
                                  const std::vector<UserAction>* override_actions);
+// A newContent document as the wire carries it: the payloads stay the
+// escaped CDATA text, so the Fig. 5 apply (ReconcileSnapshotTree) can splice
+// them without unescaping the page. Each payload's raw_bytes reads 0.
+struct SnapshotReply {
+  int64_t doc_time_ms = 0;
+  SnapshotEscaped payloads;  // payloads.has_content: the document had content
+  std::vector<UserAction> user_actions;
+};
+// Parses a newContent document, checking each payload's head
+// (DecodeEscapedPayloadHead); fails exactly when ParseSnapshotXml does.
+StatusOr<SnapshotReply> ParseSnapshotReply(std::string_view xml);
+// ParseSnapshotReply plus the unescape and decode of every payload.
 StatusOr<Snapshot> ParseSnapshotXml(std::string_view xml);
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 #include "src/core/serialize_cache.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "src/core/content_generator.h"
 #include "src/html/parser.h"
 #include "src/html/tokenizer.h"
@@ -19,8 +22,15 @@ void SerializeCache::AppendChildrenHtml(const Element& element,
                                         std::string* escaped) {
   const bool raw_text =
       HtmlTokenizer::IsRawTextElement(element.tag_name());
-  for (const auto& child : element.children()) {
-    AppendNode(*child, raw_text, config_fingerprint, rewriter,
+  const auto& children = element.children();
+  for (size_t i = 0; i < children.size(); ++i) {
+    // Start loading the next child's index slot while this child is
+    // serialized, so consecutive lookups do not each wait on memory.
+    if (i + 1 < children.size() && !index_.empty()) {
+      const Key next{children[i + 1]->rev(), config_fingerprint};
+      __builtin_prefetch(&index_[KeyHash{}(next) & (index_.size() - 1)]);
+    }
+    AppendNode(*children[i], raw_text, config_fingerprint, rewriter,
                interactive_counter, raw, escaped);
   }
 }
@@ -145,13 +155,47 @@ void SerializeCache::AppendElement(const Element& element,
                  raw, escaped);
 }
 
+size_t SerializeCache::Probe(const Key& key) const {
+  const size_t mask = index_.size() - 1;
+  size_t pos = KeyHash{}(key) & mask;
+  while (index_[pos].entry != kNoEntry && !(index_[pos].key == key)) {
+    pos = (pos + 1) & mask;
+  }
+  return pos;
+}
+
+SerializeCache::Entry* SerializeCache::Find(const Key& key) {
+  if (index_.empty()) {
+    return nullptr;
+  }
+  const Slot& slot = index_[Probe(key)];
+  return slot.entry == kNoEntry ? nullptr : &entries_[slot.entry];
+}
+
+void SerializeCache::EraseSlot(size_t pos) {
+  const size_t mask = index_.size() - 1;
+  size_t hole = pos;
+  for (size_t next = (hole + 1) & mask; index_[next].entry != kNoEntry;
+       next = (next + 1) & mask) {
+    // The slot at `next` may fill the hole when the hole lies in its probe
+    // run, from its home slot up to it.
+    const size_t home = KeyHash{}(index_[next].key) & mask;
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      index_[hole] = index_[next];
+      hole = next;
+    }
+  }
+  index_[hole] = Slot{};
+  --index_used_;
+}
+
 bool SerializeCache::TryAppendHit(const Key& key, size_t* counter,
                                   std::string* raw, std::string* escaped) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  Entry* found = Find(key);
+  if (found == nullptr) {
     return false;
   }
-  Entry& entry = it->second;
+  Entry& entry = *found;
   // A span containing no interactive elements embeds no data-rcb-ids, so its
   // bytes are independent of the counter; only id-bearing spans must match.
   if (entry.interactive_count != 0 && entry.id_base != *counter) {
@@ -201,29 +245,56 @@ void SerializeCache::Insert(Key key, Entry entry) {
   ++stats_.spans;
   lru_.push_front(key);
   entry.lru = lru_.begin();
-  entries_.emplace(key, std::move(entry));
+  uint32_t number;
+  if (free_entries_.empty()) {
+    number = static_cast<uint32_t>(entries_.size());
+    entries_.push_back(std::move(entry));
+  } else {
+    number = free_entries_.back();
+    free_entries_.pop_back();
+    entries_[number] = std::move(entry);
+  }
+  if (2 * (index_used_ + 1) > index_.size()) {
+    // Grow to keep the index at most half full, re-placing every slot.
+    std::vector<Slot> old = std::exchange(
+        index_, std::vector<Slot>(std::max<size_t>(1024, 2 * index_.size())));
+    for (const Slot& slot : old) {
+      if (slot.entry != kNoEntry) {
+        index_[Probe(slot.key)] = slot;
+      }
+    }
+  }
+  index_[Probe(key)] = Slot{key, number};
+  ++index_used_;
   EvictToBudget();
 }
 
 void SerializeCache::Erase(const Key& key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  if (index_.empty()) {
     return;
   }
-  stats_.bytes -= it->second.raw.size() + it->second.escaped.size();
-  lru_.erase(it->second.lru);
+  const size_t pos = Probe(key);
+  const uint32_t number = index_[pos].entry;
+  if (number == kNoEntry) {
+    return;
+  }
+  Entry& entry = entries_[number];
+  stats_.bytes -= entry.raw.size() + entry.escaped.size();
+  lru_.erase(entry.lru);
   --stats_.spans;
-  entries_.erase(it);
+  entry = Entry{};  // releases the span's bytes
+  free_entries_.push_back(number);
+  EraseSlot(pos);
 }
 
 void SerializeCache::EvictToBudget() {
   while (stats_.bytes > kBudgetBytes && !lru_.empty()) {
     Key victim = lru_.back();
-    auto it = entries_.find(victim);
-    size_t victim_bytes = it->second.raw.size() + it->second.escaped.size();
+    const Entry& entry = *Find(victim);
+    size_t victim_bytes = entry.raw.size() + entry.escaped.size();
     stats_.evicted_bytes += victim_bytes;
     ++stats_.evictions;
-    auto newest = key_of_node_.find(it->second.node);
+    auto newest = key_of_node_.find(entry.node);
     if (newest != key_of_node_.end() && newest->second == victim) {
       key_of_node_.erase(newest);
     }
@@ -233,6 +304,9 @@ void SerializeCache::EvictToBudget() {
 
 void SerializeCache::Clear() {
   entries_.clear();
+  free_entries_.clear();
+  index_.clear();
+  index_used_ = 0;
   lru_.clear();
   key_of_node_.clear();
   stats_.bytes = 0;

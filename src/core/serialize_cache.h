@@ -52,10 +52,12 @@
 #ifndef SRC_CORE_SERIALIZE_CACHE_H_
 #define SRC_CORE_SERIALIZE_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "src/html/dom.h"
 
@@ -155,8 +157,28 @@ class SerializeCache {
   void Erase(const Key& key);
   void EvictToBudget();
 
+  // The index: open addressing with linear probing over a power-of-two
+  // table of (key, entry number) slots. A lookup reads one or two adjacent
+  // slots, where a node-based map chases a bucket and its chain through the
+  // heap; generation looks up every element it passes, so this is the
+  // cache's hot path.
+  static constexpr uint32_t kNoEntry = UINT32_MAX;
+  struct Slot {
+    Key key{};
+    uint32_t entry = kNoEntry;
+  };
+  // The slot holding `key`, or the empty slot where it would go.
+  size_t Probe(const Key& key) const;
+  Entry* Find(const Key& key);
+  // Removes the occupied slot `pos`, shifting later slots of its probe run
+  // back so no lookup stops short of them.
+  void EraseSlot(size_t pos);
+
   Stats stats_;
-  std::unordered_map<Key, Entry, KeyHash> entries_;
+  std::vector<Entry> entries_;       // by entry number; free ones are empty
+  std::vector<uint32_t> free_entries_;
+  std::vector<Slot> index_;          // at most half full
+  size_t index_used_ = 0;
   std::list<Key> lru_;  // front = most recent
   // The key of each node's newest entry. A node address may be reused after
   // the node is freed; that only drops a span no live node carries.

@@ -55,10 +55,12 @@ bool ClosesImplicitly(std::string_view opening, std::string_view open_tag) {
 }
 
 // One open node during tree construction: children before `cursor` are
-// settled, the rest are the previous content not yet reached.
+// settled, the rest are the previous content not yet reached. `span` is its
+// ElementSpan's index when spans are recorded.
 struct OpenNode {
   Node* node;
   size_t cursor;
+  size_t span;
 
   // The previous child at the cursor, or nullptr past the end.
   Node* at_cursor() const {
@@ -106,30 +108,42 @@ Element* PlaceElement(OpenNode* open, const HtmlToken& token) {
   return element;
 }
 
-// Builds the tree for `html` under `root` in place: the children `root`
-// already has are reused in order where they fit (PlaceLeaf, PlaceElement),
-// and whatever an element's markup does not reach is dropped when it closes.
-// The result equals building under an empty `root`; unchanged nodes keep
-// their identity and rev, so only changed nodes and their ancestors restamp.
-void BuildTree(std::string_view html, Node* root) {
+}  // namespace
+
+bool BuildTree(std::string_view html, Node* root,
+               std::vector<ElementSpan>* spans, bool contained) {
   HtmlTokenizer tokenizer(html);
   HtmlToken token;
   std::vector<OpenNode> stack;
-  stack.push_back({root, 0});
-  // Closes the open nodes from stack position `depth` up.
-  auto close_to = [&stack](size_t depth) {
+  stack.push_back({root, 0, 0});
+  // Closes the open nodes from stack position `depth` up; their content
+  // ends at `end`.
+  auto close_to = [&stack, spans](size_t depth, size_t end) {
     while (stack.size() > depth) {
-      stack.back().node->TruncateChildren(stack.back().cursor);
+      OpenNode& open = stack.back();
+      open.node->TruncateChildren(open.cursor);
+      if (spans != nullptr && stack.size() > 1) {
+        ElementSpan& span = (*spans)[open.span];
+        span.end = static_cast<uint32_t>(end);
+        span.descendants = static_cast<uint32_t>(spans->size() - open.span - 1);
+      }
       stack.pop_back();
     }
   };
 
   while (true) {
+    const size_t token_begin = tokenizer.pos();
     tokenizer.Next(&token);
+    if (contained && tokenizer.truncated()) {
+      return false;  // the token runs on past `html` in the larger document
+    }
     switch (token.type) {
       case HtmlToken::Type::kEndOfFile:
-        close_to(0);
-        return;
+        if (contained && stack.size() > 1) {
+          return false;
+        }
+        close_to(0, html.size());
+        return true;
       case HtmlToken::Type::kText:
         if (!token.data.empty()) {
           PlaceLeaf<Text>(&stack.back(), NodeType::kText, token.data);
@@ -146,14 +160,27 @@ void BuildTree(std::string_view html, Node* root) {
         while (stack.size() > 1) {
           Element* open = stack.back().node->AsElement();
           if (open != nullptr && ClosesImplicitly(token.tag_name, open->tag_name())) {
-            close_to(stack.size() - 1);
+            close_to(stack.size() - 1, token_begin);
           } else {
             break;
           }
         }
+        if (contained && stack.size() == 1 && root->AsElement() != nullptr &&
+            ClosesImplicitly(token.tag_name, root->AsElement()->tag_name())) {
+          return false;
+        }
         Element* element = PlaceElement(&stack.back(), token);
-        if (!token.self_closing && !IsVoidElement(token.tag_name)) {
-          stack.push_back({element, 0});
+        const bool pushed =
+            !token.self_closing && !IsVoidElement(token.tag_name);
+        if (spans != nullptr) {
+          const auto content = static_cast<uint32_t>(tokenizer.pos());
+          spans->push_back(
+              {content, content, 0,
+               !pushed || HtmlTokenizer::IsRawTextElement(token.tag_name)});
+        }
+        if (pushed) {
+          stack.push_back(
+              {element, 0, spans != nullptr ? spans->size() - 1 : 0});
         } else {
           element->TruncateChildren(0);
         }
@@ -161,18 +188,28 @@ void BuildTree(std::string_view html, Node* root) {
       }
       case HtmlToken::Type::kEndTag: {
         // Pop to the nearest matching open element; ignore stray end tags.
+        size_t match = 0;
         for (size_t i = stack.size(); i-- > 1;) {
           Element* element = stack[i].node->AsElement();
           if (element != nullptr && element->tag_name() == token.tag_name) {
-            close_to(i);
+            match = i;
             break;
           }
         }
+        if (match == 0) {
+          if (contained) {
+            return false;
+          }
+          break;
+        }
+        close_to(match, token_begin);
         break;
       }
     }
   }
 }
+
+namespace {
 
 // Heads-only elements that belong in <head> when found at the top of a
 // document missing explicit structure.

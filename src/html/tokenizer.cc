@@ -56,6 +56,7 @@ void HtmlTokenizer::Next(HtmlToken* token) {
   token->self_closing = false;
   token->data.clear();
   token->attribute_count = 0;
+  truncated_ = false;
   if (!pending_raw_text_tag_.empty()) {
     LexRawText(token);
     pending_raw_text_tag_.clear();
@@ -106,6 +107,7 @@ void HtmlTokenizer::LexComment(HtmlToken* token) {
   if (end == std::string_view::npos) {
     token->data.assign(input_.substr(pos_));
     pos_ = input_.size();
+    truncated_ = true;
   } else {
     token->data.assign(input_.substr(pos_, end - pos_));
     pos_ = end + 3;
@@ -119,6 +121,7 @@ void HtmlTokenizer::LexDoctypeOrBogus(HtmlToken* token) {
   if (end == std::string_view::npos) {
     token->data.assign(input_.substr(pos_ + 2));
     pos_ = input_.size();
+    truncated_ = true;
   } else {
     token->data.assign(input_.substr(pos_ + 2, end - pos_ - 2));
     pos_ = end + 1;
@@ -150,6 +153,8 @@ void HtmlTokenizer::LexTag(HtmlToken* token) {
   }
   if (pos_ < input_.size() && input_[pos_] == '>') {
     ++pos_;
+  } else {
+    truncated_ = true;
   }
   if (token->type == HtmlToken::Type::kStartTag && !token->self_closing &&
       IsRawTextElement(token->tag_name)) {
@@ -242,6 +247,7 @@ void HtmlTokenizer::LexRawText(HtmlToken* token) {
   if (found == std::string_view::npos) {
     token->data.assign(input_.substr(pos_));
     pos_ = input_.size();
+    truncated_ = true;
   } else {
     token->data.assign(input_.substr(pos_, found - pos_));
     pos_ = found;  // the end tag is lexed by the next Next() call

@@ -43,6 +43,14 @@ class HtmlTokenizer {
   // vector's capacity.
   void Next(HtmlToken* token);
 
+  // Offset of the next token in the input: where the token Next() returns
+  // starts when called before it, and where it ended when called after.
+  size_t pos() const { return pos_; }
+  // True when the last token ran into the end of the input before its
+  // terminator (an unclosed comment, tag or raw-text run): in a longer input
+  // it would have read on.
+  bool truncated() const { return truncated_; }
+
   // True for elements whose content is raw text (no markup inside).
   static bool IsRawTextElement(std::string_view tag);
 
@@ -56,6 +64,7 @@ class HtmlTokenizer {
 
   std::string_view input_;
   size_t pos_ = 0;
+  bool truncated_ = false;
   // Set after a raw-text start tag; the next token is its text content.
   std::string pending_raw_text_tag_;
 };

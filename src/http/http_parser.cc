@@ -1,24 +1,53 @@
 #include "src/http/http_parser.h"
 
+#include <utility>
+
 #include "src/http/url.h"
 #include "src/util/strings.h"
 
 namespace rcb {
 namespace http_internal {
 
+namespace {
+constexpr std::string_view kHeadEnd = "\r\n\r\n";
+}  // namespace
+
+void MessageAssembler::Append(std::string_view data) {
+  if (buffer_.empty() && !head_ready_ && !in_body_) {
+    size_t pos = data.find(kHeadEnd);
+    if (pos != std::string_view::npos) {
+      head_.assign(data.substr(0, pos));
+      head_ready_ = true;
+      buffer_.assign(data.substr(pos + kHeadEnd.size()));
+      return;
+    }
+  }
+  buffer_.append(data);
+}
+
 std::optional<std::string> MessageAssembler::TakeHeadIfComplete() {
-  size_t pos = buffer_.find("\r\n\r\n");
+  if (head_ready_) {
+    head_ready_ = false;
+    in_body_ = true;
+    return std::exchange(head_, std::string());
+  }
+  size_t pos = buffer_.find(kHeadEnd);
   if (pos == std::string::npos) {
     return std::nullopt;
   }
   std::string head = buffer_.substr(0, pos);
-  buffer_.erase(0, pos + 4);
+  buffer_.erase(0, pos + kHeadEnd.size());
+  in_body_ = true;
   return head;
 }
 
 std::optional<std::string> MessageAssembler::TakeBodyIfComplete(size_t length) {
   if (buffer_.size() < length) {
     return std::nullopt;
+  }
+  in_body_ = false;
+  if (buffer_.size() == length) {
+    return std::exchange(buffer_, std::string());
   }
   std::string body = buffer_.substr(0, length);
   buffer_.erase(0, length);

@@ -19,13 +19,14 @@ namespace rcb {
 
 namespace http_internal {
 
-// Shared head-then-body state machine.
+// Shared head-then-body state machine. A message that arrives in one chunk
+// has its body copied once, into the string TakeBodyIfComplete hands out;
+// leftover bytes of pipelined messages stay buffered.
 class MessageAssembler {
  public:
-  // Appends bytes; returns true once head+body of the current message are
-  // complete. Call Reset() after consuming a message to continue with any
-  // pipelined leftover.
-  void Append(std::string_view data) { buffer_.append(data); }
+  // Buffers `data`. When nothing is buffered and `data` holds a whole head,
+  // the head is split off here, so only the bytes after it are copied.
+  void Append(std::string_view data);
 
   // Looks for the end-of-head marker; returns the head (without the blank
   // line) once present.
@@ -34,10 +35,13 @@ class MessageAssembler {
   // After the head is consumed, extracts `length` body bytes when available.
   std::optional<std::string> TakeBodyIfComplete(size_t length);
 
-  size_t buffered_bytes() const { return buffer_.size(); }
+  size_t buffered_bytes() const { return head_.size() + buffer_.size(); }
 
  private:
-  std::string buffer_;
+  std::string head_;       // a head Append split off, until it is taken
+  bool head_ready_ = false;
+  bool in_body_ = false;   // a head was taken and its body is not yet
+  std::string buffer_;     // bytes after the last head taken or split off
 };
 
 }  // namespace http_internal

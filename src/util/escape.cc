@@ -107,28 +107,34 @@ size_t AppendUnicodeEscape(std::string_view input, size_t i, std::string* out) {
   return used;
 }
 
-// The byte-at-a-time JsUnescape loop, appending to `out`. JsUnescape runs it
+}  // namespace
+
+size_t JsUnescapeUnit(std::string_view input, size_t pos, std::string* out) {
+  if (input[pos] == '%') {
+    // "%XX" first: it is the common form, and 'u' is no hex digit.
+    if (pos + 2 < input.size()) {
+      int hi = HexValue(input[pos + 1]);
+      int lo = HexValue(input[pos + 2]);
+      if (hi >= 0 && lo >= 0) {
+        out->push_back(static_cast<char>((hi << 4) | lo));
+        return pos + 3;
+      }
+    }
+    if (size_t used = AppendUnicodeEscape(input, pos, out); used > 0) {
+      return pos + used;
+    }
+  }
+  out->push_back(input[pos]);
+  return pos + 1;
+}
+
+namespace {
+
+// The unit-at-a-time JsUnescape loop, appending to `out`. JsUnescape runs it
 // only from the first "%u" on, where a code point may need UTF-8 bytes.
 void JsUnescapeGeneral(std::string_view input, std::string* out) {
   for (size_t i = 0; i < input.size();) {
-    if (input[i] == '%') {
-      // "%XX" first: it is the common form, and 'u' is no hex digit.
-      if (i + 2 < input.size()) {
-        int hi = HexValue(input[i + 1]);
-        int lo = HexValue(input[i + 2]);
-        if (hi >= 0 && lo >= 0) {
-          out->push_back(static_cast<char>((hi << 4) | lo));
-          i += 3;
-          continue;
-        }
-      }
-      if (size_t used = AppendUnicodeEscape(input, i, out); used > 0) {
-        i += used;
-        continue;
-      }
-    }
-    out->push_back(input[i]);
-    ++i;
+    i = JsUnescapeUnit(input, i, out);
   }
 }
 
@@ -154,12 +160,19 @@ void JsEscapeAppend(std::string_view input, std::string* out) {
   }
 }
 
-std::string JsUnescape(std::string_view input) {
-  // Decoding never lengthens: "%XX" is 3 bytes for 1, "%uXXXX" 6 for at most
-  // 3 and a surrogate pair 12 for 4. So the output is sized once and written
-  // through a pointer; runs between '%'s are copied whole.
-  std::string out(input.size(), '\0');
-  char* dst = out.data();
+namespace {
+
+// JsUnescape's fast loop: sizes `*out` once (decoding never lengthens),
+// copies the runs between '%'s whole and decodes "%XX" by table, calling
+// wide(offset) for each output byte decoded from "%XX". Stops at a "%u"
+// candidate and returns its input offset with `*out` holding what came
+// before it, or returns input.size().
+template <typename Wide>
+size_t JsUnescapeUntilUnicode(std::string_view input, std::string* out,
+                              Wide wide) {
+  out->resize(input.size());
+  char* const begin = out->data();
+  char* dst = begin;
   const char* p = input.data();
   const char* end = p + input.size();
   while (p < end) {
@@ -178,23 +191,55 @@ std::string JsUnescape(std::string_view input) {
       int hi = HexValue(p[1]);
       int lo = HexValue(p[2]);
       if ((hi | lo) >= 0) {
+        wide(static_cast<size_t>(dst - begin));
         *dst++ = static_cast<char>((hi << 4) | lo);
         p += 3;
         continue;
       }
     }
     if (end - p > 1 && (p[1] == 'u' || p[1] == 'U')) {
-      // A "%uXXXX" candidate: the rare rest goes through the general loop.
-      out.resize(static_cast<size_t>(dst - out.data()));
-      JsUnescapeGeneral(input.substr(static_cast<size_t>(p - input.data())),
-                        &out);
-      return out;
+      break;  // a "%uXXXX" candidate
     }
     *dst++ = '%';  // a stray '%' passes through
     ++p;
   }
-  out.resize(static_cast<size_t>(dst - out.data()));
+  out->resize(static_cast<size_t>(dst - begin));
+  return static_cast<size_t>(p - input.data());
+}
+
+}  // namespace
+
+std::string JsUnescape(std::string_view input) {
+  std::string out;
+  const size_t done = JsUnescapeUntilUnicode(input, &out, [](size_t) {});
+  // The rare "%u" rest goes through the unit loop, which decodes code
+  // points to UTF-8.
+  JsUnescapeGeneral(input.substr(done), &out);
   return out;
+}
+
+bool JsUnescapeMap::Decode(std::string_view input, std::string* out) {
+  wide_.assign(input.size() / 64 + 1, 0);
+  const size_t done = JsUnescapeUntilUnicode(input, out, [this](size_t at) {
+    wide_[at / 64] |= uint64_t{1} << (at % 64);
+  });
+  if (done != input.size()) {
+    return false;
+  }
+  below_.resize(wide_.size());
+  uint32_t count = 0;
+  for (size_t w = 0; w < wide_.size(); ++w) {
+    below_[w] = count;
+    count += static_cast<uint32_t>(__builtin_popcountll(wide_[w]));
+  }
+  return true;
+}
+
+size_t JsUnescapeMap::EscapedOffset(size_t offset) const {
+  const size_t word = offset / 64;
+  const uint64_t before = wide_[word] & ((uint64_t{1} << (offset % 64)) - 1);
+  return offset + 2 * (below_[word] +
+                       static_cast<size_t>(__builtin_popcountll(before)));
 }
 
 std::string PercentEncode(std::string_view input) {

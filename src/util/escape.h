@@ -8,8 +8,10 @@
 #ifndef SRC_UTIL_ESCAPE_H_
 #define SRC_UTIL_ESCAPE_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace rcb {
 
@@ -27,6 +29,29 @@ void JsEscapeAppend(std::string_view input, std::string* out);
 // Inverse of JsEscape. Malformed %-sequences are passed through verbatim,
 // matching browser behaviour.
 std::string JsUnescape(std::string_view input);
+
+// Decodes the one JsEscape unit at input[pos] (a byte, "%XX" or "%uXXXX",
+// or a stray '%') onto `*out` and returns the offset after it. JsUnescape is
+// these units left to right.
+size_t JsUnescapeUnit(std::string_view input, size_t pos, std::string* out);
+
+// JsUnescape for input without "%u" units, which can then map each decoded
+// offset back to the input: every decoded byte stands for one input byte,
+// or for three when it came from "%XX".
+class JsUnescapeMap {
+ public:
+  // Overwrites `*out` with JsUnescape(input) and returns true, or returns
+  // false (`*out` unspecified) when a '%' in `input` is followed by 'u' or
+  // 'U'.
+  bool Decode(std::string_view input, std::string* out);
+  // The input offset where decoded offset `offset` (at most the decoded
+  // size) starts, after a successful Decode.
+  size_t EscapedOffset(size_t offset) const;
+
+ private:
+  std::vector<uint64_t> wide_;   // bit i: decoded byte i came from "%XX"
+  std::vector<uint32_t> below_;  // set bits in the words before wide_[i]
+};
 
 // RFC 3986 percent-encoding of a URI component (keeps unreserved chars).
 std::string PercentEncode(std::string_view input);

@@ -1,6 +1,7 @@
 #include "src/xml/xml_parser.h"
 
 #include <cctype>
+#include <utility>
 
 #include "src/util/escape.h"
 #include "src/util/strings.h"
@@ -14,6 +15,10 @@ const XmlNode* XmlNode::FindChild(std::string_view child_name) const {
     }
   }
   return nullptr;
+}
+
+XmlNode* XmlNode::FindChild(std::string_view child_name) {
+  return const_cast<XmlNode*>(std::as_const(*this).FindChild(child_name));
 }
 
 std::vector<const XmlNode*> XmlNode::FindChildren(std::string_view child_name) const {

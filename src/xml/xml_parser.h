@@ -25,6 +25,7 @@ struct XmlNode {
 
   // First child with the given element name, or nullptr.
   const XmlNode* FindChild(std::string_view child_name) const;
+  XmlNode* FindChild(std::string_view child_name);
 
   // All children with the given element name.
   std::vector<const XmlNode*> FindChildren(std::string_view child_name) const;

@@ -29,6 +29,10 @@ class XmlWriter {
   void WriteTextElement(std::string_view name, std::string_view text);
   void WriteCdataElement(std::string_view name, std::string_view data);
 
+  // Makes room for `bytes` of output up front, so a document with a large
+  // CDATA section is not copied again as it grows past it.
+  void Reserve(size_t bytes) { out_.reserve(bytes); }
+
   // Finishes the document (all elements must be closed) and returns it.
   std::string TakeString();
 

@@ -3,6 +3,7 @@
 // must be closed under round trips.
 #include <gtest/gtest.h>
 
+#include "src/core/content_generator.h"
 #include "src/core/protocol.h"
 #include "src/delta/patch_applier.h"
 #include "src/delta/patch_codec.h"
@@ -11,6 +12,7 @@
 #include "src/html/serializer.h"
 #include "src/http/http_parser.h"
 #include "src/http/url.h"
+#include "src/util/escape.h"
 #include "src/util/rand.h"
 #include "src/xml/xml_parser.h"
 
@@ -791,6 +793,36 @@ TEST_P(DomPropertyTest, InnerHtmlSetGetRoundTrip) {
     DumpTree(*reused, 0, &reused_dump);
     DumpTree(*fresh, 0, &fresh_dump);
     EXPECT_EQ(reused_dump, fresh_dump) << Join(first) << "\n -> " << Join(second);
+
+    // The same pair as body payloads through the Fig. 5 apply, each inside
+    // an element between two kept ones: the second splices against the
+    // first and equals a fresh apply of it alone.
+    auto body_payload = [](const std::string& inner) {
+      SnapshotEscaped payloads;
+      payloads.has_content = true;
+      payloads.body = EscapedPayload{
+          JsEscape(EncodeElementPayload(
+              {"body", {}, "<i>lead</i><section>" + inner +
+                               "</section><i>trail</i>"})),
+          0};
+      return payloads;
+    };
+    auto spliced = MakeElement("html");
+    AppliedSnapshot applied;
+    ReconcileSnapshotTree(body_payload(Join(first)), &applied, spliced.get());
+    ReconcileSnapshotTree(body_payload(Join(second)), &applied, spliced.get());
+    auto built = MakeElement("html");
+    AppliedSnapshot built_applied;
+    ReconcileSnapshotTree(body_payload(Join(second)), &built_applied,
+                          built.get());
+    EXPECT_EQ(SerializeNode(*spliced), SerializeNode(*built))
+        << Join(first) << "\n -> " << Join(second);
+    std::string spliced_dump;
+    std::string built_dump;
+    DumpTree(*spliced, 0, &spliced_dump);
+    DumpTree(*built, 0, &built_dump);
+    EXPECT_EQ(spliced_dump, built_dump)
+        << Join(first) << "\n -> " << Join(second);
   }
 }
 

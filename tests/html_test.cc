@@ -678,6 +678,62 @@ std::string EditBody(EditKind kind, Rng* rng, Element* model,
   return model->InnerHtml();
 }
 
+// BuildTree's span records: one per element, pre-order, content offsets
+// from after the start tag to the token that closed it, descendant counts,
+// and leaves for void, self-closing and raw-text elements.
+TEST(ParserTest, BuildTreeRecordsElementSpans) {
+  const std::string html =
+      "<div><p>ab</p><br><script>x<y</script></div><p>c<p>d";
+  auto root = MakeElement("body");
+  std::vector<ElementSpan> spans;
+  ASSERT_TRUE(BuildTree(html, root.get(), &spans));
+  auto content = [&](const ElementSpan& span) {
+    return html.substr(span.begin, span.end - span.begin);
+  };
+  ASSERT_EQ(spans.size(), 6u);  // div, p, br, script, p, p
+  EXPECT_EQ(content(spans[0]), "<p>ab</p><br><script>x<y</script>");
+  EXPECT_EQ(spans[0].descendants, 3u);
+  EXPECT_EQ(content(spans[1]), "ab");
+  EXPECT_FALSE(spans[1].leaf);
+  EXPECT_TRUE(spans[2].leaf);  // br
+  EXPECT_TRUE(spans[3].leaf);  // script
+  EXPECT_EQ(content(spans[3]), "x<y");
+  EXPECT_EQ(content(spans[4]), "c");  // ended by the next <p>
+  EXPECT_EQ(content(spans[5]), "d");  // ended by the end of the markup
+  EXPECT_EQ(spans[5].descendants, 0u);
+}
+
+// With `contained`, markup that would not close exactly where the root's
+// content ends in a larger document is refused; markup that would is
+// built as without it.
+TEST(ParserTest, ContainedBuildRefusesWhatWouldCloseTheRoot) {
+  const char* refused[] = {
+      "a</p>b",           // an end tag for the root
+      "a</div>",          // a stray end tag
+      "a<div>b</div>",    // a start tag that implies the root <p>'s end
+      "a<b>c",            // an element left open
+      "a<!-- b",          // an unterminated comment
+      "a<b title=\"c>",   // an unterminated tag
+      "a<script>b",       // an unterminated raw-text run
+      "a<!x",             // an unterminated bogus comment
+  };
+  for (const char* html : refused) {
+    auto root = MakeElement("p");
+    EXPECT_FALSE(BuildTree(html, root.get(), nullptr, /*contained=*/true))
+        << html;
+  }
+  const char* accepted[] = {"", "a<b>c</b>d", "a<br>b", "a<script>x</script>",
+                            "a<span><i>b</i></span><!-- c -->"};
+  for (const char* html : accepted) {
+    auto contained = MakeElement("p");
+    EXPECT_TRUE(BuildTree(html, contained.get(), nullptr, /*contained=*/true))
+        << html;
+    auto plain = MakeElement("p");
+    plain->SetInnerHtml(html);
+    EXPECT_EQ(contained->InnerHtml(), plain->InnerHtml()) << html;
+  }
+}
+
 TEST(InPlaceInnerHtmlTest, CorpusEditsEqualFreshParseAndKeepUntouchedNodes) {
   const std::vector<SiteSpec>& sites = Table1Sites();
   ASSERT_EQ(sites.size(), 20u);

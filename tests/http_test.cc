@@ -8,6 +8,7 @@
 #include "src/http/http_server.h"
 #include "src/http/message.h"
 #include "src/http/url.h"
+#include "src/util/strings.h"
 
 namespace rcb {
 namespace {
@@ -279,6 +280,45 @@ TEST(HttpParserTest, PipelinedRequests) {
   ASSERT_TRUE(second.ok());
   ASSERT_TRUE(second->has_value());
   EXPECT_EQ((*second)->target, "/b");
+}
+
+// A body that arrives after its head, in its own chunks, is body even where
+// it holds the blank line that ends a head.
+TEST(HttpParserTest, BodyChunksAfterTheHeadAreNeverAHead) {
+  const std::string body = "\r\n\r\nGET /x HTTP/1.1\r\n\r\n";
+  const std::string head = StrFormat(
+      "HTTP/1.1 200 OK\r\nContent-Length: %zu\r\n\r\n", body.size());
+  HttpResponseParser parser;
+  auto first = parser.Feed(head);
+  ASSERT_TRUE(first.ok());
+  EXPECT_FALSE(first->has_value());
+  auto partial = parser.Feed(body.substr(0, 4));
+  ASSERT_TRUE(partial.ok());
+  EXPECT_FALSE(partial->has_value());
+  auto rest = parser.Feed(body.substr(4));
+  ASSERT_TRUE(rest.ok());
+  ASSERT_TRUE(rest->has_value());
+  EXPECT_EQ((*rest)->body, body);
+}
+
+// One chunk holding a whole response and the start of the next: the first
+// completes, and the leftover stays buffered until the second's bytes come.
+TEST(HttpParserTest, PipelinedResponsesAcrossChunks) {
+  const std::string one = HttpResponse::Ok("text/plain", "first").Serialize();
+  const std::string two = HttpResponse::Ok("text/plain", "second").Serialize();
+  const std::string wire = one + two;
+  HttpResponseParser parser;
+  auto first = parser.Feed(wire.substr(0, one.size() + 10));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first->has_value());
+  EXPECT_EQ((*first)->body, "first");
+  auto none = parser.Feed("");
+  ASSERT_TRUE(none.ok());
+  EXPECT_FALSE(none->has_value());
+  auto second = parser.Feed(wire.substr(one.size() + 10));
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(second->has_value());
+  EXPECT_EQ((*second)->body, "second");
 }
 
 TEST(HttpParserTest, RejectsMalformedRequests) {

@@ -3,7 +3,9 @@
 // (maps meeting-spot coordination, shop co-shopping).
 #include <gtest/gtest.h>
 
+#include "src/core/content_generator.h"
 #include "src/core/session.h"
+#include "src/delta/tree_diff.h"
 #include "src/net/profiles.h"
 #include "src/sites/corpus.h"
 #include "src/sites/maps_site.h"
@@ -372,6 +374,106 @@ TEST_F(SessionTest, FullCorpusTour) {
   // 20 pages -> 20 generations, one content update per page.
   EXPECT_EQ(session.agent()->metrics().generations, 20u);
   EXPECT_EQ(session.snippet(0)->metrics().content_updates, 20u);
+}
+
+// The participant's canonical digest and the host's (its snapshot,
+// materialized), as e2e_bench's convergence oracle compares them.
+std::string ParticipantDigest(CoBrowsingSession* session) {
+  return delta::TreeDigest(*delta::CanonicalizeDocument(
+      *session->participant_browser(0)->document()));
+}
+
+std::string HostDigest(CoBrowsingSession* session) {
+  ContentGenerator generator(session->host_browser());
+  ContentGenOptions options;
+  options.agent_url = session->agent()->AgentUrl();
+  return delta::TreeDigest(
+      *MaterializeSnapshotTree(generator.Generate(0, options).snapshot));
+}
+
+// The Fig. 5 apply splices full snapshots: on every Table 1 page, a host
+// status-text edit and a host co-fill each splice the body payload (one
+// payload spliced, none rebuilt) and leave every other body child of the
+// participant's page at its address and rev, and the participant converges
+// on the host's digest. A participant's own co-fill restamps its page, so
+// the update that echoes it rebuilds the body once; the next host edit
+// splices again.
+TEST_F(SessionTest, Table1EditsSpliceTheBodyPayload) {
+  SessionOptions options;
+  options.profile = LanProfile();
+  options.poll_interval = Duration::Millis(500);
+  for (const SiteSpec& spec : Table1Sites()) {
+    InstallCorpusSite(spec.name, options.profile, options);
+  }
+  CoBrowsingSession session(&loop_, &network_, options);
+  ASSERT_TRUE(session.Start().ok());
+  const SnippetMetrics& metrics = session.snippet(0)->metrics();
+  Document* participant = session.participant_browser(0)->document();
+  for (const SiteSpec& spec : Table1Sites()) {
+    ASSERT_TRUE(
+        session.CoNavigate(Url::Make("http", spec.host, 80, "/")).ok())
+        << spec.name;
+    Element* status = nullptr;
+    Element* field = nullptr;
+    session.host_browser()->MutateDocument([&](Document* document) {
+      auto element = MakeElement("p");
+      element->AppendChild(MakeText("live"));
+      status = document->body()->AppendChild(std::move(element))->AsElement();
+      field = document->FindAll("input").front();
+    });
+    ASSERT_TRUE(session.WaitForSync().ok()) << spec.name;
+    // One host edit, then the payloads it spliced and rebuilt, and the
+    // participant's body children it moved or restamped.
+    auto edit = [&](const std::function<void(Document*)>& mutate,
+                    uint64_t want_spliced, uint64_t want_rebuilt,
+                    const std::string& what) {
+      const std::string where = spec.name + " " + what;
+      std::vector<std::pair<const Node*, uint64_t>> children;
+      for (const auto& child : participant->body()->children()) {
+        children.emplace_back(child.get(), child->rev());
+      }
+      const uint64_t spliced = metrics.payloads_spliced;
+      const uint64_t rebuilt = metrics.payloads_rebuilt;
+      session.host_browser()->MutateDocument(mutate);
+      ASSERT_TRUE(session.WaitForSync().ok()) << where;
+      EXPECT_EQ(metrics.payloads_spliced - spliced, want_spliced) << where;
+      EXPECT_EQ(metrics.payloads_rebuilt - rebuilt, want_rebuilt) << where;
+      size_t moved = 0;
+      for (size_t i = 0; i < children.size(); ++i) {
+        const Node* now = participant->body()->child_at(i);
+        moved += now != children[i].first || now->rev() != children[i].second;
+      }
+      if (want_spliced == 1) {
+        EXPECT_EQ(moved, 1u) << where;  // only the child holding the edit
+      }
+      EXPECT_EQ(ParticipantDigest(&session), HostDigest(&session)) << where;
+    };
+    int version = 0;
+    auto status_edit = [&](Document*) {
+      status->RemoveAllChildren();
+      status->AppendChild(MakeText("item " + std::to_string(++version)));
+    };
+    edit(status_edit, 1, 0, "status text");
+    edit([&](Document*) { field->SetAttribute("value", "host typed"); }, 1, 0,
+         "host co-fill");
+    // The participant types into its own copy of the form: the echo of
+    // that co-fill is rebuilt whole, once.
+    const uint64_t spliced = metrics.payloads_spliced;
+    const uint64_t rebuilt = metrics.payloads_rebuilt;
+    Element* form = participant->FindAll("form").front();
+    ASSERT_TRUE(session.snippet(0)
+                    ->FillFormField(form, field->AttrOr("name"), "mine")
+                    .ok())
+        << spec.name;
+    for (int i = 0; i < 200 && metrics.payloads_rebuilt == rebuilt; ++i) {
+      loop_.RunFor(Duration::Millis(50));
+    }
+    ASSERT_TRUE(session.WaitForSync().ok()) << spec.name;
+    EXPECT_EQ(metrics.payloads_rebuilt - rebuilt, 1u) << spec.name;
+    EXPECT_EQ(metrics.payloads_spliced - spliced, 0u) << spec.name;
+    EXPECT_EQ(ParticipantDigest(&session), HostDigest(&session)) << spec.name;
+    edit(status_edit, 1, 0, "status text after the participant's co-fill");
+  }
 }
 
 TEST_F(SessionTest, FramesetPageSynchronizedEndToEnd) {

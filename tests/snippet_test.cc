@@ -833,6 +833,37 @@ TEST_F(SnippetTest, ApplyMeasuresM6) {
             snippet_->metrics().last_apply_time);
 }
 
+// One clock per apply: the snippet.apply span the trace ring holds carries
+// the very reading SnippetMetrics::last_apply_time reports, traced or not;
+// its attributes are built only for a traced poll.
+class ApplySpanTest : public SnippetTest,
+                      public ::testing::WithParamInterface<bool> {};
+
+TEST_P(ApplySpanTest, CarriesTheRecordedApplyTime) {
+  const bool traced = GetParam();
+  AgentConfig agent_config;
+  agent_config.enable_trace = true;
+  StartAgent(agent_config);
+  SnippetConfig config;
+  config.enable_trace = traced;
+  ASSERT_TRUE(Join(config).ok());
+  HostNavigate();
+  WaitForUpdate();
+  std::vector<obs::TraceEvent> applies;
+  for (obs::TraceEvent& event : snippet_->trace_log().Events()) {
+    if (event.name == "snippet.apply") {
+      applies.push_back(std::move(event));
+    }
+  }
+  ASSERT_EQ(applies.size(), snippet_->metrics().content_updates);
+  EXPECT_EQ(applies.back().duration_us,
+            snippet_->metrics().last_apply_time.micros());
+  EXPECT_EQ(applies.back().provenance, obs::Provenance::kWall);
+  EXPECT_EQ(applies.back().attrs.empty(), !traced);
+}
+
+INSTANTIATE_TEST_SUITE_P(TracedOffOn, ApplySpanTest, ::testing::Bool());
+
 // ---- Fig. 5 apply against the four-step oracle ----------------------------
 
 // The agent's initial page in miniature: the title comes before the
@@ -842,6 +873,18 @@ constexpr char kParticipantPage[] =
     "<script id=\"rcb-snippet\">/* snippet */</script>"
     "<meta name=\"rcb-pid\" content=\"p1\"></head>"
     "<body><h1>RCB co-browsing</h1><p>Waiting for the host.</p></body></html>";
+
+// The snippet's path for one snapshot: serialized to the wire, parsed back
+// into escaped payloads, and applied against what the document last took.
+void ApplyOverTheWire(Document* document, const Snapshot& snapshot,
+                      AppliedSnapshot* applied, uint64_t* spliced = nullptr,
+                      uint64_t* rebuilt = nullptr) {
+  StatusOr<SnapshotReply> reply =
+      ParseSnapshotReply(SerializeSnapshotXml(snapshot));
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  AjaxSnippet::ApplySnapshot(document, reply->payloads, applied, spliced,
+                             rebuilt);
+}
 
 std::string CanonicalDigest(const Document& document) {
   return delta::TreeDigest(*delta::CanonicalizeDocument(document));
@@ -974,6 +1017,9 @@ TEST(Fig5ApplyTest, Fig5EngineMatchesReferenceApply) {
   ASSERT_EQ(sites.size(), 20u);
   size_t kept = 0;
   size_t kept_in_head = 0;
+  // Payloads spliced and rebuilt by edit kind; [8] is the first apply.
+  uint64_t spliced[9] = {};
+  uint64_t rebuilt[9] = {};
   for (uint64_t seed : {1u, 7u}) {
     Rng rng(seed);
     for (size_t site = 0; site < sites.size(); ++site) {
@@ -993,6 +1039,7 @@ TEST(Fig5ApplyTest, Fig5EngineMatchesReferenceApply) {
       options.agent_url = Url::Make("http", "host-pc", 3000, "/");
       std::unique_ptr<Document> engine = ParseDocument(kParticipantPage);
       std::unique_ptr<Document> oracle = ParseDocument(kParticipantPage);
+      AppliedSnapshot applied;
       for (int step = 0; step <= 12; ++step) {
         const int kind = static_cast<int>(rng.NextBelow(8));
         const std::string where = sites[site].name + " seed " +
@@ -1007,7 +1054,9 @@ TEST(Fig5ApplyTest, Fig5EngineMatchesReferenceApply) {
         const Snapshot snapshot =
             generator.Generate(1000 * (step + 1), options).snapshot;
         const NodeStates before = StatesOf(*engine);
-        AjaxSnippet::ApplySnapshot(engine.get(), snapshot);
+        ApplyOverTheWire(engine.get(), snapshot, &applied,
+                         &spliced[step == 0 ? 8 : kind],
+                         &rebuilt[step == 0 ? 8 : kind]);
         ReferenceApplySnapshot(oracle.get(), snapshot);
         ASSERT_EQ(DocumentBytes(*engine), DocumentBytes(*oracle)) << where;
         ASSERT_EQ(CanonicalDigest(*engine), CanonicalDigest(*oracle)) << where;
@@ -1030,6 +1079,13 @@ TEST(Fig5ApplyTest, Fig5EngineMatchesReferenceApply) {
   }
   EXPECT_GT(kept, 0u);
   EXPECT_GT(kept_in_head, 0u);
+  // The splice ran: the two edit kinds e2e_bench makes (a text edit and a
+  // co-fill) never rebuilt a payload whole here, and every kind but the
+  // whole-body rewrite and the no-op spliced some.
+  EXPECT_EQ(rebuilt[0] + rebuilt[1], 0u);
+  for (int kind = 0; kind <= 5; ++kind) {
+    EXPECT_GT(spliced[kind], 0u) << "kind " << kind;
+  }
 }
 
 // Documents the agent's initial page does not produce, each applied a
@@ -1057,6 +1113,9 @@ TEST(Fig5ApplyTest, EdgeShapesMatchTheReferenceDigest) {
   Snapshot with_neither;
   with_neither.head_children = {payload("title", "T3"),
                                 payload("style", ".s{}")};
+  for (Snapshot* snapshot : {&with_body, &with_frames, &with_neither}) {
+    snapshot->has_content = true;
+  }
   const std::vector<const Snapshot*> sequence = {
       &with_body, &with_frames, &with_neither, &with_body, &with_frames};
 
@@ -1094,11 +1153,12 @@ TEST(Fig5ApplyTest, EdgeShapesMatchTheReferenceDigest) {
     std::unique_ptr<Document> engine = ParseDocument(kParticipantPage);
     shape.reshape(engine->document_element());
     std::unique_ptr<Document> oracle = engine->CloneDocument();
+    AppliedSnapshot applied;
     for (size_t step = 0; step < sequence.size(); ++step) {
       const Snapshot& snapshot = *sequence[step];
       const std::string where =
           std::string(shape.name) + " step " + std::to_string(step);
-      AjaxSnippet::ApplySnapshot(engine.get(), snapshot);
+      ApplyOverTheWire(engine.get(), snapshot, &applied);
       ReferenceApplySnapshot(oracle.get(), snapshot);
       EXPECT_EQ(CanonicalDigest(*engine), CanonicalDigest(*oracle)) << where;
       if (!shape.out_of_order) {
@@ -1125,8 +1185,203 @@ TEST(Fig5ApplyTest, EdgeShapesMatchTheReferenceDigest) {
   }
   // A document without a root element is left as it is.
   Document empty;
-  AjaxSnippet::ApplySnapshot(&empty, with_body);
+  AppliedSnapshot applied;
+  ApplyOverTheWire(&empty, with_body, &applied);
   EXPECT_EQ(empty.child_count(), 0u);
+}
+
+// Every node under `node`, one line each: type, tag or data, attributes.
+// Unlike the serialization it tells adjacent text nodes apart.
+void DumpTree(const Node& node, int depth, std::string* out) {
+  out->append(static_cast<size_t>(depth) * 2, ' ');
+  if (const Element* element = node.AsElement()) {
+    *out += "<" + element->tag_name();
+    for (const auto& [name, value] : element->attributes()) {
+      *out += " " + name + "=" + value;
+    }
+    *out += ">";
+  } else if (node.type() == NodeType::kText) {
+    *out += "#text " + static_cast<const Text&>(node).data();
+  } else if (node.type() == NodeType::kComment) {
+    *out += "#comment " + static_cast<const Comment&>(node).data();
+  } else {
+    *out += "#other";
+  }
+  *out += "\n";
+  for (const auto& child : node.children()) {
+    DumpTree(*child, depth + 1, out);
+  }
+}
+
+std::string Dump(const Document& document) {
+  std::string out;
+  DumpTree(*document.document_element(), 0, &out);
+  return out;
+}
+
+Snapshot BodySnapshot(std::string inner,
+                      std::vector<std::pair<std::string, std::string>>
+                          attributes = {}) {
+  Snapshot snapshot;
+  snapshot.has_content = true;
+  snapshot.head_children = {ElementPayload{"title", {}, "T"}};
+  snapshot.body = ElementPayload{"body", std::move(attributes), std::move(inner)};
+  return snapshot;
+}
+
+// Applies `before` and then `after` to one page over the wire, so `after`
+// splices against what `before` left, and `after` alone to a fresh page:
+// the two pages are byte- and node-equal and digest like the oracle's.
+// Adds the payloads the second apply spliced and rebuilt.
+void ExpectSpliceEqualsFreshBuild(const Snapshot& before, const Snapshot& after,
+                                  const std::string& where, uint64_t* spliced,
+                                  uint64_t* rebuilt) {
+  std::unique_ptr<Document> spliced_page = ParseDocument(kParticipantPage);
+  AppliedSnapshot applied;
+  ApplyOverTheWire(spliced_page.get(), before, &applied);
+  ApplyOverTheWire(spliced_page.get(), after, &applied, spliced, rebuilt);
+  std::unique_ptr<Document> fresh_page = ParseDocument(kParticipantPage);
+  AppliedSnapshot fresh;
+  ApplyOverTheWire(fresh_page.get(), after, &fresh);
+  std::unique_ptr<Document> oracle = ParseDocument(kParticipantPage);
+  ReferenceApplySnapshot(oracle.get(), after);
+  EXPECT_EQ(DocumentBytes(*spliced_page), DocumentBytes(*fresh_page)) << where;
+  EXPECT_EQ(Dump(*spliced_page), Dump(*fresh_page)) << where;
+  EXPECT_EQ(CanonicalDigest(*spliced_page), CanonicalDigest(*oracle)) << where;
+}
+
+// Edits placed where a byte-span splice can go wrong: inside raw-text
+// elements and comments, on entity and %XX boundaries, on the first and last
+// byte, down to an empty payload, across implied end tags and unterminated
+// constructs, and on the payload root's attributes.
+TEST(Fig5ApplyTest, SpliceEqualsAFreshBuildOnAdversarialEdits) {
+  struct Case {
+    const char* name;
+    std::string before;
+    std::string after;
+  };
+  const std::string pre = "<h1>head</h1><div id=\"a\"><p>one</p>";
+  const std::string post = "<p>two</p></div><p id=\"z\">tail</p>";
+  const Case cases[] = {
+      {"script", pre + "<script>var x = 1;</script>" + post,
+       pre + "<script>var x = '</p>' + 2;</script>" + post},
+      {"style", pre + "<style>.a{color:red}</style>" + post,
+       pre + "<style>.a{color:blue} p<b>{}</style>" + post},
+      {"textarea", pre + "<textarea name=\"t\">hello</textarea>" + post,
+       pre + "<textarea name=\"t\">hello <b>not markup</b></textarea>" + post},
+      {"title", pre + "<title>one</title>" + post,
+       pre + "<title>one <i>two</i></title>" + post},
+      {"comment", pre + "<!-- one --><b>x</b>" + post,
+       pre + "<!-- one <b> two --><b>x</b>" + post},
+      {"comment opened in the edit", pre + "<b>x</b>" + post,
+       pre + "<b>x<!-- y</b>" + post + "-->"},
+      {"entity", pre + "<b>a &amp; b</b>" + post,
+       pre + "<b>a &lt; b &amp</b>" + post},
+      {"entity split", pre + "<b>a &am</b>" + post,
+       pre + "<b>a &amp;</b>" + post},
+      {"escape unit", pre + "<b>x\"y</b>" + post, pre + "<b>x#y</b>" + post},
+      {"escape unit on a tag", pre + "<b>x</b>" + post,
+       pre + ">b>x</b>" + post},
+      {"first byte", "a" + pre + post, "b" + pre + post},
+      {"last byte", pre + post + "a", pre + post + "b"},
+      {"to empty", pre + post, ""},
+      {"from empty", "", pre + post},
+      {"implied end of the straddler", pre + "<p>three</p>" + post,
+       pre + "<p>three<div>x</div></p>" + post},
+      {"implied list end", "<ul><li>a</li><li>b</li></ul>" + post,
+       "<ul><li>a<li>c</li><li>b</li></ul>" + post},
+      {"implied table end", "<table><tr><td>a</td></tr></table>" + post,
+       "<table><tr><td>a<tr><td>b</td></tr></table>" + post},
+      {"stray end tag", pre + "<span>a</span>" + post,
+       pre + "<span>a</div></span>" + post},
+      {"unclosed element", pre + "<span>a</span>" + post,
+       pre + "<span>a<b>c</span>" + post},
+      {"unterminated tag", pre + "<span>a</span>" + post,
+       pre + "<span>a<b title=\"</span>" + post},
+      {"raw text opened in the edit", pre + "<span>a</span>" + post,
+       pre + "<span>a<script></span>" + post + "</script>"},
+  };
+  uint64_t spliced = 0;
+  uint64_t rebuilt = 0;
+  for (const Case& c : cases) {
+    ExpectSpliceEqualsFreshBuild(BodySnapshot(c.before), BodySnapshot(c.after),
+                                 c.name, &spliced, &rebuilt);
+  }
+  EXPECT_GT(spliced, 0u);
+  EXPECT_GT(rebuilt, 0u);
+
+  // The body's own attributes: a change that leaves its content in place
+  // only shifts the spans, one that moves the content's first byte into the
+  // old separator's unit must not.
+  ExpectSpliceEqualsFreshBuild(BodySnapshot(pre + post, {{"class", "a"}}),
+                               BodySnapshot(pre + post, {{"class", "bb"}}),
+                               "root attributes", &spliced, &rebuilt);
+  ExpectSpliceEqualsFreshBuild(BodySnapshot("yz", {{"x", "1"}}),
+                               BodySnapshot("Fyz", {{"x", "2"}}),
+                               "root attributes and a separator unit",
+                               &spliced, &rebuilt);
+}
+
+// A "%u" unit, which the host's JsEscape never writes, takes the whole
+// payload, whether it comes or goes.
+TEST(Fig5ApplyTest, UnicodeEscapeTakesTheWholePayload) {
+  auto payloads = [](std::string inner) {
+    SnapshotEscaped escaped;
+    escaped.has_content = true;
+    escaped.body = EscapedPayload{"body%1F%1F" + inner, 0};
+    return escaped;
+  };
+  const std::string plain = "%3Cp%3Eab%3C/p%3E%3Cp%3Ecd%3C/p%3E";
+  const std::string wide = "%3Cp%3Eab%3C/p%3E%3Cp%3E%u0041d%3C/p%3E";
+  const std::string wide_too = "%3Cp%3Eab%3C/p%3E%3Cp%3E%u0042d%3C/p%3E";
+  for (const auto& [from, to] :
+       {std::pair{plain, wide}, std::pair{wide, wide_too},
+        std::pair{wide, plain}}) {
+    std::unique_ptr<Document> page = ParseDocument(kParticipantPage);
+    AppliedSnapshot applied;
+    AjaxSnippet::ApplySnapshot(page.get(), payloads(from), &applied);
+    uint64_t spliced = 0;
+    uint64_t rebuilt = 0;
+    AjaxSnippet::ApplySnapshot(page.get(), payloads(to), &applied, &spliced,
+                               &rebuilt);
+    std::unique_ptr<Document> fresh = ParseDocument(kParticipantPage);
+    AppliedSnapshot fresh_applied;
+    AjaxSnippet::ApplySnapshot(fresh.get(), payloads(to), &fresh_applied);
+    EXPECT_EQ(Dump(*page), Dump(*fresh)) << from << " -> " << to;
+    EXPECT_EQ(rebuilt, 1u) << from << " -> " << to;
+    EXPECT_EQ(spliced, 0u) << from << " -> " << to;
+  }
+}
+
+// An interactive element inserted near the top renumbers every later
+// data-rcb-id, so the changed bytes run from it to the page's last
+// interactive element; the apply still equals a fresh one.
+TEST(Fig5ApplyTest, RenumberingInsertEqualsAFreshBuild) {
+  uint64_t spliced = 0;
+  uint64_t rebuilt = 0;
+  for (const SiteSpec& spec : Table1Sites()) {
+    EventLoop loop;
+    Network network(&loop);
+    network.AddHost("host-pc", {});
+    Browser host(&loop, &network, "host-pc");
+    host.ReplaceDocument(ParseDocument(GenerateHomepage(spec).html),
+                         Url::Make("http", spec.host, 80, "/"));
+    ContentGenerator generator(&host);
+    ContentGenOptions options;
+    options.agent_url = Url::Make("http", "host-pc", 3000, "/");
+    const Snapshot before = generator.Generate(1000, options).snapshot;
+    host.MutateDocument([](Document* document) {
+      auto link = MakeElement("a");
+      link->SetAttribute("href", "/new");
+      link->AppendChild(MakeText("new"));
+      Element* body = document->body();
+      body->InsertChildAt(body->child_count() > 0 ? 1 : 0, std::move(link));
+    });
+    const Snapshot after = generator.Generate(2000, options).snapshot;
+    ASSERT_NE(before.body->inner_html, after.body->inner_html);
+    ExpectSpliceEqualsFreshBuild(before, after, spec.name, &spliced, &rebuilt);
+  }
+  EXPECT_EQ(spliced + rebuilt, 20u);
 }
 
 // ---- Object discovery against a full walk, over the Table 1 corpus --------

@@ -417,6 +417,27 @@ TEST(EscapeKernelTest, JsUnescapeMatchesByteLoop) {
   }
   for (const std::string& input : inputs) {
     EXPECT_EQ(JsUnescape(input), ReferenceJsUnescape(input)) << HexEncode(input);
+    // The mapped decode: the same bytes unless a '%' is followed by u/U,
+    // and each decoded byte maps back to the start of the unit it came
+    // from, one JsUnescapeUnit long.
+    JsUnescapeMap map;
+    std::string decoded;
+    const bool mapped = map.Decode(input, &decoded);
+    EXPECT_EQ(mapped, input.find("%u") == std::string::npos &&
+                          input.find("%U") == std::string::npos)
+        << HexEncode(input);
+    if (!mapped) {
+      continue;
+    }
+    ASSERT_EQ(decoded, ReferenceJsUnescape(input)) << HexEncode(input);
+    for (size_t i = 0; i < decoded.size(); ++i) {
+      std::string unit;
+      const size_t at = map.EscapedOffset(i);
+      ASSERT_EQ(JsUnescapeUnit(input, at, &unit), map.EscapedOffset(i + 1))
+          << HexEncode(input) << " at " << i;
+      ASSERT_EQ(unit, decoded.substr(i, 1)) << HexEncode(input) << " at " << i;
+    }
+    EXPECT_EQ(map.EscapedOffset(decoded.size()), input.size());
   }
 }
 
