@@ -299,6 +299,10 @@ check_transport() {
   "${build_dir}/tests/transport_test" --gtest_brief=1
   "${build_dir}/tests/agent_test" \
       --gtest_filter='*StreamCapabilityDowngrade*' --gtest_brief=1
+  # A snippet destroyed mid-join, or with a poll and object fetches in
+  # flight, is never read by their late callbacks (ASan fails a read).
+  "${build_dir}/tests/snippet_test" --gtest_filter='*Destroyed*' \
+      --gtest_brief=1
   # The bench enforces the floors on exit: WAN long-polls >= 2x median
   # latency cut vs 1 s polling, the long-poll drop probe recovers via
   # signed resume on every profile, and long-poll gestures are no slower
@@ -399,6 +403,12 @@ check_health() {
   # Window engine, SLO burn evaluator, and endpoint suite by name: a
   # test-registration regression cannot silently drop the determinism pins.
   "${build_dir}/tests/health_test" --gtest_brief=1
+  # The status pages list every sim series of their registry once, with the
+  # registry's value, byte-identically across identical runs.
+  "${build_dir}/tests/agent_test" --gtest_filter='*StatusPage*' \
+      --gtest_brief=1
+  "${build_dir}/tests/host_test" --gtest_filter='*HostStatus*' \
+      --gtest_brief=1
   local chaos="${build_dir}/tools/health_chaos"
   # Determinism: two identical calm runs must produce byte-identical
   # /host/health snapshots (windowing is sim-clock pure).

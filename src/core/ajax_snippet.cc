@@ -70,12 +70,12 @@ AjaxSnippet::~AjaxSnippet() { Leave(); }
 
 void AjaxSnippet::Join(const Url& agent_url, std::function<void(Status)> joined) {
   agent_url_ = agent_url;
-  uint64_t epoch = ++epoch_;
+  alive_ = std::make_shared<const int>();  // a join already loading is dropped
   browser_->Navigate(
       agent_url,
-      [this, epoch, joined = std::move(joined)](const Status& status,
-                                                const PageLoadStats&) {
-        if (epoch != epoch_) {
+      [this, alive = Alive(), joined = std::move(joined)](
+          const Status& status, const PageLoadStats&) {
+        if (alive.expired()) {
           return;
         }
         if (!status.ok()) {
@@ -132,7 +132,7 @@ void AjaxSnippet::AbortWithoutGoodbye() {
     return;
   }
   joined_ = false;
-  ++epoch_;
+  alive_ = std::make_shared<const int>();
   if (poll_timer_ != 0) {
     browser_->loop()->Cancel(poll_timer_);
     poll_timer_ = 0;
@@ -162,9 +162,8 @@ void AjaxSnippet::SchedulePoll(Duration delay) {
   if (!joined_) {
     return;
   }
-  uint64_t epoch = epoch_;
-  poll_timer_ = browser_->loop()->Schedule(delay, [this, epoch] {
-    if (epoch != epoch_) {
+  poll_timer_ = browser_->loop()->Schedule(delay, [this, alive = Alive()] {
+    if (alive.expired()) {
       return;
     }
     poll_timer_ = 0;
@@ -246,9 +245,9 @@ void AjaxSnippet::PollOnce() {
   action_queue_waiting_ = false;
 
   SimTime sent_at = browser_->loop()->now();
-  uint64_t epoch = epoch_;
-  SendPoll(std::move(poll), [this, epoch, seq, sent_at](FetchResult result) {
-    if (epoch != epoch_) {
+  SendPoll(std::move(poll), [this, alive = Alive(), seq,
+                             sent_at](FetchResult result) {
+    if (alive.expired()) {
       return;
     }
     if (!poll_in_flight_ || seq != poll_seq_) {
@@ -277,10 +276,9 @@ void AjaxSnippet::PollOnce() {
     if (longpoll_active_) {
       budget += Duration::Millis(longpoll_hold_ms_);
     }
-    uint64_t timer_epoch = epoch_;
     timeout_timer_ =
-        browser_->loop()->Schedule(budget, [this, timer_epoch, seq] {
-          if (timer_epoch != epoch_) {
+        browser_->loop()->Schedule(budget, [this, alive = Alive(), seq] {
+          if (alive.expired()) {
             return;
           }
           timeout_timer_ = 0;
@@ -377,10 +375,9 @@ void AjaxSnippet::Reconnect() {
   }
   Url target = Url::Make(agent_url_.scheme(), agent_url_.host(),
                          agent_url_.port(), agent_url_.path(), query);
-  uint64_t epoch = epoch_;
-  browser_->Navigate(target, [this, epoch](const Status& status,
-                                           const PageLoadStats&) {
-    if (epoch != epoch_) {
+  browser_->Navigate(target, [this, alive = Alive()](const Status& status,
+                                                     const PageLoadStats&) {
+    if (alive.expired()) {
       return;
     }
     reconnect_in_flight_ = false;
@@ -388,15 +385,14 @@ void AjaxSnippet::Reconnect() {
       ++metrics_.reconnect_failures;
       ++consecutive_failures_;
       RCB_LOG(kWarning) << "ajax-snippet: reconnect failed: " << status;
-      uint64_t retry_epoch = epoch_;
-      poll_timer_ = browser_->loop()->Schedule(BackoffDelay(),
-                                               [this, retry_epoch] {
-                                                 if (retry_epoch != epoch_) {
-                                                   return;
-                                                 }
-                                                 poll_timer_ = 0;
-                                                 Reconnect();
-                                               });
+      poll_timer_ = browser_->loop()->Schedule(
+          BackoffDelay(), [this, alive = Alive()] {
+            if (alive.expired()) {
+              return;
+            }
+            poll_timer_ = 0;
+            Reconnect();
+          });
       return;
     }
     std::string pid = MetaContent(browser_->document(), "rcb-pid");
@@ -724,7 +720,6 @@ void AjaxSnippet::FetchSupplementaryObjects() {
   }
   auto remaining = std::make_shared<size_t>(resources.size());
   SimTime start = browser_->loop()->now();
-  uint64_t epoch = epoch_;
   // Captured by value: the fetches resolve after the poll that triggered
   // them, by which time poll_ctx_ may already describe a newer poll.
   obs::TraceContext fetch_ctx = poll_ctx_;
@@ -736,9 +731,9 @@ void AjaxSnippet::FetchSupplementaryObjects() {
     }
     browser_->FetchCached(
         resource.url,
-        [this, epoch, remaining, start, fetch_ctx,
+        [this, alive = Alive(), remaining, start, fetch_ctx,
          object_count](FetchResult result) {
-          if (epoch != epoch_) {
+          if (alive.expired()) {
             return;
           }
           if (!result.status.ok() || result.response.status_code != 200) {

@@ -16,6 +16,7 @@
 #define SRC_CORE_AJAX_SNIPPET_H_
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -217,6 +218,7 @@ class AjaxSnippet {
                             uint64_t* rebuilt = nullptr);
 
  private:
+  std::weak_ptr<const int> Alive() const { return alive_; }
   void SchedulePoll(Duration delay);
   void PollOnce();
   // Builds and sends one signed poll; used by the regular loop and the
@@ -294,7 +296,11 @@ class AjaxSnippet {
   bool joined_ = false;
   bool poll_in_flight_ = false;
   uint64_t poll_timer_ = 0;
-  uint64_t epoch_ = 0;  // invalidates callbacks after Leave()
+  // The liveness token of the current join. Every async callback holds it
+  // weakly (Alive()) and returns at once when it expired: Join and
+  // AbortWithoutGoodbye replace it, and destruction drops it, so a callback
+  // that resolves late never reads a left or a freed snippet.
+  std::shared_ptr<const int> alive_ = std::make_shared<const int>();
 
   // Recovery state. poll_seq_ numbers every poll; a response or timeout for
   // an older seq than the current one is ignored (the poll was abandoned).

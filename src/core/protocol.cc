@@ -122,29 +122,25 @@ std::string SerializeSnapshotXml(
     const Snapshot& snapshot, SnapshotSerializeStats* stats,
     const SnapshotEscaped* prescaped,
     const std::vector<UserAction>* override_actions) {
-  if (prescaped != nullptr && !prescaped->Matches(snapshot)) {
-    prescaped = nullptr;  // shape drifted from the snapshot: escape fresh
+  // One write path: payloads without a matching pre-escaped image (none
+  // given, or its shape drifted from the snapshot) are escaped here first.
+  std::optional<SnapshotEscaped> fresh;
+  if (snapshot.has_content &&
+      (prescaped == nullptr || !prescaped->Matches(snapshot))) {
+    prescaped = &fresh.emplace(EscapeSnapshot(snapshot));
   }
   XmlWriter writer;
-  if (prescaped != nullptr && snapshot.has_content) {
+  if (snapshot.has_content) {
     writer.Reserve(EscapedBytes(*prescaped) + kXmlFrameBytes);
   }
   writer.WriteDeclaration();
   writer.StartElement("newContent");
   writer.WriteTextElement("docTime", StrFormat("%lld", static_cast<long long>(
                                                             snapshot.doc_time_ms)));
-  auto escape_counted = [stats](std::string raw) {
-    std::string escaped = JsEscape(raw);
-    if (stats != nullptr) {
-      stats->payload_raw_bytes += raw.size();
-      stats->payload_escaped_bytes += escaped.size();
-    }
-    return escaped;
-  };
-  // Pre-escaped CDATA text is spliced in verbatim; JsEscape output contains
-  // no ']' byte, so XmlWriter's "]]>" splitting never fires on either path
-  // and the bytes match a fresh escape exactly. Returned by reference: the
-  // page-sized escaped image goes straight into the writer, uncopied.
+  // Escaped CDATA text is spliced in verbatim; JsEscape output contains no
+  // ']' byte, so XmlWriter's "]]>" splitting never fires and the bytes match
+  // an escape in place exactly. Returned by reference: the page-sized
+  // escaped image goes straight into the writer, uncopied.
   auto spliced = [stats](const EscapedPayload& pre) -> const std::string& {
     if (stats != nullptr) {
       stats->payload_raw_bytes += pre.raw_bytes;
@@ -155,51 +151,28 @@ std::string SerializeSnapshotXml(
   if (snapshot.has_content) {
     writer.StartElement("docContent");
     writer.StartElement("docHead");
-    int child_index = 1;
-    for (size_t i = 0; i < snapshot.head_children.size(); ++i) {
-      const std::string name = StrFormat("hChild%d", child_index++);
-      if (prescaped != nullptr) {
-        writer.WriteCdataElement(name, spliced(prescaped->head_children[i]));
-      } else {
-        writer.WriteCdataElement(
-            name,
-            escape_counted(EncodeElementPayload(snapshot.head_children[i])));
-      }
+    for (size_t i = 0; i < prescaped->head_children.size(); ++i) {
+      writer.WriteCdataElement(StrFormat("hChild%zu", i + 1),
+                               spliced(prescaped->head_children[i]));
     }
     writer.EndElement();  // docHead
-    if (snapshot.body.has_value()) {
-      if (prescaped != nullptr) {
-        writer.WriteCdataElement("docBody", spliced(*prescaped->body));
-      } else {
-        writer.WriteCdataElement(
-            "docBody", escape_counted(EncodeElementPayload(*snapshot.body)));
-      }
+    if (prescaped->body.has_value()) {
+      writer.WriteCdataElement("docBody", spliced(*prescaped->body));
     }
-    if (snapshot.frameset.has_value()) {
-      if (prescaped != nullptr) {
-        writer.WriteCdataElement("docFrameSet", spliced(*prescaped->frameset));
-      } else {
-        writer.WriteCdataElement(
-            "docFrameSet",
-            escape_counted(EncodeElementPayload(*snapshot.frameset)));
-      }
+    if (prescaped->frameset.has_value()) {
+      writer.WriteCdataElement("docFrameSet", spliced(*prescaped->frameset));
     }
-    if (snapshot.noframes.has_value()) {
-      if (prescaped != nullptr) {
-        writer.WriteCdataElement("docNoFrames", spliced(*prescaped->noframes));
-      } else {
-        writer.WriteCdataElement(
-            "docNoFrames",
-            escape_counted(EncodeElementPayload(*snapshot.noframes)));
-      }
+    if (prescaped->noframes.has_value()) {
+      writer.WriteCdataElement("docNoFrames", spliced(*prescaped->noframes));
     }
     writer.EndElement();  // docContent
   }
   const std::vector<UserAction>& actions =
       override_actions != nullptr ? *override_actions : snapshot.user_actions;
   if (!actions.empty()) {
-    writer.WriteCdataElement("userActions",
-                             escape_counted(EncodeActions(actions)));
+    const std::string raw = EncodeActions(actions);
+    const EscapedPayload escaped{JsEscape(raw), raw.size()};
+    writer.WriteCdataElement("userActions", spliced(escaped));
   }
   writer.EndElement();  // newContent
   return writer.TakeString();

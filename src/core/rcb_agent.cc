@@ -165,7 +165,7 @@ void RegisterObjectCacheMetrics(const ObjectCache* cache,
 void RcbAgent::RegisterMetrics() {
   obs::MetricsRegistry* reg = &registry_;
   // Counters: every AgentMetrics field, callback-backed so the struct stays
-  // the single source of truth (the /status page keeps reading it directly).
+  // the single source of truth; /metrics and /status both read them here.
   // All of them are sim-provenance: they count simulated protocol events.
   auto field = [reg](std::string_view name, std::string_view help,
                      const uint64_t& source) {
@@ -1132,8 +1132,9 @@ HttpResponse RcbAgent::HandleStatusPage() const {
   // The host-side session indicator the usability subjects asked for
   // (§5.2.3): who is connected, how fresh they are, what the agent has done.
   std::string body = "<h1>RCB session status</h1>";
-  body += StrFormat("<p id=\"mode\">mode: %s / poll</p>",
-                    config_.cache_mode ? "cache" : "non-cache");
+  body += StrFormat("<p id=\"mode\">mode: %s / poll | trace: %s</p>",
+                    config_.cache_mode ? "cache" : "non-cache",
+                    config_.enable_trace ? "on" : "off");
   body += "<table id=\"participants\"><tr><th>participant</th><th>doc version"
           "</th><th>polls</th><th>last seen</th></tr>";
   SimTime now = browser_->loop()->now();
@@ -1145,77 +1146,8 @@ HttpResponse RcbAgent::HandleStatusPage() const {
         (now - state.last_poll).seconds());
   }
   body += "</table>";
-  body += StrFormat(
-      "<p id=\"metrics\">polls %llu (content %llu, empty %llu) | "
-      "generations %llu (reused %llu) | objects served %llu (%llu bytes) | "
-      "actions applied %llu, held %llu, denied %llu | auth failures %llu | "
-      "timeouts %llu, reconnects %llu, resyncs %llu, reaped %llu | "
-      "shed: conns %llu, participants %llu, polls %llu, action-rate %llu, "
-      "action-queue %llu, snapshots %llu, idle-closed %llu, oversized %llu</p>",
-      static_cast<unsigned long long>(metrics_.polls_received),
-      static_cast<unsigned long long>(metrics_.polls_with_content),
-      static_cast<unsigned long long>(metrics_.polls_empty),
-      static_cast<unsigned long long>(metrics_.generations),
-      static_cast<unsigned long long>(metrics_.snapshot_reuses),
-      static_cast<unsigned long long>(metrics_.object_requests),
-      static_cast<unsigned long long>(metrics_.object_bytes_served),
-      static_cast<unsigned long long>(metrics_.actions_applied),
-      static_cast<unsigned long long>(metrics_.actions_held),
-      static_cast<unsigned long long>(metrics_.actions_denied),
-      static_cast<unsigned long long>(metrics_.auth_failures),
-      static_cast<unsigned long long>(metrics_.poll_timeouts),
-      static_cast<unsigned long long>(metrics_.reconnects),
-      static_cast<unsigned long long>(metrics_.resyncs),
-      static_cast<unsigned long long>(metrics_.participants_reaped),
-      static_cast<unsigned long long>(metrics_.connections_rejected),
-      static_cast<unsigned long long>(metrics_.participants_rejected),
-      static_cast<unsigned long long>(metrics_.polls_rate_limited),
-      static_cast<unsigned long long>(metrics_.actions_rate_limited),
-      static_cast<unsigned long long>(metrics_.actions_shed),
-      static_cast<unsigned long long>(metrics_.snapshots_shed),
-      static_cast<unsigned long long>(metrics_.idle_read_timeouts),
-      static_cast<unsigned long long>(metrics_.oversized_rejected));
-  if (config_.enable_delta) {
-    body += StrFormat(
-        "<p id=\"delta\">patches %llu (%llu bytes vs %llu snapshot bytes) | "
-        "fallbacks: no-base %llu, oversize %llu</p>",
-        static_cast<unsigned long long>(metrics_.patches_served),
-        static_cast<unsigned long long>(metrics_.patch_bytes_sent),
-        static_cast<unsigned long long>(metrics_.patch_snapshot_bytes),
-        static_cast<unsigned long long>(metrics_.patch_fallback_no_base),
-        static_cast<unsigned long long>(metrics_.patch_fallback_oversize));
-  }
-  {
-    const SerializeCache::Stats& sc = generator_.serialize_cache_stats();
-    body += StrFormat(
-        "<p id=\"hotpath\">serialize cache: hits %llu, misses %llu, "
-        "evictions %llu | %zu spans, %zu bytes | spliced %llu raw bytes, "
-        "re-serialized %llu</p>",
-        static_cast<unsigned long long>(sc.hits),
-        static_cast<unsigned long long>(sc.misses),
-        static_cast<unsigned long long>(sc.evictions), sc.spans, sc.bytes,
-        static_cast<unsigned long long>(sc.hit_bytes),
-        static_cast<unsigned long long>(sc.miss_bytes));
-  }
-  if (config_.transport.enable_stream) {
-    body += StrFormat(
-        "<p id=\"transport\">transport: polls parked %zu | "
-        "long-poll flushes %llu, expiries %llu, parked %llu | "
-        "capacity denials %llu</p>",
-        parked_.size(),
-        static_cast<unsigned long long>(metrics_.transport_long_poll_flushes),
-        static_cast<unsigned long long>(metrics_.transport_long_poll_expiries),
-        static_cast<unsigned long long>(metrics_.transport_long_polls_parked),
-        static_cast<unsigned long long>(metrics_.transport_capacity_denials));
-  }
-  body += StrFormat(
-      "<p id=\"trace\">trace: %s | spans retained %zu, dropped %llu | "
-      "flight triggers %llu (dumps %llu%s)</p>",
-      config_.enable_trace ? "on" : "off", trace_.size(),
-      static_cast<unsigned long long>(trace_.dropped()),
-      static_cast<unsigned long long>(flight_.total_triggers()),
-      static_cast<unsigned long long>(flight_.dumps_written()),
-      flight_.dumping_enabled() ? "" : "; dump dir unset");
+  body += "<pre id=\"metrics\">" + obs::RenderSimValueLines(registry_) +
+          "</pre>";
   {
     obs::HealthStatus health =
         health_.Evaluate(browser_->loop()->now().micros());
@@ -1263,12 +1195,15 @@ HttpResponse RcbAgent::HandlePoll(const HttpRequest& request,
     return HttpResponse::BadRequest(poll_or.status().message());
   }
   PollRequest poll = std::move(*poll_or);
-  TraceMarker("agent.poll.request",
-              {{"pid", poll.participant_id},
-               {"ts", StrFormat("%lld", static_cast<long long>(poll.doc_time_ms))},
-               {"actions", StrFormat("%zu", poll.actions.size())},
-               {"resync", poll.resync ? "1" : "0"},
-               {"patch", poll.patch ? "1" : "0"}});
+  if (trace_ctx_.active()) {
+    TraceMarker("agent.poll.request",
+                {{"pid", poll.participant_id},
+                 {"ts", StrFormat("%lld",
+                                  static_cast<long long>(poll.doc_time_ms))},
+                 {"actions", StrFormat("%zu", poll.actions.size())},
+                 {"resync", poll.resync ? "1" : "0"},
+                 {"patch", poll.patch ? "1" : "0"}});
+  }
 
   // Anti-replay (§3.4): signed polls carry a monotonically increasing seq;
   // an equal-or-older value is a replayed (or abandoned and re-delivered)
@@ -1404,23 +1339,27 @@ HttpResponse RcbAgent::HandlePoll(const HttpRequest& request,
       ++metrics_.resyncs;  // full snapshot served to a recovering participant
       flight_.Trigger("resync", browser_->loop()->now().micros());
     }
-    const std::string bytes = StrFormat("%zu", body->xml.size());
-    const std::string ts =
-        StrFormat("%lld", static_cast<long long>(current_doc_time_ms_));
-    if (body->patch) {
-      TraceMarker("agent.response.patch",
-                  {{"bytes", bytes},
-                   {"base_ts", StrFormat("%lld", static_cast<long long>(
-                                                     poll.doc_time_ms))},
-                   {"target_ts", ts}});
-    } else {
-      TraceMarker("agent.response.snapshot", {{"bytes", bytes}, {"ts", ts}});
+    if (trace_ctx_.active()) {
+      const std::string bytes = StrFormat("%zu", body->xml.size());
+      const std::string ts =
+          StrFormat("%lld", static_cast<long long>(current_doc_time_ms_));
+      if (body->patch) {
+        TraceMarker("agent.response.patch",
+                    {{"bytes", bytes},
+                     {"base_ts", StrFormat("%lld", static_cast<long long>(
+                                                       poll.doc_time_ms))},
+                     {"target_ts", ts}});
+      } else {
+        TraceMarker("agent.response.snapshot", {{"bytes", bytes}, {"ts", ts}});
+      }
     }
     return HttpResponse::Ok("application/xml", std::move(body->xml));
   }
   if (body.has_value()) {
-    TraceMarker("agent.response.actions",
-                {{"count", StrFormat("%zu", outbox_size)}});
+    if (trace_ctx_.active()) {
+      TraceMarker("agent.response.actions",
+                  {{"count", StrFormat("%zu", outbox_size)}});
+    }
     return HttpResponse::Ok("application/xml", std::move(body->xml));
   }
   // Long-poll park (DESIGN.md §15): nothing to send and both sides already

@@ -492,6 +492,8 @@ class RcbAgent {
 
   // Appends a zero-duration sim marker carrying `attrs` to the current
   // request's causal chain; no-op when the request carried no trace id.
+  // Every poll passes here, so a caller that formats its attrs checks
+  // trace_ctx_.active() first.
   void TraceMarker(const char* name, obs::TraceAttrs attrs);
 
   Browser* browser_;

@@ -593,20 +593,8 @@ HttpResponse RcbHost::HandleSessionRequest(const HttpRequest& request) {
 
 HttpResponse RcbHost::HandleHostStatus() const {
   std::string body = "<h1>RCB host</h1>";
-  body += StrFormat(
-      "<p id=\"summary\">sessions %zu/%zu | created %llu, closed %llu, "
-      "reaped %llu, rejected %llu | collisions %llu, invalid ids %llu | "
-      "routed: unknown %llu, expired %llu | requests %llu</p>",
-      sessions_.size(), config_.limits.max_sessions,
-      static_cast<unsigned long long>(host_metrics_.sessions_created),
-      static_cast<unsigned long long>(host_metrics_.sessions_closed),
-      static_cast<unsigned long long>(host_metrics_.sessions_reaped),
-      static_cast<unsigned long long>(host_metrics_.sessions_rejected),
-      static_cast<unsigned long long>(host_metrics_.session_id_collisions),
-      static_cast<unsigned long long>(host_metrics_.invalid_session_ids),
-      static_cast<unsigned long long>(host_metrics_.unknown_session_requests),
-      static_cast<unsigned long long>(host_metrics_.expired_session_requests),
-      static_cast<unsigned long long>(host_metrics_.front_door_requests));
+  body += StrFormat("<p id=\"mode\">session cap %zu</p>",
+                    config_.limits.max_sessions);
   body += "<table id=\"sessions\"><tr><th>session</th><th>port</th>"
           "<th>participants</th><th>doc updates</th><th>generations</th>"
           "<th>reuses</th></tr>";
@@ -622,34 +610,9 @@ HttpResponse RcbHost::HandleHostStatus() const {
         static_cast<unsigned long long>(m.snapshot_reuses));
   }
   body += "</table>";
-  body += StrFormat(
-      "<p id=\"persist\">persist: recovered %llu, unrecoverable %llu | "
-      "checkpoints %llu (%llu bytes), wal records %llu (%llu bytes), "
-      "truncations %llu | torn writes %llu, tails cut %llu, wals dropped "
-      "%llu, checkpoints rejected %llu | doc versions lost %llu | "
-      "recovery triggers %llu (dumps %llu)</p>",
-      static_cast<unsigned long long>(host_metrics_.sessions_recovered),
-      static_cast<unsigned long long>(host_metrics_.sessions_unrecoverable),
-      static_cast<unsigned long long>(persist_counters_.checkpoints_written),
-      static_cast<unsigned long long>(persist_counters_.checkpoint_bytes),
-      static_cast<unsigned long long>(persist_counters_.wal_records),
-      static_cast<unsigned long long>(persist_counters_.wal_bytes),
-      static_cast<unsigned long long>(persist_counters_.wal_truncations),
-      static_cast<unsigned long long>(persist_counters_.torn_writes),
-      static_cast<unsigned long long>(persist_counters_.wal_tail_discards),
-      static_cast<unsigned long long>(persist_counters_.wals_discarded),
-      static_cast<unsigned long long>(persist_counters_.checkpoints_rejected),
-      static_cast<unsigned long long>(host_metrics_.doc_versions_lost),
-      static_cast<unsigned long long>(flight_.triggers("host_recovery")),
-      static_cast<unsigned long long>(flight_.dumps_written()));
-  body += StrFormat(
-      "<p id=\"cache\">shared cache: %zu objects, %llu bytes, "
-      "%llu hits, %llu misses, %llu evictions</p>",
-      shared_cache_.size(),
-      static_cast<unsigned long long>(shared_cache_.total_bytes()),
-      static_cast<unsigned long long>(shared_cache_.hits()),
-      static_cast<unsigned long long>(shared_cache_.misses()),
-      static_cast<unsigned long long>(shared_cache_.evictions()));
+  // The host's own families; each session's are on its /s/<id>/status.
+  body += "<pre id=\"metrics\">" + obs::RenderSimValueLines(registry_) +
+          "</pre>";
   return HttpResponse::Ok(
       "text/html", "<!DOCTYPE html><html><head><title>RCB host</title>"
                    "</head><body>" +

@@ -24,7 +24,8 @@
 //                                   cap/collision/invalid id),
 //   * /s/<id>/<rest>                forward <rest> to that session's agent
 //                                   (404 unknown, 410 reaped, 400 invalid),
-//   * GET /host/status              session table + counters,
+//   * GET /host/status              session table + the registry's sim
+//                                   counters and gauges,
 //   * GET /host/metrics             host + per-session Prometheus exposition.
 // Long-polls are never parked through the front door (it answers each
 // request synchronously); a long-poll client connects to the session's own

@@ -263,6 +263,34 @@ std::string SeriesName(const std::string& name, const char* suffix,
 
 }  // namespace
 
+void MetricsRegistry::ForEachSimValue(
+    const std::function<void(const std::string& name,
+                             const std::string& labels,
+                             const std::string& value)>& visit) const {
+  for (const auto& family : families_) {
+    if (family->provenance != Provenance::kSim ||
+        family->kind == Kind::kHistogram) {
+      continue;
+    }
+    for (const Instrument& instrument : family->instruments) {
+      visit(family->name, instrument.labels,
+            family->kind == Kind::kCounter
+                ? std::to_string(instrument.counter->value())
+                : FormatDouble(instrument.gauge->value()));
+    }
+  }
+}
+
+std::string RenderSimValueLines(const MetricsRegistry& registry) {
+  std::string out;
+  registry.ForEachSimValue([&out](const std::string& name,
+                                  const std::string& labels,
+                                  const std::string& value) {
+    out += SeriesName(name, "", labels) + " " + value + "\n";
+  });
+  return out;
+}
+
 std::string MetricsRegistry::RenderPrometheus(
     const RenderOptions& options) const {
   return obs::RenderPrometheus({{this, ""}}, options);

@@ -34,7 +34,7 @@ std::string_view ProvenanceName(Provenance provenance);
 
 // Monotonically increasing count, callback-backed: the counted struct field
 // (AgentMetrics, ObjectCache stats) stays the source of truth and the
-// registry reads it at render time, so /status semantics are untouched.
+// registry reads it at render time.
 class Counter {
  public:
   uint64_t value() const { return read_(); }
@@ -127,6 +127,10 @@ struct RenderPart {
 std::string RenderPrometheus(const std::vector<RenderPart>& parts,
                              const RenderOptions& options = {});
 
+// One `name{labels} value` line per series of registry.ForEachSimValue:
+// what /status and /host/status list in their #metrics element.
+std::string RenderSimValueLines(const MetricsRegistry& registry);
+
 // Families keyed by (name, labels). Registration rejects (returns nullptr):
 //   * an invalid metric name,
 //   * a (name, labels) pair registered twice,
@@ -162,6 +166,14 @@ class MetricsRegistry {
                          std::string_view labels = "") const;
   const Histogram* FindHistogram(std::string_view name,
                                  std::string_view labels = "") const;
+
+  // Calls `visit(name, labels, value)` for every series of every
+  // sim-provenance counter and gauge family, in registration order, with the
+  // value as the exposition renders it.
+  void ForEachSimValue(
+      const std::function<void(const std::string& name,
+                               const std::string& labels,
+                               const std::string& value)>& visit) const;
 
   size_t family_count() const { return families_.size(); }
 

@@ -261,7 +261,10 @@ GeneratedSite GenerateHomepage(const SiteSpec& spec) {
     scripts_html += StrFormat("<script src=\"/static/app%d.js\"></script>", i);
   }
 
-  while (assemble(head, body, scripts_html).size() + 400 < html_target) {
+  // The page's length without assembling it: the frame plus the three parts.
+  const size_t frame_bytes = assemble("", "", "").size();
+  while (frame_bytes + head.size() + body.size() + scripts_html.size() + 400 <
+         html_target) {
     add_section();
     if (image_index >= images && section > 400) {
       break;  // degenerate target guard

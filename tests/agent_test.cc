@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "src/browser/object_cache.h"
 #include "src/core/content_generator.h"
@@ -13,6 +14,7 @@
 #include "src/http/http_parser.h"
 #include "src/sites/corpus.h"
 #include "src/sites/site_server.h"
+#include "tests/support/status_lines.h"
 
 namespace rcb {
 namespace {
@@ -86,6 +88,42 @@ class AgentTest : public ::testing::Test {
     }
     return Fetch(HttpMethod::kPost, url, body,
                  "application/x-www-form-urlencoded");
+  }
+
+  // A delta + long-poll agent on a grown origin page. Participant p1 takes
+  // a snapshot, then a patch after a host mutation, then parks a long-poll
+  // until its hold expires.
+  void RunDeltaLongPollSession() {
+    AgentConfig config;
+    config.enable_delta = true;
+    config.transport.enable_stream = true;
+    StartAgent(config);
+    HostNavigate();
+    host_browser_->MutateDocument([](Document* document) {
+      for (int i = 0; i < 20; ++i) {
+        std::unique_ptr<Element> p = MakeElement("p");
+        p->AppendChild(MakeText("filler paragraph " + std::to_string(i) +
+                                " keeps the snapshot comfortably large"));
+        document->body()->AppendChild(std::move(p));
+      }
+    });
+    PollRequest poll;
+    poll.participant_id = "p1";
+    poll.doc_time_ms = -1;
+    poll.patch = true;
+    poll.stream = transport::kStreamLongPoll;
+    auto first = ParseSnapshotXml(Poll(poll).response.body);
+    ASSERT_TRUE(first.ok());
+    host_browser_->MutateDocument([](Document* document) {
+      document->body()->AppendChild(MakeText("more"));
+    });
+    poll.doc_time_ms = first->doc_time_ms;
+    auto patch = delta::ParsePatchXml(Poll(poll).response.body);
+    ASSERT_TRUE(patch.ok()) << patch.status();
+    poll.doc_time_ms = patch->patch.target_doc_time_ms;
+    Poll(poll);
+    ASSERT_EQ(agent_->metrics().patches_served, 1u);
+    ASSERT_EQ(agent_->metrics().transport_long_poll_expiries, 1u);
   }
 
   EventLoop loop_;
@@ -567,6 +605,54 @@ TEST_F(AgentTest, StatusPageShowsRosterAndMetrics) {
   EXPECT_NE(metrics->TextContent().find("generations 1"), std::string::npos);
   EXPECT_NE(page->ById("mode")->TextContent().find("cache / poll"),
             std::string::npos);
+}
+
+// /status lists every sim counter and gauge series of the agent's registry
+// exactly once, named as /metrics names it, with the value the registry
+// reads; the delta and transport families are among them.
+TEST_F(AgentTest, StatusPageListsEverySimSeriesOfTheRegistryOnce) {
+  RunDeltaLongPollSession();
+  // Read before the request: serving it appends a span, after the render.
+  const std::vector<std::string> expected =
+      ExpectedStatusLines(agent_->metrics_registry());
+  FetchResult result =
+      Fetch(HttpMethod::kGet, Url::Make("http", "host-pc", 3000, "/status"));
+  ASSERT_EQ(result.response.status_code, 200);
+  EXPECT_EQ(StatusMetricsLines(result.response.body), expected);
+  std::set<std::string> series;
+  for (const std::string& line : expected) {
+    EXPECT_TRUE(series.insert(line.substr(0, line.rfind(' '))).second) << line;
+  }
+  for (const char* line :
+       {"rcb_agent_generations 2", "rcb_agent_patches_served 1",
+        "rcb_transport_long_poll_expiries 1", "rcb_transport_polls_parked 0",
+        "rcb_trace_dropped_total 0",
+        "rcb_flight_triggers_total{trigger=\"resync\"} 0"}) {
+    EXPECT_NE(std::find(expected.begin(), expected.end(), line),
+              expected.end())
+        << line;
+  }
+}
+
+// Two identical simulated runs serve byte-identical /status pages.
+class StatusRun : public AgentTest {
+ public:
+  void TestBody() override {}
+  std::string Page() {
+    RunDeltaLongPollSession();
+    return Fetch(HttpMethod::kGet,
+                 Url::Make("http", "host-pc", 3000, "/status"))
+        .response.body;
+  }
+};
+
+TEST(AgentStatusTest, StatusPageIsByteIdenticalAcrossIdenticalRuns) {
+  StatusRun first;
+  StatusRun second;
+  const std::string page = first.Page();
+  EXPECT_NE(page.find("rcb_agent_patches_served 1\n"), std::string::npos)
+      << page;
+  EXPECT_EQ(page, second.Page());
 }
 
 TEST_F(AgentTest, PerParticipantCacheModes) {

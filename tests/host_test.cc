@@ -21,6 +21,7 @@
 #include "src/util/json.h"
 #include "src/util/rand.h"
 #include "src/util/strings.h"
+#include "tests/support/status_lines.h"
 
 namespace rcb {
 namespace {
@@ -742,6 +743,44 @@ TEST_F(HostTest, SeventiethSessionServesItsOwnFamilies) {
       << own.body;
 }
 
+// /host/status lists every sim counter and gauge series of the host's
+// registry exactly once, with the value the registry reads; a closed
+// session leaves the table and stays in the aggregates.
+TEST_F(HostTest, HostStatusListsEverySimSeriesOfTheRegistryOnce) {
+  auto host = MakeHost();
+  auto a = host->CreateSession("a");
+  auto b = host->CreateSession("b");
+  ASSERT_TRUE(a.ok() && b.ok());
+  SetSessionDoc(*a, "A");
+  SetSessionDoc(*b, "B");
+  auto participant = JoinSession(*a, 1);
+  WaitForContent(participant.get());
+  ASSERT_TRUE(host->CloseSession("a").ok());
+
+  HttpResponse page = FrontDoorGet(host.get(), "/host/status");
+  ASSERT_EQ(page.status_code, 200);
+  const std::vector<std::string> expected =
+      ExpectedStatusLines(host->metrics_registry());
+  EXPECT_EQ(StatusMetricsLines(page.body), expected);
+  std::set<std::string> series;
+  for (const std::string& line : expected) {
+    EXPECT_TRUE(series.insert(line.substr(0, line.rfind(' '))).second) << line;
+  }
+  for (const char* line :
+       {"rcb_host_sessions 1", "rcb_host_sessions_closed 1",
+        "rcb_host_doc_updates_total 2", "rcb_host_front_door_requests 1",
+        "rcb_host_recovered_sessions_total 0",
+        "rcb_persist_checkpoints_written_total 0",
+        "rcb_flight_triggers_total{component=\"host\","
+        "trigger=\"host_recovery\"} 0"}) {
+    EXPECT_NE(std::find(expected.begin(), expected.end(), line),
+              expected.end())
+        << line;
+  }
+  EXPECT_EQ(page.body.find("<td>a</td>"), std::string::npos);
+  EXPECT_NE(page.body.find("<td>b</td>"), std::string::npos);
+}
+
 TEST_F(HostTest, SessionMetricsShowOnlyThatSession) {
   auto host = MakeHost();
   auto s1 = host->CreateSession("s1");
@@ -1020,7 +1059,7 @@ TEST_F(HostTest, CrashedHostRecoversSessionsAndParticipantsResumeSigned) {
   status_request.target = "/host/status";
   HttpResponse status_response = restarted->Route(status_request);
   EXPECT_EQ(status_response.status_code, 200);
-  EXPECT_NE(status_response.body.find("persist: recovered 3"),
+  EXPECT_NE(status_response.body.find("rcb_host_recovered_sessions_total 3\n"),
             std::string::npos)
       << status_response.body;
 
@@ -1198,7 +1237,7 @@ TEST_F(HostTest, CorruptFilesDegradeTheSessionNeverTheHost) {
   request.target = "/host/status";
   HttpResponse response = restarted->Route(request);
   EXPECT_EQ(response.status_code, 200);
-  EXPECT_NE(response.body.find("unrecoverable 1"), std::string::npos)
+  EXPECT_NE(response.body.find("rcb_host_unrecoverable_sessions_total 1\n"), std::string::npos)
       << response.body;
   EXPECT_TRUE(restarted->CreateSession("victim").ok());
 }

@@ -357,6 +357,23 @@ TEST(MetricsRegistryTest, SimViewOmitsWallFamilies) {
   EXPECT_EQ(sim_only.find("wall_metric"), std::string::npos);
 }
 
+// The status pages' read path: every sim counter and gauge series in
+// registration order, valued as the exposition values it; wall families
+// and histograms are left out.
+TEST(MetricsRegistryTest, SimValueLinesListSimCountersAndGaugesOnly) {
+  MetricsRegistry registry;
+  AddFixedCounter(registry, "wall_metric", "Wall.", Provenance::kWall, 7);
+  registry.AddCallbackCounter("hits", "Hits.", Provenance::kSim,
+                              [] { return uint64_t{3}; }, "kind=\"a\"");
+  registry.AddCallbackGauge("bytes", "Bytes.", Provenance::kSim,
+                            [] { return 2.5; });
+  registry.AddHistogram("sizes", "Sizes.", Provenance::kSim, {1, 2});
+  registry.AddCallbackCounter("hits", "Hits.", Provenance::kSim,
+                              [] { return uint64_t{4}; }, "kind=\"b\"");
+  EXPECT_EQ(RenderSimValueLines(registry),
+            "hits{kind=\"a\"} 3\nhits{kind=\"b\"} 4\nbytes 2.5\n");
+}
+
 // ---------------------------------------------------------------------------
 // Trace ring
 // ---------------------------------------------------------------------------

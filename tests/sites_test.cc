@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "src/browser/browser.h"
+#include "src/crypto/sha256.h"
 #include "src/sites/corpus.h"
 #include "src/sites/maps_site.h"
 #include "src/sites/shop_site.h"
@@ -58,6 +59,40 @@ TEST_P(CorpusSizeTest, GenerationIsDeterministic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSites, CorpusSizeTest, ::testing::Range(0, 20));
+
+// The Table 1 homepages byte for byte: SHA-256 of each generated page, in
+// table order. A change to the generator that moves any byte of any page
+// (and so every figure measured over the corpus) fails here.
+TEST(CorpusTest, Table1HomepagesArePinned) {
+  static constexpr const char* kDigests[20] = {
+      "90720aacd8f4a82325ccc0952f1b9c0f7b017b133ad3df4822aeefa4c636b06f",
+      "6cffaeafbb6068f9f506b2cbc1ac0f3b0091a0bc598d8d3367085d0ea15a6d22",
+      "7e75a7a870e21155e31c6fee8d17433ec008d4ac24ecedaedfa8520ef82de50f",
+      "1fd6f00d59690b7570108ae99d8e781189d2b010f57bb9140fa6056e8ce639fd",
+      "65a2b5a18d0d2bfac05ef9cd2a431acfae937c98c55f15d52d220ea17611bb0d",
+      "d3f86168ce19fae6a6f311b4fa6edd6b38df22e7bcb8eb4148e1a240704b1efc",
+      "4b3edaa92e17e3ff93b6f8aa2add87a41fb036afc4006a91151b7e6bb4cbce18",
+      "b7ee395ce6d504789921d9a191c811e9a660a33ee71fe3a6426ebf9db21d0cc7",
+      "1373d01503522683030b81088147b44e759ca13d6c4957341525630bb9f43751",
+      "d4f599bf1b17f705a9e2445e342dc201f19aca3bcbbcef57b15eb8407aa1f584",
+      "fe3467aa1636b9566ad17410585adebf2d792f95eea4604b7e9dc4889f13a6cb",
+      "5e5acb05eea4f47a212f1175964a76f0ed3cd6df8a7e66e42b8c31e4db850b6f",
+      "f929e829fd5c0a821d368c0061e8fc9393e5da62a3071965008ced8f1afd3f40",
+      "2b25c98e2a21008b1cfb5137afe41be1c189c6c4bab1717fed426f69b3324681",
+      "4bce6d686d9699e0f1ad324d4973bc4719a69e7a3436bbf1da447a5155a2c6ac",
+      "419fc00e1d3f4991f5187176d8f339789bc7e88d840829a92b60814d78184665",
+      "077fb29358bb4f921c814c2e59d8a21f066a5a369d802fcd54b7e04d68811094",
+      "5b0fd8ca2594691b0c80ce57531a540c3e167c10b5d7ed3b21c9e4c4351b98ea",
+      "ed7df4109f56e82534a89a34c639cad1aefb9a5527167c6b009a40110b9cbb37",
+      "c3466c861bbaacdc404e212ee36b527c259bd1d4357c0ab8e25fa8ff9a835124",
+  };
+  const auto& sites = Table1Sites();
+  ASSERT_EQ(sites.size(), std::size(kDigests));
+  for (size_t i = 0; i < sites.size(); ++i) {
+    EXPECT_EQ(Sha256::HexDigest(GenerateHomepage(sites[i]).html), kDigests[i])
+        << sites[i].name;
+  }
+}
 
 TEST(CorpusTest, GeneratedPageParsesWithAllObjectsReferenced) {
   const SiteSpec& spec = *FindSite("cnn.com");

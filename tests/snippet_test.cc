@@ -806,6 +806,39 @@ TEST_F(SnippetTest, LeaveStopsPolling) {
   EXPECT_EQ(snippet_->metrics().polls_sent, polls + 1);
 }
 
+// A snippet destroyed with a poll and object fetches in flight: their
+// callbacks resolve after it is gone and must not read it (under ASan a
+// read of the freed snippet fails the test).
+TEST_F(SnippetTest, DestroyedWithPollAndObjectFetchesInFlight) {
+  AgentConfig config;
+  config.cache_mode = false;  // objects come from the origin, slowed below
+  StartAgent(config);
+  ASSERT_TRUE(Join().ok());
+  HostNavigate();
+  origin_->set_processing_delay(Duration::Seconds(5.0));
+  loop_.RunUntilCondition(
+      [&] { return snippet_->metrics().content_updates > 0; });
+  ASSERT_EQ(snippet_->metrics().last_object_count, 1u);  // /a.png, held 5 s
+  const uint64_t polls = snippet_->metrics().polls_sent;
+  loop_.RunUntilCondition(
+      [&] { return snippet_->metrics().polls_sent > polls; });
+  snippet_.reset();  // the goodbye leaves as the poll and the fetch resolve
+  loop_.RunFor(Duration::Seconds(10.0));
+  EXPECT_TRUE(agent_->ConnectedParticipants().empty());
+}
+
+// The same for a snippet destroyed while its join is still loading.
+TEST_F(SnippetTest, DestroyedWhileJoining) {
+  StartAgent();
+  snippet_ = std::make_unique<AjaxSnippet>(participant_browser_.get(),
+                                           SnippetConfig{});
+  bool joined = false;
+  snippet_->Join(agent_->AgentUrl(), [&](Status) { joined = true; });
+  snippet_.reset();
+  loop_.RunFor(Duration::Seconds(5.0));
+  EXPECT_FALSE(joined);
+}
+
 TEST_F(SnippetTest, PollIntervalOverrideRespected) {
   StartAgent();  // agent advertises 1 s
   SnippetConfig config;
