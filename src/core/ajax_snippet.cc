@@ -111,26 +111,23 @@ void AjaxSnippet::Join(const Url& agent_url, std::function<void(Status)> joined)
 }
 
 void AjaxSnippet::Leave() {
-  if (!joined_) {
-    return;
+  if (joined_) {
+    // Fire-and-forget goodbye so the agent can notify the others immediately
+    // instead of waiting for the liveness timeout.
+    PollRequest goodbye;
+    goodbye.participant_id = pid_;
+    goodbye.doc_time_ms = doc_time_ms_;
+    UserAction left;
+    left.type = ActionType::kPresence;
+    left.data = "left";
+    goodbye.actions.push_back(std::move(left));
+    SendPoll(std::move(goodbye), [](FetchResult) {});
   }
-  // Fire-and-forget goodbye so the agent can notify the others immediately
-  // instead of waiting for the liveness timeout.
-  PollRequest goodbye;
-  goodbye.participant_id = pid_;
-  goodbye.doc_time_ms = doc_time_ms_;
-  UserAction left;
-  left.type = ActionType::kPresence;
-  left.data = "left";
-  goodbye.actions.push_back(std::move(left));
-  SendPoll(std::move(goodbye), [](FetchResult) {});
   AbortWithoutGoodbye();
 }
 
 void AjaxSnippet::AbortWithoutGoodbye() {
-  if (!joined_) {
-    return;
-  }
+  // Also drops a join still loading: its callback sees the old token expire.
   joined_ = false;
   alive_ = std::make_shared<const int>();
   if (poll_timer_ != 0) {

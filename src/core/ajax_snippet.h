@@ -143,9 +143,11 @@ class AjaxSnippet {
   // initial page is loaded, the participant id and poll interval are read
   // from it, and the poll loop starts.
   void Join(const Url& agent_url, std::function<void(Status)> joined);
+  // Sends the goodbye poll when joined, then tears down as below.
   void Leave();
   // Tears down without the goodbye poll — simulates a participant crash or
-  // abrupt network loss; the agent notices via its liveness timeout.
+  // abrupt network loss; the agent notices via its liveness timeout. A join
+  // still loading is dropped: its callback never fires and no poll starts.
   void AbortWithoutGoodbye();
   bool joined() const { return joined_; }
 

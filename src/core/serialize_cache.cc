@@ -302,15 +302,4 @@ void SerializeCache::EvictToBudget() {
   }
 }
 
-void SerializeCache::Clear() {
-  entries_.clear();
-  free_entries_.clear();
-  index_.clear();
-  index_used_ = 0;
-  lru_.clear();
-  key_of_node_.clear();
-  stats_.bytes = 0;
-  stats_.spans = 0;
-}
-
 }  // namespace rcb

@@ -106,9 +106,6 @@ class SerializeCache {
                           size_t* interactive_counter, std::string* raw,
                           std::string* escaped);
 
-  // Drops every entry (e.g. when the owning generator is re-targeted).
-  void Clear();
-
   const Stats& stats() const { return stats_; }
 
  private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/html/intern.h"
 #include "src/util/strings.h"
 
 namespace rcb {
@@ -14,29 +13,13 @@ namespace {
 // DOM work is single-threaded per process, like the rest of src/html.
 uint64_t g_rev_counter = 0;
 
-bool IsAsciiLowerName(std::string_view s) {
-  for (char c : s) {
-    if (c >= 'A' && c <= 'Z') return false;
+// Lowercase form of a tag or attribute name (ASCII only, like HTML's own
+// case folding); an already-lowercase name comes back unchanged.
+std::string CanonicalName(std::string name) {
+  for (char& c : name) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
   }
-  return true;
-}
-
-// Canonical lowercase form of a tag/attribute name via the interner; falls
-// back to `owned` when the capped table is full. The common parser case
-// (already-lowercase name, already interned) allocates nothing.
-const std::string* CanonicalName(std::string_view name, std::string* owned) {
-  if (IsAsciiLowerName(name)) {
-    if (const std::string* interned = TagInterner().Intern(name)) {
-      return interned;
-    }
-    owned->assign(name);
-    return owned;
-  }
-  *owned = AsciiToLower(name);
-  if (const std::string* interned = TagInterner().Intern(*owned)) {
-    return interned;
-  }
-  return owned;
+  return name;
 }
 
 }  // namespace
@@ -202,19 +185,8 @@ void Node::ForEachElement(const std::function<bool(const Element*)>& visitor) co
   WalkElementsConst(this, visitor);
 }
 
-Element::Element(std::string tag_name) : Node(NodeType::kElement) {
-  tag_ = CanonicalName(tag_name, &tag_owned_);
-}
-
-Element::Element(const Element& src, CloneTag) : Node(NodeType::kElement) {
-  if (src.tag_ == &src.tag_owned_) {
-    tag_owned_ = src.tag_owned_;
-    tag_ = &tag_owned_;
-  } else {
-    tag_ = src.tag_;  // interned pointers are stable for the process
-  }
-  attributes_ = src.attributes_;
-}
+Element::Element(std::string tag_name)
+    : Node(NodeType::kElement), tag_(CanonicalName(std::move(tag_name))) {}
 
 std::optional<std::string> Element::GetAttribute(std::string_view name) const {
   for (const auto& [key, value] : attributes_) {
@@ -231,10 +203,9 @@ std::string Element::AttrOr(std::string_view name, std::string_view fallback) co
 }
 
 void Element::SetAttribute(std::string_view name, std::string_view value) {
-  std::string owned;
-  const std::string* canon = CanonicalName(name, &owned);
+  std::string canon = CanonicalName(std::string(name));
   for (auto& [key, existing] : attributes_) {
-    if (key == *canon) {
+    if (key == canon) {
       if (existing != value) {
         existing = std::string(value);
         Touch();
@@ -242,7 +213,7 @@ void Element::SetAttribute(std::string_view name, std::string_view value) {
       return;
     }
   }
-  attributes_.emplace_back(*canon, std::string(value));
+  attributes_.emplace_back(std::move(canon), std::string(value));
   Touch();
 }
 
@@ -263,15 +234,14 @@ void Element::AssignAttributes(
   }
   std::vector<std::pair<std::string, std::string>> folded;
   folded.reserve(attributes.size());
-  std::string owned;
   for (const auto& [name, value] : attributes) {
-    const std::string* canon = CanonicalName(name, &owned);
+    std::string canon = CanonicalName(name);
     auto it = std::find_if(folded.begin(), folded.end(),
-                           [&](const auto& attr) { return attr.first == *canon; });
+                           [&](const auto& attr) { return attr.first == canon; });
     if (it != folded.end()) {
       it->second = value;
     } else {
-      folded.emplace_back(*canon, value);
+      folded.emplace_back(std::move(canon), value);
     }
   }
   if (folded != attributes_) {
@@ -285,7 +255,9 @@ bool Element::HasAttribute(std::string_view name) const {
 }
 
 std::unique_ptr<Node> Element::CloneSelf() const {
-  return std::unique_ptr<Node>(new Element(*this, CloneTag{}));
+  auto copy = std::make_unique<Element>(tag_);
+  copy->attributes_ = attributes_;
+  return copy;
 }
 
 Element* Element::FindFirst(std::string_view tag) {

@@ -155,10 +155,8 @@ class Element : public Node {
  public:
   explicit Element(std::string tag_name);
 
-  // Lowercase tag name. Backed by the process-wide TagInterner (src/html/
-  // intern.h) so distinct names are stored once; an owned copy is the
-  // fallback when the capped table is full.
-  const std::string& tag_name() const { return *tag_; }
+  // Tag name, lowercased once when the element is made.
+  const std::string& tag_name() const { return tag_; }
 
   // Attributes (ordered, case-normalized names).
   std::optional<std::string> GetAttribute(std::string_view name) const;
@@ -203,11 +201,7 @@ class Element : public Node {
   std::unique_ptr<Node> CloneSelf() const override;
 
  private:
-  struct CloneTag {};
-  Element(const Element& src, CloneTag);
-
-  const std::string* tag_;  // interned, or &tag_owned_ when the table is full
-  std::string tag_owned_;
+  std::string tag_;
   std::vector<std::pair<std::string, std::string>> attributes_;
 };
 

@@ -41,19 +41,8 @@ void FlightRecorder::Trigger(std::string_view reason, int64_t sim_now_us) {
   if (!found) {
     trigger_counts_.emplace_back(std::string(reason), 1);
   }
-  if (options_.dir.empty() || dumps_written_ >= options_.max_dumps) {
+  if (options_.dir.empty() || dumps_written_ >= kMaxDumps) {
     return;
-  }
-  if (options_.dedup_window_us > 0) {
-    for (auto& [name, dumped_us] : last_dump_us_) {
-      if (name == reason) {
-        if (sim_now_us - dumped_us < options_.dedup_window_us) {
-          ++dumps_suppressed_;
-          return;
-        }
-        break;
-      }
-    }
   }
 
   std::string path = StrFormat(
@@ -98,13 +87,6 @@ void FlightRecorder::Trigger(std::string_view reason, int64_t sim_now_us) {
   }
   ++dumps_written_;
   last_dump_path_ = path;
-  for (auto& [name, dumped_us] : last_dump_us_) {
-    if (name == reason) {
-      dumped_us = sim_now_us;
-      return;
-    }
-  }
-  last_dump_us_.emplace_back(std::string(reason), sim_now_us);
 }
 
 uint64_t FlightRecorder::triggers(std::string_view reason) const {

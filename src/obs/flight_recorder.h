@@ -39,18 +39,14 @@ class FlightRecorder {
     std::string dir;
     // Component tag used in artifact names and span lines.
     std::string component = "component";
-    // Hard cap on artifacts per recorder, so a trigger storm (an overloaded
-    // agent shedding every poll) cannot fill the disk.
-    size_t max_dumps = 16;
-    // When > 0, a repeat of a reason within this sim window after its last
-    // dump is counted but not dumped (dumps_suppressed()): one anomaly burst
-    // collapses to one artifact. 0 preserves the historical dump-per-trigger
-    // behavior up to max_dumps.
-    int64_t dedup_window_us = 0;
 
     // `component` dumping into ResolveDir(dir).
     static Options For(std::string component, std::string dir);
   };
+
+  // Hard cap on artifacts per recorder, so a trigger storm (an overloaded
+  // agent shedding every poll) cannot fill the disk.
+  static constexpr uint64_t kMaxDumps = 16;
 
   // `dir`, or $RCB_FLIGHT_DIR when `dir` is empty: the shared fallback.
   static std::string ResolveDir(std::string dir);
@@ -67,24 +63,15 @@ class FlightRecorder {
     options_.component = std::move(component);
   }
   const std::string& component() const { return options_.component; }
-  bool dumping_enabled() const { return !options_.dir.empty(); }
 
   // Records one anomaly. Counting is unconditional; the JSONL artifact is
-  // written only when a dump directory is set and max_dumps not yet reached.
+  // written only when a dump directory is set and kMaxDumps not yet reached.
   // A missing dump directory is created on the first dump.
   void Trigger(std::string_view reason, int64_t sim_now_us);
 
   uint64_t total_triggers() const { return total_triggers_; }
   uint64_t dumps_written() const { return dumps_written_; }
-  // Dumps skipped by the dedup window (counted only while dumping is
-  // enabled and the cap not yet reached, so the number means "bursts
-  // collapsed", not "dumping was off").
-  uint64_t dumps_suppressed() const { return dumps_suppressed_; }
   uint64_t triggers(std::string_view reason) const;
-  // (reason, count), in first-trigger order.
-  const std::vector<std::pair<std::string, uint64_t>>& trigger_counts() const {
-    return trigger_counts_;
-  }
   const std::string& last_dump_path() const { return last_dump_path_; }
 
  private:
@@ -93,10 +80,8 @@ class FlightRecorder {
   Options options_;
   uint64_t total_triggers_ = 0;
   uint64_t dumps_written_ = 0;
-  uint64_t dumps_suppressed_ = 0;
+  // (reason, count), in first-trigger order.
   std::vector<std::pair<std::string, uint64_t>> trigger_counts_;
-  // (reason, sim time of its last written dump), for dedup_window_us.
-  std::vector<std::pair<std::string, int64_t>> last_dump_us_;
   std::string last_dump_path_;
 };
 

@@ -223,14 +223,9 @@ uint64_t WindowedHistogram::SlowCountOver(int64_t threshold,
   return CountOver(threshold, false, sim_now_us);
 }
 
-double WindowedHistogram::WindowPercentile(double p, bool fast,
-                                           int64_t sim_now_us) {
+double WindowedHistogram::FastPercentile(double p, int64_t sim_now_us) {
   std::vector<uint64_t> sums;
-  if (fast) {
-    window_.FastSums(sim_now_us, &sums);
-  } else {
-    window_.SlowSums(sim_now_us, &sums);
-  }
+  window_.FastSums(sim_now_us, &sums);
   uint64_t total = sums[count_lane_];
   if (total == 0) {
     return 0.0;
@@ -258,14 +253,6 @@ double WindowedHistogram::WindowPercentile(double p, bool fast,
     cumulative += in_bucket;
   }
   return static_cast<double>(bounds_.back());
-}
-
-double WindowedHistogram::FastPercentile(double p, int64_t sim_now_us) {
-  return WindowPercentile(p, true, sim_now_us);
-}
-
-double WindowedHistogram::SlowPercentile(double p, int64_t sim_now_us) {
-  return WindowPercentile(p, false, sim_now_us);
 }
 
 std::vector<WindowedHistogram::BoundExemplar> WindowedHistogram::Exemplars()

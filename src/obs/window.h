@@ -152,7 +152,6 @@ class WindowedHistogram {
   // p in (0, 100]; linear interpolation inside the rank's bucket, 0 when the
   // window is empty. Overflow-bucket ranks report the last bound.
   double FastPercentile(double p, int64_t sim_now_us);
-  double SlowPercentile(double p, int64_t sim_now_us);
 
   // Exemplars for every bucket that currently holds one, bucket-ascending.
   // `bound` is the bucket's inclusive upper bound (INT64_MAX for overflow).
@@ -170,7 +169,6 @@ class WindowedHistogram {
   static const std::vector<int64_t>& CompactLatencyBoundsUs();
 
  private:
-  double WindowPercentile(double p, bool fast, int64_t sim_now_us);
   uint64_t CountOver(int64_t threshold, bool fast, int64_t sim_now_us);
 
   std::vector<int64_t> bounds_;

@@ -6,6 +6,7 @@
 // degradation of corrupt files, and restart-storm admission staggering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -1301,6 +1302,156 @@ TEST_F(HostTest, RecoveryStormStaggersResyncAdmission) {
     return participant->browser->document()->Title() == "Storm v2";
   }));
   EXPECT_GE(loop_.now() - recovered_at, Duration::Millis(2500));
+}
+
+
+bool PersistFilesExist(const std::string& dir, const std::string& id) {
+  return fs::exists(dir + "/" + id + ".ckpt") ||
+         fs::exists(dir + "/" + id + ".wal");
+}
+
+// A session whose log crosses checkpoint_dirty_records checkpoints itself
+// one event later (never mid-request), truncating the log; a crash after
+// that recovers the document the self-checkpoint saved.
+TEST_F(HostTest, DirtySessionCheckpointsItselfOneEventLater) {
+  const std::string dir = MakeHostPersistDir("self_checkpoint");
+  ProcessFaultInjector faults;
+  auto make_config = [&] {
+    HostConfig config;
+    config.persist.dir = dir;
+    config.persist.checkpoint_dirty_records = 3;
+    config.process_faults = &faults;
+    config.recovery_storm_window = Duration::Zero();
+    return config;
+  };
+  auto host = MakeHost(make_config());
+  auto session = host->CreateSession("dirty");
+  ASSERT_TRUE(session.ok()) << session.status();
+  persist::SessionStore* store = (*session)->persist->store();
+  // The baseline checkpoint already truncated the log once.
+  const uint64_t truncations = host->persist_counters().wal_truncations;
+
+  for (int version = 1; version <= 3; ++version) {
+    SetSessionDoc(*session, "v" + std::to_string(version));
+  }
+  ASSERT_TRUE(store->ShouldCheckpoint());
+  EXPECT_EQ(host->persist_counters().wal_truncations, truncations);
+  loop_.RunFor(Duration::Zero());
+  EXPECT_EQ(store->dirty_records(), 0u);
+  EXPECT_EQ(host->persist_counters().wal_truncations, truncations + 1);
+  obs::RenderOptions options;
+  options.include_wall = false;
+  EXPECT_NE(host->metrics_registry().RenderPrometheus(options).find(
+                "rcb_persist_wal_truncations_total " +
+                std::to_string(truncations + 1) + "\n"),
+            std::string::npos);
+
+  const std::string want = CanonicalDigest(*(*session)->browser->document());
+  faults.Arm({CrashPoint::kAfterWalAppend, 0, ""});
+  SetSessionDoc(*session, "lost");  // logged, then the process dies
+  ASSERT_TRUE(faults.crashed());
+  host.reset();
+
+  faults.Reset();
+  auto restarted = MakeHost(make_config());
+  EXPECT_EQ(restarted->metrics().sessions_recovered, 1u);
+  EXPECT_EQ(restarted->metrics().doc_versions_lost, 1u);
+  HostSession* recovered = restarted->FindSession("dirty");
+  ASSERT_NE(recovered, nullptr);
+  EXPECT_EQ(CanonicalDigest(*recovered->browser->document()), want);
+}
+
+// An auto-applied participant action is logged as a kAction record, ahead
+// of the document version it produces.
+TEST_F(HostTest, MergedParticipantActionWritesAnActionRecord) {
+  const std::string dir = MakeHostPersistDir("action");
+  HostConfig config;
+  config.persist.dir = dir;
+  auto host = MakeHost(config);
+  auto session = host->CreateSession("form");
+  ASSERT_TRUE(session.ok()) << session.status();
+  SetSessionDoc(*session, "Form", "<form id=\"f\"><input name=\"q\"></form>");
+  auto participant = JoinSession(*session, 1);
+  WaitForContent(participant.get());
+  Element* form = participant->browser->document()->ById("f");
+  ASSERT_NE(form, nullptr);
+  ASSERT_TRUE(participant->snippet->FillFormField(form, "q", "typed").ok());
+  participant->snippet->PollNow();
+  ASSERT_TRUE(loop_.RunUntilCondition([&] {
+    Element* host_form = (*session)->browser->document()->ById("f");
+    return host_form != nullptr &&
+           host_form->FindFirst("input")->AttrOr("value") == "typed";
+  }));
+
+  std::ifstream in(dir + "/form.wal", std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  auto replay = persist::DecodeWal(bytes);
+  ASSERT_TRUE(replay.ok()) << replay.status();
+  const std::vector<persist::WalRecord>& records = replay->records;
+  auto action = std::find_if(
+      records.begin(), records.end(), [](const persist::WalRecord& record) {
+        return record.type == persist::WalRecordType::kAction;
+      });
+  ASSERT_NE(action, records.end());
+  EXPECT_EQ(action->pid, participant->snippet->participant_id());
+  EXPECT_EQ(action->action.type, ActionType::kFormFill);
+  EXPECT_EQ(action->action.fields,
+            (std::vector<std::pair<std::string, std::string>>{{"q", "typed"}}));
+  EXPECT_TRUE(std::any_of(action, records.end(),
+                          [](const persist::WalRecord& record) {
+                            return record.type ==
+                                   persist::WalRecordType::kDocVersion;
+                          }));
+}
+
+// Closing a session and reaping an idle one both end it on purpose, so
+// both delete its checkpoint and log.
+TEST_F(HostTest, ClosedAndReapedSessionsRemoveTheirFiles) {
+  const std::string dir = MakeHostPersistDir("remove");
+  HostConfig config;
+  config.persist.dir = dir;
+  config.limits.session_idle_timeout = Duration::Seconds(5.0);
+  auto host = MakeHost(config);
+  for (const char* id : {"closed", "reaped"}) {
+    auto session = host->CreateSession(id);
+    ASSERT_TRUE(session.ok()) << session.status();
+    SetSessionDoc(*session, id);
+    EXPECT_TRUE(fs::exists(dir + "/" + id + ".ckpt")) << id;
+    EXPECT_TRUE(fs::exists(dir + "/" + id + ".wal")) << id;
+  }
+
+  ASSERT_TRUE(host->CloseSession("closed").ok());
+  EXPECT_FALSE(PersistFilesExist(dir, "closed"));
+  EXPECT_TRUE(PersistFilesExist(dir, "reaped"));
+
+  loop_.RunFor(Duration::Seconds(6.0));
+  EXPECT_EQ(host->ReapIdleSessions(), 1u);
+  EXPECT_FALSE(PersistFilesExist(dir, "reaped"));
+  EXPECT_TRUE(fs::is_empty(dir));
+}
+
+// A session closed while its self-checkpoint is still scheduled cancels
+// the event: it never runs, so it cannot read the freed binding or
+// checkpoint a session re-created under the same id.
+TEST_F(HostTest, SessionClosedWithACheckpointPendingCancelsIt) {
+  const std::string dir = MakeHostPersistDir("pending");
+  HostConfig config;
+  config.persist.dir = dir;
+  config.persist.checkpoint_dirty_records = 1;
+  auto host = MakeHost(config);
+  auto session = host->CreateSession("pending");
+  ASSERT_TRUE(session.ok()) << session.status();
+  const size_t idle_events = loop_.pending_events();
+  SetSessionDoc(*session, "v1");  // crosses the bound: checkpoint scheduled
+  ASSERT_TRUE((*session)->persist->store()->ShouldCheckpoint());
+  ASSERT_EQ(loop_.pending_events(), idle_events + 1);
+  ASSERT_TRUE(host->CloseSession("pending").ok());
+  EXPECT_EQ(loop_.pending_events(), idle_events);
+  ASSERT_TRUE(host->CreateSession("pending").ok());
+  const uint64_t written = host->persist_counters().checkpoints_written;
+  loop_.RunFor(Duration::Seconds(1.0));
+  EXPECT_EQ(host->persist_counters().checkpoints_written, written);
 }
 
 }  // namespace

@@ -173,6 +173,36 @@ TEST(DomTest, AttributesOrderedAndCaseInsensitive) {
   EXPECT_EQ(element.AttrOr("missing", "dflt"), "dflt");
 }
 
+TEST(DomTest, NamesAreStoredLowercase) {
+  auto element = MakeElement("DIV");
+  element->SetAttribute("onClick", "go()");
+  EXPECT_EQ(element->tag_name(), "div");
+  EXPECT_EQ(element->attributes()[0].first, "onclick");
+  element->AssignAttributes(
+      std::vector<std::pair<std::string, std::string>>{{"HREF", "/a"}});
+  EXPECT_EQ(element->attributes()[0].first, "href");
+
+  // Past the 15 bytes a std::string holds inline the name lives on the heap;
+  // it is stored and copied the same way.
+  auto custom = MakeElement("X-Custom-Element-Name");
+  custom->SetAttribute("Data-Long-Attribute-Name", "v");
+  EXPECT_EQ(custom->tag_name(), "x-custom-element-name");
+  EXPECT_EQ(custom->attributes()[0].first, "data-long-attribute-name");
+
+  for (const Element* source : {element.get(), custom.get()}) {
+    std::unique_ptr<Node> clone = source->Clone();
+    const Element* copy = clone->AsElement();
+    ASSERT_NE(copy, nullptr);
+    EXPECT_EQ(copy->tag_name(), source->tag_name());
+    EXPECT_EQ(copy->attributes(), source->attributes());
+    EXPECT_EQ(copy->OuterHtml(), source->OuterHtml());
+  }
+  // A clone owns its name: the source may go away first.
+  std::unique_ptr<Node> orphan = custom->Clone();
+  custom.reset();
+  EXPECT_EQ(orphan->AsElement()->tag_name(), "x-custom-element-name");
+}
+
 TEST(DomTest, CloneIsDeepAndDetached) {
   auto tree = MakeElement("div");
   tree->SetAttribute("id", "root");

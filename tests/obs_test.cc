@@ -584,7 +584,6 @@ TEST(FlightRecorderTest, CountsWithoutDirAndNeverWrites) {
   TraceLog log(8);
   MetricsRegistry registry;
   FlightRecorder recorder(&log, &registry, {});
-  EXPECT_FALSE(recorder.dumping_enabled());
   recorder.Trigger("resync", 1000);
   recorder.Trigger("resync", 2000);
   recorder.Trigger("overload", 3000);
@@ -605,17 +604,23 @@ TEST(FlightRecorderTest, DumpsJsonlArtifactAndHonorsCap) {
   FlightRecorder::Options options;
   options.dir = ::testing::TempDir();
   options.component = "snippet-p1";
-  options.max_dumps = 1;
   FlightRecorder recorder(&log, &registry, options);
   recorder.Trigger("poll_timeout", 5000);
-  recorder.Trigger("poll_timeout", 6000);  // over the cap: counted, not dumped
-  EXPECT_EQ(recorder.total_triggers(), 2u);
-  EXPECT_EQ(recorder.dumps_written(), 1u);
-  ASSERT_FALSE(recorder.last_dump_path().empty());
-  EXPECT_NE(recorder.last_dump_path().find("FLIGHT_snippet-p1_1_poll_timeout"),
+  ASSERT_EQ(recorder.dumps_written(), 1u);
+  const std::string first_dump = recorder.last_dump_path();
+  EXPECT_NE(first_dump.find("FLIGHT_snippet-p1_1_poll_timeout"),
+            std::string::npos);
+  // Triggers past the cap are counted, not dumped.
+  for (uint64_t i = 1; i <= FlightRecorder::kMaxDumps; ++i) {
+    recorder.Trigger("poll_timeout", 5000 + static_cast<int64_t>(i) * 1000);
+  }
+  EXPECT_EQ(recorder.total_triggers(), FlightRecorder::kMaxDumps + 1);
+  EXPECT_EQ(recorder.triggers("poll_timeout"), FlightRecorder::kMaxDumps + 1);
+  EXPECT_EQ(recorder.dumps_written(), FlightRecorder::kMaxDumps);
+  EXPECT_NE(recorder.last_dump_path().find("FLIGHT_snippet-p1_16_poll_timeout"),
             std::string::npos);
 
-  std::FILE* file = std::fopen(recorder.last_dump_path().c_str(), "rb");
+  std::FILE* file = std::fopen(first_dump.c_str(), "rb");
   ASSERT_NE(file, nullptr);
   std::string body;
   char buffer[4096];
@@ -646,47 +651,18 @@ TEST(FlightRecorderTest, DumpsJsonlArtifactAndHonorsCap) {
             std::string::npos);
 }
 
-TEST(FlightRecorderTest, DedupWindowCollapsesRepeatTriggers) {
+TEST(FlightRecorderTest, RepeatedReasonDumpsEveryTrigger) {
   TraceLog log(8);
   MetricsRegistry registry;
   FlightRecorder::Options options;
   options.dir = ::testing::TempDir();
-  options.component = "dedup-agent";
-  options.dedup_window_us = 10'000;
-  FlightRecorder recorder(&log, &registry, options);
-
-  recorder.Trigger("resync", 1'000);  // first sighting: dumped
-  recorder.Trigger("resync", 5'000);  // 4 ms after the dump: suppressed
-  recorder.Trigger("resync", 9'000);  // still inside the window: suppressed
-  EXPECT_EQ(recorder.dumps_written(), 1u);
-  EXPECT_EQ(recorder.dumps_suppressed(), 2u);
-  EXPECT_EQ(recorder.triggers("resync"), 3u);  // counting is never deduped
-
-  // A different reason inside the same window is its own anomaly.
-  recorder.Trigger("overload", 6'000);
-  EXPECT_EQ(recorder.dumps_written(), 2u);
-  EXPECT_EQ(recorder.dumps_suppressed(), 2u);
-
-  // The window is measured from the last *written* dump, so once it passes
-  // the same reason dumps again (a second episode gets its own artifact).
-  recorder.Trigger("resync", 11'000);
-  EXPECT_EQ(recorder.dumps_written(), 3u);
-  EXPECT_NE(recorder.last_dump_path().find("FLIGHT_dedup-agent_3_resync"),
-            std::string::npos);
-  EXPECT_EQ(recorder.total_triggers(), 5u);
-}
-
-TEST(FlightRecorderTest, ZeroDedupWindowDumpsEveryTrigger) {
-  TraceLog log(8);
-  MetricsRegistry registry;
-  FlightRecorder::Options options;
-  options.dir = ::testing::TempDir();
-  options.component = "nodedup-agent";
+  options.component = "repeat-agent";
   FlightRecorder recorder(&log, &registry, options);
   recorder.Trigger("resync", 1'000);
   recorder.Trigger("resync", 1'001);
   EXPECT_EQ(recorder.dumps_written(), 2u);
-  EXPECT_EQ(recorder.dumps_suppressed(), 0u);
+  EXPECT_NE(recorder.last_dump_path().find("FLIGHT_repeat-agent_2_resync"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

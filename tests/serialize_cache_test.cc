@@ -1,4 +1,4 @@
-// Hot-path correctness: the tag interner, DOM revision tracking, and — the
+// Hot-path correctness: DOM revision tracking and — the
 // load-bearing property — that the incremental generator (Fig. 3 rewrites
 // applied on the serialization cache's miss path over the live DOM) is
 // byte-identical to the reference path (clone, whole-tree rewrite passes,
@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/content_generator.h"
-#include "src/html/intern.h"
 #include "src/html/parser.h"
 #include "src/html/serializer.h"
 #include "src/sites/corpus.h"
@@ -28,41 +27,6 @@
 
 namespace rcb {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Tag interner
-// ---------------------------------------------------------------------------
-
-TEST(InternTest, RepeatedNamesShareOnePointer) {
-  StringInterner interner;
-  const std::string* a = interner.Intern("div");
-  const std::string* b = interner.Intern("div");
-  const std::string* c = interner.Intern("span");
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a, c);
-  EXPECT_EQ(interner.size(), 2u);
-}
-
-TEST(InternTest, CapStopsGrowthWithoutInvalidating) {
-  StringInterner interner(/*max_entries=*/2);
-  const std::string* a = interner.Intern("one");
-  const std::string* b = interner.Intern("two");
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(interner.Intern("three"), nullptr);  // full: caller owns the copy
-  EXPECT_EQ(interner.Intern("one"), a);          // existing entries still hit
-  EXPECT_EQ(*a, "one");
-  EXPECT_EQ(*b, "two");
-}
-
-TEST(InternTest, ElementsShareCanonicalTagStorage) {
-  auto upper = MakeElement("DIV");
-  auto lower = MakeElement("div");
-  EXPECT_EQ(upper->tag_name(), "div");
-  // Both canonical names resolve to the same interned string object.
-  EXPECT_EQ(&upper->tag_name(), &lower->tag_name());
-}
 
 // ---------------------------------------------------------------------------
 // DOM revision tracking

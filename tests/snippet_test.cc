@@ -839,6 +839,22 @@ TEST_F(SnippetTest, DestroyedWhileJoining) {
   EXPECT_FALSE(joined);
 }
 
+// Leave() while the join is still loading drops the join: it never
+// completes, so no poll loop starts behind the caller's back.
+TEST_F(SnippetTest, LeaveWhileJoiningNeverPolls) {
+  StartAgent();
+  snippet_ = std::make_unique<AjaxSnippet>(participant_browser_.get(),
+                                           SnippetConfig{});
+  bool join_callback = false;
+  snippet_->Join(agent_->AgentUrl(), [&](Status) { join_callback = true; });
+  snippet_->Leave();
+  loop_.RunFor(Duration::Seconds(5.0));
+  EXPECT_FALSE(snippet_->joined());
+  EXPECT_FALSE(join_callback);
+  EXPECT_EQ(snippet_->metrics().polls_sent, 0u);
+  EXPECT_TRUE(agent_->ConnectedParticipants().empty());
+}
+
 TEST_F(SnippetTest, PollIntervalOverrideRespected) {
   StartAgent();  // agent advertises 1 s
   SnippetConfig config;
