@@ -104,7 +104,6 @@ SessionOptions BaseOptions(const NetworkProfile& profile, Mode mode) {
     case Mode::kLongPoll:
       options.enable_transport = true;
       options.snippet_stream_mode = 1;
-      options.transport_hold = Duration::Seconds(10.0);
       break;
   }
   return options;

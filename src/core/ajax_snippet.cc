@@ -95,9 +95,6 @@ void AjaxSnippet::Join(const Url& agent_url, std::function<void(Status)> joined)
             interval_ms <= kMaxPollIntervalMs) {
           interval_ = Duration::Millis(static_cast<int64_t>(interval_ms));
         }
-        if (config_.poll_interval_override > Duration::Zero()) {
-          interval_ = config_.poll_interval_override;
-        }
         joined_ = true;
         doc_time_ms_ = -1;
         object_watermark_ = 0;
@@ -534,7 +531,7 @@ void AjaxSnippet::ScheduleNextPoll() {
   // Under a grant, keep one request parked at the agent at all times: the
   // next poll goes out immediately and the agent holds it until there is
   // something to say (or the hold deadline passes). No busy loop: each round
-  // trip is either held for long_poll_hold or carries payload. Without one,
+  // trip is either held for the granted hold or carries payload. Without one,
   // poll at the advertised interval, as the paper's snippet does (§4.2.1).
   SchedulePoll(longpoll_active_ ? Duration::Zero() : interval_);
 }

@@ -35,8 +35,6 @@ namespace rcb {
 struct SnippetConfig {
   // Shared one-time session secret (§3.4); empty disables request signing.
   std::string session_key;
-  // Overrides the poll interval advertised by the initial page when > 0.
-  Duration poll_interval_override = Duration::Zero();
   // Download supplementary objects after each applied update.
   bool fetch_objects = true;
 

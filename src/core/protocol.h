@@ -163,8 +163,8 @@ struct PollRequest {
   std::string trace;
   // Streamed-transport capability level (DESIGN.md §15):
   // 0 = classic polling (field omitted on the wire, byte-identical to the
-  // pre-transport format), 1 or 2 = long-poll capable (2 also pre-empts its
-  // parked poll with gestures, a snippet-side difference only).
+  // pre-transport format), 1 or 2 = long-poll capable (2 is only a wire
+  // alias of 1: either mode pre-empts its parked poll with gestures).
   // An agent with the transport disabled ignores the field, so the downgrade
   // is automatic in both directions — the same contract as patch=/trace=.
   uint32_t stream = 0;

@@ -77,15 +77,10 @@ HttpServerLimits SocketLimits(const AgentLimits& limits) {
   return server;
 }
 
-Duration JitteredRetryAfter(Duration base, Duration jitter,
-                            std::string_view key) {
-  int64_t window_ms = jitter.millis();
-  if (window_ms <= 0) {
-    return base;
-  }
+Duration JitteredRetryAfter(Duration base, std::string_view key) {
   return base + Duration::Millis(static_cast<int64_t>(
                     StableHash64(key) %
-                    static_cast<uint64_t>(window_ms + 1)));
+                    static_cast<uint64_t>(kRetryAfterJitter.millis() + 1)));
 }
 
 RcbAgent::RcbAgent(Browser* host_browser, AgentConfig config)
@@ -556,7 +551,7 @@ HttpResponse RcbAgent::RejectConnection() {
   ++metrics_.connections_rejected;
   return HttpResponse::ServiceUnavailable(
       JitteredRetryAfter(
-          config_.poll_interval, config_.limits.retry_after_jitter,
+          config_.poll_interval,
           StrFormat("conn%llu", static_cast<unsigned long long>(
                                     metrics_.connections_rejected))),
       "connection limit reached");
@@ -601,7 +596,7 @@ void RcbAgent::ParkPoll(HttpServer::ConnId conn, ParkIntent intent) {
   parked.conn = conn;
   parked.acked_doc_time_ms = intent.acked_doc_time_ms;
   parked.deadline_id = browser_->loop()->Schedule(
-      config_.transport.long_poll_hold,
+      transport::kLongPollHold,
       [this, pid] { ReleaseParkedPoll(pid); });
   parked_[pid] = std::move(parked);
 }
@@ -638,8 +633,8 @@ void RcbAgent::ReleaseParkedPoll(const std::string& pid) {
     ++metrics_.transport_long_poll_flushes;
   } else {
     // Counted as a transport expiry only — disjoint from polls_empty
-    // (classic empty replies), so transport::WastedPolls sums each wasted
-    // round trip exactly once.
+    // (classic empty replies), so the health sample's wasted_polls sums each
+    // wasted round trip exactly once.
     ++metrics_.transport_long_poll_expiries;
   }
   HttpResponse response = HttpResponse::Ok(
@@ -650,7 +645,7 @@ void RcbAgent::ReleaseParkedPoll(const std::string& pid) {
 
 std::string RcbAgent::GrantHeader() const {
   return transport::FormatTransportGrant(
-      {config_.transport.long_poll_hold.millis()});
+      {transport::kLongPollHold.millis()});
 }
 
 void RcbAgent::RecordContentServed(std::string_view trace_id) {
@@ -802,8 +797,12 @@ HttpResponse RcbAgent::HandleRequest(const HttpRequest& request,
   obs::HealthSample sample;
   sample.requests = requests_handled_;
   sample.polls_received = metrics_.polls_received;
-  sample.wasted_polls = transport::WastedPolls(
-      {metrics_.polls_empty, metrics_.transport_long_poll_expiries});
+  // A wasted poll is a round trip that moved no content: an empty classic
+  // reply, or a parked long-poll released empty by its hold deadline. A
+  // parked poll that flushes with data is not wasted (that is the point of
+  // parking), so the transport's win shows in the wasted_poll_ratio SLO.
+  sample.wasted_polls =
+      metrics_.polls_empty + metrics_.transport_long_poll_expiries;
   sample.resyncs = metrics_.resyncs;
   sample.auth_failures = metrics_.auth_failures;
   health_.Sample(sample, browser_->loop()->now().micros());
@@ -1002,7 +1001,7 @@ RcbAgent::ParticipantState& RcbAgent::EnsureParticipant(const std::string& pid) 
     it->second.poll_bucket = TokenBucket(config_.limits.poll_rate_per_sec,
                                          config_.limits.poll_burst);
     it->second.action_bucket = TokenBucket(config_.limits.action_rate_per_sec,
-                                           config_.limits.action_burst);
+                                           kActionBurst);
     // Checkpoint rehydration is not a new transition — only live joins log.
     if (config_.state_observer != nullptr && !restoring_) {
       config_.state_observer->OnParticipantJoined(pid);
@@ -1046,8 +1045,7 @@ std::optional<HttpResponse> RcbAgent::AdmitRoster(const std::string* pid) {
                                  static_cast<unsigned long long>(
                                      metrics_.participants_rejected));
   return HttpResponse::ServiceUnavailable(
-      JitteredRetryAfter(config_.poll_interval,
-                         config_.limits.retry_after_jitter, key),
+      JitteredRetryAfter(config_.poll_interval, key),
       "participant limit reached");
 }
 
@@ -1066,14 +1064,12 @@ std::optional<HttpResponse> RcbAgent::AdmitRecovery(const std::string& pid) {
   TraceMarker("agent.response.rejected",
               {{"code", "503"}, {"reason", "recovery_defer"}});
   return HttpResponse::ServiceUnavailable(
-      JitteredRetryAfter(resync_admission_at_ - now,
-                         config_.limits.retry_after_jitter, pid),
+      JitteredRetryAfter(resync_admission_at_ - now, pid),
       "recovering: resync admission deferred");
 }
 
 void RcbAgent::EnqueueOutbox(ParticipantState& state, const UserAction& action) {
-  if (config_.limits.max_outbox_actions > 0 &&
-      state.outbox.size() >= config_.limits.max_outbox_actions) {
+  if (state.outbox.size() >= kMaxOutboxActions) {
     ++metrics_.actions_shed;  // reject-newest: keep what is already queued
     return;
   }
@@ -1246,7 +1242,7 @@ HttpResponse RcbAgent::HandlePoll(const HttpRequest& request,
     return HttpResponse::TooManyRequests(
         JitteredRetryAfter(
             participant.poll_bucket.TimeUntilAvailable(browser_->loop()->now()),
-            config_.limits.retry_after_jitter, poll.participant_id),
+            poll.participant_id),
         "poll rate limit");
   }
   ++participant.polls;
@@ -1280,7 +1276,7 @@ HttpResponse RcbAgent::HandlePoll(const HttpRequest& request,
   participant.transport_granted = false;
   if (config_.transport.enable_stream &&
       poll.stream != transport::kStreamNone && scope.holdable) {
-    if (parked_.size() < config_.transport.max_held) {
+    if (parked_.size() < transport::kMaxHeldPolls) {
       scope.granted = true;
       participant.transport_granted = true;
     } else {
@@ -1396,12 +1392,10 @@ void RcbAgent::ApplyAction(const std::string& pid, const UserAction& action) {
     return;
   }
   if (action.type == ActionType::kMouseMove) {
-    if (config_.policies.broadcast_mouse) {
-      UserAction broadcast = action;
-      broadcast.origin = pid;
-      BroadcastToRoster(broadcast, /*skip_pid=*/pid);
-      ++metrics_.actions_applied;
-    }
+    UserAction broadcast = action;
+    broadcast.origin = pid;
+    BroadcastToRoster(broadcast, /*skip_pid=*/pid);
+    ++metrics_.actions_applied;
     return;
   }
   ActionPolicy policy = ActionPolicy::kAutoApply;
@@ -1433,8 +1427,7 @@ void RcbAgent::ApplyAction(const std::string& pid, const UserAction& action) {
       ++metrics_.actions_applied;
       break;
     case ActionPolicy::kConfirm:
-      if (config_.limits.max_pending_actions > 0 &&
-          pending_actions_.size() >= config_.limits.max_pending_actions) {
+      if (pending_actions_.size() >= kMaxPendingActions) {
         ++metrics_.actions_shed;  // reject-newest at a full confirm queue
         break;
       }

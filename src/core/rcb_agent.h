@@ -48,8 +48,6 @@ struct AgentPolicies {
   ActionPolicy form_submit = ActionPolicy::kAutoApply;
   ActionPolicy form_fill = ActionPolicy::kAutoApply;
   ActionPolicy navigate = ActionPolicy::kAutoApply;
-  // Mirror pointer movement to the other participants.
-  bool broadcast_mouse = true;
   // §3.3: "it is up to the high-level policy enforced on RCB-Agent to decide
   // whom are allowed to perform certain interactions". When set, actions from
   // participants this predicate rejects are denied before the per-type
@@ -77,28 +75,22 @@ struct AgentLimits {
   // rejected piggybacked actions are dropped (and counted).
   double poll_rate_per_sec = 0.0;
   double poll_burst = 8.0;
+  // The action bucket holds RcbAgent::kActionBurst tokens.
   double action_rate_per_sec = 0.0;
-  double action_burst = 32.0;
-  // Bounded queues, reject-newest: once full, new entries are shed and the
-  // queued ones kept (the oldest actions are closest to delivery).
-  size_t max_outbox_actions = 1024;   // per-participant broadcast outbox
-  size_t max_pending_actions = 256;   // host confirmation queue (kConfirm)
   // Byte budget applied to the host browser's ObjectCache on Start();
   // exceeding it evicts least-recently-used objects. 0 = unbounded.
   uint64_t cache_byte_budget = 0;
-  // Deterministic jitter added to every Retry-After this agent sends (503s
-  // and 429s): base + StableHash64(key) % (jitter + 1ms), keyed per rejected
-  // participant. Spreads retries so one overload burst does not come back as
-  // one synchronized retry burst. Zero() disables (exact base values).
-  Duration retry_after_jitter = Duration::Seconds(3.0);
 };
 
-// `base` plus a deterministic jitter in [0, jitter] keyed by `key` (same key
-// -> same delay, different keys spread): the Retry-After value of every 503
-// and 429 the agent and the host front door answer. Zero() jitter returns
-// `base` exactly.
-Duration JitteredRetryAfter(Duration base, Duration jitter,
-                            std::string_view key);
+// Largest deterministic jitter added to a Retry-After hint.
+inline constexpr Duration kRetryAfterJitter = Duration::Seconds(3.0);
+
+// `base` plus a deterministic jitter in [0, kRetryAfterJitter] keyed by `key`
+// (base + StableHash64(key) % (jitter + 1ms); same key -> same delay,
+// different keys spread): the Retry-After value of every 503 and 429 the
+// agent and the host front door answer. Spreads retries so one overload
+// burst does not come back as one synchronized retry burst.
+Duration JitteredRetryAfter(Duration base, std::string_view key);
 
 // The socket rows of `limits` (DESIGN.md §8.1) as HttpServer limits: the
 // agent's own port, and the host's front door without the connection cap.
@@ -140,8 +132,8 @@ struct AgentConfig {
   // Flight-recorder dump directory. Empty falls back to $RCB_FLIGHT_DIR;
   // with neither set, triggers are counted but no artifact is written.
   std::string flight_dir;
-  // --- Health plane (src/obs/slo.h, DESIGN.md §16). SLO targets and window
-  // geometry for the always-on per-session health tracker behind GET /health
+  // --- Health plane (src/obs/slo.h, DESIGN.md §16). The settable SLO
+  // budget of the always-on per-session health tracker behind GET /health
   // and /host/health. ---
   obs::SloConfig health_slo;
   // --- Durability (src/persist, DESIGN.md §13). When set, the agent reports
@@ -198,7 +190,7 @@ struct AgentMetrics {
   uint64_t transport_long_polls_parked = 0;   // polls held awaiting content
   uint64_t transport_long_poll_flushes = 0;   // parked polls answered w/ data
   uint64_t transport_long_poll_expiries = 0;  // parked polls released empty
-  uint64_t transport_capacity_denials = 0;    // grants denied by max_held
+  uint64_t transport_capacity_denials = 0;    // grants denied by kMaxHeldPolls
   // --- escape() accounting (M2): cumulative CDATA payload bytes before and
   // after JsEscape across all generations. Their ratio is the inflation the
   // paper's transmission sizes absorb. ---
@@ -229,6 +221,16 @@ class RcbAgent {
   ~RcbAgent();
   RcbAgent(const RcbAgent&) = delete;
   RcbAgent& operator=(const RcbAgent&) = delete;
+
+  // Burst of the per-participant action bucket (AgentLimits rate).
+  static constexpr double kActionBurst = 32.0;
+  // Host confirmation queue (kConfirm), reject-newest: once full, new
+  // actions are shed and counted in actions_shed.
+  static constexpr size_t kMaxPendingActions = 256;
+  // Per-participant broadcast outbox, reject-newest like the confirmation
+  // queue: once full, new entries are shed and the queued ones kept (the
+  // oldest actions are closest to delivery).
+  static constexpr size_t kMaxOutboxActions = 1024;
 
   // Opens the listening port (§3.1 step 1) and hooks document changes.
   Status Start();
@@ -467,7 +469,7 @@ class RcbAgent {
   // the configured limits.
   ParticipantState& EnsureParticipant(const std::string& pid);
   // Appends to a broadcast outbox, shedding the newest action (and counting
-  // it) when the queue is at max_outbox_actions.
+  // it) when the queue is at kMaxOutboxActions.
   void EnqueueOutbox(ParticipantState& state, const UserAction& action);
   // Enqueues `action` to every participant except `skip_pid`, then kicks
   // each one's parked poll so long-poll receivers get it at once.

@@ -29,15 +29,12 @@ CoBrowsingSession::CoBrowsingSession(EventLoop* loop, Network* network,
   }
 
   AgentConfig agent_config;
-  agent_config.port = options_.agent_port;
   agent_config.cache_mode = options_.cache_mode;
   agent_config.session_key = session_key_;
   agent_config.poll_interval = options_.poll_interval;
   agent_config.limits = options_.agent_limits;
   agent_config.enable_delta = options_.enable_delta;
   agent_config.transport.enable_stream = options_.enable_transport;
-  agent_config.transport.long_poll_hold = options_.transport_hold;
-  agent_config.transport.max_held = options_.max_held_streams;
   agent_config.enable_trace = options_.enable_trace;
   agent_config.flight_dir = options_.flight_dir;
   agent_ = std::make_unique<RcbAgent>(host_browser_.get(), agent_config);
@@ -46,7 +43,6 @@ CoBrowsingSession::CoBrowsingSession(EventLoop* loop, Network* network,
   for (auto& participant : participants_) {
     SnippetConfig snippet_config;
     snippet_config.session_key = session_key_;
-    snippet_config.poll_interval_override = options_.poll_interval;
     snippet_config.poll_timeout = options_.poll_timeout;
     snippet_config.reconnect_after = options_.reconnect_after;
     snippet_config.backoff_base = options_.backoff_base;

@@ -30,7 +30,6 @@ struct SessionOptions {
   Duration poll_interval = Duration::Seconds(1.0);
   // Enables HMAC request authentication with a generated session key.
   bool enable_auth = false;
-  uint16_t agent_port = 3000;
   std::string host_machine = "host-pc";
   std::string participant_machine_prefix = "participant-pc";
 
@@ -62,8 +61,6 @@ struct SessionOptions {
   // Snippet side: what each participant advertises (transport::kStreamNone /
   // kStreamLongPoll; see SnippetConfig::stream_mode).
   uint32_t snippet_stream_mode = 0;
-  Duration transport_hold = Duration::Seconds(10.0);
-  size_t max_held_streams = 64;
 
   // Causal tracing (DESIGN.md §11) on both sides: snippets stamp each poll
   // with trace=<pid>-<seq> and the agent threads that id through merge,

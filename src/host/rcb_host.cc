@@ -547,9 +547,7 @@ HttpResponse RcbHost::HandleCreateSession(const HttpRequest& request) {
         return PlainResponse(409, session.status().message());
       case StatusCode::kUnavailable:
         return HttpResponse::ServiceUnavailable(
-            JitteredRetryAfter(config_.limits.retry_after,
-                               config_.limits.retry_after_jitter,
-                               id.empty() ? "create" : id),
+            JitteredRetryAfter(kRetryAfter, id.empty() ? "create" : id),
             session.status().message());
       default:
         return HttpResponse::InternalError(session.status().message());

@@ -89,12 +89,6 @@ struct HostLimits {
   Duration session_idle_timeout = Duration::Zero();
   // Byte budget for the host-wide shared ObjectCache. 0 = unbounded.
   uint64_t shared_cache_byte_budget = 0;
-  // Retry-After hint on 503s.
-  Duration retry_after = Duration::Seconds(1.0);
-  // Deterministic jitter added to front-door Retry-After values (same scheme
-  // as AgentLimits::retry_after_jitter), keyed per rejected request, so shed
-  // creators do not retry in lockstep. Zero() disables.
-  Duration retry_after_jitter = Duration::Seconds(3.0);
 };
 
 struct HostConfig {
@@ -170,6 +164,11 @@ class RcbHost {
   ~RcbHost();
   RcbHost(const RcbHost&) = delete;
   RcbHost& operator=(const RcbHost&) = delete;
+
+  // Base of the front door's 503 Retry-After hint (session cap), jittered per
+  // rejected request by JitteredRetryAfter so shed creators do not retry in
+  // lockstep.
+  static constexpr Duration kRetryAfter = Duration::Seconds(1.0);
 
   // Opens the front door and applies the shared-cache budget.
   Status Start();

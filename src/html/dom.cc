@@ -136,13 +136,6 @@ Element* Node::AsElement() {
 const Element* Node::AsElement() const {
   return type_ == NodeType::kElement ? static_cast<const Element*>(this) : nullptr;
 }
-Document* Node::AsDocument() {
-  return type_ == NodeType::kDocument ? static_cast<Document*>(this) : nullptr;
-}
-const Document* Node::AsDocument() const {
-  return type_ == NodeType::kDocument ? static_cast<const Document*>(this)
-                                      : nullptr;
-}
 
 namespace {
 
@@ -293,18 +286,6 @@ std::vector<Element*> Element::FindAll(std::string_view tag) {
     return true;
   });
   return out;
-}
-
-Element* Element::ById(std::string_view id_value) {
-  Element* found = nullptr;
-  ForEachElement([&](Element* element) {
-    if (element->id() == id_value) {
-      found = element;
-      return false;
-    }
-    return true;
-  });
-  return found;
 }
 
 Element* Element::ChildByTag(std::string_view tag) {

@@ -79,11 +79,9 @@ class Node {
   // Concatenated text of all descendant Text nodes.
   std::string TextContent() const;
 
-  // Type-checked downcasts; return nullptr on mismatch.
+  // Type-checked downcast; returns nullptr on mismatch.
   Element* AsElement();
   const Element* AsElement() const;
-  Document* AsDocument();
-  const Document* AsDocument() const;
 
   // Pre-order walk over descendant elements (not including this node when it
   // is an element). Return false from the visitor to stop early.
@@ -189,7 +187,6 @@ class Element : public Node {
   Element* FindFirst(std::string_view tag);
   const Element* FindFirst(std::string_view tag) const;
   std::vector<Element*> FindAll(std::string_view tag);
-  Element* ById(std::string_view id_value);
 
   // First direct child element with the given tag, or nullptr.
   Element* ChildByTag(std::string_view tag);

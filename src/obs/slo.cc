@@ -63,14 +63,12 @@ SessionHealth::SessionHealth(const SloConfig& config, FlightRecorder* flight)
     : config_(config),
       flight_(flight),
       sync_latency_(WindowedHistogram::CompactLatencyBoundsUs(),
-                    config.window),
-      polls_(config.window),
-      wasted_polls_(config.window),
-      resyncs_(config.window),
-      auth_failures_(config.window),
-      requests_(config.window) {
-  sync_latency_.set_exemplar_ttl_us(config.exemplar_ttl_us);
-}
+                    CompactWindowConfig()),
+      polls_(CompactWindowConfig()),
+      wasted_polls_(CompactWindowConfig()),
+      resyncs_(CompactWindowConfig()),
+      auth_failures_(CompactWindowConfig()),
+      requests_(CompactWindowConfig()) {}
 
 void SessionHealth::RecordSyncLatency(int64_t latency_us, int64_t sim_now_us,
                                       std::string_view trace_id) {
@@ -90,7 +88,7 @@ void SessionHealth::Sample(const HealthSample& cumulative, int64_t sim_now_us) {
 }
 
 double SessionHealth::Burn(uint64_t bad, uint64_t total, double budget) const {
-  if (total < config_.min_events || bad == 0 || budget <= 0.0) {
+  if (total < kMinEvents || bad == 0 || budget <= 0.0) {
     return 0.0;
   }
   double fraction = static_cast<double>(bad) / static_cast<double>(total);
@@ -105,27 +103,25 @@ ObjectiveStatus SessionHealth::EvaluateObjective(size_t objective,
   double budget = 1.0;
   switch (static_cast<Objective>(objective)) {
     case kSyncP99:
-      fast_bad = sync_latency_.FastCountOver(config_.sync_p99_target_us,
-                                             sim_now_us);
+      fast_bad = sync_latency_.FastCountOver(kSyncP99TargetUs, sim_now_us);
       fast_total = sync_latency_.FastCount(sim_now_us);
-      slow_bad = sync_latency_.SlowCountOver(config_.sync_p99_target_us,
-                                             sim_now_us);
+      slow_bad = sync_latency_.SlowCountOver(kSyncP99TargetUs, sim_now_us);
       slow_total = sync_latency_.SlowCount(sim_now_us);
-      budget = config_.sync_bad_budget;
+      budget = kSyncBadBudget;
       break;
     case kResyncRate:
       fast_bad = resyncs_.FastSum(sim_now_us);
       fast_total = polls_.FastSum(sim_now_us);
       slow_bad = resyncs_.SlowSum(sim_now_us);
       slow_total = polls_.SlowSum(sim_now_us);
-      budget = config_.resync_budget;
+      budget = kResyncBudget;
       break;
     case kAuthFailureRate:
       fast_bad = auth_failures_.FastSum(sim_now_us);
       fast_total = requests_.FastSum(sim_now_us);
       slow_bad = auth_failures_.SlowSum(sim_now_us);
       slow_total = requests_.SlowSum(sim_now_us);
-      budget = config_.auth_failure_budget;
+      budget = kAuthFailureBudget;
       break;
     case kWastedPollRatio:
       fast_bad = wasted_polls_.FastSum(sim_now_us);
@@ -137,8 +133,8 @@ ObjectiveStatus SessionHealth::EvaluateObjective(size_t objective,
   }
   status.fast_burn = Burn(fast_bad, fast_total, budget);
   status.slow_burn = Burn(slow_bad, slow_total, budget);
-  status.alerting = status.fast_burn >= config_.fast_burn_alert &&
-                    status.slow_burn >= config_.slow_burn_alert;
+  status.alerting = status.fast_burn >= kFastBurnAlert &&
+                    status.slow_burn >= kSlowBurnAlert;
   return status;
 }
 
@@ -184,8 +180,8 @@ std::string SessionHealth::ToJson(int64_t sim_now_us) {
   out += HealthScoreName(health.score);
   out += "\",";
   out += StrFormat("\"window\":{\"fast_us\":%lld,\"slow_us\":%lld},",
-                   static_cast<long long>(config_.window.fast_window_us()),
-                   static_cast<long long>(config_.window.slow_window_us()));
+                   static_cast<long long>(polls_.config().fast_window_us()),
+                   static_cast<long long>(polls_.config().slow_window_us()));
   out += StrFormat("\"sync\":{\"count\":%llu,\"p50_us\":",
                    static_cast<unsigned long long>(health.sync_count));
   out += Num(health.sync_p50_us);

@@ -44,25 +44,24 @@ enum class HealthScore { kGreen, kDegraded, kUnhealthy };
 
 std::string_view HealthScoreName(HealthScore score);
 
+// sync_p99: latency observations over this are bad events, against a 1%
+// budget (a p99 target restated as an error budget).
+inline constexpr int64_t kSyncP99TargetUs = 20'000;
+inline constexpr double kSyncBadBudget = 0.01;
+inline constexpr double kResyncBudget = 0.02;       // resyncs per poll
+inline constexpr double kAuthFailureBudget = 0.01;  // auth failures per request
+// Multi-window thresholds: fast must burn hot AND slow must burn over
+// budget before an alert goes active.
+inline constexpr double kFastBurnAlert = 6.0;
+inline constexpr double kSlowBurnAlert = 1.0;
+// Below this many denominator events in the fast window an objective
+// reports burn 0 — a session's first poll can't trip a rate alert.
+inline constexpr uint64_t kMinEvents = 8;
+
 struct SloConfig {
-  // sync_p99: latency observations over this are bad events, against a 1%
-  // budget (a p99 target restated as an error budget).
-  int64_t sync_p99_target_us = 20'000;
-  double sync_bad_budget = 0.01;
-  double resync_budget = 0.02;        // resyncs per poll
-  double auth_failure_budget = 0.01;  // auth failures per request
-  double wasted_poll_budget = 0.90;   // empty/expired polls per poll; classic
-                                      // idle polling wastes most polls, so
-                                      // only near-total waste alerts
-  // Multi-window thresholds: fast must burn hot AND slow must burn over
-  // budget before an alert goes active.
-  double fast_burn_alert = 6.0;
-  double slow_burn_alert = 1.0;
-  // Below this many denominator events in the fast window an objective
-  // reports burn 0 — a session's first poll can't trip a rate alert.
-  uint64_t min_events = 8;
-  WindowConfig window = CompactWindowConfig();
-  int64_t exemplar_ttl_us = 30'000'000;
+  double wasted_poll_budget = 0.90;  // empty/expired polls per poll; classic
+                                     // idle polling wastes most polls, so
+                                     // only near-total waste alerts
 };
 
 struct ObjectiveStatus {
@@ -93,8 +92,8 @@ struct HealthStatus {
 struct HealthSample {
   uint64_t requests = 0;  // every request the agent handled
   uint64_t polls_received = 0;
-  // Pre-composed by the caller via transport::WastedPolls() — the transport
-  // layer owns what counts as a wasted round trip.
+  // Empty classic replies plus parked long-polls released empty (the
+  // agent composes it; see RcbAgent::HandleRequest).
   uint64_t wasted_polls = 0;
   uint64_t resyncs = 0;
   uint64_t auth_failures = 0;
@@ -122,8 +121,6 @@ class SessionHealth {
   // {"score":"green",...} — deterministic JSON for /health endpoints and the
   // bench artifacts' health section.
   std::string ToJson(int64_t sim_now_us);
-
-  const SloConfig& config() const { return config_; }
 
  private:
   enum Objective { kSyncP99, kResyncRate, kAuthFailureRate, kWastedPollRatio };

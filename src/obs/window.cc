@@ -172,7 +172,7 @@ void WindowedHistogram::Record(int64_t value, int64_t sim_now_us,
   if (!trace_id.empty()) {
     Exemplar& slot = exemplars_[bucket];
     bool stale = !slot.trace_id.empty() &&
-                 sim_now_us - slot.sim_time_us >= exemplar_ttl_us_;
+                 sim_now_us - slot.sim_time_us >= kExemplarTtlUs;
     if (slot.trace_id.empty() || stale || value >= slot.value) {
       slot.value = value;
       slot.sim_time_us = sim_now_us;

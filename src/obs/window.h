@@ -133,7 +133,7 @@ class WindowedHistogram {
 
   // Records `value`; a non-empty `trace_id` also offers it as the bucket's
   // exemplar (kept when it is the worst seen, or when the incumbent is older
-  // than exemplar_ttl_us — so exemplars decay toward *recent* worst cases
+  // than kExemplarTtlUs — so exemplars decay toward *recent* worst cases
   // whose traces are still in the bounded span ring).
   void Record(int64_t value, int64_t sim_now_us,
               std::string_view trace_id = {});
@@ -162,7 +162,7 @@ class WindowedHistogram {
   std::vector<BoundExemplar> Exemplars() const;
 
   const std::vector<int64_t>& bounds() const { return bounds_; }
-  void set_exemplar_ttl_us(int64_t ttl_us) { exemplar_ttl_us_ = ttl_us; }
+  static constexpr int64_t kExemplarTtlUs = 30'000'000;  // 30 s sim
 
   // A short bound set (12 bounds, 100 µs … ~200 s) for always-on per-session
   // latency tracking; coarser than LatencyBoundsUs() but fixed-size cheap.
@@ -176,7 +176,6 @@ class WindowedHistogram {
   size_t count_lane_;
   size_t sum_lane_;
   std::vector<Exemplar> exemplars_;  // one slot per bucket; empty trace = none
-  int64_t exemplar_ttl_us_ = 30'000'000;  // 30 s sim
 };
 
 }  // namespace obs

@@ -28,13 +28,16 @@
 namespace rcb {
 namespace persist {
 
+// WAL bytes since the last checkpoint that make a session checkpoint itself.
+inline constexpr uint64_t kCheckpointDirtyBytes = 256 * 1024;
+
 struct PersistOptions {
   // Directory for checkpoint + WAL files. Empty disables persistence.
   std::string dir;
   // A session checkpoints (and truncates its log) once this many WAL records
-  // or bytes have accumulated since the last checkpoint, whichever first.
+  // or kCheckpointDirtyBytes have accumulated since the last checkpoint,
+  // whichever first.
   uint64_t checkpoint_dirty_records = 64;
-  uint64_t checkpoint_dirty_bytes = 256 * 1024;
 
   bool enabled() const { return !dir.empty(); }
 };
@@ -83,7 +86,7 @@ class SessionStore {
   uint64_t dirty_bytes() const { return dirty_bytes_; }
   bool ShouldCheckpoint() const {
     return dirty_records_ >= options_.checkpoint_dirty_records ||
-           dirty_bytes_ >= options_.checkpoint_dirty_bytes;
+           dirty_bytes_ >= kCheckpointDirtyBytes;
   }
 
   const std::string& session_id() const { return session_id_; }

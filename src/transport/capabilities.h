@@ -20,6 +20,7 @@
 #ifndef SRC_TRANSPORT_CAPABILITIES_H_
 #define SRC_TRANSPORT_CAPABILITIES_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -50,34 +51,19 @@ std::string FormatTransportGrant(const TransportGrant& grant);
 // client then stays on classic polling — downgrade, never an error).
 std::optional<TransportGrant> ParseTransportGrant(std::string_view value);
 
-// Agent-side transport knobs (AgentConfig::transport). Everything defaults
-// off/conservative so the seed wire behavior is untouched until a deployment
-// opts in on both sides.
+// Longest a long-poll is parked before an empty response is released.
+inline constexpr Duration kLongPollHold = Duration::Seconds(10.0);
+// Cap on concurrently parked long-polls per agent (overload discipline,
+// DESIGN.md §8); over the cap new grants are denied and the client gracefully
+// stays on classic polling.
+inline constexpr size_t kMaxHeldPolls = 64;
+
+// Agent-side transport switch (AgentConfig::transport). Off by default so the
+// seed wire behavior is untouched until a deployment opts in on both sides.
 struct TransportConfig {
   // Master switch: off never grants and never parks.
   bool enable_stream = false;
-  // Longest a long-poll is parked before an empty response is released.
-  Duration long_poll_hold = Duration::Seconds(10.0);
-  // Cap on concurrently parked long-polls (overload discipline, DESIGN.md
-  // §8); over the cap new grants are denied and the client gracefully stays
-  // on classic polling.
-  size_t max_held = 64;
 };
-
-// --- Wasted-poll accounting (health plane, DESIGN.md §16) ---
-// The transport layer owns the definition of a *wasted* poll — a round trip
-// that moved no content: an empty classic poll reply, or a parked long-poll
-// released empty by its hold deadline. A parked poll that flushes with data
-// is NOT wasted (that is the point of parking), so the transport's win shows
-// up directly in the wasted_poll_ratio SLO (src/obs/slo.h).
-struct WastedPollInputs {
-  uint64_t polls_empty = 0;         // classic empty replies
-  uint64_t long_poll_expiries = 0;  // parked polls released empty
-};
-
-inline uint64_t WastedPolls(const WastedPollInputs& inputs) {
-  return inputs.polls_empty + inputs.long_poll_expiries;
-}
 
 }  // namespace transport
 }  // namespace rcb

@@ -469,6 +469,32 @@ TEST_F(AgentTest, ConfirmPolicyHoldsActions) {
   EXPECT_FALSE(agent_->ApprovePending(0).ok());
 }
 
+// The confirmation queue rejects the newest action once it holds
+// kMaxPendingActions: the queued ones stay, the overflow is counted as shed.
+TEST_F(AgentTest, FullConfirmQueueShedsNewestActions) {
+  AgentConfig config;
+  config.policies.click = ActionPolicy::kConfirm;
+  StartAgent(config);
+  HostNavigate();
+  PollRequest poll;
+  poll.participant_id = "p1";
+  poll.doc_time_ms = 0;
+  for (size_t i = 0; i <= RcbAgent::kMaxPendingActions; ++i) {
+    UserAction click;
+    click.type = ActionType::kClick;
+    click.target = static_cast<int>(i);
+    poll.actions.push_back(click);
+  }
+  EXPECT_EQ(Poll(poll).response.status_code, 200);
+  EXPECT_EQ(agent_->metrics().actions_held, RcbAgent::kMaxPendingActions);
+  EXPECT_EQ(agent_->metrics().actions_shed, 1u);
+  ASSERT_EQ(agent_->pending_actions().size(), RcbAgent::kMaxPendingActions);
+  // Reject-newest: the first click is still queued, the last one is gone.
+  EXPECT_EQ(agent_->pending_actions().front().action.target, 0);
+  EXPECT_EQ(agent_->pending_actions().back().action.target,
+            static_cast<int>(RcbAgent::kMaxPendingActions) - 1);
+}
+
 TEST_F(AgentTest, DenyPolicyDropsActions) {
   AgentConfig config;
   config.policies.form_submit = ActionPolicy::kDeny;
@@ -824,8 +850,6 @@ TEST_F(AgentTest, PollTokenBucketRefillsOverTime) {
   AgentConfig config;
   config.limits.poll_rate_per_sec = 1.0;
   config.limits.poll_burst = 1.0;
-  // This test pins the exact whole-second hint; jitter has its own coverage.
-  config.limits.retry_after_jitter = Duration::Zero();
   StartAgent(config);
   HostNavigate();
   PollRequest poll;
@@ -833,11 +857,15 @@ TEST_F(AgentTest, PollTokenBucketRefillsOverTime) {
   poll.doc_time_ms = -1;
   // The bucket starts full (burst 1): the first poll drains it.
   EXPECT_EQ(Poll(poll).response.status_code, 200);
-  // An immediate second poll is over rate: 429 with a whole-second hint.
+  // An immediate second poll is over rate: 429 with a whole-second hint,
+  // the refill wait (just under 1 s) plus p1's jitter (116 ms), rounded up.
   FetchResult limited = Poll(poll);
   EXPECT_EQ(limited.response.status_code, 429);
   ASSERT_TRUE(limited.response.headers.Get("Retry-After").has_value());
-  EXPECT_EQ(limited.response.headers.Get("Retry-After").value(), "1");
+  EXPECT_EQ(limited.response.headers.Get("Retry-After"),
+            HttpResponse::TooManyRequests(
+                JitteredRetryAfter(Duration::Seconds(1.0), "p1"), "")
+                .headers.Get("Retry-After"));
   EXPECT_EQ(agent_->metrics().polls_rate_limited, 1u);
   // After a full refill period the bucket holds a token again.
   loop_.RunFor(Duration::Seconds(1.1));
@@ -846,9 +874,7 @@ TEST_F(AgentTest, PollTokenBucketRefillsOverTime) {
 }
 
 TEST_F(AgentTest, FullOutboxRejectsNewestBroadcasts) {
-  AgentConfig config;
-  config.limits.max_outbox_actions = 2;
-  StartAgent(config);
+  StartAgent();
   HostNavigate();
   // p2 joins first so it has an outbox to receive p1's broadcasts.
   PollRequest join2;
@@ -857,11 +883,12 @@ TEST_F(AgentTest, FullOutboxRejectsNewestBroadcasts) {
   auto snapshot = ParseSnapshotXml(Poll(join2).response.body);
   ASSERT_TRUE(snapshot.ok());
 
-  // p1 sends four pointer moves; only the first two fit p2's outbox.
+  // p1 sends two pointer moves more than p2's outbox holds.
   PollRequest poll1;
   poll1.participant_id = "p1";
   poll1.doc_time_ms = snapshot->doc_time_ms;
-  for (int i = 0; i < 4; ++i) {
+  const int sent = static_cast<int>(RcbAgent::kMaxOutboxActions) + 2;
+  for (int i = 0; i < sent; ++i) {
     UserAction move;
     move.type = ActionType::kMouseMove;
     move.x = 10 * (i + 1);
@@ -876,10 +903,11 @@ TEST_F(AgentTest, FullOutboxRejectsNewestBroadcasts) {
   poll2.doc_time_ms = snapshot->doc_time_ms;
   auto delivered = ParseSnapshotXml(Poll(poll2).response.body);
   ASSERT_TRUE(delivered.ok());
-  ASSERT_EQ(delivered->user_actions.size(), 2u);
+  ASSERT_EQ(delivered->user_actions.size(), RcbAgent::kMaxOutboxActions);
   // Reject-newest: the oldest gestures survived, in order.
-  EXPECT_EQ(delivered->user_actions[0].x, 10);
-  EXPECT_EQ(delivered->user_actions[1].x, 20);
+  EXPECT_EQ(delivered->user_actions.front().x, 10);
+  EXPECT_EQ(delivered->user_actions.back().x,
+            10 * static_cast<int>(RcbAgent::kMaxOutboxActions));
 }
 
 TEST_F(AgentTest, OversizedPollBodyGets413) {
@@ -1560,7 +1588,6 @@ AdmissionOutcome RunAdmissionCell(Entry entry, const std::string& pid,
   AgentConfig config;
   config.session_key = kKey;
   config.transport.enable_stream = true;
-  config.limits.retry_after_jitter = Duration::Zero();  // exact Retry-After
   config.limits.max_participants =
       condition == Condition::kRosterFull ? 1 : 0;
   RcbAgent agent(&host, config);
@@ -1640,12 +1667,26 @@ TEST(AdmissionMatrixTest, EveryEntryPointClimbsItsRungs) {
   const std::string kRoster = "Service Unavailable: participant limit reached";
   const std::string kDefer =
       "Service Unavailable: recovering: resync admission deferred";
+  // The whole-second Retry-After of a 503 whose hint is `base` jittered by
+  // `key`: the rejected pid, or "join<n>" for the n-th rejected join.
+  auto hint = [](Duration base, std::string_view key) {
+    return HttpResponse::ServiceUnavailable(JitteredRetryAfter(base, key), "")
+        .headers.Get("Retry-After")
+        .value_or("");
+  };
   // {status, body, Retry-After, auth_failures, participants_rejected,
   //  recovery_deferrals, auth_failure triggers, overload triggers}
   const AdmissionOutcome auth403{403, kAuth, "", 1, 0, 0, 1, 0};
   const AdmissionOutcome resume403{403, kResumeAuth, "", 1, 0, 0, 1, 0};
-  const AdmissionOutcome roster503{503, kRoster, "1", 0, 1, 0, 0, 1};
-  const AdmissionOutcome defer503{503, kDefer, "5", 0, 0, 1, 0, 1};
+  // Roster 503s hint the poll interval (1 s).
+  const AdmissionOutcome roster503{
+      503, kRoster, hint(Duration::Seconds(1.0), "p2"), 0, 1, 0, 0, 1};
+  const AdmissionOutcome join503{
+      503, kRoster, hint(Duration::Seconds(1.0), "join1"), 0, 1, 0, 0, 1};
+  // Deferrals hint the rest of the 5 s window (just under 5 s; p1's jitter
+  // of 116 ms keeps the rounding the same).
+  const AdmissionOutcome defer503{
+      503, kDefer, hint(Duration::Seconds(5.0), "p1"), 0, 0, 1, 0, 1};
   auto ok = [](std::string substring) {
     return AdmissionOutcome{200, std::move(substring), "", 0, 0, 0, 0, 0};
   };
@@ -1667,7 +1708,7 @@ TEST(AdmissionMatrixTest, EveryEntryPointClimbsItsRungs) {
       {"resume_known", Entry::kResume, "p1", resume403, page_p1, page_p1},
       {"resume_unknown", Entry::kResume, "p2", resume403, roster503, page_p2},
       // A join carries no MAC rung and is never deferred.
-      {"join", Entry::kJoin, "", page, roster503, page},
+      {"join", Entry::kJoin, "", page, join503, page},
       // The operator endpoints climb the auth rung only.
       {"metrics", Entry::kMetrics, "", auth403,
        ok("rcb_agent_polls_received 1\n"), ok("rcb_agent_polls_received 1\n")},

@@ -177,18 +177,17 @@ class PresenceTest : public ::testing::Test {
     site_ = std::make_unique<SiteServer>(&loop_, &network_, "www.site.test");
     site_->ServeStatic("/", "text/html", "<html><body>x</body></html>");
     host_browser_ = std::make_unique<Browser>(&loop_, &network_, "host-pc");
-    agent_ = std::make_unique<RcbAgent>(host_browser_.get(), AgentConfig{});
+    AgentConfig config;
+    config.poll_interval = Duration::Millis(200);  // advertised to joiners
+    agent_ = std::make_unique<RcbAgent>(host_browser_.get(), config);
     EXPECT_TRUE(agent_->Start().ok());
   }
 
-  std::unique_ptr<AjaxSnippet> JoinParticipant(const std::string& machine,
-                                               Duration interval) {
+  std::unique_ptr<AjaxSnippet> JoinParticipant(const std::string& machine) {
     network_.AddHost(machine, {});
     browsers_.push_back(std::make_unique<Browser>(&loop_, &network_, machine));
-    SnippetConfig config;
-    config.poll_interval_override = interval;
     auto snippet =
-        std::make_unique<AjaxSnippet>(browsers_.back().get(), config);
+        std::make_unique<AjaxSnippet>(browsers_.back().get(), SnippetConfig{});
     bool joined = false;
     snippet->Join(agent_->AgentUrl(), [&](Status status) {
       EXPECT_TRUE(status.ok());
@@ -207,10 +206,10 @@ class PresenceTest : public ::testing::Test {
 };
 
 TEST_F(PresenceTest, JoinNotifiesExistingParticipants) {
-  auto first = JoinParticipant("p1-pc", Duration::Millis(200));
+  auto first = JoinParticipant("p1-pc");
   loop_.RunFor(Duration::Millis(500));
   EXPECT_TRUE(first->known_peers().empty());
-  auto second = JoinParticipant("p2-pc", Duration::Millis(200));
+  auto second = JoinParticipant("p2-pc");
   loop_.RunUntilCondition([&] { return !first->known_peers().empty(); });
   EXPECT_EQ(first->known_peers().size(), 1u);
   EXPECT_EQ(first->known_peers()[0], second->participant_id());
@@ -220,8 +219,8 @@ TEST_F(PresenceTest, JoinNotifiesExistingParticipants) {
 }
 
 TEST_F(PresenceTest, ExplicitLeaveNotifiesOthers) {
-  auto first = JoinParticipant("p1-pc", Duration::Millis(200));
-  auto second = JoinParticipant("p2-pc", Duration::Millis(200));
+  auto first = JoinParticipant("p1-pc");
+  auto second = JoinParticipant("p2-pc");
   loop_.RunUntilCondition([&] { return first->known_peers().size() == 1; });
   std::string second_pid = second->participant_id();
   second->Leave();
@@ -234,12 +233,12 @@ TEST_F(PresenceTest, ExplicitLeaveNotifiesOthers) {
 }
 
 TEST_F(PresenceTest, SilentParticipantReapedAndAnnounced) {
-  auto first = JoinParticipant("p1-pc", Duration::Millis(200));
-  auto second = JoinParticipant("p2-pc", Duration::Millis(200));
+  auto first = JoinParticipant("p1-pc");
+  auto second = JoinParticipant("p2-pc");
   loop_.RunUntilCondition([&] { return first->known_peers().size() == 1; });
   // Second vanishes without a goodbye (crash / abrupt network loss).
   second->AbortWithoutGoodbye();
-  // Liveness window is poll_interval * 5 of the AGENT config (1 s default).
+  // Liveness window is poll_interval * 5 of the agent config (1 s here).
   loop_.RunFor(Duration::Seconds(12.0));
   EXPECT_TRUE(first->known_peers().empty());
 }

@@ -18,6 +18,7 @@
 #include "src/http/http_parser.h"
 #include "src/html/parser.h"
 #include "src/net/fault_injector.h"
+#include "src/persist/checkpoint.h"
 #include "src/sites/site_server.h"
 #include "src/util/json.h"
 #include "src/util/rand.h"
@@ -329,9 +330,6 @@ TEST_F(HostTest, SharedCacheBudgetSurvivesSessionCreation) {
 TEST_F(HostTest, SessionCapShedsWith503AndRetryAfter) {
   HostConfig config;
   config.limits.max_sessions = 2;
-  config.limits.retry_after = Duration::Seconds(3.0);
-  // This test pins the exact hint; the jitter spread has its own test below.
-  config.limits.retry_after_jitter = Duration::Zero();
   auto host = MakeHost(std::move(config));
 
   ASSERT_TRUE(host->CreateSession("s1").ok());
@@ -347,7 +345,12 @@ TEST_F(HostTest, SessionCapShedsWith503AndRetryAfter) {
   HttpResponse response = host->Route(create);
   EXPECT_EQ(response.status_code, 503);
   ASSERT_TRUE(response.RetryAfter().has_value());
-  EXPECT_EQ(*response.RetryAfter(), Duration::Seconds(3.0));
+  // The exact hint: kRetryAfter jittered by the requested id, rounded up to
+  // whole seconds on the wire.
+  EXPECT_EQ(response.RetryAfter(),
+            HttpResponse::ServiceUnavailable(
+                JitteredRetryAfter(RcbHost::kRetryAfter, "s3"), "")
+                .RetryAfter());
   EXPECT_EQ(host->metrics().sessions_rejected, 2u);
 
   // Freeing a slot reopens admission.
@@ -888,8 +891,8 @@ std::string CanonicalDigest(const Document& document) {
 TEST_F(HostTest, RetryAfterJitterSpreadsShedCreators) {
   HostConfig config;
   config.limits.max_sessions = 1;
-  config.limits.retry_after = Duration::Seconds(1.0);
-  // retry_after_jitter keeps its 3s default: hints land in [1s, 4s].
+  // kRetryAfter (1 s) plus up to kRetryAfterJitter (3 s): hints land in
+  // [1s, 4s].
   auto host = MakeHost(std::move(config));
   ASSERT_TRUE(host->CreateSession("only").ok());
 
@@ -1241,6 +1244,76 @@ TEST_F(HostTest, CorruptFilesDegradeTheSessionNeverTheHost) {
   EXPECT_NE(response.body.find("rcb_host_unrecoverable_sessions_total 1\n"), std::string::npos)
       << response.body;
   EXPECT_TRUE(restarted->CreateSession("victim").ok());
+}
+
+// A checkpoint that decodes cleanly but fails one of recovery's identity
+// gates (a valid id, a file named after that id, a port above base_port) is
+// quarantined like a corrupt one: counted, moved aside, never resurrected.
+TEST_F(HostTest, RecoveryQuarantinesCheckpointsThatFailTheIdentityGates) {
+  struct Case {
+    const char* name;
+    const char* file_stem;  // the forged checkpoint is <dir>/<stem>.ckpt
+    const char* session_id;
+    uint16_t port;  // 0 keeps the donor's own port
+  };
+  const uint16_t base_port = HostConfig().base_port;
+  const Case cases[] = {
+      {"invalid_id", "bad.id", "bad.id", 0},
+      {"file_name_mismatch", "other", "donor", 0},
+      {"port_at_base", "lowport", "lowport", base_port},
+      {"port_below_base", "lowport", "lowport",
+       static_cast<uint16_t>(base_port - 1)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string dir = MakeHostPersistDir(std::string("gate_") + c.name);
+    auto make_config = [&] {
+      HostConfig config;
+      config.persist.dir = dir;
+      config.recovery_storm_window = Duration::Zero();
+      return config;
+    };
+    auto host = MakeHost(make_config());
+    auto donor = host->CreateSession("donor");
+    ASSERT_TRUE(donor.ok()) << donor.status();
+    SetSessionDoc(*donor, "Doc donor");
+    host.reset();  // clean Stop: final checkpoint, files kept
+
+    // Forge the checkpoint from the donor's, then leave it alone in the dir.
+    std::string bytes;
+    {
+      std::ifstream in(dir + "/donor.ckpt", std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    }
+    auto checkpoint = persist::DecodeCheckpoint(bytes);
+    ASSERT_TRUE(checkpoint.ok()) << checkpoint.status();
+    checkpoint->session_id = c.session_id;
+    if (c.port != 0) {
+      checkpoint->config.port = c.port;
+    }
+    fs::remove(dir + "/donor.ckpt");
+    fs::remove(dir + "/donor.wal");
+    const std::string forged = dir + "/" + c.file_stem + ".ckpt";
+    {
+      std::string encoded = persist::EncodeCheckpoint(*checkpoint);
+      std::ofstream out(forged, std::ios::binary | std::ios::trunc);
+      out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
+    }
+
+    auto restarted = MakeHost(make_config());
+    EXPECT_EQ(restarted->metrics().sessions_recovered, 0u);
+    EXPECT_EQ(restarted->metrics().sessions_unrecoverable, 1u);
+    EXPECT_EQ(restarted->session_count(), 0u);
+    EXPECT_TRUE(fs::exists(forged + ".corrupt"));
+    EXPECT_FALSE(fs::exists(forged));
+    HttpRequest request;
+    request.method = HttpMethod::kGet;
+    request.target = "/host/status";
+    EXPECT_NE(restarted->Route(request).body.find(
+                  "rcb_host_unrecoverable_sessions_total 1\n"),
+              std::string::npos);
+  }
 }
 
 // Recovered sessions stagger their pollers' readmission across the storm

@@ -410,12 +410,10 @@ std::string RunTransportChaos(const TransportChaosCase& chaos) {
     case TransportMode::kStream2:
       options.enable_transport = true;
       options.snippet_stream_mode = 2;
-      options.transport_hold = Duration::Seconds(2.0);
       break;
     case TransportMode::kLongPoll:
       options.enable_transport = true;
       options.snippet_stream_mode = 1;
-      options.transport_hold = Duration::Seconds(2.0);
       break;
     case TransportMode::kClassic:
       // Transport off: the paper's fixed-interval poll.
@@ -434,12 +432,21 @@ std::string RunTransportChaos(const TransportChaosCase& chaos) {
   EXPECT_TRUE(loop.RunUntilCondition([&] { return loaded; }));
   EXPECT_TRUE(session.WaitForSync().ok());
 
+  // A partition must outlast the snippet's deadline on its parked poll
+  // (poll_timeout + the granted hold), so the long-poll cells time out and
+  // reconnect inside the fault rather than just waiting for the flush.
+  const bool partition = chaos.kind == FaultEvent::Kind::kPartition;
+  Duration fault_duration = Duration::Seconds(15.0);
+  if (partition) {
+    fault_duration = chaos.mode == TransportMode::kClassic
+                         ? Duration::Seconds(5.0)
+                         : transport::kLongPollHold + options.poll_timeout +
+                               Duration::Seconds(2.0);
+  }
   FaultInjector injector(&network, /*seed=*/2024);
   FaultEvent event = ChaosEvent(profile, chaos.kind,
                                 loop.now() + Duration::Millis(100),
-                                chaos.kind == FaultEvent::Kind::kPartition
-                                    ? Duration::Seconds(5.0)
-                                    : Duration::Seconds(15.0));
+                                fault_duration);
   injector.Install(FaultPlan{"host-pc", "participant-pc-1", {event}});
   loop.Schedule(Duration::Millis(500), [&] {
     session.host_browser()->MutateDocument([](Document* document) {
@@ -454,7 +461,7 @@ std::string RunTransportChaos(const TransportChaosCase& chaos) {
   }
 
   // Fixed simulated horizon so two runs execute the identical schedule.
-  loop.RunFor(Duration::Seconds(40.0));
+  loop.RunFor(Duration::Seconds(50.0));
 
   // Convergence through the fault, whatever rung of the ladder was used.
   EXPECT_NE(session.participant_browser(0)->document()->ById(
@@ -464,6 +471,17 @@ std::string RunTransportChaos(const TransportChaosCase& chaos) {
 
   const AgentMetrics& agent = session.agent()->metrics();
   const SnippetMetrics& snippet = session.snippet(0)->metrics();
+  if (partition) {
+    // The partition cells exist to drive the ladder's first rungs. A parked
+    // or classic poll times out; the stream=2 pre-empt's fresh poll fails
+    // inside the partition instead, and both paths must reach a reconnect.
+    std::string name = TransportChaosCaseName({chaos, 0});
+    if (chaos.mode != TransportMode::kStream2) {
+      EXPECT_GE(snippet.poll_timeouts, 1u) << name;
+    }
+    EXPECT_GE(snippet.poll_timeouts + snippet.transport_failures, 2u) << name;
+    EXPECT_GE(snippet.reconnects, 1u) << name;
+  }
   return StrFormat(
       "agent polls=%llu content=%llu timeouts=%llu reconnects=%llu "
       "resyncs=%llu parked=%llu flushes=%llu expiries=%llu denials=%llu\n"

@@ -584,7 +584,6 @@ OverloadChaosCounters RunOverloadChaos() {
   options.agent_limits.poll_rate_per_sec = 2.0;
   options.agent_limits.poll_burst = 1.0;
   options.agent_limits.action_rate_per_sec = 50.0;
-  options.agent_limits.max_outbox_actions = 64;
   options.agent_limits.max_request_head_bytes = 64 * 1024;
   options.agent_limits.max_request_body_bytes = 1 << 20;
   options.agent_limits.idle_read_timeout = Duration::Seconds(5.0);

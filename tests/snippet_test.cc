@@ -855,22 +855,6 @@ TEST_F(SnippetTest, LeaveWhileJoiningNeverPolls) {
   EXPECT_TRUE(agent_->ConnectedParticipants().empty());
 }
 
-TEST_F(SnippetTest, PollIntervalOverrideRespected) {
-  StartAgent();  // agent advertises 1 s
-  SnippetConfig config;
-  config.poll_interval_override = Duration::Millis(200);
-  ASSERT_TRUE(Join(config).ok());
-  EXPECT_EQ(snippet_->poll_interval(), Duration::Millis(200));
-  HostNavigate();
-  WaitForUpdate();
-  uint64_t polls_before = snippet_->metrics().polls_sent;
-  loop_.RunFor(Duration::Seconds(2.0));
-  // ~10 polls in 2 s at 200 ms (allowing response-time slack).
-  uint64_t polls = snippet_->metrics().polls_sent - polls_before;
-  EXPECT_GE(polls, 7u);
-  EXPECT_LE(polls, 11u);
-}
-
 TEST_F(SnippetTest, ApplyMeasuresM6) {
   StartAgent();
   ASSERT_TRUE(Join().ok());

@@ -267,7 +267,6 @@ TEST_F(TransportSessionTest, Stream1GesturesPreemptTheParkedPoll) {
   SessionOptions options = BaseOptions();
   options.enable_transport = true;
   options.snippet_stream_mode = transport::kStreamLongPoll;
-  options.transport_hold = Duration::Seconds(2.0);
   CoBrowsingSession session(&loop_, &network_, options);
   ASSERT_TRUE(session.Start().ok());
   NavigateHost(&session);
@@ -410,7 +409,6 @@ TEST_F(TransportSessionTest, Stream2RecoversThroughSignedResume) {
   SessionOptions options = BaseOptions();
   options.enable_transport = true;
   options.snippet_stream_mode = transport::kStreamFrames;
-  options.transport_hold = Duration::Seconds(2.0);
   options.poll_timeout = Duration::Seconds(1.0);
   options.reconnect_after = 1;
   options.backoff_base = Duration::Millis(250);
@@ -420,14 +418,16 @@ TEST_F(TransportSessionTest, Stream2RecoversThroughSignedResume) {
   NavigateHost(&session);
   ASSERT_TRUE(AwaitParked(&session, 1));
 
-  // Black-hole the participant for 5 s: the parked poll's release is lost,
-  // its deadline (timeout plus the granted hold) passes, and reconnect_after=1
-  // sends the snippet straight through the signed resume.
+  // Black-hole the participant for longer than the parked poll's deadline
+  // (timeout plus the granted hold): its release is lost, the deadline
+  // passes, and reconnect_after=1 sends the snippet straight through the
+  // signed resume.
   FaultInjector injector(&network_, /*seed=*/77);
   injector.InjectPartition("participant-pc-1", loop_.now() + Duration::Millis(100),
-                           Duration::Seconds(5.0), Duration::Millis(200));
+                           transport::kLongPollHold + Duration::Seconds(2.0),
+                           Duration::Millis(200));
   loop_.Schedule(Duration::Millis(500), [&] { MutateHost(&session, "mid-fault"); });
-  loop_.RunFor(Duration::Seconds(20.0));
+  loop_.RunFor(Duration::Seconds(30.0));
 
   const SnippetMetrics& snippet = session.snippet(0)->metrics();
   EXPECT_GE(snippet.poll_timeouts, 1u);
@@ -445,7 +445,6 @@ TEST_F(TransportSessionTest, LongPollParksIdlePollsAndFlushesOnChange) {
   SessionOptions options = BaseOptions();
   options.enable_transport = true;
   options.snippet_stream_mode = transport::kStreamLongPoll;
-  options.transport_hold = Duration::Seconds(2.0);
   options.poll_timeout = Duration::Seconds(5.0);
   CoBrowsingSession session(&loop_, &network_, options);
   ASSERT_TRUE(session.Start().ok());
@@ -454,9 +453,9 @@ TEST_F(TransportSessionTest, LongPollParksIdlePollsAndFlushesOnChange) {
   // Idle period: polls get parked and released empty at the hold deadline
   // instead of bouncing every 250 ms.
   uint64_t polls_at_start = session.snippet(0)->metrics().polls_sent;
-  loop_.RunFor(Duration::Seconds(10.0));
+  loop_.RunFor(transport::kLongPollHold * 5);
   uint64_t idle_polls = session.snippet(0)->metrics().polls_sent - polls_at_start;
-  EXPECT_LE(idle_polls, 7u) << "a 2 s hold bounds 10 s of idling to ~5 polls";
+  EXPECT_LE(idle_polls, 7u) << "a 10 s hold bounds 50 s of idling to ~5 polls";
   EXPECT_GE(session.agent()->metrics().transport_long_polls_parked, 4u);
   EXPECT_GE(session.agent()->metrics().transport_long_poll_expiries, 4u);
   // Held round trips are not "wasted" — they are the delivery channel.
@@ -489,7 +488,6 @@ TEST_F(TransportSessionTest, LongPollReleaseCarriesDeltaPatch) {
   options.enable_delta = true;
   options.enable_transport = true;
   options.snippet_stream_mode = transport::kStreamLongPoll;
-  options.transport_hold = Duration::Seconds(2.0);
   options.poll_timeout = Duration::Seconds(5.0);
   CoBrowsingSession session(&loop_, &network_, options);
   ASSERT_TRUE(session.Start().ok());
@@ -534,21 +532,24 @@ TEST_F(TransportSessionTest, LongPollReleaseCarriesDeltaPatch) {
 }
 
 TEST_F(TransportSessionTest, HeldPollCapDeniesGrantsGracefully) {
+  // Two long-pollers more than the agent may hold; the roster cap is raised
+  // to admit them.
+  constexpr size_t kPollers = transport::kMaxHeldPolls + 2;
   SessionOptions options = BaseOptions();
-  options.participant_count = 3;
+  options.participant_count = kPollers;
+  options.agent_limits.max_participants = kPollers;
   options.enable_transport = true;
   options.snippet_stream_mode = transport::kStreamFrames;
-  options.max_held_streams = 1;
   CoBrowsingSession session(&loop_, &network_, options);
   ASSERT_TRUE(session.Start().ok());
   NavigateHost(&session);
 
-  // At most one participant holds the parked slot; the others are denied a
-  // grant and keep polling at the advertised 250 ms interval, as the
-  // paper's snippet does — no errors, no stuck clients, no back-off.
-  ASSERT_TRUE(AwaitParked(&session, 1));
-  uint64_t polls_before[3];
-  for (size_t i = 0; i < 3; ++i) {
+  // At most kMaxHeldPolls participants hold a parked slot; the others are
+  // denied a grant and keep polling at the advertised 250 ms interval, as
+  // the paper's snippet does — no errors, no stuck clients, no back-off.
+  ASSERT_TRUE(AwaitParked(&session, transport::kMaxHeldPolls));
+  uint64_t polls_before[kPollers];
+  for (size_t i = 0; i < kPollers; ++i) {
     polls_before[i] = session.snippet(i)->metrics().polls_sent;
   }
   size_t most_parked = 0;
@@ -557,10 +558,10 @@ TEST_F(TransportSessionTest, HeldPollCapDeniesGrantsGracefully) {
     loop_.RunFor(Duration::Millis(10));
     most_parked = std::max(most_parked, session.agent()->parked_poll_count());
   }
-  EXPECT_EQ(most_parked, 1u);
+  EXPECT_EQ(most_parked, transport::kMaxHeldPolls);
   EXPECT_GT(session.agent()->metrics().transport_capacity_denials, 0u);
   size_t denied = 0;
-  for (size_t i = 0; i < 3; ++i) {
+  for (size_t i = 0; i < kPollers; ++i) {
     if (session.snippet(i)->long_poll_active()) {
       continue;
     }
@@ -574,7 +575,7 @@ TEST_F(TransportSessionTest, HeldPollCapDeniesGrantsGracefully) {
 
   MutateHost(&session, "cap-marker");
   ASSERT_TRUE(session.WaitForSync().ok());
-  for (size_t i = 0; i < 3; ++i) {
+  for (size_t i = 0; i < kPollers; ++i) {
     EXPECT_NE(session.participant_browser(i)->document()->ById("cap-marker"),
               nullptr)
         << "participant " << i;
