@@ -556,12 +556,15 @@ check_ctest() {
 
 check_delta() {
   local build_dir="$1"
-  # Explicit delta gate: the diff/patch round-trip suite and the patch-codec
-  # fuzz cases must pass in this build (ctest already ran them; this re-runs
-  # them by name so a test-registration regression cannot silently drop them).
-  echo "=== ${build_dir}: delta + patch-codec fuzz gate ==="
+  # Explicit delta gate: the diff/patch round-trip suite, the patch-codec
+  # fuzz cases and the SHA-256 cases must pass in this build (ctest already
+  # ran them; this re-runs them by name so a test-registration regression
+  # cannot silently drop them). The page digest is a Merkle tree of streamed
+  # Sha256::Update calls, so the SHA-256 cases belong to the delta path.
+  echo "=== ${build_dir}: delta + patch-codec fuzz + SHA-256 gate ==="
   "${build_dir}/tests/delta_test" --gtest_brief=1
   "${build_dir}/tests/fuzz_test" --gtest_filter='*Patch*' --gtest_brief=1
+  "${build_dir}/tests/crypto_test" --gtest_filter='Sha256*' --gtest_brief=1
 }
 
 check_fig5() {

@@ -46,9 +46,9 @@ Status ApplyPatchOps(Element* root, const std::vector<PatchOp>& ops);
 
 // The pipeline described in the file comment. `current_doc_time_ms` is the
 // version of the content the participant currently displays. `memo` carries
-// the live view's canonical bytes and digest from one call to the next, so
-// gates 3 and 5 re-serialize only what changed since (the participant keeps
-// one per document); without one, both gates serialize the whole view.
+// the live view's node digests from one call to the next, so gates 3 and 5
+// hash only the spine of what changed since (the participant keeps
+// one per document); without one, both gates hash the whole view.
 ApplyResult ApplyPatchToDocument(Document* document,
                                  int64_t current_doc_time_ms,
                                  const Patch& patch);

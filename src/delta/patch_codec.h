@@ -20,7 +20,9 @@
 
 namespace rcb::delta {
 
-inline constexpr int kPatchFormatVersion = 1;
+// Version 2: the digests are TreeDigest's Merkle SHA-256. A version-1 peer
+// digests the flat serialization, so its patches are refused at parse.
+inline constexpr int kPatchFormatVersion = 2;
 
 struct Patch {
   int version = kPatchFormatVersion;

@@ -10,6 +10,7 @@
 #include "src/html/parser.h"
 #include "src/html/serializer.h"
 #include "src/html/tokenizer.h"
+#include "src/util/base64.h"
 #include "src/util/escape.h"
 
 namespace rcb::delta {
@@ -463,6 +464,153 @@ uint64_t HashNode(const Node& node, TreeHashes* out) {
   return h;
 }
 
+// TreeDigest's framing. In an element's input a child element stands as its
+// tag: kMarker, kElementTag and the child's digest. So does a run (the bytes
+// of the non-element children between two child elements) of kInlineRun
+// bytes or more: kMarker, kRunTag and the SHA-256 of its bytes; a shorter
+// run stands as its bytes. A kMarker among the input's own bytes is hashed
+// as kMarker, kLiteral, so no content reads as a tag.
+constexpr char kMarker = '\xff';
+constexpr char kLiteral = '\x00';
+constexpr char kElementTag = '\x01';
+constexpr char kRunTag = '\x02';
+constexpr size_t kInlineRun = 64;
+using NodeDigest = std::array<uint8_t, Sha256::kDigestSize>;
+
+// Escapes the marker bytes of input[from, end).
+void EscapeMarkers(size_t from, std::string* input) {
+  const void* hit =
+      std::memchr(input->data() + from, kMarker, input->size() - from);
+  if (hit == nullptr) {
+    return;
+  }
+  const size_t at = static_cast<const char*>(hit) - input->data();
+  const std::string tail = input->substr(at);
+  input->resize(at);
+  for (char c : tail) {
+    input->push_back(c);
+    if (c == kMarker) {
+      input->push_back(kLiteral);
+    }
+  }
+}
+
+// Appends the bytes a non-element node serializes to; `raw` under a script
+// or style parent, where text is verbatim.
+void AppendLeaf(const Node& leaf, bool raw, std::string* input) {
+  switch (leaf.type()) {
+    case NodeType::kText: {
+      const std::string& data = static_cast<const Text&>(leaf).data();
+      if (raw) {
+        input->append(data);
+      } else {
+        HtmlEscapeAppend(data, input);
+      }
+      break;
+    }
+    case NodeType::kComment:
+      input->append("<!--");
+      input->append(static_cast<const Comment&>(leaf).data());
+      input->append("-->");
+      break;
+    case NodeType::kDoctype:
+      input->append("<!");
+      input->append(static_cast<const Doctype&>(leaf).data());
+      input->push_back('>');
+      break;
+    case NodeType::kDocument:  // never a child
+    case NodeType::kElement:   // a tag, not bytes
+      break;
+  }
+}
+
+void AppendStartTag(const Element& element, std::string* input) {
+  const size_t from = input->size();
+  input->push_back('<');
+  input->append(element.tag_name());
+  for (const auto& [name, value] : element.attributes()) {
+    input->push_back(' ');
+    input->append(name);
+    input->append("=\"");
+    HtmlEscapeAppend(value, input);
+    input->push_back('"');
+  }
+  input->push_back('>');
+  EscapeMarkers(from, input);
+}
+
+void AppendTag(char kind, const NodeDigest& digest, std::string* input) {
+  input->push_back(kMarker);
+  input->push_back(kind);
+  input->append(reinterpret_cast<const char*>(digest.data()), digest.size());
+}
+
+// Hashes input[start, end) into `*digest`, cuts it off and appends its tag.
+// Returns the bytes hashed.
+size_t HashInto(char kind, size_t start, std::string* input,
+                NodeDigest* digest) {
+  Sha256 sha;
+  sha.Update(std::string_view(*input).substr(start));
+  *digest = sha.Finish();
+  const size_t hashed = input->size() - start;
+  input->resize(start);
+  AppendTag(kind, *digest, input);
+  return hashed;
+}
+
+// Closes the run of leaf bytes at input[start, end): a long one is hashed
+// into `*digest` and replaced by its tag (returns the bytes hashed), a short
+// one stays as bytes (returns 0).
+size_t CloseRunInput(size_t start, std::string* input, NodeDigest* digest) {
+  if (input->size() - start < kInlineRun) {
+    EscapeMarkers(start, input);
+    return 0;
+  }
+  return HashInto(kRunTag, start, input, digest);
+}
+
+// Closes the input of element `tag` opened at input[start]: appends its end
+// tag (none for a void element), hashes the input into `*digest` and
+// replaces it by the element's tag. Returns the bytes hashed.
+size_t CloseElementInput(std::string_view tag, size_t start,
+                         std::string* input, NodeDigest* digest) {
+  if (!IsVoidElement(tag)) {
+    input->append("</");
+    input->append(tag);
+    input->push_back('>');
+  }
+  return HashInto(kElementTag, start, input, digest);
+}
+
+// TreeDigest's recursion: appends the element's start tag, its children's
+// tags and runs and its end tag, then closes the input.
+NodeDigest ElementDigest(const Element& element, std::string* input) {
+  const size_t start = input->size();
+  AppendStartTag(element, input);
+  NodeDigest digest;
+  if (!IsVoidElement(element.tag_name())) {
+    const bool raw = HtmlTokenizer::IsRawTextElement(element.tag_name());
+    size_t run = input->size();
+    for (const auto& child : element.children()) {
+      if (const Element* child_element = child->AsElement()) {
+        CloseRunInput(run, input, &digest);
+        ElementDigest(*child_element, input);
+        run = input->size();
+      } else {
+        AppendLeaf(*child, raw, input);
+      }
+    }
+    CloseRunInput(run, input, &digest);
+  }
+  CloseElementInput(element.tag_name(), start, input, &digest);
+  return digest;
+}
+
+std::string HexDigest(const NodeDigest& digest) {
+  return HexEncode(std::string_view(
+      reinterpret_cast<const char*>(digest.data()), digest.size()));
+}
+
 }  // namespace
 
 bool IsSnippetBootstrapScript(const Node& node) {
@@ -551,13 +699,8 @@ std::string NodeKey(const Node& node) {
 }
 
 std::string TreeDigest(const Element& canonical_root) {
-  // One digest runs per document version per mode; the serialization is the
-  // page-sized allocation on that path, so the buffer keeps its capacity
-  // across calls instead of growing from empty every time.
-  static thread_local std::string scratch;
-  scratch.clear();
-  SerializeNodeInto(canonical_root, &scratch);
-  return Sha256::HexDigest(scratch);
+  std::string input;
+  return HexDigest(ElementDigest(canonical_root, &input));
 }
 
 TreeHashes HashTree(const Element& root) {
@@ -577,25 +720,31 @@ uint32_t CanonicalMemo::OpenRecord() {
 }
 
 uint32_t CanonicalMemo::CloseRecord(uint32_t index, const Node* node,
-                                    uint64_t rev, size_t start,
-                                    size_t parent_start, uint64_t hash,
-                                    bool clean, Context context) {
-  next_entries_[index] = {node,
-                          rev,
-                          static_cast<uint32_t>(start - parent_start),
-                          static_cast<uint32_t>(next_bytes_.size() - start),
-                          clean,
-                          context};
+                                    uint64_t rev, const NodeDigest& digest,
+                                    uint64_t hash, bool clean,
+                                    Context context) {
+  // A leaf's digest and run are its run's, set by CloseRun after this.
+  next_entries_[index] = {node, rev, digest, 0, clean, context};
   next_hashes_.hash[index] = hash;
   next_hashes_.size[index] =
       static_cast<uint32_t>(next_entries_.size() - index);
   return index;
 }
 
+bool CanonicalMemo::Unchanged(const Node& node, uint32_t old,
+                              Context context) const {
+  if (old == kNoEntry) {
+    return false;
+  }
+  const Entry& entry = entries_[old];
+  return entry.rev == node.rev() && entry.context == context &&
+         (entry.clean || !normalize_);
+}
+
 template <typename ChildAt>
 void CanonicalMemo::VisitChildren(size_t count, ChildAt child_at, uint32_t old,
-                                  size_t old_start, Context context,
-                                  size_t start, uint64_t* hash, bool* clean) {
+                                  Context context, uint64_t* hash,
+                                  bool* clean) {
   std::vector<uint32_t> previous;  // the records of `old`'s children
   if (old != kNoEntry) {
     const uint32_t end = old + hashes_.size[old];
@@ -608,6 +757,12 @@ void CanonicalMemo::VisitChildren(size_t count, ChildAt child_at, uint32_t old,
   std::unordered_map<const Node*, size_t> by_node;
   size_t cursor = 0;
   bool after_text = false;
+  // The current run's leaf records, and its first leaf's previous record
+  // while the run so far repeats a previous one leaf for leaf (a leaf is one
+  // record, so a repeated run's records are consecutive).
+  std::vector<uint32_t> run;
+  uint32_t run_old = kNoEntry;
+  uint32_t last_old = kNoEntry;
   for (size_t j = 0; j < count; ++j) {
     Node* child = child_at(j);
     uint32_t match = kNoEntry;
@@ -624,13 +779,26 @@ void CanonicalMemo::VisitChildren(size_t count, ChildAt child_at, uint32_t old,
         cursor = it->second + 1;
       }
     }
-    const size_t child_start =
-        match == kNoEntry ? 0 : old_start + entries_[match].offset;
+    const bool leaf = child != nullptr && child->AsElement() == nullptr;
+    if (leaf) {
+      const bool unchanged = Unchanged(*child, match, context);
+      if (run.empty()) {
+        run_old = unchanged ? match : kNoEntry;
+      } else if (!unchanged || match != last_old + 1) {
+        run_old = kNoEntry;
+      }
+      last_old = match;
+    } else {
+      CloseRun(run, run_old, context);
+      run.clear();
+    }
     // nullptr stands for the document view's head (Digest(Document*)).
-    const uint32_t index =
-        child == nullptr
-            ? VisitView("head", view_head_, match, child_start, start)
-            : Visit(child, match, child_start, context, start);
+    const uint32_t index = child == nullptr
+                               ? VisitView("head", view_head_, match)
+                               : Visit(child, match, context);
+    if (leaf) {
+      run.push_back(index);
+    }
     *hash = Mix(*hash, next_hashes_.hash[index]);
     const bool is_text = child != nullptr && child->type() == NodeType::kText;
     *clean = *clean && next_entries_[index].clean &&
@@ -638,116 +806,96 @@ void CanonicalMemo::VisitChildren(size_t count, ChildAt child_at, uint32_t old,
                            static_cast<const Text*>(child)->data().empty()));
     after_text = is_text;
   }
+  CloseRun(run, run_old, context);
   *hash = Mix(*hash, count);
 }
 
-uint32_t CanonicalMemo::Visit(Node* node, uint32_t old, size_t old_start,
-                              Context context, size_t parent_start) {
-  const size_t start = next_bytes_.size();
-  if (old != kNoEntry) {
-    const Entry& entry = entries_[old];
-    if (entry.rev == node->rev() && entry.context == context &&
-        (entry.clean || !normalize_)) {
-      // Unchanged since the last call: its bytes, records and hashes move
-      // over as they are; only its offset from the new parent changes.
-      const auto index = static_cast<uint32_t>(next_entries_.size());
-      const uint32_t count = hashes_.size[old];
-      next_bytes_.append(bytes_, old_start, entry.length);
-      next_entries_.insert(next_entries_.end(), entries_.begin() + old,
-                           entries_.begin() + old + count);
-      next_hashes_.hash.insert(next_hashes_.hash.end(),
-                               hashes_.hash.begin() + old,
-                               hashes_.hash.begin() + old + count);
-      next_hashes_.size.insert(next_hashes_.size.end(),
-                               hashes_.size.begin() + old,
-                               hashes_.size.begin() + old + count);
-      next_entries_[index].offset = static_cast<uint32_t>(start - parent_start);
-      return index;
+void CanonicalMemo::CloseRun(const std::vector<uint32_t>& run, uint32_t old,
+                             Context context) {
+  if (run.empty() || context == Context::kMuted) {
+    return;
+  }
+  Entry& first = next_entries_[run[0]];
+  if (old != kNoEntry && entries_[old].run == run.size()) {
+    // The previous call's hashed run, leaf for leaf: its record came over
+    // with its digest.
+    AppendTag(kRunTag, first.digest, &input_);
+    return;
+  }
+  const size_t start = input_.size();
+  for (uint32_t record : run) {
+    next_entries_[record].run = 0;
+    AppendLeaf(*next_entries_[record].node, context == Context::kRaw, &input_);
+  }
+  const size_t hashed = CloseRunInput(start, &input_, &first.digest);
+  if (hashed > 0) {
+    first.run = static_cast<uint32_t>(run.size());
+    hashed_bytes_ += hashed;
+  }
+}
+
+uint32_t CanonicalMemo::Visit(Node* node, uint32_t old, Context context) {
+  const bool emit = context != Context::kMuted;
+  Element* element = node->AsElement();
+  if (Unchanged(*node, old, context)) {
+    // Unchanged since the last call: its records and hashes move over as
+    // they are, and an element's tag goes into its parent's input.
+    const auto index = static_cast<uint32_t>(next_entries_.size());
+    const uint32_t count = hashes_.size[old];
+    next_entries_.insert(next_entries_.end(), entries_.begin() + old,
+                         entries_.begin() + old + count);
+    next_hashes_.hash.insert(next_hashes_.hash.end(),
+                             hashes_.hash.begin() + old,
+                             hashes_.hash.begin() + old + count);
+    next_hashes_.size.insert(next_hashes_.size.end(),
+                             hashes_.size.begin() + old,
+                             hashes_.size.begin() + old + count);
+    if (emit && element != nullptr) {
+      AppendTag(kElementTag, entries_[old].digest, &input_);
     }
+    return index;
   }
   const uint32_t index = OpenRecord();
-  const bool emit = context != Context::kMuted;
+  const size_t start = input_.size();
   uint64_t hash = HashHeader(*node);
   bool clean = true;
-  // The serializer's byte rules (src/html/serializer.cc), node by node.
+  // The serializer's byte rules (src/html/serializer.cc): only an emitted,
+  // non-void element's children are emitted; a leaf's bytes go into its
+  // parent's run (VisitChildren).
   Context child_context = Context::kMuted;
-  switch (node->type()) {
-    case NodeType::kText: {
-      const std::string& data = static_cast<const Text*>(node)->data();
-      if (context == Context::kRaw) {
-        next_bytes_.append(data);
-      } else if (emit) {
-        HtmlEscapeAppend(data, &next_bytes_);
-      }
-      break;
+  if (element != nullptr) {
+    if (normalize_) {
+      NormalizeChildList(element, /*view_of_head=*/false);
     }
-    case NodeType::kComment:
-      if (emit) {
-        next_bytes_.append("<!--");
-        next_bytes_.append(static_cast<const Comment*>(node)->data());
-        next_bytes_.append("-->");
+    const std::string& tag = element->tag_name();
+    if (emit) {
+      AppendStartTag(*element, &input_);
+      if (!IsVoidElement(tag)) {
+        child_context = HtmlTokenizer::IsRawTextElement(tag) ? Context::kRaw
+                                                             : Context::kNormal;
       }
-      break;
-    case NodeType::kDoctype:
-      if (emit) {
-        next_bytes_.append("<!");
-        next_bytes_.append(static_cast<const Doctype*>(node)->data());
-        next_bytes_.push_back('>');
-      }
-      break;
-    case NodeType::kDocument:
-      child_context = emit ? Context::kNormal : Context::kMuted;
-      break;
-    case NodeType::kElement: {
-      Element* element = node->AsElement();
-      if (normalize_) {
-        NormalizeChildList(element, /*view_of_head=*/false);
-      }
-      const std::string& tag = element->tag_name();
-      const bool is_void = IsVoidElement(tag);
-      if (emit) {
-        next_bytes_.push_back('<');
-        next_bytes_.append(tag);
-        for (const auto& [name, value] : element->attributes()) {
-          next_bytes_.push_back(' ');
-          next_bytes_.append(name);
-          next_bytes_.append("=\"");
-          HtmlEscapeAppend(value, &next_bytes_);
-          next_bytes_.push_back('"');
-        }
-        next_bytes_.push_back('>');
-        if (!is_void) {
-          child_context = HtmlTokenizer::IsRawTextElement(tag)
-                              ? Context::kRaw
-                              : Context::kNormal;
-        }
-      }
-      break;
     }
   }
   VisitChildren(
       node->child_count(), [node](size_t j) { return node->child_at(j); }, old,
-      old_start, child_context, start, &hash, &clean);
-  if (const Element* element = node->AsElement();
-      element != nullptr && emit && !IsVoidElement(element->tag_name())) {
-    next_bytes_.append("</");
-    next_bytes_.append(element->tag_name());
-    next_bytes_.push_back('>');
+      child_context, &hash, &clean);
+  NodeDigest digest{};
+  if (emit && element != nullptr) {
+    hashed_bytes_ +=
+        CloseElementInput(element->tag_name(), start, &input_, &digest);
   }
-  return CloseRecord(index, node, node->rev(), start, parent_start, hash, clean,
-                     context);
+  return CloseRecord(index, node, node->rev(), digest, hash, clean, context);
 }
 
 uint32_t CanonicalMemo::VisitView(const char* tag,
                                   const std::vector<Node*>& children,
-                                  uint32_t old, size_t old_start,
-                                  size_t parent_start) {
+                                  uint32_t old) {
   // An attribute-less element made up for the view: no rev, so never reused.
-  const size_t start = next_bytes_.size();
   const uint32_t index = OpenRecord();
-  next_bytes_.push_back('<');
-  next_bytes_.append(tag);
-  next_bytes_.push_back('>');
+  const size_t start = input_.size();
+  input_.push_back('<');
+  input_.append(tag);
+  input_.push_back('>');
   uint64_t hash = Mix(
       MixBytes(Mix(0x243f6a8885a308d3ULL,
                    static_cast<uint64_t>(NodeType::kElement)),
@@ -756,28 +904,21 @@ uint32_t CanonicalMemo::VisitView(const char* tag,
   bool clean = true;
   VisitChildren(
       children.size(), [&children](size_t j) { return children[j]; }, old,
-      old_start, Context::kNormal, start, &hash, &clean);
-  next_bytes_.append("</");
-  next_bytes_.append(tag);
-  next_bytes_.push_back('>');
-  return CloseRecord(index, nullptr, 0, start, parent_start, hash, clean,
-                     Context::kNormal);
+      Context::kNormal, &hash, &clean);
+  NodeDigest digest;
+  hashed_bytes_ += CloseElementInput(tag, start, &input_, &digest);
+  return CloseRecord(index, nullptr, 0, digest, hash, clean, Context::kNormal);
 }
 
 const std::string& CanonicalMemo::Finish(const Element* root, bool view) {
   entries_.swap(next_entries_);
   hashes_.hash.swap(next_hashes_.hash);
   hashes_.size.swap(next_hashes_.size);
-  bytes_.swap(next_bytes_);
-  // An unchanged byte string keeps its digest: the one SHA-256 pass is
-  // skipped when only bytes outside the canonical tree moved.
-  if (digest_.empty() || bytes_ != next_bytes_) {
-    digest_ = Sha256::HexDigest(bytes_);
-  }
+  digest_ = HexDigest(entries_[0].digest);
   next_entries_.clear();
   next_hashes_.hash.clear();
   next_hashes_.size.clear();
-  next_bytes_.clear();
+  input_.clear();  // the root's tag
   root_ = root;
   root_rev_ = root->rev();
   view_ = view;
@@ -790,8 +931,7 @@ const std::string& CanonicalMemo::Digest(Element* root) {
     return digest_;
   }
   normalize_ = true;
-  Visit(root, view_ || entries_.empty() ? kNoEntry : 0, 0, Context::kNormal,
-        0);
+  Visit(root, view_ || entries_.empty() ? kNoEntry : 0, Context::kNormal);
   return Finish(root, /*view=*/false);
 }
 
@@ -814,7 +954,7 @@ const std::string& CanonicalMemo::Digest(Document* document, bool normalize) {
     view_head_ = CanonicalViewChildren(*root, *head);
   }
   top[0] = nullptr;  // nullptr: the view's head
-  VisitView("html", top, view_ && !entries_.empty() ? 0 : kNoEntry, 0, 0);
+  VisitView("html", top, view_ && !entries_.empty() ? 0 : kNoEntry);
   return Finish(root, /*view=*/true);
 }
 

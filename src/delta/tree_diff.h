@@ -19,6 +19,7 @@
 #ifndef SRC_DELTA_TREE_DIFF_H_
 #define SRC_DELTA_TREE_DIFF_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -82,8 +83,18 @@ std::unique_ptr<Element> CanonicalizeDocument(const Document& document);
 // Reconciliation key for one node (see file comment).
 std::string NodeKey(const Node& node);
 
-// Hex SHA-256 over the canonical serialization — the integrity digest the
-// patch header carries as baseDigest/docDigest.
+// The integrity digest the patch header carries as baseDigest/docDigest: the
+// lowercase hex of the root's Merkle SHA-256 over the canonical
+// serialization. An element's digest is the SHA-256 of the bytes it
+// serializes to, with each child element's bytes replaced by a tag: the
+// marker byte 0xff, a 0x01 and the child's 32-byte digest. A run, the bytes
+// the non-element children between two child elements serialize to (in the
+// serializer's contexts: escaped, raw under script or style, nothing under a
+// void element), is hashed in place when shorter than 64 bytes and replaced
+// by 0xff, 0x02 and its SHA-256 otherwise. A 0xff the input itself holds is
+// hashed as 0xff 0x00, so no content reads as a tag. Adjacent or empty text
+// nodes therefore hash as the bytes they serialize to, and trees that
+// serialize alike digest alike.
 std::string TreeDigest(const Element& canonical_root);
 
 // Structural subtree hashes of one tree, in pre-order (index 0 is the root).
@@ -99,13 +110,15 @@ struct TreeHashes {
 };
 TreeHashes HashTree(const Element& root);
 
-// Rev-memoized canonical serializer: the digest and subtree hashes of one
-// tree, kept from call to call as the tree changes. A node whose rev() is the
-// one recorded at the previous call copies its bytes, records and hashes from
-// there; only the changed spine is escaped and hashed again, and one SHA-256
-// pass over the bytes remains. Sound because a rev names one subtree state
-// and is never reused, and clones share it (src/html/dom.h). Memory is
-// O(tree): the last call's bytes and one record per node.
+// Rev-memoized TreeDigest: the Merkle digest and subtree hashes of one tree,
+// kept from call to call as the tree changes. A node whose rev() is the one
+// recorded at the previous call copies its records and hashes from there,
+// an element's with its digest and a long run's first leaf's with the run's.
+// Only the changed spine is hashed again: each element on it over its own
+// tags, its short runs and one 34-byte tag per child element or long run; a
+// long run is hashed again only when one of its leaves changed. Sound
+// because a rev names one subtree state and is never reused, and clones
+// share it (src/html/dom.h). Memory is O(tree): one record per node.
 class CanonicalMemo {
  public:
   // TreeDigest(*root) after NormalizeTextNodes(root). The normalization runs
@@ -125,46 +138,58 @@ class CanonicalMemo {
   const TreeHashes& hashes() const { return hashes_; }
   // Calls answered from the previous one: the root's rev was unchanged.
   uint64_t hits() const { return hits_; }
+  // Bytes fed to SHA-256 over all calls: what the changed spines cost.
+  uint64_t hashed_bytes() const { return hashed_bytes_; }
 
  private:
-  // Where a node's bytes went: normal text escapes, raw text (script/style
+  using NodeDigest = std::array<uint8_t, 32>;
+  // Where a node's bytes go: normal text escapes, raw text (script/style
   // content) is verbatim, and a void element's children emit nothing.
   enum class Context : uint8_t { kNormal, kRaw, kMuted };
-  // One node's record, in pre-order beside hashes_: its bytes are `length`
-  // bytes from `offset` after its parent's first byte. `node` only guides
-  // the match of a changed parent's children; `rev` decides the reuse.
+  // One node's record, in pre-order beside hashes_. `node` only guides the
+  // match of a changed parent's children; `rev` decides the reuse.
   struct Entry {
     const Node* node = nullptr;
     uint64_t rev = 0;  // 0 for the view's html and head, which never match
-    uint32_t offset = 0;
-    uint32_t length = 0;
+    // An emitted element's digest, or the digest of the long run a leaf
+    // opens, whose leaf count is `run` (0 for any other leaf).
+    NodeDigest digest{};
+    uint32_t run = 0;
     bool clean = false;  // subtree text nodes were normalized at that rev
     Context context = Context::kNormal;
   };
   static constexpr uint32_t kNoEntry = UINT32_MAX;
 
-  uint32_t Visit(Node* node, uint32_t old, size_t old_start, Context context,
-                 size_t parent_start);
+  // True when record `old` still stands for `node` in `context`.
+  bool Unchanged(const Node& node, uint32_t old, Context context) const;
+  // Each Visit of an element appends its tag to its parent's input_.
+  uint32_t Visit(Node* node, uint32_t old, Context context);
   uint32_t VisitView(const char* tag, const std::vector<Node*>& children,
-                     uint32_t old, size_t old_start, size_t parent_start);
-  // Visits `children` (a changed parent's, starting at byte `start`) against
-  // the previous children of record `old`; folds their hashes into `*hash`
-  // and clears `*clean` on an unnormalized child list.
+                     uint32_t old);
+  // Visits `children` (a changed parent's) against the previous children of
+  // record `old`, appending their tags and runs to input_; folds their
+  // hashes into `*hash` and clears `*clean` on an unnormalized child list.
   template <typename ChildAt>
   void VisitChildren(size_t count, ChildAt child_at, uint32_t old,
-                     size_t old_start, Context context, size_t start,
-                     uint64_t* hash, bool* clean);
+                     Context context, uint64_t* hash, bool* clean);
+  // Appends the run of the leaves recorded at `run` to input_; `old` is its
+  // first leaf's previous record when the run repeats the previous call's
+  // leaf for leaf, kNoEntry otherwise.
+  void CloseRun(const std::vector<uint32_t>& run, uint32_t old,
+                Context context);
   uint32_t OpenRecord();
   uint32_t CloseRecord(uint32_t index, const Node* node, uint64_t rev,
-                       size_t start, size_t parent_start, uint64_t hash,
-                       bool clean, Context context);
+                       const NodeDigest& digest, uint64_t hash, bool clean,
+                       Context context);
   const std::string& Finish(const Element* root, bool view);
 
-  // The last call's records, hashes and bytes, and the next call's, built
-  // beside them and then swapped in.
+  // The last call's records and hashes, and the next call's, built beside
+  // them and then swapped in.
   std::vector<Entry> entries_, next_entries_;
   TreeHashes hashes_, next_hashes_;
-  std::string bytes_, next_bytes_;
+  // The digest inputs of the changed elements on the walk's current path,
+  // each above its parent's; an element hashes its own and cuts it off.
+  std::string input_;
   std::string digest_;
   bool normalize_ = true;         // the current call's mode
   std::vector<Node*> view_head_;  // the current call's view of the head
@@ -172,6 +197,7 @@ class CanonicalMemo {
   uint64_t root_rev_ = 0;
   bool view_ = false;  // the last call walked a document's canonical view
   uint64_t hits_ = 0;
+  uint64_t hashed_bytes_ = 0;
 };
 
 // Diffs two canonical trees: the returned ops transform `base` into a tree

@@ -72,10 +72,6 @@ std::string SerializeNode(const Node& node) {
   return out;
 }
 
-void SerializeNodeInto(const Node& node, std::string* out) {
-  SerializeInto(node, out);
-}
-
 std::string SerializeChildren(const Node& node) {
   std::string out;
   bool raw = false;

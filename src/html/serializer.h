@@ -11,11 +11,6 @@ namespace rcb {
 // Serializes a node and its subtree (outerHTML for elements).
 std::string SerializeNode(const Node& node);
 
-// Append variant: same bytes, into a caller-owned buffer. Lets hot callers
-// (delta::TreeDigest, the serialize-cache miss path) reuse one page-sized
-// buffer instead of reallocating it per call.
-void SerializeNodeInto(const Node& node, std::string* out);
-
 // Serializes only the children (innerHTML).
 std::string SerializeChildren(const Node& node);
 

@@ -28,16 +28,14 @@
 namespace rcb {
 namespace persist {
 
-// WAL bytes since the last checkpoint that make a session checkpoint itself.
+// A session checkpoints (and truncates its log) once this many WAL records
+// or bytes have accumulated since the last checkpoint, whichever first.
+inline constexpr uint64_t kCheckpointDirtyRecords = 64;
 inline constexpr uint64_t kCheckpointDirtyBytes = 256 * 1024;
 
 struct PersistOptions {
   // Directory for checkpoint + WAL files. Empty disables persistence.
   std::string dir;
-  // A session checkpoints (and truncates its log) once this many WAL records
-  // or kCheckpointDirtyBytes have accumulated since the last checkpoint,
-  // whichever first.
-  uint64_t checkpoint_dirty_records = 64;
 
   bool enabled() const { return !dir.empty(); }
 };
@@ -85,7 +83,7 @@ class SessionStore {
   uint64_t dirty_records() const { return dirty_records_; }
   uint64_t dirty_bytes() const { return dirty_bytes_; }
   bool ShouldCheckpoint() const {
-    return dirty_records_ >= options_.checkpoint_dirty_records ||
+    return dirty_records_ >= kCheckpointDirtyRecords ||
            dirty_bytes_ >= kCheckpointDirtyBytes;
   }
 

@@ -4,13 +4,15 @@
 // differ against the unpruned one, the integrity-checked applier's
 // freshness/digest gates, its malformed-op rejects, in-place rollback and
 // digest memo, the host's reconciled trees, the in-place apply and the
-// rev-memoized serializer against their oracles over the corpus, and
-// end-to-end sessions where patches replace full snapshots on the wire (and
-// where the history window, the size cutoff and piggybacked peer actions
-// shape what is served).
+// rev-memoized digest against their oracles over the corpus, the Merkle
+// digest against the flat SHA-256 of the serialization, the memo's
+// re-hashed bytes per edit, and end-to-end sessions where patches replace
+// full snapshots on the wire (and where the history window, the size cutoff
+// and piggybacked peer actions shape what is served).
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <unordered_map>
 
 #include "src/core/broadcast.h"
 #include "src/core/rcb_agent.h"
@@ -23,9 +25,11 @@
 #include "src/html/tokenizer.h"
 #include "src/net/profiles.h"
 #include "src/sites/corpus.h"
+#include "src/util/base64.h"
 #include "src/util/rand.h"
 #include "src/util/strings.h"
 #include "tests/support/reference_patch_applier.h"
+#include "tests/support/reference_tree_digest.h"
 
 namespace rcb {
 namespace {
@@ -161,7 +165,11 @@ TEST(PatchCodecTest, ParseRejectsBadHeaders) {
 
   // Wrong version.
   std::string bad = good;
-  bad.replace(bad.find("<version>1</version>"), 20, "<version>9</version>");
+  bad.replace(bad.find("<version>2</version>"), 20, "<version>9</version>");
+  EXPECT_FALSE(delta::ParsePatchXml(bad).ok());
+  // Version 1, whose digests hash the flat serialization.
+  bad = good;
+  bad.replace(bad.find("<version>2</version>"), 20, "<version>1</version>");
   EXPECT_FALSE(delta::ParsePatchXml(bad).ok());
   // Truncated digest.
   bad = good;
@@ -1930,8 +1938,246 @@ TEST_P(DeltaEquivalenceTest, MemoizedSerializerMatchesAFreshOne) {
   }
 }
 
+// TreeDigest against the flat digest it replaced, over the Table 1 corpus:
+// along each stream of edits, splits and empties, two trees digest alike
+// under one exactly when they do under the other; a normalized copy, which
+// serializes alike, digests alike.
+TEST_P(DeltaEquivalenceTest, MerkleDigestSplitsTreesLikeTheFlatOne) {
+  Rng rng(GetParam());
+  for (const SiteSpec& spec : Table1Sites()) {
+    std::unique_ptr<Element> tree = delta::CanonicalizeDocument(
+        *ParseDocument(GenerateHomepage(spec).html));
+    std::unordered_map<std::string, std::string> merkle_of_flat;
+    std::unordered_map<std::string, std::string> flat_of_merkle;
+    for (int step = 0; step <= 24; ++step) {
+      const std::string where = spec.name + " step " + std::to_string(step);
+      if (step > 0) {
+        if (rng.NextBelow(2) == 0) {
+          MutateTreeOnce(&rng, tree.get());
+        } else {
+          UnsettleOnce(&rng, tree.get());
+        }
+      }
+      const std::string flat = ReferenceTreeDigest(*tree);
+      const std::string merkle = delta::TreeDigest(*tree);
+      ASSERT_EQ(merkle.size(), 64u) << where;
+      EXPECT_EQ(merkle_of_flat.emplace(flat, merkle).first->second, merkle)
+          << where;
+      EXPECT_EQ(flat_of_merkle.emplace(merkle, flat).first->second, flat)
+          << where;
+      std::unique_ptr<Node> normalized = tree->Clone();
+      delta::NormalizeTextNodes(normalized->AsElement());
+      ASSERT_EQ(ReferenceTreeDigest(*normalized->AsElement()), flat) << where;
+      EXPECT_EQ(delta::TreeDigest(*normalized->AsElement()), merkle) << where;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DeltaEquivalenceTest,
                          ::testing::Range<uint64_t>(1, 4));
+
+template <typename... Children>
+std::unique_ptr<Element> E(std::string tag, Children... children) {
+  std::unique_ptr<Element> element = MakeElement(std::move(tag));
+  (element->AppendChild(std::move(children)), ...);
+  return element;
+}
+// An empty element with one attribute.
+std::unique_ptr<Element> A(std::string tag, std::string name,
+                           std::string value) {
+  std::unique_ptr<Element> element = MakeElement(std::move(tag));
+  element->SetAttribute(name, std::move(value));
+  return element;
+}
+std::unique_ptr<Node> T(std::string data) { return MakeText(std::move(data)); }
+std::unique_ptr<Node> C(std::string data) {
+  return std::make_unique<Comment>(std::move(data));
+}
+
+// Hand-built pairs (the parser would normalize most of them away), each
+// either serializing alike or not: TreeDigest and the memo must split them
+// as the flat digest does.
+TEST(MerkleDigestTest, SplitsHandBuiltPairsLikeTheFlatDigest) {
+  using namespace std::string_literals;
+  struct Row {
+    std::string name;
+    std::unique_ptr<Element> a;
+    std::unique_ptr<Element> b;
+    bool alike;
+  };
+  std::vector<Row> rows;
+  auto row = [&](std::string name, std::unique_ptr<Element> a,
+                 std::unique_ptr<Element> b, bool alike) {
+    rows.push_back({std::move(name), std::move(a), std::move(b), alike});
+  };
+  row("split text", E("p", T("ab")), E("p", T("a"), T("b")), true);
+  row("empty texts", E("p", T("ab")), E("p", T(""), T("ab"), T("")), true);
+  row("an empty text or none", E("p"), E("p", T("")), true);
+  row("nested split", E("div", E("b", T("x"))), E("div", E("b", T("x"), T(""))),
+      true);
+  row("split raw script text", E("script", T("a<b>&")),
+      E("script", T("a<b"), T(">&")), true);
+  row("raw style text is verbatim", E("style", T("a<b")),
+      E("style", T("a&lt;b")), false);
+  row("escaped text", E("div", T("a<b")), E("div", T("a&lt;b")), false);
+  row("a comment in raw text", E("script", C("x")),
+      E("script", T("<!--x-->")), true);
+  row("a comment or escaped text", E("div", C("x")),
+      E("div", T("<!--x-->")), false);
+  row("comment data", E("div", C("a")), E("div", C("b")), false);
+  row("texts around a comment", E("div", T("a"), C("c"), T("b")),
+      E("div", T("a"), C("c"), T(""), T("b")), true);
+  row("an element under a void element", E("br"),
+      E("br", E("span", T("x"))), true);
+  row("text under a void element", E("img", T("x")), E("img", T("y")),
+      true);
+  row("a void element's attribute", A("img", "src", "a"),
+      A("img", "src", "b"), false);
+  row("< in an attribute", A("a", "title", "x<y"), A("a", "title", "x&lt;y"),
+      false);
+  row("NUL in split text", E("p", T("a\0b"s)), E("p", T("a"), T("\0b"s)),
+      true);
+  row("NUL in text", E("p", T("a\0b"s)), E("p", T("ab")), false);
+  row("NUL in an attribute", A("p", "title", "x\0"s), A("p", "title", "x"),
+      false);
+  row("the marker in split text", E("p", T("a\xff" "b")),
+      E("p", T("a\xff"), T("b")), true);
+  row("the marker in an attribute", A("p", "title", "\xff"),
+      A("p", "title", "\xff\0"s), false);
+  row("the marker beside a child", E("div", T("\xff"), E("b")),
+      E("div", E("b")), false);
+  // A text that spells out a child's tag: marker, tag byte, its digest.
+  std::unique_ptr<Element> span = E("span", T("x"));
+  const std::string spelled =
+      "\xff\x01"s + *HexDecode(delta::TreeDigest(*span));
+  row("a text that spells a child's tag", E("div", std::move(span)),
+      E("div", T(spelled)), false);
+  for (Row& r : rows) {
+    ASSERT_EQ(ReferenceTreeDigest(*r.a) == ReferenceTreeDigest(*r.b), r.alike)
+        << r.name;
+    const std::string a = delta::TreeDigest(*r.a);
+    const std::string b = delta::TreeDigest(*r.b);
+    EXPECT_EQ(a == b, r.alike) << r.name;
+    // The memo normalizes in place first; the digest stays TreeDigest's.
+    delta::CanonicalMemo memo_a;
+    delta::CanonicalMemo memo_b;
+    EXPECT_EQ(memo_a.Digest(r.a.get()), a) << r.name;
+    EXPECT_EQ(memo_b.Digest(r.b.get()), b) << r.name;
+  }
+}
+
+// A long run's digest is reused only while the run holds the same leaves in
+// the same order: removing, inserting or moving a leaf, or merging two runs
+// by removing the element between them, hashes the run again. Comments make
+// the runs (adjacent texts would be merged by the memo's normalization):
+// two 40-byte ones are a long run, one alone a short one.
+TEST(CanonicalMemoTest, LongRunsAreReusedOnlyLeafForLeaf) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    std::unique_ptr<Element> root = MakeElement("div");
+    int made = 0;
+    auto make_child = [&]() -> std::unique_ptr<Node> {
+      const std::string id = std::to_string(made++);
+      if (rng.NextBelow(3) == 0) {
+        return E("b", T(id));
+      }
+      return C(id + std::string(40 - id.size(), '-'));
+    };
+    for (int i = 0; i < 12; ++i) {
+      root->AppendChild(make_child());
+    }
+    delta::CanonicalMemo memo;
+    for (int step = 0; step < 200; ++step) {
+      for (int op = rng.NextBelow(3); op >= 0; --op) {
+        const size_t count = root->child_count();
+        switch (rng.NextBelow(4)) {
+          case 0:  // remove a child
+            if (count > 1) {
+              root->RemoveChild(root->child_at(rng.NextBelow(count)));
+            }
+            break;
+          case 1: {  // move a child
+            std::unique_ptr<Node> moved =
+                root->RemoveChild(root->child_at(rng.NextBelow(count)));
+            root->InsertChildAt(rng.NextBelow(count), std::move(moved));
+            break;
+          }
+          case 2:  // insert a child
+            root->InsertChildAt(rng.NextBelow(count + 1), make_child());
+            break;
+          case 3:  // change an element child, leaving every run as it was
+            for (const auto& child : root->children()) {
+              if (Element* element = child->AsElement()) {
+                element->SetAttribute("data-step", std::to_string(step));
+                break;
+              }
+            }
+            break;
+        }
+      }
+      ASSERT_EQ(memo.Digest(root.get()), delta::TreeDigest(*root))
+          << "seed " << seed << " step " << step;
+    }
+  }
+}
+
+// The memo re-hashes O(change): after one attribute edit and then one text
+// edit on each Table 1 page, each call hashes at most a quarter of the
+// page's canonical bytes, on the host's canonical tree and on the
+// participant's live view alike.
+TEST(CanonicalMemoTest, AnEditRehashesAtMostAQuarterOfThePage) {
+  Rng rng(32);
+  for (const SiteSpec& spec : Table1Sites()) {
+    std::unique_ptr<Document> document =
+        ParseDocument(GenerateHomepage(spec).html);
+    std::unique_ptr<Element> tree = delta::CanonicalizeDocument(*document);
+    const size_t page_bytes = SerializeNode(*tree).size();
+    delta::CanonicalMemo tree_memo;
+    delta::CanonicalMemo view_memo;
+    tree_memo.Digest(tree.get());
+    view_memo.Digest(document.get(), /*normalize=*/true);
+    // Both bodies hold the same nodes, so a pre-order pick names one node.
+    Element* bodies[] = {tree->ChildByTag("body"), document->body()};
+    std::vector<Element*> elements[2];
+    std::vector<Text*> texts[2];
+    for (int side = 0; side < 2; ++side) {
+      bodies[side]->ForEachElement([&](Element* element) {
+        elements[side].push_back(element);
+        return true;
+      });
+      CollectTexts(bodies[side], &texts[side]);
+    }
+    ASSERT_EQ(elements[0].size(), elements[1].size()) << spec.name;
+    ASSERT_EQ(texts[0].size(), texts[1].size()) << spec.name;
+    ASSERT_FALSE(texts[0].empty()) << spec.name;
+    const size_t element = rng.NextBelow(elements[0].size());
+    const size_t text = rng.NextBelow(texts[0].size());
+    std::string ratios;
+    for (const char* edit : {"attribute", "text"}) {
+      for (int side = 0; side < 2; ++side) {
+        if (edit == std::string("attribute")) {
+          elements[side][element]->SetAttribute("data-edit", "1");
+        } else {
+          texts[side][text]->set_data(texts[side][text]->data() + " edited");
+        }
+      }
+      const uint64_t tree_before = tree_memo.hashed_bytes();
+      const uint64_t view_before = view_memo.hashed_bytes();
+      const std::string& digest = tree_memo.Digest(tree.get());
+      ASSERT_EQ(digest, delta::TreeDigest(*tree)) << spec.name;
+      ASSERT_EQ(view_memo.Digest(document.get(), /*normalize=*/true), digest)
+          << spec.name;
+      const uint64_t tree_cost = tree_memo.hashed_bytes() - tree_before;
+      const uint64_t view_cost = view_memo.hashed_bytes() - view_before;
+      EXPECT_LE(tree_cost * 4, page_bytes) << spec.name << " " << edit;
+      EXPECT_LE(view_cost * 4, page_bytes) << spec.name << " " << edit;
+      ratios += StrFormat("%s %.4f/%.4f ", edit,
+                          static_cast<double>(tree_cost) / page_bytes,
+                          static_cast<double>(view_cost) / page_bytes);
+    }
+    RecordProperty(spec.name, ratios + StrFormat("of %zu bytes", page_bytes));
+  }
+}
 
 // Every single-field edit over the Table 1 corpus reaches the participant
 // as one patch applied to its live document: the body element and the

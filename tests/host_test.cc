@@ -1383,7 +1383,7 @@ bool PersistFilesExist(const std::string& dir, const std::string& id) {
          fs::exists(dir + "/" + id + ".wal");
 }
 
-// A session whose log crosses checkpoint_dirty_records checkpoints itself
+// A session whose log crosses kCheckpointDirtyRecords checkpoints itself
 // one event later (never mid-request), truncating the log; a crash after
 // that recovers the document the self-checkpoint saved.
 TEST_F(HostTest, DirtySessionCheckpointsItselfOneEventLater) {
@@ -1392,7 +1392,6 @@ TEST_F(HostTest, DirtySessionCheckpointsItselfOneEventLater) {
   auto make_config = [&] {
     HostConfig config;
     config.persist.dir = dir;
-    config.persist.checkpoint_dirty_records = 3;
     config.process_faults = &faults;
     config.recovery_storm_window = Duration::Zero();
     return config;
@@ -1404,7 +1403,8 @@ TEST_F(HostTest, DirtySessionCheckpointsItselfOneEventLater) {
   // The baseline checkpoint already truncated the log once.
   const uint64_t truncations = host->persist_counters().wal_truncations;
 
-  for (int version = 1; version <= 3; ++version) {
+  for (uint64_t version = 1; version <= persist::kCheckpointDirtyRecords;
+       ++version) {
     SetSessionDoc(*session, "v" + std::to_string(version));
   }
   ASSERT_TRUE(store->ShouldCheckpoint());
@@ -1511,12 +1511,15 @@ TEST_F(HostTest, SessionClosedWithACheckpointPendingCancelsIt) {
   const std::string dir = MakeHostPersistDir("pending");
   HostConfig config;
   config.persist.dir = dir;
-  config.persist.checkpoint_dirty_records = 1;
   auto host = MakeHost(config);
   auto session = host->CreateSession("pending");
   ASSERT_TRUE(session.ok()) << session.status();
   const size_t idle_events = loop_.pending_events();
-  SetSessionDoc(*session, "v1");  // crosses the bound: checkpoint scheduled
+  // The last version crosses the bound: checkpoint scheduled.
+  for (uint64_t version = 1; version <= persist::kCheckpointDirtyRecords;
+       ++version) {
+    SetSessionDoc(*session, "v" + std::to_string(version));
+  }
   ASSERT_TRUE((*session)->persist->store()->ShouldCheckpoint());
   ASSERT_EQ(loop_.pending_events(), idle_events + 1);
   ASSERT_TRUE(host->CloseSession("pending").ok());

@@ -257,7 +257,6 @@ TEST(WalTest, BadMagicOrHeaderDiscardsTheWholeLog) {
 TEST(SessionStoreTest, CheckpointAndTruncateBoundsLogGrowth) {
   PersistOptions options;
   options.dir = MakePersistDir("truncate");
-  options.checkpoint_dirty_records = 4;
   PersistCounters counters;
   SessionStore store("alpha", options, &counters, nullptr);
   ASSERT_TRUE(store.WriteCheckpoint(MakeCheckpoint()).ok());
@@ -266,8 +265,8 @@ TEST(SessionStoreTest, CheckpointAndTruncateBoundsLogGrowth) {
   WalRecord seq;
   seq.type = WalRecordType::kSeq;
   seq.pid = "p1";
-  for (int i = 1; i <= 4; ++i) {
-    seq.seq = static_cast<uint64_t>(i);
+  for (uint64_t i = 1; i <= kCheckpointDirtyRecords; ++i) {
+    seq.seq = i;
     ASSERT_TRUE(store.Append(seq).ok());
   }
   EXPECT_TRUE(store.ShouldCheckpoint());
@@ -279,7 +278,7 @@ TEST(SessionStoreTest, CheckpointAndTruncateBoundsLogGrowth) {
   EXPECT_LT(fs::file_size(store.WalPath()), grown);
   EXPECT_EQ(counters.checkpoints_written, 2u);
   EXPECT_EQ(counters.wal_truncations, 2u);
-  EXPECT_EQ(counters.wal_records, 4u);
+  EXPECT_EQ(counters.wal_records, kCheckpointDirtyRecords);
 
   // The truncated log carries the new epoch: recovery applies it cleanly.
   auto loaded =
